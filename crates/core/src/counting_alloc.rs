@@ -11,16 +11,27 @@
 //! ```
 //!
 //! Counts every `alloc`/`alloc_zeroed`/`realloc`; frees are irrelevant to
-//! the zero-allocation claim. The counter is process-global — callers that
-//! measure a window must ensure nothing else allocates concurrently (e.g.
-//! serialize tests around it).
+//! the zero-allocation claim. Two counters run side by side:
+//! [`thread_allocation_count`] sees only the calling thread, so a window
+//! measured on one thread is exact whatever else the process is doing (a
+//! test harness spawning threads and capturing output, say);
+//! [`allocation_count`] is process-global, for windows whose work crosses
+//! threads — callers must then ensure nothing unrelated allocates
+//! concurrently.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub struct CountingAllocator;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // `const`-initialised and without a destructor: reading it from inside
+    // the allocator neither allocates nor runs lazy initialisation.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Total allocation events since process start (or since the last
 /// snapshot's baseline — callers diff two reads).
@@ -28,19 +39,32 @@ pub fn allocation_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// Allocation events made by the calling thread since it started — callers
+/// diff two reads taken on the same thread.
+pub fn thread_allocation_count() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
+#[inline]
+fn count_one() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    // `try_with`: an allocation during thread teardown must not panic.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 

@@ -305,8 +305,8 @@ mod tests {
 
     #[test]
     fn concurrent_half_open_callers_race_for_one_probe() {
-        use std::sync::Mutex;
-        let b = Mutex::new(CircuitBreaker::new(cfg()));
+        use std::sync::{Arc, Mutex};
+        let b = Arc::new(Mutex::new(CircuitBreaker::new(cfg())));
         {
             let mut b = b.lock().unwrap();
             for t in 0..4 {
@@ -316,19 +316,20 @@ mod tests {
         }
         // Two threads arrive together after the cooldown on the same
         // virtual instant: exactly one may probe.
-        let grants: Vec<bool> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|_| s.spawn(|| b.lock().unwrap().allow(2_000)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let b = Arc::clone(&b);
+                std::thread::spawn(move || b.lock().unwrap().allow(2_000))
+            })
+            .collect();
+        let grants: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(
             grants.iter().filter(|&&g| g).count(),
             1,
             "exactly one of two concurrent callers may probe, got {grants:?}"
         );
         // The winning probe's success closes the breaker for everyone.
-        let mut b = b.into_inner().unwrap();
+        let mut b = b.lock().unwrap();
         b.record(2_001, true);
         b.record(2_002, true);
         assert_eq!(b.state(), BreakerState::Closed);

@@ -1,9 +1,23 @@
 //! Concurrent federated execution with deadlines, retries, and breakers.
 //!
 //! [`FederatedExecutor::execute`] dispatches one [`EndpointPlan`] per
-//! endpoint across a hand-rolled `thread::scope` pool (no async runtime):
-//! workers claim endpoints off an atomic cursor, so up to
-//! [`ExecutorConfig::n_threads`] subqueries are in flight at once.
+//! endpoint with **no thread spawned on the request path** (no async
+//! runtime either). The executor starts `min(n_threads, n_endpoints) - 1`
+//! helper threads — *dispatch lanes* — once, in
+//! [`new`](FederatedExecutor::new), and joins them when it is dropped.
+//! An execution publishes its plans as one batch on a mutex + condvar
+//! queue and then works on that batch itself: the calling thread runs the
+//! first endpoint, keeps claiming the rest off the batch's atomic cursor
+//! alongside whichever lanes are free, and only when nothing is left to
+//! claim waits for the endpoints a lane is still running. Progress
+//! therefore never depends on a lane being free, up to
+//! [`ExecutorConfig::n_threads`] subqueries of one execution are in
+//! flight at once, and a one-endpoint plan (or `n_threads == 1`) never
+//! touches another thread.
+//!
+//! A thread holds at most one endpoint's runtime lock at a time and never
+//! takes the queue's or a batch's lock while it does, so callers and lanes
+//! cannot deadlock however many executions overlap.
 //!
 //! Each endpoint call runs the full resilience ladder on a **virtual
 //! clock** (see the module docs on [`super`]): the breaker is consulted,
@@ -14,10 +28,11 @@
 //! virtual clock makes the deadline contract exact: an execution's
 //! recorded elapsed time never exceeds [`ExecutorConfig::deadline_nanos`].
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::thread;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
 
 use super::{
     mix_chain, BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker, EndpointOutcome,
@@ -28,8 +43,9 @@ use super::{
 /// Executor tuning knobs.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct ExecutorConfig {
-    /// Worker threads for concurrent endpoint dispatch (clamped to the
-    /// number of endpoints in the plan, min 1).
+    /// Most subqueries of one execution in flight at once: the calling
+    /// thread plus `n_threads - 1` dispatch lanes (clamped to the number
+    /// of endpoints, min 1).
     pub n_threads: usize,
     /// Overall per-endpoint deadline for one execution, in virtual
     /// nanoseconds; attempts and backoff must fit inside it.
@@ -69,21 +85,133 @@ struct EndpointRuntime {
     calls: u64,
 }
 
+/// A lock whose holders leave the data valid at every step (the runtime,
+/// batch and queue updates are each a handful of plain stores), so a panic
+/// elsewhere in a holder must not condemn every later request.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The plans of one execution that the caller shares with the lanes (all
+/// but the first, which the caller runs itself).
+struct Batch {
+    plans: Vec<EndpointPlan>,
+    /// Claim cursor: index of the next plan nobody has started.
+    next: AtomicUsize,
+    progress: Mutex<BatchProgress>,
+    /// Signalled when `outstanding` reaches zero; only the caller waits.
+    done: Condvar,
+}
+
+struct BatchProgress {
+    /// One slot per plan, filled as its endpoint finishes.
+    reports: Vec<Option<EndpointReport>>,
+    /// Plans not yet finished (claimed or not).
+    outstanding: usize,
+}
+
+impl Batch {
+    fn new(plans: &[EndpointPlan]) -> Batch {
+        Batch {
+            plans: plans.to_vec(),
+            next: AtomicUsize::new(0),
+            progress: Mutex::new(BatchProgress {
+                reports: vec![None; plans.len()],
+                outstanding: plans.len(),
+            }),
+            done: Condvar::new(),
+        }
+    }
+
+    /// Claim the next unstarted plan. `Relaxed` suffices: the cursor only
+    /// hands out distinct indexes; plans reach a lane through the queue
+    /// lock and reports reach the caller through the progress lock.
+    fn claim(&self) -> Option<usize> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.plans.len()).then_some(i)
+    }
+
+    /// Run claimed plan `i` and book it as finished.
+    fn run<T: EndpointTransport>(&self, i: usize, shared: &Shared<T>) {
+        let mut finished = Finished {
+            batch: self,
+            slot: i,
+            report: None,
+        };
+        finished.report = Some(shared.run_endpoint(&self.plans[i]));
+    }
+
+    /// Block until every plan has finished and take the reports, in plan
+    /// order.
+    fn wait(&self) -> Vec<EndpointReport> {
+        let mut progress = lock(&self.progress);
+        while progress.outstanding > 0 {
+            progress = self
+                .done
+                .wait(progress)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        std::mem::take(&mut progress.reports)
+            .into_iter()
+            .map(|r| r.expect("a dispatch lane panicked outside the transport boundary"))
+            .collect()
+    }
+}
+
+/// Books a claimed plan as finished when dropped — with its report, or
+/// with none if `run_endpoint` unwound (a bug outside the transport's
+/// `catch_unwind`), so the waiting caller is released either way instead
+/// of hanging on a lost lane.
+struct Finished<'a> {
+    batch: &'a Batch,
+    slot: usize,
+    report: Option<EndpointReport>,
+}
+
+impl Drop for Finished<'_> {
+    fn drop(&mut self) {
+        let mut progress = lock(&self.batch.progress);
+        progress.reports[self.slot] = self.report.take();
+        progress.outstanding -= 1;
+        if progress.outstanding == 0 {
+            self.batch.done.notify_one();
+        }
+    }
+}
+
+/// Batches with unclaimed plans, oldest first.
+struct LaneQueue {
+    batches: VecDeque<Arc<Batch>>,
+    /// Set once, by the executor's `Drop`.
+    shutdown: bool,
+}
+
+/// Everything a dispatch needs, shared between the executor handle and its
+/// lanes.
+struct Shared<T> {
+    transport: T,
+    config: ExecutorConfig,
+    runtimes: Vec<Mutex<EndpointRuntime>>,
+    /// Transport panics contained at the dispatch boundary (see
+    /// [`FederatedExecutor::caught_panics`]).
+    panics: AtomicU64,
+    queue: Mutex<LaneQueue>,
+    /// Signalled when a batch is queued and at shutdown.
+    work: Condvar,
+}
+
 /// Dispatches planned subqueries concurrently and degrades gracefully.
 /// `&self`-only on the hot path: endpoint runtimes sit behind per-endpoint
 /// locks, and distinct endpoints never contend.
 pub struct FederatedExecutor<T> {
-    transport: T,
-    config: ExecutorConfig,
-    runtimes: Vec<Mutex<EndpointRuntime>>,
-    /// Transport panics contained at the pool boundary (see
-    /// [`FederatedExecutor::caught_panics`]).
-    panics: AtomicU64,
+    shared: Arc<Shared<T>>,
+    lanes: Vec<JoinHandle<()>>,
 }
 
-impl<T: EndpointTransport> FederatedExecutor<T> {
+impl<T: EndpointTransport + 'static> FederatedExecutor<T> {
     /// `n_endpoints` must cover every [`EndpointId`](super::EndpointId)
-    /// the planner can emit (ids are dense registration indexes).
+    /// the planner can emit (ids are dense registration indexes). Starts
+    /// the dispatch lanes; dropping the executor stops and joins them.
     pub fn new(transport: T, n_endpoints: usize, config: ExecutorConfig) -> FederatedExecutor<T> {
         let runtimes = (0..n_endpoints)
             .map(|_| {
@@ -94,45 +222,52 @@ impl<T: EndpointTransport> FederatedExecutor<T> {
                 })
             })
             .collect();
-        FederatedExecutor {
+        let shared = Arc::new(Shared {
             transport,
             config,
             runtimes,
             panics: AtomicU64::new(0),
-        }
+            queue: Mutex::new(LaneQueue {
+                batches: VecDeque::new(),
+                shutdown: false,
+            }),
+            work: Condvar::new(),
+        });
+        let lanes = (1..config.n_threads.min(n_endpoints))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("fed-lane-{i}"))
+                    .spawn(move || shared.lane())
+                    .expect("spawning a dispatch lane")
+            })
+            .collect();
+        FederatedExecutor { shared, lanes }
     }
 
     pub fn transport(&self) -> &T {
-        &self.transport
+        &self.shared.transport
     }
 
     pub fn config(&self) -> &ExecutorConfig {
-        &self.config
+        &self.shared.config
     }
 
-    /// Transport panics caught at the pool boundary and degraded to
+    /// Transport panics caught at the dispatch boundary and degraded to
     /// structured outcomes instead of poisoning the endpoint's runtime
     /// lock. A real transport should never panic, so the chaos soak gates
     /// this at zero.
     pub fn caught_panics(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
-    }
-
-    /// An endpoint's runtime lock, recovering from poisoning: the state a
-    /// worker could have left mid-flight (clock, breaker window) is always
-    /// internally consistent, so a panic elsewhere in a lock holder must
-    /// not condemn every later request to this endpoint.
-    fn lock_runtime(&self, e: usize) -> MutexGuard<'_, EndpointRuntime> {
-        self.runtimes[e]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.shared.panics.load(Ordering::Relaxed)
     }
 
     /// Current breaker state per endpoint — the soak gate's convergence
     /// signal.
     pub fn breaker_states(&self) -> Vec<BreakerState> {
-        (0..self.runtimes.len())
-            .map(|e| self.lock_runtime(e).breaker.state())
+        self.shared
+            .runtimes
+            .iter()
+            .map(|rt| lock(rt).breaker.state())
             .collect()
     }
 
@@ -142,9 +277,11 @@ impl<T: EndpointTransport> FederatedExecutor<T> {
     /// breaker is open. This is what an HTTP front end converts into a
     /// `Retry-After` when a whole execution degrades to breaker fast-fails.
     pub fn soonest_half_open_nanos(&self) -> Option<u64> {
-        (0..self.runtimes.len())
-            .filter_map(|e| {
-                let rt = self.lock_runtime(e);
+        self.shared
+            .runtimes
+            .iter()
+            .filter_map(|rt| {
+                let rt = lock(rt);
                 rt.breaker.cooldown_remaining(rt.clock)
             })
             .min()
@@ -154,40 +291,84 @@ impl<T: EndpointTransport> FederatedExecutor<T> {
     /// per endpoint in plan order. Never panics on endpoint failure — every
     /// fault degrades to a structured [`EndpointOutcome`].
     pub fn execute(&self, plans: &[EndpointPlan]) -> FederatedResult {
-        if plans.is_empty() {
+        let shared = &*self.shared;
+        let Some((first, rest)) = plans.split_first() else {
             return FederatedResult::default();
+        };
+        if rest.is_empty() || self.lanes.is_empty() {
+            return FederatedResult {
+                reports: plans.iter().map(|p| shared.run_endpoint(p)).collect(),
+            };
         }
-        let n_workers = self.config.n_threads.clamp(1, plans.len());
-        let slots: Vec<Mutex<Option<EndpointReport>>> =
-            plans.iter().map(|_| Mutex::new(None)).collect();
-        if n_workers == 1 {
-            for (slot, plan) in slots.iter().zip(plans) {
-                *slot.lock().unwrap() = Some(self.run_endpoint(plan));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            thread::scope(|s| {
-                for _ in 0..n_workers {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= plans.len() {
-                            break;
-                        }
-                        let report = self.run_endpoint(&plans[i]);
-                        *slots[i].lock().unwrap() = Some(report);
-                    });
+        let batch = Arc::new(Batch::new(rest));
+        shared.publish(&batch, rest.len().min(self.lanes.len()));
+        let mut reports = Vec::with_capacity(plans.len());
+        reports.push(shared.run_endpoint(first));
+        while let Some(i) = batch.claim() {
+            batch.run(i, shared);
+        }
+        shared.retire(&batch);
+        reports.extend(batch.wait());
+        FederatedResult { reports }
+    }
+}
+
+impl<T> Drop for FederatedExecutor<T> {
+    fn drop(&mut self) {
+        lock(&self.shared.queue).shutdown = true;
+        self.shared.work.notify_all();
+        for lane in self.lanes.drain(..) {
+            // A lane that died of a panic already surfaced it: the
+            // execution it was serving panicked in `Batch::wait`.
+            let _ = lane.join();
+        }
+    }
+}
+
+impl<T: EndpointTransport> Shared<T> {
+    /// Queue `batch` and wake up to `lanes` idle lanes for it. A busy lane
+    /// needs no wake-up: it looks at the queue again when it finishes.
+    fn publish(&self, batch: &Arc<Batch>, lanes: usize) {
+        lock(&self.queue).batches.push_back(Arc::clone(batch));
+        for _ in 0..lanes {
+            self.work.notify_one();
+        }
+    }
+
+    /// Unqueue a batch whose plans are all claimed, unless a lane that saw
+    /// it exhausted already has: the queue never outgrows the executions
+    /// in progress.
+    fn retire(&self, batch: &Arc<Batch>) {
+        lock(&self.queue)
+            .batches
+            .retain(|queued| !Arc::ptr_eq(queued, batch));
+    }
+
+    /// A dispatch lane: run claimed plans until shutdown.
+    fn lane(&self) {
+        while let Some((batch, i)) = self.next_claim() {
+            batch.run(i, self);
+        }
+    }
+
+    /// Claim a plan off the oldest batch that has one, sleeping while the
+    /// queue is empty; `None` at shutdown.
+    fn next_claim(&self) -> Option<(Arc<Batch>, usize)> {
+        let mut queue = lock(&self.queue);
+        loop {
+            while let Some(front) = queue.batches.front() {
+                if let Some(i) = front.claim() {
+                    return Some((Arc::clone(front), i));
                 }
-            });
-        }
-        FederatedResult {
-            reports: slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .unwrap()
-                        .expect("every claimed slot is filled before scope exit")
-                })
-                .collect(),
+                queue.batches.pop_front();
+            }
+            if queue.shutdown {
+                return None;
+            }
+            queue = self
+                .work
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -197,7 +378,7 @@ impl<T: EndpointTransport> FederatedExecutor<T> {
     /// fault stream deterministic.
     fn run_endpoint(&self, plan: &EndpointPlan) -> EndpointReport {
         let e = plan.endpoint.0 as usize;
-        let mut rt = self.lock_runtime(e);
+        let mut rt = lock(&self.runtimes[e]);
         rt.clock = rt.clock.saturating_add(self.config.inter_request_nanos);
         let call = rt.calls;
         rt.calls += 1;
@@ -221,7 +402,7 @@ impl<T: EndpointTransport> FederatedExecutor<T> {
                     };
                 }
                 attempts += 1;
-                // The pool boundary: a panicking transport must not poison
+                // The dispatch boundary: a panicking transport must not poison
                 // this endpoint's runtime lock and condemn every later
                 // request. Contain it and degrade to a transient failure,
                 // which the normal retry/breaker ladder absorbs.
@@ -553,6 +734,155 @@ mod tests {
             "endpoint unusable after contained panics: {:?}",
             result.reports[0].outcome
         );
+    }
+
+    #[test]
+    fn overlapping_executions_with_fewer_lanes_than_demand_match_the_serial_run() {
+        const CALLERS: usize = 4;
+        const ROUNDS: usize = 500;
+        // Caller `c` sends plan set `c % 3`: the same three endpoints in
+        // rotated orders, so every caller contends with every other.
+        let plan_sets: [Vec<EndpointPlan>; 3] = [
+            vec![plan_for(0), plan_for(1), plan_for(2)],
+            vec![plan_for(2), plan_for(0), plan_for(1)],
+            vec![plan_for(1), plan_for(2), plan_for(0)],
+        ];
+        let cfg = ExecutorConfig {
+            n_threads: 2,
+            seed: 99,
+            ..ExecutorConfig::default()
+        };
+        let specs = || {
+            vec![
+                FaultSpec::transient(30),
+                FaultSpec {
+                    timeout_pct: 10,
+                    ..FaultSpec::transient(20)
+                },
+                FaultSpec {
+                    flap_period: 5,
+                    ..FaultSpec::default()
+                },
+            ]
+        };
+        // An endpoint's k-th report depends only on k — its runtime and the
+        // mock's fault stream are indexed by its own call count — so
+        // however the callers interleave, each endpoint must emit exactly
+        // the reports it emits when one thread makes the same number of
+        // calls. Which caller received the k-th one is the only freedom,
+        // hence the sort.
+        let stream_of = |results: &[FederatedResult], e: u32| {
+            let mut stream: Vec<String> = results
+                .iter()
+                .flat_map(|r| &r.reports)
+                .filter(|r| r.endpoint == EndpointId(e))
+                .map(|r| format!("{r:?}"))
+                .collect();
+            stream.sort();
+            stream
+        };
+
+        let serial = executor(
+            specs(),
+            ExecutorConfig {
+                n_threads: 1,
+                ..cfg
+            },
+        );
+        let expected: Vec<FederatedResult> = (0..CALLERS * ROUNDS)
+            .map(|_| serial.execute(&plan_sets[0]))
+            .collect();
+
+        let ex = Arc::new(executor(specs(), cfg));
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|c| {
+                let (ex, plans) = (Arc::clone(&ex), plan_sets[c % 3].clone());
+                thread::spawn(move || {
+                    let results: Vec<_> = (0..ROUNDS).map(|_| ex.execute(&plans)).collect();
+                    for result in &results {
+                        assert!(
+                            result
+                                .reports
+                                .iter()
+                                .map(|r| r.endpoint)
+                                .eq(plans.iter().map(|p| p.endpoint)),
+                            "reports must come back in plan order"
+                        );
+                    }
+                    results
+                })
+            })
+            .collect();
+        let got: Vec<FederatedResult> = callers
+            .into_iter()
+            .flat_map(|c| c.join().expect("a caller panicked"))
+            .collect();
+
+        for e in 0..3 {
+            assert_eq!(
+                stream_of(&got, e),
+                stream_of(&expected, e),
+                "endpoint {e}'s report stream diverged from the serial run"
+            );
+            assert_eq!(
+                ex.transport().requests_seen(EndpointId(e)),
+                serial.transport().requests_seen(EndpointId(e))
+            );
+        }
+        assert_eq!(ex.breaker_states(), serial.breaker_states());
+        assert_eq!(ex.caught_panics(), 0);
+    }
+
+    #[test]
+    fn a_lane_lost_to_a_panic_fails_its_execution_instead_of_hanging_it() {
+        use std::sync::mpsc::{channel, Receiver, Sender};
+        use std::time::Duration;
+
+        /// Endpoint 0 answers only once endpoint 1 has been asked, so the
+        /// caller (which always runs the first plan) stays busy until a
+        /// lane has worked through the plans in between.
+        struct Gated {
+            asked: Mutex<Sender<()>>,
+            gate: Mutex<Receiver<()>>,
+        }
+        impl EndpointTransport for Gated {
+            fn execute(&self, req: &TransportRequest<'_>) -> TransportReply {
+                match req.endpoint.0 {
+                    0 => lock(&self.gate)
+                        .recv_timeout(Duration::from_secs(10))
+                        .expect("endpoint 1 was never dispatched"),
+                    _ => lock(&self.asked).send(()).expect("gate receiver is alive"),
+                }
+                TransportReply {
+                    latency_nanos: 1_000,
+                    payload: Ok(String::new()),
+                }
+            }
+        }
+
+        let (asked, gate) = channel();
+        let ex = FederatedExecutor::new(
+            Gated {
+                asked: Mutex::new(asked),
+                gate: Mutex::new(gate),
+            },
+            3,
+            ExecutorConfig {
+                n_threads: 3,
+                ..ExecutorConfig::default()
+            },
+        );
+        // Endpoint 7 does not exist: indexing its runtime panics before the
+        // ladder's `catch_unwind`. It is claimed before `plan_for(1)`, and
+        // the caller is gated on that one — so a lane takes the panic.
+        let plans = [plan_for(0), plan_for(7), plan_for(1)];
+        let outcome = catch_unwind(AssertUnwindSafe(|| ex.execute(&plans)));
+        assert!(outcome.is_err(), "a lost report must not pass for a result");
+        assert_eq!(ex.caught_panics(), 0, "not a transport panic");
+        // The surviving lane and the caller still serve, and drop joins
+        // the dead lane without hanging.
+        let result = ex.execute(&[plan_for(0), plan_for(1)]);
+        assert!(result.is_complete());
     }
 
     #[test]

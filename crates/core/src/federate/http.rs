@@ -8,6 +8,14 @@
 //! socket timeouts so a stalled peer can never hold an endpoint slot past
 //! the federated deadline ceiling.
 //!
+//! # One segment per subquery
+//!
+//! The request head and the query body are rendered into one buffer and
+//! sent with a single `write_all`: connections run under `TCP_NODELAY`, so
+//! every write is its own segment and its own wake-up of the member. The
+//! buffer lives in the endpoint's pool slot beside the connection, so a
+//! dispatch renders into capacity the previous one left behind.
+//!
 //! # Connection reuse
 //!
 //! One idle keep-alive connection is pooled per endpoint (the executor
@@ -37,7 +45,7 @@
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use super::{
@@ -105,21 +113,45 @@ impl Default for HttpConfig {
     }
 }
 
+/// What an endpoint keeps between dispatches.
+#[derive(Default)]
+struct PoolSlot {
+    /// The idle keep-alive connection, if the last exchange left one clean.
+    conn: Option<TcpStream>,
+    /// The last rendered request, kept for its capacity.
+    request: Vec<u8>,
+}
+
+/// Render the one-segment request for `query` into `buf`, replacing its
+/// contents: head, blank line, body.
+fn render_request_into(buf: &mut Vec<u8>, ep: &HttpEndpoint, query: &str) {
+    buf.clear();
+    write!(
+        buf,
+        "POST {} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/sparql-query\r\n\
+         Accept: application/sparql-results+json\r\nContent-Length: {}\r\n\r\n",
+        ep.path,
+        ep.authority,
+        query.len()
+    )
+    .expect("writing to a Vec cannot fail");
+    buf.extend_from_slice(query.as_bytes());
+}
+
 /// Blocking SPARQL-protocol HTTP transport. Indexed by
 /// [`EndpointId`](super::EndpointId) like every transport: endpoint `e`
 /// dials `endpoints[e]`.
 pub struct HttpTransport {
     endpoints: Vec<HttpEndpoint>,
     config: HttpConfig,
-    /// One idle keep-alive connection per endpoint.
-    pool: Vec<Mutex<Option<TcpStream>>>,
+    pool: Vec<Mutex<PoolSlot>>,
     reused: AtomicU64,
     transparent_reconnects: AtomicU64,
 }
 
 impl HttpTransport {
     pub fn new(endpoints: Vec<HttpEndpoint>, config: HttpConfig) -> HttpTransport {
-        let pool = endpoints.iter().map(|_| Mutex::new(None)).collect();
+        let pool = endpoints.iter().map(|_| Mutex::default()).collect();
         HttpTransport {
             endpoints,
             config,
@@ -140,7 +172,7 @@ impl HttpTransport {
         self.transparent_reconnects.load(Ordering::Relaxed)
     }
 
-    fn pool_slot(&self, e: usize) -> std::sync::MutexGuard<'_, Option<TcpStream>> {
+    fn pool_slot(&self, e: usize) -> MutexGuard<'_, PoolSlot> {
         self.pool[e].lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -178,17 +210,15 @@ impl HttpTransport {
         Ok(stream)
     }
 
-    /// Write the request and read the response on `stream`. On failure,
-    /// also reports whether any response byte had arrived — the signal
-    /// that decides transparent-reconnect eligibility.
+    /// Write `request` (one `write_all`, one segment) and read the response
+    /// on `stream`. On failure, also reports whether any response byte had
+    /// arrived — the signal that decides transparent-reconnect eligibility.
     fn roundtrip(
         &self,
         stream: &TcpStream,
-        e: usize,
-        query: &str,
+        request: &[u8],
         deadline: Instant,
     ) -> Result<(HttpResponse, bool), (HttpError, bool)> {
-        let ep = &self.endpoints[e];
         let remaining = match deadline.checked_duration_since(Instant::now()) {
             Some(d) if !d.is_zero() => d,
             _ => return Err((HttpError::Io(io::ErrorKind::TimedOut), false)),
@@ -196,18 +226,8 @@ impl HttpTransport {
         if stream.set_write_timeout(Some(remaining)).is_err() {
             return Err((HttpError::Io(io::ErrorKind::Other), false));
         }
-        let head = format!(
-            "POST {} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/sparql-query\r\n\
-             Accept: application/sparql-results+json\r\nContent-Length: {}\r\n\r\n",
-            ep.path,
-            ep.authority,
-            query.len()
-        );
         let mut w = stream;
-        if let Err(e) = w.write_all(head.as_bytes()).and_then(|()| {
-            w.write_all(query.as_bytes())?;
-            w.flush()
-        }) {
+        if let Err(e) = w.write_all(request) {
             return Err((HttpError::from_io(&e), false));
         }
         let mut reader = BufReader::with_capacity(8 * 1024, DeadlineReader::new(stream, deadline));
@@ -223,27 +243,38 @@ impl HttpTransport {
     }
 
     fn execute_inner(&self, e: usize, query: &str, deadline: Instant) -> Result<String, HttpError> {
+        // Taken out and put back, not held: the slot's lock is never kept
+        // across socket I/O.
+        let mut slot = std::mem::take(&mut *self.pool_slot(e));
+        render_request_into(&mut slot.request, &self.endpoints[e], query);
+        let result = self.exchange(e, &mut slot.conn, &slot.request, deadline);
+        *self.pool_slot(e) = slot;
+        result
+    }
+
+    /// Send `request` and read its response. `pooled` hands in the idle
+    /// connection, if any, and takes back the one to keep.
+    fn exchange(
+        &self,
+        e: usize,
+        pooled: &mut Option<TcpStream>,
+        request: &[u8],
+        deadline: Instant,
+    ) -> Result<String, HttpError> {
         // Round 0 may run on a pooled connection; if that connection dies
         // before a single response byte, round 1 resends on a fresh dial.
-        for round in 0..2u8 {
-            let (stream, reused) = {
-                let pooled = if round == 0 {
-                    self.pool_slot(e).take().filter(Self::conn_is_clean)
-                } else {
-                    None
-                };
-                match pooled {
-                    Some(conn) => {
-                        self.reused.fetch_add(1, Ordering::Relaxed);
-                        (conn, true)
-                    }
-                    None => (self.connect(e, deadline)?, false),
+        for _ in 0..2 {
+            let (stream, reused) = match pooled.take().filter(Self::conn_is_clean) {
+                Some(conn) => {
+                    self.reused.fetch_add(1, Ordering::Relaxed);
+                    (conn, true)
                 }
+                None => (self.connect(e, deadline)?, false),
             };
-            match self.roundtrip(&stream, e, query, deadline) {
+            match self.roundtrip(&stream, request, deadline) {
                 Ok((resp, clean)) => {
                     if clean {
-                        *self.pool_slot(e) = Some(stream);
+                        *pooled = Some(stream);
                     }
                     return match classify_http_status(resp.status) {
                         None => Ok(String::from_utf8_lossy(&resp.body).into_owned()),
@@ -306,6 +337,27 @@ mod tests {
 
     fn ok(bytes: &[u8]) -> HttpResponse {
         parse(bytes).expect("response should parse")
+    }
+
+    // ---- the request on the wire -----------------------------------
+
+    #[test]
+    fn rendered_request_bytes_are_pinned() {
+        let ep = HttpEndpoint::new("member.example:8890", "/sparql");
+        let query = "SELECT * WHERE { ?s ?p ?o . }";
+        // Stale contents of a larger previous request must not leak.
+        let mut buf = vec![b'x'; 4096];
+        render_request_into(&mut buf, &ep, query);
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "POST /sparql HTTP/1.1\r\n\
+             Host: member.example:8890\r\n\
+             Content-Type: application/sparql-query\r\n\
+             Accept: application/sparql-results+json\r\n\
+             Content-Length: 29\r\n\
+             \r\n\
+             SELECT * WHERE { ?s ?p ?o . }"
+        );
     }
 
     // ---- well-formed responses -------------------------------------

@@ -20,7 +20,8 @@
 //!    [`PatternNode::Service`]-annotated block of the combined federated
 //!    query.
 //! 3. **Execute** ([`FederatedExecutor`]): subqueries are dispatched
-//!    concurrently on a hand-rolled thread pool over a pluggable
+//!    concurrently — the calling thread plus a few persistent dispatch
+//!    lanes, no thread spawned per request — over a pluggable
 //!    [`EndpointTransport`]. Every endpoint call is wrapped in the full
 //!    resilience kit — a per-request deadline with budget propagation into
 //!    the transport, bounded retries with seeded jittered exponential

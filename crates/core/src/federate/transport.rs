@@ -76,7 +76,7 @@ pub struct TransportReply {
 }
 
 /// How subqueries reach endpoints. Implementations must be shareable
-/// across the executor's worker threads. The in-tree implementation is the
+/// across the executor's callers and dispatch lanes. The in-tree implementation is the
 /// fault-injecting [`MockTransport`]; a real HTTP transport slots in here
 /// (see ROADMAP).
 pub trait EndpointTransport: Send + Sync {

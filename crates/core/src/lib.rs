@@ -49,8 +49,8 @@
 //!   fault-tolerant dispatch plan: patterns are partitioned by which
 //!   endpoint's rules can rewrite them (O(1) candidate-count reads double
 //!   as the statistics-free selectivity signal for ordering), rendered as
-//!   `SERVICE`-annotated subqueries, and executed concurrently on a
-//!   hand-rolled thread pool over a pluggable
+//!   `SERVICE`-annotated subqueries, and executed concurrently — by the
+//!   calling thread plus persistent dispatch lanes — over a pluggable
 //!   [`federate::EndpointTransport`] — each endpoint wrapped in deadlines,
 //!   seeded-jitter retries, and a circuit breaker, degrading to
 //!   deterministic partial results instead of all-or-nothing.

@@ -8,24 +8,12 @@
 //! fresh-variable minting, rule misses, and recursive group-pattern
 //! rewriting (nested groups, OPTIONAL, UNION, FILTER trees).
 
-use std::sync::{Mutex, MutexGuard};
-
-use sparql_rewrite_core::counting_alloc::{allocation_count, CountingAllocator};
+use sparql_rewrite_core::counting_alloc::{thread_allocation_count, CountingAllocator};
 use sparql_rewrite_core::{
     fingerprint_query, parse_bgp, parse_query, parse_query_into, render_query_into, AlignmentStore,
     CacheConfig, CmpOp, ExprNode, IndexedRewriter, Interner, LinearRewriter, ParseScratch, Query,
     QueryRef, RewriteCache, RewriteScratch, Rewriter, RuleTemplate, Term,
 };
-
-/// The allocation counter is process-global and the test harness runs tests
-/// on parallel threads, so each test holds this lock for its whole body —
-/// otherwise one test's fixture building would land inside another's
-/// counting window.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialized() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -105,7 +93,6 @@ fn build_fixture() -> (AlignmentStore, Vec<Query>) {
 
 #[test]
 fn steady_state_rewrite_query_into_is_allocation_free() {
-    let _guard = serialized();
     let (store, queries) = build_fixture();
     let rewriter = IndexedRewriter::new(&store);
     let mut scratch = RewriteScratch::new();
@@ -122,14 +109,14 @@ fn steady_state_rewrite_query_into_is_allocation_free() {
         })
         .collect();
 
-    let before = allocation_count();
+    let before = thread_allocation_count();
     for _ in 0..1_000 {
         for (q, exp) in queries.iter().zip(&expected) {
             rewriter.rewrite_query_into(q, &mut scratch);
             assert_eq!((scratch.patterns().len(), scratch.fresh_count()), *exp);
         }
     }
-    let after = allocation_count();
+    let after = thread_allocation_count();
     assert_eq!(
         after - before,
         0,
@@ -139,20 +126,19 @@ fn steady_state_rewrite_query_into_is_allocation_free() {
 
 #[test]
 fn linear_strategy_is_also_allocation_free() {
-    let _guard = serialized();
     let (store, queries) = build_fixture();
     let rewriter = LinearRewriter::new(&store);
     let mut scratch = RewriteScratch::new();
     for q in &queries {
         rewriter.rewrite_query_into(q, &mut scratch);
     }
-    let before = allocation_count();
+    let before = thread_allocation_count();
     for _ in 0..100 {
         for q in &queries {
             rewriter.rewrite_query_into(q, &mut scratch);
         }
     }
-    assert_eq!(allocation_count() - before, 0);
+    assert_eq!(thread_allocation_count() - before, 0);
 }
 
 /// Query texts covering the allocation-prone parse paths: PREFIX + QName
@@ -172,7 +158,6 @@ const PIPELINE_TEXTS: &[&str] = &[
 
 #[test]
 fn steady_state_parse_query_into_is_allocation_free() {
-    let _guard = serialized();
     let mut it = Interner::new();
     let mut scratch = ParseScratch::new();
     // Warm-up: first pass interns every distinct string and grows the
@@ -191,7 +176,7 @@ fn steady_state_parse_query_into_is_allocation_free() {
         })
         .collect();
 
-    let before = allocation_count();
+    let before = thread_allocation_count();
     for _ in 0..1_000 {
         for (text, exp) in PIPELINE_TEXTS.iter().zip(&expected) {
             parse_query_into(text, &mut it, &mut scratch).unwrap();
@@ -205,7 +190,7 @@ fn steady_state_parse_query_into_is_allocation_free() {
         }
     }
     assert_eq!(
-        allocation_count() - before,
+        thread_allocation_count() - before,
         0,
         "steady-state parse_query_into must not allocate"
     );
@@ -213,7 +198,6 @@ fn steady_state_parse_query_into_is_allocation_free() {
 
 #[test]
 fn steady_state_parse_rewrite_render_pipeline_is_allocation_free() {
-    let _guard = serialized();
     // Rules over the same vocabulary as PIPELINE_TEXTS, including the
     // two-template `src:multi` predicate whose rewrite expands a UNION.
     // Built against the *same* interner the pipeline parses with — rule
@@ -301,7 +285,7 @@ fn steady_state_parse_rewrite_render_pipeline_is_allocation_free() {
         })
         .collect();
 
-    let before = allocation_count();
+    let before = thread_allocation_count();
     for _ in 0..1_000 {
         for (text, exp) in PIPELINE_TEXTS.iter().zip(&expected) {
             let len = serve(
@@ -316,7 +300,7 @@ fn steady_state_parse_rewrite_render_pipeline_is_allocation_free() {
         }
     }
     assert_eq!(
-        allocation_count() - before,
+        thread_allocation_count() - before,
         0,
         "steady-state parse → rewrite → render must not allocate"
     );
@@ -324,7 +308,6 @@ fn steady_state_parse_rewrite_render_pipeline_is_allocation_free() {
 
 #[test]
 fn cache_hit_path_is_allocation_free() {
-    let _guard = serialized();
     // The cache probe — fingerprint, lookup, copy-out — is the entire
     // serve path for a repeated query, so it must be as allocation-free as
     // the pipeline it short-circuits. Fingerprinting itself must also stay
@@ -344,7 +327,7 @@ fn cache_hit_path_is_allocation_free() {
         assert_eq!(fingerprint_query(text), Some(*fp));
         assert!(cache.lookup(*fp, 0, &mut buf));
     }
-    let before = allocation_count();
+    let before = thread_allocation_count();
     for _ in 0..1_000 {
         for text in &texts {
             let computed = fingerprint_query(text).expect("cacheable");
@@ -352,7 +335,7 @@ fn cache_hit_path_is_allocation_free() {
         }
     }
     assert_eq!(
-        allocation_count() - before,
+        thread_allocation_count() - before,
         0,
         "steady-state fingerprint + cache lookup must not allocate"
     );
@@ -366,7 +349,6 @@ fn cache_hit_path_is_allocation_free() {
 /// inner group + FILTER chain.
 #[test]
 fn complex_rule_rewriting_is_allocation_free() {
-    let _guard = serialized();
     let mut it = Interner::new();
     let mut store = AlignmentStore::new();
 
@@ -455,7 +437,7 @@ fn complex_rule_rewriting_is_allocation_free() {
         })
         .collect();
 
-    let before = allocation_count();
+    let before = thread_allocation_count();
     for _ in 0..1_000 {
         for (q, exp) in queries.iter().zip(&expected) {
             rewriter.rewrite_query_into(q, &mut scratch);
@@ -463,7 +445,7 @@ fn complex_rule_rewriting_is_allocation_free() {
         }
     }
     assert_eq!(
-        allocation_count() - before,
+        thread_allocation_count() - before,
         0,
         "steady-state complex-rule rewriting must not allocate"
     );
@@ -474,7 +456,7 @@ fn complex_rule_rewriting_is_allocation_free() {
     for q in &queries {
         linear.rewrite_query_into(q, &mut scratch);
     }
-    let before = allocation_count();
+    let before = thread_allocation_count();
     for _ in 0..100 {
         for (q, exp) in queries.iter().zip(&expected) {
             linear.rewrite_query_into(q, &mut scratch);
@@ -482,7 +464,7 @@ fn complex_rule_rewriting_is_allocation_free() {
         }
     }
     assert_eq!(
-        allocation_count() - before,
+        thread_allocation_count() - before,
         0,
         "steady-state complex-rule rewriting (linear) must not allocate"
     );
@@ -490,18 +472,17 @@ fn complex_rule_rewriting_is_allocation_free() {
 
 #[test]
 fn rewrite_pattern_into_is_allocation_free_after_warmup() {
-    let _guard = serialized();
     let (store, queries) = build_fixture();
     let rewriter = IndexedRewriter::new(&store);
     let mut scratch = RewriteScratch::new();
     for q in &queries {
         rewriter.rewrite_pattern_into(&q.pattern, &mut scratch);
     }
-    let before = allocation_count();
+    let before = thread_allocation_count();
     for _ in 0..100 {
         for q in &queries {
             rewriter.rewrite_pattern_into(&q.pattern, &mut scratch);
         }
     }
-    assert_eq!(allocation_count() - before, 0);
+    assert_eq!(thread_allocation_count() - before, 0);
 }
