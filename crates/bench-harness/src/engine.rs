@@ -1,22 +1,17 @@
-//! Re-export of the core serve engine plus its workload-driven test
-//! battery.
+//! Workload-driven test battery for the core serve engine.
 //!
 //! The engine itself lives in `sparql_rewrite_core::engine` (the HTTP
 //! front end in `crates/server` shares it); the tests stay here because
 //! they drive it with [`crate::workload`]'s seeded generators, which are
 //! harness-only.
 
-pub use sparql_rewrite_core::ServeEngine;
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::workload::{
         alias_prefix, generate, perturb_whitespace, Rng, WorkloadSpec, ZipfSpec,
     };
-    use sparql_rewrite_core::{parse_query, CacheConfig, Interner, Rewriter};
+    use sparql_rewrite_core::{parse_query, CacheConfig, Interner, Rewriter, ServeEngine};
     use std::thread;
-    use std::time::Duration;
 
     fn engine_and_requests(group_shapes: bool) -> (ServeEngine, Vec<String>) {
         let spec = WorkloadSpec {
@@ -351,12 +346,5 @@ mod tests {
             &["SELECT WHERE {".to_string(), "not sparql".to_string()],
         );
         assert_eq!(engine.cache_value_cap(), Some(776));
-    }
-
-    #[test]
-    fn timed_serve_run_smoke() {
-        let (engine, requests) = engine_and_requests(true);
-        let elapsed = engine.timed_serve_run(&requests, 2, 2);
-        assert!(elapsed > Duration::ZERO);
     }
 }

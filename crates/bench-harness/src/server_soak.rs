@@ -30,10 +30,8 @@ use sparql_rewrite_core::{
     BackoffPolicy, BreakerConfig, CacheConfig, ChaosProxy, ChaosSpec, ExecutorConfig, HttpConfig,
     Interner, RewriteLimits, ServeEngine,
 };
-use sparql_rewrite_server::request::{Route, ERROR_CLASSES};
 use sparql_rewrite_server::{
     EndpointRoute, FederationConfig, FederationStats, Server, ServerConfig, StatsSnapshot,
-    LATENCY_BINS,
 };
 
 use crate::chaos_client::{render_get, ChaosClient, N_FAULTS};
@@ -44,21 +42,8 @@ use crate::workload::{
 
 /// Outcome of the server chaos soak (phases 1 and 2).
 pub struct ServerSoak {
-    pub name: String,
-    pub n_connections: usize,
-    /// Request attempts per run (transcript lines).
-    pub requests_attempted: u64,
     pub served: u64,
-    pub idle_closes: u64,
     pub errors_total: u64,
-    /// Per-error-class counts from run 1
-    /// ([`sparql_rewrite_server::request::RequestError`] order).
-    pub error_classes: [u64; ERROR_CLASSES],
-    /// Client-side fault injections, [`ClientFault::ALL`] order.
-    ///
-    /// [`ClientFault::ALL`]: crate::chaos_client::ClientFault::ALL
-    pub injected: [u64; N_FAULTS],
-    pub attempts_per_sec: f64,
     /// Transcripts, fault schedules, and server counters byte-identical
     /// across the two identical-seed runs.
     pub deterministic: bool,
@@ -72,6 +57,70 @@ pub struct ServerSoak {
     pub dropped_from_queue: usize,
     pub drain_elapsed_ms: f64,
     pub drain_within_bound: bool,
+}
+
+impl ServerSoak {
+    /// The front end's overload/degradation contract, proven against a
+    /// live loopback server. Each failure means a robustness property
+    /// regressed — a worker panic escaped isolation, identically seeded
+    /// adversaries produced different outcomes, a fault class silently
+    /// stopped firing, the shed path waited on workers, or graceful
+    /// shutdown overran its documented bound.
+    pub fn failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if self.panics > 0 {
+            failures.push(format!(
+                "server chaos soak caught {} worker panic(s) — malformed input reached a panic",
+                self.panics
+            ));
+        }
+        if !self.deterministic {
+            failures.push(
+                "server soak transcripts or counters diverged across identical-seed runs"
+                    .to_string(),
+            );
+        }
+        if !self.all_faults_injected {
+            failures.push(
+                "a client chaos fault class was never injected — coverage silently shrank"
+                    .to_string(),
+            );
+        }
+        if self.served == 0 {
+            failures.push("server soak served nothing — the front end is broken".to_string());
+        }
+        if self.errors_total == 0 {
+            failures.push(
+                "server soak saw no structured errors — chaos injection is not degrading"
+                    .to_string(),
+            );
+        }
+        if self.shed != 8 || !self.sheds_well_formed {
+            failures.push(format!(
+                "overload shed {} of 8 probes well_formed={} — admission control regressed",
+                self.shed, self.sheds_well_formed
+            ));
+        }
+        if self.shed_p99_ms > 250.0 {
+            failures.push(format!(
+                "shed-path p99 {:.1}ms > 250ms — the 503 path is waiting on workers",
+                self.shed_p99_ms
+            ));
+        }
+        if self.dropped_from_queue != 4 {
+            failures.push(format!(
+                "drain refused {} queued connections, expected exactly the 4 parked fillers",
+                self.dropped_from_queue
+            ));
+        }
+        if !self.drain_within_bound {
+            failures.push(format!(
+                "graceful drain took {:.0}ms — outside request_deadline + drain_deadline",
+                self.drain_elapsed_ms
+            ));
+        }
+        failures
+    }
 }
 
 /// Chaos phase: run the full seeded schedule against a fresh server and
@@ -207,24 +256,21 @@ fn shed_drain_phase(spec: &WorkloadSpec) -> ShedDrain {
 
 /// The `server/chaos_soak` leg: phases 1 (chaos, twice) and 2
 /// (shed/drain) against live loopback servers.
-pub fn run_server_chaos_soak(quick: bool) -> ServerSoak {
+pub fn run_server_chaos_soak() -> ServerSoak {
     let spec = WorkloadSpec {
-        n_rules: if quick { 512 } else { 2_000 },
+        n_rules: 512,
         patterns_per_query: 6,
         n_queries: 24,
         seed: 0xc1a0_5eed,
         group_shapes: false,
         complex: ComplexShape::None,
     };
-    let n_connections = if quick { 48 } else { 160 };
+    let n_connections = 48;
     let seed = 0x5eed_0fa0_17c1_a55e;
 
-    let start = Instant::now();
     let first = std::panic::catch_unwind(|| chaos_run(&spec, n_connections, seed));
     let second = std::panic::catch_unwind(|| chaos_run(&spec, n_connections, seed));
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let (deterministic, injected, attempts, stats, panics, harness_panic) = match (&first, &second)
-    {
+    let (deterministic, injected, stats, panics, harness_panic) = match (&first, &second) {
         (Ok(a), Ok(b)) => {
             let (ta, ia, aa, sa) = a;
             let (tb, ib, ab, sb) = b;
@@ -236,23 +282,16 @@ pub fn run_server_chaos_soak(quick: bool) -> ServerSoak {
                 && sa.shed == sb.shed
                 && sa.idle_closes == sb.idle_closes
                 && sa.error_classes == sb.error_classes;
-            (same, *ia, *aa, sa.clone(), sa.panics + sb.panics, false)
+            (same, *ia, sa.clone(), sa.panics + sb.panics, false)
         }
-        _ => (false, [0; N_FAULTS], 0, StatsSnapshot::default(), 0, true),
+        _ => (false, [0; N_FAULTS], StatsSnapshot::default(), 0, true),
     };
     let all_faults_injected = injected.iter().all(|&n| n > 0);
 
     let shed = shed_drain_phase(&spec);
     ServerSoak {
-        name: "server/chaos_soak/2w/9faults".to_string(),
-        n_connections,
-        requests_attempted: attempts,
         served: stats.served,
-        idle_closes: stats.idle_closes,
         errors_total: stats.errors_total(),
-        error_classes: stats.error_classes,
-        injected,
-        attempts_per_sec: (2 * attempts) as f64 / elapsed,
         deterministic,
         all_faults_injected,
         // A panic that escapes `chaos_run` itself (client-side) is
@@ -269,12 +308,6 @@ pub fn run_server_chaos_soak(quick: bool) -> ServerSoak {
 
 /// Outcome of the healthy-traffic cached socket config (phase 3).
 pub struct ServerCachedResult {
-    pub name: String,
-    pub n_rules: usize,
-    pub n_distinct: usize,
-    pub n_requests: usize,
-    pub ns_per_request: f64,
-    pub requests_per_sec: f64,
     /// Heap allocations per request across the *whole process* (client
     /// write, server parse/serve/render, client read) at steady state.
     pub allocs_per_request: f64,
@@ -282,13 +315,41 @@ pub struct ServerCachedResult {
     pub served_all: bool,
     /// Probe-level cache hit rate over the measured window only.
     pub measured_hit_rate: f64,
-    pub cache_occupancy: u64,
-    pub cache_capacity: u64,
-    pub cache_evictions: u64,
-    pub cache_hit_ratio: f64,
+    /// Rewrites whose rendered text exceeded the workload-tuned value cap
+    /// and skipped the cache.
     pub oversize_bypasses: u64,
-    /// Workload-tuned value cap the engine picked.
-    pub value_cap: u64,
+}
+
+impl ServerCachedResult {
+    /// The whole-process zero-allocation gate (cached hits serve through
+    /// the socket without a single steady-state heap allocation), plus
+    /// hit-rate sanity.
+    pub fn failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if self.allocs_per_request > 0.0 {
+            failures.push(format!(
+                "server socket path allocated ({:.4} allocs/request, expected 0 across \
+                 client write, server parse/serve/render, client read)",
+                self.allocs_per_request
+            ));
+        }
+        if !self.served_all {
+            failures.push("a healthy cached request was not answered 200".to_string());
+        }
+        if self.measured_hit_rate < 0.9 {
+            failures.push(format!(
+                "server cached hit rate {:.3} < 0.9 over the measured window",
+                self.measured_hit_rate
+            ));
+        }
+        if self.oversize_bypasses > 0 {
+            failures.push(format!(
+                "{} oversize cache bypasses under a workload-tuned value cap",
+                self.oversize_bypasses
+            ));
+        }
+        failures
+    }
 }
 
 /// Allocation-free response reader: preallocated accumulation buffer, a
@@ -368,10 +429,9 @@ fn content_length(headers: &[u8]) -> usize {
 /// workload-tuned cache, driven by one keep-alive connection replaying a
 /// Zipfian stream of re-spelled repeats from pre-rendered request bytes.
 /// The measured window must not allocate anywhere in the process.
-pub fn run_server_cached_config(quick: bool) -> ServerCachedResult {
-    let n_rules = 1_000;
+pub fn run_server_cached_config() -> ServerCachedResult {
     let spec = WorkloadSpec {
-        n_rules,
+        n_rules: 1_000,
         patterns_per_query: 8,
         n_queries: 64,
         seed: 0x5e12_ed0c_ac4e,
@@ -386,7 +446,6 @@ pub fn run_server_cached_config(quick: bool) -> ServerCachedResult {
         CacheConfig::default(),
         &distinct,
     ));
-    let value_cap = engine.cache_value_cap().unwrap_or(0) as u64;
     let config = ServerConfig {
         workers: 1,
         queue_capacity: 4,
@@ -416,7 +475,7 @@ pub fn run_server_cached_config(quick: bool) -> ServerCachedResult {
             })
         })
         .collect();
-    let n_requests = if quick { 512 } else { 4_096 };
+    let n_requests = 512;
     let ranks = zipf_ranks(&ZipfSpec {
         s: 1.0,
         n_distinct: distinct.len(),
@@ -450,7 +509,6 @@ pub fn run_server_cached_config(quick: bool) -> ServerCachedResult {
     // the worker thread parsing/serving/rendering) must not allocate.
     let stats_before = engine.cache_stats().expect("cache installed");
     let before = allocation_count();
-    let t = Instant::now();
     let mut served_all = true;
     for (i, &rank) in ranks.iter().enumerate() {
         writer
@@ -458,7 +516,6 @@ pub fn run_server_cached_config(quick: bool) -> ServerCachedResult {
             .expect("measured write");
         served_all &= reader.read_one().expect("measured response") == 200;
     }
-    let elapsed = t.elapsed();
     let allocs = allocation_count() - before;
     let stats_after = engine.cache_stats().expect("cache installed");
 
@@ -468,14 +525,7 @@ pub fn run_server_cached_config(quick: bool) -> ServerCachedResult {
 
     let d_hits = stats_after.hits() - stats_before.hits();
     let d_misses = stats_after.misses() - stats_before.misses();
-    let ns_per_request = elapsed.as_nanos() as f64 / n_requests as f64;
     ServerCachedResult {
-        name: format!("server/cached/zipf/{}", crate::fmt_rules(n_rules)),
-        n_rules,
-        n_distinct: distinct.len(),
-        n_requests,
-        ns_per_request,
-        requests_per_sec: 1e9 / ns_per_request,
         allocs_per_request: allocs as f64 / n_requests as f64,
         served_all,
         measured_hit_rate: if d_hits + d_misses > 0 {
@@ -483,12 +533,7 @@ pub fn run_server_cached_config(quick: bool) -> ServerCachedResult {
         } else {
             0.0
         },
-        cache_occupancy: stats_after.occupancy() as u64,
-        cache_capacity: stats_after.capacity() as u64,
-        cache_evictions: stats_after.evictions(),
-        cache_hit_ratio: stats_after.hit_ratio(),
         oversize_bypasses: engine.cache_bypasses(),
-        value_cap,
     }
 }
 
@@ -505,36 +550,8 @@ const PROXY_FAULTS: usize = 9;
 /// proxies, twice with the same seeds, gated on byte-identical
 /// transcripts on *both* sides of the server.
 pub struct FederatedSoak {
-    pub name: String,
-    pub n_endpoints: usize,
-    pub n_connections: usize,
-    /// Client request attempts per run (transcript lines).
-    pub requests_attempted: u64,
-    pub served: u64,
-    pub errors_total: u64,
-    /// Client-side fault injections, [`ClientFault::ALL`] order.
-    ///
-    /// [`ClientFault::ALL`]: crate::chaos_client::ClientFault::ALL
-    pub injected_client: [u64; N_FAULTS],
-    /// Endpoint-side fault injections summed over every proxy,
-    /// `ChaosFault` order.
-    pub injected_endpoints: [u64; PROXY_FAULTS],
-    /// Per-endpoint outcome tallies ([`OUTCOME_CLASSES`] order:
-    /// served / timed-out / circuit-open / retries-exhausted).
-    ///
-    /// [`OUTCOME_CLASSES`]: sparql_rewrite_server::OUTCOME_CLASSES
-    pub outcomes: [u64; 4],
     pub complete_responses: u64,
-    pub partial_responses: u64,
-    pub gateway_unavailable: u64,
-    pub gateway_timeouts: u64,
     pub deadline_breaches: u64,
-    /// Final breaker state per endpoint (run 1).
-    pub breakers: Vec<String>,
-    /// Server-measured wall-clock latency histogram for the query route
-    /// (run 1; reported, never part of the determinism compare).
-    pub latency_query: [u64; LATENCY_BINS],
-    pub attempts_per_sec: f64,
     /// Client transcript, server outcome transcript, both fault
     /// schedules, federation stats, and server counters all byte- or
     /// field-identical across the two identical-seed runs.
@@ -548,6 +565,51 @@ pub struct FederatedSoak {
     /// Worker panics + executor transport panics over both runs, plus
     /// any panic that escaped the harness itself.
     pub panics: u64,
+}
+
+impl FederatedSoak {
+    /// The server between a hostile client and hostile endpoints must stay
+    /// deterministic, panic-free, honest about partial results, and inside
+    /// its deadline ceiling.
+    pub fn failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if self.panics > 0 {
+            failures.push(format!(
+                "federated chaos caught {} panic(s) between chaos client and chaos endpoints",
+                self.panics
+            ));
+        }
+        if !self.deterministic {
+            failures.push(
+                "federated chaos transcripts (client or server side) diverged across \
+                 identical-seed runs"
+                    .to_string(),
+            );
+        }
+        if !self.breakers_converged {
+            failures.push(
+                "final breaker states diverged across identical-seed federated runs".to_string(),
+            );
+        }
+        if !self.partial_seen {
+            failures.push(
+                "no mixed partial response observed — the degraded-endpoint path never ran"
+                    .to_string(),
+            );
+        }
+        if self.deadline_breaches > 0 {
+            failures.push(format!(
+                "{} federated response(s) exceeded deadline + max backoff",
+                self.deadline_breaches
+            ));
+        }
+        if self.complete_responses == 0 {
+            failures.push(
+                "federated chaos completed nothing — the dispatch path is broken".to_string(),
+            );
+        }
+        failures
+    }
 }
 
 /// Everything one federated chaos run yields that the determinism
@@ -696,22 +758,20 @@ fn federated_chaos_run(spec: &FederationSpec, n_connections: usize, client_seed:
 
 /// The `server/federated_chaos` leg: double-sided chaos, twice with the
 /// same seeds, compared field by field.
-pub fn run_server_federated_chaos(quick: bool) -> FederatedSoak {
+pub fn run_server_federated_chaos() -> FederatedSoak {
     let spec = FederationSpec {
         n_endpoints: 4,
-        rules_per_endpoint: if quick { 48 } else { 96 },
+        rules_per_endpoint: 48,
         n_queries: 24,
         patterns_per_query: 8,
         seed: 0xfed5_0a4e_ca11_ed01,
     };
-    let n_connections = if quick { 16 } else { 56 };
+    let n_connections = 16;
     let client_seed = 0x2fed_c1a0_5eed_cafe;
 
-    let start = Instant::now();
     let first = std::panic::catch_unwind(|| federated_chaos_run(&spec, n_connections, client_seed));
     let second =
         std::panic::catch_unwind(|| federated_chaos_run(&spec, n_connections, client_seed));
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
 
     let (deterministic, breakers_converged, run, panics) = match (&first, &second) {
         (Ok(a), Ok(b)) => {
@@ -736,52 +796,151 @@ pub fn run_server_federated_chaos(quick: bool) -> FederatedSoak {
         _ => (false, false, None, 1),
     };
 
-    match run {
-        Some(a) => FederatedSoak {
-            name: "server/federated_chaos/4ep/double-sided".to_string(),
-            n_endpoints: spec.n_endpoints,
-            n_connections,
-            requests_attempted: a.attempts,
-            served: a.stats.served,
-            errors_total: a.stats.errors_total(),
-            injected_client: a.injected_client,
-            injected_endpoints: a.injected_endpoints,
-            outcomes: a.fstats.outcomes,
-            complete_responses: a.fstats.complete_responses,
-            partial_responses: a.fstats.partial_responses,
-            gateway_unavailable: a.fstats.gateway_unavailable,
-            gateway_timeouts: a.fstats.gateway_timeouts,
-            deadline_breaches: a.fstats.deadline_breaches,
-            breakers: a.fstats.breakers.iter().map(|b| format!("{b:?}")).collect(),
-            latency_query: a.stats.latency[Route::Query.index()],
-            attempts_per_sec: (2 * a.attempts) as f64 / elapsed,
-            deterministic,
-            partial_seen: a.fstats.partial_responses > 0,
-            breakers_converged,
-            panics,
-        },
-        None => FederatedSoak {
-            name: "server/federated_chaos/4ep/double-sided".to_string(),
-            n_endpoints: spec.n_endpoints,
-            n_connections,
-            requests_attempted: 0,
-            served: 0,
-            errors_total: 0,
-            injected_client: [0; N_FAULTS],
-            injected_endpoints: [0; PROXY_FAULTS],
-            outcomes: [0; 4],
-            complete_responses: 0,
-            partial_responses: 0,
-            gateway_unavailable: 0,
-            gateway_timeouts: 0,
-            deadline_breaches: 0,
-            breakers: Vec::new(),
-            latency_query: [0; LATENCY_BINS],
-            attempts_per_sec: 0.0,
-            deterministic,
-            partial_seen: false,
-            breakers_converged,
-            panics,
-        },
+    FederatedSoak {
+        complete_responses: run.map_or(0, |a| a.fstats.complete_responses),
+        deadline_breaches: run.map_or(0, |a| a.fstats.deadline_breaches),
+        deterministic,
+        partial_seen: run.is_some_and(|a| a.fstats.partial_responses > 0),
+        breakers_converged,
+        panics,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::assert_each_flip_trips_one_gate;
+
+    #[test]
+    fn server_soak_gates_each_trip_alone() {
+        fn passing() -> ServerSoak {
+            ServerSoak {
+                served: 60,
+                errors_total: 30,
+                deterministic: true,
+                all_faults_injected: true,
+                panics: 0,
+                shed: 8,
+                sheds_well_formed: true,
+                shed_p99_ms: 250.0,
+                dropped_from_queue: 4,
+                drain_elapsed_ms: 260.0,
+                drain_within_bound: true,
+            }
+        }
+        assert_each_flip_trips_one_gate(
+            passing,
+            ServerSoak::failures,
+            &[
+                ("panics > 0", |r| r.panics = 1, "1 worker panic"),
+                ("deterministic", |r| r.deterministic = false, "diverged"),
+                (
+                    "all_faults_injected",
+                    |r| r.all_faults_injected = false,
+                    "never injected",
+                ),
+                ("served == 0", |r| r.served = 0, "served nothing"),
+                (
+                    "errors_total == 0",
+                    |r| r.errors_total = 0,
+                    "no structured errors",
+                ),
+                ("shed < 8", |r| r.shed = 7, "shed 7 of 8"),
+                ("shed > 8", |r| r.shed = 9, "shed 9 of 8"),
+                (
+                    "sheds_well_formed",
+                    |r| r.sheds_well_formed = false,
+                    "well_formed=false",
+                ),
+                ("shed p99", |r| r.shed_p99_ms = 250.1, "250.1ms > 250ms"),
+                (
+                    "dropped_from_queue != 4",
+                    |r| r.dropped_from_queue = 3,
+                    "refused 3 queued",
+                ),
+                (
+                    "drain_within_bound",
+                    |r| r.drain_within_bound = false,
+                    "drain took 260ms",
+                ),
+            ],
+        );
+    }
+
+    #[test]
+    fn server_cached_gates_each_trip_alone() {
+        fn passing() -> ServerCachedResult {
+            ServerCachedResult {
+                allocs_per_request: 0.0,
+                served_all: true,
+                measured_hit_rate: 0.9,
+                oversize_bypasses: 0,
+            }
+        }
+        assert_each_flip_trips_one_gate(
+            passing,
+            ServerCachedResult::failures,
+            &[
+                (
+                    "allocs_per_request > 0",
+                    // One allocation in the 512-request window.
+                    |r| r.allocs_per_request = 1.0 / 512.0,
+                    "0.0020 allocs/request",
+                ),
+                ("served_all", |r| r.served_all = false, "not answered 200"),
+                (
+                    "hit rate < 0.9",
+                    |r| r.measured_hit_rate = 0.899,
+                    "0.899 < 0.9",
+                ),
+                (
+                    "oversize_bypasses > 0",
+                    |r| r.oversize_bypasses = 1,
+                    "1 oversize cache bypasses",
+                ),
+            ],
+        );
+    }
+
+    #[test]
+    fn federated_soak_gates_each_trip_alone() {
+        fn passing() -> FederatedSoak {
+            FederatedSoak {
+                complete_responses: 1,
+                deadline_breaches: 0,
+                deterministic: true,
+                partial_seen: true,
+                breakers_converged: true,
+                panics: 0,
+            }
+        }
+        assert_each_flip_trips_one_gate(
+            passing,
+            FederatedSoak::failures,
+            &[
+                ("panics > 0", |r| r.panics = 1, "1 panic"),
+                ("deterministic", |r| r.deterministic = false, "diverged"),
+                (
+                    "breakers_converged",
+                    |r| r.breakers_converged = false,
+                    "breaker states diverged",
+                ),
+                (
+                    "partial_seen",
+                    |r| r.partial_seen = false,
+                    "no mixed partial",
+                ),
+                (
+                    "deadline_breaches > 0",
+                    |r| r.deadline_breaches = 1,
+                    "1 federated response(s) exceeded",
+                ),
+                (
+                    "complete_responses == 0",
+                    |r| r.complete_responses = 0,
+                    "completed nothing",
+                ),
+            ],
+        );
     }
 }

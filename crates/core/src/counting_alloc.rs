@@ -1,8 +1,9 @@
-//! Test/bench support: a counting wrapper around the system allocator.
+//! Test support: a counting wrapper around the system allocator.
 //!
-//! Shared by the core crate's `tests/alloc_free.rs` and the bench harness
-//! so the two zero-allocation checks count identically and cannot drift.
-//! Each binary that wants counting must still register it itself:
+//! Shared by the core crate's `tests/alloc_free.rs` and the gates binary
+//! (`crates/bench-harness`) so the zero-allocation checks count identically
+//! and cannot drift. Each binary that wants counting must still register it
+//! itself:
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -11,13 +12,17 @@
 //! ```
 //!
 //! Counts every `alloc`/`alloc_zeroed`/`realloc`; frees are irrelevant to
-//! the zero-allocation claim. Two counters run side by side:
-//! [`thread_allocation_count`] sees only the calling thread, so a window
-//! measured on one thread is exact whatever else the process is doing (a
-//! test harness spawning threads and capturing output, say);
-//! [`allocation_count`] is process-global, for windows whose work crosses
-//! threads — callers must then ensure nothing unrelated allocates
-//! concurrently.
+//! the zero-allocation claim. Measure with [`thread_allocation_count`]: it
+//! sees only the calling thread, so a window is exact whatever else the
+//! process is doing (a test harness spawning threads and capturing output,
+//! say).
+//!
+//! [`allocation_count`] is process-global and has exactly one reader: the
+//! gates binary's `server/cached/zipf` window, whose work crosses the
+//! client thread and the server's worker thread, in a standalone process
+//! where nothing else runs — the one place a global count is sound. Under
+//! `cargo test`, or next to any unrelated thread, it counts their
+//! allocations too; do not add a second reader.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -33,8 +38,8 @@ thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Total allocation events since process start (or since the last
-/// snapshot's baseline — callers diff two reads).
+/// Allocation events made by every thread since process start — the caller
+/// diffs two reads, and must be the only thing running (see the module doc).
 pub fn allocation_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }

@@ -22,8 +22,8 @@
 //!
 //! Every stage writes into reusable buffers, so a warm
 //! [`ServeEngine::serve`] call performs **zero heap allocations** on both
-//! the hit and the cold path — the bench harness gates on that, parser and
-//! cache probe included. The HTTP front end (`crates/server`) pins one
+//! the hit and the cold path — `tests/alloc_free.rs` asserts that, parser
+//! and cache probe included. The HTTP front end (`crates/server`) pins one
 //! [`ServeScratch`] per worker thread and shares one `ServeEngine` behind
 //! an `Arc`, so the same guarantee holds end to end through the socket
 //! path.
@@ -32,8 +32,6 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
-use std::thread;
-use std::time::{Duration, Instant};
 
 use crate::{
     fingerprint_query, fingerprint_raw, parse_query_into, render_query_into, AlignmentStore,
@@ -51,8 +49,7 @@ pub struct ServeEngine {
     /// stays identical to the rule set's.
     base_interner: Interner,
     /// Rewrite-result cache behind its adaptive-cap slot; `None` when
-    /// constructed cache-less (the harness's cold-pipeline configs and the
-    /// `--no-cache` A/B runs).
+    /// constructed cache-less (the cold-path reference in tests).
     cache: Option<AdaptiveCache>,
     /// Rule-set revision the engine was frozen at — the generation tag for
     /// every cache entry. The store behind the `Arc` is immutable here, so
@@ -224,7 +221,7 @@ impl ServeEngine {
     /// worker clones. `cache` sizes the rewrite-result cache
     /// (`Some(CacheConfig::default())` for the production shape), or
     /// `None` serves every request through the cold pipeline — the
-    /// `--no-cache` A/B path and the raw-pipeline bench configs.
+    /// reference the cached path is compared against in tests.
     pub fn with_cache(
         mut store: AlignmentStore,
         interner: Interner,
@@ -460,39 +457,6 @@ impl ServeEngine {
             &mut scratch.out,
         );
         Ok(())
-    }
-
-    /// Steady-state timed fan-out: split `requests` into `n_threads`
-    /// contiguous chunks, give each worker its own [`ServeScratch`], warm it
-    /// with one untimed pass, then loop `reps` times over the chunk.
-    /// Returns wall-clock time for the whole fan-out (spawn, interner
-    /// clones, and join included — amortize with `reps`).
-    pub fn timed_serve_run(&self, requests: &[String], n_threads: usize, reps: u32) -> Duration {
-        let chunk = requests.len().div_ceil(n_threads.max(1)).max(1);
-        let start = Instant::now();
-        thread::scope(|scope| {
-            let handles: Vec<_> = requests
-                .chunks(chunk)
-                .map(|slice| {
-                    scope.spawn(move || {
-                        let mut scratch = self.scratch();
-                        for q in slice {
-                            self.serve(q, &mut scratch).expect("workload parses");
-                        }
-                        for _ in 0..reps {
-                            for q in slice {
-                                let out = self.serve(q, &mut scratch).expect("workload parses");
-                                std::hint::black_box(out);
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("serve worker panicked");
-            }
-        });
-        start.elapsed()
     }
 }
 

@@ -70,9 +70,9 @@
 //! [`pattern::render_query_into`] (into a reusable `String`), zero
 //! steady-state allocations end to end.
 //!
-//! See the workspace README for the paper's rewriting model and
-//! `crates/bench-harness` for the measurement harness and the
-//! multi-threaded batch engine.
+//! See the workspace README for the paper's rewriting model, `benchmark/`
+//! for the measurements and `crates/bench-harness` for the deterministic
+//! robustness gates.
 
 pub mod align;
 pub mod cache;
