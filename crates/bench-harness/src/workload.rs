@@ -620,11 +620,8 @@ pub fn generate_federation(spec: &FederationSpec) -> FederationWorkload {
         });
     }
 
-    // Dense indexes last, sized by the final symbol bound, so every
-    // endpoint's candidate lookups take the O(1) path the planner reads.
     let mut planner = FederationPlanner::new();
-    for (mut store, term) in stores.into_iter().zip(endpoint_terms) {
-        assert!(store.build_dense_index(interner.symbol_bound()));
+    for (store, term) in stores.into_iter().zip(endpoint_terms) {
         planner.add_endpoint(term, Arc::new(store));
     }
     FederationWorkload {

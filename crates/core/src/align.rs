@@ -12,25 +12,21 @@
 //! ```
 //!
 //! The hot path is "for each query triple pattern, find the rules that could
-//! apply". During the build phase the store maintains two hash indexes over
-//! the rule list: entity rules keyed by the raw source term, predicate rules
-//! keyed by the template's predicate symbol. At freeze time,
-//! [`AlignmentStore::build_dense_index`] converts both into **dense
-//! direct-indexed tables** keyed by interner symbol id — the
-//! dictionary-encoded dispatch columnar SPARQL engines use: interner symbols
-//! are dense `u32`s, so "hash the key, probe, compare" collapses into a
-//! single bounds-checked array load. Entity targets and predicate posting-list
-//! offsets share one merged per-symbol dispatch record (entity targets in
-//! the concrete-kind lanes, CSR offsets in the otherwise-unused variable
-//! lane), and rule templates are pooled flat by rule id so applying a match
-//! never chases the rule list. When the symbol space is too sparse for dense
-//! tables to pay for themselves the store keeps the hash maps as the
-//! fallback path — lookups are correct either way, just slower.
+//! apply". The store answers it from **dense direct-indexed tables** keyed
+//! by interner symbol id — the dictionary-encoded dispatch columnar SPARQL
+//! engines use: interner symbols are dense `u32`s, so "hash the key, probe,
+//! compare" collapses into a single bounds-checked array load. Entity
+//! targets and the predicate's posting list share one per-symbol dispatch
+//! record (entity targets in the concrete-kind lanes, the posting list in
+//! the otherwise-unused variable lane), and rule templates are pooled flat by
+//! rule id so applying a match never chases the rule list. Every `add_*`
+//! updates the tables in place, so they are the only lookup structure and
+//! are valid after each call: there is no build step, and `&mut` to add /
+//! `&` (or `Arc`) to read is the whole build/serve split.
 //!
-//! The [`crate::rewriter::LinearRewriter`] ignores every index and scans the
-//! rule list instead, as the benchmark baseline.
+//! The [`crate::rewriter::LinearRewriter`] ignores the tables and scans the
+//! rule list instead, as the test reference.
 
-use crate::fxhash::FxHashMap;
 use crate::pattern::{ExprNode, TriplePattern};
 use crate::smallvec::SmallVec;
 use crate::term::{Symbol, Term, TermKind, SYM_MASK, TAG_SHIFT};
@@ -155,7 +151,7 @@ pub enum AlignError {
     /// Empty right-hand side would silently delete query patterns.
     EmptyTemplate,
     /// Rule templates must not contain rewriter-minted
-    /// [`TermKind::Fresh`](crate::term::TermKind::Fresh) terms — their
+    /// [`TermKind::Fresh`] terms — their
     /// counters are meaningful only within one rewrite call, so a rule
     /// carrying one could capture the engine's own existentials.
     FreshTerm,
@@ -204,66 +200,6 @@ impl std::fmt::Display for AlignError {
 
 impl std::error::Error for AlignError {}
 
-/// Dense direct-indexed dispatch tables, built at freeze time from the hash
-/// indexes. Both tables are sized by the interner's
-/// [`symbol_bound`](crate::interner::Interner::symbol_bound), so a lookup is
-/// a bounds-checked array load with no hashing and no key comparison.
-#[derive(Debug)]
-struct DenseIndex {
-    /// Symbols this index was sized for. Terms carrying a later symbol (a
-    /// worker-local post-freeze intern) fall outside every table and
-    /// correctly resolve to "no rule".
-    symbol_bound: u32,
-    /// The merged dispatch table: one 16-byte record of four `u32` lanes per
-    /// symbol, `table[(symbol << 2) | lane]`, with `symbol_bound + 1`
-    /// records.
-    ///
-    /// * Lanes 0..=2 (the concrete term tags — IRI, literal, blank) hold
-    ///   the raw replacement term of the first entity rule for that source
-    ///   term, or [`NO_ENTITY`]. The lane is selected by the term's tag
-    ///   directly, so the slot is shift+or (no multiply), and one unsigned
-    ///   compare on the raw term excludes variables and fresh terms before
-    ///   any memory is touched.
-    /// * Lane 3 — the variable tag, which can never be an entity source —
-    ///   holds the CSR offset of the symbol's predicate posting list: the
-    ///   candidates for predicate symbol `s` are
-    ///   `pred_ids[table[(s << 2) | 3] .. table[((s + 1) << 2) | 3]]`, in
-    ///   rule-id order (hence the one extra record at the end).
-    ///
-    /// Packing the CSR offsets into the otherwise-wasted variable lane puts
-    /// a predicate's entity target and both posting-list offsets on the
-    /// same (or at worst the adjacent) cache line, so the per-pattern
-    /// predicate dispatch costs one line instead of three.
-    table: Box<[u32]>,
-    /// CSR payload: posting lists of predicate-rule ids, indexed by lane 3
-    /// of `table`.
-    pred_ids: Box<[u32]>,
-    /// Flat template pools indexed by **rule id**, so applying a matched
-    /// rule never touches the `Vec<Rule>` enum (48-byte entries behind a
-    /// pointer-chased `Vec<TriplePattern>` each): `tmpl_lhs[id]` is the
-    /// template's lhs, its rhs is
-    /// `rhs_pool[tmpl_rhs_off[id] .. tmpl_rhs_off[id + 1]]`. Entity-rule
-    /// ids hold a placeholder lhs and an empty rhs range; candidate lookup
-    /// only ever yields predicate ids.
-    tmpl_lhs: Box<[TriplePattern]>,
-    tmpl_rhs_off: Box<[u32]>,
-    rhs_pool: Box<[TriplePattern]>,
-    /// Complex-template pools in the same by-rule-id CSR layout as
-    /// `rhs_pool`: `tmpl_guard[id]` is the rule's guard root ([`NO_EXPR`]
-    /// when absent or for non-complex rules), its expression pool is
-    /// `expr_pool[tmpl_expr_off[id] .. tmpl_expr_off[id + 1]]`, its filter
-    /// roots `filter_pool[tmpl_filter_off[id] .. tmpl_filter_off[id + 1]]`.
-    /// Expression child indices and the guard/filter roots are
-    /// template-relative, so the CSR slice reproduces each rule's
-    /// self-contained pool exactly — no index fix-up on the hot path. Flat
-    /// predicate rules get empty ranges, keeping their dispatch untouched.
-    tmpl_guard: Box<[u32]>,
-    tmpl_expr_off: Box<[u32]>,
-    expr_pool: Box<[ExprNode]>,
-    tmpl_filter_off: Box<[u32]>,
-    filter_pool: Box<[u32]>,
-}
-
 /// Borrowed view of one predicate/complex rule's templates, as returned by
 /// [`AlignmentStore::template`]. For flat [`Rule::Predicate`] rules the
 /// expression fields are empty and `guard` is [`NO_EXPR`], so a single code
@@ -280,21 +216,23 @@ pub struct TemplateRef<'a> {
     pub filters: &'a [u32],
 }
 
-/// Vacant entity lane in [`DenseIndex::table`]. `u32::MAX` decodes as a
-/// [`crate::term::TermKind::Fresh`] term, which
-/// [`AlignmentStore::add_entity`] rejects, so no rule target can ever
-/// collide with the sentinel.
-const NO_ENTITY: u32 = u32::MAX;
+/// Vacant lane in [`AlignmentStore::table`]. `u32::MAX` decodes as a
+/// [`TermKind::Fresh`] term, which [`AlignmentStore::add_entity`] rejects,
+/// and is neither a rule id nor a posting-list index (both stay below it),
+/// so nothing a lane can hold collides with the sentinel.
+const VACANT: u32 = u32::MAX;
 
-/// Number of concrete term kinds (IRI, literal, blank) the dense entity
-/// table maps; their tags are `0..KINDS`.
-const KINDS: usize = 3;
+/// Lane-3 tag. Clear: the lane *is* the rule id of the predicate's only
+/// template. Set: the low 31 bits index [`AlignmentStore::postings`] (the
+/// predicate has two or more templates). Rule ids therefore stay below it.
+const SPILL: u32 = 1 << 31;
 
 /// Raw values at or above this are non-concrete: variables (tag 3) and
-/// fresh terms (tags 4..=7). Neither can be an entity-rule source or a
+/// fresh terms (tags 4..=7); the concrete kinds (IRI, literal, blank) are
+/// tags 0..=2. Neither can be an entity-rule source or a
 /// template-predicate key, so one unsigned compare rejects both without
 /// touching memory.
-const CONCRETE_TAG_CEIL: u32 = (KINDS as u32) << TAG_SHIFT;
+const CONCRETE_TAG_CEIL: u32 = (TermKind::Var as u32) << TAG_SHIFT;
 
 /// Walk the expression subtree rooted at `root` (build-time only — the
 /// scratch stack allocates) and check `ok` on every [`ExprNode::Term`]
@@ -319,35 +257,88 @@ fn leaves_satisfy(exprs: &[ExprNode], root: u32, mut ok: impl FnMut(Term) -> boo
     true
 }
 
-/// Rule set plus candidate-lookup indexes.
-///
-/// Build phase: hash indexes (FxHash) are maintained incrementally by
-/// `add_*`. Freeze: [`AlignmentStore::build_dense_index`] lowers them into
-/// direct-indexed tables keyed by interner symbol id. Lookups transparently
-/// prefer the dense tables and fall back to the hash maps when they are
-/// absent (never built, declined as too sparse, or invalidated by a
-/// post-freeze `add_*`).
-#[derive(Default, Debug)]
+/// End offset of a CSR pool after a row was appended.
+fn pool_end<T>(pool: &[T]) -> u32 {
+    u32::try_from(pool.len()).expect("template pool outgrew its u32 offsets")
+}
+
+/// Rule set plus its candidate-lookup tables: direct-indexed by interner
+/// symbol id, updated in place by every `add_*`, so a lookup is a
+/// bounds-checked array load with no hashing and no key comparison, and is
+/// correct after each add. Share it by `&` or `Arc` to serve.
+#[derive(Debug)]
 pub struct AlignmentStore {
     rules: Vec<Rule>,
-    /// Raw packed source term → id of the *first* entity rule for it.
-    /// Later duplicates are kept in `rules` (the linear scan also takes the
-    /// first match) but never win.
-    entity_idx: FxHashMap<u32, u32>,
-    /// Template predicate symbol → ids of predicate rules with that
-    /// predicate, in insertion (= id) order.
-    predicate_idx: FxHashMap<Symbol, SmallVec<u32, 4>>,
-    /// Frozen dense dispatch tables; `None` during the build phase and on
-    /// the sparse fallback path.
-    dense: Option<DenseIndex>,
-    /// Monotonic rule-set revision: bumped by every `add_*`, never by
-    /// `build_dense_index` (freezing changes the lookup machinery, not the
-    /// rules). This is the generation tag the rewrite-result cache
-    /// ([`crate::cache::RewriteCache`]) stamps entries with — a post-freeze
-    /// rule load bumps it, so every cached rewrite produced under the old
-    /// rule set lazily misses, mirroring how the same `add_*` invalidates
-    /// the dense tables.
+    /// The dispatch table: one 16-byte record of four `u32` lanes per
+    /// symbol, `table[(symbol << 2) | lane]`, covering symbols up to the
+    /// largest one a rule is keyed on — its size follows the rule set, not
+    /// the dictionary. A term carrying a later symbol falls outside it and
+    /// correctly resolves to "no rule".
+    ///
+    /// * Lanes 0..=2 (the concrete term tags — IRI, literal, blank) hold
+    ///   the raw replacement term of the first entity rule for that source
+    ///   term, or [`VACANT`]. The lane is selected by the term's tag
+    ///   directly, so the slot is shift+or (no multiply), and one unsigned
+    ///   compare on the raw term excludes variables and fresh terms before
+    ///   any memory is touched.
+    /// * Lane 3 — the variable tag, which can never be an entity source —
+    ///   names the predicate rules whose template predicate is this symbol:
+    ///   [`VACANT`], the rule id itself while there is one such rule, or
+    ///   [`SPILL`]` | i` for the list `postings[i]` from the second on.
+    ///
+    /// Holding a lone rule id in the lane itself means the common
+    /// per-pattern predicate dispatch reads nothing but the record the
+    /// entity lookup for that predicate just touched.
+    table: Vec<u32>,
+    /// Posting lists of the predicates with two or more templates, in
+    /// rule-id order (ids only grow, so appending keeps them sorted).
+    postings: Vec<SmallVec<u32, 4>>,
+    /// Flat template pools indexed by **rule id**, so applying a matched
+    /// rule never touches the `Vec<Rule>` enum (48-byte entries behind a
+    /// pointer-chased `Vec<TriplePattern>` each): `tmpl_lhs[id]` is the
+    /// template's lhs, its rhs is
+    /// `rhs_pool[tmpl_rhs_off[id] .. tmpl_rhs_off[id + 1]]` (every offset
+    /// vector starts with one leading 0). Entity-rule ids hold a
+    /// placeholder lhs and an empty rhs range; candidate lookup only ever
+    /// yields predicate ids.
+    tmpl_lhs: Vec<TriplePattern>,
+    tmpl_rhs_off: Vec<u32>,
+    rhs_pool: Vec<TriplePattern>,
+    /// Complex-template pools in the same by-rule-id CSR layout as
+    /// `rhs_pool`: `tmpl_guard[id]` is the rule's guard root ([`NO_EXPR`]
+    /// when absent or for non-complex rules), its expression pool is
+    /// `expr_pool[tmpl_expr_off[id] .. tmpl_expr_off[id + 1]]`, its filter
+    /// roots `filter_pool[tmpl_filter_off[id] .. tmpl_filter_off[id + 1]]`.
+    /// Expression child indices and the guard/filter roots are
+    /// template-relative, so the CSR slice reproduces each rule's
+    /// self-contained pool exactly — no index fix-up on the hot path. Flat
+    /// predicate rules get empty ranges, keeping their dispatch untouched.
+    tmpl_guard: Vec<u32>,
+    tmpl_expr_off: Vec<u32>,
+    expr_pool: Vec<ExprNode>,
+    tmpl_filter_off: Vec<u32>,
+    filter_pool: Vec<u32>,
+    /// See [`AlignmentStore::revision`].
     revision: u64,
+}
+
+impl Default for AlignmentStore {
+    fn default() -> AlignmentStore {
+        AlignmentStore {
+            rules: Vec::new(),
+            table: Vec::new(),
+            postings: Vec::new(),
+            tmpl_lhs: Vec::new(),
+            tmpl_rhs_off: vec![0],
+            rhs_pool: Vec::new(),
+            tmpl_guard: Vec::new(),
+            tmpl_expr_off: vec![0],
+            expr_pool: Vec::new(),
+            tmpl_filter_off: vec![0],
+            filter_pool: Vec::new(),
+            revision: 0,
+        }
+    }
 }
 
 impl AlignmentStore {
@@ -363,15 +354,13 @@ impl AlignmentStore {
         if from.is_fresh() || to.is_fresh() {
             return Err(AlignError::FreshTerm);
         }
-        let id = self.next_id();
-        self.rules.push(Rule::Entity { from, to });
-        self.entity_idx.entry(from.raw()).or_insert(id);
-        // The dense tables are a frozen snapshot; a post-freeze rule load
-        // invalidates them and lookups revert to the hash fallback until
-        // the caller re-freezes. The revision bump invalidates any
-        // rewrite-result cache keyed to the old rule set the same way.
-        self.dense = None;
-        self.revision += 1;
+        let id = self.push_rule(Rule::Entity { from, to });
+        // Later duplicates are kept in `rules` (the linear scan also takes
+        // the first match) but never win the lane.
+        let lane = self.lane_mut(from.symbol(), from.kind() as usize);
+        if *lane == VACANT {
+            *lane = to.raw();
+        }
         Ok(id)
     }
 
@@ -395,14 +384,8 @@ impl AlignmentStore {
         {
             return Err(AlignError::FreshTerm);
         }
-        let id = self.next_id();
-        self.predicate_idx
-            .entry(lhs.p.symbol())
-            .or_default()
-            .push(id);
-        self.rules.push(Rule::Predicate { lhs, rhs });
-        self.dense = None;
-        self.revision += 1;
+        let id = self.push_rule(Rule::Predicate { lhs, rhs });
+        self.push_posting(lhs.p.symbol(), id);
         Ok(id)
     }
 
@@ -483,136 +466,70 @@ impl AlignmentStore {
                 return Err(AlignError::TemplateVariableUnbound);
             }
         }
-        let id = self.next_id();
-        self.predicate_idx
-            .entry(lhs.p.symbol())
-            .or_default()
-            .push(id);
-        self.rules.push(Rule::Complex { lhs, tmpl });
-        self.dense = None;
-        self.revision += 1;
+        let id = self.push_rule(Rule::Complex { lhs, tmpl });
+        self.push_posting(lhs.p.symbol(), id);
         Ok(id)
     }
 
-    /// Freeze the candidate indexes into dense direct-indexed tables sized
-    /// by `symbol_bound` (the interner's
-    /// [`symbol_bound`](crate::interner::Interner::symbol_bound) at freeze
-    /// time). Returns `true` when the dense tables were built, `false` when
-    /// the symbol space is too sparse relative to the rule count for a
-    /// direct-indexed table to pay for its memory, in which case the hash
-    /// indexes stay in service as the fallback path (lookups remain
-    /// correct, just hashed).
-    ///
-    /// Loading further rules after this call invalidates the dense tables;
-    /// call `build_dense_index` again once loading is done.
-    pub fn build_dense_index(&mut self, symbol_bound: usize) -> bool {
-        self.dense = None;
-        // Density heuristic: the tables cost ~16 bytes per symbol. Build
-        // them when the symbol space is small in absolute terms or within a
-        // constant factor of the rule count; a near-empty rule set over a
-        // huge dictionary keeps the hash fallback.
-        let worthwhile =
-            symbol_bound <= (1 << 16) || symbol_bound <= self.rules.len().saturating_mul(64);
-        if !worthwhile || symbol_bound > u32::MAX as usize {
-            return false;
-        }
-
-        // Every rule symbol must fall inside the bound, or dense lookups
-        // would silently diverge from the hash index.
-        assert!(
-            self.predicate_idx.keys().all(|s| s.index() < symbol_bound)
-                && self
-                    .entity_idx
-                    .keys()
-                    .all(|&raw| (Term::from_raw(raw).symbol().index()) < symbol_bound),
-            "build_dense_index: symbol_bound smaller than a rule symbol \
-             (freeze the interner after loading rules, not before)"
-        );
-
-        // One 4-lane record per symbol plus the end-of-CSR sentinel record.
-        let mut table = vec![NO_ENTITY; 4 * (symbol_bound + 1)].into_boxed_slice();
-        for (&raw, &id) in &self.entity_idx {
-            let from = Term::from_raw(raw);
-            debug_assert!(
-                (from.kind() as usize) < KINDS,
-                "entity sources are concrete"
-            );
-            let slot = (from.symbol().index() << 2) | from.kind() as usize;
-            let Rule::Entity { to, .. } = self.rules[id as usize] else {
-                unreachable!("entity index points at non-entity rule");
-            };
-            table[slot] = to.raw();
-        }
-
-        // CSR build into lane 3: count per symbol, prefix-sum, then fill in
-        // rule-id order so each posting list preserves the hash index's
-        // ordering.
-        let lane3 = |sym: usize| (sym << 2) | 3;
-        // Scatter per-symbol counts into lane 3 (one pass over the rule
-        // index, not one hash probe per dictionary symbol), then prefix-sum
-        // in place.
-        for sym in 0..=symbol_bound {
-            table[lane3(sym)] = 0;
-        }
-        for (sym, ids) in &self.predicate_idx {
-            table[lane3(sym.index() + 1)] = ids.len() as u32;
-        }
-        for sym in 1..=symbol_bound {
-            table[lane3(sym)] += table[lane3(sym - 1)];
-        }
-        let total = table[lane3(symbol_bound)] as usize;
-        let mut pred_ids = vec![0u32; total].into_boxed_slice();
-        for (sym, ids) in &self.predicate_idx {
-            let start = table[lane3(sym.index())] as usize;
-            pred_ids[start..start + ids.len()].copy_from_slice(ids.as_slice());
-        }
-
-        // Flat template pools by rule id. Complex rules add their guard,
-        // expression, and filter-root pools in the same CSR shape; flat and
-        // entity rules contribute empty ranges, so the extra pools cost
-        // nothing on their dispatch path.
+    /// Append `rule` to the rule list and its row to every by-rule-id pool
+    /// (ids only grow, so CSR-by-rule-id is append-only; flat and entity
+    /// rules contribute empty ranges). Returns the rule id.
+    fn push_rule(&mut self, rule: Rule) -> u32 {
+        assert!(self.rules.len() < SPILL as usize, "more than 2^31 rules");
+        let id = self.rules.len() as u32;
         let placeholder = TriplePattern::new(Term::fresh(0), Term::fresh(0), Term::fresh(0));
-        let mut tmpl_lhs = vec![placeholder; self.rules.len()].into_boxed_slice();
-        let mut tmpl_rhs_off = vec![0u32; self.rules.len() + 1];
-        let mut rhs_pool = Vec::new();
-        let mut tmpl_guard = vec![NO_EXPR; self.rules.len()].into_boxed_slice();
-        let mut tmpl_expr_off = vec![0u32; self.rules.len() + 1];
-        let mut expr_pool = Vec::new();
-        let mut tmpl_filter_off = vec![0u32; self.rules.len() + 1];
-        let mut filter_pool = Vec::new();
-        for (id, rule) in self.rules.iter().enumerate() {
-            match rule {
-                Rule::Predicate { lhs, rhs } => {
-                    tmpl_lhs[id] = *lhs;
-                    rhs_pool.extend_from_slice(rhs);
-                }
-                Rule::Complex { lhs, tmpl } => {
-                    tmpl_lhs[id] = *lhs;
-                    rhs_pool.extend_from_slice(&tmpl.triples);
-                    tmpl_guard[id] = tmpl.guard;
-                    expr_pool.extend_from_slice(&tmpl.exprs);
-                    filter_pool.extend_from_slice(&tmpl.filters);
-                }
-                Rule::Entity { .. } => {}
+        let (lhs, triples, exprs, guard, filters): (_, &[_], &[_], _, &[_]) = match &rule {
+            Rule::Entity { .. } => (placeholder, &[], &[], NO_EXPR, &[]),
+            Rule::Predicate { lhs, rhs } => (*lhs, rhs, &[], NO_EXPR, &[]),
+            Rule::Complex { lhs, tmpl } => {
+                (*lhs, &tmpl.triples, &tmpl.exprs, tmpl.guard, &tmpl.filters)
             }
-            tmpl_rhs_off[id + 1] = rhs_pool.len() as u32;
-            tmpl_expr_off[id + 1] = expr_pool.len() as u32;
-            tmpl_filter_off[id + 1] = filter_pool.len() as u32;
-        }
+        };
+        self.tmpl_lhs.push(lhs);
+        self.tmpl_guard.push(guard);
+        self.rhs_pool.extend_from_slice(triples);
+        self.tmpl_rhs_off.push(pool_end(&self.rhs_pool));
+        self.expr_pool.extend_from_slice(exprs);
+        self.tmpl_expr_off.push(pool_end(&self.expr_pool));
+        self.filter_pool.extend_from_slice(filters);
+        self.tmpl_filter_off.push(pool_end(&self.filter_pool));
+        self.rules.push(rule);
+        self.revision += 1;
+        id
+    }
 
-        self.dense = Some(DenseIndex {
-            symbol_bound: symbol_bound as u32,
-            table,
-            pred_ids,
-            tmpl_lhs,
-            tmpl_rhs_off: tmpl_rhs_off.into_boxed_slice(),
-            rhs_pool: rhs_pool.into_boxed_slice(),
-            tmpl_guard,
-            tmpl_expr_off: tmpl_expr_off.into_boxed_slice(),
-            expr_pool: expr_pool.into_boxed_slice(),
-            tmpl_filter_off: tmpl_filter_off.into_boxed_slice(),
-            filter_pool: filter_pool.into_boxed_slice(),
-        });
+    /// Lane `lane` of `sym`'s dispatch record, growing the table to cover it.
+    fn lane_mut(&mut self, sym: Symbol, lane: usize) -> &mut u32 {
+        let slot = sym.index() << 2 | lane;
+        if slot >= self.table.len() {
+            self.table.resize((sym.index() + 1) << 2, VACANT);
+        }
+        &mut self.table[slot]
+    }
+
+    /// Append predicate rule `id` to the posting list of template predicate
+    /// `p`: into the lane itself while it is the only one, spilling to a
+    /// side list from the second template on.
+    fn push_posting(&mut self, p: Symbol, id: u32) {
+        let next_list = SPILL | self.postings.len() as u32;
+        let lane = self.lane_mut(p, 3);
+        match *lane {
+            VACANT => *lane = id,
+            only if only < SPILL => {
+                *lane = next_list;
+                let mut list = SmallVec::new();
+                list.push(only);
+                list.push(id);
+                self.postings.push(list);
+            }
+            list => self.postings[(list & !SPILL) as usize].push(id),
+        }
+    }
+
+    // Shim: the tables are always built. `benchmark/` is its one caller (ROADMAP item 3).
+    #[doc(hidden)]
+    pub fn build_dense_index(&mut self, _symbol_bound: usize) -> bool {
+        self.table.shrink_to_fit();
         true
     }
 
@@ -620,46 +537,18 @@ impl AlignmentStore {
     /// [`TemplateRef`] (flat rules surface empty expression fields). Only
     /// meaningful for ids yielded by
     /// [`AlignmentStore::predicate_candidates`] (or an equivalent scan);
-    /// on the dense path this reads the flat template pools and never
-    /// touches the rule list.
+    /// reads the flat template pools and never touches the rule list.
     #[inline]
     pub fn template(&self, id: u32) -> TemplateRef<'_> {
-        if let Some(dense) = &self.dense {
-            let id = id as usize;
-            return TemplateRef {
-                lhs: dense.tmpl_lhs[id],
-                triples: &dense.rhs_pool
-                    [dense.tmpl_rhs_off[id] as usize..dense.tmpl_rhs_off[id + 1] as usize],
-                exprs: &dense.expr_pool
-                    [dense.tmpl_expr_off[id] as usize..dense.tmpl_expr_off[id + 1] as usize],
-                guard: dense.tmpl_guard[id],
-                filters: &dense.filter_pool
-                    [dense.tmpl_filter_off[id] as usize..dense.tmpl_filter_off[id + 1] as usize],
-            };
+        let id = id as usize;
+        let row = |off: &[u32]| off[id] as usize..off[id + 1] as usize;
+        TemplateRef {
+            lhs: self.tmpl_lhs[id],
+            triples: &self.rhs_pool[row(&self.tmpl_rhs_off)],
+            exprs: &self.expr_pool[row(&self.tmpl_expr_off)],
+            guard: self.tmpl_guard[id],
+            filters: &self.filter_pool[row(&self.tmpl_filter_off)],
         }
-        match &self.rules[id as usize] {
-            Rule::Predicate { lhs, rhs } => TemplateRef {
-                lhs: *lhs,
-                triples: rhs,
-                exprs: &[],
-                guard: NO_EXPR,
-                filters: &[],
-            },
-            Rule::Complex { lhs, tmpl } => TemplateRef {
-                lhs: *lhs,
-                triples: &tmpl.triples,
-                exprs: &tmpl.exprs,
-                guard: tmpl.guard,
-                filters: &tmpl.filters,
-            },
-            Rule::Entity { .. } => unreachable!("template id points at a non-predicate rule"),
-        }
-    }
-
-    /// Whether lookups currently run on the dense direct-indexed tables
-    /// (vs. the hash fallback).
-    pub fn has_dense_index(&self) -> bool {
-        self.dense.is_some()
     }
 
     /// Monotonic rule-set revision, bumped by every successful `add_*`.
@@ -668,16 +557,11 @@ impl AlignmentStore {
     /// stamp inserts with the revision the rewrite ran under and look up
     /// with the current one. Rewriting is deterministic per (query text,
     /// rule set), so equal revisions guarantee the cached text is still the
-    /// correct rewrite — and a post-freeze `add_*` bumps the revision,
-    /// making every stale entry miss without any eager scan, exactly like
-    /// the dense-index invalidation above.
+    /// correct rewrite — and an `add_*` bumps the revision, making every
+    /// stale entry miss without any eager scan.
     #[inline]
     pub fn revision(&self) -> u64 {
         self.revision
-    }
-
-    fn next_id(&self) -> u32 {
-        u32::try_from(self.rules.len()).expect("more than u32::MAX rules")
     }
 
     #[inline]
@@ -693,73 +577,40 @@ impl AlignmentStore {
         self.rules.is_empty()
     }
 
-    /// Indexed entity lookup: the replacement for `t`, if any entity rule
-    /// rewrites it. On the dense path this is a tag check plus one array
-    /// load; variables and fresh terms short-circuit without touching
-    /// memory, and a symbol minted after the freeze falls outside the table
-    /// bounds (no rule can mention it).
+    /// The replacement for `t`, if any entity rule rewrites it: a tag check
+    /// plus one array load. A symbol no rule is keyed on, or minted after
+    /// the last rule, is vacant or outside the table.
     #[inline]
     pub fn entity_target(&self, t: Term) -> Option<Term> {
-        if let Some(dense) = &self.dense {
-            let raw = t.raw();
-            // Variables and fresh terms can never be entity-rule sources:
-            // one compare, no memory touched (this is the common case —
-            // most subject/object positions are variables).
-            if raw >= CONCRETE_TAG_CEIL {
-                return None;
-            }
-            // slot = (symbol << 2) | tag, always an entity lane (tag ≤ 2).
-            // A post-freeze symbol is rejected by the explicit bound check
-            // (the sentinel record at the end means the slice check alone
-            // is not tight enough).
-            let sym = (raw & SYM_MASK) as usize;
-            if sym >= dense.symbol_bound as usize {
-                return None;
-            }
-            let to = dense.table[sym << 2 | (raw >> TAG_SHIFT) as usize];
-            return if to != NO_ENTITY {
-                Some(Term::from_raw(to))
-            } else {
-                None
-            };
+        let raw = t.raw();
+        // The common case: most subject/object positions are variables.
+        if raw >= CONCRETE_TAG_CEIL {
+            return None;
         }
-        let &id = self.entity_idx.get(&t.raw())?;
-        match &self.rules[id as usize] {
-            Rule::Entity { to, .. } => Some(*to),
-            _ => unreachable!("entity index points at non-entity rule"),
+        // slot = (symbol << 2) | tag, always an entity lane (tag ≤ 2).
+        let slot = ((raw & SYM_MASK) as usize) << 2 | (raw >> TAG_SHIFT) as usize;
+        match self.table.get(slot) {
+            Some(&to) if to != VACANT => Some(Term::from_raw(to)),
+            _ => None,
         }
     }
 
-    /// Indexed predicate-rule candidates for a pattern whose predicate is
-    /// `p`, in rule-id order. Variables never match (templates must have
-    /// concrete predicates, so a variable predicate in the query can only be
-    /// entity-rewritten, never template-expanded). On the dense path this is
-    /// two adjacent offset loads and a slice.
+    /// Predicate-rule candidates for a pattern whose predicate is `p`, in
+    /// rule-id order: one lane load, plus a side-list load only when the
+    /// predicate has several templates.
     #[inline]
     pub fn predicate_candidates(&self, p: Term) -> &[u32] {
-        // A variable predicate never matches a template (templates have
-        // concrete predicates), and a fresh predicate carries a counter,
-        // not a symbol — it must never alias a real predicate symbol in
-        // the index. One compare covers both.
+        // A variable predicate never matches a template (their predicates
+        // are concrete), and a fresh one carries a counter that must never
+        // alias a real predicate symbol. One compare covers both.
         if p.raw() >= CONCRETE_TAG_CEIL {
             return &[];
         }
-        if let Some(dense) = &self.dense {
-            let sym = p.symbol().index();
-            if sym >= dense.symbol_bound as usize {
-                return &[];
-            }
-            // CSR offsets live in lane 3 of the symbol's (and the next
-            // symbol's) dispatch record — usually the same cache line the
-            // entity lookup for this predicate just touched.
-            let start = dense.table[sym << 2 | 3] as usize;
-            let end = dense.table[(sym + 1) << 2 | 3] as usize;
-            return &dense.pred_ids[start..end];
+        match self.table.get(p.symbol().index() << 2 | 3) {
+            None | Some(&VACANT) => &[],
+            Some(only) if *only < SPILL => std::slice::from_ref(only),
+            Some(&list) => self.postings[(list & !SPILL) as usize].as_slice(),
         }
-        self.predicate_idx
-            .get(&p.symbol())
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
     }
 }
 
@@ -915,10 +766,48 @@ mod tests {
         assert_eq!(store.rules()[id as usize], Rule::Complex { lhs, tmpl: t });
     }
 
-    #[test]
-    fn complex_templates_survive_dense_freeze() {
+    /// What `template(id)` must read back, taken from the rule list.
+    fn template_in_rules(store: &AlignmentStore, id: u32) -> (TriplePattern, RuleTemplate) {
+        match &store.rules()[id as usize] {
+            Rule::Predicate { lhs, rhs } => (*lhs, RuleTemplate::from_triples(rhs.clone())),
+            Rule::Complex { lhs, tmpl } => (*lhs, tmpl.clone()),
+            Rule::Entity { .. } => panic!("rule {id} is not a predicate rule"),
+        }
+    }
+
+    fn template_in_pools(store: &AlignmentStore, id: u32) -> (TriplePattern, RuleTemplate) {
+        let t = store.template(id);
+        let tmpl = RuleTemplate {
+            triples: t.triples.to_vec(),
+            exprs: t.exprs.to_vec(),
+            guard: t.guard,
+            filters: t.filters.to_vec(),
+        };
+        (t.lhs, tmpl)
+    }
+
+    /// `lhs ⇒ ?x q ?w . ?w q ?y` guarded on `?y = c`, filtered on `?w != c`.
+    fn guarded_chain(it: &mut Interner, lhs: TriplePattern, q: Term, c: Term) -> RuleTemplate {
         use crate::pattern::CmpOp;
 
+        let w = var(it, "w");
+        let mut t = RuleTemplate::from_triples(vec![
+            TriplePattern::new(lhs.s, q, w),
+            TriplePattern::new(w, q, lhs.o),
+        ]);
+        let l = t.push_expr(ExprNode::Term(lhs.o));
+        let r = t.push_expr(ExprNode::Term(c));
+        let g = t.push_expr(ExprNode::Cmp(CmpOp::Eq, l, r));
+        t.set_guard(g);
+        let fl = t.push_expr(ExprNode::Term(w));
+        let fr = t.push_expr(ExprNode::Term(c));
+        let f = t.push_expr(ExprNode::Cmp(CmpOp::Ne, fl, fr));
+        t.push_filter(f);
+        t
+    }
+
+    #[test]
+    fn templates_read_back_as_added() {
         let mut it = Interner::new();
         let x = var(&mut it, "x");
         let y = var(&mut it, "y");
@@ -930,148 +819,147 @@ mod tests {
             let p = iri(&mut it, &format!("http://src/p{i}"));
             let q = iri(&mut it, &format!("http://tgt/p{i}"));
             let lhs = TriplePattern::new(x, p, y);
-            match i % 3 {
-                0 => {
-                    store
-                        .add_predicate(lhs, vec![TriplePattern::new(x, q, y)])
-                        .unwrap();
+            let id = match i % 3 {
+                0 => store.add_predicate(lhs, vec![TriplePattern::new(x, q, y)]),
+                1 => store.add_complex_predicate(lhs, guarded_chain(&mut it, lhs, q, c)),
+                _ => store.add_entity(p, q),
+            }
+            .unwrap();
+            // Every template so far, not just the newest: appending a row
+            // must not disturb the ones before it.
+            for id in (0..=id).filter(|id| id % 3 != 2) {
+                assert_eq!(
+                    template_in_pools(&store, id),
+                    template_in_rules(&store, id),
+                    "rule {id}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lookups_agree_with_a_linear_scan_after_every_add() {
+        use crate::federate::mix64;
+
+        // The oracle: scans of `rules()`. First entity rule wins; predicate
+        // candidates are every predicate rule keyed on the term's *symbol*
+        // (whole-term matching is the rewriter's `lhs_matches`), in id order.
+        fn check(store: &AlignmentStore, probes: &[Term]) {
+            for &t in probes {
+                let entity = store.rules().iter().find_map(|r| match r {
+                    Rule::Entity { from, to } if *from == t => Some(*to),
+                    _ => None,
+                });
+                assert_eq!(store.entity_target(t), entity, "term {t:?}");
+                let concrete = !t.is_var() && !t.is_fresh();
+                let candidates: Vec<u32> = (0..store.len() as u32)
+                    .filter(|&id| match &store.rules()[id as usize] {
+                        Rule::Predicate { lhs, .. } | Rule::Complex { lhs, .. } => {
+                            concrete && lhs.p.symbol() == t.symbol()
+                        }
+                        Rule::Entity { .. } => false,
+                    })
+                    .collect();
+                assert_eq!(store.predicate_candidates(t), candidates, "term {t:?}");
+                for id in candidates {
+                    assert_eq!(
+                        template_in_pools(store, id),
+                        template_in_rules(store, id),
+                        "rule {id}"
+                    );
                 }
-                1 => {
-                    let w = var(&mut it, "w");
-                    let mut t = RuleTemplate::from_triples(vec![
-                        TriplePattern::new(x, q, w),
-                        TriplePattern::new(w, q, y),
-                    ]);
-                    let l = t.push_expr(ExprNode::Term(y));
-                    let r = t.push_expr(ExprNode::Term(c));
-                    let g = t.push_expr(ExprNode::Cmp(CmpOp::Eq, l, r));
-                    t.set_guard(g);
-                    let fl = t.push_expr(ExprNode::Term(w));
-                    let fr = t.push_expr(ExprNode::Term(c));
-                    let f = t.push_expr(ExprNode::Cmp(CmpOp::Ne, fl, fr));
-                    t.push_filter(f);
-                    store.add_complex_predicate(lhs, t).unwrap();
+            }
+        }
+
+        let mut it = Interner::new();
+        let x = var(&mut it, "x");
+        let y = var(&mut it, "y");
+        let vocab: Vec<Term> = (0..24)
+            .map(|i| iri(&mut it, &format!("http://src/t{i}")))
+            .collect();
+        // Probes: every term a rule can mention in every concrete kind (so
+        // a literal sharing an IRI's symbol is among them), a variable, a
+        // fresh term, and symbols above every rule symbol.
+        let above = Symbol(it.symbol_bound() as u32 + 1000);
+        let mut probes = vec![x, Term::fresh(3), Term::iri(above), Term::blank(above)];
+        for &t in &vocab {
+            let sym = t.symbol();
+            probes.extend([Term::iri(sym), Term::literal(sym), Term::blank(sym)]);
+        }
+
+        let mut store = AlignmentStore::new();
+        check(&store, &probes);
+        let hot = vocab[0];
+        let mut hot_lens = Vec::new();
+        for step in 0..160u64 {
+            let r = mix64(0x5eed ^ step);
+            let pick = |salt: u64| vocab[(mix64(r ^ salt) % vocab.len() as u64) as usize];
+            // Every fourth add lands on one predicate, taking its posting
+            // list from the lane (1) to the side list (2) and past the side
+            // list's inline capacity (6 and up).
+            let p = if step % 4 == 0 { hot } else { pick(1) };
+            let lhs = TriplePattern::new(x, p, y);
+            match (step % 4, r % 3) {
+                (0, _) | (_, 0) => {
+                    let rhs = vec![TriplePattern::new(y, pick(2), x)];
+                    store.add_predicate(lhs, rhs).unwrap();
+                }
+                (_, 1) => {
+                    let tmpl = guarded_chain(&mut it, lhs, pick(2), pick(3));
+                    store.add_complex_predicate(lhs, tmpl).unwrap();
                 }
                 _ => {
-                    store.add_entity(p, q).unwrap();
+                    // Any concrete kind as the source; duplicates arise and
+                    // must lose to the first rule.
+                    let from = Term::new(
+                        [TermKind::Iri, TermKind::Literal, TermKind::Blank][(r >> 8) as usize % 3],
+                        p.symbol(),
+                    );
+                    store.add_entity(from, pick(2)).unwrap();
                 }
             }
+            check(&store, &probes);
+            // A rejected rule must leave every table as it was.
+            assert!(store.add_entity(x, hot).is_err());
+            assert!(store.add_predicate(lhs, vec![]).is_err());
+            check(&store, &probes);
+            hot_lens.push(store.predicate_candidates(hot).len());
         }
-        // Snapshot every predicate/complex template on the hash path...
-        let pred_ids: Vec<u32> = (0..store.len() as u32)
-            .filter(|&id| !matches!(store.rules()[id as usize], Rule::Entity { .. }))
-            .collect();
-        type Snap = (
-            TriplePattern,
-            Vec<TriplePattern>,
-            Vec<ExprNode>,
-            u32,
-            Vec<u32>,
-        );
-        let snap = |store: &AlignmentStore, id: u32| -> Snap {
-            let t = store.template(id);
-            (
-                t.lhs,
-                t.triples.to_vec(),
-                t.exprs.to_vec(),
-                t.guard,
-                t.filters.to_vec(),
-            )
-        };
-        let hash_snaps: Vec<Snap> = pred_ids.iter().map(|&id| snap(&store, id)).collect();
-        // ...then freeze and require the dense pools to reproduce them.
-        assert!(store.build_dense_index(it.symbol_bound()));
-        for (i, &id) in pred_ids.iter().enumerate() {
-            assert_eq!(snap(&store, id), hash_snaps[i], "rule {id}");
-        }
-    }
-
-    #[test]
-    fn dense_index_agrees_with_hash_index() {
-        let mut it = Interner::new();
-        let v = var(&mut it, "x");
-        let mut store = AlignmentStore::new();
-        let mut preds = Vec::new();
-        let mut ents = Vec::new();
-        for i in 0..40 {
-            let p = iri(&mut it, &format!("http://src/p{i}"));
-            let q = iri(&mut it, &format!("http://tgt/p{i}"));
-            preds.push(p);
-            if i % 3 == 0 {
-                let lhs = TriplePattern::new(v, p, v);
-                store
-                    .add_predicate(lhs, vec![TriplePattern::new(v, q, v)])
-                    .unwrap();
-                if i % 6 == 0 {
-                    // Second template on the same predicate: posting lists
-                    // longer than one entry.
-                    store
-                        .add_predicate(lhs, vec![TriplePattern::new(v, q, v)])
-                        .unwrap();
-                }
-            }
-            if i % 4 == 0 {
-                let e = iri(&mut it, &format!("http://src/e{i}"));
-                let t = iri(&mut it, &format!("http://tgt/e{i}"));
-                ents.push(e);
-                store.add_entity(e, t).unwrap();
-            }
-        }
-        // Snapshot every lookup on the hash path, then freeze and compare.
-        let probe_terms: Vec<Term> = preds
-            .iter()
-            .chain(ents.iter())
-            .copied()
-            .chain([v, Term::literal(it.intern("\"x\"")), Term::fresh(3)])
-            .collect();
-        let hash_entities: Vec<Option<Term>> = probe_terms
-            .iter()
-            .map(|&t| store.entity_target(t))
-            .collect();
-        let hash_preds: Vec<Vec<u32>> = probe_terms
-            .iter()
-            .map(|&t| store.predicate_candidates(t).to_vec())
-            .collect();
-
-        assert!(!store.has_dense_index());
-        assert!(store.build_dense_index(it.symbol_bound()));
-        assert!(store.has_dense_index());
-        for (i, &t) in probe_terms.iter().enumerate() {
-            assert_eq!(store.entity_target(t), hash_entities[i], "term {t:?}");
-            assert_eq!(
-                store.predicate_candidates(t),
-                &hash_preds[i][..],
-                "term {t:?}"
+        for len in [1, 2, 6] {
+            assert!(
+                hot_lens.contains(&len),
+                "hot predicate never had {len} templates"
             );
         }
-
-        // A symbol minted after the freeze is outside every table: no rule.
-        let late = iri(&mut it, "http://late/interned");
-        assert_eq!(store.entity_target(late), None);
-        assert_eq!(store.predicate_candidates(late), &[] as &[u32]);
-
-        // Loading another rule invalidates the dense tables (hash fallback
-        // stays correct) until the caller re-freezes.
-        let lhs = TriplePattern::new(v, late, v);
-        store.add_predicate(lhs, vec![lhs]).unwrap();
-        assert!(!store.has_dense_index());
-        assert_eq!(store.predicate_candidates(late).len(), 1);
-        assert!(store.build_dense_index(it.symbol_bound()));
-        assert_eq!(store.predicate_candidates(late).len(), 1);
+        assert_eq!(store.len(), 160);
     }
 
     #[test]
-    fn sparse_symbol_space_keeps_hash_fallback() {
+    fn tables_are_sized_by_rule_symbols_not_the_dictionary() {
         let mut it = Interner::new();
+        let x = var(&mut it, "x");
         let a = iri(&mut it, "http://a");
         let b = iri(&mut it, "http://b");
+        let p = iri(&mut it, "http://p");
         let mut store = AlignmentStore::new();
         store.add_entity(a, b).unwrap();
-        // One rule over a pretend multi-million-symbol dictionary: the
-        // density heuristic must decline and lookups keep working.
-        assert!(!store.build_dense_index(50_000_000));
-        assert!(!store.has_dense_index());
+        let lhs = TriplePattern::new(x, p, x);
+        let id = store.add_predicate(lhs, vec![lhs]).unwrap();
+        // One dispatch record per symbol up to the largest a rule is keyed
+        // on (`p`), however many symbols the dictionary goes on to hold.
+        let records = p.symbol().index() + 1;
+        assert_eq!(store.table.len(), 4 * records);
+        let late: Vec<Term> = (0..100_000)
+            .map(|i| iri(&mut it, &format!("http://late/{i}")))
+            .collect();
+        assert_eq!(store.table.len(), 4 * records);
         assert_eq!(store.entity_target(a), Some(b));
+        assert_eq!(store.predicate_candidates(p), &[id]);
+        // Symbols minted after the last rule resolve to no rule.
+        for t in late {
+            assert_eq!(store.entity_target(t), None);
+            assert_eq!(store.predicate_candidates(t), &[] as &[u32]);
+        }
     }
 
     #[test]
@@ -1085,7 +973,6 @@ mod tests {
         let tgt = iri(&mut it, "http://tgt");
         let mut store = AlignmentStore::new();
         store.add_entity(as_iri, tgt).unwrap();
-        assert!(store.build_dense_index(it.symbol_bound()));
         assert_eq!(store.entity_target(as_iri), Some(tgt));
         assert_eq!(store.entity_target(as_lit), None);
     }
@@ -1102,9 +989,6 @@ mod tests {
         assert_eq!(store.revision(), 1);
         // A rejected rule changes nothing, so it must not invalidate.
         assert!(store.add_entity(v, b).is_err());
-        assert_eq!(store.revision(), 1);
-        // Freezing changes lookup machinery, not the rule set.
-        store.build_dense_index(it.symbol_bound());
         assert_eq!(store.revision(), 1);
         let lhs = TriplePattern::new(v, a, v);
         store.add_predicate(lhs, vec![lhs]).unwrap();

@@ -1,7 +1,7 @@
 //! Sharded rewrite-result cache: serve repeated queries at memcpy speed.
 //!
 //! The rewriting model is deterministic per (query text, rule set): over a
-//! frozen [`crate::align::AlignmentStore`], the same request text always
+//! given [`crate::align::AlignmentStore`], the same request text always
 //! yields the same rewritten text. Real linked-data endpoints see heavily
 //! skewed, repeated query workloads, so a serve path that re-runs the full
 //! ~µs parse → rewrite → render pipeline for a text it rendered a
@@ -39,11 +39,10 @@
 //! # Invalidation contract
 //!
 //! Entries are stamped with a **generation** — by convention the owning
-//! store's [`crate::align::AlignmentStore::revision`]. Every `add_*` after
-//! a freeze bumps the revision, so all entries cached under the old rule
-//! set lazily miss (and become preferred eviction victims), mirroring how
-//! the same `add_*` invalidates the dense dispatch tables. No eager scan,
-//! no epoch machinery: correctness is a single integer compare per probe.
+//! store's [`crate::align::AlignmentStore::revision`]. Every `add_*`
+//! bumps the revision, so all entries cached under the old rule set lazily
+//! miss (and become preferred eviction victims). No eager scan, no epoch
+//! machinery: correctness is a single integer compare per probe.
 //!
 //! # Memory model
 //!
@@ -437,11 +436,14 @@ impl<'a> Scanner<'a> {
                 self.pos += 1;
                 self.fp.push_bytes(&b[dt_start..self.pos]);
             } else {
-                let (dtype, has_colon) = self.scan_name_token();
-                if dtype.is_empty() || !has_colon {
-                    return None;
+                // The tokenizer's rule, not `scan_name_token`'s: the
+                // datatype runs through *every* name byte or ':', and is
+                // expanded at its first colon (as `feed_qname` does).
+                let dt_start = self.pos;
+                while b.get(self.pos).is_some_and(|&c| name_byte(c) || c == b':') {
+                    self.pos += 1;
                 }
-                self.feed_qname(dtype)?;
+                self.feed_qname(&self.input[dt_start..self.pos])?;
             }
         }
         Some(())
@@ -1097,6 +1099,24 @@ mod tests {
         assert_ne!(
             full,
             fp("PREFIX ex: <http://ex.org/other#> SELECT * WHERE { ?s ex:name ?o }")
+        );
+    }
+
+    #[test]
+    fn datatype_qname_runs_through_every_colon_like_the_tokenizer() {
+        // The tokenizer takes every name byte or ':' after `^^` as the
+        // datatype, so the first text is one literal typed <http://a/b:c>
+        // and the second — a literal typed a:b followed by a stray `:c` —
+        // is a parse error. One fingerprint for both would serve the
+        // first's cached rewrite for a query the parser rejects.
+        let prologue = "PREFIX a: <http://a/> PREFIX : <http://e/> SELECT * WHERE";
+        let joined = format!("{prologue} {{ ?s ?p \"x\"^^a:b:c }}");
+        let split = format!("{prologue} {{ ?s ?p \"x\"^^a:b :c }}");
+        assert_ne!(fingerprint_query(&joined), fingerprint_query(&split));
+        // The expansion happens at the first colon, as in `intern_literal`.
+        assert_eq!(
+            fingerprint_query(&joined),
+            fingerprint_query("SELECT * WHERE { ?s ?p \"x\"^^<http://a/b:c> }")
         );
     }
 

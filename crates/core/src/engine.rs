@@ -1,5 +1,5 @@
 //! End-to-end serve engine: the full **parse → rewrite → render** request
-//! pipeline over one shared, frozen rule set, fronted by the sharded
+//! pipeline over one shared, read-only rule set, fronted by the sharded
 //! rewrite-result cache.
 //!
 //! This is the request-path shape the ROADMAP's north star asks for —
@@ -17,8 +17,8 @@
 //! 2. rewrites the borrowed parse via [`Rewriter::rewrite_ref_into`]
 //!    against the shared dense-indexed [`AlignmentStore`],
 //! 3. renders the rewritten query into a reusable output `String` and
-//!    fills the cache entry (stamped with the store's revision, so a
-//!    post-freeze rule load invalidates it like the dense tables).
+//!    fills the cache entry (stamped with the store's revision, so an
+//!    engine rebuilt over a changed rule set misses every old entry).
 //!
 //! Every stage writes into reusable buffers, so a warm
 //! [`ServeEngine::serve`] call performs **zero heap allocations** on both
@@ -51,7 +51,7 @@ pub struct ServeEngine {
     /// Rewrite-result cache behind its adaptive-cap slot; `None` when
     /// constructed cache-less (the cold-path reference in tests).
     cache: Option<AdaptiveCache>,
-    /// Rule-set revision the engine was frozen at — the generation tag for
+    /// Rule-set revision the engine was built at — the generation tag for
     /// every cache entry. The store behind the `Arc` is immutable here, so
     /// one snapshot is exact; an engine rebuilt after `add_*` gets the new
     /// revision and every old entry lazily misses.
@@ -216,18 +216,16 @@ impl AdaptiveCache {
 }
 
 impl ServeEngine {
-    /// Freeze `store` (building its dense dispatch tables against
-    /// `interner`'s symbol bound) and take a snapshot of the interner for
+    /// Share `store` read-only and take a snapshot of the interner for
     /// worker clones. `cache` sizes the rewrite-result cache
     /// (`Some(CacheConfig::default())` for the production shape), or
     /// `None` serves every request through the cold pipeline — the
     /// reference the cached path is compared against in tests.
     pub fn with_cache(
-        mut store: AlignmentStore,
+        store: AlignmentStore,
         interner: Interner,
         cache: Option<CacheConfig>,
     ) -> ServeEngine {
-        store.build_dense_index(interner.symbol_bound());
         let revision = store.revision();
         ServeEngine {
             rewriter: IndexedRewriter::new(Arc::new(store)),
@@ -492,6 +490,26 @@ mod tests {
                 value_cap,
             }),
         )
+    }
+
+    #[test]
+    fn cached_rewrite_is_not_served_to_a_spelling_the_parser_rejects() {
+        // `"x"^^a:b:c` is one literal typed <http://a/b:c>; `"x"^^a:b :c`
+        // leaves a stray `:c` behind and does not parse. The cache key must
+        // lex the datatype as the tokenizer does, or the second is answered
+        // with the first's cached rewrite.
+        let engine = adaptive_engine(4096);
+        let mut scratch = engine.scratch();
+        let prologue = "PREFIX a: <http://a/> PREFIX : <http://e/> SELECT * WHERE";
+        let valid = format!("{prologue} {{ ?s ?p \"x\"^^a:b:c }}");
+        let invalid = format!("{prologue} {{ ?s ?p \"x\"^^a:b :c }}");
+        let cold = ServeEngine::with_cache(AlignmentStore::new(), Interner::new(), None);
+        assert!(cold.serve(&invalid, &mut cold.scratch()).is_err());
+
+        engine.serve(&valid, &mut scratch).expect("parses");
+        engine.serve(&valid, &mut scratch).expect("parses");
+        assert_eq!(scratch.cache_hits(), 1, "first spelling is cached");
+        assert!(engine.serve(&invalid, &mut scratch).is_err());
     }
 
     #[test]

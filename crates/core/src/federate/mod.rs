@@ -8,7 +8,7 @@
 //!    pattern of a parsed query is assigned to the endpoint whose rules can
 //!    rewrite it. The assignment reads
 //!    [`AlignmentStore::predicate_candidates`] — an O(1) slice lookup
-//!    against the PR 4 dense index — and the candidate *count* doubles as a
+//!    against the store's dispatch table — and the candidate *count* doubles as a
 //!    statistics-free selectivity signal in the spirit of Yannakis et al.:
 //!    endpoints are dispatched most-selective-first (smallest expected
 //!    expansion), ties broken by endpoint id. Patterns no endpoint can
@@ -377,7 +377,7 @@ impl FederationPlanner {
     /// Which endpoint should answer `tp`, and at what selectivity cost?
     ///
     /// Preference order: a predicate-template match (score = candidate
-    /// count, O(1) read from the dense index — fewer candidates is more
+    /// count, O(1) read from the dispatch table — fewer candidates is more
     /// specific) beats an entity-only match (some term has an entity
     /// alignment but no template applies), beats nothing (residual). Ties
     /// go to the lowest endpoint id, keeping plans deterministic.
@@ -731,7 +731,6 @@ mod tests {
                 let rhs = parse_bgp("?s <http://b-alt/p0> ?o", it).unwrap().patterns;
                 store.add_predicate(lhs, rhs).unwrap();
             }
-            store.build_dense_index(it.symbol_bound());
             let term = Term::iri(it.intern(&format!("http://{ns}.example.org/sparql")));
             planner.add_endpoint(term, Arc::new(store));
         }
@@ -821,7 +820,6 @@ mod tests {
         let f = tmpl.push_expr(ExprNode::Cmp(CmpOp::Ne, l, r));
         tmpl.push_filter(f);
         store.add_complex_predicate(lhs, tmpl).unwrap();
-        store.build_dense_index(it.symbol_bound());
         let ep = Term::iri(it.intern("http://c.example.org/sparql"));
         planner.add_endpoint(ep, Arc::new(store));
 
@@ -952,7 +950,6 @@ mod tests {
                 .patterns;
             store.add_predicate(lhs, rhs).unwrap();
         }
-        store.build_dense_index(it.symbol_bound());
         planner.replace_endpoint_store(EndpointId(0), Arc::new(store));
 
         let after = planner

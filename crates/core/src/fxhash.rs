@@ -7,12 +7,7 @@
 //! an engine that hashes its own interned vocabulary rather than attacker-
 //! controlled keys.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
-
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+use std::hash::Hasher;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

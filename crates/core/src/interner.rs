@@ -12,8 +12,9 @@
 //! Each string is owned exactly once: the lookup table is an open-addressing
 //! array of symbol indices (a raw-entry-style hash-of-index map), not a
 //! `HashMap<Box<str>, u32>` that would duplicate every key. Hashing uses
-//! [FxHash](crate::fxhash) — short IRIs and QName expansions dominate the
-//! key distribution and Fx beats SipHash on them by a wide margin.
+//! FxHash (the vendored `fxhash` module) — short IRIs and QName expansions
+//! dominate the key distribution and Fx beats SipHash on them by a wide
+//! margin.
 
 use std::hash::Hasher;
 
@@ -146,9 +147,8 @@ impl Interner {
     }
 
     /// Exclusive upper bound on every symbol id minted so far: symbols are
-    /// dense indices `0..symbol_bound()`. This is the size a direct-indexed
-    /// (dense) table keyed by symbol id needs — see
-    /// [`crate::align::AlignmentStore::build_dense_index`].
+    /// dense indices `0..symbol_bound()`, which is what lets
+    /// [`crate::align::AlignmentStore`] dispatch rules by direct array index.
     #[inline]
     pub fn symbol_bound(&self) -> usize {
         self.strings.len()

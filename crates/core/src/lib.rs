@@ -20,15 +20,13 @@
 //!   until intern time — and [`parser::parse_query_into`] writes into a
 //!   caller-owned [`parser::ParseScratch`], so steady-state parsing (every
 //!   string already interned) performs zero heap allocations.
-//! * [`align::AlignmentStore`] maintains FxHash rule indexes during the
-//!   build phase and lowers them into **dense direct-indexed tables** keyed
-//!   by interner symbol id at freeze time
-//!   ([`align::AlignmentStore::build_dense_index`], sized by
-//!   [`interner::Interner::symbol_bound`]): candidate lookup per triple
-//!   pattern is then a bounds-checked array load, no hashing at all, with
-//!   the hash maps kept as the sparse-dictionary fallback.
-//!   [`rewriter::LinearRewriter`] is the O(rules) baseline kept behind the
-//!   same [`rewriter::Rewriter`] trait for benchmarking.
+//! * [`align::AlignmentStore`] keeps its rules in **dense direct-indexed
+//!   tables** keyed by interner symbol id, updated in place by every
+//!   `add_*` and sized by the symbols the rules mention: candidate lookup
+//!   per triple pattern is a bounds-checked array load, no hashing at all,
+//!   and there is no other lookup structure to fall back to.
+//!   [`rewriter::LinearRewriter`] is the O(rules) scan kept behind the
+//!   same [`rewriter::Rewriter`] trait as the test reference.
 //! * [`rewriter`] applies entity alignments (inside FILTER expressions
 //!   too) and expands a triple pattern matched by N predicate templates
 //!   into an N-branch UNION — the paper's union semantics — recursively
@@ -55,9 +53,12 @@
 //!   seeded-jitter retries, and a circuit breaker, degrading to
 //!   deterministic partial results instead of all-or-nothing.
 //!
-//! The engine has two phases. The **build phase** is single-threaded and
-//! mutable: parse queries and rules into an [`interner::Interner`] and an
-//! [`align::AlignmentStore`]. The **serve phase** is shared and read-only:
+//! The engine has two phases, and the borrow checker is what separates
+//! them. The **build phase** is single-threaded and mutable: parse queries
+//! and rules into an [`interner::Interner`] and an
+//! [`align::AlignmentStore`] (`&mut`; the store is valid for lookups after
+//! every `add_*`, so there is nothing to freeze). The **serve phase** is
+//! shared and read-only: the store goes behind `&` or an `Arc`,
 //! [`interner::Interner::freeze`] yields an `Arc`-shareable
 //! [`interner::FrozenInterner`], rewriting takes `&self` only, and
 //! template-introduced existentials are structural
@@ -79,13 +80,13 @@ pub mod cache;
 pub mod counting_alloc;
 pub mod engine;
 pub mod federate;
-pub mod fxhash;
+mod fxhash;
 pub mod httpcore;
 pub mod interner;
 pub mod parser;
 pub mod pattern;
 pub mod rewriter;
-pub mod smallvec;
+mod smallvec;
 pub mod term;
 
 pub use align::{AlignError, AlignmentStore, Rule, RuleTemplate, TemplateRef, NO_EXPR};

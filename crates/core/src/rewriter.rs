@@ -3,13 +3,11 @@
 //! Both rewriters implement the same semantics; they differ only in how rule
 //! candidates are found per triple pattern:
 //!
-//! * [`IndexedRewriter`] — O(1) lookups against the store's entity and
-//!   predicate indexes: dense direct-indexed dispatch tables after
-//!   [`AlignmentStore::build_dense_index`], hash maps before. This is the
-//!   production path.
+//! * [`IndexedRewriter`] — O(1) lookups against the store's dense
+//!   direct-indexed dispatch tables. This is the production path.
 //! * [`LinearRewriter`] — scans the full rule list per pattern, the way a
 //!   naive implementation would. Kept behind the same [`Rewriter`] trait as
-//!   the benchmark baseline.
+//!   the test reference.
 //!
 //! # Semantics
 //!
@@ -43,7 +41,7 @@
 //!    — alongside the instantiated triples.
 //!
 //!    Variables introduced by a template (present in rhs, absent from lhs)
-//!    become [`TermKind::Fresh`](crate::term::TermKind::Fresh) terms
+//!    become [`TermKind::Fresh`] terms
 //!    numbered by a per-rewrite counter — no string is interned and no name
 //!    lookup happens, because a fresh term is structurally unequal to every
 //!    parsed variable. Counters are minted left-to-right across the whole
@@ -300,14 +298,10 @@ impl RewriteScratch {
     }
 }
 
-/// A rewriting strategy. Object-safe so benchmarks can treat strategies
-/// uniformly. All methods take `&self` and no interner: fresh variables are
-/// structural ([`TermKind::Fresh`](crate::term::TermKind::Fresh)), so the
-/// hot path never mints strings.
+/// A rewriting strategy. All methods take `&self` and no interner: fresh
+/// variables are structural ([`TermKind::Fresh`]), so the hot path never
+/// mints strings.
 pub trait Rewriter {
-    /// Human-readable strategy name for benchmark output.
-    fn name(&self) -> &'static str;
-
     /// Fallible core of [`Rewriter::rewrite_bgp_into`]: enforce `limits`,
     /// returning a [`RewriteError`] (scratch contents unspecified but safe)
     /// when expansion would cross a cap.
@@ -386,7 +380,7 @@ pub trait Rewriter {
     }
 }
 
-/// Production rewriter: hash-indexed candidate lookup.
+/// Production rewriter: direct-indexed candidate lookup.
 ///
 /// Generic over how it holds the store so both phases are cheap to express:
 /// borrow for single-threaded use (`IndexedRewriter::new(&store)`), or an
@@ -407,7 +401,7 @@ impl<S: Borrow<AlignmentStore>> IndexedRewriter<S> {
     }
 }
 
-/// Baseline rewriter: full rule-list scan per lookup.
+/// Test-reference rewriter: full rule-list scan per lookup.
 pub struct LinearRewriter<S = Arc<AlignmentStore>> {
     store: S,
 }
@@ -452,8 +446,8 @@ impl<S: Borrow<AlignmentStore>> RuleLookup for IndexedRewriter<S> {
     fn collect_matching_templates(&self, tp: TriplePattern, out: &mut Vec<u32>) {
         let store = self.store();
         for &id in store.predicate_candidates(tp.p) {
-            // `template` reads the dense flat lhs pool when the store is
-            // frozen — no `Vec<Rule>` enum chase per candidate.
+            // `template` reads the flat lhs pool — no `Vec<Rule>` enum
+            // chase per candidate.
             if lhs_matches(store.template(id).lhs, tp) {
                 out.push(id);
             }
@@ -1072,10 +1066,6 @@ fn rewrite_query_with<L: RuleLookup>(
 }
 
 impl<S: Borrow<AlignmentStore>> Rewriter for IndexedRewriter<S> {
-    fn name(&self) -> &'static str {
-        "indexed"
-    }
-
     fn try_rewrite_bgp_into(
         &self,
         bgp: &Bgp,
@@ -1105,10 +1095,6 @@ impl<S: Borrow<AlignmentStore>> Rewriter for IndexedRewriter<S> {
 }
 
 impl<S: Borrow<AlignmentStore>> Rewriter for LinearRewriter<S> {
-    fn name(&self) -> &'static str {
-        "linear"
-    }
-
     fn try_rewrite_bgp_into(
         &self,
         bgp: &Bgp,
@@ -1226,33 +1212,24 @@ mod tests {
         )
         .unwrap();
         let q_open = parse_query("SELECT * WHERE { ?x <http://src/p> ?y }", &mut it).unwrap();
-        let render = |store: &AlignmentStore, q: &crate::Query| {
-            IndexedRewriter::new(store)
-                .rewrite_query(q)
-                .display(&it)
-                .to_string()
-        };
-        for dense in [false, true] {
-            if dense {
-                assert!(store.build_dense_index(it.symbol_bound()));
-            }
-            // Statically true: fires cleanly, no residual FILTER.
-            let out = render(&store, &q_true);
-            assert!(out.contains("<http://tgt/p>"), "{out}");
-            assert!(!out.contains("FILTER"), "{out}");
-            // Statically false: the rule does not fire — pass-through.
-            let out = render(&store, &q_false);
-            assert!(out.contains("<http://src/p>"), "{out}");
-            assert!(!out.contains("<http://tgt/p>"), "{out}");
-            // Undecidable (object is an open variable): fires with the
-            // instantiated guard as a residual FILTER.
-            let out = render(&store, &q_open);
-            assert!(out.contains("<http://tgt/p>"), "{out}");
-            assert!(
-                out.contains("FILTER(?y = <http://val/yes>)"),
-                "residual guard: {out}"
-            );
-        }
+        let rw = IndexedRewriter::new(&store);
+        let render = |q: &crate::Query| rw.rewrite_query(q).display(&it).to_string();
+        // Statically true: fires cleanly, no residual FILTER.
+        let out = render(&q_true);
+        assert!(out.contains("<http://tgt/p>"), "{out}");
+        assert!(!out.contains("FILTER"), "{out}");
+        // Statically false: the rule does not fire — pass-through.
+        let out = render(&q_false);
+        assert!(out.contains("<http://src/p>"), "{out}");
+        assert!(!out.contains("<http://tgt/p>"), "{out}");
+        // Undecidable (object is an open variable): fires with the
+        // instantiated guard as a residual FILTER.
+        let out = render(&q_open);
+        assert!(out.contains("<http://tgt/p>"), "{out}");
+        assert!(
+            out.contains("FILTER(?y = <http://val/yes>)"),
+            "residual guard: {out}"
+        );
     }
 
     #[test]
@@ -1319,19 +1296,12 @@ mod tests {
         assert!(out.contains("FILTER(?g0 != <http://u/cm>)"), "{out}");
         assert!(!out.contains("http://u/cm> = "), "no residual guard: {out}");
 
-        // Indexed and linear agree on all of it, dense or hash.
+        // Indexed and linear agree on all of it.
         let linear_out = LinearRewriter::new(&store)
             .rewrite_query(&query)
             .display(&it)
             .to_string();
         assert_eq!(out, linear_out);
-        let bound = it.symbol_bound();
-        assert!(store.build_dense_index(bound));
-        let dense_out = IndexedRewriter::new(&store)
-            .rewrite_query(&query)
-            .display(&it)
-            .to_string();
-        assert_eq!(out, dense_out);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Minimal inline small-vector for `Copy` element types.
 //!
-//! The alignment index maps each symbol to the handful of rules that mention
-//! it; the common case is 1–2 rules, so spilling every posting list to its
-//! own heap `Vec` would make index build and lookup allocation-bound. This
-//! is a safe stand-in for the `smallvec` crate (unavailable: no registry
+//! The alignment store keeps a posting list for each predicate with several
+//! templates; the common case is 2–4 rules, so giving every list its own
+//! heap `Vec` would put a pointer chase on the lookup. This is a safe
+//! stand-in for the `smallvec` crate (unavailable: no registry
 //! access in the build container), restricted to `Copy + Default` elements
 //! so the inline buffer needs no `MaybeUninit`.
 

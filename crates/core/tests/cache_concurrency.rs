@@ -119,15 +119,12 @@ fn concurrent_generations_never_cross() {
 #[test]
 fn store_revision_drives_cache_invalidation() {
     // The full invalidation contract: entries stamped with the store's
-    // revision stop hitting the moment a post-freeze add_* bumps it —
-    // exactly when the dense dispatch tables are dropped.
+    // revision stop hitting the moment an add_* bumps it.
     let mut it = Interner::new();
     let mut store = AlignmentStore::new();
     let lhs = parse_bgp("?a <http://src/p> ?b", &mut it).unwrap().patterns[0];
     let rhs = parse_bgp("?a <http://tgt/p> ?b", &mut it).unwrap().patterns;
     store.add_predicate(lhs, rhs).unwrap();
-    store.build_dense_index(it.symbol_bound());
-    assert!(store.has_dense_index());
 
     let cache = RewriteCache::default();
     let fp = fingerprint_query("SELECT * WHERE { ?s <http://src/p> ?o }").unwrap();
@@ -135,19 +132,16 @@ fn store_revision_drives_cache_invalidation() {
     cache.insert(fp, store.revision(), b"rewrite-under-rule-set-1");
     assert!(cache.lookup(fp, store.revision(), &mut buf));
 
-    // Post-freeze rule load: dense tables AND cached rewrites both stale.
+    // Rule load: every cached rewrite is stale.
     let from = Term::iri(it.intern("http://src/E"));
     let to = Term::iri(it.intern("http://tgt/E"));
     store.add_entity(from, to).unwrap();
-    assert!(!store.has_dense_index());
     assert!(
         !cache.lookup(fp, store.revision(), &mut buf),
         "stale entry served after a rule-set change"
     );
 
-    // Re-freeze and repopulate under the new revision: both recover.
-    store.build_dense_index(it.symbol_bound());
-    assert!(store.has_dense_index());
+    // Repopulate under the new revision: the entry recovers.
     cache.insert(fp, store.revision(), b"rewrite-under-rule-set-2");
     assert!(cache.lookup(fp, store.revision(), &mut buf));
     assert_eq!(buf, b"rewrite-under-rule-set-2");
