@@ -8,15 +8,15 @@
 //! microsecond ago is leaving an order of magnitude on the table. This
 //! module provides the two pieces that close that gap:
 //!
-//! 1. [`fingerprint_query`] — a **single-pass byte-level canonicalizer**
-//!    that maps every textual spelling of one logical query to one 64-bit
-//!    fingerprint (plus a canonical-length tag) without allocating and
-//!    without parsing: whitespace/comments collapse to single separators,
+//! 1. [`fingerprint_query`] — a **token-level canonicalizer driven by the
+//!    parser's tokenizer** that maps every textual spelling of one logical
+//!    query to one 64-bit fingerprint (plus a canonical-length tag) without
+//!    allocating: whitespace/comments collapse to single separators,
 //!    keywords case-normalize, `$x` normalizes to `?x`, language tags
 //!    lowercase, and QNames resolve against the query's own PREFIX table to
 //!    their full-IRI spelling (the prologue itself contributes nothing, so
 //!    alias renames and unused declarations don't split the cache entry).
-//!    A probe therefore costs normalize + hash + memcpy instead of
+//!    A probe therefore costs tokenize + hash + memcpy instead of
 //!    parse + rewrite + render.
 //! 2. [`RewriteCache`] — a sharded, **read-lock-free** map from fingerprint
 //!    to rendered rewrite: N power-of-two shards, each a fixed-capacity
@@ -27,14 +27,14 @@
 //!
 //! # Conservative canonicalization
 //!
-//! The canonicalizer must never map two queries with *different* rewrites
-//! to one fingerprint, so it only applies transformations the parser itself
-//! makes semantically invisible (each one mirrors a documented parser
-//! behavior). Spellings it cannot prove equivalent simply fingerprint
-//! differently — a harmless missed hit. Text it cannot confidently scan
-//! (undeclared prefixes, unterminated tokens — text the parser would reject
-//! anyway) returns `None` and the caller serves cold without touching the
-//! cache.
+//! The canonical key must never map two queries with *different* rewrites
+//! to one fingerprint. It is one more consumer of `parser::Tokenizer`, the
+//! lexer the parser itself reads (see `parser::canonicalize`), and it only
+//! applies transformations the parser makes semantically invisible.
+//! Spellings it cannot prove equivalent simply fingerprint differently — a
+//! harmless missed hit. Text the tokenizer or the prologue reader rejects,
+//! or whose QNames do not resolve (text the parser rejects too), returns
+//! `None` and the caller serves cold without touching the cache.
 //!
 //! # Invalidation contract
 //!
@@ -54,47 +54,7 @@
 
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 
-use crate::parser::{is_iri_byte, is_name_byte};
-use crate::smallvec::SmallVec;
-
-/// Byte-class bitmap baked from the parser's classifiers at compile time:
-/// bit 0 = name byte, bit 1 = IRIREF body byte. One table load replaces a
-/// chain of range compares in the scanner's per-byte loops, and building
-/// it *from* `parser::is_name_byte` / `is_iri_byte` means the scanner can
-/// never drift from the tokenizer.
-static CLASS: [u8; 256] = {
-    let mut t = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        let c = i as u8;
-        if is_name_byte(c) {
-            t[i] |= 1;
-        }
-        if is_iri_byte(c) {
-            t[i] |= 2;
-        }
-        i += 1;
-    }
-    t
-};
-
-#[inline]
-fn name_byte(c: u8) -> bool {
-    CLASS[c as usize] & 1 != 0
-}
-
-#[inline]
-fn iri_byte(c: u8) -> bool {
-    CLASS[c as usize] & 2 != 0
-}
-
-/// Keywords the parser matches case-insensitively; the canonicalizer feeds
-/// them uppercased so `select` and `SELECT` fingerprint identically. (`a`,
-/// `true`, and `false` are matched case-sensitively by the parser and are
-/// deliberately absent.)
-const KEYWORDS: &[&str] = &[
-    "SELECT", "WHERE", "PREFIX", "OPTIONAL", "UNION", "FILTER", "GRAPH", "SERVICE", "MINUS",
-];
+use crate::parser::canonicalize;
 
 /// Canonical identity of one query text: a 64-bit hash of the normalized
 /// byte stream plus the stream's length as a cheap secondary discriminator
@@ -124,8 +84,8 @@ impl QueryFingerprint {
 ///
 /// Bytes accumulate in a small stack buffer and are digested 8 at a time
 /// (Fx-style rotate-xor-multiply over little-endian words), so the digest
-/// depends only on the byte *stream*, never on how the scanner chunks its
-/// `push_bytes` calls — a QName expanded as three slices (`<`, base,
+/// depends only on the byte *stream*, never on how the canonicalizer chunks
+/// its `push_bytes` calls — a QName expanded as three slices (`<`, base,
 /// local) hashes identically to the same IRI fed as one slice. Buffering
 /// instead of packing a word incrementally keeps the per-byte hot path at
 /// one store + one increment; the mix loop runs on whole cache-resident
@@ -192,16 +152,6 @@ impl Fingerprinter {
     }
 
     #[inline]
-    fn push(&mut self, b: u8) {
-        if self.buf_len == Self::BUF {
-            self.drain();
-        }
-        self.buf[self.buf_len] = b;
-        self.buf_len += 1;
-        self.len = self.len.wrapping_add(1);
-    }
-
-    #[inline]
     fn push_bytes(&mut self, s: &[u8]) {
         let mut s = s;
         while !s.is_empty() {
@@ -238,351 +188,20 @@ impl Fingerprinter {
     }
 }
 
-/// One `PREFIX name: <iri>` binding as byte spans into the scanned input.
-/// Spans (not slices) keep the scratch `Copy + Default` for [`SmallVec`].
-#[derive(Copy, Clone, Default)]
-struct PrefixBinding {
-    name_start: u32,
-    name_end: u32,
-    iri_start: u32,
-    iri_end: u32,
-}
-
-/// Single-pass canonicalizing scanner. Mirrors the parser's tokenizer
-/// byte-for-byte (same `is_name_byte` / `is_iri_byte` classifiers) but
-/// feeds a [`Fingerprinter`] instead of building tokens.
-struct Scanner<'a> {
-    input: &'a str,
-    pos: usize,
-    fp: Fingerprinter,
-    prefixes: SmallVec<PrefixBinding, 8>,
-    /// Whether any token has been fed yet (controls separators).
-    any: bool,
-}
-
-impl<'a> Scanner<'a> {
-    fn bytes(&self) -> &'a [u8] {
-        self.input.as_bytes()
-    }
-
-    fn skip_trivia(&mut self) {
-        let b = self.bytes();
-        while self.pos < b.len() {
-            match b[self.pos] {
-                b' ' | b'\t' | b'\r' | b'\n' => self.pos += 1,
-                b'#' => {
-                    while self.pos < b.len() && b[self.pos] != b'\n' {
-                        self.pos += 1;
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// Start a new token in the normalized stream: whitespace runs between
-    /// tokens collapse to exactly one separator byte.
-    #[inline]
-    fn sep(&mut self) {
-        if self.any {
-            self.fp.push(b' ');
-        }
-        self.any = true;
-    }
-
-    /// Resolve `prefix` against the scanned PREFIX table; later
-    /// declarations shadow earlier ones, matching the parser.
-    fn lookup_prefix(&self, prefix: &str) -> Option<&'a str> {
-        self.prefixes.as_slice().iter().rev().find_map(|p| {
-            let name = &self.input[p.name_start as usize..p.name_end as usize];
-            (name == prefix).then(|| &self.input[p.iri_start as usize..p.iri_end as usize])
-        })
-    }
-
-    /// Consume a name-byte run (possibly containing one `:`, like the
-    /// tokenizer's word/QName scan) and return `(text, has_colon)`.
-    fn scan_name_token(&mut self) -> (&'a str, bool) {
-        let b = self.bytes();
-        let start = self.pos;
-        let mut has_colon = false;
-        while self.pos < b.len() && (name_byte(b[self.pos]) || (b[self.pos] == b':' && !has_colon))
-        {
-            if b[self.pos] == b':' {
-                has_colon = true;
-            }
-            self.pos += 1;
-        }
-        (&self.input[start..self.pos], has_colon)
-    }
-
-    /// Scan the PREFIX prologue, recording bindings without feeding any
-    /// bytes: the prologue only defines aliases, and every QName is fed in
-    /// its resolved full-IRI spelling, so the declarations themselves are
-    /// canonically invisible (alias renames, reordering, and unused
-    /// prefixes all fingerprint identically).
-    fn scan_prologue(&mut self) -> Option<()> {
-        loop {
-            self.skip_trivia();
-            let start = self.pos;
-            let b = self.bytes();
-            let Some(&c) = b.get(self.pos) else {
-                return Some(());
-            };
-            if !(name_byte(c) && c != b':') {
-                return Some(());
-            }
-            let (word, has_colon) = self.scan_name_token();
-            if has_colon || !word.eq_ignore_ascii_case("PREFIX") {
-                self.pos = start;
-                return Some(());
-            }
-            self.skip_trivia();
-            // `name:` — name bytes then a colon, nothing else (a QName with
-            // a non-final colon is a parse error; bail to the cold path).
-            let (name, has_colon) = self.scan_name_token();
-            if !has_colon || !name.ends_with(':') {
-                return None;
-            }
-            let name = &name[..name.len() - 1];
-            self.skip_trivia();
-            let b = self.bytes();
-            if b.get(self.pos) != Some(&b'<') {
-                return None;
-            }
-            let iri_start = self.pos + 1;
-            let mut end = iri_start;
-            while end < b.len() && iri_byte(b[end]) {
-                end += 1;
-            }
-            if b.get(end) != Some(&b'>') {
-                return None;
-            }
-            self.pos = end + 1;
-            let base = self.input.as_ptr() as usize;
-            let name_start = (name.as_ptr() as usize - base) as u32;
-            self.prefixes.push(PrefixBinding {
-                name_start,
-                name_end: name_start + name.len() as u32,
-                iri_start: iri_start as u32,
-                iri_end: end as u32,
-            });
-        }
-    }
-
-    /// Feed a QName in its resolved `<base + local>` spelling, so the
-    /// aliased and full-IRI spellings of one term share a fingerprint.
-    fn feed_qname(&mut self, qname: &str) -> Option<()> {
-        let colon = qname.find(':')?;
-        let base = self.lookup_prefix(&qname[..colon])?;
-        self.fp.push(b'<');
-        self.fp.push_bytes(base.as_bytes());
-        self.fp.push_bytes(&qname.as_bytes()[colon + 1..]);
-        self.fp.push(b'>');
-        Some(())
-    }
-
-    /// Scan a literal starting at the opening quote; feeds the body
-    /// verbatim, the language tag lowercased (the parser interns `"x"@EN`
-    /// and `"x"@en` to one symbol), and a QName datatype in its expanded
-    /// `^^<iri>` spelling (ditto).
-    fn scan_literal(&mut self) -> Option<()> {
-        let b = self.bytes();
-        let start = self.pos;
-        self.pos += 1;
-        loop {
-            match b.get(self.pos) {
-                None => return None,
-                Some(b'\\') => {
-                    if self.pos + 1 >= b.len() {
-                        return None;
-                    }
-                    self.pos += 2;
-                }
-                Some(b'"') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(_) => self.pos += 1,
-            }
-        }
-        self.fp.push_bytes(&b[start..self.pos]);
-        if b.get(self.pos) == Some(&b'@') {
-            self.pos += 1;
-            self.fp.push(b'@');
-            let tag_start = self.pos;
-            while self
-                .bytes()
-                .get(self.pos)
-                .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'-')
-            {
-                self.fp.push(b[self.pos].to_ascii_lowercase());
-                self.pos += 1;
-            }
-            if self.pos == tag_start {
-                return None;
-            }
-        } else if b.get(self.pos) == Some(&b'^') && b.get(self.pos + 1) == Some(&b'^') {
-            self.pos += 2;
-            self.fp.push_bytes(b"^^");
-            if b.get(self.pos) == Some(&b'<') {
-                let dt_start = self.pos;
-                self.pos += 1;
-                while self.pos < b.len() && b[self.pos] != b'>' {
-                    self.pos += 1;
-                }
-                if b.get(self.pos) != Some(&b'>') {
-                    return None;
-                }
-                self.pos += 1;
-                self.fp.push_bytes(&b[dt_start..self.pos]);
-            } else {
-                // The tokenizer's rule, not `scan_name_token`'s: the
-                // datatype runs through *every* name byte or ':', and is
-                // expanded at its first colon (as `feed_qname` does).
-                let dt_start = self.pos;
-                while b.get(self.pos).is_some_and(|&c| name_byte(c) || c == b':') {
-                    self.pos += 1;
-                }
-                self.feed_qname(&self.input[dt_start..self.pos])?;
-            }
-        }
-        Some(())
-    }
-
-    /// Scan a bare numeric literal exactly like the tokenizer (fraction dot
-    /// consumed only when a digit follows) and feed it verbatim.
-    fn scan_numeric(&mut self) -> Option<()> {
-        let b = self.bytes();
-        let start = self.pos;
-        if b[self.pos] == b'+' || b[self.pos] == b'-' {
-            self.pos += 1;
-        }
-        while b.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if b.get(self.pos) == Some(&b'.') && b.get(self.pos + 1).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-            while b.get(self.pos).is_some_and(u8::is_ascii_digit) {
-                self.pos += 1;
-            }
-        }
-        if b.get(self.pos).is_some_and(|&c| name_byte(c)) {
-            return None;
-        }
-        self.fp.push_bytes(&b[start..self.pos]);
-        Some(())
-    }
-
-    /// Scan the query body token by token.
-    fn scan_body(&mut self) -> Option<()> {
-        loop {
-            self.skip_trivia();
-            let b = self.bytes();
-            let Some(&c) = b.get(self.pos) else {
-                return Some(());
-            };
-            self.sep();
-            match c {
-                b'{' | b'}' | b'(' | b')' | b'.' | b';' | b',' | b'*' | b'=' => {
-                    self.pos += 1;
-                    self.fp.push(c);
-                }
-                b'!' | b'>' => {
-                    self.pos += 1;
-                    self.fp.push(c);
-                    if self.bytes().get(self.pos) == Some(&b'=') {
-                        self.pos += 1;
-                        self.fp.push(b'=');
-                    }
-                }
-                b'&' | b'|' => {
-                    if b.get(self.pos + 1) != Some(&c) {
-                        return None;
-                    }
-                    self.pos += 2;
-                    self.fp.push(c);
-                    self.fp.push(c);
-                }
-                b'<' => {
-                    // IRI if a `>`-terminated IRIREF body follows, else the
-                    // `<` / `<=` operator — same disambiguation as the
-                    // tokenizer's `scan_angle`.
-                    let mut end = self.pos + 1;
-                    while end < b.len() && iri_byte(b[end]) {
-                        end += 1;
-                    }
-                    if b.get(end) == Some(&b'>') {
-                        self.fp.push_bytes(&b[self.pos..end + 1]);
-                        self.pos = end + 1;
-                    } else {
-                        self.pos += 1;
-                        self.fp.push(b'<');
-                        if self.bytes().get(self.pos) == Some(&b'=') {
-                            self.pos += 1;
-                            self.fp.push(b'=');
-                        }
-                    }
-                }
-                b'?' | b'$' => {
-                    // `$x` and `?x` parse identically; canonical sigil `?`.
-                    self.pos += 1;
-                    let (name, has_colon) = self.scan_name_token();
-                    if name.is_empty() || has_colon {
-                        return None;
-                    }
-                    self.fp.push(b'?');
-                    self.fp.push_bytes(name.as_bytes());
-                }
-                b'"' => self.scan_literal()?,
-                b'_' if b.get(self.pos + 1) == Some(&b':') => {
-                    self.pos += 2;
-                    let (name, has_colon) = self.scan_name_token();
-                    if name.is_empty() || has_colon {
-                        return None;
-                    }
-                    self.fp.push_bytes(b"_:");
-                    self.fp.push_bytes(name.as_bytes());
-                }
-                c if c.is_ascii_digit() => self.scan_numeric()?,
-                b'+' | b'-' if b.get(self.pos + 1).is_some_and(u8::is_ascii_digit) => {
-                    self.scan_numeric()?
-                }
-                c if name_byte(c) || c == b':' => {
-                    let (text, has_colon) = self.scan_name_token();
-                    if has_colon {
-                        self.feed_qname(text)?;
-                    } else if let Some(kw) = KEYWORDS.iter().find(|k| text.eq_ignore_ascii_case(k))
-                    {
-                        self.fp.push_bytes(kw.as_bytes());
-                    } else {
-                        self.fp.push_bytes(text.as_bytes());
-                    }
-                }
-                _ => return None,
-            }
-        }
-    }
-}
-
-/// Canonicalize and fingerprint one query text in a single pass — no
-/// allocation (up to 8 PREFIX declarations; more spill a scratch vector),
-/// no parsing, ~100ns for a typical request.
+/// Canonicalize and fingerprint one query text in a single tokenizer
+/// pass, without allocating (up to 8 PREFIX declarations; more spill a
+/// scratch vector). Its per-call cost is the benchmark's
+/// `cache.fingerprint_canon_ns` layer.
 ///
-/// Returns `None` for text the scanner cannot confidently canonicalize
-/// (undeclared prefixes, unterminated tokens, bytes outside the grammar) —
-/// exactly the texts the parser rejects. The caller should serve such
-/// requests through the cold path without touching the cache.
+/// Returns `None` exactly when the text does not tokenize, has a malformed
+/// PREFIX prologue, or has a QName (datatypes included) that does not
+/// resolve against it — texts the parser rejects, so every text [`crate::parser::parse_query`] accepts is
+/// cacheable. The caller should serve `None` texts through the cold path
+/// without touching the cache.
 pub fn fingerprint_query(text: &str) -> Option<QueryFingerprint> {
-    let mut scanner = Scanner {
-        input: text,
-        pos: 0,
-        fp: Fingerprinter::new(),
-        prefixes: SmallVec::new(),
-        any: false,
-    };
-    scanner.scan_prologue()?;
-    scanner.scan_body()?;
-    Some(scanner.fp.finish())
+    let mut fp = Fingerprinter::new();
+    canonicalize(text, &mut |b| fp.push_bytes(b))?;
+    Some(fp.finish())
 }
 
 /// Fingerprint the **raw** bytes of a request — no canonicalization, pure
@@ -1155,7 +774,7 @@ mod tests {
         // One stream fed as many small writes vs few large ones.
         let mut a = Fingerprinter::new();
         for b in b"abcdefghijklmnopqrstuvwxyz0123456789" {
-            a.push(*b);
+            a.push_bytes(std::slice::from_ref(b));
         }
         let mut b = Fingerprinter::new();
         b.push_bytes(b"abc");
@@ -1276,5 +895,211 @@ mod tests {
     fn from_parts_never_produces_the_vacant_sentinel() {
         assert_eq!(QueryFingerprint::from_parts(0, 5).hash, 1);
         assert_eq!(QueryFingerprint::from_parts(3, 5).hash, 3);
+    }
+
+    /// Bases of the re-spelling corpus, written with one space between
+    /// tokens so `respell` can work token by token: the three bases of
+    /// `parser::tests::mutated_queries_never_panic`, then one base per
+    /// lexer corner the canonical key has to read like the parser.
+    const BASES: &[&str] = &[
+        "PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n WHERE { ?x foaf:name ?n ; a foaf:Person }",
+        "SELECT * WHERE { ?s <http://p> \"x\"@en-GB . OPTIONAL { ?s <http://q> 3.14 } \
+         { ?a <http://b> true } UNION { ?d <http://e> \"y\"^^<http://t> } \
+         FILTER ( ?s <= 3 && ! ( ?a = ?d ) ) }",
+        "SELECT ?s WHERE { ?s <http://p> ?o . SERVICE <http://fed.example.org/sparql> \
+         { ?o <http://q> ?r } SERVICE ?ep { ?r <http://t> ?u } }",
+        "PREFIX a: <http://a/> PREFIX : <http://e/> SELECT * WHERE { ?s ?p \"x\"^^a:b:c }",
+        "PREFIX : <http://e/> SELECT * WHERE { ?s ?p ?o:y ?q ?r }",
+        "PREFIX : <http://e/> SELECT * WHERE { ?s ?p _:b:y ?q ?r }",
+        "SELECT $x WHERE { $x a <http://e/C> ; <http://e/p> true , \"x\"@EN }",
+        "PREFIX p: <http://other/> PREFIX p: <http://ex.org/ns#> \
+         SELECT * WHERE { ?s p:name ?o FILTER ( ?o != p:none ) }",
+    ];
+
+    /// One random spelling of `base`: bare-word case flips (`a` and `true`
+    /// included), `$`↔`?`, language-tag case, a prefix rename, QName ↔ full
+    /// IRI, whitespace and comments between tokens, then, half the time,
+    /// one byte overwrite, space insertion or truncation. Most results are
+    /// the base query re-spelled, the rest are other queries or errors:
+    /// the properties below hold for any text.
+    fn respell(base: &str, rng: &mut impl FnMut() -> u64) -> String {
+        fn flip(s: &str, rng: &mut impl FnMut() -> u64) -> String {
+            s.chars()
+                .map(|c| {
+                    if rng().is_multiple_of(2) {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c.to_ascii_lowercase()
+                    }
+                })
+                .collect()
+        }
+        let mut toks: Vec<String> = base.split(' ').map(String::from).collect();
+        let is_decl: Vec<bool> = (0..toks.len())
+            .map(|i| (1..=2).any(|d| i >= d && toks[i - d] == "PREFIX"))
+            .collect();
+        let names: Vec<usize> = (0..toks.len()).filter(|&i| toks[i] == "PREFIX").collect();
+        if !names.is_empty() && rng().is_multiple_of(4) {
+            let old = toks[names[rng() as usize % names.len()] + 1].clone();
+            let new = format!("r{}:", rng() % 100);
+            for (i, t) in toks.iter_mut().enumerate() {
+                let qname = t.starts_with(|c: char| c.is_ascii_alphabetic() || c == ':');
+                if (is_decl[i] || qname) && t.starts_with(&old) {
+                    *t = t.replacen(&old, &new, 1);
+                } else if t.contains(&format!("^^{old}")) {
+                    *t = t.replacen(&format!("^^{old}"), &format!("^^{new}"), 1);
+                }
+            }
+        }
+        let decls: Vec<(String, String)> = names
+            .iter()
+            .map(|&i| {
+                let iri = &toks[i + 2];
+                (toks[i + 1].clone(), iri[1..iri.len() - 1].to_string())
+            })
+            .collect();
+        let expand = |qname: &str| -> Option<String> {
+            let colon = qname.find(':')?;
+            let (_, iri) = decls.iter().rev().find(|(n, _)| *n == qname[..=colon])?;
+            Some(format!("<{iri}{}>", &qname[colon + 1..]))
+        };
+        let mut prologue = Vec::new();
+        for i in (0..toks.len()).filter(|&i| !is_decl[i]) {
+            let t = toks[i].clone();
+            let first = t.as_bytes()[0];
+            toks[i] = if t.bytes().all(|b| b.is_ascii_alphabetic()) {
+                flip(&t, rng)
+            } else if matches!(first, b'?' | b'$') && rng().is_multiple_of(2) {
+                format!("{}{}", if first == b'?' { '$' } else { '?' }, &t[1..])
+            } else if let Some(at) = t.find("\"@") {
+                format!("{}{}", &t[..at + 2], flip(&t[at + 2..], rng))
+            } else if let Some(dt) = t.find("\"^^").filter(|&d| !t[d + 3..].starts_with('<')) {
+                match expand(&t[dt + 3..]) {
+                    Some(iri) if rng().is_multiple_of(2) => format!("{}{iri}", &t[..dt + 3]),
+                    _ => t,
+                }
+            } else if (first.is_ascii_alphabetic() || first == b':') && rng().is_multiple_of(2) {
+                expand(&t).unwrap_or(t)
+            } else if first == b'<' && t.ends_with('>') && rng().is_multiple_of(3) {
+                let body = &t[1..t.len() - 1];
+                match body.rfind(['/', '#']) {
+                    Some(cut) if body[cut + 1..].bytes().all(|b| b.is_ascii_alphanumeric()) => {
+                        let name = format!("z{}", prologue.len());
+                        prologue.push(format!("PREFIX {name}: <{}>", &body[..=cut]));
+                        format!("{name}:{}", &body[cut + 1..])
+                    }
+                    _ => t,
+                }
+            } else {
+                t
+            };
+        }
+        const SEPS: &[&str] = &[" ", " ", "  ", "\n", "\t", " # note\n", "\n# {x}\n  ", ""];
+        let mut text = String::new();
+        for t in prologue.iter().chain(&toks) {
+            text.push_str(t);
+            text.push_str(SEPS[rng() as usize % SEPS.len()]);
+        }
+        let mut bytes = text.into_bytes();
+        let at = rng() as usize % (bytes.len() + 1);
+        match rng() % 6 {
+            0 if at < bytes.len() => bytes[at] = 0x20 + (rng() % 0x5f) as u8,
+            1 => bytes.insert(at, b' '),
+            2 => bytes.truncate(at),
+            _ => {}
+        }
+        String::from_utf8(bytes).expect("ASCII perturbations stay UTF-8")
+    }
+
+    /// Each base, every one-space insertion into it (so token splits such
+    /// as `a:b :c` are always present) and 600 seeded respellings.
+    fn corpus() -> Vec<String> {
+        // xorshift64*, as in the parser fuzz, so the corpus is seed-stable.
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut rng = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        let mut out = Vec::new();
+        for base in BASES {
+            out.push(base.to_string());
+            out.extend((0..=base.len()).map(|p| format!("{} {}", &base[..p], &base[p..])));
+            out.extend((0..600).map(|_| respell(base, &mut rng)));
+        }
+        out
+    }
+
+    #[test]
+    fn texts_sharing_a_fingerprint_parse_alike() {
+        let corpus = corpus();
+        let mut groups: std::collections::HashMap<(u64, u32), Vec<&str>> = Default::default();
+        for t in &corpus {
+            if let Some(fp) = fingerprint_query(t) {
+                groups.entry((fp.hash, fp.norm_len)).or_default().push(t);
+            }
+        }
+        let mut it = crate::interner::Interner::new();
+        let mut shared = 0;
+        for texts in groups.values() {
+            let first = crate::parser::parse_query(texts[0], &mut it).ok();
+            for t in &texts[1..] {
+                assert_eq!(
+                    crate::parser::parse_query(t, &mut it).ok(),
+                    first,
+                    "{:?} and {t:?} share a fingerprint but parse differently",
+                    texts[0]
+                );
+                shared += 1;
+            }
+        }
+        assert!(shared > 1000, "only {shared} texts shared a key");
+    }
+
+    #[test]
+    fn every_parseable_text_is_cacheable() {
+        let mut it = crate::interner::Interner::new();
+        let motivation = [
+            "PREFIX : <http://e/> SELECT * WHERE { ?s ?p ?o:y ?q ?r }",
+            "PREFIX : <http://e/> SELECT * WHERE { ?s ?p _:b:y ?q ?r }",
+        ];
+        for t in motivation {
+            assert!(crate::parser::parse_query(t, &mut it).is_ok(), "{t:?}");
+        }
+        for t in corpus().iter().map(String::as_str).chain(motivation) {
+            if crate::parser::parse_query(t, &mut it).is_ok() {
+                assert!(
+                    fingerprint_query(t).is_some(),
+                    "{t:?} parses but is uncacheable"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_bytes_spell_the_same_query_under_the_same_key() {
+        // `fingerprint_raw` keys live beside canonical keys in one cache:
+        // that is sound because the canonical stream is itself a spelling
+        // of the query it was built from.
+        let mut it = crate::interner::Interner::new();
+        for t in corpus() {
+            let Ok(query) = crate::parser::parse_query(&t, &mut it) else {
+                continue;
+            };
+            let mut canon = Vec::new();
+            canonicalize(&t, &mut |b| canon.extend_from_slice(b)).expect("parseable");
+            let canon = String::from_utf8(canon).expect("canonical bytes are UTF-8");
+            assert_eq!(
+                crate::parser::parse_query(&canon, &mut it).ok(),
+                Some(query),
+                "{t:?} canonicalizes to {canon:?}"
+            );
+            assert_eq!(
+                Some(fingerprint_raw(&canon)),
+                fingerprint_query(&t),
+                "{t:?}"
+            );
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! throughput. Per request the engine:
 //!
 //! 0. canonicalizes the request text into a [`QueryFingerprint`]
-//!    (single-pass, ~100ns) and probes the shared [`RewriteCache`] — a hit
+//!    (one tokenizer pass) and probes the shared [`RewriteCache`] — a hit
 //!    copies the previously rendered rewrite straight into the output
 //!    buffer and skips the pipeline entirely,
 //! 1. parses SPARQL text into a caller-owned [`ParseScratch`]
@@ -344,9 +344,10 @@ impl ServeEngine {
     ///
     /// Two-level keying: the **raw-byte** fingerprint (word-speed hash, a
     /// few ns) catches byte-identical repeats — the dominant case, clients
-    /// re-send the same string — and only on a raw miss does the ~100ns
-    /// **canonical** fingerprint run to catch whitespace / keyword-case /
-    /// PREFIX-alias re-spellings. A canonical hit promotes the raw
+    /// re-send the same string — and only on a raw miss does the
+    /// **canonical** fingerprint (one tokenizer pass; the benchmark's
+    /// `cache.fingerprint_canon_ns` layer) run to catch whitespace /
+    /// keyword-case / PREFIX-alias re-spellings. A canonical hit promotes the raw
     /// spelling to its own entry so the next identical request takes the
     /// fast level.
     pub fn serve<'s>(
@@ -401,9 +402,8 @@ impl ServeEngine {
         // Fill under the canonical key (shared by every re-spelling) and
         // the raw key (this spelling's fast level) — one entry when the
         // request is already in canonical spelling and the keys coincide.
-        // An uncanonicalizable text can't be parsed either, so reaching
-        // here means `canon_fp` is almost always `Some`; if it isn't,
-        // don't cache at all.
+        // Every text the parser accepts canonicalizes, so `canon_fp` is
+        // `Some` here; should that ever break, the request is not cached.
         if let Some(fp) = canon_fp {
             cache.insert(fp, self.revision, scratch.out.as_bytes());
             if fp != raw_fp {

@@ -36,9 +36,10 @@
 //!   the same engine — guards are statically decided per match where
 //!   possible and emitted as residual FILTERs where not.
 //! * [`cache`] exploits that rewriting is deterministic per (query text,
-//!   rule set): [`cache::fingerprint_query`] canonicalizes request text in
-//!   a single ~100ns byte-level pass (whitespace, keyword case, PREFIX
-//!   aliases) and [`cache::RewriteCache`] maps the fingerprint to the
+//!   rule set): [`cache::fingerprint_query`] hashes the canonical spelling
+//!   of the parser's own token stream (whitespace, keyword case, PREFIX
+//!   aliases; cost: the benchmark's `cache.fingerprint_canon_ns` layer)
+//!   and [`cache::RewriteCache`] maps the fingerprint to the
 //!   rendered rewrite through sharded, read-lock-free seqlock slots — a
 //!   repeated query is served by normalize + hash + memcpy instead of
 //!   parse + rewrite + render, invalidated by the store's

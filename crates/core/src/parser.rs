@@ -30,6 +30,10 @@
 //! Parse errors carry the byte offset of the **start** of the offending
 //! token (not wherever the tokenizer cursor happens to sit after
 //! lookahead), so editors can point at the right spot.
+//!
+//! The tokenizer is the crate's only SPARQL lexer: the rewrite cache's
+//! canonical key ([`crate::cache::fingerprint_query`]) hashes the token
+//! stream `canonicalize` builds from it.
 
 use std::fmt;
 
@@ -38,6 +42,7 @@ use crate::pattern::{
     Bgp, ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef, SelectList,
     TriplePattern,
 };
+use crate::smallvec::SmallVec;
 use crate::term::Term;
 
 pub const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
@@ -141,6 +146,50 @@ impl<'a> Tokenizer<'a> {
         ParseError {
             message: message.into(),
             offset: self.pos,
+        }
+    }
+
+    /// Byte span of `s` within the input. `s` must be a subslice of the
+    /// input (every token text is).
+    #[inline]
+    fn span_of(&self, s: &str) -> (u32, u32) {
+        let start = s.as_ptr() as usize - self.input.as_ptr() as usize;
+        (start as u32, (start + s.len()) as u32)
+    }
+
+    /// Read the PREFIX prologue, handing each `PREFIX name: <iri>`
+    /// declaration to `record` in order, and return the first token after
+    /// it. Errors point at the start of the offending token.
+    fn prologue(
+        &mut self,
+        record: &mut impl FnMut(PrefixSpan),
+    ) -> Result<Option<Token<'a>>, ParseError> {
+        loop {
+            match self.next()? {
+                Some(Token::Word(w)) if w.eq_ignore_ascii_case("PREFIX") => {}
+                other => return Ok(other),
+            }
+            let at_token = |t: &Self, message: &str| ParseError {
+                message: message.into(),
+                offset: t.last_start,
+            };
+            let Some(Token::QName(q)) = self.next()? else {
+                return Err(at_token(self, "expected 'name:' after PREFIX"));
+            };
+            let Some(name) = q.strip_suffix(':') else {
+                return Err(at_token(self, "prefix declaration must end with ':'"));
+            };
+            let Some(Token::IriRef(iri)) = self.next()? else {
+                return Err(at_token(self, "expected <IRI> after prefix name"));
+            };
+            let ((name_start, name_end), (iri_start, iri_end)) =
+                (self.span_of(name), self.span_of(iri));
+            record(PrefixSpan {
+                name_start,
+                name_end,
+                iri_start,
+                iri_end,
+            });
         }
     }
 
@@ -397,38 +446,167 @@ impl<'a> Tokenizer<'a> {
     }
 }
 
-/// Byte classifier shared with the cache fingerprint scanner
-/// ([`crate::cache::fingerprint_query`]), which must tokenize name runs
-/// exactly like this tokenizer to map equivalent spellings of one query to
-/// one fingerprint. `const` so the scanner can bake both classifiers into
-/// a lookup table at compile time.
+const NAME_BYTE: u8 = 1;
+const IRI_BYTE: u8 = 2;
+
+/// Byte classes of the tokenizer's scan loops, one table load per byte.
+static BYTE_CLASS: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        let c = i as u8;
+        if c.is_ascii_alphanumeric() || c == b'_' || c == b'-' || !c.is_ascii() {
+            t[i] |= NAME_BYTE;
+        }
+        // IRIREF bodies exclude control/space and `<ESC>`-class
+        // punctuation per the grammar.
+        if !(c <= 0x20
+            || matches!(
+                c,
+                b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\'
+            ))
+        {
+            t[i] |= IRI_BYTE;
+        }
+        i += 1;
+    }
+    t
+};
+
+/// Bytes of variable names, blank labels, words and QName parts.
 #[inline]
-pub(crate) const fn is_name_byte(c: u8) -> bool {
-    c.is_ascii_alphanumeric() || c == b'_' || c == b'-' || !c.is_ascii()
+fn is_name_byte(c: u8) -> bool {
+    BYTE_CLASS[c as usize] & NAME_BYTE != 0
 }
 
-/// Bytes legal inside a SPARQL IRIREF body (`<...>`): everything except
-/// control/space and `<ESC>`-class punctuation per the grammar. Shared with
-/// the cache fingerprint scanner for the same reason as [`is_name_byte`].
+/// Bytes legal inside a SPARQL IRIREF body (`<...>`).
 #[inline]
-pub(crate) const fn is_iri_byte(c: u8) -> bool {
-    !(c <= 0x20
-        || matches!(
-            c,
-            b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\'
-        ))
+fn is_iri_byte(c: u8) -> bool {
+    BYTE_CLASS[c as usize] & IRI_BYTE != 0
 }
 
 /// One `PREFIX name: <iri>` declaration as byte spans into the input. The
-/// table lives in a caller-owned [`ParseScratch`] so re-parsing reuses its
-/// capacity; spans (not borrowed `&str`s) keep the scratch free of the
-/// input's lifetime.
-#[derive(Copy, Clone, Debug)]
+/// parser keeps its table in a caller-owned [`ParseScratch`] so re-parsing
+/// reuses its capacity, `canonicalize` keeps its own on the stack; spans
+/// (not borrowed `&str`s) keep the scratch free of the input's lifetime.
+#[derive(Copy, Clone, Debug, Default)]
 struct PrefixSpan {
     name_start: u32,
     name_end: u32,
     iri_start: u32,
     iri_end: u32,
+}
+
+/// Split a QName at its first colon and resolve the prefix against
+/// `prefixes` (spans into `input`; later declarations shadow earlier ones,
+/// matching SPARQL prologue semantics). Returns `(base, local)`, whose
+/// concatenation is the QName's IRI.
+///
+/// The tokenizer only emits QNames containing a colon, but a serve worker
+/// must never be one refactor away from a panic on user-supplied query
+/// text, so the invariant degrades to an error instead of an `expect`.
+fn expand_qname<'a>(
+    input: &'a str,
+    prefixes: &[PrefixSpan],
+    qname: &'a str,
+) -> Result<(&'a str, &'a str), String> {
+    let colon = qname.find(':').ok_or("malformed QName: missing ':'")?;
+    let prefix = &qname[..colon];
+    let base = prefixes
+        .iter()
+        .rev()
+        .find_map(|p| {
+            let name = &input[p.name_start as usize..p.name_end as usize];
+            (name == prefix).then(|| &input[p.iri_start as usize..p.iri_end as usize])
+        })
+        .ok_or_else(|| format!("undeclared prefix '{prefix}:'"))?;
+    Ok((base, &qname[colon + 1..]))
+}
+
+/// Feed the canonical spelling of literal token `lit` to `out`, in pieces:
+/// the quoted body verbatim, a language tag lowercased (RDF lang tags are
+/// case-insensitive, so `"x"@EN` and `"x"@en` are one term), a `^^<iri>`
+/// datatype verbatim, and a `^^prefix:local` datatype expanded to
+/// `^^<iri>` (so rendered output needs no PREFIX declaration and the QName
+/// and full-IRI spellings of one literal are one term).
+fn spell_literal<'a>(
+    input: &'a str,
+    prefixes: &[PrefixSpan],
+    lit: &'a str,
+    out: &mut impl FnMut(&str),
+) -> Result<(), String> {
+    // Tokenizer invariant (closing quote present) downgraded to an error
+    // rather than a panic — same rationale as `expand_qname`.
+    let close = lit
+        .rfind('"')
+        .ok_or("malformed literal: missing closing '\"'")?;
+    let (quoted, suffix) = lit.split_at(close + 1);
+    if let Some(tag) = suffix.strip_prefix('@') {
+        out(quoted);
+        out("@");
+        for c in tag.chars() {
+            out(c.to_ascii_lowercase().encode_utf8(&mut [0; 4]));
+        }
+    } else if let Some(dtype) = suffix.strip_prefix("^^").filter(|d| !d.starts_with('<')) {
+        let (base, local) = expand_qname(input, prefixes, dtype)?;
+        for s in [quoted, "^^<", base, local, ">"] {
+            out(s);
+        }
+    } else {
+        out(lit);
+    }
+    Ok(())
+}
+
+/// Feed the canonical spelling of query text `input` to `sink`: every
+/// token after the PREFIX prologue, with one `b' '` between tokens. Texts
+/// with equal canonical bytes parse to one query, or all fail to parse,
+/// and the canonical bytes are themselves a spelling of that query — the
+/// rewrite cache's canonical key hashes them.
+///
+/// Spellings: `$x` becomes `?x`; a QName (also as a `^^` datatype) becomes
+/// `<base+local>` through the text's own prologue, which itself feeds
+/// nothing; a language tag is lowercased (the parser's own term rules,
+/// shared). A bare word is fed ASCII-uppercased, except `a`, `true`,
+/// `false` and `*`, fed verbatim — sound only while the parser matches
+/// every bare word case-insensitively or rejects it, except those four.
+/// Every other token is fed as its source text.
+///
+/// Returns `None` where the tokenizer, the prologue or a QName expansion
+/// fails, which `parse_query` rejects too. Allocation-free for up to 8
+/// PREFIX declarations on text that canonicalizes.
+pub(crate) fn canonicalize(input: &str, sink: &mut impl FnMut(&[u8])) -> Option<()> {
+    let mut tok = Tokenizer::new(input);
+    let mut prefixes = SmallVec::<PrefixSpan, 8>::new();
+    let mut next = tok.prologue(&mut |p| prefixes.push(p)).ok()?;
+    let mut sep: &[u8] = b"";
+    while let Some(t) = next {
+        sink(sep);
+        sep = b" ";
+        match t {
+            Token::QName(q) => {
+                let (base, local) = expand_qname(input, prefixes.as_slice(), q).ok()?;
+                for s in ["<", base, local, ">"] {
+                    sink(s.as_bytes());
+                }
+            }
+            Token::Var(v) => {
+                sink(b"?");
+                sink(v.as_bytes());
+            }
+            Token::Literal(l) => {
+                spell_literal(input, prefixes.as_slice(), l, &mut |s| sink(s.as_bytes())).ok()?
+            }
+            Token::Word(w) if !matches!(w, "a" | "true" | "false" | "*") => {
+                for b in w.bytes() {
+                    sink(&[b.to_ascii_uppercase()]);
+                }
+            }
+            _ => sink(&input.as_bytes()[tok.last_start..tok.pos]),
+        }
+        next = tok.next().ok()?;
+    }
+    Some(())
 }
 
 /// Caller-owned scratch for allocation-free parsing.
@@ -534,25 +712,6 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         }
     }
 
-    /// Byte span of `s` within the input. `s` must be a subslice of the
-    /// tokenizer's input (every token text is).
-    #[inline]
-    fn span_of(&self, s: &str) -> (u32, u32) {
-        let base = self.tok.input.as_ptr() as usize;
-        let start = s.as_ptr() as usize - base;
-        (start as u32, (start + s.len()) as u32)
-    }
-
-    /// Expansion IRI for `prefix`, if declared. Later declarations shadow
-    /// earlier ones (scan in reverse), matching SPARQL prologue semantics.
-    fn lookup_prefix(&self, prefix: &str) -> Option<&'a str> {
-        let input = self.tok.input;
-        self.prefixes.iter().rev().find_map(|p| {
-            let name = &input[p.name_start as usize..p.name_end as usize];
-            (name == prefix).then(|| &input[p.iri_start as usize..p.iri_end as usize])
-        })
-    }
-
     fn next_token(&mut self) -> Result<Option<Token<'a>>, ParseError> {
         if let Some((t, off)) = self.peeked.take() {
             self.err_off = off;
@@ -589,67 +748,22 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
     }
 
     /// Expand a QName against the PREFIX table and intern the result.
-    ///
-    /// The tokenizer only emits `Token::QName` for texts containing a colon,
-    /// but a serve worker must never be one refactor away from a panic on
-    /// user-supplied query text, so the invariant degrades to a `ParseError`
-    /// instead of an `expect` (audited: every panicking unwrap reachable
-    /// from the query-text path is converted like this).
-    fn intern_qname(&mut self, qname: &str) -> Result<Term, ParseError> {
-        let Some(colon) = qname.find(':') else {
-            return Err(self.err("malformed QName: missing ':'"));
-        };
-        let (prefix, local) = (&qname[..colon], &qname[colon + 1..]);
-        let Some(base) = self.lookup_prefix(prefix) else {
-            return Err(self.err(format!("undeclared prefix '{prefix}:'")));
-        };
+    fn intern_qname(&mut self, qname: &'a str) -> Result<Term, ParseError> {
+        let (base, local) =
+            expand_qname(self.tok.input, self.prefixes, qname).map_err(|m| self.err(m))?;
         self.expand_buf.clear();
         self.expand_buf.push_str(base);
         self.expand_buf.push_str(local);
         Ok(Term::iri(self.interner.intern(self.expand_buf)))
     }
 
-    /// Intern a literal, canonicalizing a `^^prefix:local` datatype to
-    /// `^^<expanded-iri>` (so rendered output needs no PREFIX declaration
-    /// and the QName and full-IRI spellings of one literal share a symbol)
-    /// and lowercasing any language tag (RDF lang tags are case-insensitive,
-    /// so `"x"@EN` and `"x"@en` must intern to one symbol).
-    fn intern_literal(&mut self, lit: &str) -> Result<Term, ParseError> {
-        // Tokenizer invariant (closing quote present) downgraded to an error
-        // rather than a panic — same audit rationale as `intern_qname`.
-        let Some(close) = lit.rfind('"') else {
-            return Err(self.err("malformed literal: missing closing '\"'"));
-        };
-        let suffix = &lit[close + 1..];
-        if let Some(tag) = suffix.strip_prefix('@') {
-            if tag.bytes().any(|b| b.is_ascii_uppercase()) {
-                self.expand_buf.clear();
-                self.expand_buf.push_str(&lit[..close + 1]);
-                self.expand_buf.push('@');
-                for b in tag.bytes() {
-                    self.expand_buf.push(b.to_ascii_lowercase() as char);
-                }
-                return Ok(Term::literal(self.interner.intern(self.expand_buf)));
-            }
-        } else if let Some(dtype) = suffix.strip_prefix("^^") {
-            if !dtype.starts_with('<') {
-                let colon = dtype
-                    .find(':')
-                    .ok_or_else(|| self.err("datatype QName missing ':'"))?;
-                let (prefix, local) = (&dtype[..colon], &dtype[colon + 1..]);
-                let Some(base) = self.lookup_prefix(prefix) else {
-                    return Err(self.err(format!("undeclared prefix '{prefix}:'")));
-                };
-                self.expand_buf.clear();
-                self.expand_buf.push_str(&lit[..close + 1]);
-                self.expand_buf.push_str("^^<");
-                self.expand_buf.push_str(base);
-                self.expand_buf.push_str(local);
-                self.expand_buf.push('>');
-                return Ok(Term::literal(self.interner.intern(self.expand_buf)));
-            }
-        }
-        Ok(Term::literal(self.interner.intern(lit)))
+    /// Intern a literal in its canonical spelling ([`spell_literal`]).
+    fn intern_literal(&mut self, lit: &'a str) -> Result<Term, ParseError> {
+        self.expand_buf.clear();
+        let buf = &mut *self.expand_buf;
+        spell_literal(self.tok.input, self.prefixes, lit, &mut |s| buf.push_str(s))
+            .map_err(|m| self.err(m))?;
+        Ok(Term::literal(self.interner.intern(self.expand_buf)))
     }
 
     /// Intern a bare literal token (`42`, `3.14`, `true`) as its xsd-typed
@@ -687,30 +801,12 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         }
     }
 
+    /// Read the prologue into the PREFIX table; must run before any token
+    /// is peeked. The first token after it becomes the lookahead.
     fn parse_prologue(&mut self) -> Result<(), ParseError> {
-        while let Some(Token::Word(w)) = self.peek()? {
-            if !w.eq_ignore_ascii_case("PREFIX") {
-                break;
-            }
-            self.next_token()?;
-            let Token::QName(q) = self.expect("prefix declaration")? else {
-                return Err(self.err("expected 'name:' after PREFIX"));
-            };
-            if !q.ends_with(':') {
-                return Err(self.err("prefix declaration must end with ':'"));
-            }
-            let Token::IriRef(iri) = self.expect("IRI after prefix name")? else {
-                return Err(self.err("expected <IRI> after prefix name"));
-            };
-            let (name_start, name_end) = self.span_of(&q[..q.len() - 1]);
-            let (iri_start, iri_end) = self.span_of(iri);
-            self.prefixes.push(PrefixSpan {
-                name_start,
-                name_end,
-                iri_start,
-                iri_end,
-            });
-        }
+        let prefixes = &mut *self.prefixes;
+        let first = self.tok.prologue(&mut |p| prefixes.push(p))?;
+        self.peeked = first.map(|t| (t, self.tok.last_start));
         Ok(())
     }
 
