@@ -91,7 +91,7 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 }
 
 /// Chain-absorb `parts` into one 64-bit draw. Public because every seeded
-/// schedule in the workspace — the chaos proxy, the bench harness's chaos
+/// schedule in the workspace — the chaos proxy, the server tests' chaos
 /// *client*, and the mutation fuzzes — derives its draws from this one
 /// primitive, keyed by (seed, index...) tuples; stateless mixing is what
 /// makes replays byte-identical under concurrency.

@@ -73,8 +73,8 @@
 //! steady-state allocations end to end.
 //!
 //! See the workspace README for the paper's rewriting model, `benchmark/`
-//! for the measurements and `crates/bench-harness` for the deterministic
-//! robustness gates.
+//! for the measurements and the server crate's `tests/soak.rs` and
+//! `tests/zero_alloc_socket.rs` for the seeded robustness legs.
 
 pub mod align;
 pub mod cache;

@@ -16,7 +16,8 @@
 //! Plus the conditions no proxy can fake: a genuinely dead port
 //! (ECONNREFUSED from the kernel) and an unparseable authority. The final
 //! test streams a mixed fault schedule twice and requires byte-identical
-//! outcome transcripts — the determinism contract the bench soak gates on.
+//! outcome transcripts — the determinism contract the server crate's
+//! `federation_http_soak` asserts on a longer stream.
 
 use sparql_rewrite_core::{
     BackoffPolicy, BreakerConfig, BreakerState, ChaosProxy, ChaosSpec, EndpointId, EndpointOutcome,

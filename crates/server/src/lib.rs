@@ -5,8 +5,8 @@
 //! [`ServeEngine`] behind an `Arc`; each worker pins its own
 //! [`ServeScratch`] + [`RequestScratch`] + response buffer, so the warm
 //! request path (keep-alive connection, cache hit) performs **zero heap
-//! allocations** end to end through the socket — the bench harness gates
-//! on that with the counting allocator.
+//! allocations** end to end through the socket —
+//! `tests/zero_alloc_socket.rs` asserts that with the counting allocator.
 //!
 //! The server runs in one of two modes. **Single-store** ([`Server::spawn`])
 //! serves rewrites from one [`ServeEngine`]. **Federated**

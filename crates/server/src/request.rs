@@ -437,7 +437,7 @@ fn hex_val(b: u8) -> Option<u8> {
 
 /// Percent-encode `text` as a `query=` parameter value into `out`
 /// (appending). The inverse of [`percent_decode_into`] for client use —
-/// the bench harness's chaos client renders GET requests with it.
+/// the tests' chaos client renders GET requests with it.
 pub fn percent_encode_into(text: &str, out: &mut Vec<u8>) {
     for &b in text.as_bytes() {
         match b {

@@ -307,16 +307,6 @@ impl ChaosClient {
     }
 }
 
-/// Render a healthy keep-alive GET request for `query` into `out` —
-/// shared with the zero-allocation cached-path config, which pre-renders
-/// its whole request stream.
-pub fn render_get(query: &str, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend_from_slice(b"GET /sparql?query=");
-    percent_encode_into(query, out);
-    out.extend_from_slice(b" HTTP/1.1\r\nHost: bench\r\n\r\n");
-}
-
 fn write_all(mut s: &TcpStream, buf: &[u8]) -> io::Result<()> {
     s.write_all(buf)
 }

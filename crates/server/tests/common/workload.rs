@@ -173,28 +173,6 @@ impl Workload {
     }
 }
 
-/// Which complex-correspondence shape the rule set carries.
-///
-/// No gate leg uses the complex shapes; this module's tests do, to hold
-/// indexed == linear and the residual-FILTER / chain rewrites on generated
-/// rule sets.
-#[cfg_attr(not(test), allow(dead_code))]
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ComplexShape {
-    /// Flat templates only — the original workloads, byte-identical per
-    /// seed to the pre-complex generator.
-    None,
-    /// Every third predicate rule becomes a guarded 1:1 template whose
-    /// guard compares the lhs object against a source entity. Against the
-    /// generated traffic this yields the full three-valued mix: concrete
-    /// objects decide the guard statically (fire or prune), variable
-    /// objects leave it undecidable (fire + residual FILTER).
-    Guarded,
-    /// Every second predicate rule becomes an existential chain of this
-    /// depth with a value-transform FILTER on the lhs object.
-    Chain(usize),
-}
-
 pub struct WorkloadSpec {
     pub n_rules: usize,
     pub patterns_per_query: usize,
@@ -207,17 +185,12 @@ pub struct WorkloadSpec {
     /// BGP batches of the original benchmark (byte-identical to the
     /// pre-group-pattern workloads for a given seed).
     pub group_shapes: bool,
-    /// Complex-correspondence mix of the rule set (see [`ComplexShape`]).
-    /// [`ComplexShape::None`] leaves the rule set byte-identical per seed
-    /// to the pre-complex generator.
-    pub complex: ComplexShape,
 }
 
 /// Build a workload: `n_rules` alignments (half entity, half predicate —
 /// 30% of predicate templates expand to a two-pattern chain introducing an
-/// existential variable, with a [`ComplexShape`]-controlled share replaced
-/// by guarded or chain complex correspondences) and `n_queries` queries
-/// whose patterns hit the rule set ~80% of the time.
+/// existential variable) and `n_queries` queries whose patterns hit the
+/// rule set ~80% of the time.
 pub fn generate(spec: &WorkloadSpec) -> Workload {
     let mut rng = Rng::new(spec.seed);
     let mut interner = Interner::new();
@@ -240,82 +213,11 @@ pub fn generate(spec: &WorkloadSpec) -> Workload {
     let var_o = Term::var(interner.intern("o"));
     let var_mid = Term::var(interner.intern("m"));
 
-    // Existential chain links and the transform literal, interned only when
-    // a complex shape asks for them so `ComplexShape::None` stores stay
-    // byte-identical per seed.
-    let (chain_vars, lit_raw) = if spec.complex == ComplexShape::None {
-        (Vec::new(), var_o)
-    } else {
-        let links: Vec<Term> = (0..8)
-            .map(|k| {
-                name.clear();
-                let _ = write!(name, "c{k}");
-                Term::var(interner.intern(&name))
-            })
-            .collect();
-        (links, Term::literal(interner.intern("\"raw\"")))
-    };
-
     for i in 0..n_pred_rules {
         let src = iri(&mut interner, &mut name, "http://src.example.org/onto/p", i);
         let tgt = iri(&mut interner, &mut name, "http://tgt.example.org/onto/p", i);
         src_preds.push(src);
         let lhs = TriplePattern::new(var_s, src, var_o);
-        match spec.complex {
-            ComplexShape::Guarded if i % 3 == 0 => {
-                let mut tmpl =
-                    RuleTemplate::from_triples(vec![TriplePattern::new(var_s, tgt, var_o)]);
-                let l = tmpl.push_expr(ExprNode::Term(var_o));
-                let ent = iri(
-                    &mut interner,
-                    &mut name,
-                    "http://src.example.org/ent/e",
-                    rng.below(n_entity_rules.max(1)),
-                );
-                let r = tmpl.push_expr(ExprNode::Term(ent));
-                let op = if rng.chance(1, 2) {
-                    CmpOp::Eq
-                } else {
-                    CmpOp::Ne
-                };
-                let g = tmpl.push_expr(ExprNode::Cmp(op, l, r));
-                tmpl.set_guard(g);
-                store
-                    .add_complex_predicate(lhs, tmpl)
-                    .expect("valid guarded template");
-                continue;
-            }
-            ComplexShape::Chain(depth) if i % 2 == 0 => {
-                let depth = depth.clamp(1, chain_vars.len() + 1);
-                let mut triples = Vec::with_capacity(depth);
-                let mut prev = var_s;
-                let hops = chain_vars[..depth - 1]
-                    .iter()
-                    .copied()
-                    .chain(std::iter::once(var_o));
-                for (d, next) in hops.enumerate() {
-                    let p = if d == 0 {
-                        tgt
-                    } else {
-                        name.clear();
-                        let _ = write!(name, "http://tgt.example.org/link{d}/p{i}");
-                        Term::iri(interner.intern(&name))
-                    };
-                    triples.push(TriplePattern::new(prev, p, next));
-                    prev = next;
-                }
-                let mut tmpl = RuleTemplate::from_triples(triples);
-                let l = tmpl.push_expr(ExprNode::Term(var_o));
-                let r = tmpl.push_expr(ExprNode::Term(lit_raw));
-                let f = tmpl.push_expr(ExprNode::Cmp(CmpOp::Ne, l, r));
-                tmpl.push_filter(f);
-                store
-                    .add_complex_predicate(lhs, tmpl)
-                    .expect("valid chain template");
-                continue;
-            }
-            _ => {}
-        }
         let rhs = if rng.chance(3, 10) {
             // Chain through an existential variable: ?s tgt ?m . ?m tgt' ?o
             let tgt2 = iri(&mut interner, &mut name, "http://tgt.example.org/onto/q", i);
@@ -628,275 +530,5 @@ pub fn generate_federation(spec: &FederationSpec) -> FederationWorkload {
         interner,
         planner,
         queries,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sparql_rewrite_core::{IndexedRewriter, LinearRewriter, Rewriter};
-
-    fn total_patterns(w: &Workload) -> usize {
-        w.queries.iter().map(|q| q.pattern.triples.len()).sum()
-    }
-
-    #[test]
-    fn deterministic_for_a_seed() {
-        let spec = WorkloadSpec {
-            n_rules: 200,
-            patterns_per_query: 8,
-            n_queries: 10,
-            seed: 42,
-            group_shapes: false,
-            complex: ComplexShape::None,
-        };
-        let a = generate(&spec);
-        let b = generate(&spec);
-        assert_eq!(a.queries, b.queries);
-        assert_eq!(a.store.len(), b.store.len());
-        assert_eq!(total_patterns(&a), 80);
-    }
-
-    #[test]
-    fn group_workload_is_deterministic_and_group_shaped() {
-        let spec = WorkloadSpec {
-            n_rules: 200,
-            patterns_per_query: 8,
-            n_queries: 10,
-            seed: 42,
-            group_shapes: true,
-            complex: ComplexShape::None,
-        };
-        let a = generate(&spec);
-        let b = generate(&spec);
-        assert_eq!(a.queries, b.queries);
-        assert!(total_patterns(&a) > 0);
-        // Every query carries the full shape mix: none is a flat BGP.
-        assert!(a.queries.iter().all(|q| !q.pattern.is_flat()));
-        // Multi-template rules exist (second template per eighth predicate).
-        assert!(a.store.len() > 200);
-    }
-
-    #[test]
-    fn zipf_stream_is_deterministic_and_skewed() {
-        let spec = ZipfSpec {
-            s: 1.0,
-            n_distinct: 64,
-            n_requests: 4096,
-            seed: 99,
-        };
-        let a = zipf_ranks(&spec);
-        let b = zipf_ranks(&spec);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 4096);
-        assert!(a.iter().all(|&r| (r as usize) < 64));
-        // Rank 0 must dominate rank 63 by roughly its 64x weight ratio.
-        let count = |r: u32| a.iter().filter(|&&x| x == r).count();
-        let (head, tail) = (count(0), count(63));
-        assert!(head > 10 * tail.max(1), "no skew: head {head}, tail {tail}");
-        // s = 0 is uniform-ish: the head must NOT dominate.
-        let uniform = zipf_ranks(&ZipfSpec { s: 0.0, ..spec });
-        let uhead = uniform.iter().filter(|&&x| x == 0).count();
-        assert!(uhead < 4096 / 16, "s=0 stream is skewed: {uhead}");
-    }
-
-    #[test]
-    fn perturbations_preserve_the_parsed_query() {
-        let spec = WorkloadSpec {
-            n_rules: 100,
-            patterns_per_query: 8,
-            n_queries: 8,
-            seed: 11,
-            group_shapes: true,
-            complex: ComplexShape::None,
-        };
-        let mut w = generate(&spec);
-        let texts = w.query_texts();
-        let mut rng = Rng::new(5);
-        for (text, parsed) in texts.iter().zip(&w.queries) {
-            let ws = perturb_whitespace(text, &mut rng);
-            assert_eq!(
-                &parse_query(&ws, &mut w.interner).expect("whitespace perturbation parses"),
-                parsed,
-                "whitespace perturbation changed the parse of {text:?}"
-            );
-            let aliased = alias_prefix(text, "zq", "http://src.example.org/onto/");
-            assert_eq!(
-                &parse_query(&aliased, &mut w.interner).expect("aliased variant parses"),
-                parsed,
-                "prefix aliasing changed the parse of {text:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn federation_workload_is_deterministic_and_partitions() {
-        let spec = FederationSpec {
-            n_endpoints: 4,
-            rules_per_endpoint: 64,
-            n_queries: 24,
-            patterns_per_query: 8,
-            seed: 21,
-        };
-        let a = generate_federation(&spec);
-        let b = generate_federation(&spec);
-        assert_eq!(a.queries, b.queries);
-        assert_eq!(a.planner.n_endpoints(), 4);
-        // Plans are deterministic and the query mix reaches multiple
-        // endpoints plus the residual partition across the set.
-        let mut multi_endpoint = false;
-        let mut any_residual = false;
-        let mut ep0_complex = false;
-        for q in &a.queries {
-            let plan = a
-                .planner
-                .plan(
-                    q.as_ref(),
-                    &a.interner,
-                    sparql_rewrite_core::RewriteLimits::unbounded(),
-                )
-                .unwrap();
-            let plan_b = b
-                .planner
-                .plan(
-                    q.as_ref(),
-                    &b.interner,
-                    sparql_rewrite_core::RewriteLimits::unbounded(),
-                )
-                .unwrap();
-            assert_eq!(plan.annotated, plan_b.annotated);
-            multi_endpoint |= plan.endpoints.len() >= 2;
-            any_residual |= plan.n_residual_patterns > 0;
-            // Endpoint 0 serves complex correspondences: when one fires,
-            // its SERVICE subquery carries a residual-guard or transform
-            // FILTER.
-            for ep in &plan.endpoints {
-                if ep.endpoint == sparql_rewrite_core::EndpointId(0) {
-                    ep0_complex |= ep.subquery.contains("FILTER(");
-                }
-            }
-        }
-        assert!(multi_endpoint, "no query spanned two endpoints");
-        assert!(any_residual, "no query kept a residual pattern");
-        assert!(ep0_complex, "no complex rule fired on endpoint 0");
-    }
-
-    #[test]
-    fn indexed_and_linear_agree_on_generated_workload() {
-        for group_shapes in [false, true] {
-            for complex in [
-                ComplexShape::None,
-                ComplexShape::Guarded,
-                ComplexShape::Chain(3),
-            ] {
-                let spec = WorkloadSpec {
-                    n_rules: 500,
-                    patterns_per_query: 16,
-                    n_queries: 20,
-                    seed: 7,
-                    group_shapes,
-                    complex,
-                };
-                let w = generate(&spec);
-                let indexed = IndexedRewriter::new(&w.store);
-                let linear = LinearRewriter::new(&w.store);
-                for q in &w.queries {
-                    let a = indexed.rewrite_query(q);
-                    let b = linear.rewrite_query(q);
-                    assert_eq!(a, b, "{group_shapes} {complex:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn complex_workloads_emit_residual_filters_and_chains() {
-        // Guarded flat-batch traffic mixes concrete and variable objects,
-        // so across the batch some guards decide statically and some ride
-        // along as residual FILTERs.
-        let guarded = generate(&WorkloadSpec {
-            n_rules: 200,
-            patterns_per_query: 8,
-            n_queries: 32,
-            seed: 13,
-            group_shapes: false,
-            complex: ComplexShape::Guarded,
-        });
-        let indexed = IndexedRewriter::new(&guarded.store);
-        let filters = |q: &Query| {
-            q.pattern
-                .nodes
-                .iter()
-                .filter(|n| matches!(n, sparql_rewrite_core::PatternNode::Filter { .. }))
-                .count()
-        };
-        let residuals: usize = guarded
-            .queries
-            .iter()
-            .map(|q| filters(&indexed.rewrite_query(q)))
-            .sum();
-        assert!(residuals > 0, "no guard became a residual FILTER");
-
-        // Chain workloads mint fresh existentials beyond the flat 30%
-        // two-pattern chains: depth-4 bodies add three per firing, plus a
-        // transform FILTER.
-        let chain = generate(&WorkloadSpec {
-            n_rules: 200,
-            patterns_per_query: 8,
-            n_queries: 32,
-            seed: 13,
-            group_shapes: false,
-            complex: ComplexShape::Chain(4),
-        });
-        let indexed = IndexedRewriter::new(&chain.store);
-        let mut grew = false;
-        let mut any_filter = false;
-        for q in &chain.queries {
-            let out = indexed.rewrite_query(q);
-            grew |= out.pattern.triples.len() >= q.pattern.triples.len() + 3;
-            any_filter |= filters(&out) > 0;
-        }
-        assert!(grew, "no depth-4 chain fired");
-        assert!(any_filter, "no transform FILTER was emitted");
-
-        // Both shapes are deterministic per seed.
-        let again = generate(&WorkloadSpec {
-            n_rules: 200,
-            patterns_per_query: 8,
-            n_queries: 32,
-            seed: 13,
-            group_shapes: false,
-            complex: ComplexShape::Chain(4),
-        });
-        assert_eq!(chain.queries, again.queries);
-        assert_eq!(chain.store.len(), again.store.len());
-    }
-
-    #[test]
-    fn group_workload_rewrites_expand_unions() {
-        let spec = WorkloadSpec {
-            n_rules: 64,
-            patterns_per_query: 12,
-            n_queries: 16,
-            seed: 3,
-            group_shapes: true,
-            complex: ComplexShape::None,
-        };
-        let w = generate(&spec);
-        let indexed = IndexedRewriter::new(&w.store);
-        // At least one query must hit a double-template predicate and grow
-        // an extra UNION beyond the one the query text already contains.
-        let extra_unions = w.queries.iter().any(|q| {
-            let out = indexed.rewrite_query(q);
-            let unions = |qq: &Query| {
-                qq.pattern
-                    .nodes
-                    .iter()
-                    .filter(|n| matches!(n, sparql_rewrite_core::PatternNode::Union { .. }))
-                    .count()
-            };
-            unions(&out) > unions(q)
-        });
-        assert!(extra_unions, "no multi-template UNION expansion fired");
     }
 }

@@ -3,37 +3,17 @@
 //! ephemeral port and talks to it with the shared `httpcore` response
 //! reader — the same framing code the federation client uses.
 
+#[allow(dead_code)]
+mod common;
+
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{assert_sheds_and_drains, test_engine};
 use sparql_rewrite_core::httpcore::{read_response, HttpLimits, HttpResponse};
-use sparql_rewrite_core::{
-    AlignmentStore, CacheConfig, Interner, ServeEngine, Term, TriplePattern,
-};
 use sparql_rewrite_server::request::RequestError;
 use sparql_rewrite_server::{Server, ServerConfig};
-
-fn test_engine() -> Arc<ServeEngine> {
-    let mut interner = Interner::new();
-    let mut store = AlignmentStore::new();
-    let var_s = Term::var(interner.intern("s"));
-    let var_o = Term::var(interner.intern("o"));
-    let src = Term::iri(interner.intern("http://src.example.org/onto/p"));
-    let tgt = Term::iri(interner.intern("http://tgt.example.org/onto/q"));
-    store
-        .add_predicate(
-            TriplePattern::new(var_s, src, var_o),
-            vec![TriplePattern::new(var_s, tgt, var_o)],
-        )
-        .expect("valid rule");
-    Arc::new(ServeEngine::with_cache(
-        store,
-        interner,
-        Some(CacheConfig::default()),
-    ))
-}
 
 fn quick_config() -> ServerConfig {
     ServerConfig {
@@ -176,64 +156,7 @@ fn stalled_request_times_out_with_408() {
 /// acceptor never waits on workers.
 #[test]
 fn overload_sheds_with_503_and_retry_after() {
-    let config = ServerConfig {
-        workers: 1,
-        queue_capacity: 1,
-        request_deadline: Duration::from_millis(800),
-        keep_alive_idle: Duration::from_millis(800),
-        drain_deadline: Duration::from_millis(200),
-        ..ServerConfig::default()
-    };
-    let server = Server::spawn(test_engine(), config, "127.0.0.1:0").expect("spawn");
-    let addr = server.local_addr();
-
-    // Blocker: occupies the single worker mid-request.
-    let mut blocker = TcpStream::connect(addr).expect("blocker connect");
-    blocker.write_all(b"GET /spar").expect("blocker partial");
-    let t0 = Instant::now();
-    while server.stats().in_flight < 1 {
-        assert!(
-            t0.elapsed() < Duration::from_secs(2),
-            "worker never picked up blocker"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    // Filler: parks in the queue (sends nothing).
-    let _filler = TcpStream::connect(addr).expect("filler connect");
-    while server.stats().queue_depth < 1 {
-        assert!(t0.elapsed() < Duration::from_secs(2), "queue never filled");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    // Probe: must be shed immediately.
-    let probe = TcpStream::connect(addr).expect("probe connect");
-    let start = Instant::now();
-    let mut r = BufReader::new(probe.try_clone().unwrap());
-    let resp = read_response(&mut r, &HttpLimits::default()).expect("shed response");
-    let latency = start.elapsed();
-    assert_eq!(resp.status, 503);
-    assert!(resp.close);
-    assert_eq!(resp.body, b"overloaded\n");
-    assert!(
-        latency < Duration::from_millis(300),
-        "shed path took {latency:?}; it must not wait on workers"
-    );
-    assert_eq!(server.stats().shed, 1);
-    drop(probe);
-
-    // Shutdown while blocked: the blocker runs out its request deadline,
-    // the parked filler is refused; total time obeys the documented bound.
-    let report = server.shutdown();
-    assert_eq!(
-        report.dropped_from_queue, 1,
-        "parked filler must be refused at drain end"
-    );
-    assert!(
-        report.within_bound(Duration::from_millis(500)),
-        "drain took {:?} (bound {:?} + {:?})",
-        report.elapsed,
-        report.drain_deadline,
-        report.request_deadline
-    );
+    assert_sheds_and_drains(1, 1, 1);
 }
 
 /// An idle server drains essentially instantly.
