@@ -296,11 +296,6 @@ struct Shard {
     /// from caching, so the bypass rate is an observability signal, not
     /// noise — surfaced via [`RewriteCache::oversize_bypasses`].
     bypassed: AtomicU64,
-    /// Probe-level hit/miss counters (one lookup = one count; the serve
-    /// engine's two-level raw→canonical keying therefore books a
-    /// canonical hit as one miss *and* one hit — see [`CacheStats`]).
-    hits: AtomicU64,
-    misses: AtomicU64,
     /// Live entries overwritten by an insert for a *different* key —
     /// capacity pressure made visible (refreshes of the same key are not
     /// evictions).
@@ -316,28 +311,38 @@ pub struct ShardCacheStats {
     pub occupancy: usize,
     /// Total slots in the shard.
     pub slots: usize,
-    /// Probe-level lookup hits/misses (see [`CacheStats::hit_ratio`] for
-    /// the caveat on two-level keying).
-    pub hits: u64,
-    pub misses: u64,
     /// Live entries overwritten by an insert under a different key.
     pub evictions: u64,
     /// Inserts refused because the value exceeded the cache's value cap.
     pub oversize_bypasses: u64,
 }
 
-/// Aggregated cache observability: per-shard occupancy, eviction, and
-/// hit/miss counters, snapshotted without stopping traffic (counters are
-/// relaxed atomics; occupancy is a racy-but-monotone scan).
+/// Aggregated cache observability: per-shard occupancy and eviction
+/// counters, snapshotted without stopping traffic (counters are relaxed
+/// atomics; occupancy is a racy-but-monotone scan), plus the counts the
+/// cache's owner keeps.
 ///
-/// Hit/miss counters are **probe-level**: every [`RewriteCache::lookup`]
-/// books exactly one hit or miss. A caller probing the same cache under
-/// two keys per request (the serve engine's raw→canonical levels) will
-/// therefore see a lower probe hit ratio than its request-level hit rate
-/// — both are real signals, they answer different questions.
+/// Hit/miss counters are **probe-level** — one lookup is one hit or one
+/// miss — but counting them belongs to the **caller**:
+/// [`RewriteCache::lookup`] writes no counter, so a hit touches no shared
+/// cache line, and [`RewriteCache::stats`] reports 0 for both. The serve
+/// engine counts its probes in each worker's scratch and merges them into
+/// engine-wide totals once every 64 serves, so
+/// [`crate::ServeEngine::cache_stats`] lags by under 64 serves per worker.
+/// The engine probes under two keys per request (raw, then canonical), so
+/// its probe hit ratio is lower than its request-level hit rate — both are
+/// real signals, they answer different questions.
 #[derive(Clone, Default, Debug)]
 pub struct CacheStats {
+    /// Shards of the live cache instance.
     pub per_shard: Vec<ShardCacheStats>,
+    /// Probe hits and misses counted by the owner.
+    pub(crate) probe_hits: u64,
+    pub(crate) probe_misses: u64,
+    /// Evictions and oversize bypasses of instances the owner replaced
+    /// (the engine's adaptive resizes), so the totals never go backwards.
+    pub(crate) retired_evictions: u64,
+    pub(crate) retired_bypasses: u64,
 }
 
 impl CacheStats {
@@ -352,19 +357,24 @@ impl CacheStats {
     }
 
     pub fn hits(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.hits).sum()
+        self.probe_hits
     }
 
     pub fn misses(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.misses).sum()
+        self.probe_misses
     }
 
     pub fn evictions(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.evictions).sum()
+        self.retired_evictions + self.per_shard.iter().map(|s| s.evictions).sum::<u64>()
     }
 
     pub fn oversize_bypasses(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.oversize_bypasses).sum()
+        self.retired_bypasses
+            + self
+                .per_shard
+                .iter()
+                .map(|s| s.oversize_bypasses)
+                .sum::<u64>()
     }
 
     /// Probe-level hit ratio in `[0, 1]`; 0.0 before any lookup.
@@ -408,8 +418,6 @@ impl RewriteCache {
                     .map(|_| AtomicU64::new(0))
                     .collect(),
                 bypassed: AtomicU64::new(0),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
                 evictions: AtomicU64::new(0),
             })
             .collect();
@@ -442,10 +450,20 @@ impl RewriteCache {
             .sum()
     }
 
-    /// Snapshot per-shard observability: occupancy, probe-level hit/miss
-    /// counters, evictions, and oversize bypasses. The occupancy scan
-    /// walks every slot (relaxed loads), so treat this as an operator
-    /// endpoint, not a hot-path call.
+    /// Live entries overwritten under a different key, summed across
+    /// shards; monotone over the cache's lifetime.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.evictions.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Snapshot per-shard observability: occupancy, evictions, and
+    /// oversize bypasses. Probe hits and misses read 0: the caller counts
+    /// them (see [`CacheStats`]). The occupancy scan walks every slot
+    /// (relaxed loads), so treat this as an operator endpoint, not a
+    /// hot-path call.
     pub fn stats(&self) -> CacheStats {
         let per_shard = self
             .shards
@@ -457,13 +475,14 @@ impl RewriteCache {
                     .filter(|slot| slot.fp.load(Ordering::Relaxed) != 0)
                     .count(),
                 slots: s.slots.len(),
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
                 evictions: s.evictions.load(Ordering::Relaxed),
                 oversize_bypasses: s.bypassed.load(Ordering::Relaxed),
             })
             .collect();
-        CacheStats { per_shard }
+        CacheStats {
+            per_shard,
+            ..CacheStats::default()
+        }
     }
 
     /// Shard for a fingerprint (high hash bits) and home slot within it
@@ -484,6 +503,11 @@ impl RewriteCache {
     /// On `true`, `out` holds bytes some `insert` stored verbatim under the
     /// same (fingerprint, generation) — for this crate's use, the rendered
     /// rewrite `String`, so they are valid UTF-8.
+    ///
+    /// A probe counts nothing: its only shared write is a hit setting a
+    /// clear CLOCK reference bit. Callers that want hit/miss numbers count the return
+    /// value themselves, as the serve engine does (its totals lag by under
+    /// 64 serves per worker; see [`CacheStats`]).
     pub fn lookup(&self, fp: QueryFingerprint, gen: u64, out: &mut Vec<u8>) -> bool {
         let (shard, home) = self.place(fp);
         let mask = shard.slots.len() - 1;
@@ -495,7 +519,6 @@ impl RewriteCache {
             if sfp == 0 {
                 // Slots are never emptied once written, so a vacant slot
                 // terminates the probe: nothing was ever pushed past it.
-                shard.misses.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
             if v1 & 1 == 1
@@ -527,16 +550,19 @@ impl RewriteCache {
             // Order the data loads before the validating version re-read.
             fence(Ordering::Acquire);
             if slot.version.load(Ordering::Relaxed) == v1 {
-                slot.refbit.store(1, Ordering::Relaxed);
-                shard.hits.fetch_add(1, Ordering::Relaxed);
+                // Store only a clear bit: a hot entry's bit is nearly always
+                // set, and skipping the redundant store keeps its slot's
+                // cache line shared between cores instead of moving it to
+                // whichever core hit last.
+                if slot.refbit.load(Ordering::Relaxed) == 0 {
+                    slot.refbit.store(1, Ordering::Relaxed);
+                }
                 return true;
             }
             // Torn copy (entry was overwritten mid-read): treat as a miss —
             // the cold path will re-render and refresh the entry.
-            shard.misses.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        shard.misses.fetch_add(1, Ordering::Relaxed);
         false
     }
 
@@ -850,7 +876,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_occupancy_hits_misses_and_evictions() {
+    fn stats_track_occupancy_and_evictions_but_not_probes() {
         let cache = RewriteCache::new(CacheConfig {
             shards: 1,
             slots_per_shard: 8,
@@ -859,16 +885,16 @@ mod tests {
         let mut buf = Vec::new();
         let s0 = cache.stats();
         assert_eq!((s0.occupancy(), s0.capacity()), (0, 8));
-        assert_eq!((s0.hits(), s0.misses(), s0.evictions()), (0, 0, 0));
-        assert_eq!(s0.hit_ratio(), 0.0);
+        assert_eq!(s0.evictions(), 0);
 
         let k = fp("SELECT * WHERE { ?s <http://p0> ?o }");
         assert!(!cache.lookup(k, 0, &mut buf)); // miss
         cache.insert(k, 0, b"v0");
         assert!(cache.lookup(k, 0, &mut buf)); // hit
         let s1 = cache.stats();
-        assert_eq!((s1.occupancy(), s1.hits(), s1.misses()), (1, 1, 1));
-        assert!((s1.hit_ratio() - 0.5).abs() < 1e-9);
+        assert_eq!(s1.occupancy(), 1);
+        // Probes are the caller's to count: the cache keeps no tally.
+        assert_eq!((s1.hits(), s1.misses(), s1.hit_ratio()), (0, 0, 0.0));
         // Refreshing the same key is not an eviction.
         cache.insert(k, 0, b"v0b");
         assert_eq!(cache.stats().evictions(), 0);

@@ -28,15 +28,24 @@
 //! an `Arc`, so the same guarantee holds end to end through the socket
 //! path.
 //!
+//! A cache hit also makes **no atomic read-modify-write on shared
+//! memory**: the worker reads the cache instance it pinned in its scratch
+//! (one acquire-load confirms no resize was published since), and the
+//! hit/miss and controller counts accumulate in the scratch, merging into
+//! the engine's totals once every 64 serves. The only shared write on a
+//! hit is setting the slot's CLOCK reference bit, and only when the
+//! eviction hand has cleared it.
+//!
 //! [`QueryFingerprint`]: crate::cache::QueryFingerprint
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::Arc;
 
+use crate::snapshot::{Pin, Snapshot};
 use crate::{
     fingerprint_query, fingerprint_raw, parse_query_into, render_query_into, AlignmentStore,
-    CacheConfig, CacheStats, IndexedRewriter, Interner, ParseError, ParseScratch, QueryRef,
-    RewriteCache, RewriteScratch, Rewriter,
+    CacheConfig, CacheStats, IndexedRewriter, Interner, ParseError, ParseScratch, QueryFingerprint,
+    QueryRef, RewriteCache, RewriteScratch, Rewriter,
 };
 
 /// Shared, read-only serve state: the dense-indexed rule set, the
@@ -48,8 +57,8 @@ pub struct ServeEngine {
     /// intern novel strings without locks while every pre-existing symbol
     /// stays identical to the rule set's.
     base_interner: Interner,
-    /// Rewrite-result cache behind its adaptive-cap slot; `None` when
-    /// constructed cache-less (the cold-path reference in tests).
+    /// Rewrite-result cache behind its adaptive-cap controller; `None`
+    /// when constructed cache-less (the cold-path reference in tests).
     cache: Option<AdaptiveCache>,
     /// Rule-set revision the engine was built at — the generation tag for
     /// every cache entry. The store behind the `Arc` is immutable here, so
@@ -59,7 +68,8 @@ pub struct ServeEngine {
 }
 
 /// Per-worker reusable state for [`ServeEngine::serve`]. All steady-state
-/// buffers live here; the engine itself is never mutated.
+/// buffers and all per-serve counting live here; the engine's shared
+/// totals are written once every 64 serves.
 pub struct ServeScratch {
     interner: Interner,
     parse: ParseScratch,
@@ -68,8 +78,12 @@ pub struct ServeScratch {
     out: String,
     /// Cache copy-out buffer (bytes are validated UTF-8 before use).
     hit_buf: Vec<u8>,
-    /// Per-worker counters — on the scratch, not the engine, so hot-path
-    /// accounting never touches a shared cache line.
+    /// The cache instance this worker serves from, re-pinned only after
+    /// the controller publishes a resized one.
+    cache: Pin<RewriteCache>,
+    /// Counts not yet merged into the engine's totals.
+    pending: PendingCounts,
+    /// Request-level hits and misses since construction/reset.
     cache_hits: u64,
     cache_misses: u64,
 }
@@ -90,11 +104,37 @@ impl ServeScratch {
         self.cache_hits = 0;
         self.cache_misses = 0;
     }
+
+    /// Probe `cache` into the copy-out buffer, counting the probe.
+    fn probe(&mut self, cache: &RewriteCache, fp: QueryFingerprint, gen: u64) -> bool {
+        let hit = cache.lookup(fp, gen, &mut self.hit_buf);
+        if hit {
+            self.pending.probe_hits += 1;
+        } else {
+            self.pending.probe_misses += 1;
+        }
+        hit
+    }
+}
+
+/// A worker's share of the controller and probe counts since its last
+/// flush into [`Totals`].
+#[derive(Default)]
+struct PendingCounts {
+    serves: u64,
+    window_max_len: usize,
+    probe_hits: u64,
+    probe_misses: u64,
 }
 
 /// Serves per adaptation window: the cap controller looks at the live
 /// oversize-bypass rate once every this many served requests.
 const ADAPT_WINDOW: u64 = 1024;
+/// Serves a worker counts in its scratch before merging them into the
+/// engine's totals. Dividing [`ADAPT_WINDOW`] makes the global serve count
+/// land exactly on every window boundary.
+const FLUSH: u64 = 64;
+const _: () = assert!(ADAPT_WINDOW.is_multiple_of(FLUSH));
 /// Absolute value-cap ceiling, matching the tuned-cache construction clamp.
 const ADAPT_MAX_CAP: usize = 1 << 20;
 /// Grow the cap when more than this percentage of a window's serves
@@ -108,9 +148,10 @@ const SHRINK_BYPASS_PCT: u64 = 1;
 /// The rewrite cache behind a runtime cap controller.
 ///
 /// [`RewriteCache`] physically sizes every shard's value pool by its cap,
-/// so changing the cap means rebuilding the cache; this slot wraps the
-/// cache in an `RwLock` whose read side is the per-serve cost (one atomic
-/// acquire, no allocation). Once per [`ADAPT_WINDOW`] serves the
+/// so changing the cap means building a new cache. The live instance sits
+/// in a [`Snapshot`] cell: each worker serves from the instance pinned in
+/// its scratch, and a resize publishes the new instance, which a worker
+/// picks up at its next request. Once per [`ADAPT_WINDOW`] serves the
 /// controller compares the window's oversize-bypass count against the
 /// thresholds above: a bypass-heavy window doubles the cap (halving
 /// slots-per-shard so the pool byte budget stays put), a bypass-free
@@ -121,16 +162,31 @@ const SHRINK_BYPASS_PCT: u64 = 1;
 /// value that got cached by a grow keeps the cap up even though it no
 /// longer *bypasses* anything.
 struct AdaptiveCache {
-    slot: RwLock<RewriteCache>,
+    cell: Snapshot<RewriteCache>,
     /// Cap the engine was constructed with — the adaptive floor.
     base_cap: usize,
     /// Construction config; rebuilds derive their geometry from it.
     base_config: CacheConfig,
+    totals: Totals,
+}
+
+/// Engine-wide counts, merged from workers' scratches every [`FLUSH`]
+/// serves and updated by the controller. Aligned to its own cache lines so
+/// those merges never invalidate the line every hit reads.
+#[repr(align(64))]
+#[derive(Default)]
+struct Totals {
     serves: AtomicU64,
-    /// Bypass counter reading at the last window boundary.
-    last_bypasses: AtomicU64,
     /// Largest rendered rewrite served (hit or cold) this window.
     window_max_len: AtomicUsize,
+    probe_hits: AtomicU64,
+    probe_misses: AtomicU64,
+    /// Evictions and oversize bypasses of instances replaced by a resize,
+    /// added under the cell's mutex as each one is retired.
+    retired_evictions: AtomicU64,
+    retired_bypasses: AtomicU64,
+    /// Bypass total at the last window boundary.
+    last_bypasses: AtomicU64,
     grows: AtomicU64,
     shrinks: AtomicU64,
 }
@@ -140,26 +196,37 @@ impl AdaptiveCache {
         let cache = RewriteCache::new(config);
         let base_cap = cache.value_cap();
         AdaptiveCache {
-            slot: RwLock::new(cache),
+            cell: Snapshot::new(cache),
             base_cap,
             base_config: config,
-            serves: AtomicU64::new(0),
-            last_bypasses: AtomicU64::new(0),
-            window_max_len: AtomicUsize::new(0),
-            grows: AtomicU64::new(0),
-            shrinks: AtomicU64::new(0),
+            totals: Totals::default(),
         }
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, RewriteCache> {
-        self.slot.read().unwrap_or_else(PoisonError::into_inner)
+    /// Per-serve bookkeeping, all in the worker's scratch; every
+    /// [`FLUSH`]-th serve merges it into the totals.
+    fn note_serve(&self, pending: &mut PendingCounts, out_len: usize) {
+        pending.window_max_len = pending.window_max_len.max(out_len);
+        pending.serves += 1;
+        if pending.serves == FLUSH {
+            self.flush(pending);
+        }
     }
 
-    /// Per-serve bookkeeping; every [`ADAPT_WINDOW`]-th serve runs one
-    /// controller step. Allocation-free unless the step decides to resize.
-    fn note_serve(&self, out_len: usize) {
-        self.window_max_len.fetch_max(out_len, Ordering::Relaxed);
-        if (self.serves.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(ADAPT_WINDOW) {
+    /// Merge a worker's counts into the totals. The flush that brings the
+    /// global serve count onto a multiple of [`ADAPT_WINDOW`] runs one
+    /// controller step. Allocation-free unless that step resizes.
+    fn flush(&self, pending: &mut PendingCounts) {
+        let t = &self.totals;
+        t.window_max_len
+            .fetch_max(pending.window_max_len, Ordering::Relaxed);
+        t.probe_hits
+            .fetch_add(pending.probe_hits, Ordering::Relaxed);
+        t.probe_misses
+            .fetch_add(pending.probe_misses, Ordering::Relaxed);
+        let serves = t.serves.fetch_add(pending.serves, Ordering::Relaxed) + pending.serves;
+        *pending = PendingCounts::default();
+        if serves.is_multiple_of(ADAPT_WINDOW) {
             self.adapt();
         }
     }
@@ -172,46 +239,56 @@ impl AdaptiveCache {
         (self.base_config.slots_per_shard >> k).max(8)
     }
 
+    /// One controller step, under the cell's mutex: a resize and the
+    /// retirement of the old instance's counters happen as one.
     fn adapt(&self) {
-        let (bypasses, cur_cap) = {
-            let c = self.read();
-            (c.oversize_bypasses(), c.value_cap())
-        };
-        let delta = bypasses.saturating_sub(self.last_bypasses.swap(bypasses, Ordering::Relaxed));
-        let window_max = self.window_max_len.swap(0, Ordering::Relaxed);
-        let new_cap = if delta * 100 >= GROW_BYPASS_PCT * ADAPT_WINDOW {
-            // Refuse to grow past the absolute ceiling or past the point
-            // where the constant byte budget leaves too few slots to probe.
-            if cur_cap.saturating_mul(2) > ADAPT_MAX_CAP || self.slots_for(cur_cap) <= 8 {
-                return;
-            }
-            cur_cap * 2
-        } else if delta * 100 <= SHRINK_BYPASS_PCT * ADAPT_WINDOW
-            && cur_cap > self.base_cap
-            && window_max.saturating_mul(2) <= cur_cap
-        {
-            (cur_cap / 2).max(self.base_cap)
-        } else {
-            return;
-        };
-        let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
-        if slot.value_cap() != cur_cap {
-            // Another thread's controller step resized first; its window
-            // accounting owns this boundary.
-            return;
-        }
-        *slot = RewriteCache::new(CacheConfig {
-            slots_per_shard: self.slots_for(new_cap),
-            value_cap: new_cap,
-            ..self.base_config
+        let t = &self.totals;
+        self.cell.update(|cache| {
+            let live_bypasses = cache.oversize_bypasses();
+            let bypasses = t.retired_bypasses.load(Ordering::Relaxed) + live_bypasses;
+            let cur_cap = cache.value_cap();
+            let delta = bypasses.saturating_sub(t.last_bypasses.swap(bypasses, Ordering::Relaxed));
+            let window_max = t.window_max_len.swap(0, Ordering::Relaxed);
+            let new_cap = if delta * 100 >= GROW_BYPASS_PCT * ADAPT_WINDOW {
+                // Refuse to grow past the absolute ceiling or past the point
+                // where the constant byte budget leaves too few slots to probe.
+                if cur_cap.saturating_mul(2) > ADAPT_MAX_CAP || self.slots_for(cur_cap) <= 8 {
+                    return None;
+                }
+                t.grows.fetch_add(1, Ordering::Relaxed);
+                cur_cap * 2
+            } else if delta * 100 <= SHRINK_BYPASS_PCT * ADAPT_WINDOW
+                && cur_cap > self.base_cap
+                && window_max.saturating_mul(2) <= cur_cap
+            {
+                t.shrinks.fetch_add(1, Ordering::Relaxed);
+                (cur_cap / 2).max(self.base_cap)
+            } else {
+                return None;
+            };
+            t.retired_bypasses
+                .fetch_add(live_bypasses, Ordering::Relaxed);
+            t.retired_evictions
+                .fetch_add(cache.evictions(), Ordering::Relaxed);
+            Some(RewriteCache::new(CacheConfig {
+                slots_per_shard: self.slots_for(new_cap),
+                value_cap: new_cap,
+                ..self.base_config
+            }))
         });
-        // The fresh cache's bypass counter restarts at zero.
-        self.last_bypasses.store(0, Ordering::Relaxed);
-        if new_cap > cur_cap {
-            self.grows.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.shrinks.fetch_add(1, Ordering::Relaxed);
-        }
+    }
+
+    /// The live instance's stats plus the engine's totals, read under the
+    /// cell's mutex so a concurrent resize is counted exactly once.
+    fn stats(&self) -> CacheStats {
+        let t = &self.totals;
+        self.cell.read(|cache| CacheStats {
+            probe_hits: t.probe_hits.load(Ordering::Relaxed),
+            probe_misses: t.probe_misses.load(Ordering::Relaxed),
+            retired_evictions: t.retired_evictions.load(Ordering::Relaxed),
+            retired_bypasses: t.retired_bypasses.load(Ordering::Relaxed),
+            ..cache.stats()
+        })
     }
 }
 
@@ -267,23 +344,14 @@ impl ServeEngine {
         engine
     }
 
-    /// Inserts the shared cache refused because the rendered rewrite
-    /// exceeded its value cap — requests that re-render on every arrival no
-    /// matter how hot they are. Completes the hit/miss picture: `misses -
-    /// bypass-driven re-serves` is the true cold-start count. 0 when the
-    /// engine is cache-less.
-    pub fn cache_bypasses(&self) -> u64 {
-        self.cache
-            .as_ref()
-            .map_or(0, |ac| ac.read().oversize_bypasses())
-    }
-
-    /// Per-shard cache observability snapshot (occupancy, hits, misses,
-    /// evictions, oversize bypasses); `None` when the engine is
-    /// cache-less. Counter scan, not hot path — see
-    /// [`RewriteCache::stats`] for the probe-level semantics.
+    /// Cache observability snapshot (per-shard occupancy and evictions of
+    /// the live instance, probe hits and misses, oversize bypasses);
+    /// `None` when the engine is cache-less. Every counter is monotone
+    /// across adaptive resizes. Probe counts lag by under 64 serves per
+    /// worker — see [`CacheStats`] for the probe-level semantics. Counter
+    /// scan, not hot path.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|ac| ac.read().stats())
+        self.cache.as_ref().map(AdaptiveCache::stats)
     }
 
     /// The installed cache's **current** value-size cap in bytes (`None`
@@ -292,7 +360,9 @@ impl ServeEngine {
     /// construction is only the starting point: the cap adapts at runtime
     /// to the live oversize-bypass rate (see [`ServeEngine::cache_resizes`]).
     pub fn cache_value_cap(&self) -> Option<usize> {
-        self.cache.as_ref().map(|ac| ac.read().value_cap())
+        self.cache
+            .as_ref()
+            .map(|ac| ac.cell.read(RewriteCache::value_cap))
     }
 
     /// How often the adaptive cap controller resized the cache at runtime:
@@ -302,8 +372,8 @@ impl ServeEngine {
     pub fn cache_resizes(&self) -> (u64, u64) {
         self.cache.as_ref().map_or((0, 0), |ac| {
             (
-                ac.grows.load(Ordering::Relaxed),
-                ac.shrinks.load(Ordering::Relaxed),
+                ac.totals.grows.load(Ordering::Relaxed),
+                ac.totals.shrinks.load(Ordering::Relaxed),
             )
         })
     }
@@ -322,13 +392,16 @@ impl ServeEngine {
     /// A fresh worker scratch. Cloning the interner is the one deliberate
     /// startup cost; after it, the worker shares nothing mutable.
     pub fn scratch(&self) -> ServeScratch {
+        let cache = self.cache.as_ref().map(|ac| ac.cell.load());
         ServeScratch {
             interner: self.base_interner.clone(),
             parse: ParseScratch::new(),
             rewrite: RewriteScratch::new(),
             fresh_base: String::new(),
             out: String::new(),
-            hit_buf: Vec::with_capacity(self.cache.as_ref().map_or(0, |ac| ac.read().value_cap())),
+            hit_buf: Vec::with_capacity(cache.as_ref().map_or(0, |(_, c)| c.value_cap())),
+            cache,
+            pending: PendingCounts::default(),
             cache_hits: 0,
             cache_misses: 0,
         }
@@ -359,13 +432,14 @@ impl ServeEngine {
             self.serve_cold(request, scratch)?;
             return Ok(&scratch.out);
         };
-        {
-            let cache = ac.read();
-            self.serve_via(&cache, request, scratch)?;
-        }
-        // Controller bookkeeping outside the read guard — a window
-        // boundary that decides to resize needs the write lock.
-        ac.note_serve(scratch.out.len());
+        // Moved out for the serve so the pinned instance and the rest of
+        // the scratch can be borrowed separately; moving an `Arc` touches
+        // no reference count.
+        let mut pinned = scratch.cache.take();
+        let served = self.serve_via(ac.cell.pin(&mut pinned), request, scratch);
+        scratch.cache = pinned;
+        served?;
+        ac.note_serve(&mut scratch.pending, scratch.out.len());
         Ok(&scratch.out)
     }
 
@@ -377,18 +451,12 @@ impl ServeEngine {
         scratch: &mut ServeScratch,
     ) -> Result<(), ParseError> {
         let raw_fp = fingerprint_raw(request);
-        if self.finish_hit(
-            cache.lookup(raw_fp, self.revision, &mut scratch.hit_buf),
-            scratch,
-        ) {
+        if self.finish_hit(scratch.probe(cache, raw_fp, self.revision), scratch) {
             return Ok(());
         }
         let canon_fp = fingerprint_query(request);
         if let Some(fp) = canon_fp {
-            if self.finish_hit(
-                cache.lookup(fp, self.revision, &mut scratch.hit_buf),
-                scratch,
-            ) {
+            if self.finish_hit(scratch.probe(cache, fp, self.revision), scratch) {
                 // Promote this exact spelling: next time it hits on the
                 // raw level without paying for canonicalization.
                 cache.insert(raw_fp, self.revision, scratch.out.as_bytes());
@@ -586,5 +654,30 @@ mod tests {
         );
         let (_, shrinks) = engine.cache_resizes();
         assert!(shrinks >= 3, "expected three halvings, saw {shrinks}");
+    }
+
+    #[test]
+    fn cache_counters_are_monotone_across_resizes() {
+        // A resize retires the live cache instance; its counters must carry
+        // over instead of restarting at zero.
+        let engine = adaptive_engine(64);
+        let mut scratch = engine.scratch();
+        let big = "SELECT * WHERE { \
+             ?a <http://src.example.org/onto/p> ?b . \
+             ?c <http://src.example.org/onto/p> ?d . \
+             ?e <http://src.example.org/onto/p> ?f }";
+        let mut last = (0, 0, 0);
+        for i in 0..3 * ADAPT_WINDOW {
+            engine.serve(big, &mut scratch).expect("parses");
+            let stats = engine.cache_stats().expect("cache installed");
+            let now = (stats.misses(), stats.oversize_bypasses(), stats.evictions());
+            assert!(
+                now.0 >= last.0 && now.1 >= last.1 && now.2 >= last.2,
+                "(misses, bypasses, evictions) went from {last:?} to {now:?} at serve {i}"
+            );
+            last = now;
+        }
+        assert!(engine.cache_resizes().0 >= 1, "the stream never resized");
+        assert!(last.1 >= ADAPT_WINDOW, "bypasses before the grow were lost");
     }
 }

@@ -88,6 +88,7 @@ pub mod parser;
 pub mod pattern;
 pub mod rewriter;
 mod smallvec;
+mod snapshot;
 pub mod term;
 
 pub use align::{AlignError, AlignmentStore, Rule, RuleTemplate, TemplateRef, NO_EXPR};

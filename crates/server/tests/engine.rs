@@ -6,12 +6,15 @@
 #[allow(dead_code)]
 mod common;
 
+use std::sync::Barrier;
 use std::thread;
 
 use common::workload::{
     alias_prefix, generate, perturb_whitespace, zipf_ranks, Rng, WorkloadSpec, ZipfSpec,
 };
-use sparql_rewrite_core::{parse_query, CacheConfig, Interner, Rewriter, ServeEngine};
+use sparql_rewrite_core::{
+    parse_bgp, parse_query, AlignmentStore, CacheConfig, Interner, Rewriter, ServeEngine,
+};
 
 fn engine_and_requests(group_shapes: bool) -> (ServeEngine, Vec<String>) {
     let spec = WorkloadSpec {
@@ -151,6 +154,88 @@ fn concurrent_cached_serves_never_return_a_foreign_result() {
     });
 }
 
+/// One rule mapping a short source predicate onto a long target IRI, so a
+/// few aligned patterns render far past a 64-byte cap while an unaligned
+/// `?s ?p ?o` stays well under it.
+fn long_predicate_engine(cache: Option<CacheConfig>) -> ServeEngine {
+    let mut interner = Interner::new();
+    let mut store = AlignmentStore::new();
+    let lhs = parse_bgp("?s <http://src.example.org/onto/p> ?o", &mut interner)
+        .expect("rule lhs parses")
+        .patterns[0];
+    let rhs = parse_bgp(
+        "?s <http://tgt.example.org/onto/a-deliberately-long-predicate-q> ?o",
+        &mut interner,
+    )
+    .expect("rule rhs parses")
+    .patterns;
+    store.add_predicate(lhs, rhs).expect("valid rule");
+    ServeEngine::with_cache(store, interner, cache)
+}
+
+/// An adaptive resize publishes a new cache instance while other workers
+/// are mid-serve on the old one. Four threads serve a stream whose big
+/// phases force the cap up and whose small phases walk it back down;
+/// every response must equal the cache-less engine's.
+#[test]
+fn concurrent_serves_across_cache_resizes_match_the_cold_path() {
+    let cached = long_predicate_engine(Some(CacheConfig {
+        shards: 2,
+        slots_per_shard: 256,
+        value_cap: 64,
+    }));
+    let cold = long_predicate_engine(None);
+    // Three big queries (4–6 aligned patterns, each rewrite several times
+    // the 64-byte cap), then the small one last.
+    let mut requests: Vec<String> = (4..=6)
+        .map(|n| {
+            let body: String = (0..n)
+                .map(|i| format!("?a{i} <http://src.example.org/onto/p> ?b{i} . "))
+                .collect();
+            format!("SELECT * WHERE {{ {body}}}")
+        })
+        .collect();
+    requests.push("SELECT * WHERE { ?s ?p ?o }".to_string());
+    let small = requests.len() - 1;
+    let mut cold_scratch = cold.scratch();
+    let expected: Vec<String> = requests
+        .iter()
+        .map(|r| cold.serve(r, &mut cold_scratch).unwrap().to_string())
+        .collect();
+    let barrier = Barrier::new(4);
+    thread::scope(|scope| {
+        for t in 0..4u64 {
+            let (cached, requests, expected, barrier) = (&cached, &requests, &expected, &barrier);
+            scope.spawn(move || {
+                let mut scratch = cached.scratch();
+                let mut rng = Rng::new(0x5a_f00d ^ (t + 1));
+                for phase in 0..4 {
+                    // Phases never overlap, so each one's windows see only
+                    // its own mix.
+                    barrier.wait();
+                    for _ in 0..2_048 {
+                        // Even phases: seven big requests in eight, so the
+                        // bypass rate grows the cap. Odd phases: small only,
+                        // so the cap shrinks back.
+                        let i = if phase % 2 == 0 && rng.below(8) != 0 {
+                            rng.below(small)
+                        } else {
+                            small
+                        };
+                        let got = cached.serve(&requests[i], &mut scratch).unwrap();
+                        assert_eq!(got, expected[i], "request {i} diverged from the cold path");
+                    }
+                }
+            });
+        }
+    });
+    let (grows, shrinks) = cached.cache_resizes();
+    assert!(
+        grows >= 1 && shrinks >= 1,
+        "the stream must both grow and shrink the cache: {grows} grows, {shrinks} shrinks"
+    );
+}
+
 /// The Zipf stream drives real cache behavior: a head-heavy request
 /// mix over a fitting cache yields a ≥0.9 hit rate after one warm
 /// pass.
@@ -244,12 +329,18 @@ fn oversized_rewrites_are_counted_as_bypasses() {
             value_cap: 64,
         }),
     );
-    assert_eq!(cached.cache_bypasses(), 0);
+    let bypasses = || {
+        cached
+            .cache_stats()
+            .expect("cache installed")
+            .oversize_bypasses()
+    };
+    assert_eq!(bypasses(), 0);
     let mut scratch = cached.scratch();
     for req in &requests {
         cached.serve(req, &mut scratch).unwrap();
     }
-    let after_first = cached.cache_bypasses();
+    let after_first = bypasses();
     assert!(
         after_first >= requests.len() as u64,
         "expected one bypass per oversized serve, saw {after_first}"
@@ -261,7 +352,7 @@ fn oversized_rewrites_are_counted_as_bypasses() {
         cached.serve(req, &mut scratch).unwrap();
     }
     assert_eq!(scratch.cache_hits(), hits_before);
-    assert!(cached.cache_bypasses() > after_first);
+    assert!(bypasses() > after_first);
 }
 
 /// The workload-tuned cap lands exactly on the largest rendered
@@ -303,7 +394,7 @@ fn tuned_value_cap_caches_the_boundary_rewrite() {
         "cap is the measured workload max"
     );
     assert_eq!(
-        engine.cache_bypasses(),
+        engine.cache_stats().unwrap().oversize_bypasses(),
         0,
         "a rewrite exactly at the tuned cap must be cached, not bypassed"
     );

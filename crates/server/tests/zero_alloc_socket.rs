@@ -219,7 +219,7 @@ fn server_cached_zipf() {
         hit_rate >= 0.9,
         "server cached hit rate {hit_rate:.3} < 0.9 over the measured window"
     );
-    let bypasses = engine.cache_bypasses();
+    let bypasses = stats_after.oversize_bypasses();
     assert!(
         bypasses == 0,
         "{bypasses} oversize cache bypasses under a workload-tuned value cap"
