@@ -23,9 +23,6 @@
 //! updates the tables in place, so they are the only lookup structure and
 //! are valid after each call: there is no build step, and `&mut` to add /
 //! `&` (or `Arc`) to read is the whole build/serve split.
-//!
-//! The [`crate::rewriter::LinearRewriter`] ignores the tables and scans the
-//! rule list instead, as the test reference.
 
 use crate::pattern::{ExprNode, TriplePattern};
 use crate::smallvec::SmallVec;
@@ -35,13 +32,15 @@ use crate::term::{Symbol, Term, TermKind, SYM_MASK, TAG_SHIFT};
 /// pool): "this rule has no firing condition".
 pub const NO_EXPR: u32 = u32::MAX;
 
-/// The right-hand side of a complex correspondence ([`Rule::Complex`]): a
-/// guarded group-pattern template in the same flattened index-linked form
+/// The right-hand side of a complex correspondence
+/// ([`AlignmentStore::add_complex_predicate`]): a guarded group-pattern
+/// template in the same flattened index-linked form
 /// [`crate::pattern::GroupPattern`] uses.
 ///
 /// * `triples` — the body. May be a chain linked by existential variables:
 ///   variables (or blank nodes) not bound by the rule's lhs get fresh names
-///   at application time, exactly like the flat [`Rule::Predicate`] rhs.
+///   at application time, exactly like a flat
+///   [`AlignmentStore::add_predicate`] rhs.
 /// * `exprs` — one self-contained expression pool shared by the guard and
 ///   the emitted filters. Child indices are **template-relative** (0-based
 ///   into `exprs`) and must be topologically ordered — every node's
@@ -81,8 +80,8 @@ impl Default for RuleTemplate {
 
 impl RuleTemplate {
     /// A template that is just a triple body — semantically identical to a
-    /// flat [`Rule::Predicate`] rhs, useful as a starting point to hang a
-    /// guard or filters on.
+    /// flat [`AlignmentStore::add_predicate`] rhs, useful as a starting
+    /// point to hang a guard or filters on.
     pub fn from_triples(triples: Vec<TriplePattern>) -> RuleTemplate {
         RuleTemplate {
             triples,
@@ -108,35 +107,6 @@ impl RuleTemplate {
     pub fn push_filter(&mut self, root: u32) {
         self.filters.push(root);
     }
-}
-
-/// One alignment rule. Stored in a flat `Vec`; rule ids are indices into it,
-/// and "first matching rule in id order wins" is the tie-break both
-/// rewriters implement.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Rule {
-    /// `from ≡ to`: substitute `to` wherever `from` occurs (subject,
-    /// predicate, or object position).
-    Entity { from: Term, to: Term },
-    /// Template rewrite: a query pattern that matches `lhs` is replaced by
-    /// `rhs` with the lhs variable bindings applied. Variables occurring in
-    /// `rhs` but not in `lhs` are existential and get fresh names at
-    /// application time. The converse — an lhs variable unused in `rhs` —
-    /// is deliberately legal: the paper's alignments may be lossy (the
-    /// target ontology cannot always express every source binding), and the
-    /// rule author owns that trade-off.
-    Predicate {
-        lhs: TriplePattern,
-        rhs: Vec<TriplePattern>,
-    },
-    /// Complex correspondence: like [`Rule::Predicate`] but the replacement
-    /// is a guarded group-pattern template — triple chains linked by
-    /// existentials, emitted FILTER constraints / value transforms, and an
-    /// optional firing condition. See [`RuleTemplate`].
-    Complex {
-        lhs: TriplePattern,
-        tmpl: RuleTemplate,
-    },
 }
 
 /// Error adding a rule to the store.
@@ -201,9 +171,10 @@ impl std::fmt::Display for AlignError {
 impl std::error::Error for AlignError {}
 
 /// Borrowed view of one predicate/complex rule's templates, as returned by
-/// [`AlignmentStore::template`]. For flat [`Rule::Predicate`] rules the
-/// expression fields are empty and `guard` is [`NO_EXPR`], so a single code
-/// path in the rewriter serves both rule classes.
+/// [`AlignmentStore::template`]. For flat rules
+/// ([`AlignmentStore::add_predicate`]) the expression fields are empty and
+/// `guard` is [`NO_EXPR`], so a single code path in the rewriter serves
+/// both rule classes.
 #[derive(Clone, Copy, Debug)]
 pub struct TemplateRef<'a> {
     pub lhs: TriplePattern,
@@ -266,9 +237,11 @@ fn pool_end<T>(pool: &[T]) -> u32 {
 /// symbol id, updated in place by every `add_*`, so a lookup is a
 /// bounds-checked array load with no hashing and no key comparison, and is
 /// correct after each add. Share it by `&` or `Arc` to serve.
+///
+/// Rule ids count up from 0 in `add_*` order, across all three kinds. The
+/// tables and pools below are the rules' only copy.
 #[derive(Debug)]
 pub struct AlignmentStore {
-    rules: Vec<Rule>,
     /// The dispatch table: one 16-byte record of four `u32` lanes per
     /// symbol, `table[(symbol << 2) | lane]`, covering symbols up to the
     /// largest one a rule is keyed on — its size follows the rule set, not
@@ -293,10 +266,9 @@ pub struct AlignmentStore {
     /// Posting lists of the predicates with two or more templates, in
     /// rule-id order (ids only grow, so appending keeps them sorted).
     postings: Vec<SmallVec<u32, 4>>,
-    /// Flat template pools indexed by **rule id**, so applying a matched
-    /// rule never touches the `Vec<Rule>` enum (48-byte entries behind a
-    /// pointer-chased `Vec<TriplePattern>` each): `tmpl_lhs[id]` is the
-    /// template's lhs, its rhs is
+    /// Flat template pools indexed by **rule id**, one row per rule of
+    /// every kind, so `tmpl_lhs.len()` is the rule count: `tmpl_lhs[id]` is
+    /// the template's lhs, its rhs is
     /// `rhs_pool[tmpl_rhs_off[id] .. tmpl_rhs_off[id + 1]]` (every offset
     /// vector starts with one leading 0). Entity-rule ids hold a
     /// placeholder lhs and an empty rhs range; candidate lookup only ever
@@ -318,14 +290,11 @@ pub struct AlignmentStore {
     expr_pool: Vec<ExprNode>,
     tmpl_filter_off: Vec<u32>,
     filter_pool: Vec<u32>,
-    /// See [`AlignmentStore::revision`].
-    revision: u64,
 }
 
 impl Default for AlignmentStore {
     fn default() -> AlignmentStore {
         AlignmentStore {
-            rules: Vec::new(),
             table: Vec::new(),
             postings: Vec::new(),
             tmpl_lhs: Vec::new(),
@@ -336,7 +305,6 @@ impl Default for AlignmentStore {
             expr_pool: Vec::new(),
             tmpl_filter_off: vec![0],
             filter_pool: Vec::new(),
-            revision: 0,
         }
     }
 }
@@ -346,7 +314,13 @@ impl AlignmentStore {
         AlignmentStore::default()
     }
 
-    /// Register `from ≡ to`. Returns the rule id.
+    /// Register `from ≡ to`: the rewriter substitutes `to` wherever `from`
+    /// occurs (subject, predicate or object position, and FILTER operands).
+    /// Returns the rule id.
+    ///
+    /// The first entity rule for a source term wins: a later rule with the
+    /// same `from` is accepted and takes an id, but never changes what
+    /// `from` rewrites to.
     pub fn add_entity(&mut self, from: Term, to: Term) -> Result<u32, AlignError> {
         if from.is_var() || to.is_var() {
             return Err(AlignError::VariableEntity);
@@ -354,9 +328,8 @@ impl AlignmentStore {
         if from.is_fresh() || to.is_fresh() {
             return Err(AlignError::FreshTerm);
         }
-        let id = self.push_rule(Rule::Entity { from, to });
-        // Later duplicates are kept in `rules` (the linear scan also takes
-        // the first match) but never win the lane.
+        let placeholder = TriplePattern::new(Term::fresh(0), Term::fresh(0), Term::fresh(0));
+        let id = self.push_rule(placeholder, &[], &[], NO_EXPR, &[]);
         let lane = self.lane_mut(from.symbol(), from.kind() as usize);
         if *lane == VACANT {
             *lane = to.raw();
@@ -364,7 +337,15 @@ impl AlignmentStore {
         Ok(id)
     }
 
-    /// Register a template rewrite `lhs ⇒ rhs`. Returns the rule id.
+    /// Register a template rewrite `lhs ⇒ rhs`: a query pattern that
+    /// matches `lhs` is replaced by `rhs` with the lhs variable bindings
+    /// applied. Returns the rule id.
+    ///
+    /// Variables occurring in `rhs` but not in `lhs` are existential and get
+    /// fresh names at application time. The converse — an lhs variable
+    /// unused in `rhs` — is deliberately legal: the paper's alignments may
+    /// be lossy (the target ontology cannot always express every source
+    /// binding), and the rule author owns that trade-off.
     pub fn add_predicate(
         &mut self,
         lhs: TriplePattern,
@@ -384,13 +365,16 @@ impl AlignmentStore {
         {
             return Err(AlignError::FreshTerm);
         }
-        let id = self.push_rule(Rule::Predicate { lhs, rhs });
+        let id = self.push_rule(lhs, &rhs, &[], NO_EXPR, &[]);
         self.push_posting(lhs.p.symbol(), id);
         Ok(id)
     }
 
-    /// Register a complex correspondence `lhs ⇒ tmpl` (guarded
-    /// group-pattern template). Returns the rule id.
+    /// Register a complex correspondence `lhs ⇒ tmpl`: like
+    /// [`AlignmentStore::add_predicate`], but the replacement is a guarded
+    /// group-pattern template — triple chains linked by existentials,
+    /// emitted FILTER constraints / value transforms, and an optional
+    /// firing condition (see [`RuleTemplate`]). Returns the rule id.
     ///
     /// Beyond the flat-rule checks, validation enforces the template's
     /// internal scoping: the expression pool must be topologically ordered
@@ -466,25 +450,24 @@ impl AlignmentStore {
                 return Err(AlignError::TemplateVariableUnbound);
             }
         }
-        let id = self.push_rule(Rule::Complex { lhs, tmpl });
+        let id = self.push_rule(lhs, &tmpl.triples, &tmpl.exprs, tmpl.guard, &tmpl.filters);
         self.push_posting(lhs.p.symbol(), id);
         Ok(id)
     }
 
-    /// Append `rule` to the rule list and its row to every by-rule-id pool
-    /// (ids only grow, so CSR-by-rule-id is append-only; flat and entity
-    /// rules contribute empty ranges). Returns the rule id.
-    fn push_rule(&mut self, rule: Rule) -> u32 {
-        assert!(self.rules.len() < SPILL as usize, "more than 2^31 rules");
-        let id = self.rules.len() as u32;
-        let placeholder = TriplePattern::new(Term::fresh(0), Term::fresh(0), Term::fresh(0));
-        let (lhs, triples, exprs, guard, filters): (_, &[_], &[_], _, &[_]) = match &rule {
-            Rule::Entity { .. } => (placeholder, &[], &[], NO_EXPR, &[]),
-            Rule::Predicate { lhs, rhs } => (*lhs, rhs, &[], NO_EXPR, &[]),
-            Rule::Complex { lhs, tmpl } => {
-                (*lhs, &tmpl.triples, &tmpl.exprs, tmpl.guard, &tmpl.filters)
-            }
-        };
+    /// Append one rule's row to every by-rule-id pool (ids only grow, so
+    /// CSR-by-rule-id is append-only; flat and entity rules contribute
+    /// empty ranges). Returns the rule id.
+    fn push_rule(
+        &mut self,
+        lhs: TriplePattern,
+        triples: &[TriplePattern],
+        exprs: &[ExprNode],
+        guard: u32,
+        filters: &[u32],
+    ) -> u32 {
+        assert!(self.len() < SPILL as usize, "more than 2^31 rules");
+        let id = self.len() as u32;
         self.tmpl_lhs.push(lhs);
         self.tmpl_guard.push(guard);
         self.rhs_pool.extend_from_slice(triples);
@@ -493,8 +476,6 @@ impl AlignmentStore {
         self.tmpl_expr_off.push(pool_end(&self.expr_pool));
         self.filter_pool.extend_from_slice(filters);
         self.tmpl_filter_off.push(pool_end(&self.filter_pool));
-        self.rules.push(rule);
-        self.revision += 1;
         id
     }
 
@@ -536,8 +517,8 @@ impl AlignmentStore {
     /// The templates of predicate/complex rule `id` as a uniform
     /// [`TemplateRef`] (flat rules surface empty expression fields). Only
     /// meaningful for ids yielded by
-    /// [`AlignmentStore::predicate_candidates`] (or an equivalent scan);
-    /// reads the flat template pools and never touches the rule list.
+    /// [`AlignmentStore::predicate_candidates`]; reads the flat template
+    /// pools.
     #[inline]
     pub fn template(&self, id: u32) -> TemplateRef<'_> {
         let id = id as usize;
@@ -551,7 +532,8 @@ impl AlignmentStore {
         }
     }
 
-    /// Monotonic rule-set revision, bumped by every successful `add_*`.
+    /// Monotonic rule-set revision, bumped by every successful `add_*`: the
+    /// rule count, since rules are only ever added.
     ///
     /// Use it as the generation tag for a [`crate::cache::RewriteCache`]:
     /// stamp inserts with the revision the rewrite ran under and look up
@@ -561,20 +543,16 @@ impl AlignmentStore {
     /// stale entry miss without any eager scan.
     #[inline]
     pub fn revision(&self) -> u64 {
-        self.revision
+        self.len() as u64
     }
 
-    #[inline]
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
-
+    /// Number of rules added, of all three kinds.
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.tmpl_lhs.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.tmpl_lhs.is_empty()
     }
 
     /// The replacement for `t`, if any entity rule rewrites it: a tag check
@@ -763,15 +741,46 @@ mod tests {
         let f = eq(&mut t, w, c);
         t.push_filter(f);
         let id = store.add_complex_predicate(lhs, t.clone()).unwrap();
-        assert_eq!(store.rules()[id as usize], Rule::Complex { lhs, tmpl: t });
+        assert_eq!(template_in_pools(&store, id), (lhs, t));
     }
 
-    /// What `template(id)` must read back, taken from the rule list.
-    fn template_in_rules(store: &AlignmentStore, id: u32) -> (TriplePattern, RuleTemplate) {
-        match &store.rules()[id as usize] {
-            Rule::Predicate { lhs, rhs } => (*lhs, RuleTemplate::from_triples(rhs.clone())),
-            Rule::Complex { lhs, tmpl } => (*lhs, tmpl.clone()),
-            Rule::Entity { .. } => panic!("rule {id} is not a predicate rule"),
+    /// A test's own record of one rule it added: the reference the store's
+    /// tables and pools are checked against.
+    enum Added {
+        Entity(Term, Term),
+        Template(TriplePattern, RuleTemplate),
+    }
+
+    /// A store plus the record of every rule added to it, in id order.
+    #[derive(Default)]
+    struct Recorded {
+        store: AlignmentStore,
+        added: Vec<Added>,
+    }
+
+    impl Recorded {
+        fn entity(&mut self, from: Term, to: Term) -> u32 {
+            self.added.push(Added::Entity(from, to));
+            self.store.add_entity(from, to).unwrap()
+        }
+
+        fn predicate(&mut self, lhs: TriplePattern, rhs: Vec<TriplePattern>) -> u32 {
+            let tmpl = RuleTemplate::from_triples(rhs.clone());
+            self.added.push(Added::Template(lhs, tmpl));
+            self.store.add_predicate(lhs, rhs).unwrap()
+        }
+
+        fn complex(&mut self, lhs: TriplePattern, tmpl: RuleTemplate) -> u32 {
+            self.added.push(Added::Template(lhs, tmpl.clone()));
+            self.store.add_complex_predicate(lhs, tmpl).unwrap()
+        }
+    }
+
+    /// What `template(id)` must read back, taken from the record.
+    fn template_added(added: &[Added], id: u32) -> (TriplePattern, RuleTemplate) {
+        match &added[id as usize] {
+            Added::Template(lhs, tmpl) => (*lhs, tmpl.clone()),
+            Added::Entity(..) => panic!("rule {id} is not a predicate rule"),
         }
     }
 
@@ -812,7 +821,7 @@ mod tests {
         let x = var(&mut it, "x");
         let y = var(&mut it, "y");
         let c = iri(&mut it, "http://c");
-        let mut store = AlignmentStore::new();
+        let mut rec = Recorded::default();
         // Interleave flat, complex, and entity rules so the CSR pools carry
         // non-trivial offsets.
         for i in 0..12 {
@@ -820,17 +829,16 @@ mod tests {
             let q = iri(&mut it, &format!("http://tgt/p{i}"));
             let lhs = TriplePattern::new(x, p, y);
             let id = match i % 3 {
-                0 => store.add_predicate(lhs, vec![TriplePattern::new(x, q, y)]),
-                1 => store.add_complex_predicate(lhs, guarded_chain(&mut it, lhs, q, c)),
-                _ => store.add_entity(p, q),
-            }
-            .unwrap();
+                0 => rec.predicate(lhs, vec![TriplePattern::new(x, q, y)]),
+                1 => rec.complex(lhs, guarded_chain(&mut it, lhs, q, c)),
+                _ => rec.entity(p, q),
+            };
             // Every template so far, not just the newest: appending a row
             // must not disturb the ones before it.
             for id in (0..=id).filter(|id| id % 3 != 2) {
                 assert_eq!(
-                    template_in_pools(&store, id),
-                    template_in_rules(&store, id),
+                    template_in_pools(&rec.store, id),
+                    template_added(&rec.added, id),
                     "rule {id}"
                 );
             }
@@ -841,30 +849,29 @@ mod tests {
     fn lookups_agree_with_a_linear_scan_after_every_add() {
         use crate::federate::mix64;
 
-        // The oracle: scans of `rules()`. First entity rule wins; predicate
-        // candidates are every predicate rule keyed on the term's *symbol*
-        // (whole-term matching is the rewriter's `lhs_matches`), in id order.
-        fn check(store: &AlignmentStore, probes: &[Term]) {
+        // The oracle: scans of the test's own record. First entity rule
+        // wins; predicate candidates are every predicate rule keyed on the
+        // term's *symbol* (whole-term matching is the rewriter's
+        // `lhs_matches`), in id order.
+        fn check(rec: &Recorded, probes: &[Term]) {
             for &t in probes {
-                let entity = store.rules().iter().find_map(|r| match r {
-                    Rule::Entity { from, to } if *from == t => Some(*to),
+                let entity = rec.added.iter().find_map(|r| match r {
+                    Added::Entity(from, to) if *from == t => Some(*to),
                     _ => None,
                 });
-                assert_eq!(store.entity_target(t), entity, "term {t:?}");
+                assert_eq!(rec.store.entity_target(t), entity, "term {t:?}");
                 let concrete = !t.is_var() && !t.is_fresh();
-                let candidates: Vec<u32> = (0..store.len() as u32)
-                    .filter(|&id| match &store.rules()[id as usize] {
-                        Rule::Predicate { lhs, .. } | Rule::Complex { lhs, .. } => {
-                            concrete && lhs.p.symbol() == t.symbol()
-                        }
-                        Rule::Entity { .. } => false,
+                let candidates: Vec<u32> = (0..rec.added.len() as u32)
+                    .filter(|&id| match &rec.added[id as usize] {
+                        Added::Template(lhs, _) => concrete && lhs.p.symbol() == t.symbol(),
+                        Added::Entity(..) => false,
                     })
                     .collect();
-                assert_eq!(store.predicate_candidates(t), candidates, "term {t:?}");
+                assert_eq!(rec.store.predicate_candidates(t), candidates, "term {t:?}");
                 for id in candidates {
                     assert_eq!(
-                        template_in_pools(store, id),
-                        template_in_rules(store, id),
+                        template_in_pools(&rec.store, id),
+                        template_added(&rec.added, id),
                         "rule {id}"
                     );
                 }
@@ -887,8 +894,8 @@ mod tests {
             probes.extend([Term::iri(sym), Term::literal(sym), Term::blank(sym)]);
         }
 
-        let mut store = AlignmentStore::new();
-        check(&store, &probes);
+        let mut rec = Recorded::default();
+        check(&rec, &probes);
         let hot = vocab[0];
         let mut hot_lens = Vec::new();
         for step in 0..160u64 {
@@ -902,11 +909,11 @@ mod tests {
             match (step % 4, r % 3) {
                 (0, _) | (_, 0) => {
                     let rhs = vec![TriplePattern::new(y, pick(2), x)];
-                    store.add_predicate(lhs, rhs).unwrap();
+                    rec.predicate(lhs, rhs);
                 }
                 (_, 1) => {
                     let tmpl = guarded_chain(&mut it, lhs, pick(2), pick(3));
-                    store.add_complex_predicate(lhs, tmpl).unwrap();
+                    rec.complex(lhs, tmpl);
                 }
                 _ => {
                     // Any concrete kind as the source; duplicates arise and
@@ -915,15 +922,15 @@ mod tests {
                         [TermKind::Iri, TermKind::Literal, TermKind::Blank][(r >> 8) as usize % 3],
                         p.symbol(),
                     );
-                    store.add_entity(from, pick(2)).unwrap();
+                    rec.entity(from, pick(2));
                 }
             }
-            check(&store, &probes);
+            check(&rec, &probes);
             // A rejected rule must leave every table as it was.
-            assert!(store.add_entity(x, hot).is_err());
-            assert!(store.add_predicate(lhs, vec![]).is_err());
-            check(&store, &probes);
-            hot_lens.push(store.predicate_candidates(hot).len());
+            assert!(rec.store.add_entity(x, hot).is_err());
+            assert!(rec.store.add_predicate(lhs, vec![]).is_err());
+            check(&rec, &probes);
+            hot_lens.push(rec.store.predicate_candidates(hot).len());
         }
         for len in [1, 2, 6] {
             assert!(
@@ -931,7 +938,7 @@ mod tests {
                 "hot predicate never had {len} templates"
             );
         }
-        assert_eq!(store.len(), 160);
+        assert_eq!(rec.store.len(), 160);
     }
 
     #[test]

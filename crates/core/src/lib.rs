@@ -25,15 +25,13 @@
 //!   `add_*` and sized by the symbols the rules mention: candidate lookup
 //!   per triple pattern is a bounds-checked array load, no hashing at all,
 //!   and there is no other lookup structure to fall back to.
-//!   [`rewriter::LinearRewriter`] is the O(rules) scan kept behind the
-//!   same [`rewriter::Rewriter`] trait as the test reference.
 //! * [`rewriter`] applies entity alignments (inside FILTER expressions
 //!   too) and expands a triple pattern matched by N predicate templates
 //!   into an N-branch UNION — the paper's union semantics — recursively
 //!   over the whole group tree. Complex correspondences
-//!   ([`align::Rule::Complex`]: guarded group-pattern templates with
-//!   chain bodies, emitted FILTER constraints, and value transforms) ride
-//!   the same engine — guards are statically decided per match where
+//!   ([`align::AlignmentStore::add_complex_predicate`]: guarded
+//!   group-pattern templates with chain bodies, emitted FILTER
+//!   constraints, and value transforms) ride the same engine — guards are statically decided per match where
 //!   possible and emitted as residual FILTERs where not.
 //! * [`cache`] exploits that rewriting is deterministic per (query text,
 //!   rule set): [`cache::fingerprint_query`] hashes the canonical spelling
@@ -91,7 +89,7 @@ mod smallvec;
 mod snapshot;
 pub mod term;
 
-pub use align::{AlignError, AlignmentStore, Rule, RuleTemplate, TemplateRef, NO_EXPR};
+pub use align::{AlignError, AlignmentStore, RuleTemplate, TemplateRef, NO_EXPR};
 pub use cache::{
     fingerprint_query, fingerprint_raw, CacheConfig, CacheStats, QueryFingerprint, RewriteCache,
     ShardCacheStats,
@@ -111,7 +109,5 @@ pub use pattern::{
     render_query_into, Bgp, ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query,
     QueryRef, SelectList, TriplePattern, NO_NODE,
 };
-pub use rewriter::{
-    IndexedRewriter, LinearRewriter, RewriteError, RewriteLimits, RewriteScratch, Rewriter,
-};
+pub use rewriter::{IndexedRewriter, RewriteError, RewriteLimits, RewriteScratch, Rewriter};
 pub use term::{Symbol, Term, TermKind};

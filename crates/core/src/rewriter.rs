@@ -1,13 +1,10 @@
 //! Group-graph-pattern rewriting: apply an [`AlignmentStore`] to a query.
 //!
-//! Both rewriters implement the same semantics; they differ only in how rule
-//! candidates are found per triple pattern:
-//!
-//! * [`IndexedRewriter`] — O(1) lookups against the store's dense
-//!   direct-indexed dispatch tables. This is the production path.
-//! * [`LinearRewriter`] — scans the full rule list per pattern, the way a
-//!   naive implementation would. Kept behind the same [`Rewriter`] trait as
-//!   the test reference.
+//! [`IndexedRewriter`] finds each triple pattern's rule candidates with O(1)
+//! lookups against the store's dense direct-indexed dispatch tables. Its
+//! reference is semantic, not a second rewriter: `tests/oracle.rs` evaluates
+//! each query over source data and its rewrite over the aligned data, and
+//! requires the same answers.
 //!
 //! # Semantics
 //!
@@ -29,16 +26,16 @@
 //!      the instantiated templates, **one branch per matching rule, in rule
 //!      id order**. Nothing is silently dropped.
 //!
-//!    Complex rules ([`Rule::Complex`]) take one extra step: each
-//!    candidate's guard is statically evaluated against the lhs bindings
-//!    **before** the arity above is decided (three-valued — a statically
-//!    false guard removes the rule from the candidate set, possibly
-//!    collapsing a would-be UNION to a single match or a pass-through; an
-//!    undecidable guard lets the rule fire and emits the instantiated
-//!    guard as a residual `FILTER` for the endpoint to decide). A firing
-//!    complex rule appends its body chain exactly like a flat rhs and
-//!    emits its template FILTER constraints — the value-transform carriers
-//!    — alongside the instantiated triples.
+//!    Complex rules ([`AlignmentStore::add_complex_predicate`]) take one
+//!    extra step: each candidate's guard is statically evaluated against
+//!    the lhs bindings **before** the arity above is decided (three-valued
+//!    — a statically false guard removes the rule from the candidate set,
+//!    possibly collapsing a would-be UNION to a single match or a
+//!    pass-through; an undecidable guard lets the rule fire and emits the
+//!    instantiated guard as a residual `FILTER` for the endpoint to
+//!    decide). A firing complex rule appends its body chain exactly like a
+//!    flat rhs and emits its template FILTER constraints — the
+//!    value-transform carriers — alongside the instantiated triples.
 //!
 //!    Variables introduced by a template (present in rhs, absent from lhs)
 //!    become [`TermKind::Fresh`] terms
@@ -55,7 +52,7 @@
 //!
 //! Steady-state rewriting needs only `&self` over shared immutable state:
 //! the [`Rewriter`] methods take no interner, [`AlignmentStore`] and the
-//! rewriters are `Send + Sync`, and the `*_into` entry points write into a
+//! rewriter are `Send + Sync`, and the `*_into` entry points write into a
 //! caller-owned [`RewriteScratch`] whose buffers are reused across calls.
 //! The rewritten group tree itself lives in the scratch as a flattened,
 //! index-linked buffer ([`GroupPattern`]'s four flat `Vec`s of `Copy`
@@ -108,7 +105,7 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::align::{AlignmentStore, Rule, TemplateRef, NO_EXPR};
+use crate::align::{AlignmentStore, TemplateRef, NO_EXPR};
 use crate::pattern::{
     Bgp, ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef, SelectList,
     TriplePattern,
@@ -298,9 +295,9 @@ impl RewriteScratch {
     }
 }
 
-/// A rewriting strategy. All methods take `&self` and no interner: fresh
-/// variables are structural ([`TermKind::Fresh`]), so the hot path never
-/// mints strings.
+/// The rewriting entry points. All methods take `&self` and no interner:
+/// fresh variables are structural ([`TermKind::Fresh`]), so the hot path
+/// never mints strings.
 pub trait Rewriter {
     /// Fallible core of [`Rewriter::rewrite_bgp_into`]: enforce `limits`,
     /// returning a [`RewriteError`] (scratch contents unspecified but safe)
@@ -380,7 +377,7 @@ pub trait Rewriter {
     }
 }
 
-/// Production rewriter: direct-indexed candidate lookup.
+/// The rewriter: direct-indexed candidate lookup.
 ///
 /// Generic over how it holds the store so both phases are cheap to express:
 /// borrow for single-threaded use (`IndexedRewriter::new(&store)`), or an
@@ -398,89 +395,6 @@ impl<S: Borrow<AlignmentStore>> IndexedRewriter<S> {
     #[inline]
     fn store(&self) -> &AlignmentStore {
         self.store.borrow()
-    }
-}
-
-/// Test-reference rewriter: full rule-list scan per lookup.
-pub struct LinearRewriter<S = Arc<AlignmentStore>> {
-    store: S,
-}
-
-impl<S: Borrow<AlignmentStore>> LinearRewriter<S> {
-    pub fn new(store: S) -> Self {
-        LinearRewriter { store }
-    }
-
-    #[inline]
-    fn store(&self) -> &AlignmentStore {
-        self.store.borrow()
-    }
-}
-
-/// How a strategy finds rule candidates. The surrounding engine
-/// ([`rewrite_pattern_with`]) is shared, which is what guarantees the two
-/// rewriters are semantically identical.
-trait RuleLookup {
-    fn entity_target(&self, t: Term) -> Option<Term>;
-
-    /// The rule set, for resolving matched rule ids to their templates.
-    fn rules(&self) -> &AlignmentStore;
-
-    /// Append the ids of **every** predicate rule whose lhs matches `tp`,
-    /// in rule-id order.
-    fn collect_matching_templates(&self, tp: TriplePattern, out: &mut Vec<u32>);
-}
-
-impl<S: Borrow<AlignmentStore>> RuleLookup for IndexedRewriter<S> {
-    #[inline]
-    fn entity_target(&self, t: Term) -> Option<Term> {
-        self.store().entity_target(t)
-    }
-
-    #[inline]
-    fn rules(&self) -> &AlignmentStore {
-        self.store()
-    }
-
-    #[inline]
-    fn collect_matching_templates(&self, tp: TriplePattern, out: &mut Vec<u32>) {
-        let store = self.store();
-        for &id in store.predicate_candidates(tp.p) {
-            // `template` reads the flat lhs pool — no `Vec<Rule>` enum
-            // chase per candidate.
-            if lhs_matches(store.template(id).lhs, tp) {
-                out.push(id);
-            }
-        }
-    }
-}
-
-impl<S: Borrow<AlignmentStore>> RuleLookup for LinearRewriter<S> {
-    fn entity_target(&self, t: Term) -> Option<Term> {
-        for rule in self.store().rules() {
-            if let Rule::Entity { from, to } = rule {
-                if *from == t {
-                    return Some(*to);
-                }
-            }
-        }
-        None
-    }
-
-    #[inline]
-    fn rules(&self) -> &AlignmentStore {
-        self.store()
-    }
-
-    fn collect_matching_templates(&self, tp: TriplePattern, out: &mut Vec<u32>) {
-        for (id, rule) in self.store().rules().iter().enumerate() {
-            let (Rule::Predicate { lhs, .. } | Rule::Complex { lhs, .. }) = rule else {
-                continue;
-            };
-            if lhs_matches(*lhs, tp) {
-                out.push(id as u32);
-            }
-        }
     }
 }
 
@@ -708,8 +622,8 @@ fn instantiate_residuals(
 /// Rewrite one run of triple patterns, emitting output nodes into `chain`:
 /// maximal triples runs, interrupted by a UNION node for every pattern that
 /// matched two or more templates (one branch per template, rule-id order).
-fn rewrite_run<L: RuleLookup>(
-    lookup: &L,
+fn rewrite_run(
+    store: &AlignmentStore,
     triples: &[TriplePattern],
     scratch: &mut RewriteScratch,
     chain: &mut ChainBuilder,
@@ -733,30 +647,33 @@ fn rewrite_run<L: RuleLookup>(
     let mut ids = std::mem::take(&mut scratch.match_ids);
     for &tp in triples {
         let substituted = TriplePattern::new(
-            lookup.entity_target(tp.s).unwrap_or(tp.s),
-            lookup.entity_target(tp.p).unwrap_or(tp.p),
-            lookup.entity_target(tp.o).unwrap_or(tp.o),
+            store.entity_target(tp.s).unwrap_or(tp.s),
+            store.entity_target(tp.p).unwrap_or(tp.p),
+            store.entity_target(tp.o).unwrap_or(tp.o),
         );
-        ids.clear();
-        lookup.collect_matching_templates(substituted, &mut ids);
-        // Guard pre-pass: drop candidates whose guard is statically false
+        // Collect the ids of every predicate rule whose lhs matches, in
+        // rule-id order, dropping those whose guard is statically false
         // *before* match arity is decided — a guard miss can collapse a
         // would-be UNION into a single inline expansion, or into a plain
         // pass-through. The same pass sums what the survivors will emit,
         // enforcing the per-pattern template-size cap.
+        ids.clear();
         let mut tmpl_size: u32 = 0;
-        ids.retain(|&id| {
-            let tmpl = lookup.rules().template(id);
+        for &id in store.predicate_candidates(substituted.p) {
+            let tmpl = store.template(id);
+            if !lhs_matches(tmpl.lhs, substituted) {
+                continue;
+            }
             let (bindings, nb) = bind_lhs(tmpl.lhs, substituted);
             let truth = template_truth(&tmpl, &bindings[..nb]);
             if truth == Truth::False {
-                return false;
+                continue;
             }
             tmpl_size = tmpl_size
                 .saturating_add(tmpl.triples.len() as u32)
                 .saturating_add(residual_count(&tmpl, truth));
-            true
-        });
+            ids.push(id);
+        }
         if tmpl_size > scratch.tmpl_size_limit {
             // Put the id buffer back before bailing so the scratch keeps
             // its capacity for the next (possibly uncapped) call.
@@ -769,7 +686,7 @@ fn rewrite_run<L: RuleLookup>(
         match ids.as_slice() {
             [] => scratch.pattern.triples.push(substituted),
             [id] => {
-                let tmpl = lookup.rules().template(*id);
+                let tmpl = store.template(*id);
                 let (bindings, nb) = bind_lhs(tmpl.lhs, substituted);
                 let truth = template_truth(&tmpl, &bindings[..nb]);
                 instantiate_triples(
@@ -820,7 +737,7 @@ fn rewrite_run<L: RuleLookup>(
                 flush(run_start, scratch, chain);
                 let mut branches = ChainBuilder::new();
                 for &id in many {
-                    let tmpl = lookup.rules().template(id);
+                    let tmpl = store.template(id);
                     let (bindings, nb) = bind_lhs(tmpl.lhs, substituted);
                     let truth = template_truth(&tmpl, &bindings[..nb]);
                     let branch_start = scratch.pattern.triples.len() as u32;
@@ -877,54 +794,54 @@ fn rewrite_run<L: RuleLookup>(
 /// substitution to IRI/literal operands (Ondo et al.: complex alignments
 /// need FILTER-level substitution). Variables pass through: BGP rewriting
 /// preserves query-variable identity, so filter references stay valid.
-fn rewrite_expr<L: RuleLookup>(
-    lookup: &L,
+fn rewrite_expr(
+    store: &AlignmentStore,
     src: &GroupPattern,
     e: u32,
     scratch: &mut RewriteScratch,
 ) -> u32 {
     let node = match src.exprs[e as usize] {
-        ExprNode::Term(t) => ExprNode::Term(lookup.entity_target(t).unwrap_or(t)),
+        ExprNode::Term(t) => ExprNode::Term(store.entity_target(t).unwrap_or(t)),
         ExprNode::Cmp(op, l, r) => {
-            let l = rewrite_expr(lookup, src, l, scratch);
-            let r = rewrite_expr(lookup, src, r, scratch);
+            let l = rewrite_expr(store, src, l, scratch);
+            let r = rewrite_expr(store, src, r, scratch);
             ExprNode::Cmp(op, l, r)
         }
         ExprNode::And(l, r) => {
-            let l = rewrite_expr(lookup, src, l, scratch);
-            let r = rewrite_expr(lookup, src, r, scratch);
+            let l = rewrite_expr(store, src, l, scratch);
+            let r = rewrite_expr(store, src, r, scratch);
             ExprNode::And(l, r)
         }
         ExprNode::Or(l, r) => {
-            let l = rewrite_expr(lookup, src, l, scratch);
-            let r = rewrite_expr(lookup, src, r, scratch);
+            let l = rewrite_expr(store, src, l, scratch);
+            let r = rewrite_expr(store, src, r, scratch);
             ExprNode::Or(l, r)
         }
-        ExprNode::Not(c) => ExprNode::Not(rewrite_expr(lookup, src, c, scratch)),
+        ExprNode::Not(c) => ExprNode::Not(rewrite_expr(store, src, c, scratch)),
     };
     scratch.pattern.push_expr(node)
 }
 
 /// Rewrite one non-triples node, returning the output node index.
-fn rewrite_node<L: RuleLookup>(
-    lookup: &L,
+fn rewrite_node(
+    store: &AlignmentStore,
     src: &GroupPattern,
     idx: u32,
     scratch: &mut RewriteScratch,
 ) -> Result<u32, RewriteError> {
     Ok(match src.nodes[idx as usize] {
         PatternNode::Group { first } => {
-            let first = rewrite_children(lookup, src, first, scratch)?;
+            let first = rewrite_children(store, src, first, scratch)?;
             scratch.pattern.push_node(PatternNode::Group { first })
         }
         PatternNode::Optional { first } => {
-            let first = rewrite_children(lookup, src, first, scratch)?;
+            let first = rewrite_children(store, src, first, scratch)?;
             scratch.pattern.push_node(PatternNode::Optional { first })
         }
         PatternNode::Union { first } => {
             let mut branches = ChainBuilder::new();
             for b in src.children_from(first) {
-                let out = rewrite_node(lookup, src, b, scratch)?;
+                let out = rewrite_node(store, src, b, scratch)?;
                 branches.push(&mut scratch.pattern, out);
             }
             scratch.pattern.push_node(PatternNode::Union {
@@ -932,7 +849,7 @@ fn rewrite_node<L: RuleLookup>(
             })
         }
         PatternNode::Filter { expr } => {
-            let expr = rewrite_expr(lookup, src, expr, scratch);
+            let expr = rewrite_expr(store, src, expr, scratch);
             scratch.pattern.push_node(PatternNode::Filter { expr })
         }
         // A SERVICE body is rewritten with the *same* rule set (the
@@ -941,8 +858,8 @@ fn rewrite_node<L: RuleLookup>(
         // itself gets entity substitution so an alignment can redirect a
         // federation member.
         PatternNode::Service { endpoint, first } => {
-            let first = rewrite_children(lookup, src, first, scratch)?;
-            let endpoint = lookup.entity_target(endpoint).unwrap_or(endpoint);
+            let first = rewrite_children(store, src, first, scratch)?;
+            let endpoint = store.entity_target(endpoint).unwrap_or(endpoint);
             scratch
                 .pattern
                 .push_node(PatternNode::Service { endpoint, first })
@@ -952,7 +869,7 @@ fn rewrite_node<L: RuleLookup>(
         // rewrite — which can fan out into run/UNION siblings — in a group.
         PatternNode::Triples { .. } => {
             let mut chain = ChainBuilder::new();
-            rewrite_run(lookup, src.run(idx), scratch, &mut chain)?;
+            rewrite_run(store, src.run(idx), scratch, &mut chain)?;
             scratch.pattern.push_node(PatternNode::Group {
                 first: chain.first(),
             })
@@ -961,8 +878,8 @@ fn rewrite_node<L: RuleLookup>(
 }
 
 /// Rewrite a sibling chain, returning the head of the output chain.
-fn rewrite_children<L: RuleLookup>(
-    lookup: &L,
+fn rewrite_children(
+    store: &AlignmentStore,
     src: &GroupPattern,
     first: u32,
     scratch: &mut RewriteScratch,
@@ -970,9 +887,9 @@ fn rewrite_children<L: RuleLookup>(
     let mut chain = ChainBuilder::new();
     for ci in src.children_from(first) {
         if matches!(src.nodes[ci as usize], PatternNode::Triples { .. }) {
-            rewrite_run(lookup, src.run(ci), scratch, &mut chain)?;
+            rewrite_run(store, src.run(ci), scratch, &mut chain)?;
         } else {
-            let out = rewrite_node(lookup, src, ci, scratch)?;
+            let out = rewrite_node(store, src, ci, scratch)?;
             chain.push(&mut scratch.pattern, out);
         }
     }
@@ -1001,8 +918,8 @@ fn begin_rewrite(
 }
 
 /// The shared recursive rewrite engine over a full group pattern.
-fn rewrite_pattern_with<L: RuleLookup>(
-    lookup: &L,
+fn rewrite_pattern_with(
+    store: &AlignmentStore,
     pattern: &GroupPattern,
     scratch: &mut RewriteScratch,
     limits: RewriteLimits,
@@ -1015,9 +932,9 @@ fn rewrite_pattern_with<L: RuleLookup>(
     let mut chain = ChainBuilder::new();
     for ci in pattern.root_children() {
         if matches!(pattern.nodes[ci as usize], PatternNode::Triples { .. }) {
-            rewrite_run(lookup, pattern.run(ci), scratch, &mut chain)?;
+            rewrite_run(store, pattern.run(ci), scratch, &mut chain)?;
         } else {
-            let out = rewrite_node(lookup, pattern, ci, scratch)?;
+            let out = rewrite_node(store, pattern, ci, scratch)?;
             chain.push(&mut scratch.pattern, out);
         }
     }
@@ -1028,8 +945,8 @@ fn rewrite_pattern_with<L: RuleLookup>(
 }
 
 /// Flat-BGP entry point: the input is a single triples run under the root.
-fn rewrite_bgp_with<L: RuleLookup>(
-    lookup: &L,
+fn rewrite_bgp_with(
+    store: &AlignmentStore,
     bgp: &Bgp,
     scratch: &mut RewriteScratch,
     limits: RewriteLimits,
@@ -1041,15 +958,15 @@ fn rewrite_bgp_with<L: RuleLookup>(
     );
     scratch.pattern.triples.reserve(bgp.patterns.len());
     let mut chain = ChainBuilder::new();
-    rewrite_run(lookup, &bgp.patterns, scratch, &mut chain)?;
+    rewrite_run(store, &bgp.patterns, scratch, &mut chain)?;
     scratch.pattern.root = scratch.pattern.push_node(PatternNode::Group {
         first: chain.first(),
     });
     Ok(())
 }
 
-fn rewrite_query_with<L: RuleLookup>(
-    lookup: &L,
+fn rewrite_query_with(
+    store: &AlignmentStore,
     query: QueryRef<'_>,
     scratch: &mut RewriteScratch,
     limits: RewriteLimits,
@@ -1062,7 +979,7 @@ fn rewrite_query_with<L: RuleLookup>(
             scratch.select.extend_from_slice(vars);
         }
     }
-    rewrite_pattern_with(lookup, query.pattern, scratch, limits)
+    rewrite_pattern_with(store, query.pattern, scratch, limits)
 }
 
 impl<S: Borrow<AlignmentStore>> Rewriter for IndexedRewriter<S> {
@@ -1072,7 +989,7 @@ impl<S: Borrow<AlignmentStore>> Rewriter for IndexedRewriter<S> {
         scratch: &mut RewriteScratch,
         limits: RewriteLimits,
     ) -> Result<(), RewriteError> {
-        rewrite_bgp_with(self, bgp, scratch, limits)
+        rewrite_bgp_with(self.store(), bgp, scratch, limits)
     }
 
     fn try_rewrite_pattern_into(
@@ -1081,7 +998,7 @@ impl<S: Borrow<AlignmentStore>> Rewriter for IndexedRewriter<S> {
         scratch: &mut RewriteScratch,
         limits: RewriteLimits,
     ) -> Result<(), RewriteError> {
-        rewrite_pattern_with(self, pattern, scratch, limits)
+        rewrite_pattern_with(self.store(), pattern, scratch, limits)
     }
 
     fn try_rewrite_ref_into(
@@ -1090,36 +1007,7 @@ impl<S: Borrow<AlignmentStore>> Rewriter for IndexedRewriter<S> {
         scratch: &mut RewriteScratch,
         limits: RewriteLimits,
     ) -> Result<(), RewriteError> {
-        rewrite_query_with(self, query, scratch, limits)
-    }
-}
-
-impl<S: Borrow<AlignmentStore>> Rewriter for LinearRewriter<S> {
-    fn try_rewrite_bgp_into(
-        &self,
-        bgp: &Bgp,
-        scratch: &mut RewriteScratch,
-        limits: RewriteLimits,
-    ) -> Result<(), RewriteError> {
-        rewrite_bgp_with(self, bgp, scratch, limits)
-    }
-
-    fn try_rewrite_pattern_into(
-        &self,
-        pattern: &GroupPattern,
-        scratch: &mut RewriteScratch,
-        limits: RewriteLimits,
-    ) -> Result<(), RewriteError> {
-        rewrite_pattern_with(self, pattern, scratch, limits)
-    }
-
-    fn try_rewrite_ref_into(
-        &self,
-        query: QueryRef<'_>,
-        scratch: &mut RewriteScratch,
-        limits: RewriteLimits,
-    ) -> Result<(), RewriteError> {
-        rewrite_query_with(self, query, scratch, limits)
+        rewrite_query_with(self.store(), query, scratch, limits)
     }
 }
 
@@ -1295,13 +1183,6 @@ mod tests {
         assert!(out.contains("<http://tgt/unit> <http://u/m>"), "{out}");
         assert!(out.contains("FILTER(?g0 != <http://u/cm>)"), "{out}");
         assert!(!out.contains("http://u/cm> = "), "no residual guard: {out}");
-
-        // Indexed and linear agree on all of it.
-        let linear_out = LinearRewriter::new(&store)
-            .rewrite_query(&query)
-            .display(&it)
-            .to_string();
-        assert_eq!(out, linear_out);
     }
 
     #[test]
@@ -1363,7 +1244,6 @@ mod tests {
     fn rewriters_over_arc_are_send_sync_static() {
         fn assert_send_sync<T: Send + Sync + 'static>() {}
         assert_send_sync::<IndexedRewriter<Arc<AlignmentStore>>>();
-        assert_send_sync::<LinearRewriter<Arc<AlignmentStore>>>();
         assert_send_sync::<AlignmentStore>();
         // The default type parameter is the Arc form.
         assert_send_sync::<IndexedRewriter>();

@@ -11,8 +11,8 @@
 use sparql_rewrite_core::counting_alloc::{thread_allocation_count, CountingAllocator};
 use sparql_rewrite_core::{
     fingerprint_query, parse_bgp, parse_query, parse_query_into, render_query_into, AlignmentStore,
-    CacheConfig, CmpOp, ExprNode, IndexedRewriter, Interner, LinearRewriter, ParseScratch, Query,
-    QueryRef, RewriteCache, RewriteScratch, Rewriter, RuleTemplate, Term,
+    CacheConfig, CmpOp, ExprNode, IndexedRewriter, Interner, ParseScratch, Query, QueryRef,
+    RewriteCache, RewriteScratch, Rewriter, RuleTemplate, Term,
 };
 
 #[global_allocator]
@@ -122,23 +122,6 @@ fn steady_state_rewrite_query_into_is_allocation_free() {
         0,
         "steady-state rewrite_query_into must not allocate"
     );
-}
-
-#[test]
-fn linear_strategy_is_also_allocation_free() {
-    let (store, queries) = build_fixture();
-    let rewriter = LinearRewriter::new(&store);
-    let mut scratch = RewriteScratch::new();
-    for q in &queries {
-        rewriter.rewrite_query_into(q, &mut scratch);
-    }
-    let before = thread_allocation_count();
-    for _ in 0..100 {
-        for q in &queries {
-            rewriter.rewrite_query_into(q, &mut scratch);
-        }
-    }
-    assert_eq!(thread_allocation_count() - before, 0);
 }
 
 /// Query texts covering the allocation-prone parse paths: PREFIX + QName
@@ -444,25 +427,6 @@ fn complex_rule_rewriting_is_allocation_free() {
         thread_allocation_count() - before,
         0,
         "steady-state complex-rule rewriting must not allocate"
-    );
-
-    // Same fixture through the linear strategy: guard pruning and residual
-    // emission share the engine, so it must be just as clean.
-    let linear = LinearRewriter::new(&store);
-    for q in &queries {
-        linear.rewrite_query_into(q, &mut scratch);
-    }
-    let before = thread_allocation_count();
-    for _ in 0..100 {
-        for (q, exp) in queries.iter().zip(&expected) {
-            linear.rewrite_query_into(q, &mut scratch);
-            assert_eq!((scratch.patterns().len(), scratch.fresh_count()), *exp);
-        }
-    }
-    assert_eq!(
-        thread_allocation_count() - before,
-        0,
-        "steady-state complex-rule rewriting (linear) must not allocate"
     );
 }
 

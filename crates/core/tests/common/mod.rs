@@ -3,6 +3,10 @@
 //! extension (a new literal form, a new pattern shape) changes the
 //! round-trip and rewriter property coverage together.
 
+/// The answer oracle; only `tests/oracle.rs` evaluates queries.
+#[allow(dead_code)]
+pub mod eval;
+
 /// xorshift64* — deterministic, dependency-free.
 pub struct Rng(pub u64);
 

@@ -1,12 +1,13 @@
 //! Rewriter semantics: entity substitution, predicate-template expansion,
 //! multi-template UNION expansion, recursive group rewriting, FILTER
-//! substitution, variable-capture avoidance, and indexed ≡ linear
-//! equivalence on random rule sets and random group-shaped queries.
+//! substitution, variable-capture avoidance, and `RewriteLimits` boundaries
+//! on random rule sets and random group-shaped queries. Whether rewrites
+//! return the right answers is checked in `tests/oracle.rs`.
 
 use sparql_rewrite_core::{
     parse_bgp, parse_query, AlignmentStore, Bgp, CmpOp, ExprNode, GroupPattern, IndexedRewriter,
-    Interner, LinearRewriter, PatternNode, Query, Rewriter, RuleTemplate, SelectList, Term,
-    TriplePattern,
+    Interner, PatternNode, Query, RewriteError, RewriteLimits, RewriteScratch, Rewriter,
+    RuleTemplate, SelectList, Term, TriplePattern,
 };
 
 mod common;
@@ -274,29 +275,25 @@ fn two_matching_templates_expand_to_a_union_of_both() {
     store.add_predicate(lhs, rhs1).unwrap();
     store.add_predicate(lhs, rhs2).unwrap();
     let query = parse_bgp("?x <http://src/p> ?y", &mut it).unwrap();
-    for out in [
-        IndexedRewriter::new(&store).rewrite_bgp(&query),
-        LinearRewriter::new(&store).rewrite_bgp(&query),
-    ] {
-        // Shape: root group holds exactly one UNION with two group branches.
-        let nodes = root_nodes(&out);
-        assert_eq!(nodes.len(), 1, "{nodes:?}");
-        let PatternNode::Union { first } = nodes[0] else {
-            panic!("expected a UNION node, got {nodes:?} — alternatives were dropped");
+    let out = IndexedRewriter::new(&store).rewrite_bgp(&query);
+    // Shape: root group holds exactly one UNION with two group branches.
+    let nodes = root_nodes(&out);
+    assert_eq!(nodes.len(), 1, "{nodes:?}");
+    let PatternNode::Union { first } = nodes[0] else {
+        panic!("expected a UNION node, got {nodes:?} — alternatives were dropped");
+    };
+    let branches: Vec<u32> = out.children_from(first).collect();
+    assert_eq!(branches.len(), 2, "one branch per matching template");
+    // Branch order follows rule-id order: first, then second.
+    let branch_pred = |b: u32| -> Term {
+        let PatternNode::Group { first } = out.nodes[b as usize] else {
+            panic!("union branch must be a group");
         };
-        let branches: Vec<u32> = out.children_from(first).collect();
-        assert_eq!(branches.len(), 2, "one branch per matching template");
-        // Branch order follows rule-id order: first, then second.
-        let branch_pred = |b: u32| -> Term {
-            let PatternNode::Group { first } = out.nodes[b as usize] else {
-                panic!("union branch must be a group");
-            };
-            let run = out.children_from(first).next().unwrap();
-            out.run(run)[0].p
-        };
-        assert_eq!(branch_pred(branches[0]), iri(&mut it, "http://tgt/first"));
-        assert_eq!(branch_pred(branches[1]), iri(&mut it, "http://tgt/second"));
-    }
+        let run = out.children_from(first).next().unwrap();
+        out.run(run)[0].p
+    };
+    assert_eq!(branch_pred(branches[0]), iri(&mut it, "http://tgt/first"));
+    assert_eq!(branch_pred(branches[1]), iri(&mut it, "http://tgt/second"));
 }
 
 #[test]
@@ -350,17 +347,10 @@ fn union_branch_order_is_deterministic_in_rule_id_order() {
         first.find("mid").unwrap(),
     );
     assert!(za < aa && aa < ma, "{first}");
-    // Deterministic across repeated rewrites and across strategies.
+    // Deterministic across repeated rewrites.
     for _ in 0..5 {
         assert_eq!(rw.rewrite_query(&query).display(&it).to_string(), first);
     }
-    assert_eq!(
-        LinearRewriter::new(&store)
-            .rewrite_query(&query)
-            .display(&it)
-            .to_string(),
-        first
-    );
 }
 
 #[test]
@@ -485,14 +475,10 @@ fn filter_expressions_get_entity_substitution() {
     assert!(rendered.contains("\"x\"@en"), "{rendered}");
     assert!(rendered.contains("||"), "{rendered}");
     assert!(rendered.contains("!("), "{rendered}");
-    // Both rewriters agree.
-    let lin = LinearRewriter::new(&store).rewrite_query(&query);
-    assert_eq!(out, lin);
 }
 
 // ---------------------------------------------------------------------------
-// Property-style equivalence: indexed and linear rewriters must agree on
-// random rule sets and random queries.
+// Seeded `RewriteLimits` boundaries on random rule sets and random queries.
 // ---------------------------------------------------------------------------
 
 fn random_term(rng: &mut Rng, it: &mut Interner, vocab: usize) -> Term {
@@ -563,7 +549,7 @@ fn random_complex_template(rng: &mut Rng, it: &mut Interner, lhs: TriplePattern)
 /// are entity alignments, predicate templates deliberately collide on the
 /// same predicate so multi-template UNION expansion is exercised, and about
 /// a third of the templates are complex (guarded / chain / transform) so
-/// guard pruning and residual-FILTER emission run under both strategies.
+/// guard pruning and residual-FILTER emission count toward the caps.
 fn random_store(rng: &mut Rng, it: &mut Interner) -> AlignmentStore {
     let preds: Vec<Term> = (0..12)
         .map(|i| Term::iri(it.intern(&format!("http://ex/p{i}"))))
@@ -617,8 +603,76 @@ fn random_store(rng: &mut Rng, it: &mut Interner) -> AlignmentStore {
     store
 }
 
+/// How often each outcome of a capped rewrite occurred over a property run.
+#[derive(Default, Debug)]
+struct CapOutcomes {
+    ok: usize,
+    union_exceeded: usize,
+    size_exceeded: usize,
+}
+
+impl CapOutcomes {
+    fn assert_each_occurred(&self) {
+        assert!(
+            self.ok > 0 && self.union_exceeded > 0 && self.size_exceeded > 0,
+            "an outcome never occurred: {self:?}"
+        );
+    }
+}
+
+/// Rewrite `query` under caps drawn from `0..=8` for both limits, a few
+/// draws on one scratch. A capped rewrite returns `Ok` or a typed
+/// [`RewriteError`] and never panics; an error names its own cap and a
+/// requirement above it; an `Ok` equals the unbounded rewrite; and after an
+/// error, an unbounded rewrite on the same scratch equals one on a fresh
+/// scratch.
+fn check_random_caps(
+    rng: &mut Rng,
+    store: &AlignmentStore,
+    query: &Query,
+    seen: &mut CapOutcomes,
+    context: &str,
+) {
+    let rw = IndexedRewriter::new(store);
+    let unbounded = rw.rewrite_query(query);
+    let mut scratch = RewriteScratch::new();
+    for _ in 0..4 {
+        let limits = RewriteLimits {
+            max_union_branches: rng.below(9) as u32,
+            max_template_size: rng.below(9) as u32,
+        };
+        let err = match rw.try_rewrite_ref_into(query.as_ref(), &mut scratch, limits) {
+            Ok(()) => {
+                assert_eq!(scratch.to_query(), unbounded, "{context}, {limits:?}");
+                seen.ok += 1;
+                continue;
+            }
+            Err(err) => err,
+        };
+        let (cap, required, limit) = match err {
+            RewriteError::UnionBranchesExceeded { cap, required } => {
+                seen.union_exceeded += 1;
+                (cap, required, limits.max_union_branches)
+            }
+            RewriteError::TemplateSizeExceeded { cap, required } => {
+                seen.size_exceeded += 1;
+                (cap, required, limits.max_template_size)
+            }
+        };
+        assert_eq!(cap, limit, "{context}, {limits:?}: {err}");
+        assert!(required > cap, "{context}, {limits:?}: {err}");
+        rw.rewrite_query_into(query, &mut scratch);
+        assert_eq!(
+            scratch.to_query(),
+            unbounded,
+            "{context}, {limits:?}: the failed call left the scratch dirty"
+        );
+    }
+}
+
 #[test]
-fn property_indexed_equals_linear_on_random_rule_sets() {
+fn property_capped_rewrite_on_random_rule_sets() {
+    let mut seen = CapOutcomes::default();
     for seed in 1..=20u64 {
         let mut rng = Rng(seed * 0x9e37_79b9);
         let mut it = Interner::new();
@@ -644,20 +698,15 @@ fn property_indexed_equals_linear_on_random_rule_sets() {
             select: SelectList::Star,
             pattern: GroupPattern::from_bgp(&Bgp::new(patterns)),
         };
-        let indexed = IndexedRewriter::new(&store).rewrite_query(&query);
-        let linear = LinearRewriter::new(&store).rewrite_query(&query);
-        assert_eq!(
-            indexed,
-            linear,
-            "seed {seed}: indexed and linear rewriters disagree\nindexed: {}\nlinear: {}",
-            indexed.display(&it),
-            linear.display(&it)
-        );
+        let context = format!("seed {seed}: {}", query.display(&it));
+        check_random_caps(&mut rng, &store, &query, &mut seen, &context);
     }
+    seen.assert_each_occurred();
 }
 
 #[test]
-fn property_indexed_equals_linear_on_random_group_queries() {
+fn property_capped_rewrite_on_random_group_queries() {
+    let mut seen = CapOutcomes::default();
     for seed in 1..=25u64 {
         let mut rng = Rng(seed * 0x51ed_2701);
         let mut it = Interner::new();
@@ -666,18 +715,10 @@ fn property_indexed_equals_linear_on_random_group_queries() {
         let query = parse_query(&text, &mut it).unwrap_or_else(|e| {
             panic!("seed {seed}: generated query failed to parse: {e}\n{text}")
         });
-        let indexed = IndexedRewriter::new(&store).rewrite_query(&query);
-        let linear = LinearRewriter::new(&store).rewrite_query(&query);
-        assert_eq!(
-            indexed,
-            linear,
-            "seed {seed}: rewriters disagree on group query\n{text}\nindexed: {}\nlinear: {}",
-            indexed.display(&it),
-            linear.display(&it)
-        );
-        // Rewriting is deterministic per query.
-        assert_eq!(indexed, IndexedRewriter::new(&store).rewrite_query(&query));
+        let context = format!("seed {seed}: {text}");
+        check_random_caps(&mut rng, &store, &query, &mut seen, &context);
     }
+    seen.assert_each_occurred();
 }
 
 #[test]
@@ -707,9 +748,6 @@ fn template_blank_nodes_freshened_per_expansion() {
     assert_ne!(o2, query_blank, "captured the query's _:b");
     // The query's own blank node passes through untouched.
     assert_eq!(out.pattern.triples[2].s, query_blank);
-    // Indexed and linear still agree.
-    let lin = LinearRewriter::new(&store).rewrite_query(&query);
-    assert_eq!(out, lin);
 }
 
 // ---------------------------------------------------------------------------
@@ -718,7 +756,6 @@ fn template_blank_nodes_freshened_per_expansion() {
 
 #[test]
 fn scratch_reuse_matches_fresh_scratch() {
-    use sparql_rewrite_core::RewriteScratch;
     let mut it = Interner::new();
     let lhs = parse_bgp("?s <http://src/p> ?o", &mut it).unwrap().patterns[0];
     let rhs = parse_bgp("?s <http://tgt/p> ?m . ?m <http://tgt/q> ?o", &mut it)
@@ -848,7 +885,6 @@ fn fresh_vars_never_collide_with_g_named_query_vars_when_rendered() {
 
 #[test]
 fn fresh_count_excludes_preexisting_fresh_terms() {
-    use sparql_rewrite_core::RewriteScratch;
     let mut it = Interner::new();
     // Input already carries Fresh(0)/Fresh(1) (as if from a prior rewrite);
     // an empty rule set mints nothing, so fresh_count must be 0.

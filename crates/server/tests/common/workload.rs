@@ -5,9 +5,8 @@
 //! ([`ZipfSpec`]) and textual perturbation helpers modeling how real
 //! clients re-send the same logical query with different formatting.
 //!
-//! All randomness comes from a seeded xorshift64* generator so every run —
-//! and both rewriting strategies within a run — see byte-identical
-//! workloads.
+//! All randomness comes from a seeded xorshift64* generator so every run
+//! sees byte-identical workloads.
 
 use std::fmt::Write as _;
 use std::sync::Arc;

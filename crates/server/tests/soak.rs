@@ -682,8 +682,7 @@ fn federated_chaos_run(spec: &FederationSpec, n_connections: usize, client_seed:
 mod workload {
     use super::common::workload::*;
     use sparql_rewrite_core::{
-        parse_query, EndpointId, IndexedRewriter, LinearRewriter, PatternNode, Query,
-        RewriteLimits, Rewriter,
+        parse_query, EndpointId, IndexedRewriter, PatternNode, Query, RewriteLimits, Rewriter,
     };
 
     fn total_patterns(w: &Workload) -> usize {
@@ -818,27 +817,6 @@ mod workload {
         assert!(multi_endpoint, "no query spanned two endpoints");
         assert!(any_residual, "no query kept a residual pattern");
         assert!(ep0_complex, "no complex rule fired on endpoint 0");
-    }
-
-    #[test]
-    fn indexed_and_linear_agree_on_generated_workload() {
-        for group_shapes in [false, true] {
-            let spec = WorkloadSpec {
-                n_rules: 500,
-                patterns_per_query: 16,
-                n_queries: 20,
-                seed: 7,
-                group_shapes,
-            };
-            let w = generate(&spec);
-            let indexed = IndexedRewriter::new(&w.store);
-            let linear = LinearRewriter::new(&w.store);
-            for q in &w.queries {
-                let a = indexed.rewrite_query(q);
-                let b = linear.rewrite_query(q);
-                assert_eq!(a, b, "group_shapes={group_shapes}");
-            }
-        }
     }
 
     #[test]
