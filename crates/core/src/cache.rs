@@ -89,8 +89,9 @@ impl QueryFingerprint {
 /// local) hashes identically to the same IRI fed as one slice. Buffering
 /// instead of packing a word incrementally keeps the per-byte hot path at
 /// one store + one increment; the mix loop runs on whole cache-resident
-/// words when the buffer drains.
-struct Fingerprinter {
+/// words when the buffer drains. The federation planner keys its partition
+/// cache with one too, so every text-keyed cache key in the crate is seeded.
+pub(crate) struct Fingerprinter {
     hash: u64,
     buf: [u8; Self::BUF],
     buf_len: usize,
@@ -123,7 +124,7 @@ impl Fingerprinter {
     /// Multiple of 8 so a full drain leaves no remainder.
     const BUF: usize = 256;
 
-    fn new() -> Fingerprinter {
+    pub(crate) fn new() -> Fingerprinter {
         Fingerprinter {
             hash: Self::SEED ^ process_seed(),
             buf: [0; Self::BUF],
@@ -152,7 +153,7 @@ impl Fingerprinter {
     }
 
     #[inline]
-    fn push_bytes(&mut self, s: &[u8]) {
+    pub(crate) fn push_bytes(&mut self, s: &[u8]) {
         let mut s = s;
         while !s.is_empty() {
             let room = Self::BUF - self.buf_len;
@@ -168,7 +169,7 @@ impl Fingerprinter {
         }
     }
 
-    fn finish(mut self) -> QueryFingerprint {
+    pub(crate) fn finish(mut self) -> QueryFingerprint {
         self.drain();
         if self.buf_len > 0 {
             // Pack the 1–7 byte tail, tagged with its length so trailing

@@ -53,9 +53,10 @@ use crate::{
 /// shared rewrite-result cache.
 pub struct ServeEngine {
     rewriter: IndexedRewriter<Arc<AlignmentStore>>,
-    /// Build-phase interner snapshot. Workers clone it so parsing can
-    /// intern novel strings without locks while every pre-existing symbol
-    /// stays identical to the rule set's.
+    /// Build-phase interner. Each worker clones it, sharing its strings,
+    /// so parsing can intern novel strings into the clone's private overlay
+    /// without locks while every pre-existing symbol stays identical to
+    /// the rule set's.
     base_interner: Interner,
     /// Rewrite-result cache behind its adaptive-cap controller; `None`
     /// when constructed cache-less (the cold-path reference in tests).
@@ -293,8 +294,8 @@ impl AdaptiveCache {
 }
 
 impl ServeEngine {
-    /// Share `store` read-only and take a snapshot of the interner for
-    /// worker clones. `cache` sizes the rewrite-result cache
+    /// Share `store` read-only and keep the interner for worker clones.
+    /// `cache` sizes the rewrite-result cache
     /// (`Some(CacheConfig::default())` for the production shape), or
     /// `None` serves every request through the cold pipeline — the
     /// reference the cached path is compared against in tests.
@@ -384,13 +385,14 @@ impl ServeEngine {
         &self.rewriter
     }
 
-    /// The build-phase interner snapshot workers clone from.
+    /// The build-phase interner workers clone from.
     pub fn base_interner(&self) -> &Interner {
         &self.base_interner
     }
 
-    /// A fresh worker scratch. Cloning the interner is the one deliberate
-    /// startup cost; after it, the worker shares nothing mutable.
+    /// A fresh worker scratch. Its interner clone shares the engine's
+    /// strings (an `Arc` bump, no copy of the vocabulary); after it, the
+    /// worker shares nothing mutable.
     pub fn scratch(&self) -> ServeScratch {
         let cache = self.cache.as_ref().map(|ac| ac.cell.load());
         ServeScratch {

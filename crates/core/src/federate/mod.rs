@@ -65,8 +65,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::align::AlignmentStore;
-use crate::cache::{CacheConfig, QueryFingerprint, RewriteCache};
-use crate::interner::Resolve;
+use crate::cache::{CacheConfig, Fingerprinter, QueryFingerprint, RewriteCache};
+use crate::interner::Interner;
 use crate::pattern::{
     render_query_into, Bgp, ChainBuilder, ExprNode, GroupPattern, PatternNode, Query, QueryRef,
     SelectList, TriplePattern,
@@ -354,17 +354,34 @@ impl FederationPlanner {
         self.endpoints[id.0 as usize].term
     }
 
-    /// Cache key of endpoint `e`'s partition: the endpoint id and every
-    /// triple's interned term bits, chain-mixed. Interner symbols are
-    /// process-stable, which is exactly the lifetime of the cache.
-    fn partition_fingerprint(&self, e: usize, part: &[TriplePattern]) -> QueryFingerprint {
-        let mut h = mix_chain(0x7a57_11f0_5eed_cafe, &[e as u64, part.len() as u64]);
+    /// Cache key of endpoint `e`'s partition: the endpoint id, then every
+    /// term's kind, length and text (a fresh term's counter instead), fed
+    /// through the query cache's seeded `Fingerprinter`. Terms are keyed
+    /// by text, not by symbol id: every worker shares this cache, and a
+    /// symbol minted into one worker's interner overlay names a different
+    /// string in the next worker's. The seed keeps a caller from working
+    /// out two colliding partitions offline.
+    fn partition_fingerprint(
+        &self,
+        e: usize,
+        part: &[TriplePattern],
+        interner: &Interner,
+    ) -> QueryFingerprint {
+        let mut fp = Fingerprinter::new();
+        fp.push_bytes(&(e as u64).to_le_bytes());
         for tp in part {
             for t in tp.terms() {
-                h = mix64(h ^ t.raw() as u64);
+                fp.push_bytes(&[t.kind() as u8]);
+                if t.is_fresh() {
+                    fp.push_bytes(&t.fresh_index().to_le_bytes());
+                } else {
+                    let text = interner.resolve(t.symbol());
+                    fp.push_bytes(&(text.len() as u64).to_le_bytes());
+                    fp.push_bytes(text.as_bytes());
+                }
             }
         }
-        QueryFingerprint::from_parts(h, part.len() as u32)
+        fp.finish()
     }
 
     /// Cache generation of endpoint `e`: store revision in the low bits,
@@ -438,11 +455,11 @@ impl FederationPlanner {
 
     /// Rewrite endpoint `e`'s partition into `scratch` and render it into
     /// `subquery`.
-    fn rewrite_partition<R: Resolve>(
+    fn rewrite_partition(
         &self,
         e: usize,
         part: &[TriplePattern],
-        resolver: &R,
+        interner: &Interner,
         limits: RewriteLimits,
         scratch: &mut PlanScratch,
         subquery: &mut String,
@@ -456,7 +473,7 @@ impl FederationPlanner {
                 select: None,
                 pattern: scratch.rewrite.pattern(),
             },
-            resolver,
+            interner,
             &mut scratch.fresh_base,
             subquery,
         );
@@ -468,10 +485,10 @@ impl FederationPlanner {
     /// what lets a partition-cache hit skip the rewrite *entirely* and
     /// serve the subquery text by fingerprint + memcpy. Both paths share
     /// one cache, so full `plan` calls warm it for dispatch traffic.
-    pub fn plan_for_dispatch<R: Resolve>(
+    pub fn plan_for_dispatch(
         &self,
         query: QueryRef<'_>,
-        resolver: &R,
+        interner: &Interner,
         limits: RewriteLimits,
     ) -> Result<DispatchPlan, RewriteError> {
         let p = self.partition(query.pattern);
@@ -487,7 +504,7 @@ impl FederationPlanner {
             let mut subquery = String::new();
             let key = self.cache.as_ref().map(|_| {
                 (
-                    self.partition_fingerprint(e, &p.parts[e]),
+                    self.partition_fingerprint(e, &p.parts[e], interner),
                     self.endpoint_generation(e),
                 )
             });
@@ -507,7 +524,7 @@ impl FederationPlanner {
                 self.rewrite_partition(
                     e,
                     &p.parts[e],
-                    resolver,
+                    interner,
                     limits,
                     &mut scratch,
                     &mut subquery,
@@ -536,10 +553,10 @@ impl FederationPlanner {
     /// Plans are fully deterministic in the query + registered endpoints.
     /// Fails only when a partition's rewrite crosses a [`RewriteLimits`]
     /// cap.
-    pub fn plan<R: Resolve>(
+    pub fn plan(
         &self,
         query: QueryRef<'_>,
-        resolver: &R,
+        interner: &Interner,
         limits: RewriteLimits,
     ) -> Result<FederationPlan, RewriteError> {
         let src = query.pattern;
@@ -556,12 +573,12 @@ impl FederationPlanner {
         let mut scratch = PlanScratch::default();
         for &e in &order {
             let mut subquery = String::new();
-            self.rewrite_partition(e, &parts[e], resolver, limits, &mut scratch, &mut subquery)?;
+            self.rewrite_partition(e, &parts[e], interner, limits, &mut scratch, &mut subquery)?;
             // The annotated tree needs the rewritten pattern either way,
             // so the cache is only written here — warming dispatch-path
             // lookups — never consulted.
             if let Some(pc) = &self.cache {
-                let fp = self.partition_fingerprint(e, &parts[e]);
+                let fp = self.partition_fingerprint(e, &parts[e], interner);
                 pc.cache
                     .insert(fp, self.endpoint_generation(e), subquery.as_bytes());
             }
@@ -706,7 +723,6 @@ fn copy_expr(src: &GroupPattern, e: u32, dst: &mut GroupPattern) -> u32 {
 mod tests {
     use super::*;
     use crate::align::RuleTemplate;
-    use crate::interner::Interner;
     use crate::parser::{parse_bgp, parse_query};
     use crate::pattern::{CmpOp, ExprNode};
 
@@ -870,14 +886,46 @@ mod tests {
         // The same triples must hash to different cache keys per endpoint:
         // each endpoint rewrites them into a different vocabulary.
         assert_ne!(
-            planner.partition_fingerprint(0, &tps),
-            planner.partition_fingerprint(1, &tps)
+            planner.partition_fingerprint(0, &tps, &it),
+            planner.partition_fingerprint(1, &tps, &it)
         );
         // And the fingerprint is order- and content-sensitive.
         let rev: Vec<_> = tps.iter().rev().copied().collect();
         assert_ne!(
-            planner.partition_fingerprint(0, &tps),
-            planner.partition_fingerprint(0, &rev)
+            planner.partition_fingerprint(0, &tps, &it),
+            planner.partition_fingerprint(0, &rev, &it)
+        );
+        // Within a process it is stable, and a worker's interner clone
+        // keys the same partition the same way.
+        assert_eq!(
+            planner.partition_fingerprint(0, &tps, &it),
+            planner.partition_fingerprint(0, &tps, &it.clone())
+        );
+    }
+
+    /// Two workers' interner clones mint the same private id for different
+    /// novel strings; a partition cached by one worker must not be served
+    /// to the other.
+    #[test]
+    fn partition_cache_does_not_alias_worker_private_symbols() {
+        let mut it = Interner::new();
+        let mut planner = two_endpoint_planner(&mut it);
+        planner.enable_partition_cache(crate::cache::CacheConfig::default());
+        let (mut w1, mut w2) = (it.clone(), it.clone());
+        let q1 = parse_query("SELECT * WHERE { ?only_w1 <http://a/p0> ?o }", &mut w1).unwrap();
+        let q2 = parse_query("SELECT * WHERE { ?only_w2 <http://a/p0> ?o }", &mut w2).unwrap();
+        assert_eq!(
+            q1.pattern.triples[0], q2.pattern.triples[0],
+            "test geometry: both private variables share one id"
+        );
+        let limits = RewriteLimits::default();
+        let p1 = planner.plan_for_dispatch(q1.as_ref(), &w1, limits).unwrap();
+        let p2 = planner.plan_for_dispatch(q2.as_ref(), &w2, limits).unwrap();
+        assert!(p1.endpoints[0].subquery.contains("?only_w1"));
+        assert!(
+            p2.endpoints[0].subquery.contains("?only_w2"),
+            "served another worker's rewrite: {}",
+            p2.endpoints[0].subquery
         );
     }
 

@@ -1,31 +1,29 @@
-//! String interner mapping term text to 29-bit [`Symbol`]s, and its frozen,
-//! shareable counterpart for the serve phase.
+//! String interner mapping term text to 29-bit [`Symbol`]s.
 //!
-//! The lifecycle mirrors the engine's two phases:
+//! An [`Interner`] is a shared, immutable **base** layer behind an `Arc`
+//! plus a small **overlay** layer of its own. Each layer keeps its strings
+//! in one arena (`bytes`, with `ends[id]` closing string `id`) and finds
+//! them through an open-addressing array of symbol indices (a
+//! raw-entry-style hash-of-index map), not a `HashMap<Box<str>, u32>` that
+//! would duplicate every key. Hashing uses FxHash (the vendored `fxhash`
+//! module) — short IRIs and QName expansions dominate the key distribution
+//! and Fx beats SipHash on them by a wide margin.
 //!
-//! * **Build phase** — an [`Interner`] is mutable and append-only: the
-//!   parser and rule loaders intern each distinct string once.
-//! * **Serve phase** — [`Interner::freeze`] converts it into a
-//!   [`FrozenInterner`]: immutable, `Send + Sync`, `Arc`-shareable across
-//!   worker threads, with a resolve path that is a plain slice index.
+//! The layering follows the engine's two phases without a seal call:
 //!
-//! Each string is owned exactly once: the lookup table is an open-addressing
-//! array of symbol indices (a raw-entry-style hash-of-index map), not a
-//! `HashMap<Box<str>, u32>` that would duplicate every key. Hashing uses
-//! FxHash (the vendored `fxhash` module) — short IRIs and QName expansions
-//! dominate the key distribution and Fx beats SipHash on them by a wide
-//! margin.
+//! * **Build phase** — the parser and rule loaders intern into the base,
+//!   which the interner owns alone, so `intern` writes to it in place.
+//! * **Serve phase** — the first `clone()` shares the base. From then on
+//!   every clone interns novel strings (query variables, unseen literals)
+//!   into its own overlay, so cloning for a worker costs an `Arc` bump plus
+//!   a copy of the overlay, and each base string is stored once per
+//!   process however many workers hold it.
 
 use std::hash::Hasher;
+use std::sync::Arc;
 
 use crate::fxhash::FxHasher;
 use crate::term::Symbol;
-
-/// Anything that can turn a [`Symbol`] back into its text. Implemented by
-/// both interner phases so rendering code is agnostic to which one it holds.
-pub trait Resolve {
-    fn resolve(&self, sym: Symbol) -> &str;
-}
 
 /// Vacant table slot. Slots pack `(hash_tag << 32) | symbol_id`; a symbol
 /// id of `u32::MAX` is unreachable (the interner asserts ids ≤ 2^29), so
@@ -65,25 +63,115 @@ fn hash_str(s: &str) -> u64 {
     h ^ (h >> 32)
 }
 
+/// One append-only run of strings with layer-local ids `0..len()`.
+#[derive(Default, Debug, Clone)]
+struct Layer {
+    /// Every string of the layer, back to back.
+    bytes: String,
+    /// `ends[id]` is the byte offset in `bytes` where string `id` ends; it
+    /// starts where string `id - 1` ends (or at 0).
+    ends: Vec<u32>,
+    /// Open-addressing table of `(hash_tag, local_id)` slots (`EMPTY` =
+    /// vacant), sized to a power of two. A probe compares the 32-bit hash
+    /// tag first and only compares the candidate's text on a tag match, so
+    /// no second copy of any key is stored and false probes never touch
+    /// the arena.
+    table: Vec<u64>,
+}
+
+impl Layer {
+    #[inline]
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    #[inline]
+    fn text(&self, id: usize) -> &str {
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        &self.bytes[start..self.ends[id] as usize]
+    }
+
+    fn find(&self, s: &str, hash: u64) -> Option<u32> {
+        if self.table.is_empty() {
+            return None;
+        }
+        let mask = self.table.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.table[i];
+            if slot == EMPTY {
+                return None;
+            }
+            if slot_tag_matches(slot, hash) && self.text(slot_id(slot) as usize) == s {
+                return Some(slot_id(slot));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Append `s`, known to be absent, under the next local id.
+    fn push(&mut self, s: &str, hash: u64) {
+        if self.len() * 4 >= self.table.len() * 3 {
+            self.grow();
+        }
+        let id = self.len() as u32;
+        self.bytes.push_str(s);
+        let end = u32::try_from(self.bytes.len()).expect("interner exceeded 4 GiB of text");
+        self.ends.push(end);
+        let slot = self.vacant_slot(hash);
+        self.table[slot] = slot_entry(hash, id);
+    }
+
+    fn vacant_slot(&self, hash: u64) -> usize {
+        let mask = self.table.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.table[i] != EMPTY {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    fn grow(&mut self) {
+        let new_cap = (self.table.len() * 2).max(16);
+        self.table = vec![EMPTY; new_cap];
+        for id in 0..self.len() {
+            let hash = hash_str(self.text(id));
+            let slot = self.vacant_slot(hash);
+            self.table[slot] = slot_entry(hash, id as u32);
+        }
+    }
+}
+
 /// Append-only string interner. Symbols are dense indices starting at 0.
 ///
-/// `Clone` is deliberate: a serve-phase worker that must parse *new* query
-/// text (which can mention strings the build phase never saw) clones the
-/// build-phase interner once and interns worker-locally. Every pre-existing
-/// symbol keeps its id in the clone, so terms stay comparable against the
-/// shared rule set, while post-clone symbols (ids ≥ the clone point's
-/// [`Interner::symbol_bound`]) are private to that worker and can never
-/// alias a rule symbol.
+/// Cloning is cheap and deliberate: a serve-phase worker that must parse
+/// *new* query text (which can mention strings the build phase never saw)
+/// clones the build-phase interner once and interns worker-locally. The
+/// clone shares the base layer through an `Arc` and copies only the
+/// overlay. Every pre-existing symbol keeps its id in the clone, so terms
+/// stay comparable against the shared rule set, while post-clone symbols
+/// (ids ≥ the clone point's [`Interner::symbol_bound`]) are private to that
+/// worker and can never alias a rule symbol.
+///
+/// `intern` writes into the base only while this interner holds the one
+/// reference to it **and** its overlay is empty; otherwise it writes into
+/// the overlay. The second condition keeps every overlay id stable: the
+/// base never grows under an overlay, even after the clones that shared it
+/// are dropped.
+///
+/// Known bound: an overlay grows with every novel string its owner
+/// interns, and nothing evicts from it — a worker serving an endless
+/// stream of unique literals grows without bound, as a deep-cloned
+/// interner did before the base was shared.
 #[derive(Default, Debug, Clone)]
 pub struct Interner {
-    /// The single owned copy of each interned string, indexed by symbol.
-    strings: Vec<Box<str>>,
-    /// Open-addressing table of `(hash_tag, symbol_id)` slots (`EMPTY` =
-    /// vacant), sized to a power of two. A probe compares the 32-bit hash
-    /// tag first and only rehashes the candidate's string on a tag match,
-    /// so no second copy of any key is stored and false probes never touch
-    /// the string heap.
-    table: Vec<u64>,
+    base: Arc<Layer>,
+    own: Layer,
 }
 
 impl Interner {
@@ -91,59 +179,51 @@ impl Interner {
         Interner::default()
     }
 
-    /// Intern `s`, returning its symbol. O(1) amortized; allocates only the
-    /// first time a string is seen — and then exactly one owned copy.
+    /// Intern `s`, returning its symbol. O(1) amortized; copies `s` into an
+    /// arena only the first time it is seen.
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if self.strings.len() * 4 >= self.table.len() * 3 {
-            self.grow();
-        }
-        let mask = self.table.len() - 1;
         let hash = hash_str(s);
-        let mut i = hash as usize & mask;
-        loop {
-            let slot = self.table[i];
-            if slot == EMPTY {
-                let id = u32::try_from(self.strings.len()).expect("interner overflow");
-                assert!(id <= Symbol::MAX, "interner exceeded 2^29 symbols");
-                self.strings.push(s.into());
-                self.table[i] = slot_entry(hash, id);
-                return Symbol(id);
-            }
-            if slot_tag_matches(slot, hash) && &*self.strings[slot_id(slot) as usize] == s {
-                return Symbol(slot_id(slot));
-            }
-            i = (i + 1) & mask;
+        if let Some(sym) = self.find(s, hash) {
+            return sym;
         }
+        let id = u32::try_from(self.symbol_bound()).expect("interner overflow");
+        assert!(id <= Symbol::MAX, "interner exceeded 2^29 symbols");
+        let layer = match Arc::get_mut(&mut self.base) {
+            Some(base) if self.own.is_empty() => base,
+            _ => &mut self.own,
+        };
+        layer.push(s, hash);
+        Symbol(id)
     }
 
-    fn grow(&mut self) {
-        let new_cap = (self.table.len() * 2).max(16);
-        let mask = new_cap - 1;
-        let mut table = vec![EMPTY; new_cap];
-        for (id, s) in self.strings.iter().enumerate() {
-            let hash = hash_str(s);
-            let mut i = hash as usize & mask;
-            while table[i] != EMPTY {
-                i = (i + 1) & mask;
-            }
-            table[i] = slot_entry(hash, id as u32);
+    /// The overlay is small and holds the hot worker-local strings, so it
+    /// is probed first.
+    #[inline]
+    fn find(&self, s: &str, hash: u64) -> Option<Symbol> {
+        if let Some(id) = self.own.find(s, hash) {
+            return Some(Symbol(self.base.len() as u32 + id));
         }
-        self.table = table;
+        self.base.find(s, hash).map(Symbol)
     }
 
-    /// Look up a symbol minted by this interner.
+    /// Look up a symbol minted by this interner (or by the interner it was
+    /// cloned from, before the clone).
     #[inline]
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.strings[sym.index()]
+        let id = sym.index();
+        match id.checked_sub(self.base.len()) {
+            None => self.base.text(id),
+            Some(own_id) => self.own.text(own_id),
+        }
     }
 
     /// Symbol for `s` if it has already been interned.
     pub fn get(&self, s: &str) -> Option<Symbol> {
-        lookup(&self.table, &self.strings, s)
+        self.find(s, hash_str(s))
     }
 
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.base.len() + self.own.len()
     }
 
     /// Exclusive upper bound on every symbol id minted so far: symbols are
@@ -151,101 +231,11 @@ impl Interner {
     /// [`crate::align::AlignmentStore`] dispatch rules by direct array index.
     #[inline]
     pub fn symbol_bound(&self) -> usize {
-        self.strings.len()
+        self.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
-    /// End the build phase: convert into an immutable, `Send + Sync`
-    /// interner that worker threads can share behind an `Arc`. Symbols
-    /// minted by `self` resolve identically in the frozen form.
-    pub fn freeze(self) -> FrozenInterner {
-        FrozenInterner {
-            strings: self.strings.into_boxed_slice(),
-            table: self.table.into_boxed_slice(),
-        }
-    }
-}
-
-fn lookup(table: &[u64], strings: &[Box<str>], s: &str) -> Option<Symbol> {
-    if table.is_empty() {
-        return None;
-    }
-    let mask = table.len() - 1;
-    let hash = hash_str(s);
-    let mut i = hash as usize & mask;
-    loop {
-        let slot = table[i];
-        if slot == EMPTY {
-            return None;
-        }
-        if slot_tag_matches(slot, hash) && &*strings[slot_id(slot) as usize] == s {
-            return Some(Symbol(slot_id(slot)));
-        }
-        i = (i + 1) & mask;
-    }
-}
-
-/// The serve-phase interner: frozen symbol table shared read-only by every
-/// worker thread. Resolution is a bounds-checked slice index; there is no
-/// interior mutability, so `FrozenInterner` is `Send + Sync` by
-/// construction.
-#[derive(Debug)]
-pub struct FrozenInterner {
-    strings: Box<[Box<str>]>,
-    table: Box<[u64]>,
-}
-
-impl FrozenInterner {
-    /// Look up a symbol minted during the build phase.
-    #[inline]
-    pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.strings[sym.index()]
-    }
-
-    /// Symbol for `s` if it was interned before the freeze.
-    pub fn get(&self, s: &str) -> Option<Symbol> {
-        lookup(&self.table, &self.strings, s)
-    }
-
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// Exclusive upper bound on every symbol id this interner can resolve;
-    /// see [`Interner::symbol_bound`].
-    #[inline]
-    pub fn symbol_bound(&self) -> usize {
-        self.strings.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
-    /// Re-enter the build phase (e.g. to load an additional rule set),
-    /// preserving every existing symbol.
-    pub fn thaw(self) -> Interner {
-        Interner {
-            strings: self.strings.into_vec(),
-            table: self.table.into_vec(),
-        }
-    }
-}
-
-impl Resolve for Interner {
-    #[inline]
-    fn resolve(&self, sym: Symbol) -> &str {
-        Interner::resolve(self, sym)
-    }
-}
-
-impl Resolve for FrozenInterner {
-    #[inline]
-    fn resolve(&self, sym: Symbol) -> &str {
-        FrozenInterner::resolve(self, sym)
+        self.len() == 0
     }
 }
 
@@ -288,34 +278,80 @@ mod tests {
     }
 
     #[test]
-    fn freeze_preserves_symbols_and_thaw_round_trips() {
-        let mut it = Interner::new();
-        let a = it.intern("alpha");
-        let b = it.intern("beta");
-        let frozen = it.freeze();
-        assert_eq!(frozen.resolve(a), "alpha");
-        assert_eq!(frozen.resolve(b), "beta");
-        assert_eq!(frozen.get("beta"), Some(b));
-        assert_eq!(frozen.get("gamma"), None);
-        assert_eq!(frozen.len(), 2);
-
-        let mut thawed = frozen.thaw();
-        assert_eq!(thawed.intern("alpha"), a, "thaw must keep old symbols");
-        let c = thawed.intern("gamma");
-        assert_ne!(c, a);
-        assert_eq!(thawed.resolve(c), "gamma");
-    }
-
-    #[test]
-    fn frozen_interner_is_send_sync() {
+    fn interner_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<FrozenInterner>();
+        assert_send_sync::<Interner>();
     }
 
     #[test]
     fn empty_interner_get_is_none() {
         let it = Interner::new();
         assert_eq!(it.get("anything"), None);
-        assert!(it.freeze().is_empty());
+        assert!(it.is_empty());
+    }
+
+    #[test]
+    fn the_empty_string_is_a_symbol() {
+        let mut it = Interner::new();
+        let a = it.intern("a");
+        let empty = it.intern("");
+        let b = it.intern("b");
+        assert_eq!(
+            (it.resolve(a), it.resolve(empty), it.resolve(b)),
+            ("a", "", "b")
+        );
+        assert_eq!(it.intern(""), empty);
+    }
+
+    #[test]
+    fn clones_share_the_base_and_keep_overlays_private() {
+        let mut build = Interner::new();
+        let rule = build.intern("http://example.org/rule");
+        let bound = build.symbol_bound();
+        let mut w1 = build.clone();
+        let mut w2 = build.clone();
+        assert!(Arc::ptr_eq(&w1.base, &w2.base), "clones share one base");
+
+        assert_eq!(w1.intern("http://example.org/rule"), rule);
+        let novel = w1.intern("\"only in w1\"");
+        assert!(novel.index() >= bound, "novel string landed in the base");
+        assert_eq!(w1.resolve(novel), "\"only in w1\"");
+        assert_eq!(w2.get("\"only in w1\""), None, "a sibling sees the overlay");
+        assert_eq!(build.get("\"only in w1\""), None);
+
+        // The sibling mints the same id for its own, different string.
+        let other = w2.intern("\"only in w2\"");
+        assert_eq!(other, novel);
+        assert_eq!(w2.resolve(other), "\"only in w2\"");
+        assert_eq!(w1.resolve(novel), "\"only in w1\"");
+    }
+
+    #[test]
+    fn base_never_grows_under_an_overlay() {
+        let mut build = Interner::new();
+        build.intern("http://example.org/rule");
+        let mut worker = build.clone();
+        let first = worker.intern("first");
+        // The worker now holds the one reference to the base, but its
+        // overlay is not empty: the next string must not go into the base,
+        // whose next id is `first`'s.
+        drop(build);
+        let second = worker.intern("second");
+        assert_ne!(first, second);
+        assert_eq!(worker.resolve(first), "first");
+        assert_eq!(worker.resolve(second), "second");
+        assert_eq!(worker.get("first"), Some(first));
+        assert_eq!(worker.get("second"), Some(second));
+    }
+
+    #[test]
+    fn a_dropped_clone_hands_the_base_back() {
+        let mut build = Interner::new();
+        build.intern("a");
+        drop(build.clone());
+        let b = build.intern("b");
+        assert!(build.own.is_empty(), "unique base with an empty overlay");
+        assert_eq!(build.resolve(b), "b");
+        assert_eq!(build.base.len(), 2);
     }
 }

@@ -57,9 +57,9 @@
 //! and rules into an [`interner::Interner`] and an
 //! [`align::AlignmentStore`] (`&mut`; the store is valid for lookups after
 //! every `add_*`, so there is nothing to freeze). The **serve phase** is
-//! shared and read-only: the store goes behind `&` or an `Arc`,
-//! [`interner::Interner::freeze`] yields an `Arc`-shareable
-//! [`interner::FrozenInterner`], rewriting takes `&self` only, and
+//! shared and read-only: the store goes behind `&` or an `Arc`, each
+//! worker clones the [`interner::Interner`] (the clone shares its strings
+//! and adds a private overlay), rewriting takes `&self` only, and
 //! template-introduced existentials are structural
 //! [`term::TermKind::Fresh`] terms (no interning on the hot path). With a
 //! caller-owned [`rewriter::RewriteScratch`], steady-state
@@ -103,7 +103,7 @@ pub use federate::{
     HttpEndpoint, HttpError, HttpLimits, HttpResponse, HttpTransport, MockTransport,
     PartitionCacheStats, TransportError, TransportReply, TransportRequest,
 };
-pub use interner::{FrozenInterner, Interner, Resolve};
+pub use interner::Interner;
 pub use parser::{parse_bgp, parse_query, parse_query_into, ParseError, ParseScratch};
 pub use pattern::{
     render_query_into, Bgp, ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query,

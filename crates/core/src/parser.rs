@@ -25,7 +25,10 @@
 //! boolean (`true` / `false`) tokens are sugar for xsd-typed literals.
 //! `SERVICE <endpoint> { ... }` (endpoint an IRI or a variable) parses to a
 //! [`PatternNode::Service`] group for the federation layer. GRAPH/MINUS
-//! remain out of scope and produce a parse error.
+//! remain out of scope and produce a parse error. Nesting — groups and
+//! parenthesised or negated FILTER expressions together — is capped at
+//! 128 levels, so no query can recurse the parser (or anything downstream
+//! of it) off a worker's stack.
 //!
 //! Parse errors carry the byte offset of the **start** of the offending
 //! token (not wherever the tokenizer cursor happens to sit after
@@ -49,6 +52,23 @@ pub const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 pub const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
 pub const XSD_DECIMAL: &str = "http://www.w3.org/2001/XMLSchema#decimal";
 pub const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
+
+/// Deepest nesting a query may have. Two depths are held to it:
+///
+/// - the parser's own: group-pattern levels (`{`, including the `WHERE`
+///   group and `OPTIONAL` / `UNION` / `SERVICE` bodies) plus the `(` and
+///   `!` open inside a FILTER;
+/// - the tree's: the groups around a FILTER plus the height of its
+///   expression tree, where every operator (`||`, `&&`, a comparison, `!`)
+///   is one level. `?a && ?b && ...` parses in a loop but builds a
+///   left-deep tree, one level per operator.
+///
+/// The rewriter, the renderer and the federation planner recurse once per
+/// tree level, so this bounds the stack the whole pipeline needs: at the
+/// cap it is under 1 MiB in a debug build, half of a server worker's
+/// default 2 MiB. One level more is a [`ParseError`] at the token that
+/// crosses it: an opener, or the operator that makes the tree too tall.
+const MAX_NESTING: u32 = 128;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -677,6 +697,14 @@ impl ParseScratch {
     }
 }
 
+/// A parsed FILTER sub-expression: its node in `exprs` and the height of
+/// the tree under it (a bare term is 0).
+#[derive(Copy, Clone)]
+struct SubExpr {
+    node: u32,
+    height: u32,
+}
+
 /// Parser state: a tokenizer with one token of lookahead, plus the
 /// scratch-owned PREFIX table and QName-expansion buffer, and the interner
 /// terms are minted into.
@@ -689,6 +717,11 @@ struct Parser<'a, 'i, 'p> {
     err_off: usize,
     prefixes: &'p mut Vec<PrefixSpan>,
     interner: &'i mut Interner,
+    /// Nesting levels currently open; see [`MAX_NESTING`].
+    depth: u32,
+    /// Height the current FILTER's expression tree may reach: the levels
+    /// its enclosing groups leave under [`MAX_NESTING`].
+    expr_room: u32,
     // Scratch buffer reused for every QName expansion to avoid a fresh
     // allocation per term.
     expand_buf: &'p mut String,
@@ -708,6 +741,8 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
             err_off: 0,
             prefixes,
             interner,
+            depth: 0,
+            expr_room: 0,
             expand_buf,
         }
     }
@@ -745,6 +780,40 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
             message: message.into(),
             offset: self.err_off,
         }
+    }
+
+    /// Open one nesting level for the token just consumed; past
+    /// [`MAX_NESTING`] the parse fails at that token. The caller closes the
+    /// level on success (an error ends the parse, so it never needs to).
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Push expression operator `node` over children at most `below` tall.
+    /// A tree taller than `expr_room` fails at the operator's
+    /// token, which started at byte `at`.
+    fn push_op(
+        &self,
+        out: &mut GroupPattern,
+        node: ExprNode,
+        below: u32,
+        at: usize,
+    ) -> Result<SubExpr, ParseError> {
+        let height = below + 1;
+        if height > self.expr_room {
+            return Err(ParseError {
+                message: format!("nesting deeper than {MAX_NESTING} levels"),
+                offset: at,
+            });
+        }
+        Ok(SubExpr {
+            node: out.push_expr(node),
+            height,
+        })
     }
 
     /// Expand a QName against the PREFIX table and intern the result.
@@ -853,6 +922,7 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
     /// Triples`] runs; OPTIONAL / UNION / FILTER / nested groups close the
     /// current run and become siblings.
     fn parse_group_body(&mut self, out: &mut GroupPattern) -> Result<u32, ParseError> {
+        self.descend()?;
         let mut chain = ChainBuilder::new();
         let mut run_start = out.triples.len();
         macro_rules! flush_run {
@@ -901,7 +971,8 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
                             )
                         }
                     }
-                    let expr = self.parse_expr(out)?;
+                    self.expr_room = MAX_NESTING - self.depth;
+                    let expr = self.parse_expr(out)?.node;
                     match self.expect("')' closing FILTER")? {
                         Token::RParen => {}
                         other => {
@@ -1007,6 +1078,7 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
                 None => return Err(self.err("unexpected end of input inside group pattern")),
             }
         }
+        self.depth -= 1;
         Ok(chain.first())
     }
 
@@ -1022,54 +1094,68 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
     //
     // Precedence climbing: `||` < `&&` < comparison < unary `!` / primary.
     // Expression nodes are appended to `out.exprs`; functions return the
-    // node index.
+    // node index and the tree's height, which `push_op` caps.
 
-    fn parse_expr(&mut self, out: &mut GroupPattern) -> Result<u32, ParseError> {
+    fn parse_expr(&mut self, out: &mut GroupPattern) -> Result<SubExpr, ParseError> {
         let mut lhs = self.parse_expr_and(out)?;
         while self.peek()? == Some(Token::OrOr) {
             self.next_token()?;
+            let at = self.err_off;
             let rhs = self.parse_expr_and(out)?;
-            lhs = out.push_expr(ExprNode::Or(lhs, rhs));
+            let node = ExprNode::Or(lhs.node, rhs.node);
+            lhs = self.push_op(out, node, lhs.height.max(rhs.height), at)?;
         }
         Ok(lhs)
     }
 
-    fn parse_expr_and(&mut self, out: &mut GroupPattern) -> Result<u32, ParseError> {
+    fn parse_expr_and(&mut self, out: &mut GroupPattern) -> Result<SubExpr, ParseError> {
         let mut lhs = self.parse_expr_rel(out)?;
         while self.peek()? == Some(Token::AndAnd) {
             self.next_token()?;
+            let at = self.err_off;
             let rhs = self.parse_expr_rel(out)?;
-            lhs = out.push_expr(ExprNode::And(lhs, rhs));
+            let node = ExprNode::And(lhs.node, rhs.node);
+            lhs = self.push_op(out, node, lhs.height.max(rhs.height), at)?;
         }
         Ok(lhs)
     }
 
-    fn parse_expr_rel(&mut self, out: &mut GroupPattern) -> Result<u32, ParseError> {
+    fn parse_expr_rel(&mut self, out: &mut GroupPattern) -> Result<SubExpr, ParseError> {
         let lhs = self.parse_expr_primary(out)?;
         if let Some(Token::Cmp(op)) = self.peek()? {
             self.next_token()?;
+            let at = self.err_off;
             let rhs = self.parse_expr_primary(out)?;
-            return Ok(out.push_expr(ExprNode::Cmp(op, lhs, rhs)));
+            let node = ExprNode::Cmp(op, lhs.node, rhs.node);
+            return self.push_op(out, node, lhs.height.max(rhs.height), at);
         }
         Ok(lhs)
     }
 
-    fn parse_expr_primary(&mut self, out: &mut GroupPattern) -> Result<u32, ParseError> {
+    fn parse_expr_primary(&mut self, out: &mut GroupPattern) -> Result<SubExpr, ParseError> {
         match self.expect("expression")? {
             Token::LParen => {
+                self.descend()?;
                 let e = self.parse_expr(out)?;
+                self.depth -= 1;
                 match self.expect("')'")? {
                     Token::RParen => Ok(e),
                     other => Err(self.err(format!("expected ')', found {other:?}"))),
                 }
             }
             Token::Bang => {
+                let at = self.err_off;
+                self.descend()?;
                 let c = self.parse_expr_primary(out)?;
-                Ok(out.push_expr(ExprNode::Not(c)))
+                self.depth -= 1;
+                self.push_op(out, ExprNode::Not(c.node), c.height, at)
             }
             tok => {
                 let t = self.parse_term(tok, "expression")?;
-                Ok(out.push_expr(ExprNode::Term(t)))
+                Ok(SubExpr {
+                    node: out.push_expr(ExprNode::Term(t)),
+                    height: 0,
+                })
             }
         }
     }
@@ -1601,5 +1687,165 @@ mod tests {
                 let _ = parse_query(&text, &mut it);
             }
         }
+    }
+
+    /// Every way to add a nesting level, each as a query `n` levels deep
+    /// (the `WHERE` group is level 1, a comparison is one more) around one
+    /// source-vocabulary triple or comparison.
+    const SHAPES: [&str; 8] = [
+        "group", "optional", "union", "service", "paren", "bang", "and", "or",
+    ];
+
+    fn nested(shape: &str, n: usize) -> String {
+        let tp = "?s <http://src/p> ?o";
+        let cmp = "?o = <http://src/e>";
+        let inner = n - 1;
+        match shape {
+            "group" => format!("SELECT * WHERE {}{tp} {}", "{ ".repeat(n), "} ".repeat(n)),
+            "optional" => format!(
+                "SELECT * WHERE {{ {}{tp} {}}}",
+                "OPTIONAL { ".repeat(inner),
+                "} ".repeat(inner)
+            ),
+            "union" => format!(
+                "SELECT * WHERE {{ {}{tp}{} }}",
+                format!("{{ {tp} }} UNION {{ ").repeat(inner),
+                " }".repeat(inner)
+            ),
+            "service" => format!(
+                "SELECT * WHERE {{ {}{tp} {}}}",
+                "SERVICE <http://ep> { ".repeat(inner),
+                "} ".repeat(inner)
+            ),
+            "paren" => format!(
+                "SELECT * WHERE {{ {tp} FILTER({}{cmp}{}) }}",
+                "(".repeat(inner),
+                ")".repeat(inner)
+            ),
+            "bang" => format!(
+                "SELECT * WHERE {{ {tp} FILTER({}({cmp})) }}",
+                "!".repeat(inner - 1)
+            ),
+            "and" | "or" => {
+                let op = if shape == "and" { "&&" } else { "||" };
+                format!(
+                    "SELECT * WHERE {{ {tp} FILTER({cmp}{}) }}",
+                    format!(" {op} {cmp}").repeat(inner - 1)
+                )
+            }
+            _ => unreachable!("unknown shape {shape}"),
+        }
+    }
+
+    /// Run `f` on a thread with a server worker's default 2 MiB stack.
+    fn on_worker_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn")
+            .join()
+            .expect("worker thread panicked")
+    }
+
+    #[test]
+    fn depth_cap_plus_one_is_an_error_at_the_offending_token() {
+        let mut it = Interner::new();
+        for shape in SHAPES {
+            let at_cap = nested(shape, MAX_NESTING as usize);
+            if let Err(e) = parse_query(&at_cap, &mut it) {
+                panic!("{shape} at the cap: {e}");
+            }
+            let past = nested(shape, MAX_NESTING as usize + 1);
+            let e = parse_query(&past, &mut it).expect_err(shape);
+            assert!(e.message.contains("nesting deeper than"), "{shape}: {e}");
+            assert!(
+                b"{(!&|".contains(&past.as_bytes()[e.offset]),
+                "{shape}: offset {} is not at an opener or operator",
+                e.offset
+            );
+        }
+        let e = parse_query(&nested("group", MAX_NESTING as usize + 1), &mut it).unwrap_err();
+        assert_eq!(
+            e.offset,
+            "SELECT * WHERE ".len() + 2 * MAX_NESTING as usize,
+            "the error names the first '{{' past the cap"
+        );
+    }
+
+    /// At the cap, parse → rewrite → render and federation planning all fit
+    /// a worker's stack, with rules firing at the innermost level (a
+    /// two-template UNION expansion and an entity substitution).
+    #[test]
+    fn depth_cap_pipeline_fits_a_worker_stack() {
+        use crate::align::AlignmentStore;
+        use crate::federate::FederationPlanner;
+        use crate::pattern::render_query_into;
+        use crate::rewriter::{IndexedRewriter, RewriteLimits, RewriteScratch, Rewriter};
+        use std::sync::Arc;
+
+        on_worker_stack(|| {
+            let mut it = Interner::new();
+            let mut store = AlignmentStore::new();
+            let iri = |it: &mut Interner, s: &str| Term::iri(it.intern(s));
+            store
+                .add_entity(iri(&mut it, "http://src/e"), iri(&mut it, "http://tgt/e"))
+                .unwrap();
+            let lhs = parse_bgp("?a <http://src/p> ?b", &mut it).unwrap().patterns[0];
+            for rhs in [
+                "?a <http://tgt/p1> ?b",
+                "?a <http://tgt/p2> ?m . ?m <http://tgt/q> ?b",
+            ] {
+                let rhs = parse_bgp(rhs, &mut it).unwrap().patterns;
+                store.add_predicate(lhs, rhs).unwrap();
+            }
+            let store = Arc::new(store);
+            let rewriter = IndexedRewriter::new(Arc::clone(&store));
+            let mut planner = FederationPlanner::new();
+            planner.add_endpoint(iri(&mut it, "http://ep"), store);
+            let (mut scratch, mut fresh, mut out) =
+                (RewriteScratch::new(), String::new(), String::new());
+            for shape in SHAPES {
+                let q = parse_query(&nested(shape, MAX_NESTING as usize), &mut it).unwrap();
+                rewriter.rewrite_query_into(&q, &mut scratch);
+                let rewritten = QueryRef {
+                    select: scratch.select(),
+                    pattern: scratch.pattern(),
+                };
+                render_query_into(rewritten, &it, &mut fresh, &mut out);
+                assert!(out.contains("<http://tgt/q>"), "{shape}: {out}");
+                if matches!(shape, "paren" | "bang" | "and" | "or") {
+                    assert!(out.contains("<http://tgt/e>"), "{shape}: {out}");
+                }
+                assert_eq!(scratch.to_query().display(&it).to_string(), out);
+                planner
+                    .plan(q.as_ref(), &it, RewriteLimits::default())
+                    .unwrap_or_else(|e| panic!("{shape}: {e:?}"));
+            }
+        });
+    }
+
+    /// Far past the cap — the hostile request that used to overflow a
+    /// worker's stack and abort the process — is an ordinary error. The
+    /// last case nests short `&&` chains in parentheses, each inside the
+    /// cap on its own, into one tree about 10,000 levels tall.
+    #[test]
+    fn depth_cap_exceeded_far_is_an_error_not_a_stack_overflow() {
+        on_worker_stack(|| {
+            let mut it = Interner::new();
+            let chain = " && ?o = ?o".repeat(99);
+            let chains_in_parens = format!(
+                "SELECT * WHERE {{ ?s ?p ?o FILTER({}?o = ?o{}) }}",
+                "(".repeat(100),
+                format!("{chain})").repeat(100)
+            );
+            for (name, q) in SHAPES
+                .iter()
+                .map(|&shape| (shape, nested(shape, 50_000)))
+                .chain([("chains_in_parens", chains_in_parens)])
+            {
+                let e = parse_query(&q, &mut it).expect_err(name);
+                assert!(e.message.contains("nesting deeper than"), "{name}: {e}");
+            }
+        });
     }
 }

@@ -9,11 +9,9 @@
 //! [`crate::rewriter::RewriteScratch`] can hold a whole rewritten tree in
 //! reusable buffers and steady-state rewriting stays allocation-free.
 //!
-//! Parsed terms are interner symbols, so rendering needs a resolver
-//! implementing [`Resolve`] — either the build-phase
-//! [`Interner`](crate::interner::Interner) or the frozen serve-phase
-//! [`FrozenInterner`](crate::interner::FrozenInterner);
-//! `display(&resolver)` pairs a value with its resolver and the pair
+//! Parsed terms are interner symbols, so rendering needs the
+//! [`Interner`] that minted them (or a clone of it);
+//! `display(&interner)` pairs a value with its interner and the pair
 //! implements [`std::fmt::Display`].
 //!
 //! # Fresh-variable rendering
@@ -29,7 +27,7 @@
 
 use std::fmt::{self, Write as _};
 
-use crate::interner::Resolve;
+use crate::interner::Interner;
 use crate::term::{Term, TermKind};
 
 /// One SPARQL triple pattern. 12 bytes, `Copy`: equality and hashing are
@@ -61,12 +59,12 @@ impl TriplePattern {
     /// rewritten pattern with consistent, capture-free existential names,
     /// use [`Bgp::display`] / [`GroupPattern::display`] /
     /// [`Query::display`] on the whole value instead.
-    pub fn display<'a, R: Resolve>(&'a self, resolver: &'a R) -> DisplayTriple<'a, R> {
+    pub fn display<'a>(&'a self, interner: &'a Interner) -> DisplayTriple<'a> {
         let mut fresh_base = String::new();
-        fresh_render_base_into(self.terms().into_iter(), resolver, &mut fresh_base);
+        fresh_render_base_into(self.terms().into_iter(), interner, &mut fresh_base);
         DisplayTriple {
             tp: self,
-            resolver,
+            interner,
             fresh_base,
         }
     }
@@ -93,16 +91,16 @@ impl Bgp {
     /// splicing this rendering into other query text can capture an
     /// existential. To render a rewritten query with its projection taken
     /// into account, use [`Query::display`] instead.
-    pub fn display<'a, R: Resolve>(&'a self, resolver: &'a R) -> DisplayBgp<'a, R> {
+    pub fn display<'a>(&'a self, interner: &'a Interner) -> DisplayBgp<'a> {
         let mut fresh_base = String::new();
         fresh_render_base_into(
             self.patterns.iter().flat_map(|tp| tp.terms()),
-            resolver,
+            interner,
             &mut fresh_base,
         );
         DisplayBgp {
             bgp: self,
-            resolver,
+            interner,
             fresh_base,
         }
     }
@@ -350,12 +348,12 @@ impl GroupPattern {
     /// Render as `{ ... }` SPARQL text. Fresh-term naming is computed from
     /// this pattern's terms only; see [`Query::display`] for the caveat
     /// about projection variables.
-    pub fn display<'a, R: Resolve>(&'a self, resolver: &'a R) -> DisplayPattern<'a, R> {
+    pub fn display<'a>(&'a self, interner: &'a Interner) -> DisplayPattern<'a> {
         let mut fresh_base = String::new();
-        fresh_render_base_into(self.terms(), resolver, &mut fresh_base);
+        fresh_render_base_into(self.terms(), interner, &mut fresh_base);
         DisplayPattern {
             pattern: self,
-            resolver,
+            interner,
             fresh_base,
         }
     }
@@ -499,13 +497,13 @@ pub struct Query {
 }
 
 impl Query {
-    pub fn display<'a, R: Resolve>(&'a self, resolver: &'a R) -> DisplayQuery<'a, R> {
+    pub fn display<'a>(&'a self, interner: &'a Interner) -> DisplayQuery<'a> {
         let q = self.as_ref();
         let mut fresh_base = String::new();
-        fresh_render_base_into(q.terms(), resolver, &mut fresh_base);
+        fresh_render_base_into(q.terms(), interner, &mut fresh_base);
         DisplayQuery {
             query: self,
-            resolver,
+            interner,
             fresh_base,
         }
     }
@@ -551,15 +549,15 @@ impl<'a> QueryRef<'a> {
 /// render path: with both buffers warm (capacity from a previous call) a
 /// call performs no heap allocations unless the query uses `g{k}` variable
 /// names with more than 19 digits (the arbitrary-precision fallback).
-pub fn render_query_into<R: Resolve>(
+pub fn render_query_into(
     query: QueryRef<'_>,
-    resolver: &R,
+    interner: &Interner,
     fresh_base: &mut String,
     out: &mut String,
 ) {
-    fresh_render_base_into(query.terms(), resolver, fresh_base);
+    fresh_render_base_into(query.terms(), interner, fresh_base);
     out.clear();
-    write_query(out, query, resolver, fresh_base).expect("writing to String cannot fail");
+    write_query(out, query, interner, fresh_base).expect("writing to String cannot fail");
 }
 
 /// Is `s` a canonical decimal numeral (no sign, no leading zero except "0"
@@ -601,9 +599,9 @@ fn decimal_add(digits: &str, n: u32) -> String {
 /// compare numerically by (length, lexicographic). Allocation-free once
 /// `out` has capacity, except for the >19-digit arbitrary-precision
 /// fallback.
-fn fresh_render_base_into<R: Resolve>(
+fn fresh_render_base_into(
     terms: impl Iterator<Item = Term>,
-    resolver: &R,
+    interner: &Interner,
     out: &mut String,
 ) {
     let mut max: Option<&str> = None;
@@ -611,7 +609,7 @@ fn fresh_render_base_into<R: Resolve>(
         if t.kind() != TermKind::Var {
             continue;
         }
-        let name = resolver.resolve(t.symbol());
+        let name = interner.resolve(t.symbol());
         if let Some(digits) = name.strip_prefix('g') {
             if is_canonical_decimal(digits)
                 && max.is_none_or(|m| (digits.len(), digits) > (m.len(), m))
@@ -632,10 +630,10 @@ fn fresh_render_base_into<R: Resolve>(
     }
 }
 
-fn write_term<W: fmt::Write + ?Sized, R: Resolve>(
+fn write_term<W: fmt::Write + ?Sized>(
     f: &mut W,
     t: Term,
-    resolver: &R,
+    interner: &Interner,
     fresh_base: &str,
 ) -> fmt::Result {
     if t.kind() == TermKind::Fresh {
@@ -649,7 +647,7 @@ fn write_term<W: fmt::Write + ?Sized, R: Resolve>(
             write!(f, "?g{}", decimal_add(fresh_base, t.fresh_index()))
         };
     }
-    let text = resolver.resolve(t.symbol());
+    let text = interner.resolve(t.symbol());
     match t.kind() {
         TermKind::Iri => write!(f, "<{text}>"),
         // Literals are interned with their full surface form (quotes,
@@ -661,54 +659,54 @@ fn write_term<W: fmt::Write + ?Sized, R: Resolve>(
     }
 }
 
-pub struct DisplayTriple<'a, R: Resolve> {
+pub struct DisplayTriple<'a> {
     tp: &'a TriplePattern,
-    resolver: &'a R,
+    interner: &'a Interner,
     fresh_base: String,
 }
 
-impl<R: Resolve> fmt::Display for DisplayTriple<'_, R> {
+impl fmt::Display for DisplayTriple<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_triple(f, self.tp, self.resolver, &self.fresh_base)
+        write_triple(f, self.tp, self.interner, &self.fresh_base)
     }
 }
 
-fn write_triple<W: fmt::Write + ?Sized, R: Resolve>(
+fn write_triple<W: fmt::Write + ?Sized>(
     f: &mut W,
     tp: &TriplePattern,
-    resolver: &R,
+    interner: &Interner,
     fresh_base: &str,
 ) -> fmt::Result {
-    write_term(f, tp.s, resolver, fresh_base)?;
+    write_term(f, tp.s, interner, fresh_base)?;
     f.write_str(" ")?;
-    write_term(f, tp.p, resolver, fresh_base)?;
+    write_term(f, tp.p, interner, fresh_base)?;
     f.write_str(" ")?;
-    write_term(f, tp.o, resolver, fresh_base)?;
+    write_term(f, tp.o, interner, fresh_base)?;
     f.write_str(" .")
 }
 
-pub struct DisplayBgp<'a, R: Resolve> {
+pub struct DisplayBgp<'a> {
     bgp: &'a Bgp,
-    resolver: &'a R,
+    interner: &'a Interner,
     fresh_base: String,
 }
 
-impl<R: Resolve> fmt::Display for DisplayBgp<'_, R> {
+impl fmt::Display for DisplayBgp<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_bgp(f, self.bgp, self.resolver, &self.fresh_base)
+        write_bgp(f, self.bgp, self.interner, &self.fresh_base)
     }
 }
 
-fn write_bgp<W: fmt::Write + ?Sized, R: Resolve>(
+fn write_bgp<W: fmt::Write + ?Sized>(
     f: &mut W,
     bgp: &Bgp,
-    resolver: &R,
+    interner: &Interner,
     fresh_base: &str,
 ) -> fmt::Result {
     f.write_str("{\n")?;
     for tp in &bgp.patterns {
         f.write_str("  ")?;
-        write_triple(f, tp, resolver, fresh_base)?;
+        write_triple(f, tp, interner, fresh_base)?;
         f.write_str("\n")?;
     }
     f.write_str("}")
@@ -724,24 +722,24 @@ fn write_indent<W: fmt::Write + ?Sized>(f: &mut W, depth: usize) -> fmt::Result 
 /// Render a filter expression. Non-leaf operands are parenthesized
 /// unconditionally, which keeps rendering deterministic and makes
 /// `render → parse → render` a fixpoint (parentheses do not create nodes).
-fn write_expr<W: fmt::Write + ?Sized, R: Resolve>(
+fn write_expr<W: fmt::Write + ?Sized>(
     f: &mut W,
     p: &GroupPattern,
     e: u32,
-    resolver: &R,
+    interner: &Interner,
     fresh_base: &str,
 ) -> fmt::Result {
     let operand = |f: &mut W, c: u32| -> fmt::Result {
         if let ExprNode::Term(t) = p.exprs[c as usize] {
-            write_term(f, t, resolver, fresh_base)
+            write_term(f, t, interner, fresh_base)
         } else {
             f.write_str("(")?;
-            write_expr(f, p, c, resolver, fresh_base)?;
+            write_expr(f, p, c, interner, fresh_base)?;
             f.write_str(")")
         }
     };
     match p.exprs[e as usize] {
-        ExprNode::Term(t) => write_term(f, t, resolver, fresh_base),
+        ExprNode::Term(t) => write_term(f, t, interner, fresh_base),
         ExprNode::Cmp(op, l, r) => {
             operand(f, l)?;
             write!(f, " {} ", op.as_str())?;
@@ -766,11 +764,11 @@ fn write_expr<W: fmt::Write + ?Sized, R: Resolve>(
 
 /// Render one pattern node (and its subtree) at `depth`, each line
 /// indented and newline-terminated.
-fn write_node<W: fmt::Write + ?Sized, R: Resolve>(
+fn write_node<W: fmt::Write + ?Sized>(
     f: &mut W,
     p: &GroupPattern,
     idx: u32,
-    resolver: &R,
+    interner: &Interner,
     fresh_base: &str,
     depth: usize,
 ) -> fmt::Result {
@@ -778,7 +776,7 @@ fn write_node<W: fmt::Write + ?Sized, R: Resolve>(
         PatternNode::Triples { .. } => {
             for tp in p.run(idx) {
                 write_indent(f, depth)?;
-                write_triple(f, tp, resolver, fresh_base)?;
+                write_triple(f, tp, interner, fresh_base)?;
                 f.write_str("\n")?;
             }
             Ok(())
@@ -787,7 +785,7 @@ fn write_node<W: fmt::Write + ?Sized, R: Resolve>(
             write_indent(f, depth)?;
             f.write_str("{\n")?;
             for c in p.children_from(first) {
-                write_node(f, p, c, resolver, fresh_base, depth + 1)?;
+                write_node(f, p, c, interner, fresh_base, depth + 1)?;
             }
             write_indent(f, depth)?;
             f.write_str("}\n")
@@ -796,7 +794,7 @@ fn write_node<W: fmt::Write + ?Sized, R: Resolve>(
             write_indent(f, depth)?;
             f.write_str("OPTIONAL {\n")?;
             for c in p.children_from(first) {
-                write_node(f, p, c, resolver, fresh_base, depth + 1)?;
+                write_node(f, p, c, interner, fresh_base, depth + 1)?;
             }
             write_indent(f, depth)?;
             f.write_str("}\n")
@@ -807,23 +805,23 @@ fn write_node<W: fmt::Write + ?Sized, R: Resolve>(
                     write_indent(f, depth)?;
                     f.write_str("UNION\n")?;
                 }
-                write_node(f, p, branch, resolver, fresh_base, depth)?;
+                write_node(f, p, branch, interner, fresh_base, depth)?;
             }
             Ok(())
         }
         PatternNode::Filter { expr } => {
             write_indent(f, depth)?;
             f.write_str("FILTER(")?;
-            write_expr(f, p, expr, resolver, fresh_base)?;
+            write_expr(f, p, expr, interner, fresh_base)?;
             f.write_str(")\n")
         }
         PatternNode::Service { endpoint, first } => {
             write_indent(f, depth)?;
             f.write_str("SERVICE ")?;
-            write_term(f, endpoint, resolver, fresh_base)?;
+            write_term(f, endpoint, interner, fresh_base)?;
             f.write_str(" {\n")?;
             for c in p.children_from(first) {
-                write_node(f, p, c, resolver, fresh_base, depth + 1)?;
+                write_node(f, p, c, interner, fresh_base, depth + 1)?;
             }
             write_indent(f, depth)?;
             f.write_str("}\n")
@@ -832,48 +830,48 @@ fn write_node<W: fmt::Write + ?Sized, R: Resolve>(
 }
 
 /// Render the whole pattern as `{ ... }` (no trailing newline).
-fn write_pattern<W: fmt::Write + ?Sized, R: Resolve>(
+fn write_pattern<W: fmt::Write + ?Sized>(
     f: &mut W,
     p: &GroupPattern,
-    resolver: &R,
+    interner: &Interner,
     fresh_base: &str,
 ) -> fmt::Result {
     f.write_str("{\n")?;
     for c in p.root_children() {
-        write_node(f, p, c, resolver, fresh_base, 1)?;
+        write_node(f, p, c, interner, fresh_base, 1)?;
     }
     f.write_str("}")
 }
 
-pub struct DisplayPattern<'a, R: Resolve> {
+pub struct DisplayPattern<'a> {
     pattern: &'a GroupPattern,
-    resolver: &'a R,
+    interner: &'a Interner,
     fresh_base: String,
 }
 
-impl<R: Resolve> fmt::Display for DisplayPattern<'_, R> {
+impl fmt::Display for DisplayPattern<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_pattern(f, self.pattern, self.resolver, &self.fresh_base)
+        write_pattern(f, self.pattern, self.interner, &self.fresh_base)
     }
 }
 
-pub struct DisplayQuery<'a, R: Resolve> {
+pub struct DisplayQuery<'a> {
     query: &'a Query,
-    resolver: &'a R,
+    interner: &'a Interner,
     fresh_base: String,
 }
 
-impl<R: Resolve> fmt::Display for DisplayQuery<'_, R> {
+impl fmt::Display for DisplayQuery<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_query(f, self.query.as_ref(), self.resolver, &self.fresh_base)
+        write_query(f, self.query.as_ref(), self.interner, &self.fresh_base)
     }
 }
 
 /// Render a full query (projection + pattern) to any writer.
-fn write_query<W: fmt::Write + ?Sized, R: Resolve>(
+fn write_query<W: fmt::Write + ?Sized>(
     f: &mut W,
     q: QueryRef<'_>,
-    resolver: &R,
+    interner: &Interner,
     fresh_base: &str,
 ) -> fmt::Result {
     f.write_str("SELECT")?;
@@ -882,18 +880,17 @@ fn write_query<W: fmt::Write + ?Sized, R: Resolve>(
         Some(vars) => {
             for v in vars {
                 f.write_str(" ")?;
-                write_term(f, *v, resolver, fresh_base)?;
+                write_term(f, *v, interner, fresh_base)?;
             }
         }
     }
     f.write_str(" WHERE ")?;
-    write_pattern(f, q.pattern, resolver, fresh_base)
+    write_pattern(f, q.pattern, interner, fresh_base)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interner::Interner;
 
     #[test]
     fn triple_pattern_is_twelve_bytes_and_copy() {
@@ -1037,17 +1034,23 @@ mod tests {
     }
 
     #[test]
-    fn renders_with_frozen_interner() {
+    fn renders_through_a_worker_clone() {
         let mut i = Interner::new();
         let tp = TriplePattern::new(
             Term::var(i.intern("s")),
             Term::iri(i.intern("http://ex.org/p")),
             Term::fresh(2),
         );
-        let frozen = i.freeze();
+        let mut worker = i.clone();
+        let o = Term::var(worker.intern("o"));
         assert_eq!(
-            tp.display(&frozen).to_string(),
+            tp.display(&worker).to_string(),
             "?s <http://ex.org/p> ?g2 ."
+        );
+        let tp2 = TriplePattern::new(tp.s, tp.p, o);
+        assert_eq!(
+            tp2.display(&worker).to_string(),
+            "?s <http://ex.org/p> ?o ."
         );
     }
 

@@ -76,20 +76,20 @@
 //!     .patterns;
 //! store.add_predicate(lhs, rhs).unwrap();
 //!
-//! // Build phase over: freeze the interner, share everything read-only.
+//! // Build phase over: share everything read-only. Each worker renders
+//! // with its own clone of the interner, which shares the strings.
 //! let rewriter: Arc<IndexedRewriter> = Arc::new(IndexedRewriter::new(Arc::new(store)));
-//! let frozen: Arc<FrozenInterner> = Arc::new(interner.freeze());
 //!
 //! let rendered: Vec<String> = thread::scope(|scope| {
 //!     (0..4)
 //!         .map(|_| {
 //!             let rewriter = Arc::clone(&rewriter);
-//!             let frozen = Arc::clone(&frozen);
+//!             let interner = interner.clone();
 //!             let query = &query;
 //!             scope.spawn(move || {
 //!                 let mut scratch = RewriteScratch::new();
 //!                 rewriter.rewrite_query_into(query, &mut scratch);
-//!                 scratch.to_query().display(&*frozen).to_string()
+//!                 scratch.to_query().display(&interner).to_string()
 //!             })
 //!         })
 //!         .collect::<Vec<_>>()

@@ -12,7 +12,7 @@ use sparql_rewrite_core::counting_alloc::{thread_allocation_count, CountingAlloc
 use sparql_rewrite_core::{
     fingerprint_query, parse_bgp, parse_query, parse_query_into, render_query_into, AlignmentStore,
     CacheConfig, CmpOp, ExprNode, IndexedRewriter, Interner, ParseScratch, Query, QueryRef,
-    RewriteCache, RewriteScratch, Rewriter, RuleTemplate, Term,
+    RewriteCache, RewriteScratch, Rewriter, RuleTemplate, ServeEngine, Term,
 };
 
 #[global_allocator]
@@ -445,4 +445,25 @@ fn rewrite_pattern_into_is_allocation_free_after_warmup() {
         }
     }
     assert_eq!(thread_allocation_count() - before, 0);
+}
+
+/// A worker's scratch shares the engine's interned strings instead of
+/// copying them: building one costs the same allocations over a
+/// 100k-symbol vocabulary as over a 10-symbol one.
+#[test]
+fn serve_scratch_allocations_do_not_scale_with_the_vocabulary() {
+    let scratch_allocs = |n_symbols: usize| {
+        let mut it = Interner::new();
+        for i in 0..n_symbols {
+            it.intern(&format!("http://src/e{i}"));
+        }
+        let engine =
+            ServeEngine::with_cache(AlignmentStore::new(), it, Some(CacheConfig::default()));
+        let before = thread_allocation_count();
+        let scratch = engine.scratch();
+        let allocs = thread_allocation_count() - before;
+        drop(scratch);
+        allocs
+    };
+    assert_eq!(scratch_allocs(100_000), scratch_allocs(10));
 }

@@ -129,6 +129,44 @@ fn framing_errors_get_structured_statuses_and_close() {
     server.shutdown();
 }
 
+/// Two requests far past the parser's depth cap: 20 KB of nested `{`,
+/// and a FILTER of 100,000 `&&` operators, which parses in a loop but
+/// builds a tree 100,000 levels tall. Each is a `400` on its own
+/// connection, not a stack overflow that takes the process down, and the
+/// server goes on serving.
+#[test]
+fn depth_cap_posts_past_the_cap_get_400_and_the_server_lives() {
+    let server = Server::spawn(test_engine(), quick_config(), "127.0.0.1:0").expect("spawn");
+    let addr = server.local_addr();
+
+    let braces = format!("SELECT * WHERE {}", "{".repeat(20 * 1024));
+    let chain = format!(
+        "SELECT * WHERE {{ ?s ?p ?o FILTER(?o = ?o{}) }}",
+        " && ?o = ?o".repeat(100_000)
+    );
+    for deep in [&braces, &chain] {
+        let mut post = format!(
+            "POST /sparql HTTP/1.1\r\nContent-Type: application/sparql-query\r\nContent-Length: {}\r\n\r\n",
+            deep.len()
+        )
+        .into_bytes();
+        post.extend_from_slice(deep.as_bytes());
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let resp = send_and_read(&mut stream, &post);
+        assert_eq!(resp.status, 400, "{}", &deep[..40]);
+        assert_eq!(resp.body, b"query_unparseable");
+    }
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let good = b"GET /sparql?query=SELECT+*+WHERE+%7B+%3Fs+%3Fp+%3Fo+%7D HTTP/1.1\r\nConnection: close\r\n\r\n";
+    assert_eq!(send_and_read(&mut stream, good).status, 200);
+
+    let stats = server.stats();
+    assert_eq!(stats.class(RequestError::QueryUnparseable), 2);
+    assert_eq!(stats.panics, 0);
+    server.shutdown();
+}
+
 /// Slow loris: a peer that sends half a request and stalls gets `408`
 /// once the request deadline expires — the worker is never held longer.
 #[test]
