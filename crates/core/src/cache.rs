@@ -82,17 +82,26 @@ impl QueryFingerprint {
 
 /// Streaming 64-bit hash over the normalized byte stream.
 ///
-/// Bytes accumulate in a small stack buffer and are digested 8 at a time
-/// (Fx-style rotate-xor-multiply over little-endian words), so the digest
-/// depends only on the byte *stream*, never on how the canonicalizer chunks
-/// its `push_bytes` calls — a QName expanded as three slices (`<`, base,
-/// local) hashes identically to the same IRI fed as one slice. Buffering
-/// instead of packing a word incrementally keeps the per-byte hot path at
-/// one store + one increment; the mix loop runs on whole cache-resident
-/// words when the buffer drains. The federation planner keys its partition
-/// cache with one too, so every text-keyed cache key in the crate is seeded.
+/// The stream is digested in 32-byte blocks: word `j` of a block
+/// (little-endian) feeds lane `j` of four independent Fx-style
+/// rotate-xor-multiply chains, each seeded per process, so a block's four
+/// multiplies run in parallel instead of as one dependent chain.
+/// [`Fingerprinter::finish`] folds the lanes into one word, then mixes in
+/// the 0–31 byte tail (whole words, then the partial word tagged with its
+/// length) and the stream length.
+///
+/// Blocks and lanes are fixed by stream position, so the digest depends
+/// only on the byte *stream*, never on how the canonicalizer chunks its
+/// `push_bytes` calls — a QName expanded as three slices (`<`, base,
+/// local) hashes identically to the same IRI fed as one slice, and
+/// [`fingerprint_raw`], which digests whole blocks straight from the
+/// request, agrees with [`fingerprint_query`] on the same bytes. Pushed
+/// bytes go through a small stack buffer, which keeps the canonicalizer's
+/// per-token sink at one copy + one increment. The federation planner keys
+/// its partition cache with one too, so every text-keyed cache key in the
+/// crate is seeded.
 pub(crate) struct Fingerprinter {
-    hash: u64,
+    lanes: [u64; 4],
     buf: [u8; Self::BUF],
     buf_len: usize,
     len: u32,
@@ -118,37 +127,68 @@ fn process_seed() -> u64 {
     })
 }
 
+/// One Fx-style step: the hash chain's only operation.
+#[inline(always)]
+fn step(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(Fingerprinter::K)
+}
+
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
 impl Fingerprinter {
     const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
     const K: u64 = 0x517c_c1b7_2722_0a95;
-    /// Multiple of 8 so a full drain leaves no remainder.
+    /// Bytes per block: one word per lane.
+    const BLOCK: usize = 32;
+    /// Multiple of [`Self::BLOCK`] so a full drain leaves no remainder.
     const BUF: usize = 256;
 
     pub(crate) fn new() -> Fingerprinter {
         Fingerprinter {
-            hash: Self::SEED ^ process_seed(),
+            lanes: Self::seeded_lanes(),
             buf: [0; Self::BUF],
             buf_len: 0,
             len: 0,
         }
     }
 
+    /// Every lane starts from the process seed, each at a distinct point so
+    /// equal words in different lanes do not cancel out when they fold.
     #[inline]
-    fn mix(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    fn seeded_lanes() -> [u64; 4] {
+        let seed = Self::SEED ^ process_seed();
+        [0, 1, 2, 3].map(|j| step(seed, j))
     }
 
-    /// Digest every complete 8-byte word in the buffer; the 0–7 byte tail
-    /// moves to the front and stays pending (stream chunking must not
-    /// influence word boundaries).
-    fn drain(&mut self) {
-        let words = self.buf_len / 8;
-        for i in 0..words {
-            let w = u64::from_le_bytes(self.buf[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
-            self.mix(w);
+    /// Digest every whole block of `bytes` into `lanes` and return the
+    /// 0–31 byte remainder. `bytes` must start on a block boundary of the
+    /// stream.
+    #[inline]
+    fn digest_blocks<'a>(lanes: &mut [u64; 4], bytes: &'a [u8]) -> &'a [u8] {
+        let mut blocks = bytes.chunks_exact(Self::BLOCK);
+        let [mut a, mut b, mut c, mut d] = *lanes;
+        for block in &mut blocks {
+            a = step(a, le_word(&block[0..8]));
+            b = step(b, le_word(&block[8..16]));
+            c = step(c, le_word(&block[16..24]));
+            d = step(d, le_word(&block[24..32]));
         }
-        let rem = self.buf_len % 8;
-        self.buf.copy_within(words * 8..self.buf_len, 0);
+        *lanes = [a, b, c, d];
+        blocks.remainder()
+    }
+
+    /// Digest every whole block in the buffer; the 0–31 byte tail moves to
+    /// the front and stays pending (stream chunking must not influence
+    /// block boundaries). Kept out of line: it runs once per buffer-full,
+    /// and inlined it would bloat `push_bytes`, the canonicalizer's
+    /// per-token sink.
+    #[inline(never)]
+    fn drain(&mut self) {
+        let rem = Self::digest_blocks(&mut self.lanes, &self.buf[..self.buf_len]).len();
+        self.buf.copy_within(self.buf_len - rem..self.buf_len, 0);
         self.buf_len = rem;
     }
 
@@ -171,20 +211,32 @@ impl Fingerprinter {
 
     pub(crate) fn finish(mut self) -> QueryFingerprint {
         self.drain();
-        if self.buf_len > 0 {
-            // Pack the 1–7 byte tail, tagged with its length so trailing
-            // NULs in the stream can't alias an empty tail.
-            let mut w = (self.buf_len as u64) << 56;
-            for (i, &b) in self.buf[..self.buf_len].iter().enumerate() {
+        Self::fold(self.lanes, &self.buf[..self.buf_len], self.len)
+    }
+
+    /// Fold the lanes into one word, then mix in the stream's 0–31 byte
+    /// `tail` and its length `len`.
+    #[inline]
+    fn fold(lanes: [u64; 4], tail: &[u8], len: u32) -> QueryFingerprint {
+        let [a, b, c, d] = lanes;
+        let mut h = step(step(step(a, b), c), d);
+        let mut words = tail.chunks_exact(8);
+        for w in &mut words {
+            h = step(h, le_word(w));
+        }
+        let partial = words.remainder();
+        if !partial.is_empty() {
+            // Pack the 1–7 byte partial word, tagged with its length so
+            // trailing NULs in the stream can't alias an empty tail.
+            let mut w = (partial.len() as u64) << 56;
+            for (i, &b) in partial.iter().enumerate() {
                 w |= (b as u64) << (8 * i);
             }
-            self.mix(w);
+            h = step(h, w);
         }
-        let len = self.len;
-        self.mix(len as u64);
+        h = step(h, len as u64);
         // Fold high-bit entropy down (Fx's multiply drives it upward) so
         // both the shard selector and the slot index see mixed bits.
-        let h = self.hash;
         QueryFingerprint::from_parts(h ^ (h >> 32), len)
     }
 }
@@ -205,21 +257,26 @@ pub fn fingerprint_query(text: &str) -> Option<QueryFingerprint> {
     Some(fp.finish())
 }
 
-/// Fingerprint the **raw** bytes of a request — no canonicalization, pure
-/// word-at-a-time hashing (a few ns per 100 bytes). This is the first-level
-/// cache key for byte-identical repeats, which dominate real endpoint
-/// traffic (clients re-send the same string); [`fingerprint_query`] is the
-/// second level that folds re-*spellings* onto one entry.
+/// Fingerprint the **raw** bytes of a request — no canonicalization and no
+/// staging copy: whole 32-byte blocks are digested straight from `text`
+/// (four lanes in parallel; the benchmark's `cache.fingerprint_raw_ns`
+/// layer), and the 0–31 byte tail is read in place by the fold. This is
+/// the first-level cache key for byte-identical repeats, which dominate
+/// real endpoint traffic (clients re-send the same string);
+/// [`fingerprint_query`] is the second level that folds re-*spellings*
+/// onto one entry.
 ///
 /// Safe to mix with canonical fingerprints in one [`RewriteCache`]: the
 /// canonical stream of a query is itself a valid spelling of that query
 /// (single separators, expanded IRIs, normalized keywords), so even a text
 /// whose raw bytes *are* some query's canonical stream maps to the same
-/// rewrite either way.
+/// rewrite either way — and both functions digest that stream to the same
+/// fingerprint.
 pub fn fingerprint_raw(text: &str) -> QueryFingerprint {
-    let mut fp = Fingerprinter::new();
-    fp.push_bytes(text.as_bytes());
-    fp.finish()
+    let mut lanes = Fingerprinter::seeded_lanes();
+    let tail = Fingerprinter::digest_blocks(&mut lanes, text.as_bytes());
+    // The stream length counts modulo 2^32, as `push_bytes` counts it.
+    Fingerprinter::fold(lanes, tail, text.len() as u32)
 }
 
 /// Linear-probe window: an entry lives within `PROBE` slots of its home
@@ -498,12 +555,14 @@ impl RewriteCache {
 
     /// Look up `fp` under generation `gen`, copying the cached bytes into
     /// `out` (cleared first) on a hit. Lock-free and allocation-free once
-    /// `out` has `value_cap` capacity; a probe that races a concurrent
-    /// overwrite fails its version check and reports a miss.
+    /// `out` has capacity for the value rounded up to a whole word (at most
+    /// `value_cap`); a probe that races a concurrent overwrite fails its
+    /// version check and reports a miss.
     ///
     /// On `true`, `out` holds bytes some `insert` stored verbatim under the
     /// same (fingerprint, generation) — for this crate's use, the rendered
-    /// rewrite `String`, so they are valid UTF-8.
+    /// rewrite `String`, so they are valid UTF-8. On `false` its contents
+    /// are unspecified: a torn copy leaves partial bytes behind.
     ///
     /// A probe counts nothing: its only shared write is a hit setting a
     /// clear CLOCK reference bit. Callers that want hit/miss numbers count the return
@@ -798,16 +857,59 @@ mod tests {
 
     #[test]
     fn fingerprint_is_chunking_independent() {
-        // One stream fed as many small writes vs few large ones.
-        let mut a = Fingerprinter::new();
-        for b in b"abcdefghijklmnopqrstuvwxyz0123456789" {
-            a.push_bytes(std::slice::from_ref(b));
+        // Stream lengths 0..=300 cross the 8-byte word, the 32-byte block
+        // and the 256-byte buffer boundaries. Every length is fed whole, as
+        // `fingerprint_raw`, byte by byte, and split in two at every point;
+        // the three-piece feeds put a 5-byte piece at every offset.
+        let text: Vec<u8> = (0..300u32).map(|i| b'!' + (i * 7 % 90) as u8).collect();
+        let text = String::from_utf8(text).expect("ASCII");
+        let digest = |pieces: &[&str]| {
+            let mut fp = Fingerprinter::new();
+            for piece in pieces {
+                fp.push_bytes(piece.as_bytes());
+            }
+            fp.finish()
+        };
+        for len in 0..=text.len() {
+            let t = &text[..len];
+            let whole = digest(&[t]);
+            assert_eq!(fingerprint_raw(t), whole, "raw vs pushed, len {len}");
+            let mut bytewise = Fingerprinter::new();
+            for b in t.as_bytes() {
+                bytewise.push_bytes(std::slice::from_ref(b));
+            }
+            assert_eq!(bytewise.finish(), whole, "byte by byte, len {len}");
+            for k in 0..=len {
+                assert_eq!(digest(&[&t[..k], &t[k..]]), whole, "len {len} split at {k}");
+                let j = (k + 5).min(len);
+                assert_eq!(
+                    digest(&[&t[..k], &t[k..j], &t[j..]]),
+                    whole,
+                    "len {len} split at {k} and {j}"
+                );
+            }
         }
-        let mut b = Fingerprinter::new();
-        b.push_bytes(b"abc");
-        b.push_bytes(b"defghijklmnop");
-        b.push_bytes(b"qrstuvwxyz0123456789");
-        assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn flipping_any_byte_changes_the_fingerprint() {
+        // A byte sits in some lane of some block, in one of the tail's
+        // whole words or in its partial word; each must reach the digest.
+        // The lengths end the stream on a block boundary, in the tail's
+        // whole words, in a partial word after one, and in a bare partial
+        // word.
+        for len in [224, 216, 203, 197] {
+            let text: Vec<u8> = (0..len).map(|i| b'a' + (i % 26) as u8).collect();
+            let base = fingerprint_raw(std::str::from_utf8(&text).expect("ASCII"));
+            for pos in 0..len.min(200) {
+                for flip in [b'A', b'~'] {
+                    let mut t = text.clone();
+                    t[pos] = flip;
+                    let t = String::from_utf8(t).expect("ASCII");
+                    assert_ne!(fingerprint_raw(&t), base, "len {len}, byte {pos} -> {flip}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! "queries/sec served" as a first-class number, not just rewrite
 //! throughput. Per request the engine:
 //!
-//! 0. canonicalizes the request text into a [`QueryFingerprint`]
-//!    (one tokenizer pass) and probes the shared [`RewriteCache`] — a hit
-//!    copies the previously rendered rewrite straight into the output
-//!    buffer and skips the pipeline entirely,
+//! 0. fingerprints the request's raw bytes (and, if that misses, its
+//!    canonical spelling: one tokenizer pass) into a [`QueryFingerprint`]
+//!    and probes the shared [`RewriteCache`] — a hit copies the previously
+//!    rendered rewrite once, straight into the output string, and skips
+//!    the pipeline entirely,
 //! 1. parses SPARQL text into a caller-owned [`ParseScratch`]
 //!    (worker-local interner — known strings resolve to their shared
 //!    symbols, novel strings get worker-private ids that can never alias a
@@ -72,13 +73,15 @@ pub struct ServeEngine {
 /// buffers and all per-serve counting live here; the engine's shared
 /// totals are written once every 64 serves.
 pub struct ServeScratch {
+    /// Worker-local interner clone; its overlay is trimmed before every
+    /// cold serve (see [`Interner::trim_overlay`]).
     interner: Interner,
     parse: ParseScratch,
     rewrite: RewriteScratch,
     fresh_base: String,
+    /// The response: a cache hit is copied straight into it, a cold serve
+    /// renders into it.
     out: String,
-    /// Cache copy-out buffer (bytes are validated UTF-8 before use).
-    hit_buf: Vec<u8>,
     /// The cache instance this worker serves from, re-pinned only after
     /// the controller publishes a resized one.
     cache: Pin<RewriteCache>,
@@ -106,11 +109,30 @@ impl ServeScratch {
         self.cache_misses = 0;
     }
 
-    /// Probe `cache` into the copy-out buffer, counting the probe.
+    /// Probe `cache` straight into the output buffer, counting the probe;
+    /// returns whether the request is served. `out`'s allocation is lent
+    /// to the lookup as bytes and taken back as a `String` in place: the
+    /// cached rewrite is copied once, from the cache's pool, and UTF-8
+    /// validation neither copies nor reallocates. The bytes were rendered
+    /// from a `String` and survived the seqlock check, so validation is a
+    /// formality — a cheap one that keeps this module free of `unsafe`. On
+    /// a miss (torn copies included) or invalid bytes, `out` is left empty
+    /// with its capacity kept.
     fn probe(&mut self, cache: &RewriteCache, fp: QueryFingerprint, gen: u64) -> bool {
-        let hit = cache.lookup(fp, gen, &mut self.hit_buf);
+        let mut bytes = std::mem::take(&mut self.out).into_bytes();
+        let mut hit = cache.lookup(fp, gen, &mut bytes);
+        if !hit {
+            bytes.clear();
+        }
+        self.out = String::from_utf8(bytes).unwrap_or_else(|invalid| {
+            hit = false;
+            let mut bytes = invalid.into_bytes();
+            bytes.clear();
+            String::from_utf8(bytes).unwrap_or_default()
+        });
         if hit {
             self.pending.probe_hits += 1;
+            self.cache_hits += 1;
         } else {
             self.pending.probe_misses += 1;
         }
@@ -401,7 +423,6 @@ impl ServeEngine {
             rewrite: RewriteScratch::new(),
             fresh_base: String::new(),
             out: String::new(),
-            hit_buf: Vec::with_capacity(cache.as_ref().map_or(0, |(_, c)| c.value_cap())),
             cache,
             pending: PendingCounts::default(),
             cache_hits: 0,
@@ -417,14 +438,17 @@ impl ServeEngine {
     /// once the scratch (and its interner) are warm for the request's
     /// vocabulary — hit or miss.
     ///
-    /// Two-level keying: the **raw-byte** fingerprint (word-speed hash, a
-    /// few ns) catches byte-identical repeats — the dominant case, clients
-    /// re-send the same string — and only on a raw miss does the
+    /// Two-level keying: the **raw-byte** fingerprint (one pass over the
+    /// request bytes, four hash lanes in parallel, no staging copy; the
+    /// benchmark's `cache.fingerprint_raw_ns` layer) catches
+    /// byte-identical repeats — the dominant case, clients re-send the
+    /// same string — and only on a raw miss does the
     /// **canonical** fingerprint (one tokenizer pass; the benchmark's
     /// `cache.fingerprint_canon_ns` layer) run to catch whitespace /
     /// keyword-case / PREFIX-alias re-spellings. A canonical hit promotes the raw
     /// spelling to its own entry so the next identical request takes the
-    /// fast level.
+    /// fast level. Either hit copies the cached rewrite once, from the
+    /// cache's pool straight into the returned buffer.
     pub fn serve<'s>(
         &self,
         request: &str,
@@ -453,12 +477,12 @@ impl ServeEngine {
         scratch: &mut ServeScratch,
     ) -> Result<(), ParseError> {
         let raw_fp = fingerprint_raw(request);
-        if self.finish_hit(scratch.probe(cache, raw_fp, self.revision), scratch) {
+        if scratch.probe(cache, raw_fp, self.revision) {
             return Ok(());
         }
         let canon_fp = fingerprint_query(request);
         if let Some(fp) = canon_fp {
-            if self.finish_hit(scratch.probe(cache, fp, self.revision), scratch) {
+            if scratch.probe(cache, fp, self.revision) {
                 // Promote this exact spelling: next time it hits on the
                 // raw level without paying for canonicalization.
                 cache.insert(raw_fp, self.revision, scratch.out.as_bytes());
@@ -483,35 +507,12 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// On `hit`, validate the copied bytes and move them into the output
-    /// buffer; returns whether the request is fully served. The copied
-    /// bytes were rendered into a `String` by a previous cold serve and
-    /// survived the seqlock validation, so UTF-8 checking is a formality —
-    /// but a cheap one, and it keeps this module free of `unsafe`. Failure
-    /// falls through to the cold path.
-    fn finish_hit(&self, hit: bool, scratch: &mut ServeScratch) -> bool {
-        if !hit {
-            return false;
-        }
-        let ServeScratch {
-            out,
-            hit_buf,
-            cache_hits,
-            ..
-        } = scratch;
-        match std::str::from_utf8(hit_buf) {
-            Ok(text) => {
-                *cache_hits += 1;
-                out.clear();
-                out.push_str(text);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// The uncached pipeline: parse → rewrite → render into `scratch.out`.
     fn serve_cold(&self, request: &str, scratch: &mut ServeScratch) -> Result<(), ParseError> {
+        // A request boundary: nothing minted for an earlier request is
+        // resolved again (the cache holds rendered text), so a worker's
+        // overlay of novel strings can be emptied here, which bounds it.
+        scratch.interner.trim_overlay();
         parse_query_into(request, &mut scratch.interner, &mut scratch.parse)?;
         self.rewriter
             .rewrite_ref_into(scratch.parse.query_ref(), &mut scratch.rewrite);
@@ -531,12 +532,21 @@ impl ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interner::OVERLAY_BOUND;
     use crate::{Term, TriplePattern};
 
     /// One rule mapping a short source predicate onto a long target IRI,
     /// so rewrites of source-vocabulary queries come out much bigger than
     /// they went in — easy to push past a small value cap.
     fn adaptive_engine(value_cap: usize) -> ServeEngine {
+        long_rule_engine(Some(CacheConfig {
+            shards: 2,
+            slots_per_shard: 256,
+            value_cap,
+        }))
+    }
+
+    fn long_rule_engine(cache: Option<CacheConfig>) -> ServeEngine {
         let mut interner = Interner::new();
         let mut store = AlignmentStore::new();
         let var_s = Term::var(interner.intern("s"));
@@ -551,15 +561,99 @@ mod tests {
                 vec![TriplePattern::new(var_s, tgt, var_o)],
             )
             .expect("valid rule");
-        ServeEngine::with_cache(
-            store,
-            interner,
-            Some(CacheConfig {
-                shards: 2,
-                slots_per_shard: 256,
-                value_cap,
-            }),
-        )
+        ServeEngine::with_cache(store, interner, cache)
+    }
+
+    #[test]
+    fn a_hit_is_copied_into_out_and_a_miss_leaves_it_empty() {
+        let engine = adaptive_engine(4096);
+        let cold = long_rule_engine(None);
+        let q = "SELECT * WHERE { ?s <http://src.example.org/onto/p> ?o }";
+        let expected = cold
+            .serve(q, &mut cold.scratch())
+            .expect("parses")
+            .to_owned();
+        let mut scratch = engine.scratch();
+        assert_eq!(engine.serve(q, &mut scratch).expect("parses"), expected);
+        let (_, cache) = engine.cache.as_ref().expect("cache installed").cell.load();
+
+        // A miss empties `out`, keeping its allocation for the cold render.
+        let cap = scratch.out.capacity();
+        let absent = QueryFingerprint::from_parts(0xdead_beef, 7);
+        assert!(!scratch.probe(&cache, absent, engine.revision));
+        assert_eq!(scratch.out, "");
+        assert_eq!(scratch.out.capacity(), cap);
+        // So does a hit under another generation (a stale entry).
+        let raw = fingerprint_raw(q);
+        assert!(!scratch.probe(&cache, raw, engine.revision + 1));
+        assert_eq!(scratch.out, "");
+
+        assert!(scratch.probe(&cache, raw, engine.revision));
+        assert_eq!(scratch.out, expected);
+        assert_eq!(scratch.cache_hits(), 1);
+        assert_eq!(engine.serve(q, &mut scratch).expect("parses"), expected);
+        assert_eq!(scratch.cache_hits(), 2);
+    }
+
+    #[test]
+    fn a_canonical_spelling_fills_one_cache_entry() {
+        // Its raw and canonical fingerprints coincide, so the cold fill
+        // stores one entry, not two; another spelling stores two.
+        let engine = adaptive_engine(4096);
+        let mut scratch = engine.scratch();
+        let occupancy = || engine.cache_stats().expect("cache installed").occupancy();
+        let text = "select * where { ?s <http://src.example.org/onto/p> ?o . ?o ?q \"x\"@EN }";
+        let mut canon = Vec::new();
+        crate::parser::canonicalize(text, &mut |b| canon.extend_from_slice(b)).expect("parses");
+        let canon = String::from_utf8(canon).expect("canonical bytes are UTF-8");
+        assert_ne!(canon, text);
+        assert_eq!(
+            fingerprint_raw(&canon),
+            fingerprint_query(&canon).expect("cacheable")
+        );
+
+        let rendered = engine
+            .serve(&canon, &mut scratch)
+            .expect("parses")
+            .to_owned();
+        assert_eq!(occupancy(), 1);
+        assert_eq!(engine.serve(text, &mut scratch).expect("parses"), rendered);
+        assert_eq!(occupancy(), 2, "a canonical hit promotes the raw spelling");
+        assert_eq!(scratch.cache_hits(), 1);
+
+        let other = "select * where { ?o <http://src.example.org/onto/p> ?s }";
+        engine.serve(other, &mut scratch).expect("parses");
+        assert_eq!(occupancy(), 4, "a non-canonical spelling fills both keys");
+    }
+
+    #[test]
+    fn unique_literals_keep_the_worker_overlay_bounded() {
+        // Every request brings a novel literal and a novel variable, so
+        // without the reset the overlay would grow by two per request.
+        let engine = long_rule_engine(None);
+        let base = engine.base_interner().len();
+        let mut scratch = engine.scratch();
+        let (mut high, mut resets, mut last) = (0, 0, 0);
+        for i in 0..100_000 {
+            let q = format!(
+                "SELECT ?s ?g{i} WHERE {{ ?s <http://src.example.org/onto/p> \"{i}\"^^<http://www.w3.org/2001/XMLSchema#integer> . ?s ?p ?g{i} }}"
+            );
+            let out = engine.serve(&q, &mut scratch).expect("parses").to_owned();
+            let mut fresh = engine.scratch();
+            let fresh = engine.serve(&q, &mut fresh).expect("parses");
+            assert_eq!(out, fresh, "request {i} rendered differently after resets");
+            let overlay = scratch.interner.len() - base;
+            high = high.max(overlay);
+            resets += usize::from(overlay < last);
+            last = overlay;
+        }
+        // At most the bound survives a request boundary, plus what one
+        // request interns (`?s`, `?p`, `?g{i}` and the literal).
+        assert!(
+            high <= OVERLAY_BOUND + 4,
+            "overlay reached {high} symbols, bound {OVERLAY_BOUND}"
+        );
+        assert!(resets >= 40, "the overlay was reset only {resets} times");
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //! The proxy is for tests and benches: one instance impersonates one
 //! endpoint, and because the executor serializes same-endpoint calls, the
 //! per-connection/per-request fault schedule is deterministic end to end.
+//! No fault's effect on the client depends on timing: a refused slot waits
+//! for the request before it closes, so a client holding the connection
+//! in its keep-alive pool always finds it alive at checkout, and a
+//! trickled response never ends, so it always runs into the client's
+//! deadline. Either race, lost to a loaded scheduler, would shift which
+//! connection — and so which slot of the schedule — the next request gets.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,12 +42,13 @@ use super::transport::fnv1a;
 pub enum FaultClass {
     /// Valid 200 response (Content-Length or chunked framing by draw).
     Healthy,
-    /// Connection closed without reading the request.
+    /// Connection closed with no response as soon as the request starts
+    /// to arrive.
     Refuse,
     /// Request read, then the connection is closed with no response.
     Reset,
     /// Slow-loris: a valid-looking response trickled one byte at a time,
-    /// slower than any deadline.
+    /// then silence until the client hangs up, so it never completes.
     Trickle,
     /// `Content-Length` promises more body than is sent before close.
     TruncateBody,
@@ -293,8 +300,10 @@ fn handle_connection(
     for req in 0u64.. {
         let fault = spec.draw(seed, conn, req);
         if fault == FaultClass::Refuse {
-            // Slam the door before reading anything.
+            // Slam the door once the request starts to arrive (closing
+            // earlier would race a pooled connection's health check).
             counters.injected[fault.index()].fetch_add(1, Ordering::Relaxed);
+            await_client(&mut reader, shutdown);
             return;
         }
         let Some(query) = read_request(&mut reader, shutdown) else {
@@ -329,6 +338,7 @@ fn handle_connection(
             FaultClass::Reset => false,
             FaultClass::Trickle => {
                 trickle(write_half, &spec, shutdown);
+                drain_until_hangup(&mut reader, shutdown);
                 false
             }
             FaultClass::TruncateBody => {
@@ -383,8 +393,10 @@ fn handle_connection(
     }
 }
 
-/// Trickle a response one byte at a time, far slower than any client
-/// deadline, until the client gives up (write error) or shutdown.
+/// Trickle a response one byte at a time until the client gives up
+/// (write error) or shutdown. The response promises more body than it
+/// sends, and the caller then holds the connection open, so the client's
+/// deadline always ends the exchange, however fast the trickle ran.
 fn trickle(mut w: &TcpStream, spec: &ChaosSpec, shutdown: &AtomicBool) {
     let resp = format!(
         "HTTP/1.1 200 OK\r\nContent-Length: 4096\r\n\r\n{}",
@@ -400,8 +412,36 @@ fn trickle(mut w: &TcpStream, spec: &ChaosSpec, shutdown: &AtomicBool) {
         }
         thread::sleep(step);
     }
-    // Keep the socket open and silent afterwards; the client's deadline
-    // reader is responsible for cutting the cord.
+}
+
+/// Block until the client sends something or hangs up (or shutdown).
+fn await_client(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) {
+    while !shutdown.load(Ordering::Relaxed) {
+        match reader.fill_buf() {
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
+            }
+            _ => return,
+        }
+    }
+}
+
+/// Keep the connection open and silent, discarding whatever arrives,
+/// until the client hangs up (or shutdown).
+fn drain_until_hangup(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) {
+    while !shutdown.load(Ordering::Relaxed) {
+        match reader.fill_buf() {
+            Ok([]) => return,
+            Ok(buf) => {
+                let n = buf.len();
+                reader.consume(n);
+            }
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
+            }
+            Err(_) => return,
+        }
+    }
 }
 
 /// Read one HTTP request (headers + Content-Length body) and return the

@@ -25,6 +25,13 @@ use std::sync::Arc;
 use crate::fxhash::FxHasher;
 use crate::term::Symbol;
 
+/// Most symbols an overlay keeps across requests: past this,
+/// [`Interner::trim_overlay`] empties it. Large enough that a worker's hot
+/// strings (variable names, recurring literals) survive many requests
+/// between resets, small enough that the overlay's table stays
+/// cache-resident for the base lookups that probe it first.
+pub(crate) const OVERLAY_BOUND: usize = 4096;
+
 /// Vacant table slot. Slots pack `(hash_tag << 32) | symbol_id`; a symbol
 /// id of `u32::MAX` is unreachable (the interner asserts ids ≤ 2^29), so
 /// `u64::MAX` cannot collide with a live entry.
@@ -136,6 +143,13 @@ impl Layer {
         i
     }
 
+    /// Forget every string, keeping every buffer's capacity.
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+        self.table.fill(EMPTY);
+    }
+
     fn grow(&mut self) {
         let new_cap = (self.table.len() * 2).max(16);
         self.table = vec![EMPTY; new_cap];
@@ -164,10 +178,11 @@ impl Layer {
 /// base never grows under an overlay, even after the clones that shared it
 /// are dropped.
 ///
-/// Known bound: an overlay grows with every novel string its owner
-/// interns, and nothing evicts from it — a worker serving an endless
-/// stream of unique literals grows without bound, as a deep-cloned
-/// interner did before the base was shared.
+/// Bound: an overlay grows with every novel string its owner interns,
+/// until [`Interner::trim_overlay`], called between requests, empties it
+/// once it holds more than 4,096 symbols. A worker serving an endless
+/// stream of unique literals therefore keeps at most 4,096 overlay symbols
+/// (plus one request's worth) and their text.
 #[derive(Default, Debug, Clone)]
 pub struct Interner {
     base: Arc<Layer>,
@@ -194,6 +209,23 @@ impl Interner {
         };
         layer.push(s, hash);
         Symbol(id)
+    }
+
+    /// At a request boundary, empty the overlay once it holds more than
+    /// 4,096 symbols, keeping its capacity: a warm reset allocates nothing.
+    /// This is what bounds a serve worker's memory under a stream of
+    /// unique literals.
+    ///
+    /// Every symbol minted into the overlay becomes invalid (its id will
+    /// be reissued for another string), so call it only where nothing
+    /// minted earlier is resolved again: the serve engine and the
+    /// federated worker call it before parsing each request, as their
+    /// caches hold rendered text, never symbols. Base symbols are
+    /// untouched.
+    pub fn trim_overlay(&mut self) {
+        if self.own.len() > OVERLAY_BOUND {
+            self.own.clear();
+        }
     }
 
     /// The overlay is small and holds the hot worker-local strings, so it
@@ -342,6 +374,29 @@ mod tests {
         assert_eq!(worker.resolve(second), "second");
         assert_eq!(worker.get("first"), Some(first));
         assert_eq!(worker.get("second"), Some(second));
+    }
+
+    #[test]
+    fn trimming_empties_only_an_overlay_past_the_bound() {
+        let mut build = Interner::new();
+        let rule = build.intern("http://example.org/rule");
+        let mut worker = build.clone();
+        for i in 0..OVERLAY_BOUND {
+            worker.intern(&format!("\"{i}\""));
+        }
+        worker.trim_overlay();
+        assert_eq!(worker.own.len(), OVERLAY_BOUND, "at the bound: kept");
+        worker.intern("\"last\"");
+        worker.trim_overlay();
+        assert!(worker.own.is_empty(), "past the bound: emptied");
+        assert_eq!(worker.get("\"last\""), None);
+        assert_eq!(worker.get("\"0\""), None);
+        assert_eq!(worker.get("http://example.org/rule"), Some(rule));
+        // The next novel string reuses the first overlay id.
+        let again = worker.intern("\"again\"");
+        assert_eq!(again.index(), build.symbol_bound());
+        assert_eq!(worker.resolve(again), "\"again\"");
+        assert_eq!(worker.intern("\"again\""), again);
     }
 
     #[test]

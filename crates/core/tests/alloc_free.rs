@@ -179,12 +179,11 @@ fn steady_state_parse_query_into_is_allocation_free() {
     );
 }
 
-#[test]
-fn steady_state_parse_rewrite_render_pipeline_is_allocation_free() {
-    // Rules over the same vocabulary as PIPELINE_TEXTS, including the
-    // two-template `src:multi` predicate whose rewrite expands a UNION.
-    // Built against the *same* interner the pipeline parses with — rule
-    // terms and query terms must share symbols.
+/// Rules over the same vocabulary as PIPELINE_TEXTS, including the
+/// two-template `src:multi` predicate whose rewrite expands a UNION, and
+/// the interner they were built with — rule terms and query terms must
+/// share symbols.
+fn pipeline_rules() -> (AlignmentStore, Interner) {
     let mut it = Interner::new();
     let mut store = AlignmentStore::new();
     store
@@ -216,6 +215,12 @@ fn steady_state_parse_rewrite_render_pipeline_is_allocation_free() {
             .patterns;
         store.add_predicate(lhs3, rhs).unwrap();
     }
+    (store, it)
+}
+
+#[test]
+fn steady_state_parse_rewrite_render_pipeline_is_allocation_free() {
+    let (store, mut it) = pipeline_rules();
     let rewriter = IndexedRewriter::new(&store);
     let mut parse = ParseScratch::new();
     let mut rewrite = RewriteScratch::new();
@@ -320,6 +325,83 @@ fn cache_hit_path_is_allocation_free() {
         0,
         "steady-state fingerprint + cache lookup must not allocate"
     );
+}
+
+/// A repeated request through `ServeEngine::serve` is fingerprint + probe +
+/// one copy into the scratch's output string: no allocation, and the bytes
+/// of the cold render.
+#[test]
+fn serve_hit_path_is_allocation_free() {
+    let serve_all = |engine: &ServeEngine| {
+        let mut scratch = engine.scratch();
+        PIPELINE_TEXTS
+            .iter()
+            .map(|t| engine.serve(t, &mut scratch).unwrap().to_owned())
+            .collect::<Vec<String>>()
+    };
+    let (store, it) = pipeline_rules();
+    let cold = serve_all(&ServeEngine::with_cache(store, it, None));
+    let (store, it) = pipeline_rules();
+    let engine = ServeEngine::with_cache(store, it, Some(CacheConfig::default()));
+    let mut scratch = engine.scratch();
+    // The first pass renders and fills the cache; the second hits, and may
+    // grow the output string once to a whole number of words.
+    for _ in 0..2 {
+        for text in PIPELINE_TEXTS {
+            engine.serve(text, &mut scratch).unwrap();
+        }
+    }
+    scratch.reset_cache_counters();
+    let before = thread_allocation_count();
+    for _ in 0..1_000 {
+        for (text, expected) in PIPELINE_TEXTS.iter().zip(&cold) {
+            assert_eq!(engine.serve(text, &mut scratch).unwrap(), expected);
+        }
+    }
+    assert_eq!(
+        thread_allocation_count() - before,
+        0,
+        "steady-state cache hits must not allocate"
+    );
+    assert_eq!(scratch.cache_hits(), 1_000 * PIPELINE_TEXTS.len() as u64);
+}
+
+/// Resetting a worker's interner overlay between requests keeps every
+/// buffer: once a fill-and-reset cycle has run, the next ones allocate
+/// nothing.
+#[test]
+fn warm_overlay_reset_allocates_nothing() {
+    let mut build = Interner::new();
+    build.intern("http://src/one");
+    let base = build.len();
+    let mut worker = build.clone();
+    // Fixed-width literals: every cycle refills the overlay to the same
+    // byte count. 10,000 novel strings pass the overlay bound twice over.
+    let literals: Vec<String> = (0..30_000).map(|i| format!("\"{i:06}\"")).collect();
+    let request = |lit: &String, worker: &mut Interner| {
+        worker.trim_overlay();
+        worker.intern("s");
+        worker.intern(lit);
+        worker.len() - base
+    };
+    for lit in &literals[..20_000] {
+        request(lit, &mut worker);
+    }
+    let before = thread_allocation_count();
+    let mut resets = 0;
+    let mut last = worker.len() - base;
+    for lit in &literals[20_000..] {
+        let overlay = request(lit, &mut worker);
+        resets += usize::from(overlay < last);
+        last = overlay;
+    }
+    assert_eq!(
+        thread_allocation_count() - before,
+        0,
+        "a warm overlay reset must not allocate"
+    );
+    assert!(resets >= 2, "the overlay was reset {resets} times");
+    assert_eq!(worker.get("http://src/one").map(|s| s.index()), Some(0));
 }
 
 /// Complex correspondences — guarded rules (statically true / statically

@@ -1008,6 +1008,9 @@ fn serve_federated(
 ) {
     use std::fmt::Write as _;
     let seq = fed.seq.fetch_add(1, Ordering::Relaxed);
+    // A request boundary: the partition cache is keyed by term text, so no
+    // symbol minted for an earlier request is looked up again.
+    fs.interner.trim_overlay();
     let planned = parse_query_into(query, &mut fs.interner, &mut fs.parse)
         .ok()
         .and_then(|()| {

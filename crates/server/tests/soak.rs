@@ -499,22 +499,11 @@ fn server_federated_chaos() {
         panics == 0,
         "federated chaos caught {panics} panic(s) between chaos client and chaos endpoints"
     );
+    let divergence = a.first_divergence(&b);
     assert!(
-        a.client_transcript == b.client_transcript
-            && a.server_transcript == b.server_transcript
-            && a.injected_client == b.injected_client
-            && a.injected_endpoints == b.injected_endpoints
-            && a.attempts == b.attempts
-            && a.fstats == b.fstats
-            && a.stats.accepted == b.stats.accepted
-            && a.stats.served == b.stats.served
-            && a.stats.shed == b.stats.shed
-            && a.stats.error_classes == b.stats.error_classes,
-        "federated chaos transcripts (client or server side) diverged across identical-seed runs"
-    );
-    assert!(
-        a.fstats.breakers == b.fstats.breakers,
-        "final breaker states diverged across identical-seed federated runs"
+        divergence.is_none(),
+        "federated chaos diverged across identical-seed runs, first in the {}",
+        divergence.unwrap_or_default()
     );
     assert!(
         a.fstats.partial_responses > 0,
@@ -544,6 +533,66 @@ struct FedRun {
     attempts: u64,
     fstats: FederationStats,
     stats: StatsSnapshot,
+}
+
+impl FedRun {
+    /// Everything the determinism check compares, as (name, text): the
+    /// transcripts as recorded, every counter on a line of its own that
+    /// starts with the counter's name.
+    fn compared(&self) -> [(&'static str, String); 3] {
+        let FederationStats {
+            outcomes,
+            complete_responses,
+            partial_responses,
+            gateway_unavailable,
+            gateway_timeouts,
+            deadline_breaches,
+            transport_panics,
+            reused_connections,
+            transparent_reconnects,
+            breakers,
+        } = &self.fstats;
+        let s = &self.stats;
+        let counters = format!(
+            "injected_client {:?}\ninjected_endpoints {:?}\nattempts {}\n\
+             outcomes {outcomes:?}\ncomplete_responses {complete_responses}\n\
+             partial_responses {partial_responses}\ngateway_unavailable {gateway_unavailable}\n\
+             gateway_timeouts {gateway_timeouts}\ndeadline_breaches {deadline_breaches}\n\
+             transport_panics {transport_panics}\nreused_connections {reused_connections}\n\
+             transparent_reconnects {transparent_reconnects}\nbreakers {breakers:?}\n\
+             accepted {}\nserved {}\nshed {}\nerror_classes {:?}",
+            self.injected_client,
+            self.injected_endpoints,
+            self.attempts,
+            s.accepted,
+            s.served,
+            s.shed,
+            s.error_classes
+        );
+        [
+            ("client transcript", self.client_transcript.clone()),
+            ("server transcript", self.server_transcript.clone()),
+            ("counters", counters),
+        ]
+    }
+
+    /// The first compared line in which `other` differs from this run —
+    /// its field and line number and both versions — or `None`.
+    fn first_divergence(&self, other: &FedRun) -> Option<String> {
+        for ((name, a), (_, b)) in self.compared().iter().zip(other.compared()) {
+            let (mut la, mut lb) = (a.lines(), b.lines());
+            for n in 1.. {
+                match (la.next(), lb.next()) {
+                    (None, None) => break,
+                    (x, y) if x != y => {
+                        return Some(format!("{name}, line {n}: {x:?} vs {y:?}"));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        None
+    }
 }
 
 /// Per-endpoint chaos profile: one honest member, one that lies at the
