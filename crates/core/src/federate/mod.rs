@@ -4,21 +4,21 @@
 //! this module turns N per-endpoint [`AlignmentStore`]s into a dispatch
 //! plan and executes it against unreliable peers without falling over:
 //!
-//! 1. **Partition** ([`FederationPlanner::plan`]): each top-level triple
-//!    pattern of a parsed query is assigned to the endpoint whose rules can
-//!    rewrite it. The assignment reads
+//! 1. **Partition** ([`FederationPlanner::plan_for_dispatch`]): each
+//!    top-level triple pattern of a parsed query is assigned to the endpoint
+//!    whose rules can rewrite it. The assignment reads
 //!    [`AlignmentStore::predicate_candidates`] — an O(1) slice lookup
 //!    against the store's dispatch table — and the candidate *count* doubles as a
 //!    statistics-free selectivity signal in the spirit of Yannakis et al.:
 //!    endpoints are dispatched most-selective-first (smallest expected
 //!    expansion), ties broken by endpoint id. Patterns no endpoint can
 //!    rewrite, and all non-conjunctive structure (OPTIONAL, UNION, FILTER,
-//!    nested groups), stay in a local residual partition.
+//!    nested groups), stay local; the plan counts the unrewritable
+//!    patterns and ships neither.
 //! 2. **Rewrite + render**: each partition is rewritten against its
-//!    endpoint's own rules and rendered both as a standalone subquery (the
-//!    text shipped over the transport) and as a
-//!    [`PatternNode::Service`]-annotated block of the combined federated
-//!    query.
+//!    endpoint's own rules and rendered as a standalone `SELECT *`
+//!    subquery, the text shipped over the transport. With the partition
+//!    cache on, a repeated partition skips both steps.
 //! 3. **Execute** ([`FederatedExecutor`]): subqueries are dispatched
 //!    concurrently — the calling thread plus a few persistent dispatch
 //!    lanes, no thread spawned per request — over a pluggable
@@ -67,10 +67,7 @@ use std::sync::Arc;
 use crate::align::AlignmentStore;
 use crate::cache::{CacheConfig, Fingerprinter, QueryFingerprint, RewriteCache};
 use crate::interner::Interner;
-use crate::pattern::{
-    render_query_into, Bgp, ChainBuilder, ExprNode, GroupPattern, PatternNode, Query, QueryRef,
-    SelectList, TriplePattern,
-};
+use crate::pattern::{render_query_into, GroupPattern, QueryRef, TriplePattern};
 use crate::rewriter::{IndexedRewriter, RewriteError, RewriteLimits, RewriteScratch, Rewriter};
 use crate::term::Term;
 
@@ -181,7 +178,7 @@ impl FederatedResult {
     }
 }
 
-/// One endpoint's share of a [`FederationPlan`], in dispatch order.
+/// One endpoint's share of a [`DispatchPlan`], in dispatch order.
 #[derive(Clone, Debug)]
 pub struct EndpointPlan {
     pub endpoint: EndpointId,
@@ -197,24 +194,8 @@ pub struct EndpointPlan {
     pub n_patterns: usize,
 }
 
-/// Output of [`FederationPlanner::plan`].
-#[derive(Clone, Debug)]
-pub struct FederationPlan {
-    /// The combined federated query: one `SERVICE <endpoint> { ... }` block
-    /// per dispatched endpoint (in dispatch order, rewritten against that
-    /// endpoint's rules) followed by the local residual, under the original
-    /// projection.
-    pub annotated: Query,
-    /// Per-endpoint subqueries in dispatch order — feed these to
-    /// [`FederatedExecutor::execute`].
-    pub endpoints: Vec<EndpointPlan>,
-    /// Number of triple patterns no endpoint could rewrite (kept local).
-    pub n_residual_patterns: usize,
-}
-
-/// Output of [`FederationPlanner::plan_for_dispatch`]: just what the
-/// executor consumes, with no SERVICE-annotated combined query — the
-/// variant the partition cache can serve without rewriting at all.
+/// Output of [`FederationPlanner::plan_for_dispatch`]: what the executor
+/// consumes.
 #[derive(Clone, Debug)]
 pub struct DispatchPlan {
     /// Per-endpoint subqueries in dispatch order.
@@ -248,10 +229,11 @@ pub struct PartitionCacheStats {
     pub misses: u64,
 }
 
-/// Partitions queries across per-endpoint rule sets and renders
-/// SERVICE-annotated subqueries. Build-phase: register endpoints with
+/// Partitions queries across per-endpoint rule sets and renders one
+/// rewritten subquery per endpoint. Build-phase: register endpoints with
 /// [`FederationPlanner::add_endpoint`], then call
-/// [`FederationPlanner::plan`] freely from the serve phase (`&self`).
+/// [`FederationPlanner::plan_for_dispatch`] freely from the serve phase
+/// (`&self`).
 ///
 /// With [`FederationPlanner::enable_partition_cache`], rendered partition
 /// rewrites are memoized per `(endpoint id, partition fingerprint)` under
@@ -268,6 +250,8 @@ pub struct FederationPlanner {
 /// Reusable buffers threaded through per-partition rewriting.
 #[derive(Default)]
 struct PlanScratch {
+    /// The partition in progress, as a flat `SELECT *` pattern.
+    part: GroupPattern,
     rewrite: RewriteScratch,
     fresh_base: String,
 }
@@ -276,16 +260,10 @@ struct PlanScratch {
 struct Partitioned {
     parts: Vec<Vec<TriplePattern>>,
     scores: Vec<u64>,
-    residual: Vec<ResidualItem>,
+    /// Root triples no endpoint could rewrite.
+    n_residual_patterns: usize,
     /// Endpoints with non-empty partitions, most selective first.
     order: Vec<usize>,
-}
-
-/// What a residual (locally kept) item is: a triple no endpoint matched, or
-/// a non-conjunctive node copied structurally.
-enum ResidualItem {
-    Triple(TriplePattern),
-    Node(u32),
 }
 
 impl FederationPlanner {
@@ -418,26 +396,23 @@ impl FederationPlanner {
         best.map(|(_, score, i)| (i, score))
     }
 
-    /// Partition the root conjunction of `src` across endpoints and fix
-    /// the dispatch order — the shared front half of both planning paths.
+    /// Partition the root triples of `src` across endpoints and fix the
+    /// dispatch order. Other root nodes (OPTIONAL, UNION, FILTER, nested
+    /// groups) have an empty run, so they are never dispatched.
     fn partition(&self, src: &GroupPattern) -> Partitioned {
         let n = self.endpoints.len();
         let mut parts: Vec<Vec<TriplePattern>> = vec![Vec::new(); n];
         let mut scores: Vec<u64> = vec![0; n];
-        let mut residual: Vec<ResidualItem> = Vec::new();
+        let mut n_residual_patterns = 0;
         for ci in src.root_children() {
-            if matches!(src.nodes[ci as usize], PatternNode::Triples { .. }) {
-                for &tp in src.run(ci) {
-                    match self.assign(tp) {
-                        Some((e, score)) => {
-                            parts[e].push(tp);
-                            scores[e] += score;
-                        }
-                        None => residual.push(ResidualItem::Triple(tp)),
+            for &tp in src.run(ci) {
+                match self.assign(tp) {
+                    Some((e, score)) => {
+                        parts[e].push(tp);
+                        scores[e] += score;
                     }
+                    None => n_residual_patterns += 1,
                 }
-            } else {
-                residual.push(ResidualItem::Node(ci));
             }
         }
 
@@ -448,7 +423,7 @@ impl FederationPlanner {
         Partitioned {
             parts,
             scores,
-            residual,
+            n_residual_patterns,
             order,
         }
     }
@@ -464,9 +439,15 @@ impl FederationPlanner {
         scratch: &mut PlanScratch,
         subquery: &mut String,
     ) -> Result<(), RewriteError> {
-        let bgp = Bgp::new(part.to_vec());
-        let rewriter = IndexedRewriter::new(Arc::clone(&self.endpoints[e].store));
-        rewriter.try_rewrite_bgp_into(&bgp, &mut scratch.rewrite, limits)?;
+        scratch.part.set_bgp(part);
+        IndexedRewriter::new(&*self.endpoints[e].store).try_rewrite_ref_into(
+            QueryRef {
+                select: None,
+                pattern: &scratch.part,
+            },
+            &mut scratch.rewrite,
+            limits,
+        )?;
         subquery.clear();
         render_query_into(
             QueryRef {
@@ -480,11 +461,15 @@ impl FederationPlanner {
         Ok(())
     }
 
-    /// Plan for execution only: like [`FederationPlanner::plan`] but
-    /// without building the SERVICE-annotated combined query — which is
-    /// what lets a partition-cache hit skip the rewrite *entirely* and
-    /// serve the subquery text by fingerprint + memcpy. Both paths share
-    /// one cache, so full `plan` calls warm it for dispatch traffic.
+    /// Partition `query`, rewrite each partition against its endpoint's
+    /// rules (bounded by `limits`), and render each as the subquery its
+    /// endpoint is sent. With the partition cache on, a hot partition skips
+    /// the rewrite entirely: its subquery text is served by fingerprint +
+    /// memcpy.
+    ///
+    /// Plans are fully deterministic in the query + registered endpoints.
+    /// Fails only when a partition's rewrite crosses a [`RewriteLimits`]
+    /// cap.
     pub fn plan_for_dispatch(
         &self,
         query: QueryRef<'_>,
@@ -492,11 +477,6 @@ impl FederationPlanner {
         limits: RewriteLimits,
     ) -> Result<DispatchPlan, RewriteError> {
         let p = self.partition(query.pattern);
-        let n_residual_patterns = p
-            .residual
-            .iter()
-            .filter(|i| matches!(i, ResidualItem::Triple(_)))
-            .count();
         let mut endpoint_plans = Vec::with_capacity(p.order.len());
         let mut scratch = PlanScratch::default();
         let mut cached = Vec::new();
@@ -543,180 +523,9 @@ impl FederationPlanner {
         }
         Ok(DispatchPlan {
             endpoints: endpoint_plans,
-            n_residual_patterns,
+            n_residual_patterns: p.n_residual_patterns,
         })
     }
-
-    /// Partition `query`, rewrite each partition against its endpoint's
-    /// rules (bounded by `limits`), and render the dispatch plan.
-    ///
-    /// Plans are fully deterministic in the query + registered endpoints.
-    /// Fails only when a partition's rewrite crosses a [`RewriteLimits`]
-    /// cap.
-    pub fn plan(
-        &self,
-        query: QueryRef<'_>,
-        interner: &Interner,
-        limits: RewriteLimits,
-    ) -> Result<FederationPlan, RewriteError> {
-        let src = query.pattern;
-        let Partitioned {
-            parts,
-            scores,
-            residual,
-            order,
-        } = self.partition(src);
-
-        let mut annotated = GroupPattern::new();
-        let mut chain = ChainBuilder::new();
-        let mut endpoint_plans = Vec::with_capacity(order.len());
-        let mut scratch = PlanScratch::default();
-        for &e in &order {
-            let mut subquery = String::new();
-            self.rewrite_partition(e, &parts[e], interner, limits, &mut scratch, &mut subquery)?;
-            // The annotated tree needs the rewritten pattern either way,
-            // so the cache is only written here — warming dispatch-path
-            // lookups — never consulted.
-            if let Some(pc) = &self.cache {
-                let fp = self.partition_fingerprint(e, &parts[e], interner);
-                pc.cache
-                    .insert(fp, self.endpoint_generation(e), subquery.as_bytes());
-            }
-            let mut svc_chain = ChainBuilder::new();
-            for c in scratch.rewrite.pattern().root_children() {
-                let node = copy_node(scratch.rewrite.pattern(), c, &mut annotated);
-                svc_chain.push(&mut annotated, node);
-            }
-            let svc = annotated.push_node(PatternNode::Service {
-                endpoint: self.endpoints[e].term,
-                first: svc_chain.first(),
-            });
-            chain.push(&mut annotated, svc);
-            endpoint_plans.push(EndpointPlan {
-                endpoint: EndpointId(e as u32),
-                endpoint_term: self.endpoints[e].term,
-                subquery,
-                selectivity: scores[e],
-                n_patterns: parts[e].len(),
-            });
-        }
-
-        // Residual: unroutable triples (as maximal runs) and structural
-        // nodes, in original order, after the SERVICE blocks.
-        let mut n_residual_patterns = 0;
-        let mut run_start = annotated.triples.len() as u32;
-        let flush = |annotated: &mut GroupPattern, chain: &mut ChainBuilder, start: u32| {
-            let end = annotated.triples.len() as u32;
-            if end > start {
-                let node = annotated.push_node(PatternNode::Triples {
-                    start,
-                    len: end - start,
-                });
-                chain.push(annotated, node);
-            }
-        };
-        for item in residual {
-            match item {
-                ResidualItem::Triple(tp) => {
-                    annotated.triples.push(tp);
-                    n_residual_patterns += 1;
-                }
-                ResidualItem::Node(ci) => {
-                    flush(&mut annotated, &mut chain, run_start);
-                    let node = copy_node(src, ci, &mut annotated);
-                    chain.push(&mut annotated, node);
-                    run_start = annotated.triples.len() as u32;
-                }
-            }
-        }
-        flush(&mut annotated, &mut chain, run_start);
-        annotated.root = annotated.push_node(PatternNode::Group {
-            first: chain.first(),
-        });
-
-        Ok(FederationPlan {
-            annotated: Query {
-                select: match query.select {
-                    None => SelectList::Star,
-                    Some(vars) => SelectList::Vars(vars.to_vec()),
-                },
-                pattern: annotated,
-            },
-            endpoints: endpoint_plans,
-            n_residual_patterns,
-        })
-    }
-}
-
-/// Deep-copy the subtree at `idx` from `src` into `dst`, returning the new
-/// node index.
-fn copy_node(src: &GroupPattern, idx: u32, dst: &mut GroupPattern) -> u32 {
-    match src.nodes[idx as usize] {
-        PatternNode::Triples { .. } => {
-            let start = dst.triples.len() as u32;
-            let run = src.run(idx);
-            dst.triples.extend_from_slice(run);
-            dst.push_node(PatternNode::Triples {
-                start,
-                len: run.len() as u32,
-            })
-        }
-        PatternNode::Group { first } => {
-            let first = copy_children(src, first, dst);
-            dst.push_node(PatternNode::Group { first })
-        }
-        PatternNode::Optional { first } => {
-            let first = copy_children(src, first, dst);
-            dst.push_node(PatternNode::Optional { first })
-        }
-        PatternNode::Union { first } => {
-            let first = copy_children(src, first, dst);
-            dst.push_node(PatternNode::Union { first })
-        }
-        PatternNode::Service { endpoint, first } => {
-            let first = copy_children(src, first, dst);
-            dst.push_node(PatternNode::Service { endpoint, first })
-        }
-        PatternNode::Filter { expr } => {
-            let expr = copy_expr(src, expr, dst);
-            dst.push_node(PatternNode::Filter { expr })
-        }
-    }
-}
-
-fn copy_children(src: &GroupPattern, first: u32, dst: &mut GroupPattern) -> u32 {
-    let mut chain = ChainBuilder::new();
-    for ci in src.children_from(first) {
-        let node = copy_node(src, ci, dst);
-        chain.push(dst, node);
-    }
-    chain.first()
-}
-
-fn copy_expr(src: &GroupPattern, e: u32, dst: &mut GroupPattern) -> u32 {
-    let node = match src.exprs[e as usize] {
-        ExprNode::Term(t) => ExprNode::Term(t),
-        ExprNode::Cmp(op, l, r) => {
-            let l = copy_expr(src, l, dst);
-            let r = copy_expr(src, r, dst);
-            ExprNode::Cmp(op, l, r)
-        }
-        ExprNode::And(l, r) => {
-            let l = copy_expr(src, l, dst);
-            let r = copy_expr(src, r, dst);
-            ExprNode::And(l, r)
-        }
-        ExprNode::Or(l, r) => {
-            let l = copy_expr(src, l, dst);
-            let r = copy_expr(src, r, dst);
-            ExprNode::Or(l, r)
-        }
-        ExprNode::Not(c) => {
-            let c = copy_expr(src, c, dst);
-            ExprNode::Not(c)
-        }
-    };
-    dst.push_expr(node)
 }
 
 #[cfg(test)]
@@ -754,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_partitions_orders_and_renders_service_blocks() {
+    fn plan_partitions_orders_and_rewrites_per_endpoint() {
         let mut it = Interner::new();
         let planner = two_endpoint_planner(&mut it);
         let query = parse_query(
@@ -764,7 +573,7 @@ mod tests {
         )
         .unwrap();
         let plan = planner
-            .plan(query.as_ref(), &it, RewriteLimits::unbounded())
+            .plan_for_dispatch(query.as_ref(), &it, RewriteLimits::unbounded())
             .unwrap();
 
         // Both endpoints matched one pattern each; ep0's partition (1
@@ -791,17 +600,17 @@ mod tests {
             "{}",
             plan.endpoints[1].subquery
         );
-
-        // The annotated query carries SERVICE blocks in dispatch order,
-        // then the residual (unroutable triple + FILTER), and re-parses.
-        let text = plan.annotated.display(&it).to_string();
-        let a_pos = text.find("SERVICE <http://a.example.org/sparql>").unwrap();
-        let b_pos = text.find("SERVICE <http://b.example.org/sparql>").unwrap();
-        assert!(a_pos < b_pos, "{text}");
-        assert!(text.contains("<http://nowhere/q>"), "{text}");
-        assert!(text.contains("FILTER(?y > \"3\""), "{text}");
-        let reparsed = parse_query(&text, &mut it).unwrap();
-        assert_eq!(reparsed, plan.annotated);
+        // The residual (unroutable triple + FILTER) is shipped nowhere, and
+        // every subquery is a query our own parser accepts.
+        for ep in &plan.endpoints {
+            assert!(
+                !ep.subquery.contains("<http://nowhere/q>"),
+                "{}",
+                ep.subquery
+            );
+            assert!(!ep.subquery.contains("FILTER"), "{}", ep.subquery);
+            parse_query(&ep.subquery, &mut it).unwrap();
+        }
     }
 
     #[test]
@@ -810,7 +619,7 @@ mod tests {
         let planner = two_endpoint_planner(&mut it);
         let query = parse_query("SELECT * WHERE { ?s <http://b/p0> ?x }", &mut it).unwrap();
         let err = planner
-            .plan(query.as_ref(), &it, RewriteLimits::with_union_branch_cap(1))
+            .plan_for_dispatch(query.as_ref(), &it, RewriteLimits::with_union_branch_cap(1))
             .unwrap_err();
         assert!(matches!(err, RewriteError::UnionBranchesExceeded { .. }));
     }
@@ -844,7 +653,7 @@ mod tests {
         // routes to the endpoint rather than the residual — and the
         // rendered subquery carries the chain plus the transform FILTER.
         let plan = planner
-            .plan(query.as_ref(), &it, RewriteLimits::unbounded())
+            .plan_for_dispatch(query.as_ref(), &it, RewriteLimits::unbounded())
             .unwrap();
         assert_eq!(plan.endpoints.len(), 1);
         assert_eq!(plan.endpoints[0].selectivity, 1);
@@ -858,7 +667,7 @@ mod tests {
         // The per-pattern template-size cap surfaces through the planner
         // unchanged, like the UNION branch cap above.
         let err = planner
-            .plan(
+            .plan_for_dispatch(
                 query.as_ref(),
                 &it,
                 RewriteLimits::with_template_size_cap(3),
@@ -955,20 +764,6 @@ mod tests {
             p.endpoints.iter().map(|e| e.subquery.clone()).collect()
         };
         assert_eq!(texts(&cold), texts(&hot));
-
-        // The full planning path produces the same subqueries and warms
-        // the same cache (inserts only — it always needs the rewrite for
-        // the annotated tree).
-        let full = planner
-            .plan(query.as_ref(), &it, RewriteLimits::unbounded())
-            .unwrap();
-        let full_texts: Vec<String> = full.endpoints.iter().map(|e| e.subquery.clone()).collect();
-        assert_eq!(full_texts, texts(&hot));
-        assert_eq!(
-            planner.partition_cache_stats().hits,
-            2,
-            "plan() never consults the cache"
-        );
     }
 
     #[test]
@@ -1026,12 +821,12 @@ mod tests {
         )
         .unwrap();
         let a = planner
-            .plan(query.as_ref(), &it, RewriteLimits::unbounded())
+            .plan_for_dispatch(query.as_ref(), &it, RewriteLimits::unbounded())
             .unwrap();
         let b = planner
-            .plan(query.as_ref(), &it, RewriteLimits::unbounded())
+            .plan_for_dispatch(query.as_ref(), &it, RewriteLimits::unbounded())
             .unwrap();
-        assert_eq!(a.annotated, b.annotated);
+        assert_eq!(a.n_residual_patterns, b.n_residual_patterns);
         let subs_a: Vec<_> = a.endpoints.iter().map(|e| &e.subquery).collect();
         let subs_b: Vec<_> = b.endpoints.iter().map(|e| &e.subquery).collect();
         assert_eq!(subs_a, subs_b);

@@ -45,9 +45,9 @@
 //! * [`federate`] turns N per-endpoint [`align::AlignmentStore`]s into a
 //!   fault-tolerant dispatch plan: patterns are partitioned by which
 //!   endpoint's rules can rewrite them (O(1) candidate-count reads double
-//!   as the statistics-free selectivity signal for ordering), rendered as
-//!   `SERVICE`-annotated subqueries, and executed concurrently — by the
-//!   calling thread plus persistent dispatch lanes — over a pluggable
+//!   as the statistics-free selectivity signal for ordering), rewritten
+//!   and rendered as one subquery per endpoint, and executed concurrently
+//!   — by the calling thread plus persistent dispatch lanes — over a pluggable
 //!   [`federate::EndpointTransport`] — each endpoint wrapped in deadlines,
 //!   seeded-jitter retries, and a circuit breaker, degrading to
 //!   deterministic partial results instead of all-or-nothing.
@@ -63,7 +63,7 @@
 //! template-introduced existentials are structural
 //! [`term::TermKind::Fresh`] terms (no interning on the hot path). With a
 //! caller-owned [`rewriter::RewriteScratch`], steady-state
-//! `rewrite_query_into` performs zero heap allocations — and the whole
+//! `rewrite_ref_into` performs zero heap allocations — and the whole
 //! **serve pipeline** composes the same way: [`parser::parse_query_into`]
 //! (into a [`parser::ParseScratch`]) → [`rewriter::Rewriter::
 //! rewrite_ref_into`] (borrowing the parse via [`pattern::QueryRef`]) →
@@ -99,9 +99,9 @@ pub use federate::{
     classify_http_status, classify_io_error, mix_chain, read_response, BackoffPolicy,
     BreakerConfig, BreakerState, ChaosProxy, ChaosSpec, CircuitBreaker, DispatchPlan, EndpointId,
     EndpointOutcome, EndpointPlan, EndpointReport, EndpointTransport, ExecutorConfig, FaultClass,
-    FaultSpec, FederatedExecutor, FederatedResult, FederationPlan, FederationPlanner, HttpConfig,
-    HttpEndpoint, HttpError, HttpLimits, HttpResponse, HttpTransport, MockTransport,
-    PartitionCacheStats, TransportError, TransportReply, TransportRequest,
+    FaultSpec, FederatedExecutor, FederatedResult, FederationPlanner, HttpConfig, HttpEndpoint,
+    HttpError, HttpLimits, HttpResponse, HttpTransport, MockTransport, PartitionCacheStats,
+    TransportError, TransportReply, TransportRequest,
 };
 pub use interner::Interner;
 pub use parser::{parse_bgp, parse_query, parse_query_into, ParseError, ParseScratch};

@@ -56,18 +56,18 @@ pub const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
 /// Deepest nesting a query may have. Two depths are held to it:
 ///
 /// - the parser's own: group-pattern levels (`{`, including the `WHERE`
-///   group and `OPTIONAL` / `UNION` / `SERVICE` bodies) plus the `(` and
-///   `!` open inside a FILTER;
+///   group and `OPTIONAL` / `UNION` / `SERVICE` bodies) plus the `(` open
+///   inside a FILTER;
 /// - the tree's: the groups around a FILTER plus the height of its
 ///   expression tree, where every operator (`||`, `&&`, a comparison, `!`)
 ///   is one level. `?a && ?b && ...` parses in a loop but builds a
 ///   left-deep tree, one level per operator.
 ///
-/// The rewriter, the renderer and the federation planner recurse once per
-/// tree level, so this bounds the stack the whole pipeline needs: at the
-/// cap it is under 1 MiB in a debug build, half of a server worker's
-/// default 2 MiB. One level more is a [`ParseError`] at the token that
-/// crosses it: an opener, or the operator that makes the tree too tall.
+/// The rewriter and the renderer recurse once per tree level, so this
+/// bounds the stack the whole pipeline needs: at the cap it is under 1 MiB
+/// in a debug build, half of a server worker's default 2 MiB. One level
+/// more is a [`ParseError`] at the token that crosses it: an opener, or the
+/// operator that makes the tree too tall (for a run of `!`, its first `!`).
 const MAX_NESTING: u32 = 128;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1143,12 +1143,21 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
                     other => Err(self.err(format!("expected ')', found {other:?}"))),
                 }
             }
+            // A run of `!` is read in a loop, so it costs no parser depth,
+            // only tree height: the renderer writes `!(…)`, and charging
+            // both the `!` and its `(` would refuse our own rewrites.
             Token::Bang => {
                 let at = self.err_off;
-                self.descend()?;
-                let c = self.parse_expr_primary(out)?;
-                self.depth -= 1;
-                self.push_op(out, ExprNode::Not(c.node), c.height, at)
+                let mut bangs = 1;
+                while self.peek()? == Some(Token::Bang) {
+                    self.next_token()?;
+                    bangs += 1;
+                }
+                let mut e = self.parse_expr_primary(out)?;
+                for _ in 0..bangs {
+                    e = self.push_op(out, ExprNode::Not(e.node), e.height, at)?;
+                }
+                Ok(e)
             }
             tok => {
                 let t = self.parse_term(tok, "expression")?;
@@ -1772,12 +1781,13 @@ mod tests {
         );
     }
 
-    /// At the cap, parse → rewrite → render and federation planning all fit
-    /// a worker's stack, with rules firing at the innermost level (a
-    /// two-template UNION expansion and an entity substitution).
+    /// At the cap, parse → rewrite → render → re-parse and federation
+    /// planning all fit a worker's stack, with rules firing at the innermost
+    /// level (a two-template UNION expansion and an entity substitution).
     #[test]
     fn depth_cap_pipeline_fits_a_worker_stack() {
         use crate::align::AlignmentStore;
+        use crate::cache::CacheConfig;
         use crate::federate::FederationPlanner;
         use crate::pattern::render_query_into;
         use crate::rewriter::{IndexedRewriter, RewriteLimits, RewriteScratch, Rewriter};
@@ -1802,11 +1812,12 @@ mod tests {
             let rewriter = IndexedRewriter::new(Arc::clone(&store));
             let mut planner = FederationPlanner::new();
             planner.add_endpoint(iri(&mut it, "http://ep"), store);
+            planner.enable_partition_cache(CacheConfig::default());
             let (mut scratch, mut fresh, mut out) =
                 (RewriteScratch::new(), String::new(), String::new());
             for shape in SHAPES {
                 let q = parse_query(&nested(shape, MAX_NESTING as usize), &mut it).unwrap();
-                rewriter.rewrite_query_into(&q, &mut scratch);
+                rewriter.rewrite_ref_into(q.as_ref(), &mut scratch);
                 let rewritten = QueryRef {
                     select: scratch.select(),
                     pattern: scratch.pattern(),
@@ -1817,8 +1828,20 @@ mod tests {
                     assert!(out.contains("<http://tgt/e>"), "{shape}: {out}");
                 }
                 assert_eq!(scratch.to_query().display(&it).to_string(), out);
+                // The rendered `!(…)` spends a `(` per `!`, so a `!` must
+                // cost the parser no depth of its own. A UNION expansion
+                // puts its branches one group below the pattern it
+                // replaces, so a group shape's rewrite is one level past
+                // the cap, which the parser refuses (ROADMAP item 3).
+                let reparsed = parse_query(&out, &mut it);
+                if matches!(shape, "group" | "optional" | "union" | "service") {
+                    let e = reparsed.expect_err(shape);
+                    assert!(e.message.contains("nesting deeper than"), "{shape}: {e}");
+                } else if let Err(e) = reparsed {
+                    panic!("{shape}: the rewrite does not re-parse: {e}");
+                }
                 planner
-                    .plan(q.as_ref(), &it, RewriteLimits::default())
+                    .plan_for_dispatch(q.as_ref(), &it, RewriteLimits::default())
                     .unwrap_or_else(|e| panic!("{shape}: {e:?}"));
             }
         });

@@ -224,17 +224,24 @@ impl GroupPattern {
     /// group (or an empty root group for an empty BGP).
     pub fn from_bgp(bgp: &Bgp) -> GroupPattern {
         let mut p = GroupPattern::new();
-        let first = if bgp.patterns.is_empty() {
+        p.set_bgp(&bgp.patterns);
+        p
+    }
+
+    /// Make this pattern the flat BGP `triples`, as [`GroupPattern::from_bgp`]
+    /// builds it, keeping the buffers' capacity.
+    pub(crate) fn set_bgp(&mut self, triples: &[TriplePattern]) {
+        self.clear();
+        let first = if triples.is_empty() {
             NO_NODE
         } else {
-            p.triples.extend_from_slice(&bgp.patterns);
-            p.push_node(PatternNode::Triples {
+            self.triples.extend_from_slice(triples);
+            self.push_node(PatternNode::Triples {
                 start: 0,
-                len: bgp.patterns.len() as u32,
+                len: triples.len() as u32,
             })
         };
-        p.root = p.push_node(PatternNode::Group { first });
-        p
+        self.root = self.push_node(PatternNode::Group { first });
     }
 
     /// Append a node with no sibling yet; returns its index. Link it into a
@@ -295,7 +302,7 @@ impl GroupPattern {
 
     /// Head of the root group's child chain ([`NO_NODE`] when empty).
     #[inline]
-    fn root_first(&self) -> u32 {
+    pub(crate) fn root_first(&self) -> u32 {
         match self.root {
             NO_NODE => NO_NODE,
             r => match self.nodes[r as usize] {

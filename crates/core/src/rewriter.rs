@@ -52,11 +52,11 @@
 //!
 //! Steady-state rewriting needs only `&self` over shared immutable state:
 //! the [`Rewriter`] methods take no interner, [`AlignmentStore`] and the
-//! rewriter are `Send + Sync`, and the `*_into` entry points write into a
-//! caller-owned [`RewriteScratch`] whose buffers are reused across calls.
+//! rewriter are `Send + Sync`, and both write into a caller-owned
+//! [`RewriteScratch`] whose buffers are reused across calls.
 //! The rewritten group tree itself lives in the scratch as a flattened,
 //! index-linked buffer ([`GroupPattern`]'s four flat `Vec`s of `Copy`
-//! nodes — no per-node boxing), so after warm-up a `rewrite_query_into`
+//! nodes — no per-node boxing), so after warm-up a `rewrite_ref_into`
 //! call performs **zero heap allocations** even when it expands UNION
 //! branches and copies FILTER trees (asserted by `tests/alloc_free.rs`).
 //!
@@ -88,7 +88,7 @@
 //!             let query = &query;
 //!             scope.spawn(move || {
 //!                 let mut scratch = RewriteScratch::new();
-//!                 rewriter.rewrite_query_into(query, &mut scratch);
+//!                 rewriter.rewrite_ref_into(query.as_ref(), &mut scratch);
 //!                 scratch.to_query().display(&interner).to_string()
 //!             })
 //!         })
@@ -107,15 +107,15 @@ use std::sync::Arc;
 
 use crate::align::{AlignmentStore, TemplateRef, NO_EXPR};
 use crate::pattern::{
-    Bgp, ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef, SelectList,
+    ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef, SelectList,
     TriplePattern,
 };
 use crate::term::{Symbol, Term, TermKind};
 
-/// Structured failure of a capped rewrite. The infallible [`Rewriter`]
-/// methods run uncapped and can never observe one; the `try_*` entry points
-/// surface it instead of letting a hostile or pathological query grow the
-/// scratch without bound.
+/// Structured failure of a capped rewrite. [`Rewriter::rewrite_ref_into`]
+/// runs uncapped and can never observe one;
+/// [`Rewriter::try_rewrite_ref_into`] surfaces it instead of letting a
+/// hostile or pathological query grow the scratch without bound.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum RewriteError {
     /// Template expansion would emit more UNION branches than
@@ -150,8 +150,8 @@ impl fmt::Display for RewriteError {
 
 impl std::error::Error for RewriteError {}
 
-/// Resource limits for one rewrite call, enforced by the `try_*` entry
-/// points of [`Rewriter`].
+/// Resource limits for one rewrite call, enforced by
+/// [`Rewriter::try_rewrite_ref_into`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct RewriteLimits {
     /// Maximum number of UNION branches multi-template expansion may mint
@@ -168,7 +168,7 @@ pub struct RewriteLimits {
 }
 
 impl RewriteLimits {
-    /// No limits — the behavior of the infallible entry points.
+    /// No limits — the behavior of [`Rewriter::rewrite_ref_into`].
     #[inline]
     pub fn unbounded() -> RewriteLimits {
         RewriteLimits {
@@ -205,7 +205,7 @@ impl Default for RewriteLimits {
 /// Caller-owned scratch space for allocation-free rewriting.
 ///
 /// Holds the output buffers and the per-rewrite rename state. Every
-/// `rewrite_*_into` call clears and refills it; buffer capacity is retained,
+/// rewrite call clears and refills it; buffer capacity is retained,
 /// so repeated calls with a warmed scratch never touch the allocator. The
 /// rewritten group tree is stored flattened ([`GroupPattern`]) — nodes,
 /// sibling links, triples, and filter expressions in four flat `Vec`s.
@@ -213,7 +213,7 @@ impl Default for RewriteLimits {
 pub struct RewriteScratch {
     /// Rewritten group pattern of the last call.
     pattern: GroupPattern,
-    /// Projection of the last `rewrite_query_into` call (empty for `*`).
+    /// Projection of the last rewrite call (empty for `*`).
     select: Vec<Term>,
     select_star: bool,
     /// Existential renames of the template application in progress. Keyed by
@@ -232,10 +232,10 @@ pub struct RewriteScratch {
     /// UNION branches minted by multi-template expansion so far this call.
     branches_emitted: u32,
     /// Cap on `branches_emitted` for this call (set from [`RewriteLimits`]
-    /// at entry; `u32::MAX` on the infallible paths).
+    /// at entry; `u32::MAX` when uncapped).
     branch_limit: u32,
     /// Per-pattern instantiated-template-size cap for this call (from
-    /// [`RewriteLimits::max_template_size`]; `u32::MAX` when infallible).
+    /// [`RewriteLimits::max_template_size`]; `u32::MAX` when uncapped).
     tmpl_size_limit: u32,
 }
 
@@ -244,7 +244,7 @@ impl RewriteScratch {
         RewriteScratch::default()
     }
 
-    /// The rewritten group pattern of the last `rewrite_*_into` call.
+    /// The rewritten group pattern of the last rewrite call.
     #[inline]
     pub fn pattern(&self) -> &GroupPattern {
         &self.pattern
@@ -257,8 +257,8 @@ impl RewriteScratch {
         &self.pattern.triples
     }
 
-    /// Projection of the last `rewrite_query_into` call: `None` for
-    /// `SELECT *`, otherwise the projected variables.
+    /// Projection of the last rewrite call: `None` for `SELECT *`,
+    /// otherwise the projected variables.
     #[inline]
     pub fn select(&self) -> Option<&[Term]> {
         if self.select_star {
@@ -281,8 +281,7 @@ impl RewriteScratch {
         self.pattern.clone()
     }
 
-    /// Copy the last result out as an owned [`Query`] (allocates). Only
-    /// meaningful after `rewrite_query_into`.
+    /// Copy the last result out as an owned [`Query`] (allocates).
     pub fn to_query(&self) -> Query {
         Query {
             select: if self.select_star {
@@ -295,29 +294,13 @@ impl RewriteScratch {
     }
 }
 
-/// The rewriting entry points. All methods take `&self` and no interner:
-/// fresh variables are structural ([`TermKind::Fresh`]), so the hot path
-/// never mints strings.
+/// The rewriting entry points. Both take `&self` and no interner: fresh
+/// variables are structural ([`TermKind::Fresh`]), so the hot path never
+/// mints strings.
 pub trait Rewriter {
-    /// Fallible core of [`Rewriter::rewrite_bgp_into`]: enforce `limits`,
+    /// Fallible core of [`Rewriter::rewrite_ref_into`]: enforce `limits`,
     /// returning a [`RewriteError`] (scratch contents unspecified but safe)
     /// when expansion would cross a cap.
-    fn try_rewrite_bgp_into(
-        &self,
-        bgp: &Bgp,
-        scratch: &mut RewriteScratch,
-        limits: RewriteLimits,
-    ) -> Result<(), RewriteError>;
-
-    /// Fallible core of [`Rewriter::rewrite_pattern_into`].
-    fn try_rewrite_pattern_into(
-        &self,
-        pattern: &GroupPattern,
-        scratch: &mut RewriteScratch,
-        limits: RewriteLimits,
-    ) -> Result<(), RewriteError>;
-
-    /// Fallible core of [`Rewriter::rewrite_ref_into`].
     fn try_rewrite_ref_into(
         &self,
         query: QueryRef<'_>,
@@ -325,55 +308,14 @@ pub trait Rewriter {
         limits: RewriteLimits,
     ) -> Result<(), RewriteError>;
 
-    /// Rewrite a bare BGP into `scratch` (allocation-free once warm). The
-    /// result is a group pattern: multi-template matches expand to UNION
-    /// nodes even when the input was flat.
-    fn rewrite_bgp_into(&self, bgp: &Bgp, scratch: &mut RewriteScratch) {
-        self.try_rewrite_bgp_into(bgp, scratch, RewriteLimits::unbounded())
-            .expect("unbounded rewrite cannot fail");
-    }
-
-    /// Rewrite a full group graph pattern into `scratch`, recursively
-    /// (allocation-free once warm).
-    fn rewrite_pattern_into(&self, pattern: &GroupPattern, scratch: &mut RewriteScratch) {
-        self.try_rewrite_pattern_into(pattern, scratch, RewriteLimits::unbounded())
-            .expect("unbounded rewrite cannot fail");
-    }
-
     /// Rewrite a borrowed query view into `scratch`: the projection is
     /// copied into the scratch, the pattern is rewritten (allocation-free
-    /// once warm). This is the serve-pipeline entry point — the view can
-    /// borrow straight out of a [`crate::parser::ParseScratch`], so no owned
-    /// [`Query`] is ever assembled between parse and rewrite.
+    /// once warm). The view can borrow straight out of a
+    /// [`crate::parser::ParseScratch`], so no owned [`Query`] is ever
+    /// assembled between parse and rewrite.
     fn rewrite_ref_into(&self, query: QueryRef<'_>, scratch: &mut RewriteScratch) {
         self.try_rewrite_ref_into(query, scratch, RewriteLimits::unbounded())
             .expect("unbounded rewrite cannot fail");
-    }
-
-    /// Rewrite a full query into `scratch` (allocation-free once warm).
-    fn rewrite_query_into(&self, query: &Query, scratch: &mut RewriteScratch) {
-        self.rewrite_ref_into(query.as_ref(), scratch);
-    }
-
-    /// Convenience wrapper allocating a fresh output pattern.
-    fn rewrite_bgp(&self, bgp: &Bgp) -> GroupPattern {
-        let mut scratch = RewriteScratch::new();
-        self.rewrite_bgp_into(bgp, &mut scratch);
-        scratch.pattern
-    }
-
-    /// Convenience wrapper allocating a fresh output pattern.
-    fn rewrite_pattern(&self, pattern: &GroupPattern) -> GroupPattern {
-        let mut scratch = RewriteScratch::new();
-        self.rewrite_pattern_into(pattern, &mut scratch);
-        scratch.pattern
-    }
-
-    /// Convenience wrapper allocating a fresh output query.
-    fn rewrite_query(&self, query: &Query) -> Query {
-        let mut scratch = RewriteScratch::new();
-        self.rewrite_query_into(query, &mut scratch);
-        scratch.to_query()
     }
 }
 
@@ -917,103 +859,42 @@ fn begin_rewrite(
     scratch.fresh_start = scratch.fresh_next;
 }
 
-/// The shared recursive rewrite engine over a full group pattern.
-fn rewrite_pattern_with(
-    store: &AlignmentStore,
-    pattern: &GroupPattern,
-    scratch: &mut RewriteScratch,
-    limits: RewriteLimits,
-) -> Result<(), RewriteError> {
-    begin_rewrite(pattern.terms(), scratch, limits);
-    scratch.pattern.nodes.reserve(pattern.nodes.len());
-    scratch.pattern.next.reserve(pattern.next.len());
-    scratch.pattern.triples.reserve(pattern.triples.len());
-    scratch.pattern.exprs.reserve(pattern.exprs.len());
-    let mut chain = ChainBuilder::new();
-    for ci in pattern.root_children() {
-        if matches!(pattern.nodes[ci as usize], PatternNode::Triples { .. }) {
-            rewrite_run(store, pattern.run(ci), scratch, &mut chain)?;
-        } else {
-            let out = rewrite_node(store, pattern, ci, scratch)?;
-            chain.push(&mut scratch.pattern, out);
-        }
-    }
-    scratch.pattern.root = scratch.pattern.push_node(PatternNode::Group {
-        first: chain.first(),
-    });
-    Ok(())
-}
-
-/// Flat-BGP entry point: the input is a single triples run under the root.
-fn rewrite_bgp_with(
-    store: &AlignmentStore,
-    bgp: &Bgp,
-    scratch: &mut RewriteScratch,
-    limits: RewriteLimits,
-) -> Result<(), RewriteError> {
-    begin_rewrite(
-        bgp.patterns.iter().flat_map(|tp| tp.terms()),
-        scratch,
-        limits,
-    );
-    scratch.pattern.triples.reserve(bgp.patterns.len());
-    let mut chain = ChainBuilder::new();
-    rewrite_run(store, &bgp.patterns, scratch, &mut chain)?;
-    scratch.pattern.root = scratch.pattern.push_node(PatternNode::Group {
-        first: chain.first(),
-    });
-    Ok(())
-}
-
-fn rewrite_query_with(
-    store: &AlignmentStore,
-    query: QueryRef<'_>,
-    scratch: &mut RewriteScratch,
-    limits: RewriteLimits,
-) -> Result<(), RewriteError> {
-    scratch.select.clear();
-    match query.select {
-        None => scratch.select_star = true,
-        Some(vars) => {
-            scratch.select_star = false;
-            scratch.select.extend_from_slice(vars);
-        }
-    }
-    rewrite_pattern_with(store, query.pattern, scratch, limits)
-}
-
 impl<S: Borrow<AlignmentStore>> Rewriter for IndexedRewriter<S> {
-    fn try_rewrite_bgp_into(
-        &self,
-        bgp: &Bgp,
-        scratch: &mut RewriteScratch,
-        limits: RewriteLimits,
-    ) -> Result<(), RewriteError> {
-        rewrite_bgp_with(self.store(), bgp, scratch, limits)
-    }
-
-    fn try_rewrite_pattern_into(
-        &self,
-        pattern: &GroupPattern,
-        scratch: &mut RewriteScratch,
-        limits: RewriteLimits,
-    ) -> Result<(), RewriteError> {
-        rewrite_pattern_with(self.store(), pattern, scratch, limits)
-    }
-
     fn try_rewrite_ref_into(
         &self,
         query: QueryRef<'_>,
         scratch: &mut RewriteScratch,
         limits: RewriteLimits,
     ) -> Result<(), RewriteError> {
-        rewrite_query_with(self.store(), query, scratch, limits)
+        let pattern = query.pattern;
+        scratch.select.clear();
+        match query.select {
+            None => scratch.select_star = true,
+            Some(vars) => {
+                scratch.select_star = false;
+                scratch.select.extend_from_slice(vars);
+            }
+        }
+        begin_rewrite(pattern.terms(), scratch, limits);
+        scratch.pattern.nodes.reserve(pattern.nodes.len());
+        scratch.pattern.next.reserve(pattern.next.len());
+        scratch.pattern.triples.reserve(pattern.triples.len());
+        scratch.pattern.exprs.reserve(pattern.exprs.len());
+        let first = rewrite_children(self.store(), pattern, pattern.root_first(), scratch)?;
+        scratch.pattern.root = scratch.pattern.push_node(PatternNode::Group { first });
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rewrite(rw: &impl Rewriter, query: &Query) -> Query {
+        let mut scratch = RewriteScratch::new();
+        rw.rewrite_ref_into(query.as_ref(), &mut scratch);
+        scratch.to_query()
+    }
 
     #[test]
     fn union_branch_cap_boundary() {
@@ -1064,10 +945,10 @@ mod tests {
         assert!(err.to_string().contains("6 branches"), "{err}");
         // A failed capped call must not poison the scratch: the next
         // unbounded call produces the same result as the successful one.
-        rw.rewrite_query_into(&query, &mut scratch);
+        rw.rewrite_ref_into(query.as_ref(), &mut scratch);
         assert_eq!(scratch.to_query(), at_cap);
-        // Infallible path == unbounded fallible path.
-        assert_eq!(rw.rewrite_query(&query), at_cap);
+        // And so does an uncapped call on a fresh scratch.
+        assert_eq!(rewrite(&rw, &query), at_cap);
     }
 
     #[test]
@@ -1101,7 +982,7 @@ mod tests {
         .unwrap();
         let q_open = parse_query("SELECT * WHERE { ?x <http://src/p> ?y }", &mut it).unwrap();
         let rw = IndexedRewriter::new(&store);
-        let render = |q: &crate::Query| rw.rewrite_query(q).display(&it).to_string();
+        let render = |q: &crate::Query| rewrite(&rw, q).display(&it).to_string();
         // Statically true: fires cleanly, no residual FILTER.
         let out = render(&q_true);
         assert!(out.contains("<http://tgt/p>"), "{out}");
@@ -1166,7 +1047,7 @@ mod tests {
         // Guard statically false for <http://u/in>: of the two candidates
         // only the flat rule fires, so the would-be 2-branch UNION
         // collapses to an inline single-match expansion.
-        let out = rw.rewrite_query(&query).display(&it).to_string();
+        let out = rewrite(&rw, &query).display(&it).to_string();
         assert!(!out.contains("UNION"), "{out}");
         assert!(out.contains("<http://tgt/len0>"), "{out}");
 
@@ -1178,7 +1059,7 @@ mod tests {
             &mut it,
         )
         .unwrap();
-        let out = rw.rewrite_query(&query).display(&it).to_string();
+        let out = rewrite(&rw, &query).display(&it).to_string();
         assert!(out.contains("UNION"), "{out}");
         assert!(out.contains("<http://tgt/unit> <http://u/m>"), "{out}");
         assert!(out.contains("FILTER(?g0 != <http://u/cm>)"), "{out}");
@@ -1235,9 +1116,9 @@ mod tests {
         );
         assert!(err.to_string().contains("4 nodes"), "{err}");
         // A failed capped call must not poison the scratch.
-        rw.rewrite_query_into(&query, &mut scratch);
+        rw.rewrite_ref_into(query.as_ref(), &mut scratch);
         assert_eq!(scratch.to_query(), at_cap);
-        assert_eq!(rw.rewrite_query(&query), at_cap);
+        assert_eq!(rewrite(&rw, &query), at_cap);
     }
 
     #[test]

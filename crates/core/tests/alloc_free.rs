@@ -2,7 +2,7 @@
 //!
 //! This binary installs a counting global allocator, warms a
 //! [`RewriteScratch`] over a workload once, then asserts that repeated
-//! `rewrite_query_into` calls never touch the allocator again. The workload
+//! `rewrite_ref_into` calls never touch the allocator again. The workload
 //! deliberately exercises every allocation-prone path: entity substitution,
 //! one-to-many template expansion, multi-template UNION expansion,
 //! fresh-variable minting, rule misses, and recursive group-pattern
@@ -92,19 +92,19 @@ fn build_fixture() -> (AlignmentStore, Vec<Query>) {
 }
 
 #[test]
-fn steady_state_rewrite_query_into_is_allocation_free() {
+fn steady_state_rewrite_ref_into_is_allocation_free() {
     let (store, queries) = build_fixture();
     let rewriter = IndexedRewriter::new(&store);
     let mut scratch = RewriteScratch::new();
 
     // Warm-up: first pass may grow the scratch buffers.
     for q in &queries {
-        rewriter.rewrite_query_into(q, &mut scratch);
+        rewriter.rewrite_ref_into(q.as_ref(), &mut scratch);
     }
     let expected: Vec<(usize, u32)> = queries
         .iter()
         .map(|q| {
-            rewriter.rewrite_query_into(q, &mut scratch);
+            rewriter.rewrite_ref_into(q.as_ref(), &mut scratch);
             (scratch.patterns().len(), scratch.fresh_count())
         })
         .collect();
@@ -112,7 +112,7 @@ fn steady_state_rewrite_query_into_is_allocation_free() {
     let before = thread_allocation_count();
     for _ in 0..1_000 {
         for (q, exp) in queries.iter().zip(&expected) {
-            rewriter.rewrite_query_into(q, &mut scratch);
+            rewriter.rewrite_ref_into(q.as_ref(), &mut scratch);
             assert_eq!((scratch.patterns().len(), scratch.fresh_count()), *exp);
         }
     }
@@ -120,7 +120,7 @@ fn steady_state_rewrite_query_into_is_allocation_free() {
     assert_eq!(
         after - before,
         0,
-        "steady-state rewrite_query_into must not allocate"
+        "steady-state rewrite_ref_into must not allocate"
     );
 }
 
@@ -488,12 +488,12 @@ fn complex_rule_rewriting_is_allocation_free() {
     let rewriter = IndexedRewriter::new(&store);
     let mut scratch = RewriteScratch::new();
     for q in &queries {
-        rewriter.rewrite_query_into(q, &mut scratch);
+        rewriter.rewrite_ref_into(q.as_ref(), &mut scratch);
     }
     let expected: Vec<(usize, u32)> = queries
         .iter()
         .map(|q| {
-            rewriter.rewrite_query_into(q, &mut scratch);
+            rewriter.rewrite_ref_into(q.as_ref(), &mut scratch);
             (scratch.patterns().len(), scratch.fresh_count())
         })
         .collect();
@@ -501,7 +501,7 @@ fn complex_rule_rewriting_is_allocation_free() {
     let before = thread_allocation_count();
     for _ in 0..1_000 {
         for (q, exp) in queries.iter().zip(&expected) {
-            rewriter.rewrite_query_into(q, &mut scratch);
+            rewriter.rewrite_ref_into(q.as_ref(), &mut scratch);
             assert_eq!((scratch.patterns().len(), scratch.fresh_count()), *exp);
         }
     }
@@ -512,18 +512,25 @@ fn complex_rule_rewriting_is_allocation_free() {
     );
 }
 
+/// The federation planner's call: a pattern with no projection.
 #[test]
-fn rewrite_pattern_into_is_allocation_free_after_warmup() {
+fn pattern_only_rewrite_is_allocation_free_after_warmup() {
     let (store, queries) = build_fixture();
     let rewriter = IndexedRewriter::new(&store);
     let mut scratch = RewriteScratch::new();
+    fn pattern_only(q: &Query) -> QueryRef<'_> {
+        QueryRef {
+            select: None,
+            pattern: &q.pattern,
+        }
+    }
     for q in &queries {
-        rewriter.rewrite_pattern_into(&q.pattern, &mut scratch);
+        rewriter.rewrite_ref_into(pattern_only(q), &mut scratch);
     }
     let before = thread_allocation_count();
     for _ in 0..100 {
         for q in &queries {
-            rewriter.rewrite_pattern_into(&q.pattern, &mut scratch);
+            rewriter.rewrite_ref_into(pattern_only(q), &mut scratch);
         }
     }
     assert_eq!(thread_allocation_count() - before, 0);

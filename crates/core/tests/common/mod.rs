@@ -1,11 +1,20 @@
-//! Helpers shared by the integration tests: the deterministic xorshift
-//! RNG and the random group-shaped query generator. One copy, so a grammar
-//! extension (a new literal form, a new pattern shape) changes the
-//! round-trip and rewriter property coverage together.
+//! Helpers shared by the integration tests: an owned-result rewrite, the
+//! deterministic xorshift RNG and the random group-shaped query generator.
+//! One copy, so a grammar extension (a new literal form, a new pattern
+//! shape) changes the round-trip and rewriter property coverage together.
+
+use sparql_rewrite_core::{Query, RewriteScratch, Rewriter};
 
 /// The answer oracle; only `tests/oracle.rs` evaluates queries.
 #[allow(dead_code)]
 pub mod eval;
+
+/// Rewrite `query` into an owned result through a fresh scratch.
+pub fn rewrite(rewriter: &impl Rewriter, query: &Query) -> Query {
+    let mut scratch = RewriteScratch::new();
+    rewriter.rewrite_ref_into(query.as_ref(), &mut scratch);
+    scratch.to_query()
+}
 
 /// xorshift64* — deterministic, dependency-free.
 pub struct Rng(pub u64);

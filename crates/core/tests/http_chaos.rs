@@ -26,7 +26,7 @@ use sparql_rewrite_core::{
 };
 
 /// A plan shipping one fixed subquery to endpoint 0.
-fn plan() -> EndpointPlan {
+fn endpoint_plan() -> EndpointPlan {
     let mut interner = Interner::new();
     let sym = interner.intern("http://chaos.example.org/sparql");
     EndpointPlan {
@@ -89,7 +89,7 @@ fn run_against(
 ) {
     let proxy = ChaosProxy::spawn(0x5eed, ChaosSpec::always(class)).expect("spawn chaos proxy");
     let exec = FederatedExecutor::new(transport_for(proxy.authority()), 1, exec_config());
-    let plans = [plan()];
+    let plans = [endpoint_plan()];
     let outcomes = (0..n)
         .map(|_| exec.execute(&plans).reports[0].outcome)
         .collect();
@@ -117,7 +117,7 @@ fn healthy_endpoint_serves_and_reuses_its_connection() {
 fn healthy_responses_are_deterministic_per_subquery() {
     let proxy = ChaosProxy::spawn(1, ChaosSpec::default()).unwrap();
     let exec = FederatedExecutor::new(transport_for(proxy.authority()), 1, exec_config());
-    let plans = [plan()];
+    let plans = [endpoint_plan()];
     let first = exec.execute(&plans).reports[0].rows.clone().unwrap();
     let second = exec.execute(&plans).reports[0].rows.clone().unwrap();
     // The chaos proxy stamps bodies with a hash of the received query, so
@@ -265,7 +265,7 @@ fn a_genuinely_dead_port_fast_fails_as_transient() {
         l.local_addr().unwrap()
     };
     let exec = FederatedExecutor::new(transport_for(dead.to_string()), 1, exec_config());
-    let report = &exec.execute(&[plan()]).reports[0];
+    let report = &exec.execute(&[endpoint_plan()]).reports[0];
     assert_eq!(
         report.outcome,
         EndpointOutcome::ExhaustedRetries {
@@ -285,7 +285,7 @@ fn an_unparseable_authority_is_permanent() {
         exec_config(),
     );
     assert_eq!(
-        exec.execute(&[plan()]).reports[0].outcome,
+        exec.execute(&[endpoint_plan()]).reports[0].outcome,
         EndpointOutcome::ExhaustedRetries {
             attempts: 1,
             permanent: true
@@ -321,7 +321,7 @@ fn mixed_chaos_schedules_replay_byte_identically() {
     let run = || {
         let proxy = ChaosProxy::spawn(0xc4a0_5eed, spec).unwrap();
         let exec = FederatedExecutor::new(transport_for(proxy.authority()), 1, exec_config());
-        let plans = [plan()];
+        let plans = [endpoint_plan()];
         let mut transcript = String::new();
         let mut served = 0u32;
         let mut degraded = 0u32;

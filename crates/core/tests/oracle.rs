@@ -7,14 +7,14 @@
 use std::collections::BTreeSet;
 
 use sparql_rewrite_core::{
-    parse_bgp, parse_query, AlignmentStore, ExprNode, IndexedRewriter, Interner, PatternNode,
-    Rewriter, Term, TriplePattern,
+    parse_bgp, parse_query, AlignmentStore, ExprNode, IndexedRewriter, Interner, PatternNode, Term,
+    TriplePattern,
 };
 
 #[allow(dead_code)]
 mod common;
 use common::eval::{answers, apply, show, variables, Rules, Solution};
-use common::Rng;
+use common::{rewrite, Rng};
 
 /// One (rules, data, query) case.
 struct Case {
@@ -343,7 +343,7 @@ fn check(case: &Case, it: &mut Interner, seen: &mut Seen, label: &str) {
     for (lhs, rhs) in &case.rules.templates {
         store.add_predicate(*lhs, rhs.clone()).unwrap();
     }
-    let rewritten = IndexedRewriter::new(&store).rewrite_query(&query);
+    let rewritten = rewrite(&IndexedRewriter::new(&store), &query);
     let aligned = apply(
         &case.rules,
         &case.data,

@@ -16,7 +16,7 @@ use sparql_rewrite_core::{
 };
 
 mod common;
-use common::{random_group_query_text, Rng};
+use common::{random_group_query_text, rewrite, Rng};
 
 /// Idempotent rule set over the shared generator's vocabulary
 /// (`http://ex/p0..11`, `http://ex/e0..19`): targets live under
@@ -126,7 +126,7 @@ fn pipeline_is_a_fixpoint_for_idempotent_rules() {
 #[test]
 fn pipeline_matches_owned_type_path() {
     // The scratch pipeline and the allocating convenience path
-    // (parse_query → rewrite_query → display) must produce identical text.
+    // (parse_query → owned rewrite → display) must produce identical text.
     let mut interner = Interner::new();
     let store = idempotent_rules(&mut interner);
     let rewriter = IndexedRewriter::new(&store);
@@ -142,10 +142,7 @@ fn pipeline_matches_owned_type_path() {
         let text = random_group_query_text(&mut rng);
         let via_scratch = pipe.serve(&rewriter, &text).to_string();
         let parsed = sparql_rewrite_core::parse_query(&text, &mut interner).unwrap();
-        let via_owned = rewriter
-            .rewrite_query(&parsed)
-            .display(&interner)
-            .to_string();
+        let via_owned = rewrite(&rewriter, &parsed).display(&interner).to_string();
         assert_eq!(via_scratch, via_owned, "seed {seed}\n{text}");
     }
 }

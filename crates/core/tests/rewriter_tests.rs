@@ -11,7 +11,7 @@ use sparql_rewrite_core::{
 };
 
 mod common;
-use common::{random_group_query_text, Rng};
+use common::{random_group_query_text, rewrite, Rng};
 
 fn iri(i: &mut Interner, s: &str) -> Term {
     Term::iri(i.intern(s))
@@ -19,6 +19,14 @@ fn iri(i: &mut Interner, s: &str) -> Term {
 
 fn var(i: &mut Interner, s: &str) -> Term {
     Term::var(i.intern(s))
+}
+
+/// `SELECT * WHERE { bgp }`.
+fn star(bgp: &Bgp) -> Query {
+    Query {
+        select: SelectList::Star,
+        pattern: GroupPattern::from_bgp(bgp),
+    }
 }
 
 /// The root group's nodes, materialized for shape assertions.
@@ -42,7 +50,7 @@ fn entity_substitution_all_positions() {
         TriplePattern::new(src, src_p, src),
         TriplePattern::new(var(&mut it, "x"), src_p, var(&mut it, "y")),
     ]);
-    let rewritten = IndexedRewriter::new(&store).rewrite_bgp(&bgp);
+    let rewritten = rewrite(&IndexedRewriter::new(&store), &star(&bgp)).pattern;
     assert_eq!(
         rewritten.triples,
         vec![
@@ -75,7 +83,7 @@ fn entity_substitution_via_parsed_query() {
             iri(&mut it, "http://tgt/label"),
         )
         .unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_query(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &query);
     let rendered = out.display(&it).to_string();
     assert!(rendered.contains("<http://tgt/label>"), "{rendered}");
     assert!(rendered.contains("<http://tgt/Agent>"), "{rendered}");
@@ -109,7 +117,7 @@ fn predicate_template_one_to_many_expansion() {
         &mut it,
     )
     .unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_query(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &query);
     assert_eq!(out.pattern.triples.len(), 2);
     let [a, b] = [out.pattern.triples[0], out.pattern.triples[1]];
     // ?x bound to ?who in both output patterns.
@@ -139,9 +147,9 @@ fn template_with_concrete_lhs_object_matches_selectively() {
     let hit = parse_bgp("?a <http://src/type> <http://src/Special>", &mut it).unwrap();
     let miss = parse_bgp("?a <http://src/type> <http://src/Other>", &mut it).unwrap();
     let rw = IndexedRewriter::new(&store);
-    let hit_out = rw.rewrite_bgp(&hit);
+    let hit_out = rewrite(&rw, &star(&hit)).pattern;
     assert_eq!(hit_out.triples[0].p, iri(&mut it, "http://tgt/kind"));
-    let miss_out = rw.rewrite_bgp(&miss);
+    let miss_out = rewrite(&rw, &star(&miss)).pattern;
     assert_eq!(
         miss_out,
         GroupPattern::from_bgp(&miss),
@@ -164,11 +172,11 @@ fn repeated_lhs_variable_requires_equal_terms() {
     let rw = IndexedRewriter::new(&store);
 
     let reflexive = parse_bgp("?a <http://src/sameAs> ?a", &mut it).unwrap();
-    let out = rw.rewrite_bgp(&reflexive);
+    let out = rewrite(&rw, &star(&reflexive)).pattern;
     assert_eq!(out.triples[0].p, iri(&mut it, "http://tgt/reflexive"));
 
     let non_reflexive = parse_bgp("?a <http://src/sameAs> ?b", &mut it).unwrap();
-    let out = rw.rewrite_bgp(&non_reflexive);
+    let out = rewrite(&rw, &star(&non_reflexive)).pattern;
     assert_eq!(out, GroupPattern::from_bgp(&non_reflexive));
 }
 
@@ -189,7 +197,7 @@ fn fresh_variables_avoid_capture() {
         &mut it,
     )
     .unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_query(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &query);
     assert_eq!(out.pattern.triples.len(), 3);
     let intro = out.pattern.triples[0].o; // the renamed ?m from the template
     assert!(intro.is_fresh(), "template existentials are Fresh terms");
@@ -220,7 +228,7 @@ fn fresh_variables_distinct_across_multiple_expansions() {
         &mut it,
     )
     .unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_query(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &query);
     assert_eq!(out.pattern.triples.len(), 4);
     let m1 = out.pattern.triples[0].o;
     let m2 = out.pattern.triples[2].o;
@@ -245,7 +253,7 @@ fn entity_substitution_feeds_template_matching() {
     store.add_predicate(lhs, rhs).unwrap();
 
     let query = parse_bgp("?x <http://legacy/knows> ?y", &mut it).unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_bgp(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &star(&query)).pattern;
     assert_eq!(
         out.triples,
         vec![TriplePattern::new(
@@ -275,7 +283,7 @@ fn two_matching_templates_expand_to_a_union_of_both() {
     store.add_predicate(lhs, rhs1).unwrap();
     store.add_predicate(lhs, rhs2).unwrap();
     let query = parse_bgp("?x <http://src/p> ?y", &mut it).unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_bgp(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &star(&query)).pattern;
     // Shape: root group holds exactly one UNION with two group branches.
     let nodes = root_nodes(&out);
     assert_eq!(nodes.len(), 1, "{nodes:?}");
@@ -312,7 +320,7 @@ fn union_expansion_preserves_surrounding_conjunction() {
         &mut it,
     )
     .unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_bgp(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &star(&query)).pattern;
     let nodes = root_nodes(&out);
     assert_eq!(nodes.len(), 3, "{nodes:?}");
     assert!(matches!(nodes[0], PatternNode::Triples { len: 1, .. }));
@@ -339,7 +347,7 @@ fn union_branch_order_is_deterministic_in_rule_id_order() {
     }
     let query = parse_query("SELECT * WHERE { ?x <http://src/p> ?y }", &mut it).unwrap();
     let rw = IndexedRewriter::new(&store);
-    let first = rw.rewrite_query(&query).display(&it).to_string();
+    let first = rewrite(&rw, &query).display(&it).to_string();
     // Registration order, not alphabetical order.
     let (za, aa, ma) = (
         first.find("zeta").unwrap(),
@@ -349,7 +357,7 @@ fn union_branch_order_is_deterministic_in_rule_id_order() {
     assert!(za < aa && aa < ma, "{first}");
     // Deterministic across repeated rewrites.
     for _ in 0..5 {
-        assert_eq!(rw.rewrite_query(&query).display(&it).to_string(), first);
+        assert_eq!(rewrite(&rw, &query).display(&it).to_string(), first);
     }
 }
 
@@ -370,7 +378,7 @@ fn union_branches_get_distinct_existentials() {
     store.add_predicate(lhs, rhs1).unwrap();
     store.add_predicate(lhs, rhs2).unwrap();
     let query = parse_bgp("?x <http://src/p> ?y", &mut it).unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_bgp(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &star(&query)).pattern;
     let m1 = out.triples[0].o;
     let m2 = out.triples[2].o;
     assert!(m1.is_fresh() && m2.is_fresh());
@@ -399,7 +407,7 @@ fn rewrites_inside_optional_union_and_nested_groups() {
         &mut it,
     )
     .unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_query(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &query);
     let rendered = out.display(&it).to_string();
     assert!(
         !rendered.contains("http://src/"),
@@ -430,7 +438,7 @@ fn multi_template_match_inside_optional_becomes_nested_union() {
         &mut it,
     )
     .unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_query(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &query);
     let nodes = root_nodes(&out.pattern);
     let PatternNode::Optional { first } = nodes[1] else {
         panic!("expected OPTIONAL at root: {nodes:?}");
@@ -463,7 +471,7 @@ fn filter_expressions_get_entity_substitution() {
         &mut it,
     )
     .unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_query(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &query);
     let rendered = out.display(&it).to_string();
     assert!(
         rendered.contains("<http://tgt/Special>"),
@@ -634,7 +642,7 @@ fn check_random_caps(
     context: &str,
 ) {
     let rw = IndexedRewriter::new(store);
-    let unbounded = rw.rewrite_query(query);
+    let unbounded = rewrite(&rw, query);
     let mut scratch = RewriteScratch::new();
     for _ in 0..4 {
         let limits = RewriteLimits {
@@ -661,7 +669,7 @@ fn check_random_caps(
         };
         assert_eq!(cap, limit, "{context}, {limits:?}: {err}");
         assert!(required > cap, "{context}, {limits:?}: {err}");
-        rw.rewrite_query_into(query, &mut scratch);
+        rw.rewrite_ref_into(query.as_ref(), &mut scratch);
         assert_eq!(
             scratch.to_query(),
             unbounded,
@@ -738,7 +746,7 @@ fn template_blank_nodes_freshened_per_expansion() {
         &mut it,
     )
     .unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_query(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &query);
     assert_eq!(out.pattern.triples.len(), 3);
     let o1 = out.pattern.triples[0].o;
     let o2 = out.pattern.triples[1].o;
@@ -781,15 +789,15 @@ fn scratch_reuse_matches_fresh_scratch() {
     ];
     let mut reused = RewriteScratch::new();
     for q in &queries {
-        rw.rewrite_query_into(q, &mut reused);
+        rw.rewrite_ref_into(q.as_ref(), &mut reused);
         let via_reuse = reused.to_query();
         // A scratch dirtied by earlier queries must give byte-identical
         // results to a brand-new one.
         let mut clean = RewriteScratch::new();
-        rw.rewrite_query_into(q, &mut clean);
+        rw.rewrite_ref_into(q.as_ref(), &mut clean);
         assert_eq!(via_reuse, clean.to_query());
         // And to the allocating convenience path.
-        assert_eq!(via_reuse, rw.rewrite_query(q));
+        assert_eq!(via_reuse, rewrite(&rw, q));
     }
 }
 
@@ -811,9 +819,9 @@ fn rewrite_is_deterministic_per_query() {
     // The fresh counter restarts per rewrite call, so the same query always
     // produces the same output — the property that makes multi-threaded
     // batch rewriting order-independent.
-    let first = rw.rewrite_query(&query);
+    let first = rewrite(&rw, &query);
     for _ in 0..5 {
-        assert_eq!(rw.rewrite_query(&query), first);
+        assert_eq!(rewrite(&rw, &query), first);
     }
 }
 
@@ -836,9 +844,9 @@ fn rerewriting_output_skips_existing_fresh_counters() {
     store2.add_predicate(lhs2, rhs2).unwrap();
 
     let query = parse_bgp("?a <http://src/p> ?b", &mut it).unwrap();
-    let stage1 = IndexedRewriter::new(&store).rewrite_bgp(&query);
+    let stage1 = rewrite(&IndexedRewriter::new(&store), &star(&query));
     // stage1: ?a mid:p g0 . g0 mid:q ?b   (g0 = Fresh(0))
-    let stage2 = IndexedRewriter::new(&store2).rewrite_pattern(&stage1);
+    let stage2 = rewrite(&IndexedRewriter::new(&store2), &stage1).pattern;
     // stage2 must mint existentials that do not collide with Fresh(0).
     let mut fresh: Vec<Term> = stage2
         .triples
@@ -868,7 +876,7 @@ fn fresh_vars_never_collide_with_g_named_query_vars_when_rendered() {
     // The query itself uses ?g0 and ?g1 — the names the renderer would
     // otherwise hand to the first two fresh existentials.
     let query = parse_query("SELECT ?g0 WHERE { ?g0 <http://src/p> ?g1 }", &mut it).unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_query(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &query);
     let rendered = out.display(&it).to_string();
     // The existential joins the two expanded patterns and must be a new
     // name, not ?g0/?g1.
@@ -893,7 +901,7 @@ fn fresh_count_excludes_preexisting_fresh_terms() {
     let store = AlignmentStore::new();
     let rw = IndexedRewriter::new(&store);
     let mut scratch = RewriteScratch::new();
-    rw.rewrite_bgp_into(&prior, &mut scratch);
+    rw.rewrite_ref_into(star(&prior).as_ref(), &mut scratch);
     assert_eq!(scratch.fresh_count(), 0);
 
     // With a rule that mints one existential, the count is exactly 1 and the
@@ -905,7 +913,7 @@ fn fresh_count_excludes_preexisting_fresh_terms() {
     let mut store2 = AlignmentStore::new();
     store2.add_predicate(lhs, rhs).unwrap();
     let rw2 = IndexedRewriter::new(&store2);
-    rw2.rewrite_bgp_into(&prior, &mut scratch);
+    rw2.rewrite_ref_into(star(&prior).as_ref(), &mut scratch);
     assert_eq!(scratch.fresh_count(), 1);
     let minted = scratch.patterns()[0].o;
     assert!(minted.is_fresh() && minted.fresh_index() >= 2, "{minted:?}");

@@ -3,10 +3,10 @@
 //! structure — including group graph patterns (nested groups, OPTIONAL,
 //! UNION, FILTER) and the xsd-typed sugar literals.
 
-use sparql_rewrite_core::{parse_query, AlignmentStore, IndexedRewriter, Interner, Rewriter};
+use sparql_rewrite_core::{parse_query, AlignmentStore, IndexedRewriter, Interner};
 
 mod common;
-use common::{random_group_query_text, Rng};
+use common::{random_group_query_text, rewrite, Rng};
 
 const QUERIES: &[&str] = &[
     "SELECT * WHERE { ?s ?p ?o }",
@@ -52,7 +52,7 @@ fn parse_rewrite_empty_render_is_idempotent() {
             panic!("failed to parse {input:?}: {e}");
         });
         let rewriter = IndexedRewriter::new(&store);
-        let rewritten = rewriter.rewrite_query(&parsed);
+        let rewritten = rewrite(&rewriter, &parsed);
         assert_eq!(
             rewritten, parsed,
             "empty rule set must be the identity rewrite for {input:?}"
@@ -118,7 +118,7 @@ fn rendered_rewrite_reparses() {
     .unwrap()
     .patterns;
     store.add_predicate(lhs, rhs).unwrap();
-    let out = IndexedRewriter::new(&store).rewrite_query(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &query);
     let rendered = out.display(&interner).to_string();
     let reparsed = parse_query(&rendered, &mut interner).unwrap();
     // Fresh existentials are structural (`TermKind::Fresh`); parsing their
@@ -159,7 +159,7 @@ fn rendered_union_rewrite_reparses() {
                 .patterns;
         store.add_predicate(lhs, rhs).unwrap();
     }
-    let out = IndexedRewriter::new(&store).rewrite_query(&query);
+    let out = rewrite(&IndexedRewriter::new(&store), &query);
     let rendered = out.display(&interner).to_string();
     assert_eq!(rendered.matches("UNION").count(), 2, "{rendered}");
     let reparsed = parse_query(&rendered, &mut interner).unwrap();

@@ -11,9 +11,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sparql_rewrite_core::{
-    AlignmentStore, CacheConfig, Interner, ServeEngine, Term, TriplePattern,
+    AlignmentStore, CacheConfig, Interner, Query, RewriteScratch, Rewriter, ServeEngine, Term,
+    TriplePattern,
 };
 use sparql_rewrite_server::{Server, ServerConfig};
+
+/// Rewrite `query` into an owned result through a fresh scratch.
+pub fn rewrite(rewriter: &impl Rewriter, query: &Query) -> Query {
+    let mut scratch = RewriteScratch::new();
+    rewriter.rewrite_ref_into(query.as_ref(), &mut scratch);
+    scratch.to_query()
+}
 
 /// One predicate rule: `src:p` → `tgt:q`.
 pub fn test_engine() -> Arc<ServeEngine> {

@@ -9,11 +9,12 @@ mod common;
 use std::sync::Barrier;
 use std::thread;
 
+use common::rewrite;
 use common::workload::{
     alias_prefix, generate, perturb_whitespace, zipf_ranks, Rng, WorkloadSpec, ZipfSpec,
 };
 use sparql_rewrite_core::{
-    parse_bgp, parse_query, AlignmentStore, CacheConfig, Interner, Rewriter, ServeEngine,
+    parse_bgp, parse_query, AlignmentStore, CacheConfig, Interner, ServeEngine,
 };
 
 fn engine_and_requests(group_shapes: bool) -> (ServeEngine, Vec<String>) {
@@ -281,9 +282,7 @@ fn serve_matches_offline_rewrite() {
             let served = engine.serve(req, &mut scratch).unwrap().to_string();
             // Ground truth: owned-type parse → rewrite → display.
             let parsed = parse_query(req, &mut check_interner).unwrap();
-            let expected = engine
-                .rewriter()
-                .rewrite_query(&parsed)
+            let expected = rewrite(engine.rewriter(), &parsed)
                 .display(&check_interner)
                 .to_string();
             assert_eq!(served, expected, "request: {req}");

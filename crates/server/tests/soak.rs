@@ -60,7 +60,7 @@ fn federation_soak() {
         .iter()
         .map(|q| {
             w.planner
-                .plan(q.as_ref(), &w.interner, limits)
+                .plan_for_dispatch(q.as_ref(), &w.interner, limits)
                 .expect("soak workload stays under the UNION branch cap")
         })
         .collect();
@@ -729,9 +729,10 @@ fn federated_chaos_run(spec: &FederationSpec, n_connections: usize, client_seed:
 
 /// Tests of the seeded generator the legs above run on.
 mod workload {
+    use super::common::rewrite;
     use super::common::workload::*;
     use sparql_rewrite_core::{
-        parse_query, EndpointId, IndexedRewriter, PatternNode, Query, RewriteLimits, Rewriter,
+        parse_query, DispatchPlan, EndpointId, IndexedRewriter, PatternNode, Query, RewriteLimits,
     };
 
     fn total_patterns(w: &Workload) -> usize {
@@ -839,23 +840,31 @@ mod workload {
         assert_eq!(a.planner.n_endpoints(), 4);
         // Plans are deterministic and the query mix reaches multiple
         // endpoints plus the residual partition across the set.
+        let shape = |p: &DispatchPlan| {
+            let eps: Vec<_> = p
+                .endpoints
+                .iter()
+                .map(|e| (e.endpoint, e.subquery.clone(), e.selectivity, e.n_patterns))
+                .collect();
+            (eps, p.n_residual_patterns)
+        };
         let mut multi_endpoint = false;
         let mut any_residual = false;
         let mut ep0_complex = false;
         for q in &a.queries {
             let plan = a
                 .planner
-                .plan(q.as_ref(), &a.interner, RewriteLimits::unbounded())
+                .plan_for_dispatch(q.as_ref(), &a.interner, RewriteLimits::unbounded())
                 .unwrap();
             let plan_b = b
                 .planner
-                .plan(q.as_ref(), &b.interner, RewriteLimits::unbounded())
+                .plan_for_dispatch(q.as_ref(), &b.interner, RewriteLimits::unbounded())
                 .unwrap();
-            assert_eq!(plan.annotated, plan_b.annotated);
+            assert_eq!(shape(&plan), shape(&plan_b));
             multi_endpoint |= plan.endpoints.len() >= 2;
             any_residual |= plan.n_residual_patterns > 0;
             // Endpoint 0 serves complex correspondences: when one fires,
-            // its SERVICE subquery carries a residual-guard or transform
+            // its subquery carries a residual-guard or transform
             // FILTER.
             for ep in &plan.endpoints {
                 if ep.endpoint == EndpointId(0) {
@@ -882,7 +891,7 @@ mod workload {
         // At least one query must hit a double-template predicate and grow
         // an extra UNION beyond the one the query text already contains.
         let extra_unions = w.queries.iter().any(|q| {
-            let out = indexed.rewrite_query(q);
+            let out = rewrite(&indexed, q);
             let unions = |qq: &Query| {
                 qq.pattern
                     .nodes
