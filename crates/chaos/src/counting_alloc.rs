@@ -7,8 +7,8 @@
 //!
 //! ```ignore
 //! #[global_allocator]
-//! static GLOBAL: sparql_rewrite_core::counting_alloc::CountingAllocator =
-//!     sparql_rewrite_core::counting_alloc::CountingAllocator;
+//! static GLOBAL: sparql_rewrite_chaos::counting_alloc::CountingAllocator =
+//!     sparql_rewrite_chaos::counting_alloc::CountingAllocator;
 //! ```
 //!
 //! Counts every `alloc`/`alloc_zeroed`/`realloc`; frees are irrelevant to

@@ -40,7 +40,7 @@
 //! executor classifies it as [`EndpointOutcome::TimedOut`](super::EndpointOutcome).
 //! The full fault-class → outcome table lives in the README's federation
 //! section and is asserted by `tests/http_chaos.rs` against the seeded
-//! [`ChaosProxy`](super::ChaosProxy).
+//! chaos proxy of the `sparql-rewrite-chaos` test crate.
 
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -35,7 +35,7 @@
 //! # Determinism
 //!
 //! Timing runs on a **virtual clock**: latencies come from the transport's
-//! reply (the [`MockTransport`] draws them from a seeded stream), backoff
+//! reply (the tests' mock transport draws them from a seeded stream), backoff
 //! delays and fault schedules derive from seed + endpoint + call + attempt
 //! counters, and deadline/breaker arithmetic uses only those virtual
 //! nanoseconds. Identical seeds therefore replay failure scenarios
@@ -44,21 +44,19 @@
 
 mod backoff;
 mod breaker;
-pub mod chaos;
 mod executor;
 mod http;
 mod transport;
 
 pub use backoff::BackoffPolicy;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use chaos::{ChaosProxy, ChaosSpec, FaultClass};
 pub use executor::{ExecutorConfig, FederatedExecutor};
 pub use http::{
     read_response, HttpConfig, HttpEndpoint, HttpError, HttpLimits, HttpResponse, HttpTransport,
 };
 pub use transport::{
-    classify_http_status, classify_io_error, EndpointTransport, FaultSpec, MockTransport,
-    TransportError, TransportReply, TransportRequest,
+    classify_http_status, classify_io_error, EndpointTransport, TransportError, TransportReply,
+    TransportRequest,
 };
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,10 +86,10 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 }
 
 /// Chain-absorb `parts` into one 64-bit draw. Public because every seeded
-/// schedule in the workspace — the chaos proxy, the server tests' chaos
-/// *client*, and the mutation fuzzes — derives its draws from this one
-/// primitive, keyed by (seed, index...) tuples; stateless mixing is what
-/// makes replays byte-identical under concurrency.
+/// schedule in the workspace — the fault injectors of the
+/// `sparql-rewrite-chaos` test crate and the mutation fuzzes — derives its
+/// draws from this one primitive, keyed by (seed, index...) tuples;
+/// stateless mixing is what makes replays byte-identical under concurrency.
 #[inline]
 pub fn mix_chain(seed: u64, parts: &[u64]) -> u64 {
     let mut h = mix64(seed ^ 0x9e37_79b9_7f4a_7c15);

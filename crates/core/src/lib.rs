@@ -76,7 +76,6 @@
 
 pub mod align;
 pub mod cache;
-pub mod counting_alloc;
 pub mod engine;
 pub mod federate;
 mod fxhash;
@@ -97,11 +96,11 @@ pub use cache::{
 pub use engine::{ServeEngine, ServeScratch};
 pub use federate::{
     classify_http_status, classify_io_error, mix_chain, read_response, BackoffPolicy,
-    BreakerConfig, BreakerState, ChaosProxy, ChaosSpec, CircuitBreaker, DispatchPlan, EndpointId,
-    EndpointOutcome, EndpointPlan, EndpointReport, EndpointTransport, ExecutorConfig, FaultClass,
-    FaultSpec, FederatedExecutor, FederatedResult, FederationPlanner, HttpConfig, HttpEndpoint,
-    HttpError, HttpLimits, HttpResponse, HttpTransport, MockTransport, PartitionCacheStats,
-    TransportError, TransportReply, TransportRequest,
+    BreakerConfig, BreakerState, CircuitBreaker, DispatchPlan, EndpointId, EndpointOutcome,
+    EndpointPlan, EndpointReport, EndpointTransport, ExecutorConfig, FederatedExecutor,
+    FederatedResult, FederationPlanner, HttpConfig, HttpEndpoint, HttpError, HttpLimits,
+    HttpResponse, HttpTransport, PartitionCacheStats, TransportError, TransportReply,
+    TransportRequest,
 };
 pub use interner::Interner;
 pub use parser::{parse_bgp, parse_query, parse_query_into, ParseError, ParseScratch};

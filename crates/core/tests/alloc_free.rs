@@ -8,7 +8,7 @@
 //! fresh-variable minting, rule misses, and recursive group-pattern
 //! rewriting (nested groups, OPTIONAL, UNION, FILTER trees).
 
-use sparql_rewrite_core::counting_alloc::{thread_allocation_count, CountingAllocator};
+use sparql_rewrite_chaos::counting_alloc::{thread_allocation_count, CountingAllocator};
 use sparql_rewrite_core::{
     fingerprint_query, parse_bgp, parse_query, parse_query_into, render_query_into, AlignmentStore,
     CacheConfig, CmpOp, ExprNode, IndexedRewriter, Interner, ParseScratch, Query, QueryRef,

@@ -5,9 +5,9 @@
 //! thread count, which any test running beside it would move.
 #![cfg(target_os = "linux")]
 
+use sparql_rewrite_chaos::{FaultSpec, MockTransport};
 use sparql_rewrite_core::{
-    EndpointId, EndpointPlan, ExecutorConfig, FaultSpec, FederatedExecutor, Interner,
-    MockTransport, Term,
+    EndpointId, EndpointPlan, ExecutorConfig, FederatedExecutor, Interner, Term,
 };
 
 /// `Threads:` from `/proc/self/status`.

@@ -19,10 +19,11 @@
 //! outcome transcripts — the determinism contract the server crate's
 //! `federation_http_soak` asserts on a longer stream.
 
+use sparql_rewrite_chaos::{ChaosProxy, ChaosSpec, FaultClass};
 use sparql_rewrite_core::{
-    BackoffPolicy, BreakerConfig, BreakerState, ChaosProxy, ChaosSpec, EndpointId, EndpointOutcome,
-    EndpointPlan, ExecutorConfig, FaultClass, FederatedExecutor, HttpConfig, HttpEndpoint,
-    HttpLimits, HttpTransport, Interner, Term,
+    BackoffPolicy, BreakerConfig, BreakerState, EndpointId, EndpointOutcome, EndpointPlan,
+    ExecutorConfig, FederatedExecutor, HttpConfig, HttpEndpoint, HttpLimits, HttpTransport,
+    Interner, Term,
 };
 
 /// A plan shipping one fixed subquery to endpoint 0.
@@ -87,7 +88,8 @@ fn run_against(
     FederatedExecutor<HttpTransport>,
     ChaosProxy,
 ) {
-    let proxy = ChaosProxy::spawn(0x5eed, ChaosSpec::always(class)).expect("spawn chaos proxy");
+    let proxy =
+        ChaosProxy::spawn(0x5eed, ChaosSpec::with(&[(class, 100)])).expect("spawn chaos proxy");
     let exec = FederatedExecutor::new(transport_for(proxy.authority()), 1, exec_config());
     let plans = [endpoint_plan()];
     let outcomes = (0..n)
@@ -310,14 +312,13 @@ fn outcome_class(o: &EndpointOutcome) -> String {
 
 #[test]
 fn mixed_chaos_schedules_replay_byte_identically() {
-    let spec = ChaosSpec {
-        refuse_pct: 12,
-        reset_pct: 12,
-        truncate_pct: 12,
-        malformed_status_pct: 6,
-        wrong_len_pct: 10,
-        ..ChaosSpec::default()
-    };
+    let spec = ChaosSpec::with(&[
+        (FaultClass::Refuse, 12),
+        (FaultClass::Reset, 12),
+        (FaultClass::TruncateBody, 12),
+        (FaultClass::MalformedStatus, 6),
+        (FaultClass::WrongContentLength, 10),
+    ]);
     let run = || {
         let proxy = ChaosProxy::spawn(0xc4a0_5eed, spec).unwrap();
         let exec = FederatedExecutor::new(transport_for(proxy.authority()), 1, exec_config());

@@ -813,13 +813,14 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
     }
 }
 
-/// Per-worker serve state, matching the server's [`ServeMode`]. One
-/// value per worker thread, alive for the thread's whole life; boxing
-/// would only add a pointer chase on the serve path.
+/// Per-worker serve state: the server's [`ServeMode`] paired with the
+/// worker's buffers for it. One value per worker thread, alive for the
+/// thread's whole life; boxing would only add a pointer chase on the serve
+/// path.
 #[allow(clippy::large_enum_variant)]
-enum WorkerScratch {
-    Single(ServeScratch),
-    Federated(FedScratch),
+enum WorkerScratch<'a> {
+    Single(&'a ServeEngine, ServeScratch),
+    Federated(&'a FederationRuntime, FedScratch),
 }
 
 /// Federated-mode per-worker buffers: a cloned interner (so parsing
@@ -832,15 +833,18 @@ struct FedScratch {
     status_header: String,
 }
 
-fn new_worker_scratch(shared: &Shared) -> WorkerScratch {
+fn new_worker_scratch(shared: &Shared) -> WorkerScratch<'_> {
     match &shared.mode {
-        ServeMode::Single(engine) => WorkerScratch::Single(engine.scratch()),
-        ServeMode::Federated(fed) => WorkerScratch::Federated(FedScratch {
-            interner: fed.interner.clone(),
-            parse: ParseScratch::new(),
-            body: String::new(),
-            status_header: String::new(),
-        }),
+        ServeMode::Single(engine) => WorkerScratch::Single(engine, engine.scratch()),
+        ServeMode::Federated(fed) => WorkerScratch::Federated(
+            fed,
+            FedScratch {
+                interner: fed.interner.clone(),
+                parse: ParseScratch::new(),
+                body: String::new(),
+                status_header: String::new(),
+            },
+        ),
     }
 }
 
@@ -898,7 +902,7 @@ fn wait_first_byte(r: &mut BufReader<DeadlineReader<'_>>) -> FirstByte {
 fn handle_connection(
     shared: &Shared,
     stream: &TcpStream,
-    scratch: &mut WorkerScratch,
+    scratch: &mut WorkerScratch<'_>,
     req_scratch: &mut RequestScratch,
     resp: &mut Vec<u8>,
 ) {
@@ -964,13 +968,13 @@ fn handle_connection(
 /// framing was clean, so we are still in sync.
 fn serve_query(
     shared: &Shared,
-    scratch: &mut WorkerScratch,
+    scratch: &mut WorkerScratch<'_>,
     req_scratch: &RequestScratch,
     resp: &mut Vec<u8>,
     close: bool,
 ) {
-    match (&shared.mode, scratch) {
-        (ServeMode::Single(engine), WorkerScratch::Single(serve_scratch)) => {
+    match scratch {
+        WorkerScratch::Single(engine, serve_scratch) => {
             match engine.serve(&req_scratch.query, serve_scratch) {
                 Ok(out) => {
                     render_response(resp, 200, out.as_bytes(), "application/sparql-query", close);
@@ -983,11 +987,9 @@ fn serve_query(
                 }
             }
         }
-        (ServeMode::Federated(fed), WorkerScratch::Federated(fs)) => {
+        WorkerScratch::Federated(fed, fs) => {
             serve_federated(shared, fed, &req_scratch.query, fs, resp, close);
         }
-        // Scratches are built from the mode, so the pairs always match.
-        _ => unreachable!("worker scratch does not match serve mode"),
     }
 }
 

@@ -1,14 +1,15 @@
 //! Seeded client-side chaos for the server soak: a single-threaded HTTP
 //! client that misbehaves on a deterministic schedule.
 //!
-//! Where the federation `http_soak` injects faults on the *server* side
+//! Where `federation_http_soak` injects faults on the *server* side
 //! (chaos proxies) to harden the client transport, this is the mirror
 //! image: nine client-side fault classes — half-open connects, trickled
 //! headers, aborted bodies, lying `Content-Length`, oversized frames —
 //! thrown at the real [`sparql_rewrite_server`] front end over loopback
-//! TCP. Every draw comes from `mix_chain(seed, [conn, req, salt])`, so
-//! two runs with the same seed produce byte-identical fault schedules,
-//! and the soak can gate on byte-identical outcome transcripts.
+//! TCP. Every draw comes from `mix_chain(seed, [conn, req, salt])` — the
+//! fault itself from [`ClientFault::draw`], the chaos crate's shared
+//! schedule — so two runs with the same seed produce byte-identical fault
+//! schedules, and the soak can gate on byte-identical outcome transcripts.
 //!
 //! Transcript lines record outcome *classes* (`200`, `400`, `closed`,
 //! `200+400`), never wall-clock timings — real sockets make timings
@@ -19,86 +20,13 @@ use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
+use sparql_rewrite_chaos::ClientFault;
 use sparql_rewrite_core::httpcore::{read_response, HttpLimits, HttpResponse};
 use sparql_rewrite_core::mix_chain;
 use sparql_rewrite_server::request::percent_encode_into;
 
 /// Number of client fault classes (indexes [`ClientFault::ALL`]).
-pub const N_FAULTS: usize = 9;
-
-/// One client-side misbehavior, drawn per request.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ClientFault {
-    /// Well-formed GET or POST; expects `200`.
-    Healthy,
-    /// Valid request written in 7-byte sips with sub-millisecond pauses —
-    /// slow but *under* the request deadline; still expects `200`.
-    TrickleHeaders,
-    /// Valid POST whose body straddles two writes with a pause between;
-    /// expects `200`.
-    StraddleBody,
-    /// Bytes that are not HTTP; expects a structured `400` and close.
-    PipelinedGarbage,
-    /// Connect and close without sending a byte.
-    HalfOpen,
-    /// POST that announces a body, sends half, and disconnects.
-    MidBodyAbort,
-    /// `Content-Length` above the server's body cap, no body sent;
-    /// expects `413` before any body byte is read.
-    OversizeAnnounce,
-    /// `Content-Length` *shorter* than the bytes sent: the tail bytes
-    /// desync the keep-alive stream into a garbage next request —
-    /// expects `200` then `400`.
-    LyingLength,
-    /// Header block above the server's header cap; expects `431`.
-    HugeHeaders,
-}
-
-impl ClientFault {
-    pub const ALL: [ClientFault; N_FAULTS] = [
-        ClientFault::Healthy,
-        ClientFault::TrickleHeaders,
-        ClientFault::StraddleBody,
-        ClientFault::PipelinedGarbage,
-        ClientFault::HalfOpen,
-        ClientFault::MidBodyAbort,
-        ClientFault::OversizeAnnounce,
-        ClientFault::LyingLength,
-        ClientFault::HugeHeaders,
-    ];
-
-    /// Draw weights in percent, [`ClientFault::ALL`] order; sum 100.
-    const PCTS: [u8; N_FAULTS] = [40, 8, 8, 10, 6, 7, 7, 7, 7];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            ClientFault::Healthy => "healthy",
-            ClientFault::TrickleHeaders => "trickle",
-            ClientFault::StraddleBody => "straddle",
-            ClientFault::PipelinedGarbage => "garbage",
-            ClientFault::HalfOpen => "halfopen",
-            ClientFault::MidBodyAbort => "abort",
-            ClientFault::OversizeAnnounce => "oversize",
-            ClientFault::LyingLength => "lyinglen",
-            ClientFault::HugeHeaders => "hugehdrs",
-        }
-    }
-
-    pub fn index(self) -> usize {
-        Self::ALL.iter().position(|&f| f == self).expect("in ALL")
-    }
-
-    fn draw(roll: u8) -> ClientFault {
-        let mut acc = 0u8;
-        for (i, &p) in Self::PCTS.iter().enumerate() {
-            acc += p;
-            if roll < acc {
-                return Self::ALL[i];
-            }
-        }
-        ClientFault::Healthy
-    }
-}
+pub const N_FAULTS: usize = ClientFault::ALL.len();
 
 /// The seeded chaos client. One instance drives one soak run; fault
 /// counts accumulate in [`ChaosClient::injected`].
@@ -156,8 +84,7 @@ impl ChaosClient {
         let n_reqs = 1 + mix_chain(self.seed, &[conn, 0x0c]) % 3;
         let mut attempts = 0u64;
         for req_no in 0..n_reqs {
-            let fault =
-                ClientFault::draw((mix_chain(self.seed, &[conn, req_no, 0xfa]) % 100) as u8);
+            let fault = ClientFault::draw(self.seed, conn, req_no);
             self.injected[fault.index()] += 1;
             attempts += 1;
             let query = &queries

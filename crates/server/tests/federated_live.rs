@@ -10,9 +10,10 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sparql_rewrite_chaos::{ChaosProxy, ChaosSpec};
 use sparql_rewrite_core::{
-    AlignmentStore, BackoffPolicy, ChaosProxy, ChaosSpec, ExecutorConfig, FederationPlanner,
-    HttpConfig, Interner, RewriteLimits, Term, TriplePattern,
+    AlignmentStore, BackoffPolicy, ExecutorConfig, FederationPlanner, HttpConfig, Interner,
+    RewriteLimits, Term, TriplePattern,
 };
 use sparql_rewrite_server::request::percent_encode_into;
 use sparql_rewrite_server::{

@@ -19,10 +19,14 @@ use common::chaos_client::{ChaosClient, N_FAULTS};
 use common::workload::{
     generate, generate_federation, zipf_ranks, FederationSpec, Rng, WorkloadSpec, ZipfSpec,
 };
+use sparql_rewrite_chaos::FaultClass::{
+    MalformedHeader, MalformedStatus, OversizedBody, Refuse, Reset, Trickle, TruncateBody,
+    WrongContentLength,
+};
+use sparql_rewrite_chaos::{ChaosProxy, ChaosSpec, FaultClass, FaultSpec, MockTransport};
 use sparql_rewrite_core::{
-    BackoffPolicy, BreakerConfig, CacheConfig, ChaosProxy, ChaosSpec, EndpointOutcome,
-    ExecutorConfig, FaultSpec, FederatedExecutor, HttpConfig, HttpEndpoint, HttpLimits,
-    HttpTransport, Interner, MockTransport, RewriteLimits, ServeEngine,
+    BackoffPolicy, BreakerConfig, CacheConfig, EndpointOutcome, ExecutorConfig, FederatedExecutor,
+    HttpConfig, HttpEndpoint, HttpLimits, HttpTransport, Interner, RewriteLimits, ServeEngine,
 };
 use sparql_rewrite_server::{
     EndpointRoute, FederationConfig, FederationStats, Server, ServerConfig, StatsSnapshot,
@@ -191,31 +195,16 @@ fn federation_http_soak() {
     // Three lightly faulty endpoints covering every protocol fault class
     // between them, and one hostile enough (50% connection faults) that
     // its breaker trips and probes during the stream.
-    let light = ChaosSpec {
-        refuse_pct: 3,
-        reset_pct: 3,
-        truncate_pct: 3,
-        wrong_len_pct: 4,
-        ..ChaosSpec::default()
-    };
-    let exotic = ChaosSpec {
-        trickle_pct: 2,
-        malformed_status_pct: 3,
-        oversized_pct: 3,
-        ..ChaosSpec::default()
-    };
-    let header_faults = ChaosSpec {
-        reset_pct: 3,
-        malformed_header_pct: 3,
-        wrong_len_pct: 4,
-        ..ChaosSpec::default()
-    };
-    let hostile = ChaosSpec {
-        refuse_pct: 18,
-        reset_pct: 18,
-        truncate_pct: 14,
-        ..ChaosSpec::default()
-    };
+    let light = ChaosSpec::with(&[
+        (Refuse, 3),
+        (Reset, 3),
+        (TruncateBody, 3),
+        (WrongContentLength, 4),
+    ]);
+    let exotic = ChaosSpec::with(&[(Trickle, 2), (MalformedStatus, 3), (OversizedBody, 3)]);
+    let header_faults =
+        ChaosSpec::with(&[(Reset, 3), (MalformedHeader, 3), (WrongContentLength, 4)]);
+    let hostile = ChaosSpec::with(&[(Refuse, 18), (Reset, 18), (TruncateBody, 14)]);
     let chaos_specs = [light, exotic, header_faults, hostile];
 
     let config = ExecutorConfig {
@@ -314,18 +303,12 @@ fn federation_http_soak() {
                 );
             }
         }
-        let mut injected = [0u64; 9];
-        for p in &proxies {
-            for (total, n) in injected.iter_mut().zip(p.injected_counts()) {
-                *total += n;
-            }
-        }
         (
             transcript,
             executor.breaker_states(),
             tallies,
             within_ceiling,
-            injected,
+            injected_total(&proxies),
             executor.caught_panics(),
         )
     };
@@ -357,26 +340,12 @@ fn federation_http_soak() {
         timed_out + circuit_open + exhausted + exhausted_permanent > 0,
         "http soak saw no degraded outcomes — chaos injection is not firing"
     );
-    // Every class some spec enables must have fired; with all-zero pcts
-    // only Healthy is expected. The draw schedule is seeded, so this is a
-    // deterministic property of the config above, not a statistical hope.
-    let enabled = |f: fn(&ChaosSpec) -> u8| chaos_specs.iter().any(|s| f(s) > 0);
-    let expected: [bool; 9] = [
-        true, // Healthy
-        enabled(|s| s.refuse_pct),
-        enabled(|s| s.reset_pct),
-        enabled(|s| s.trickle_pct),
-        enabled(|s| s.truncate_pct),
-        enabled(|s| s.malformed_status_pct),
-        enabled(|s| s.malformed_header_pct),
-        enabled(|s| s.oversized_pct),
-        enabled(|s| s.wrong_len_pct),
-    ];
+    // Healthy and every class some spec enables must have fired. The draw
+    // schedule is seeded, so this is a deterministic property of the
+    // config above, not a statistical hope.
+    let expected = |i: usize| i == 0 || chaos_specs.iter().any(|s| s.pcts[i] > 0);
     assert!(
-        expected
-            .iter()
-            .zip(injected_a)
-            .all(|(&want, got)| !want || got > 0),
+        (0..injected_a.len()).all(|i| !expected(i) || injected_a[i] > 0),
         "an enabled chaos fault class was never injected — coverage silently shrank"
     );
     assert!(
@@ -521,7 +490,15 @@ fn server_federated_chaos() {
 }
 
 /// Fault counters a [`ChaosProxy`] reports.
-const PROXY_FAULTS: usize = 9;
+const PROXY_FAULTS: usize = FaultClass::ALL.len();
+
+/// Per-class injection counts summed over `proxies`.
+fn injected_total(proxies: &[ChaosProxy]) -> [u64; PROXY_FAULTS] {
+    let counts = proxies.iter().map(ChaosProxy::injected_counts);
+    counts.fold([0; PROXY_FAULTS], |sum, c| {
+        std::array::from_fn(|i| sum[i] + c[i])
+    })
+}
 
 /// Everything one federated chaos run yields that the determinism
 /// compare needs.
@@ -601,24 +578,16 @@ impl FedRun {
 fn endpoint_chaos(e: usize) -> ChaosSpec {
     match e {
         0 => ChaosSpec::default(),
-        1 => ChaosSpec {
-            malformed_status_pct: 10,
-            malformed_header_pct: 8,
-            wrong_len_pct: 6,
-            ..ChaosSpec::default()
-        },
+        1 => ChaosSpec::with(&[
+            (MalformedStatus, 10),
+            (MalformedHeader, 8),
+            (WrongContentLength, 6),
+        ]),
         2 => ChaosSpec {
-            trickle_pct: 10,
-            truncate_pct: 8,
             trickle_step_nanos: 2_000_000,
-            ..ChaosSpec::default()
+            ..ChaosSpec::with(&[(Trickle, 10), (TruncateBody, 8)])
         },
-        _ => ChaosSpec {
-            refuse_pct: 20,
-            reset_pct: 18,
-            truncate_pct: 12,
-            ..ChaosSpec::default()
-        },
+        _ => ChaosSpec::with(&[(Refuse, 20), (Reset, 18), (TruncateBody, 12)]),
     }
 }
 
@@ -710,12 +679,7 @@ fn federated_chaos_run(spec: &FederationSpec, n_connections: usize, client_seed:
     let server_transcript = server.federation_transcript().expect("recording enabled");
     let stats = server.stats();
     server.shutdown();
-    let mut injected_endpoints = [0u64; PROXY_FAULTS];
-    for p in &proxies {
-        for (total, n) in injected_endpoints.iter_mut().zip(p.injected_counts()) {
-            *total += n;
-        }
-    }
+    let injected_endpoints = injected_total(&proxies);
     FedRun {
         client_transcript,
         server_transcript,

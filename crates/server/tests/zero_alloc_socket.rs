@@ -20,7 +20,7 @@ use std::time::Duration;
 use common::workload::{
     alias_prefix, generate, perturb_whitespace, zipf_ranks, Rng, WorkloadSpec, ZipfSpec,
 };
-use sparql_rewrite_core::counting_alloc::{allocation_count, CountingAllocator};
+use sparql_rewrite_chaos::counting_alloc::{allocation_count, CountingAllocator};
 use sparql_rewrite_core::{CacheConfig, Interner, ServeEngine};
 use sparql_rewrite_server::request::percent_encode_into;
 use sparql_rewrite_server::{Server, ServerConfig};
