@@ -30,7 +30,7 @@ use crate::term::{Symbol, Term, TermKind, SYM_MASK, TAG_SHIFT};
 
 /// Vacant guard slot in a [`RuleTemplate`] (and in the dense per-rule guard
 /// pool): "this rule has no firing condition".
-pub const NO_EXPR: u32 = u32::MAX;
+pub(crate) const NO_EXPR: u32 = u32::MAX;
 
 /// The right-hand side of a complex correspondence
 /// ([`AlignmentStore::add_complex_predicate`]): a guarded group-pattern
@@ -48,7 +48,7 @@ pub const NO_EXPR: u32 = u32::MAX;
 ///   the dense index and copies into a query's expression buffer with a
 ///   single base offset.
 /// * `guard` — root (into `exprs`) of the optional firing condition, or
-///   [`NO_EXPR`]. The rewriter evaluates the guard against the lhs bindings
+///   `u32::MAX` (none). The rewriter evaluates the guard against the lhs bindings
 ///   of each match: statically false → the rule does not fire for that
 ///   pattern; statically true → it fires with no residue; undecidable
 ///   (e.g. a comparison over a variable the query leaves open) → it fires
@@ -176,7 +176,7 @@ impl std::error::Error for AlignError {}
 /// `guard` is [`NO_EXPR`], so a single code path in the rewriter serves
 /// both rule classes.
 #[derive(Clone, Copy, Debug)]
-pub struct TemplateRef<'a> {
+pub(crate) struct TemplateRef<'a> {
     pub lhs: TriplePattern,
     pub triples: &'a [TriplePattern],
     /// Template-relative expression pool shared by `guard` and `filters`.
@@ -520,7 +520,7 @@ impl AlignmentStore {
     /// [`AlignmentStore::predicate_candidates`]; reads the flat template
     /// pools.
     #[inline]
-    pub fn template(&self, id: u32) -> TemplateRef<'_> {
+    pub(crate) fn template(&self, id: u32) -> TemplateRef<'_> {
         let id = id as usize;
         let row = |off: &[u32]| off[id] as usize..off[id + 1] as usize;
         TemplateRef {
@@ -559,7 +559,7 @@ impl AlignmentStore {
     /// plus one array load. A symbol no rule is keyed on, or minted after
     /// the last rule, is vacant or outside the table.
     #[inline]
-    pub fn entity_target(&self, t: Term) -> Option<Term> {
+    pub(crate) fn entity_target(&self, t: Term) -> Option<Term> {
         let raw = t.raw();
         // The common case: most subject/object positions are variables.
         if raw >= CONCRETE_TAG_CEIL {
@@ -577,7 +577,7 @@ impl AlignmentStore {
     /// rule-id order: one lane load, plus a side-list load only when the
     /// predicate has several templates.
     #[inline]
-    pub fn predicate_candidates(&self, p: Term) -> &[u32] {
+    pub(crate) fn predicate_candidates(&self, p: Term) -> &[u32] {
         // A variable predicate never matches a template (their predicates
         // are concrete), and a fresh one carries a counter that must never
         // alias a real predicate symbol. One compare covers both.

@@ -363,7 +363,7 @@ struct Shard {
 /// Point-in-time observability snapshot of one shard, taken by
 /// [`RewriteCache::stats`].
 #[derive(Copy, Clone, Default, Debug)]
-pub struct ShardCacheStats {
+pub(crate) struct ShardCacheStats {
     /// Slots holding a written entry (never decreases: slots are
     /// overwritten, not emptied).
     pub occupancy: usize,
@@ -393,7 +393,7 @@ pub struct ShardCacheStats {
 #[derive(Clone, Default, Debug)]
 pub struct CacheStats {
     /// Shards of the live cache instance.
-    pub per_shard: Vec<ShardCacheStats>,
+    pub(crate) per_shard: Vec<ShardCacheStats>,
     /// Probe hits and misses counted by the owner.
     pub(crate) probe_hits: u64,
     pub(crate) probe_misses: u64,

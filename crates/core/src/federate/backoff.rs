@@ -34,7 +34,7 @@ impl BackoffPolicy {
     /// Jittered delay before retry `retry` (1-based). `draw` is one 64-bit
     /// value from the caller's seeded stream; passing the same draw yields
     /// the same delay.
-    pub fn delay_nanos(&self, retry: u32, draw: u64) -> u64 {
+    pub(crate) fn delay_nanos(&self, retry: u32, draw: u64) -> u64 {
         if self.base_nanos == 0 {
             return 0;
         }

@@ -63,7 +63,7 @@ pub enum BreakerState {
 /// One endpoint's breaker. Not thread-safe by itself — the executor keeps
 /// each breaker behind its endpoint's runtime lock.
 #[derive(Clone, Debug)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     config: BreakerConfig,
     state: BreakerState,
     /// Last `len` results as bits (1 = failure), newest at `pos`.
@@ -78,7 +78,7 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    pub fn new(config: BreakerConfig) -> CircuitBreaker {
+    pub(crate) fn new(config: BreakerConfig) -> CircuitBreaker {
         let config = BreakerConfig {
             window: config.window.clamp(1, 64),
             min_samples: config.min_samples.max(1),
@@ -97,12 +97,8 @@ impl CircuitBreaker {
         }
     }
 
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         self.state
-    }
-
-    pub fn config(&self) -> BreakerConfig {
-        self.config
     }
 
     /// May a call proceed at virtual time `now`? Transitions open →
@@ -110,7 +106,7 @@ impl CircuitBreaker {
     /// most one probe at a time: a `true` return claims the probe slot
     /// until the next [`CircuitBreaker::record`] (or
     /// [`CircuitBreaker::abandon_probe`]); concurrent callers get `false`.
-    pub fn allow(&mut self, now: u64) -> bool {
+    pub(crate) fn allow(&mut self, now: u64) -> bool {
         match self.state {
             BreakerState::Closed => true,
             BreakerState::HalfOpen => {
@@ -141,7 +137,7 @@ impl CircuitBreaker {
     /// open breaker to their own clients.
     ///
     /// [`allow`]: CircuitBreaker::allow
-    pub fn cooldown_remaining(&self, now: u64) -> Option<u64> {
+    pub(crate) fn cooldown_remaining(&self, now: u64) -> Option<u64> {
         match self.state {
             BreakerState::Open => Some(
                 self.opened_at
@@ -155,12 +151,12 @@ impl CircuitBreaker {
     /// Release a probe slot claimed by [`CircuitBreaker::allow`] without
     /// recording a result — for callers that were admitted but bailed out
     /// (e.g. zero remaining deadline budget) before dispatching.
-    pub fn abandon_probe(&mut self) {
+    pub(crate) fn abandon_probe(&mut self) {
         self.probe_in_flight = false;
     }
 
     /// Record a call result observed at virtual time `now`.
-    pub fn record(&mut self, now: u64, ok: bool) {
+    pub(crate) fn record(&mut self, now: u64, ok: bool) {
         match self.state {
             BreakerState::Closed => {
                 self.push_sample(ok);

@@ -34,10 +34,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 
+use super::breaker::CircuitBreaker;
 use super::{
-    mix_chain, BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker, EndpointOutcome,
-    EndpointPlan, EndpointReport, EndpointTransport, FederatedResult, TransportError,
-    TransportReply, TransportRequest,
+    mix_chain, BackoffPolicy, BreakerConfig, BreakerState, EndpointOutcome, EndpointPlan,
+    EndpointReport, EndpointTransport, FederatedResult, TransportError, TransportReply,
+    TransportRequest,
 };
 
 /// Executor tuning knobs.

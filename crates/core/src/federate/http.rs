@@ -48,10 +48,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use super::{
-    classify_http_status, classify_io_error, EndpointTransport, TransportError, TransportReply,
-    TransportRequest,
-};
+use super::transport::{classify_http_status, classify_io_error};
+use super::{EndpointTransport, TransportError, TransportReply, TransportRequest};
 use crate::httpcore::DeadlineReader;
 // The framing layer (limits, error taxonomy, response reader) lives in
 // the shared `httpcore` module so the server front end parses with the
@@ -597,7 +595,7 @@ mod tests {
         ] {
             let err = parse(raw).unwrap_err();
             assert_eq!(err, HttpError::Truncated, "{raw:?}");
-            assert!(err.class().is_transient(), "{raw:?}");
+            assert_eq!(err.class(), TransportError::Transient, "{raw:?}");
         }
     }
 

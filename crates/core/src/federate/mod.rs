@@ -7,7 +7,7 @@
 //! 1. **Partition** ([`FederationPlanner::plan_for_dispatch`]): each
 //!    top-level triple pattern of a parsed query is assigned to the endpoint
 //!    whose rules can rewrite it. The assignment reads
-//!    [`AlignmentStore::predicate_candidates`] — an O(1) slice lookup
+//!    the store's predicate candidates — an O(1) slice lookup
 //!    against the store's dispatch table — and the candidate *count* doubles as a
 //!    statistics-free selectivity signal in the spirit of Yannakis et al.:
 //!    endpoints are dispatched most-selective-first (smallest expected
@@ -26,7 +26,8 @@
 //!    resilience kit — a per-request deadline with budget propagation into
 //!    the transport, bounded retries with seeded jittered exponential
 //!    backoff ([`BackoffPolicy`]), and a per-endpoint
-//!    closed/open/half-open [`CircuitBreaker`] — and degrades to a
+//!    closed/open/half-open circuit breaker ([`BreakerConfig`],
+//!    [`BreakerState`]) — and degrades to a
 //!    deterministic [`FederatedResult`] carrying a per-endpoint
 //!    [`EndpointOutcome`] (served / timed-out / circuit-open /
 //!    exhausted-retries), so callers always get the partial results that
@@ -49,15 +50,12 @@ mod http;
 mod transport;
 
 pub use backoff::BackoffPolicy;
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+pub use breaker::{BreakerConfig, BreakerState};
 pub use executor::{ExecutorConfig, FederatedExecutor};
 pub use http::{
     read_response, HttpConfig, HttpEndpoint, HttpError, HttpLimits, HttpResponse, HttpTransport,
 };
-pub use transport::{
-    classify_http_status, classify_io_error, EndpointTransport, TransportError, TransportReply,
-    TransportRequest,
-};
+pub use transport::{EndpointTransport, TransportError, TransportReply, TransportRequest};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -668,7 +666,10 @@ mod tests {
             .plan_for_dispatch(
                 query.as_ref(),
                 &it,
-                RewriteLimits::with_template_size_cap(3),
+                RewriteLimits {
+                    max_template_size: 3,
+                    ..RewriteLimits::unbounded()
+                },
             )
             .unwrap_err();
         assert!(

@@ -28,12 +28,7 @@ pub enum TransportError {
 
 impl TransportError {
     #[inline]
-    pub fn is_transient(self) -> bool {
-        self == TransportError::Transient
-    }
-
-    #[inline]
-    pub fn is_permanent(self) -> bool {
+    pub(crate) fn is_permanent(self) -> bool {
         self == TransportError::Permanent
     }
 }
@@ -44,7 +39,7 @@ impl TransportError {
 /// retrying; everything else (including 3xx — the transport does not
 /// follow redirects) indicates a request or endpoint problem retries
 /// cannot fix.
-pub fn classify_http_status(status: u16) -> Option<TransportError> {
+pub(crate) fn classify_http_status(status: u16) -> Option<TransportError> {
     match status {
         200..=299 => None,
         408 | 425 | 429 | 500..=599 => Some(TransportError::Transient),
@@ -57,7 +52,7 @@ pub fn classify_http_status(status: u16) -> Option<TransportError> {
 /// transient peer conditions; address/configuration failures are
 /// permanent; anything unrecognized defaults to transient so a flaky
 /// kernel edge never permanently blacklists an endpoint.
-pub fn classify_io_error(kind: std::io::ErrorKind) -> TransportError {
+pub(crate) fn classify_io_error(kind: std::io::ErrorKind) -> TransportError {
     use std::io::ErrorKind as K;
     match kind {
         K::AddrNotAvailable | K::InvalidInput | K::Unsupported => TransportError::Permanent,
@@ -118,7 +113,7 @@ mod tests {
             K::WouldBlock,
             K::Other,
         ] {
-            assert!(classify_io_error(k).is_transient(), "{k:?}");
+            assert_eq!(classify_io_error(k), TransportError::Transient, "{k:?}");
         }
         for k in [K::AddrNotAvailable, K::InvalidInput, K::Unsupported] {
             assert!(classify_io_error(k).is_permanent(), "{k:?}");

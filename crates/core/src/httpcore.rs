@@ -178,7 +178,7 @@ pub fn read_response<R: BufRead>(
 }
 
 /// `HTTP/1.<d> <3-digit status> [reason]`.
-pub fn parse_status_line(line: &[u8]) -> Result<u16, HttpError> {
+pub(crate) fn parse_status_line(line: &[u8]) -> Result<u16, HttpError> {
     let rest = match line.strip_prefix(b"HTTP/1.") {
         Some(r) => r,
         None => return Err(HttpError::MalformedStatusLine),
@@ -388,7 +388,7 @@ pub fn read_line_bounded<R: BufRead>(
 }
 
 /// Read to EOF, failing with [`HttpError::BodyTooLarge`] past `cap`.
-pub fn read_to_end_bounded<R: BufRead>(r: &mut R, cap: usize) -> Result<Vec<u8>, HttpError> {
+pub(crate) fn read_to_end_bounded<R: BufRead>(r: &mut R, cap: usize) -> Result<Vec<u8>, HttpError> {
     let mut body = Vec::new();
     loop {
         let buf = match r.fill_buf() {
@@ -420,7 +420,7 @@ pub fn trim_ascii(mut s: &[u8]) -> &[u8] {
 
 /// Does a comma-separated header value contain `token` (ASCII
 /// case-insensitive)?
-pub fn contains_token_ci(value: &[u8], token: &[u8]) -> bool {
+pub(crate) fn contains_token_ci(value: &[u8], token: &[u8]) -> bool {
     value
         .split(|&b| b == b',')
         .any(|part| trim_ascii(part).eq_ignore_ascii_case(token))
@@ -455,15 +455,10 @@ impl<'a> DeadlineReader<'a> {
         self.deadline.set(deadline);
     }
 
-    /// Whether any byte has been read since construction or the last
-    /// [`DeadlineReader::reset_got_any`] — the signal that separates an
-    /// idle peer from one that died mid-message.
-    pub fn got_any(&self) -> bool {
+    /// Whether any byte has been read since construction — the signal
+    /// that separates an idle peer from one that died mid-message.
+    pub(crate) fn got_any(&self) -> bool {
         self.got_any.get()
-    }
-
-    pub fn reset_got_any(&self) {
-        self.got_any.set(false);
     }
 }
 

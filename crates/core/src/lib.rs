@@ -88,25 +88,23 @@ mod smallvec;
 mod snapshot;
 pub mod term;
 
-pub use align::{AlignError, AlignmentStore, RuleTemplate, TemplateRef, NO_EXPR};
+pub use align::{AlignError, AlignmentStore, RuleTemplate};
 pub use cache::{
     fingerprint_query, fingerprint_raw, CacheConfig, CacheStats, QueryFingerprint, RewriteCache,
-    ShardCacheStats,
 };
 pub use engine::{ServeEngine, ServeScratch};
 pub use federate::{
-    classify_http_status, classify_io_error, mix_chain, read_response, BackoffPolicy,
-    BreakerConfig, BreakerState, CircuitBreaker, DispatchPlan, EndpointId, EndpointOutcome,
-    EndpointPlan, EndpointReport, EndpointTransport, ExecutorConfig, FederatedExecutor,
-    FederatedResult, FederationPlanner, HttpConfig, HttpEndpoint, HttpError, HttpLimits,
-    HttpResponse, HttpTransport, PartitionCacheStats, TransportError, TransportReply,
+    mix_chain, read_response, BackoffPolicy, BreakerConfig, BreakerState, DispatchPlan, EndpointId,
+    EndpointOutcome, EndpointPlan, EndpointReport, EndpointTransport, ExecutorConfig,
+    FederatedExecutor, FederatedResult, FederationPlanner, HttpConfig, HttpEndpoint, HttpError,
+    HttpLimits, HttpResponse, HttpTransport, PartitionCacheStats, TransportError, TransportReply,
     TransportRequest,
 };
 pub use interner::Interner;
 pub use parser::{parse_bgp, parse_query, parse_query_into, ParseError, ParseScratch};
 pub use pattern::{
-    render_query_into, Bgp, ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query,
-    QueryRef, SelectList, TriplePattern, NO_NODE,
+    render_query_into, Bgp, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef,
+    SelectList, TriplePattern, NO_NODE,
 };
 pub use rewriter::{IndexedRewriter, RewriteError, RewriteLimits, RewriteScratch, Rewriter};
 pub use term::{Symbol, Term, TermKind};

@@ -48,10 +48,10 @@ use crate::pattern::{
 use crate::smallvec::SmallVec;
 use crate::term::Term;
 
-pub const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
-pub const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
-pub const XSD_DECIMAL: &str = "http://www.w3.org/2001/XMLSchema#decimal";
-pub const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
+pub(crate) const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
+pub(crate) const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
+pub(crate) const XSD_DECIMAL: &str = "http://www.w3.org/2001/XMLSchema#decimal";
+pub(crate) const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
 
 /// Deepest nesting a query may have. Two depths are held to it:
 ///
@@ -1314,6 +1314,7 @@ impl Parser<'_, '_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::TermKind;
 
     fn parse(q: &str) -> (Query, Interner) {
         let mut it = Interner::new();
@@ -1363,7 +1364,7 @@ mod tests {
         let PatternNode::Service { endpoint, first } = kinds[1] else {
             panic!("expected Service, got {:?}", kinds[1]);
         };
-        assert!(endpoint.is_iri());
+        assert_eq!(endpoint.kind(), TermKind::Iri);
         assert_eq!(
             it.resolve(endpoint.symbol()),
             "http://fed.example.org/sparql"
@@ -1465,7 +1466,7 @@ mod tests {
         // IRIREF follows: `<=x>` is the (odd but legal) IRI "=x".
         let (q, it) = parse("SELECT * WHERE { ?s ?p <=x> FILTER(?s <= 3) }");
         let o = q.pattern.triples[0].o;
-        assert!(o.is_iri());
+        assert_eq!(o.kind(), TermKind::Iri);
         assert_eq!(it.resolve(o.symbol()), "=x");
         let filter = q
             .pattern
@@ -1537,7 +1538,7 @@ mod tests {
         let ExprNode::Term(t) = q.pattern.exprs[iri as usize] else {
             panic!()
         };
-        assert!(t.is_iri());
+        assert_eq!(t.kind(), TermKind::Iri);
         assert_eq!(it.resolve(t.symbol()), "http://x");
         assert!(matches!(
             q.pattern.exprs[r as usize],

@@ -247,7 +247,7 @@ impl GroupPattern {
     /// Append a node with no sibling yet; returns its index. Link it into a
     /// child chain afterwards via [`ChainBuilder`] (or by writing `next`).
     #[inline]
-    pub fn push_node(&mut self, node: PatternNode) -> u32 {
+    pub(crate) fn push_node(&mut self, node: PatternNode) -> u32 {
         let idx = self.nodes.len() as u32;
         self.nodes.push(node);
         self.next.push(NO_NODE);
@@ -452,7 +452,7 @@ impl Iterator for Children<'_> {
 
 /// Incrementally links nodes into a sibling chain.
 #[derive(Copy, Clone)]
-pub struct ChainBuilder {
+pub(crate) struct ChainBuilder {
     first: u32,
     last: u32,
 }

@@ -185,15 +185,6 @@ impl RewriteLimits {
             ..RewriteLimits::unbounded()
         }
     }
-
-    /// Cap per-pattern instantiated template size at `cap`.
-    #[inline]
-    pub fn with_template_size_cap(cap: u32) -> RewriteLimits {
-        RewriteLimits {
-            max_template_size: cap,
-            ..RewriteLimits::unbounded()
-        }
-    }
 }
 
 impl Default for RewriteLimits {
@@ -276,11 +267,6 @@ impl RewriteScratch {
         self.fresh_next - self.fresh_start
     }
 
-    /// Copy the last result out as an owned [`GroupPattern`] (allocates).
-    pub fn to_pattern(&self) -> GroupPattern {
-        self.pattern.clone()
-    }
-
     /// Copy the last result out as an owned [`Query`] (allocates).
     pub fn to_query(&self) -> Query {
         Query {
@@ -289,7 +275,7 @@ impl RewriteScratch {
             } else {
                 SelectList::Vars(self.select.clone())
             },
-            pattern: self.to_pattern(),
+            pattern: self.pattern.clone(),
         }
     }
 }
@@ -1096,7 +1082,10 @@ mod tests {
         rw.try_rewrite_ref_into(
             query.as_ref(),
             &mut scratch,
-            RewriteLimits::with_template_size_cap(4),
+            RewriteLimits {
+                max_template_size: 4,
+                ..RewriteLimits::unbounded()
+            },
         )
         .expect("cap == required must succeed");
         let at_cap = scratch.to_query();
@@ -1104,7 +1093,10 @@ mod tests {
             .try_rewrite_ref_into(
                 query.as_ref(),
                 &mut scratch,
-                RewriteLimits::with_template_size_cap(3),
+                RewriteLimits {
+                    max_template_size: 3,
+                    ..RewriteLimits::unbounded()
+                },
             )
             .unwrap_err();
         assert_eq!(

@@ -130,11 +130,6 @@ impl Term {
         self.kind() == TermKind::Fresh
     }
 
-    #[inline]
-    pub fn is_iri(self) -> bool {
-        self.kind() == TermKind::Iri
-    }
-
     /// Raw packed representation; stable within one process, useful as a
     /// compact hash key.
     #[inline]
@@ -146,7 +141,7 @@ impl Term {
     /// for values previously produced by `raw()` in the same process (the
     /// dense alignment index stores rule targets this way).
     #[inline]
-    pub fn from_raw(raw: u32) -> Term {
+    pub(crate) fn from_raw(raw: u32) -> Term {
         Term(raw)
     }
 }

@@ -5,6 +5,9 @@
 //! `200` inside the deadline, never a whole-request failure), and the
 //! `/healthz` + `/stats` observability surface.
 
+#[allow(dead_code)]
+mod common;
+
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -232,4 +235,80 @@ fn health_and_stats_surface_is_read_only() {
         "observability surface must be read-only: {post}"
     );
     server.shutdown();
+}
+
+/// `s` with every run of ASCII digits replaced by `N`: what stays is the
+/// key order, nesting and non-numeric values of a JSON document.
+fn skeleton(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut in_digits = false;
+    for c in s.chars() {
+        if c.is_ascii_digit() {
+            if !in_digits {
+                out.push('N');
+            }
+            in_digits = true;
+        } else {
+            out.push(c);
+            in_digits = false;
+        }
+    }
+    out
+}
+
+/// `GET /stats` body, read to EOF on a fresh connection.
+fn stats_body(addr: std::net::SocketAddr) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .expect("write");
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read");
+    let text = String::from_utf8(raw).expect("utf8 response");
+    assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+    let (_, body) = text.split_once("\r\n\r\n").expect("header/body split");
+    body.to_string()
+}
+
+const SINGLE_STATS_SKELETON: &str = concat!(
+    r#"{"accepted":N,"shed":N,"served":N,"worker_panics":N,"idle_closes":N,"queue_depth":N,"queue_capacity":N,"in_flight":N"#,
+    r#","errors":{"bad_request_line":N,"bad_header":N,"headers_too_large":N,"body_too_large":N,"invalid_content_length":N,"invalid_chunk":N,"length_required":N,"method_not_allowed":N,"unsupported_media_type":N,"not_found":N,"missing_query":N,"bad_encoding":N,"query_unparseable":N,"timeout":N,"closed":N}"#,
+    r#","drain":{"draining":false,"dropped_from_queue":N,"drain_deadline_ms":N,"request_deadline_ms":N}"#,
+    r#","latency_nanos":{"bin_lower":[N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N],"query":[N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N],"healthz":[N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N],"stats":[N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N]}"#,
+    r#","cache":{"occupancy":N,"capacity":N,"hits":N,"misses":N,"evictions":N,"oversize_bypasses":N,"value_cap":N,"grows":N,"shrinks":N}}"#,
+);
+
+const FEDERATED_STATS_SKELETON: &str = concat!(
+    r#"{"accepted":N,"shed":N,"served":N,"worker_panics":N,"idle_closes":N,"queue_depth":N,"queue_capacity":N,"in_flight":N"#,
+    r#","errors":{"bad_request_line":N,"bad_header":N,"headers_too_large":N,"body_too_large":N,"invalid_content_length":N,"invalid_chunk":N,"length_required":N,"method_not_allowed":N,"unsupported_media_type":N,"not_found":N,"missing_query":N,"bad_encoding":N,"query_unparseable":N,"timeout":N,"closed":N}"#,
+    r#","drain":{"draining":false,"dropped_from_queue":N,"drain_deadline_ms":N,"request_deadline_ms":N}"#,
+    r#","latency_nanos":{"bin_lower":[N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N],"query":[N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N],"healthz":[N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N],"stats":[N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N]}"#,
+    r#","federation":{"complete":N,"partial":N,"gateway_N":N,"gateway_N":N,"deadline_breaches":N,"transport_panics":N,"reused_connections":N,"transparent_reconnects":N,"outcomes":{"served":N,"timed-out":N,"circuit-open":N,"retries-exhausted":N},"breakers":["Closed","Closed"]}}"#,
+);
+
+#[test]
+fn stats_json_skeleton_is_pinned_in_both_modes() {
+    let single = Server::spawn(common::test_engine(), quick_config(), "127.0.0.1:0")
+        .expect("spawn single-store");
+    let body = stats_body(single.local_addr());
+    single.shutdown();
+    assert_eq!(
+        skeleton(&body),
+        SINGLE_STATS_SKELETON,
+        "single-store /stats: {body}"
+    );
+
+    let healthy = ChaosProxy::spawn(0x57a7, ChaosSpec::default()).expect("healthy endpoint");
+    let fed = two_endpoint_config(vec![
+        route(0, &healthy.authority()),
+        route(1, &healthy.authority()),
+    ]);
+    let federated = Server::spawn_federated(fed, quick_config(), "127.0.0.1:0").expect("spawn");
+    let body = stats_body(federated.local_addr());
+    federated.shutdown();
+    assert_eq!(
+        skeleton(&body),
+        FEDERATED_STATS_SKELETON,
+        "federated /stats: {body}"
+    );
 }
