@@ -8,33 +8,17 @@
 //! microsecond ago is leaving an order of magnitude on the table. This
 //! module provides the two pieces that close that gap:
 //!
-//! 1. [`fingerprint_query`] — a **token-level canonicalizer driven by the
-//!    parser's tokenizer** that maps every textual spelling of one logical
-//!    query to one 64-bit fingerprint (plus a canonical-length tag) without
-//!    allocating: whitespace/comments collapse to single separators,
-//!    keywords case-normalize, `$x` normalizes to `?x`, language tags
-//!    lowercase, and QNames resolve against the query's own PREFIX table to
-//!    their full-IRI spelling (the prologue itself contributes nothing, so
-//!    alias renames and unused declarations don't split the cache entry).
-//!    A probe therefore costs tokenize + hash + memcpy instead of
-//!    parse + rewrite + render.
+//! 1. [`fingerprint_raw`] — a seeded 64-bit hash of the request's bytes
+//!    (plus their length as a second tag), digested in place without
+//!    allocating. It is the serve path's only key: a probe costs
+//!    hash + memcpy instead of parse + rewrite + render, and a re-spelled
+//!    query is a separate entry.
 //! 2. [`RewriteCache`] — a sharded, **read-lock-free** map from fingerprint
 //!    to rendered rewrite: N power-of-two shards, each a fixed-capacity
 //!    open-addressed table of seqlock-versioned slots over a flat
 //!    pre-allocated value pool. Readers never block and never allocate;
 //!    writers (cache fills) serialize behind a short per-shard spinlock.
 //!    Eviction is CLOCK-style second chance over the probe neighborhood.
-//!
-//! # Conservative canonicalization
-//!
-//! The canonical key must never map two queries with *different* rewrites
-//! to one fingerprint. It is one more consumer of `parser::Tokenizer`, the
-//! lexer the parser itself reads (see `parser::canonicalize`), and it only
-//! applies transformations the parser makes semantically invisible.
-//! Spellings it cannot prove equivalent simply fingerprint differently — a
-//! harmless missed hit. Text the tokenizer or the prologue reader rejects,
-//! or whose QNames do not resolve (text the parser rejects too), returns
-//! `None` and the caller serves cold without touching the cache.
 //!
 //! # Invalidation contract
 //!
@@ -56,15 +40,24 @@ use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 
 use crate::parser::canonicalize;
 
-/// Canonical identity of one query text: a 64-bit hash of the normalized
-/// byte stream plus the stream's length as a cheap secondary discriminator
-/// (two queries must collide on both to alias).
+/// Cache key of one query text: a seeded 64-bit hash of its byte stream
+/// plus the stream's length as a cheap secondary discriminator (two texts
+/// must collide on both to alias).
+///
+/// No key bytes are stored beside it, so a collision is not detected: the
+/// second text is served the first one's rewrite. For texts the hash
+/// treats as random, the chance that any miss in a process's lifetime
+/// lands on a resident entry of another text is ≈ entries × misses ÷ 2⁶⁴
+/// — with the default 8,192 slots and 10¹² misses, about 4 × 10⁻⁴. Pairs
+/// crafted to collide are another matter: the digest is public, and the
+/// only defence is the per-process seed every fingerprint starts from,
+/// which an attacker never sees.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct QueryFingerprint {
-    /// Hash of the normalized byte stream; never 0 (0 is the vacant-slot
-    /// sentinel, real hashes are remapped).
+    /// Hash of the byte stream; never 0 (0 is the vacant-slot sentinel,
+    /// real hashes are remapped).
     hash: u64,
-    /// Length of the normalized byte stream.
+    /// Length of the byte stream.
     norm_len: u32,
 }
 
@@ -95,7 +88,7 @@ impl QueryFingerprint {
 /// `push_bytes` calls — a QName expanded as three slices (`<`, base,
 /// local) hashes identically to the same IRI fed as one slice, and
 /// [`fingerprint_raw`], which digests whole blocks straight from the
-/// request, agrees with [`fingerprint_query`] on the same bytes. Pushed
+/// request, agrees with the pushed digest of the same bytes. Pushed
 /// bytes go through a small stack buffer, which keeps the canonicalizer's
 /// per-token sink at one copy + one increment. The federation planner keys
 /// its partition cache with one too, so every text-keyed cache key in the
@@ -243,14 +236,22 @@ impl Fingerprinter {
 
 /// Canonicalize and fingerprint one query text in a single tokenizer
 /// pass, without allocating (up to 8 PREFIX declarations; more spill a
-/// scratch vector). Its per-call cost is the benchmark's
-/// `cache.fingerprint_canon_ns` layer.
+/// scratch vector): whitespace and comments collapse to single
+/// separators, keywords case-normalize, `$x` becomes `?x`, language tags
+/// lowercase, and QNames resolve to full IRIs against the query's own
+/// PREFIX table (which contributes nothing itself), so every spelling
+/// the parser cannot tell apart gets one fingerprint.
+///
+/// Off the serve path: [`crate::ServeEngine`] keys on [`fingerprint_raw`]
+/// alone. This is kept only for the benchmark's
+/// `cache.fingerprint_canon_ns` layer, until a change to the benchmark
+/// retires that layer.
 ///
 /// Returns `None` exactly when the text does not tokenize, has a malformed
 /// PREFIX prologue, or has a QName (datatypes included) that does not
-/// resolve against it — texts the parser rejects, so every text [`crate::parser::parse_query`] accepts is
-/// cacheable. The caller should serve `None` texts through the cold path
-/// without touching the cache.
+/// resolve against it — texts the parser rejects, so every text
+/// [`crate::parser::parse_query`] accepts has a fingerprint.
+#[doc(hidden)]
 pub fn fingerprint_query(text: &str) -> Option<QueryFingerprint> {
     let mut fp = Fingerprinter::new();
     canonicalize(text, &mut |b| fp.push_bytes(b))?;
@@ -261,17 +262,10 @@ pub fn fingerprint_query(text: &str) -> Option<QueryFingerprint> {
 /// staging copy: whole 32-byte blocks are digested straight from `text`
 /// (four lanes in parallel; the benchmark's `cache.fingerprint_raw_ns`
 /// layer), and the 0–31 byte tail is read in place by the fold. This is
-/// the first-level cache key for byte-identical repeats, which dominate
-/// real endpoint traffic (clients re-send the same string);
-/// [`fingerprint_query`] is the second level that folds re-*spellings*
-/// onto one entry.
-///
-/// Safe to mix with canonical fingerprints in one [`RewriteCache`]: the
-/// canonical stream of a query is itself a valid spelling of that query
-/// (single separators, expanded IRIs, normalized keywords), so even a text
-/// whose raw bytes *are* some query's canonical stream maps to the same
-/// rewrite either way — and both functions digest that stream to the same
-/// fingerprint.
+/// the serve cache's only key: byte-identical repeats dominate real
+/// endpoint traffic (clients re-send the same string), and a re-spelling
+/// of a cached query misses once and is cached under its own bytes. See
+/// [`QueryFingerprint`] for the collision bound.
 pub fn fingerprint_raw(text: &str) -> QueryFingerprint {
     let mut lanes = Fingerprinter::seeded_lanes();
     let tail = Fingerprinter::digest_blocks(&mut lanes, text.as_bytes());
@@ -1208,9 +1202,8 @@ mod tests {
 
     #[test]
     fn canonical_bytes_spell_the_same_query_under_the_same_key() {
-        // `fingerprint_raw` keys live beside canonical keys in one cache:
-        // that is sound because the canonical stream is itself a spelling
-        // of the query it was built from.
+        // The canonical stream is itself a spelling of the query it was
+        // built from, and hashing it raw gives the canonical fingerprint.
         let mut it = crate::interner::Interner::new();
         for t in corpus() {
             let Ok(query) = crate::parser::parse_query(&t, &mut it) else {

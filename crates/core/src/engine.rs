@@ -6,11 +6,10 @@
 //! "queries/sec served" as a first-class number, not just rewrite
 //! throughput. Per request the engine:
 //!
-//! 0. fingerprints the request's raw bytes (and, if that misses, its
-//!    canonical spelling: one tokenizer pass) into a [`QueryFingerprint`]
-//!    and probes the shared [`RewriteCache`] — a hit copies the previously
-//!    rendered rewrite once, straight into the output string, and skips
-//!    the pipeline entirely,
+//! 0. fingerprints the request's raw bytes into a [`QueryFingerprint`]
+//!    and probes the shared [`RewriteCache`] once — a hit copies the
+//!    previously rendered rewrite once, straight into the output string,
+//!    and skips the pipeline entirely,
 //! 1. parses SPARQL text into a caller-owned [`ParseScratch`]
 //!    (worker-local interner — known strings resolve to their shared
 //!    symbols, novel strings get worker-private ids that can never alias a
@@ -18,8 +17,9 @@
 //! 2. rewrites the borrowed parse via [`Rewriter::rewrite_ref_into`]
 //!    against the shared dense-indexed [`AlignmentStore`],
 //! 3. renders the rewritten query into a reusable output `String` and
-//!    fills the cache entry (stamped with the store's revision, so an
-//!    engine rebuilt over a changed rule set misses every old entry).
+//!    fills the cache entry under the same raw-byte key (stamped with
+//!    the store's revision, so an engine rebuilt over a changed rule set
+//!    misses every old entry).
 //!
 //! Every stage writes into reusable buffers, so a warm
 //! [`ServeEngine::serve`] call performs **zero heap allocations** on both
@@ -44,9 +44,9 @@ use std::sync::Arc;
 
 use crate::snapshot::{Pin, Snapshot};
 use crate::{
-    fingerprint_query, fingerprint_raw, parse_query_into, render_query_into, AlignmentStore,
-    CacheConfig, CacheStats, IndexedRewriter, Interner, ParseError, ParseScratch, QueryFingerprint,
-    QueryRef, RewriteCache, RewriteScratch, Rewriter,
+    fingerprint_raw, parse_query_into, render_query_into, AlignmentStore, CacheConfig, CacheStats,
+    IndexedRewriter, Interner, ParseError, ParseScratch, QueryFingerprint, QueryRef, RewriteCache,
+    RewriteScratch, Rewriter,
 };
 
 /// Shared, read-only serve state: the dense-indexed rule set, the
@@ -430,25 +430,24 @@ impl ServeEngine {
         }
     }
 
-    /// Serve one request. With the cache enabled, a repeated (or
-    /// equivalently re-spelled) query is answered by fingerprint + probe +
-    /// copy; otherwise the full parse → rewrite → render pipeline runs and
-    /// the result backfills the cache. Returns the rewritten query text,
-    /// borrowed from the scratch's output buffer. Zero heap allocations
-    /// once the scratch (and its interner) are warm for the request's
-    /// vocabulary — hit or miss.
+    /// Serve one request. With the cache enabled, a repeated query is
+    /// answered by fingerprint + probe + copy; otherwise the full parse →
+    /// rewrite → render pipeline runs and the result fills the cache.
+    /// Returns the rewritten query text, borrowed from the scratch's output
+    /// buffer. Zero heap allocations once the scratch (and its interner)
+    /// are warm for the request's vocabulary — hit or miss.
     ///
-    /// Two-level keying: the **raw-byte** fingerprint (one pass over the
+    /// One key per request: the **raw-byte** fingerprint (one pass over the
     /// request bytes, four hash lanes in parallel, no staging copy; the
-    /// benchmark's `cache.fingerprint_raw_ns` layer) catches
-    /// byte-identical repeats — the dominant case, clients re-send the
-    /// same string — and only on a raw miss does the
-    /// **canonical** fingerprint (one tokenizer pass; the benchmark's
-    /// `cache.fingerprint_canon_ns` layer) run to catch whitespace /
-    /// keyword-case / PREFIX-alias re-spellings. A canonical hit promotes the raw
-    /// spelling to its own entry so the next identical request takes the
-    /// fast level. Either hit copies the cached rewrite once, from the
-    /// cache's pool straight into the returned buffer.
+    /// benchmark's `cache.fingerprint_raw_ns` layer) is probed once, and a
+    /// miss inserts the rendered rewrite under that same key. Clients
+    /// re-send the same string, so byte-identical repeats are the hits
+    /// that matter; a re-spelled query (other whitespace, keyword case,
+    /// PREFIX aliases) misses once and is then cached under its own bytes.
+    /// Identical bytes parse identically, so no lexer but the parser's
+    /// decides what a cached answer is served for. A hit copies the cached
+    /// rewrite once, from the cache's pool straight into the returned
+    /// buffer.
     pub fn serve<'s>(
         &self,
         request: &str,
@@ -469,41 +468,23 @@ impl ServeEngine {
         Ok(&scratch.out)
     }
 
-    /// The cached serve path against one pinned cache instance.
+    /// The cached serve path against one pinned cache instance: one
+    /// fingerprint, one probe and, on a miss, one insert under the same key.
     fn serve_via(
         &self,
         cache: &RewriteCache,
         request: &str,
         scratch: &mut ServeScratch,
     ) -> Result<(), ParseError> {
-        let raw_fp = fingerprint_raw(request);
-        if scratch.probe(cache, raw_fp, self.revision) {
+        let fp = fingerprint_raw(request);
+        if scratch.probe(cache, fp, self.revision) {
             return Ok(());
-        }
-        let canon_fp = fingerprint_query(request);
-        if let Some(fp) = canon_fp {
-            if scratch.probe(cache, fp, self.revision) {
-                // Promote this exact spelling: next time it hits on the
-                // raw level without paying for canonicalization.
-                cache.insert(raw_fp, self.revision, scratch.out.as_bytes());
-                return Ok(());
-            }
         }
         self.serve_cold(request, scratch)?;
         // Counted only after a successful cold serve: a rejected request
         // was never served, so it is neither a hit nor a miss.
         scratch.cache_misses += 1;
-        // Fill under the canonical key (shared by every re-spelling) and
-        // the raw key (this spelling's fast level) — one entry when the
-        // request is already in canonical spelling and the keys coincide.
-        // Every text the parser accepts canonicalizes, so `canon_fp` is
-        // `Some` here; should that ever break, the request is not cached.
-        if let Some(fp) = canon_fp {
-            cache.insert(fp, self.revision, scratch.out.as_bytes());
-            if fp != raw_fp {
-                cache.insert(raw_fp, self.revision, scratch.out.as_bytes());
-            }
-        }
+        cache.insert(fp, self.revision, scratch.out.as_bytes());
         Ok(())
     }
 
@@ -596,34 +577,39 @@ mod tests {
     }
 
     #[test]
-    fn a_canonical_spelling_fills_one_cache_entry() {
-        // Its raw and canonical fingerprints coincide, so the cold fill
-        // stores one entry, not two; another spelling stores two.
+    fn one_spelling_fills_one_cache_entry() {
+        // One key per request: a miss inserts once, a re-spelling of the
+        // same query is a miss of its own, and a repeat only hits.
         let engine = adaptive_engine(4096);
         let mut scratch = engine.scratch();
         let occupancy = || engine.cache_stats().expect("cache installed").occupancy();
-        let text = "select * where { ?s <http://src.example.org/onto/p> ?o . ?o ?q \"x\"@EN }";
-        let mut canon = Vec::new();
-        crate::parser::canonicalize(text, &mut |b| canon.extend_from_slice(b)).expect("parses");
-        let canon = String::from_utf8(canon).expect("canonical bytes are UTF-8");
-        assert_ne!(canon, text);
+        let text = "SELECT * WHERE { ?s <http://src.example.org/onto/p> ?o . ?o ?q \"x\"@en }";
+        let respelled =
+            "select * where {\n  $s <http://src.example.org/onto/p> ?o .\n  ?o ?q \"x\"@EN\n}";
+
+        let rendered = engine.serve(text, &mut scratch).expect("parses").to_owned();
+        assert_eq!(occupancy(), 1, "a miss fills exactly one entry");
+        assert_eq!((scratch.cache_hits(), scratch.cache_misses()), (0, 1));
+
         assert_eq!(
-            fingerprint_raw(&canon),
-            fingerprint_query(&canon).expect("cacheable")
+            engine.serve(respelled, &mut scratch).expect("parses"),
+            rendered
         );
+        assert_eq!(
+            occupancy(),
+            2,
+            "a re-spelling is cached under its own bytes"
+        );
+        assert_eq!((scratch.cache_hits(), scratch.cache_misses()), (0, 2));
 
-        let rendered = engine
-            .serve(&canon, &mut scratch)
-            .expect("parses")
-            .to_owned();
-        assert_eq!(occupancy(), 1);
-        assert_eq!(engine.serve(text, &mut scratch).expect("parses"), rendered);
-        assert_eq!(occupancy(), 2, "a canonical hit promotes the raw spelling");
-        assert_eq!(scratch.cache_hits(), 1);
-
-        let other = "select * where { ?o <http://src.example.org/onto/p> ?s }";
-        engine.serve(other, &mut scratch).expect("parses");
-        assert_eq!(occupancy(), 4, "a non-canonical spelling fills both keys");
+        for spelling in [text, respelled] {
+            assert_eq!(
+                engine.serve(spelling, &mut scratch).expect("parses"),
+                rendered
+            );
+        }
+        assert_eq!(occupancy(), 2, "a repeat adds no entry");
+        assert_eq!((scratch.cache_hits(), scratch.cache_misses()), (2, 2));
     }
 
     #[test]
@@ -659,9 +645,9 @@ mod tests {
     #[test]
     fn cached_rewrite_is_not_served_to_a_spelling_the_parser_rejects() {
         // `"x"^^a:b:c` is one literal typed <http://a/b:c>; `"x"^^a:b :c`
-        // leaves a stray `:c` behind and does not parse. The cache key must
-        // lex the datatype as the tokenizer does, or the second is answered
-        // with the first's cached rewrite.
+        // leaves a stray `:c` behind and does not parse. A key that lexed
+        // the datatype differently from the tokenizer would answer the
+        // second with the first's cached rewrite.
         let engine = adaptive_engine(4096);
         let mut scratch = engine.scratch();
         let prologue = "PREFIX a: <http://a/> PREFIX : <http://e/> SELECT * WHERE";

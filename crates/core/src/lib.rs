@@ -34,14 +34,13 @@
 //!   constraints, and value transforms) ride the same engine — guards are statically decided per match where
 //!   possible and emitted as residual FILTERs where not.
 //! * [`cache`] exploits that rewriting is deterministic per (query text,
-//!   rule set): [`cache::fingerprint_query`] hashes the canonical spelling
-//!   of the parser's own token stream (whitespace, keyword case, PREFIX
-//!   aliases; cost: the benchmark's `cache.fingerprint_canon_ns` layer)
-//!   and [`cache::RewriteCache`] maps the fingerprint to the
-//!   rendered rewrite through sharded, read-lock-free seqlock slots — a
-//!   repeated query is served by normalize + hash + memcpy instead of
-//!   parse + rewrite + render, invalidated by the store's
-//!   [`align::AlignmentStore::revision`] generation tag.
+//!   rule set): [`cache::fingerprint_raw`] hashes the request's bytes
+//!   with a per-process seed (cost: the benchmark's
+//!   `cache.fingerprint_raw_ns` layer) and [`cache::RewriteCache`] maps
+//!   the fingerprint to the rendered rewrite through sharded,
+//!   read-lock-free seqlock slots — a repeated query is served by
+//!   hash + memcpy instead of parse + rewrite + render, invalidated by
+//!   the store's [`align::AlignmentStore::revision`] generation tag.
 //! * [`federate`] turns N per-endpoint [`align::AlignmentStore`]s into a
 //!   fault-tolerant dispatch plan: patterns are partitioned by which
 //!   endpoint's rules can rewrite them (O(1) candidate-count reads double

@@ -34,9 +34,10 @@
 //! token (not wherever the tokenizer cursor happens to sit after
 //! lookahead), so editors can point at the right spot.
 //!
-//! The tokenizer is the crate's only SPARQL lexer: the rewrite cache's
-//! canonical key ([`crate::cache::fingerprint_query`]) hashes the token
-//! stream `canonicalize` builds from it.
+//! The tokenizer is the crate's only SPARQL lexer. The serve cache keys
+//! on raw request bytes and never lexes; `canonicalize` builds a canonical
+//! token stream from the tokenizer for the benchmark's canonical
+//! fingerprint layer only.
 
 use std::fmt;
 

@@ -93,6 +93,10 @@ fn handle_connection(
     resp: &mut Vec<u8>,
 ) {
     let _ = stream.set_nodelay(true);
+    // Every write on this connection is a response to a request whose
+    // deadline is `request_deadline`; the value never changes, so one
+    // `setsockopt` serves every request on it.
+    let _ = stream.set_write_timeout(Some(shared.config.request_deadline));
     let reader = DeadlineReader::new(stream, Instant::now() + shared.config.keep_alive_idle);
     let mut r = BufReader::with_capacity(8 * 1024, reader);
     loop {
@@ -112,7 +116,6 @@ fn handle_connection(
         // the socket timeout to what's left of the request deadline.
         r.get_ref()
             .set_deadline(shared.eff_deadline(shared.config.request_deadline));
-        let _ = stream.set_write_timeout(Some(shared.config.request_deadline));
         match read_request(
             &mut r,
             &shared.config.limits,

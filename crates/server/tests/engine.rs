@@ -57,11 +57,11 @@ fn cached_and_cold(
     (cached, cold, requests)
 }
 
-/// Satellite property test: over random group queries × random
+/// Property test: over random group queries × random
 /// whitespace/PREFIX-alias re-spellings of the same logical query, the
-/// cached serve output is **byte-identical** to the cold-path output —
-/// and the re-spellings actually share one cache entry (the second and
-/// later variants hit).
+/// cached serve output is **byte-identical** to the cold-path output. The
+/// cache keys on raw bytes, so each distinct spelling misses exactly once
+/// on the first pass and hits on the second.
 #[test]
 fn cached_serve_is_byte_identical_to_cold_over_perturbed_queries() {
     for group_shapes in [false, true] {
@@ -76,6 +76,8 @@ fn cached_serve_is_byte_identical_to_cold_over_perturbed_queries() {
         let mut cached_scratch = cached.scratch();
         let mut cold_scratch = cold.scratch();
         let mut rng = Rng::new(0x0bad_5eed);
+        let mut seen = std::collections::HashSet::new();
+        let mut passes = Vec::new();
         for text in &requests {
             let variants = [
                 text.clone(),
@@ -88,25 +90,36 @@ fn cached_serve_is_byte_identical_to_cold_over_perturbed_queries() {
                     "http://src.example.org/onto/",
                 ),
             ];
-            let hits_before = cached_scratch.cache_hits();
             for (i, variant) in variants.iter().enumerate() {
                 let want = cold
                     .serve(variant, &mut cold_scratch)
                     .expect("variant parses cold")
                     .to_string();
+                let misses_before = cached_scratch.cache_misses();
                 let got = cached
                     .serve(variant, &mut cached_scratch)
                     .expect("variant parses cached");
                 assert_eq!(got, want, "variant {i} of {text:?} diverged");
+                let missed = cached_scratch.cache_misses() - misses_before;
+                let first_sighting = seen.insert(variant.clone());
+                assert_eq!(
+                    missed,
+                    u64::from(first_sighting),
+                    "variant {i} of {text:?}: a distinct spelling must miss exactly once"
+                );
+                passes.push((variant.clone(), want));
             }
-            // Variant 0 misses (first sighting); 1..4 are re-spellings
-            // of the same canonical query and must all hit.
-            assert_eq!(
-                cached_scratch.cache_hits() - hits_before,
-                variants.len() as u64 - 1,
-                "re-spellings of {text:?} did not share one cache entry"
-            );
         }
+        // Second pass: every spelling is cached under its own bytes.
+        cached_scratch.reset_cache_counters();
+        for (variant, want) in &passes {
+            let got = cached
+                .serve(variant, &mut cached_scratch)
+                .expect("variant parses cached");
+            assert_eq!(got, want, "{variant:?} diverged on the second pass");
+        }
+        assert_eq!(cached_scratch.cache_misses(), 0, "a cached spelling missed");
+        assert_eq!(cached_scratch.cache_hits(), passes.len() as u64);
     }
 }
 
