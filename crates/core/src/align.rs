@@ -573,6 +573,40 @@ impl AlignmentStore {
         }
     }
 
+    /// Load, before the rewrite walk over `triples` starts, what that walk
+    /// will read from the tables, in two batches of independent plain
+    /// loads: first the dispatch record of every concrete term, then the
+    /// template row of every predicate that has exactly one rule. The walk
+    /// takes its misses one at a time, each behind the last; a batch lets
+    /// the CPU overlap them. The values are folded into one `black_box`ed
+    /// word so the loads are kept. Computes nothing the rewrite uses.
+    pub(crate) fn warm(&self, triples: &[TriplePattern]) {
+        let mut fold = 0u32;
+        for tp in triples {
+            for t in tp.terms() {
+                fold ^= self.entity_target(t).map_or(0, Term::raw);
+            }
+        }
+        for tp in triples {
+            // The walk dispatches on the entity-substituted predicate.
+            let p = self.entity_target(tp.p).unwrap_or(tp.p);
+            if let &[id] = self.predicate_candidates(p) {
+                let id = id as usize;
+                let lhs = self.tmpl_lhs[id];
+                fold = fold.wrapping_add(
+                    lhs.s.raw()
+                        ^ lhs.p.raw()
+                        ^ lhs.o.raw()
+                        ^ self.tmpl_rhs_off[id]
+                        ^ self.tmpl_guard[id]
+                        ^ self.tmpl_expr_off[id]
+                        ^ self.tmpl_filter_off[id],
+                );
+            }
+        }
+        std::hint::black_box(fold);
+    }
+
     /// Predicate-rule candidates for a pattern whose predicate is `p`, in
     /// rule-id order: one lane load, plus a side-list load only when the
     /// predicate has several templates.
@@ -966,6 +1000,39 @@ mod tests {
         for t in late {
             assert_eq!(store.entity_target(t), None);
             assert_eq!(store.predicate_candidates(t), &[] as &[u32]);
+        }
+    }
+
+    #[test]
+    fn warm_returns_on_every_edge() {
+        let mut it = Interner::new();
+        let x = var(&mut it, "x");
+        let a = iri(&mut it, "http://a");
+        let p = iri(&mut it, "http://p");
+        let q = iri(&mut it, "http://q");
+        let mut store = AlignmentStore::new();
+        // `a` rewrites to `q`, which has one template; `p` has two.
+        store.add_entity(a, q).unwrap();
+        let lhs = TriplePattern::new(x, p, x);
+        store.add_predicate(lhs, vec![lhs]).unwrap();
+        store.add_predicate(lhs, vec![lhs]).unwrap();
+        let lhs_q = TriplePattern::new(x, q, x);
+        store.add_predicate(lhs_q, vec![lhs_q]).unwrap();
+        assert!(store.table[p.symbol().index() << 2 | 3] & SPILL != 0);
+        // A symbol only a worker's overlay holds lies past the table.
+        let late = Term::iri(it.clone().intern("http://overlay/only"));
+        assert!(late.symbol().index() << 2 >= store.table.len());
+        for triples in [
+            vec![],
+            vec![TriplePattern::new(late, late, late)],
+            vec![lhs, TriplePattern::new(a, a, a)],
+            vec![
+                TriplePattern::new(x, x, x),
+                TriplePattern::new(Term::fresh(0), Term::fresh(Symbol::MAX), Term::fresh(3)),
+            ],
+        ] {
+            store.warm(&triples);
+            AlignmentStore::new().warm(&triples);
         }
     }
 

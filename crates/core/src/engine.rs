@@ -15,8 +15,12 @@
 //!    symbols, novel strings get worker-private ids that can never alias a
 //!    rule symbol),
 //! 2. rewrites the borrowed parse via [`Rewriter::rewrite_ref_into`]
-//!    against the shared dense-indexed [`AlignmentStore`],
-//! 3. renders the rewritten query into a reusable output `String` and
+//!    against the shared dense-indexed [`AlignmentStore`] — after one
+//!    batch load of the dispatch records and single-rule template rows
+//!    the query's triple patterns will read, so their cache misses overlap
+//!    instead of stalling the walk one at a time,
+//! 3. renders the rewritten query into a reusable output `String` —
+//!    every byte appended with `push_str`, none through `core::fmt` — and
 //!    fills the cache entry under the same raw-byte key (stamped with
 //!    the store's revision, so an engine rebuilt over a changed rule set
 //!    misses every old entry).

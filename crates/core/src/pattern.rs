@@ -25,7 +25,7 @@
 //! distinct names and no name collides with a query variable, so rendered
 //! output re-parses to a query with identical solutions.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 use crate::interner::Interner;
 use crate::term::{Term, TermKind};
@@ -60,12 +60,10 @@ impl TriplePattern {
     /// use [`Bgp::display`] / [`GroupPattern::display`] /
     /// [`Query::display`] on the whole value instead.
     pub fn display<'a>(&'a self, interner: &'a Interner) -> DisplayTriple<'a> {
-        let mut fresh_base = String::new();
-        fresh_render_base_into(self.terms().into_iter(), interner, &mut fresh_base);
         DisplayTriple {
             tp: self,
             interner,
-            fresh_base,
+            fresh_base: FreshBaseBuf::of(self.terms().into_iter(), interner),
         }
     }
 }
@@ -92,16 +90,10 @@ impl Bgp {
     /// existential. To render a rewritten query with its projection taken
     /// into account, use [`Query::display`] instead.
     pub fn display<'a>(&'a self, interner: &'a Interner) -> DisplayBgp<'a> {
-        let mut fresh_base = String::new();
-        fresh_render_base_into(
-            self.patterns.iter().flat_map(|tp| tp.terms()),
-            interner,
-            &mut fresh_base,
-        );
         DisplayBgp {
             bgp: self,
             interner,
-            fresh_base,
+            fresh_base: FreshBaseBuf::of(self.patterns.iter().flat_map(|tp| tp.terms()), interner),
         }
     }
 }
@@ -356,12 +348,10 @@ impl GroupPattern {
     /// this pattern's terms only; see [`Query::display`] for the caveat
     /// about projection variables.
     pub fn display<'a>(&'a self, interner: &'a Interner) -> DisplayPattern<'a> {
-        let mut fresh_base = String::new();
-        fresh_render_base_into(self.terms(), interner, &mut fresh_base);
         DisplayPattern {
             pattern: self,
             interner,
-            fresh_base,
+            fresh_base: FreshBaseBuf::of(self.terms(), interner),
         }
     }
 
@@ -505,13 +495,10 @@ pub struct Query {
 
 impl Query {
     pub fn display<'a>(&'a self, interner: &'a Interner) -> DisplayQuery<'a> {
-        let q = self.as_ref();
-        let mut fresh_base = String::new();
-        fresh_render_base_into(q.terms(), interner, &mut fresh_base);
         DisplayQuery {
             query: self,
             interner,
-            fresh_base,
+            fresh_base: FreshBaseBuf::of(self.as_ref().terms(), interner),
         }
     }
 
@@ -551,18 +538,20 @@ impl<'a> QueryRef<'a> {
     }
 }
 
-/// Render `query` as SPARQL text into `out` (cleared first), reusing
-/// `fresh_base` as the fresh-name offset buffer. This is the zero-alloc
-/// render path: with both buffers warm (capacity from a previous call) a
+/// Render `query` as SPARQL text into `out` (cleared first). This is the
+/// zero-alloc render path: with `out` warm (capacity from a previous call) a
 /// call performs no heap allocations unless the query uses `g{k}` variable
-/// names with more than 19 digits (the arbitrary-precision fallback).
+/// names with more than 19 digits. Only then is `fresh_base` used: it holds
+/// the fresh-name offset as a decimal string (the arbitrary-precision
+/// fallback). Below that the offset is a `u64`, and every byte is appended
+/// with `push_str`, never through `core::fmt`.
 pub fn render_query_into(
     query: QueryRef<'_>,
     interner: &Interner,
     fresh_base: &mut String,
     out: &mut String,
 ) {
-    fresh_render_base_into(query.terms(), interner, fresh_base);
+    let fresh_base = fresh_render_base_into(query.terms(), interner, fresh_base);
     out.clear();
     write_query(out, query, interner, fresh_base).expect("writing to String cannot fail");
 }
@@ -599,18 +588,26 @@ fn decimal_add(digits: &str, n: u32) -> String {
     String::from_utf8(out).expect("decimal digits are valid UTF-8")
 }
 
-/// Compute the smallest counter offset (as a canonical decimal string, into
-/// `out`, cleared first) such that no rendered fresh name `g{base + n}`
-/// collides with a parsed variable of the rendered value: one past the
-/// largest `k` of any variable literally named `g{k}`. Canonical decimals
-/// compare numerically by (length, lexicographic). Allocation-free once
-/// `out` has capacity, except for the >19-digit arbitrary-precision
-/// fallback.
-fn fresh_render_base_into(
+/// The offset a rendering adds to every fresh counter.
+#[derive(Copy, Clone)]
+enum FreshBase<'a> {
+    /// At most 10^19, so `base + index` never leaves `u64`.
+    Int(u64),
+    /// Past 19 digits: a canonical decimal numeral.
+    Digits(&'a str),
+}
+
+/// Compute the smallest counter offset such that no rendered fresh name
+/// `g{base + n}` collides with a parsed variable of the rendered value: one
+/// past the largest `k` of any variable literally named `g{k}`. Canonical
+/// decimals compare numerically by (length, lexicographic). A `k` of up to
+/// 19 digits gives an integer base; a longer one, the arbitrary-precision
+/// fallback, writes the base into `digits` (cleared first) and allocates.
+fn fresh_render_base_into<'d>(
     terms: impl Iterator<Item = Term>,
     interner: &Interner,
-    out: &mut String,
-) {
+    digits: &'d mut String,
+) -> FreshBase<'d> {
     let mut max: Option<&str> = None;
     for t in terms {
         if t.kind() != TermKind::Var {
@@ -625,43 +622,92 @@ fn fresh_render_base_into(
             }
         }
     }
-    out.clear();
+    digits.clear();
     match max {
-        None => out.push('0'),
-        // ≤19 decimal digits always fits u64; +1 in u128 cannot overflow.
+        None => FreshBase::Int(0),
+        // ≤19 decimal digits: below 10^19, so the base is at most 10^19 and
+        // adding a fresh index (< 2^29) stays below u64::MAX.
         Some(m) if m.len() <= 19 => {
-            let n: u64 = m.parse().expect("canonical decimal fits u64");
-            let _ = write!(out, "{}", n as u128 + 1);
+            FreshBase::Int(m.parse::<u64>().expect("canonical decimal fits u64") + 1)
         }
-        Some(m) => out.push_str(&decimal_add(m, 1)),
+        Some(m) => {
+            digits.push_str(&decimal_add(m, 1));
+            FreshBase::Digits(digits)
+        }
     }
+}
+
+/// A display adapter's own copy of its value's [`FreshBase`].
+struct FreshBaseBuf {
+    int: Option<u64>,
+    digits: String,
+}
+
+impl FreshBaseBuf {
+    fn of(terms: impl Iterator<Item = Term>, interner: &Interner) -> FreshBaseBuf {
+        let mut digits = String::new();
+        let int = match fresh_render_base_into(terms, interner, &mut digits) {
+            FreshBase::Int(n) => Some(n),
+            FreshBase::Digits(_) => None,
+        };
+        FreshBaseBuf { int, digits }
+    }
+
+    fn get(&self) -> FreshBase<'_> {
+        self.int
+            .map_or(FreshBase::Digits(&self.digits), FreshBase::Int)
+    }
+}
+
+/// Write `n` in decimal, digits filled from the right of a 20-byte buffer
+/// (`u64::MAX` has 20).
+fn write_decimal<W: fmt::Write + ?Sized>(f: &mut W, mut n: u64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    f.write_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"))
 }
 
 fn write_term<W: fmt::Write + ?Sized>(
     f: &mut W,
     t: Term,
     interner: &Interner,
-    fresh_base: &str,
+    fresh_base: FreshBase<'_>,
 ) -> fmt::Result {
     if t.kind() == TermKind::Fresh {
-        // Fast path: a base of ≤19 digits fits u64, so the offset is plain
-        // integer arithmetic — no allocation. The decimal-string fallback
-        // only triggers for queries using `g{k}` names past 19 digits.
-        return if fresh_base.len() <= 19 {
-            let base: u64 = fresh_base.parse().expect("canonical decimal fits u64");
-            write!(f, "?g{}", base as u128 + t.fresh_index() as u128)
-        } else {
-            write!(f, "?g{}", decimal_add(fresh_base, t.fresh_index()))
+        f.write_str("?g")?;
+        // The decimal-string fallback only triggers for queries using
+        // `g{k}` names past 19 digits, and allocates.
+        return match fresh_base {
+            FreshBase::Int(base) => write_decimal(f, base + t.fresh_index() as u64),
+            FreshBase::Digits(digits) => f.write_str(&decimal_add(digits, t.fresh_index())),
         };
     }
     let text = interner.resolve(t.symbol());
     match t.kind() {
-        TermKind::Iri => write!(f, "<{text}>"),
+        TermKind::Iri => {
+            f.write_str("<")?;
+            f.write_str(text)?;
+            f.write_str(">")
+        }
         // Literals are interned with their full surface form (quotes,
         // @lang / ^^datatype suffix) so they render verbatim.
         TermKind::Literal => f.write_str(text),
-        TermKind::Blank => write!(f, "_:{text}"),
-        TermKind::Var => write!(f, "?{text}"),
+        TermKind::Blank => {
+            f.write_str("_:")?;
+            f.write_str(text)
+        }
+        TermKind::Var => {
+            f.write_str("?")?;
+            f.write_str(text)
+        }
         TermKind::Fresh => unreachable!("handled above"),
     }
 }
@@ -669,12 +715,12 @@ fn write_term<W: fmt::Write + ?Sized>(
 pub struct DisplayTriple<'a> {
     tp: &'a TriplePattern,
     interner: &'a Interner,
-    fresh_base: String,
+    fresh_base: FreshBaseBuf,
 }
 
 impl fmt::Display for DisplayTriple<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_triple(f, self.tp, self.interner, &self.fresh_base)
+        write_triple(f, self.tp, self.interner, self.fresh_base.get())
     }
 }
 
@@ -682,7 +728,7 @@ fn write_triple<W: fmt::Write + ?Sized>(
     f: &mut W,
     tp: &TriplePattern,
     interner: &Interner,
-    fresh_base: &str,
+    fresh_base: FreshBase<'_>,
 ) -> fmt::Result {
     write_term(f, tp.s, interner, fresh_base)?;
     f.write_str(" ")?;
@@ -695,12 +741,12 @@ fn write_triple<W: fmt::Write + ?Sized>(
 pub struct DisplayBgp<'a> {
     bgp: &'a Bgp,
     interner: &'a Interner,
-    fresh_base: String,
+    fresh_base: FreshBaseBuf,
 }
 
 impl fmt::Display for DisplayBgp<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_bgp(f, self.bgp, self.interner, &self.fresh_base)
+        write_bgp(f, self.bgp, self.interner, self.fresh_base.get())
     }
 }
 
@@ -708,7 +754,7 @@ fn write_bgp<W: fmt::Write + ?Sized>(
     f: &mut W,
     bgp: &Bgp,
     interner: &Interner,
-    fresh_base: &str,
+    fresh_base: FreshBase<'_>,
 ) -> fmt::Result {
     f.write_str("{\n")?;
     for tp in &bgp.patterns {
@@ -734,7 +780,7 @@ fn write_expr<W: fmt::Write + ?Sized>(
     p: &GroupPattern,
     e: u32,
     interner: &Interner,
-    fresh_base: &str,
+    fresh_base: FreshBase<'_>,
 ) -> fmt::Result {
     let operand = |f: &mut W, c: u32| -> fmt::Result {
         if let ExprNode::Term(t) = p.exprs[c as usize] {
@@ -749,7 +795,9 @@ fn write_expr<W: fmt::Write + ?Sized>(
         ExprNode::Term(t) => write_term(f, t, interner, fresh_base),
         ExprNode::Cmp(op, l, r) => {
             operand(f, l)?;
-            write!(f, " {} ", op.as_str())?;
+            f.write_str(" ")?;
+            f.write_str(op.as_str())?;
+            f.write_str(" ")?;
             operand(f, r)
         }
         ExprNode::And(l, r) => {
@@ -776,7 +824,7 @@ fn write_node<W: fmt::Write + ?Sized>(
     p: &GroupPattern,
     idx: u32,
     interner: &Interner,
-    fresh_base: &str,
+    fresh_base: FreshBase<'_>,
     depth: usize,
 ) -> fmt::Result {
     match p.nodes[idx as usize] {
@@ -841,7 +889,7 @@ fn write_pattern<W: fmt::Write + ?Sized>(
     f: &mut W,
     p: &GroupPattern,
     interner: &Interner,
-    fresh_base: &str,
+    fresh_base: FreshBase<'_>,
 ) -> fmt::Result {
     f.write_str("{\n")?;
     for c in p.root_children() {
@@ -853,24 +901,24 @@ fn write_pattern<W: fmt::Write + ?Sized>(
 pub struct DisplayPattern<'a> {
     pattern: &'a GroupPattern,
     interner: &'a Interner,
-    fresh_base: String,
+    fresh_base: FreshBaseBuf,
 }
 
 impl fmt::Display for DisplayPattern<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_pattern(f, self.pattern, self.interner, &self.fresh_base)
+        write_pattern(f, self.pattern, self.interner, self.fresh_base.get())
     }
 }
 
 pub struct DisplayQuery<'a> {
     query: &'a Query,
     interner: &'a Interner,
-    fresh_base: String,
+    fresh_base: FreshBaseBuf,
 }
 
 impl fmt::Display for DisplayQuery<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_query(f, self.query.as_ref(), self.interner, &self.fresh_base)
+        write_query(f, self.query.as_ref(), self.interner, self.fresh_base.get())
     }
 }
 
@@ -879,7 +927,7 @@ fn write_query<W: fmt::Write + ?Sized>(
     f: &mut W,
     q: QueryRef<'_>,
     interner: &Interner,
-    fresh_base: &str,
+    fresh_base: FreshBase<'_>,
 ) -> fmt::Result {
     f.write_str("SELECT")?;
     match q.select {
@@ -1038,6 +1086,15 @@ mod tests {
             decimal_add("18446744073709551615", u32::MAX),
             "18446744078004518910"
         );
+    }
+
+    #[test]
+    fn write_decimal_matches_display() {
+        for n in [0, 7, 9, 10, 99, 100, 10u64.pow(19), u64::MAX - 1, u64::MAX] {
+            let mut out = String::new();
+            write_decimal(&mut out, n).unwrap();
+            assert_eq!(out, n.to_string());
+        }
     }
 
     #[test]
@@ -1204,6 +1261,120 @@ mod tests {
         }
         c.next[last as usize] = run;
         assert_ne!(a, c);
+    }
+
+    /// Every node kind (nested group, OPTIONAL, 3-way UNION, SERVICE on an
+    /// IRI and on a variable, a FILTER with all six comparisons, `&&`, `||`
+    /// and nested `!`) and every term kind. `?fresh{n}` variables in the
+    /// text are replaced by `Term::fresh(n)` after parsing; `extra` is one
+    /// more projected variable, which sets the fresh-name base.
+    fn pin_query(i: &mut Interner, extra: &str) -> Query {
+        let text = format!(
+            "PREFIX ex: <http://ex.org/>
+             SELECT ?s ?o {extra} WHERE {{
+               ?s ex:p ?o . ?s ex:name \"plain\" . ?s ex:label \"chat\"@fr .
+               ?s ex:age \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .
+               _:b0 ex:knows ?fresh0 .
+               {{ ?s ex:q ?fresh1 . {{ ?fresh1 ex:r ?fresh9 }} }}
+               OPTIONAL {{ ?s ex:opt ?fresh10 }}
+               {{ ?s ex:u1 ?a }} UNION {{ ?s ex:u2 ?fresh536870911 }} UNION {{ ?s ex:u3 ?c }}
+               SERVICE <http://fed.example.org/sparql> {{ ?s ex:remote ?d }}
+               SERVICE ?ep {{ ?s ex:remote2 ?fresh2 }}
+               FILTER(((?o = 1) || (?o != \"x\")) && !(!((?a < 2) && (?a <= 3.5)
+                      || (?c > true) && (?c >= ?fresh1))))
+             }}"
+        );
+        let mut q = crate::parser::parse_query(&text, i).unwrap();
+        let fresh = |t: Term| match i.resolve(t.symbol()).strip_prefix("fresh") {
+            Some(n) if t.kind() == TermKind::Var => Term::fresh(n.parse().unwrap()),
+            _ => t,
+        };
+        for tp in &mut q.pattern.triples {
+            *tp = TriplePattern::new(fresh(tp.s), fresh(tp.p), fresh(tp.o));
+        }
+        for e in &mut q.pattern.exprs {
+            if let ExprNode::Term(t) = e {
+                *t = fresh(*t);
+            }
+        }
+        q
+    }
+
+    /// [`pin_query`]'s rendering, recorded before the writer stopped using
+    /// `core::fmt`. `{G}` is the extra projected variable and `{fN}` the
+    /// rendered name of `Term::fresh(N)` (`{fM}`: N = 536870911, the
+    /// largest fresh counter).
+    const PINNED: &str = "SELECT ?s ?o{G} WHERE {\n  ?s <http://ex.org/p> ?o .\n  \
+        ?s <http://ex.org/name> \"plain\" .\n  ?s <http://ex.org/label> \"chat\"@fr .\n  \
+        ?s <http://ex.org/age> \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n  \
+        _:b0 <http://ex.org/knows> ?{f0} .\n  {\n    ?s <http://ex.org/q> ?{f1} .\n    {\n      \
+        ?{f1} <http://ex.org/r> ?{f9} .\n    }\n  }\n  OPTIONAL {\n    \
+        ?s <http://ex.org/opt> ?{f10} .\n  }\n  {\n    ?s <http://ex.org/u1> ?a .\n  }\n  \
+        UNION\n  {\n    ?s <http://ex.org/u2> ?{fM} .\n  }\n  UNION\n  {\n    \
+        ?s <http://ex.org/u3> ?c .\n  }\n  SERVICE <http://fed.example.org/sparql> {\n    \
+        ?s <http://ex.org/remote> ?d .\n  }\n  SERVICE ?ep {\n    \
+        ?s <http://ex.org/remote2> ?{f2} .\n  }\n  \
+        FILTER(((?o = \"1\"^^<http://www.w3.org/2001/XMLSchema#integer>) || (?o != \"x\")) && \
+        (!(!(((?a < \"2\"^^<http://www.w3.org/2001/XMLSchema#integer>) && \
+        (?a <= \"3.5\"^^<http://www.w3.org/2001/XMLSchema#decimal>)) || \
+        ((?c > \"true\"^^<http://www.w3.org/2001/XMLSchema#boolean>) && (?c >= ?{f1}))))))\n}";
+
+    #[test]
+    fn render_pins_every_node_and_term_kind() {
+        // (extra projected variable, names of fresh 0, 1, 2, 9, 10, M). The
+        // bases are 0, 10^19 (the largest on the integer path), u64::MAX + 1
+        // and u128::MAX + 1 (both past 19 digits).
+        let cases: [(&str, [&str; 6]); 4] = [
+            ("", ["g0", "g1", "g2", "g9", "g10", "g536870911"]),
+            (
+                " ?g9999999999999999999",
+                [
+                    "g10000000000000000000",
+                    "g10000000000000000001",
+                    "g10000000000000000002",
+                    "g10000000000000000009",
+                    "g10000000000000000010",
+                    "g10000000000536870911",
+                ],
+            ),
+            (
+                " ?g18446744073709551615",
+                [
+                    "g18446744073709551616",
+                    "g18446744073709551617",
+                    "g18446744073709551618",
+                    "g18446744073709551625",
+                    "g18446744073709551626",
+                    "g18446744074246422527",
+                ],
+            ),
+            (
+                " ?g340282366920938463463374607431768211455",
+                [
+                    "g340282366920938463463374607431768211456",
+                    "g340282366920938463463374607431768211457",
+                    "g340282366920938463463374607431768211458",
+                    "g340282366920938463463374607431768211465",
+                    "g340282366920938463463374607431768211466",
+                    "g340282366920938463463374607432305082367",
+                ],
+            ),
+        ];
+        let mut i = Interner::new();
+        let (mut fresh_base, mut out) = (String::new(), String::new());
+        for (extra, names) in cases {
+            let mut expected = PINNED.replace("{G}", extra);
+            for (slot, name) in ["{f0}", "{f1}", "{f2}", "{f9}", "{f10}", "{fM}"]
+                .into_iter()
+                .zip(names)
+            {
+                expected = expected.replace(slot, name);
+            }
+            let q = pin_query(&mut i, extra);
+            render_query_into(q.as_ref(), &i, &mut fresh_base, &mut out);
+            assert_eq!(out, expected);
+            assert_eq!(q.display(&i).to_string(), expected);
+        }
     }
 
     #[test]

@@ -861,12 +861,15 @@ impl<S: Borrow<AlignmentStore>> Rewriter for IndexedRewriter<S> {
                 scratch.select.extend_from_slice(vars);
             }
         }
+        let store = self.store();
+        // Batch-load the rows the walk reads, so their misses overlap.
+        store.warm(&pattern.triples);
         begin_rewrite(pattern.terms(), scratch, limits);
         scratch.pattern.nodes.reserve(pattern.nodes.len());
         scratch.pattern.next.reserve(pattern.next.len());
         scratch.pattern.triples.reserve(pattern.triples.len());
         scratch.pattern.exprs.reserve(pattern.exprs.len());
-        let first = rewrite_children(self.store(), pattern, pattern.root_first(), scratch)?;
+        let first = rewrite_children(store, pattern, pattern.root_first(), scratch)?;
         scratch.pattern.root = scratch.pattern.push_node(PatternNode::Group { first });
         Ok(())
     }

@@ -1,20 +1,31 @@
-//! Cache transparency, engine leg: a cached `ServeEngine` must answer
-//! every request with exactly the bytes a cache-less engine renders for
-//! it, whatever the cache does underneath.
+//! Cache transparency: a cache must never change a served byte.
 //!
-//! Two threads share one cached engine and serve seeded streams that make
-//! the cache do everything it can at once: re-spellings of hot queries
-//! (whitespace, comments, PREFIX aliases, keyword case, `$x`) that hit and
-//! evict each other in a cache far smaller than the key set; more than
-//! 4,096 novel literals per worker, so each worker's interner overlay is
-//! trimmed mid-stream; and rewrites on both sides of the value cap, so the
-//! adaptive controller resizes the cache while both threads serve from it.
-//! Each thread checks every response against a cache-less engine over the
-//! same rules, on a scratch of its own.
+//! Engine leg: a cached `ServeEngine` must answer every request with
+//! exactly the bytes a cache-less engine renders for it, whatever the cache
+//! does underneath. Two threads share one cached engine and serve seeded
+//! streams that make the cache do everything it can at once: re-spellings
+//! of hot queries (whitespace, comments, PREFIX aliases, keyword case,
+//! `$x`) that hit and evict each other in a cache far smaller than the key
+//! set; more than 4,096 novel literals per worker, so each worker's
+//! interner overlay is trimmed mid-stream; and rewrites on both sides of
+//! the value cap, so the adaptive controller resizes the cache while both
+//! threads serve from it. Each thread checks every response against a
+//! cache-less engine over the same rules, on a scratch of its own.
+//!
+//! Planner leg: `FederationPlanner::plan_for_dispatch` with the partition
+//! cache on must plan every query exactly as a planner without it. Two
+//! workers share the cached planner; their interner overlays hold the same
+//! novel strings under different ids, so a partition key built from symbol
+//! ids instead of term text would serve one worker the other's rewrite.
 
 use std::thread;
 
-use sparql_rewrite_core::{parse_bgp, AlignmentStore, CacheConfig, Interner, ServeEngine, Term};
+use std::sync::Arc;
+
+use sparql_rewrite_core::{
+    parse_bgp, parse_query, AlignmentStore, CacheConfig, DispatchPlan, FederationPlanner, Interner,
+    RewriteLimits, ServeEngine, Term,
+};
 
 const SRC: &str = "http://src.example.org/onto/";
 const ENT: &str = "http://src.example.org/ent/";
@@ -319,5 +330,116 @@ fn cached_serves_are_byte_identical_to_cold_under_churn_trims_and_resizes() {
         cached.cache_resizes().0 >= 1,
         "the controller never grew the cache (cap {:?})",
         cached.cache_value_cap()
+    );
+}
+
+/// Novel variable names both workers intern, each in an order of its own.
+const NOVEL_NAMES: usize = 16;
+const PLANS_PER_WORKER: usize = 2_000;
+
+/// Two members: `a` maps `http://a/p{k}` onto its own target predicate,
+/// `b` maps `http://b/p{k}` likewise and its `p0` onto a second template as
+/// well (a UNION). `http://c/...` is aligned nowhere and stays residual.
+fn planner(it: &mut Interner, cache: bool) -> FederationPlanner {
+    let mut planner = FederationPlanner::new();
+    for ns in ["a", "b"] {
+        let mut store = AlignmentStore::new();
+        for k in 0..4 {
+            let lhs = parse_bgp(&format!("?s <http://{ns}/p{k}> ?o"), it)
+                .unwrap()
+                .patterns[0];
+            let rhs = parse_bgp(&format!("?s <http://{ns}-tgt/p{k}> ?o"), it)
+                .unwrap()
+                .patterns;
+            store.add_predicate(lhs, rhs).unwrap();
+        }
+        if ns == "b" {
+            let lhs = parse_bgp("?s <http://b/p0> ?o", it).unwrap().patterns[0];
+            let rhs = parse_bgp("?s <http://b-alt/p0> ?m . ?m <http://b-alt/q> ?o", it)
+                .unwrap()
+                .patterns;
+            store.add_predicate(lhs, rhs).unwrap();
+        }
+        let term = Term::iri(it.intern(&format!("http://{ns}.example.org/sparql")));
+        planner.add_endpoint(term, Arc::new(store));
+    }
+    if cache {
+        planner.enable_partition_cache(CacheConfig::default());
+    }
+    planner
+}
+
+/// What a plan ships: each endpoint's id and subquery, in dispatch order.
+fn shipped(plan: &DispatchPlan) -> Vec<(u32, &str)> {
+    plan.endpoints
+        .iter()
+        .map(|e| (e.endpoint.0, e.subquery.as_str()))
+        .collect()
+}
+
+#[test]
+fn cached_plans_are_byte_identical_to_uncached_across_worker_overlays() {
+    let mut it = Interner::new();
+    let cached = planner(&mut it, true);
+    let uncached = planner(&mut it, false);
+
+    let names: Vec<String> = (0..NOVEL_NAMES).map(|k| format!("novel{k}")).collect();
+    let mut workers: Vec<Interner> = (0..2u64)
+        .map(|w| {
+            let mut order = names.clone();
+            let mut rng = 0x91a4_0000 ^ (w + 1);
+            for i in (1..order.len()).rev() {
+                order.swap(i, (xorshift(&mut rng) % (i as u64 + 1)) as usize);
+            }
+            let mut interner = it.clone();
+            for name in &order {
+                interner.intern(name);
+            }
+            interner
+        })
+        .collect();
+    // Both overlays hold the same ids, so a name whose id differs between
+    // them also shares its id with another name.
+    let [w0, w1] = &mut workers[..] else {
+        unreachable!()
+    };
+    assert!(
+        names.iter().any(|n| w0.intern(n) != w1.intern(n)),
+        "test geometry: every novel name has one id in both overlays"
+    );
+
+    let limits = RewriteLimits::default();
+    let mut rng = 0x91a4_5eed;
+    for i in 0..PLANS_PER_WORKER {
+        for (w, interner) in workers.iter_mut().enumerate() {
+            let mut text = String::from("SELECT * WHERE {");
+            for _ in 0..1 + xorshift(&mut rng) % 3 {
+                let r = xorshift(&mut rng);
+                let subject = &names[(r % NOVEL_NAMES as u64) as usize];
+                let ns = ["a", "b", "c"][((r >> 8) % 3) as usize];
+                text.push_str(&format!(
+                    " ?{subject} <http://{ns}/p{}> ?o .",
+                    (r >> 16) % 4
+                ));
+            }
+            text.push_str(" }");
+            let query = parse_query(&text, interner).unwrap();
+            let got = cached
+                .plan_for_dispatch(query.as_ref(), interner, limits)
+                .unwrap();
+            let want = uncached
+                .plan_for_dispatch(query.as_ref(), interner, limits)
+                .unwrap();
+            assert_eq!(
+                shipped(&got),
+                shipped(&want),
+                "worker {w}, plan {i}: {text}"
+            );
+        }
+    }
+    let stats = cached.partition_cache_stats();
+    assert!(
+        stats.hits > stats.misses,
+        "the partition cache barely hit: {stats:?}"
     );
 }
