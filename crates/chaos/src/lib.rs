@@ -18,7 +18,9 @@
 //!
 //! so a seed replays the same fault sequence on every run, whatever the
 //! thread timing. [`counting_alloc`] is the allocation counter the
-//! zero-allocation tests register as their global allocator.
+//! zero-allocation tests register as their global allocator, and
+//! [`canonical_text`] is the federated-result transcript line the
+//! determinism tests byte-compare.
 
 mod client;
 pub mod counting_alloc;
@@ -29,7 +31,9 @@ pub use client::ClientFault;
 pub use mock::{FaultSpec, MockTransport};
 pub use proxy::{ChaosProxy, ChaosSpec, FaultClass};
 
-use sparql_rewrite_core::mix_chain;
+use std::fmt::Write as _;
+
+use sparql_rewrite_core::{mix_chain, FederatedResult};
 
 /// The one fault schedule: the index of the class slot `key` falls in
 /// under `seed`, or `None` for the remainder (the healthy share).
@@ -52,6 +56,23 @@ pub fn draw(seed: u64, key: [u64; 3], pcts: &[u8]) -> Option<usize> {
     }
     assert!(acc <= 100, "fault percentages sum to {acc}, past 100");
     class
+}
+
+/// Canonical textual form of `result`, one line per endpoint report and
+/// stable across processes: what the determinism tests byte-compare.
+pub fn canonical_text(result: &FederatedResult) -> String {
+    let mut out = String::new();
+    for r in &result.reports {
+        let _ = writeln!(
+            out,
+            "ep={} outcome={:?} breaker={:?} rows={}",
+            r.endpoint.0,
+            r.outcome,
+            r.breaker,
+            r.rows.as_deref().unwrap_or("-")
+        );
+    }
+    out
 }
 
 /// FNV-1a over the query text: stamps mock and proxy payloads so tests can

@@ -532,20 +532,6 @@ impl AlignmentStore {
         }
     }
 
-    /// Monotonic rule-set revision, bumped by every successful `add_*`: the
-    /// rule count, since rules are only ever added.
-    ///
-    /// Use it as the generation tag for a [`crate::cache::RewriteCache`]:
-    /// stamp inserts with the revision the rewrite ran under and look up
-    /// with the current one. Rewriting is deterministic per (query text,
-    /// rule set), so equal revisions guarantee the cached text is still the
-    /// correct rewrite — and an `add_*` bumps the revision, making every
-    /// stale entry miss without any eager scan.
-    #[inline]
-    pub fn revision(&self) -> u64 {
-        self.len() as u64
-    }
-
     /// Number of rules added, of all three kinds.
     pub fn len(&self) -> usize {
         self.tmpl_lhs.len()
@@ -669,6 +655,8 @@ mod tests {
             store.add_predicate(lhs, vec![]),
             Err(AlignError::EmptyTemplate)
         );
+        // A rejected rule leaves the store unchanged.
+        assert!(store.is_empty());
     }
 
     #[test]
@@ -1049,24 +1037,6 @@ mod tests {
         store.add_entity(as_iri, tgt).unwrap();
         assert_eq!(store.entity_target(as_iri), Some(tgt));
         assert_eq!(store.entity_target(as_lit), None);
-    }
-
-    #[test]
-    fn revision_bumps_on_rule_loads_only() {
-        let mut it = Interner::new();
-        let v = var(&mut it, "x");
-        let a = iri(&mut it, "http://a");
-        let b = iri(&mut it, "http://b");
-        let mut store = AlignmentStore::new();
-        assert_eq!(store.revision(), 0);
-        store.add_entity(a, b).unwrap();
-        assert_eq!(store.revision(), 1);
-        // A rejected rule changes nothing, so it must not invalidate.
-        assert!(store.add_entity(v, b).is_err());
-        assert_eq!(store.revision(), 1);
-        let lhs = TriplePattern::new(v, a, v);
-        store.add_predicate(lhs, vec![lhs]).unwrap();
-        assert_eq!(store.revision(), 2);
     }
 
     #[test]

@@ -22,11 +22,13 @@
 //!
 //! # Invalidation contract
 //!
-//! Entries are stamped with a **generation** — by convention the owning
-//! store's [`crate::align::AlignmentStore::revision`]. Every `add_*`
-//! bumps the revision, so all entries cached under the old rule set lazily
-//! miss (and become preferred eviction victims). No eager scan, no epoch
-//! machinery: correctness is a single integer compare per probe.
+//! A cache serves **one rule set and is dropped with it**. The serve
+//! engine and the federation planner each build their caches beside the
+//! rule sets they serve and never change those rule sets, so no entry can
+//! outlive the rules that rendered it and nothing is ever invalidated.
+//! Each entry still carries a caller's `gen` tag, which
+//! [`RewriteCache::lookup`] compares; the in-repo callers hold it
+//! constant.
 //!
 //! # Memory model
 //!
@@ -58,17 +60,17 @@ pub struct QueryFingerprint {
     /// real hashes are remapped).
     hash: u64,
     /// Length of the byte stream.
-    norm_len: u32,
+    len: u32,
 }
 
 impl QueryFingerprint {
     /// Construct from raw parts. Exposed for tests and for callers that
     /// key the cache by something other than SPARQL text; `hash == 0` is
     /// remapped to 1 (0 is the vacant-slot sentinel).
-    pub fn from_parts(hash: u64, norm_len: u32) -> QueryFingerprint {
+    pub fn from_parts(hash: u64, len: u32) -> QueryFingerprint {
         QueryFingerprint {
             hash: if hash == 0 { 1 } else { hash },
-            norm_len,
+            len,
         }
     }
 }
@@ -311,8 +313,9 @@ struct Slot {
     refbit: AtomicU32,
     /// Fingerprint hash; 0 = never written.
     fp: AtomicU64,
-    norm_len: AtomicU32,
-    /// Generation (store revision) the entry was rendered under.
+    /// Fingerprint length.
+    fp_len: AtomicU32,
+    /// The caller's `gen` tag the entry was inserted under.
     gen: AtomicU64,
     /// Value length in bytes (≤ `value_cap`).
     val_len: AtomicU32,
@@ -324,7 +327,7 @@ impl Slot {
             version: AtomicU32::new(0),
             refbit: AtomicU32::new(0),
             fp: AtomicU64::new(0),
-            norm_len: AtomicU32::new(0),
+            fp_len: AtomicU32::new(0),
             gen: AtomicU64::new(0),
             val_len: AtomicU32::new(0),
         }
@@ -381,9 +384,9 @@ pub(crate) struct ShardCacheStats {
 /// engine counts its probes in each worker's scratch and merges them into
 /// engine-wide totals once every 64 serves, so
 /// [`crate::ServeEngine::cache_stats`] lags by under 64 serves per worker.
-/// The engine probes under two keys per request (raw, then canonical), so
-/// its probe hit ratio is lower than its request-level hit rate — both are
-/// real signals, they answer different questions.
+/// The engine probes once per request, under the raw-byte key, so its
+/// probe hits equal its request-level hits, and its probe misses exceed
+/// its cold serves only by the requests that then fail to parse.
 #[derive(Clone, Default, Debug)]
 pub struct CacheStats {
     /// Shards of the live cache instance.
@@ -439,6 +442,13 @@ impl CacheStats {
         }
     }
 }
+
+/// The `gen` tag the serve engine and the federation planner pass to
+/// every [`RewriteCache::lookup`] and [`RewriteCache::insert`]. Each builds
+/// its caches beside the one rule set it serves for its whole life and
+/// drops them with it, so no entry can meet a second rule set and one
+/// value is enough.
+pub(crate) const ONE_RULE_SET: u64 = 0;
 
 /// Sharded, read-lock-free map from [`QueryFingerprint`] to rendered
 /// rewrite bytes. See the module docs for the design; the public surface
@@ -577,7 +587,7 @@ impl RewriteCache {
             }
             if v1 & 1 == 1
                 || sfp != fp.hash
-                || slot.norm_len.load(Ordering::Relaxed) != fp.norm_len
+                || slot.fp_len.load(Ordering::Relaxed) != fp.len
                 || slot.gen.load(Ordering::Relaxed) != gen
             {
                 continue;
@@ -624,9 +634,8 @@ impl RewriteCache {
     /// [`RewriteCache::value_cap`] are not cached — the bypass is counted
     /// per shard and surfaced by [`RewriteCache::oversize_bypasses`].
     /// Writers serialize per shard behind a spinlock; victim choice is:
-    /// refresh the matching entry, else a never-written slot, else a
-    /// stale-generation entry, else CLOCK second-chance over the probe
-    /// window.
+    /// refresh the matching entry, else a never-written slot, else CLOCK
+    /// second-chance over the probe window.
     pub fn insert(&self, fp: QueryFingerprint, gen: u64, value: &[u8]) {
         let (shard, home) = self.place(fp);
         if value.len() > self.value_cap {
@@ -638,7 +647,6 @@ impl RewriteCache {
             std::hint::spin_loop();
         }
         let mut victim = None;
-        let mut stale = None;
         for i in 0..PROBE {
             let idx = (home + i) & mask;
             let slot = &shard.slots[idx];
@@ -647,15 +655,12 @@ impl RewriteCache {
                 victim = Some(idx);
                 break;
             }
-            if sfp == fp.hash && slot.norm_len.load(Ordering::Relaxed) == fp.norm_len {
+            if sfp == fp.hash && slot.fp_len.load(Ordering::Relaxed) == fp.len {
                 victim = Some(idx);
                 break;
             }
-            if stale.is_none() && slot.gen.load(Ordering::Relaxed) != gen {
-                stale = Some(idx);
-            }
         }
-        let idx = victim.or(stale).unwrap_or_else(|| {
+        let idx = victim.unwrap_or_else(|| {
             // CLOCK second chance over the probe window: sweep from the
             // shard hand clearing reference bits; the first slot found
             // clear is the victim. Two sweeps bound the scan — after one
@@ -678,9 +683,8 @@ impl RewriteCache {
         let slot = &shard.slots[idx];
         let prev_fp = slot.fp.load(Ordering::Relaxed);
         if prev_fp != 0 && prev_fp != fp.hash {
-            // Overwriting a live entry for a different key: capacity (or
-            // staleness) pushed something out. Same-key refreshes are not
-            // evictions.
+            // Overwriting a live entry for a different key: capacity pushed
+            // something out. Same-key refreshes are not evictions.
             shard.evictions.fetch_add(1, Ordering::Relaxed);
         }
         let v = slot.version.load(Ordering::Relaxed);
@@ -688,7 +692,7 @@ impl RewriteCache {
         slot.version.store(v.wrapping_add(1), Ordering::Relaxed);
         fence(Ordering::Release);
         slot.fp.store(fp.hash, Ordering::Relaxed);
-        slot.norm_len.store(fp.norm_len, Ordering::Relaxed);
+        slot.fp_len.store(fp.len, Ordering::Relaxed);
         slot.gen.store(gen, Ordering::Relaxed);
         slot.val_len.store(value.len() as u32, Ordering::Relaxed);
         let base = idx * self.words_per_slot;
@@ -944,7 +948,7 @@ mod tests {
         let mut buf = Vec::new();
         cache.insert(k, 7, b"under-rev-7");
         assert!(cache.lookup(k, 7, &mut buf));
-        // Rule set changed (revision bumped): stale entry must miss.
+        // Looked up under another tag: the entry must miss.
         assert!(!cache.lookup(k, 8, &mut buf));
         cache.insert(k, 8, b"under-rev-8");
         assert!(cache.lookup(k, 8, &mut buf));
@@ -954,8 +958,10 @@ mod tests {
 
     #[test]
     fn eviction_keeps_recent_entries_findable() {
-        // Tiny cache, many inserts: churn far past capacity, then verify
-        // the most recent insert is always servable.
+        // Tiny cache, many inserts: churn far past capacity under
+        // alternating `gen` tags, then verify the most recent insert is
+        // always servable under its own tag and never under the other.
+        // The CLOCK sweep alone places it: no victim is chosen by tag.
         let cache = RewriteCache::new(CacheConfig {
             shards: 1,
             slots_per_shard: 8,
@@ -966,9 +972,14 @@ mod tests {
             let text = format!("SELECT * WHERE {{ ?s <http://p{i}> ?o }}");
             let k = fp(&text);
             let val = format!("result-{i}");
-            cache.insert(k, 0, val.as_bytes());
-            assert!(cache.lookup(k, 0, &mut buf), "just-inserted {i} missing");
+            let gen = i % 2;
+            cache.insert(k, gen, val.as_bytes());
+            assert!(cache.lookup(k, gen, &mut buf), "just-inserted {i} missing");
             assert_eq!(buf, val.as_bytes());
+            assert!(
+                !cache.lookup(k, gen ^ 1, &mut buf),
+                "{i} found under the other tag"
+            );
         }
     }
 
@@ -1160,7 +1171,7 @@ mod tests {
         let mut groups: std::collections::HashMap<(u64, u32), Vec<&str>> = Default::default();
         for t in &corpus {
             if let Some(fp) = fingerprint_query(t) {
-                groups.entry((fp.hash, fp.norm_len)).or_default().push(t);
+                groups.entry((fp.hash, fp.len)).or_default().push(t);
             }
         }
         let mut it = crate::interner::Interner::new();

@@ -21,9 +21,9 @@
 //!    instead of stalling the walk one at a time,
 //! 3. renders the rewritten query into a reusable output `String` —
 //!    every byte appended with `push_str`, none through `core::fmt` — and
-//!    fills the cache entry under the same raw-byte key (stamped with
-//!    the store's revision, so an engine rebuilt over a changed rule set
-//!    misses every old entry).
+//!    fills the cache entry under the same raw-byte key. The engine never
+//!    changes its rule set and owns its cache, so the cache lives and dies
+//!    with that rule set and no entry needs invalidating.
 //!
 //! Every stage writes into reusable buffers, so a warm
 //! [`ServeEngine::serve`] call performs **zero heap allocations** on both
@@ -46,6 +46,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use crate::cache::ONE_RULE_SET;
 use crate::snapshot::{Pin, Snapshot};
 use crate::{
     fingerprint_raw, parse_query_into, render_query_into, AlignmentStore, CacheConfig, CacheStats,
@@ -66,11 +67,6 @@ pub struct ServeEngine {
     /// Rewrite-result cache behind its adaptive-cap controller; `None`
     /// when constructed cache-less (the cold-path reference in tests).
     cache: Option<AdaptiveCache>,
-    /// Rule-set revision the engine was built at — the generation tag for
-    /// every cache entry. The store behind the `Arc` is immutable here, so
-    /// one snapshot is exact; an engine rebuilt after `add_*` gets the new
-    /// revision and every old entry lazily misses.
-    revision: u64,
 }
 
 /// Per-worker reusable state for [`ServeEngine::serve`]. All steady-state
@@ -330,12 +326,10 @@ impl ServeEngine {
         interner: Interner,
         cache: Option<CacheConfig>,
     ) -> ServeEngine {
-        let revision = store.revision();
         ServeEngine {
             rewriter: IndexedRewriter::new(Arc::new(store)),
             base_interner: interner,
             cache: cache.map(AdaptiveCache::new),
-            revision,
         }
     }
 
@@ -481,14 +475,14 @@ impl ServeEngine {
         scratch: &mut ServeScratch,
     ) -> Result<(), ParseError> {
         let fp = fingerprint_raw(request);
-        if scratch.probe(cache, fp, self.revision) {
+        if scratch.probe(cache, fp, ONE_RULE_SET) {
             return Ok(());
         }
         self.serve_cold(request, scratch)?;
         // Counted only after a successful cold serve: a rejected request
         // was never served, so it is neither a hit nor a miss.
         scratch.cache_misses += 1;
-        cache.insert(fp, self.revision, scratch.out.as_bytes());
+        cache.insert(fp, ONE_RULE_SET, scratch.out.as_bytes());
         Ok(())
     }
 
@@ -565,15 +559,15 @@ mod tests {
         // A miss empties `out`, keeping its allocation for the cold render.
         let cap = scratch.out.capacity();
         let absent = QueryFingerprint::from_parts(0xdead_beef, 7);
-        assert!(!scratch.probe(&cache, absent, engine.revision));
+        assert!(!scratch.probe(&cache, absent, ONE_RULE_SET));
         assert_eq!(scratch.out, "");
         assert_eq!(scratch.out.capacity(), cap);
-        // So does a hit under another generation (a stale entry).
+        // So does probing the entry under another tag.
         let raw = fingerprint_raw(q);
-        assert!(!scratch.probe(&cache, raw, engine.revision + 1));
+        assert!(!scratch.probe(&cache, raw, ONE_RULE_SET + 1));
         assert_eq!(scratch.out, "");
 
-        assert!(scratch.probe(&cache, raw, engine.revision));
+        assert!(scratch.probe(&cache, raw, ONE_RULE_SET));
         assert_eq!(scratch.out, expected);
         assert_eq!(scratch.cache_hits(), 1);
         assert_eq!(engine.serve(q, &mut scratch).expect("parses"), expected);

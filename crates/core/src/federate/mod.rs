@@ -61,7 +61,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::align::AlignmentStore;
-use crate::cache::{CacheConfig, Fingerprinter, QueryFingerprint, RewriteCache};
+use crate::cache::{CacheConfig, Fingerprinter, QueryFingerprint, RewriteCache, ONE_RULE_SET};
 use crate::interner::Interner;
 use crate::pattern::{render_query_into, GroupPattern, QueryRef, TriplePattern};
 use crate::rewriter::{IndexedRewriter, RewriteError, RewriteLimits, RewriteScratch, Rewriter};
@@ -154,24 +154,6 @@ impl FederatedResult {
     pub fn is_complete(&self) -> bool {
         self.served_count() == self.reports.len()
     }
-
-    /// Canonical textual form, stable across processes — what the
-    /// determinism gates byte-compare.
-    pub fn canonical_text(&self) -> String {
-        let mut out = String::new();
-        for r in &self.reports {
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                out,
-                "ep={} outcome={:?} breaker={:?} rows={}",
-                r.endpoint.0,
-                r.outcome,
-                r.breaker,
-                r.rows.as_deref().unwrap_or("-")
-            );
-        }
-        out
-    }
 }
 
 /// One endpoint's share of a [`DispatchPlan`], in dispatch order.
@@ -203,15 +185,13 @@ pub struct DispatchPlan {
 struct PlannerEndpoint {
     term: Term,
     store: Arc<AlignmentStore>,
-    /// Bumped on every store replacement; folded into the cache
-    /// generation so a swapped-in store can never serve another store's
-    /// cached rewrites, even on a revision-counter collision.
-    epoch: u64,
 }
 
 /// Per-endpoint partition rewrite cache: (endpoint id, partition
-/// fingerprint) → rendered subquery text, generation-tagged like the PR 5
-/// serve cache.
+/// fingerprint) → rendered subquery text. Built by
+/// [`FederationPlanner::enable_partition_cache`] over members whose
+/// stores never change, and dropped with the planner, so every entry is
+/// tagged [`ONE_RULE_SET`].
 struct PartitionCache {
     cache: RewriteCache,
     hits: AtomicU64,
@@ -232,11 +212,12 @@ pub struct PartitionCacheStats {
 /// (`&self`).
 ///
 /// With [`FederationPlanner::enable_partition_cache`], rendered partition
-/// rewrites are memoized per `(endpoint id, partition fingerprint)` under
-/// the endpoint store's [`AlignmentStore::revision`] generation tag:
+/// rewrites are memoized per `(endpoint id, partition fingerprint)`:
 /// repeated hot partitions — the normal shape of a Zipfian query stream —
 /// are planned by [`FederationPlanner::plan_for_dispatch`] without
-/// re-rewriting or re-rendering anything.
+/// re-rewriting or re-rendering anything. A member's store is fixed once
+/// it is added, so the cache serves one rule set per member for the
+/// planner's whole life and needs no invalidation.
 #[derive(Default)]
 pub struct FederationPlanner {
     endpoints: Vec<PlannerEndpoint>,
@@ -275,20 +256,8 @@ impl FederationPlanner {
         self.endpoints.push(PlannerEndpoint {
             term: endpoint,
             store,
-            epoch: 0,
         });
         id
-    }
-
-    /// Swap one endpoint's rule set in place (e.g. after an alignment
-    /// refresh), keeping its id and dispatch identity. The endpoint's
-    /// cache epoch is bumped, so partition rewrites cached against the
-    /// old store are unreachable even when the stores' revision counters
-    /// collide.
-    pub fn replace_endpoint_store(&mut self, id: EndpointId, store: Arc<AlignmentStore>) {
-        let ep = &mut self.endpoints[id.0 as usize];
-        ep.store = store;
-        ep.epoch += 1;
     }
 
     /// Memoize rendered partition rewrites (see the type docs). Call once
@@ -356,13 +325,6 @@ impl FederationPlanner {
             }
         }
         fp.finish()
-    }
-
-    /// Cache generation of endpoint `e`: store revision in the low bits,
-    /// replacement epoch in the high bits.
-    fn endpoint_generation(&self, e: usize) -> u64 {
-        let ep = &self.endpoints[e];
-        (ep.epoch << 48) ^ ep.store.revision()
     }
 
     /// Which endpoint should answer `tp`, and at what selectivity cost?
@@ -478,16 +440,14 @@ impl FederationPlanner {
         let mut cached = Vec::new();
         for &e in &p.order {
             let mut subquery = String::new();
-            let key = self.cache.as_ref().map(|_| {
-                (
-                    self.partition_fingerprint(e, &p.parts[e], interner),
-                    self.endpoint_generation(e),
-                )
-            });
+            let key = self
+                .cache
+                .as_ref()
+                .map(|_| self.partition_fingerprint(e, &p.parts[e], interner));
             let mut hit = false;
-            if let (Some(pc), Some((fp, gen))) = (&self.cache, key) {
+            if let (Some(pc), Some(fp)) = (&self.cache, key) {
                 cached.clear();
-                if pc.cache.lookup(fp, gen, &mut cached) {
+                if pc.cache.lookup(fp, ONE_RULE_SET, &mut cached) {
                     if let Ok(text) = std::str::from_utf8(&cached) {
                         subquery.push_str(text);
                         hit = true;
@@ -505,8 +465,8 @@ impl FederationPlanner {
                     &mut scratch,
                     &mut subquery,
                 )?;
-                if let (Some(pc), Some((fp, gen))) = (&self.cache, key) {
-                    pc.cache.insert(fp, gen, subquery.as_bytes());
+                if let (Some(pc), Some(fp)) = (&self.cache, key) {
+                    pc.cache.insert(fp, ONE_RULE_SET, subquery.as_bytes());
                 }
             }
             endpoint_plans.push(EndpointPlan {
@@ -763,51 +723,6 @@ mod tests {
             p.endpoints.iter().map(|e| e.subquery.clone()).collect()
         };
         assert_eq!(texts(&cold), texts(&hot));
-    }
-
-    #[test]
-    fn store_replacement_invalidates_cached_partitions() {
-        let mut it = Interner::new();
-        let mut planner = two_endpoint_planner(&mut it);
-        planner.enable_partition_cache(crate::cache::CacheConfig::default());
-        let query = parse_query("SELECT * WHERE { ?s <http://a/p1> ?y }", &mut it).unwrap();
-
-        let before = planner
-            .plan_for_dispatch(query.as_ref(), &it, RewriteLimits::unbounded())
-            .unwrap();
-        assert!(before.endpoints[0].subquery.contains("<http://a-tgt/p1>"));
-        assert_eq!(planner.partition_cache_stats().misses, 1);
-
-        // Rebuild ep0's rules with the *same number of additions* (so the
-        // fresh store's revision counter collides with the old one) but a
-        // different target vocabulary. The epoch bump must still reach the
-        // new rewrite.
-        let mut store = AlignmentStore::new();
-        for i in 0..4 {
-            let lhs = parse_bgp(&format!("?s <http://a/p{i}> ?o"), &mut it)
-                .unwrap()
-                .patterns[0];
-            let rhs = parse_bgp(&format!("?s <http://a-v2/p{i}> ?o"), &mut it)
-                .unwrap()
-                .patterns;
-            store.add_predicate(lhs, rhs).unwrap();
-        }
-        planner.replace_endpoint_store(EndpointId(0), Arc::new(store));
-
-        let after = planner
-            .plan_for_dispatch(query.as_ref(), &it, RewriteLimits::unbounded())
-            .unwrap();
-        assert!(
-            after.endpoints[0].subquery.contains("<http://a-v2/p1>"),
-            "stale cached rewrite served after store replacement: {}",
-            after.endpoints[0].subquery
-        );
-        let stats = planner.partition_cache_stats();
-        assert_eq!(
-            (stats.hits, stats.misses),
-            (0, 2),
-            "replacement must miss, not hit"
-        );
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //!   `cache.fingerprint_raw_ns` layer) and [`cache::RewriteCache`] maps
 //!   the fingerprint to the rendered rewrite through sharded,
 //!   read-lock-free seqlock slots — a repeated query is served by
-//!   hash + memcpy instead of parse + rewrite + render, invalidated by
-//!   the store's [`align::AlignmentStore::revision`] generation tag.
+//!   hash + memcpy instead of parse + rewrite + render. A cache serves
+//!   one rule set and is dropped with it, so nothing is ever invalidated.
 //! * [`federate`] turns N per-endpoint [`align::AlignmentStore`]s into a
 //!   fault-tolerant dispatch plan: patterns are partitioned by which
 //!   endpoint's rules can rewrite them (O(1) candidate-count reads double

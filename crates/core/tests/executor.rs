@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::thread;
 
-use sparql_rewrite_chaos::{FaultSpec, MockTransport};
+use sparql_rewrite_chaos::{canonical_text, FaultSpec, MockTransport};
 use sparql_rewrite_core::{
     BreakerConfig, BreakerState, EndpointId, EndpointOutcome, EndpointPlan, ExecutorConfig,
     FederatedExecutor, FederatedResult, Interner, Term,
@@ -74,7 +74,7 @@ fn identical_seeds_replay_bit_identically() {
         let plans: Vec<_> = (0..4).map(plan_for).collect();
         let mut transcript = String::new();
         for _ in 0..50 {
-            transcript.push_str(&ex.execute(&plans).canonical_text());
+            transcript.push_str(&canonical_text(&ex.execute(&plans)));
         }
         (transcript, ex.breaker_states())
     };

@@ -407,14 +407,6 @@ pub struct DrainReport {
     pub request_deadline: Duration,
 }
 
-impl DrainReport {
-    /// Did the drain complete within its documented bound (plus `slack`
-    /// for scheduling noise)?
-    pub fn within_bound(&self, slack: Duration) -> bool {
-        self.elapsed <= self.drain_deadline + self.request_deadline + slack
-    }
-}
-
 /// A running server: an acceptor thread, `config.workers` worker threads,
 /// and this handle. Dropping the handle without calling
 /// [`Server::shutdown`] leaks the threads (they keep serving).

@@ -128,8 +128,10 @@ pub fn assert_sheds_and_drains(workers: usize, fillers: usize, probes: usize) {
         "drain refused {} queued connections, expected exactly the {fillers} parked fillers",
         report.dropped_from_queue
     );
+    // 500 ms of slack over the documented bound, for scheduling noise.
+    let bound = report.drain_deadline + report.request_deadline;
     assert!(
-        report.within_bound(Duration::from_millis(500)),
+        report.elapsed <= bound + Duration::from_millis(500),
         "graceful drain took {:.0}ms — outside request_deadline + drain_deadline",
         report.elapsed.as_secs_f64() * 1e3
     );

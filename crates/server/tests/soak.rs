@@ -23,7 +23,9 @@ use sparql_rewrite_chaos::FaultClass::{
     MalformedHeader, MalformedStatus, OversizedBody, Refuse, Reset, Trickle, TruncateBody,
     WrongContentLength,
 };
-use sparql_rewrite_chaos::{ChaosProxy, ChaosSpec, FaultClass, FaultSpec, MockTransport};
+use sparql_rewrite_chaos::{
+    canonical_text, ChaosProxy, ChaosSpec, FaultClass, FaultSpec, MockTransport,
+};
 use sparql_rewrite_core::{
     BackoffPolicy, BreakerConfig, CacheConfig, EndpointOutcome, ExecutorConfig, FederatedExecutor,
     HttpConfig, HttpEndpoint, HttpLimits, HttpTransport, Interner, RewriteLimits, ServeEngine,
@@ -115,7 +117,7 @@ fn federation_soak() {
                     EndpointOutcome::ExhaustedRetries { .. } => tallies[3] += 1,
                 }
             }
-            transcript.push_str(&result.canonical_text());
+            transcript.push_str(&canonical_text(&result));
         }
         (
             transcript,
