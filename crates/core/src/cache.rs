@@ -382,22 +382,18 @@ pub(crate) struct ShardCacheStats {
 /// [`RewriteCache::lookup`] writes no counter, so a hit touches no shared
 /// cache line, and [`RewriteCache::stats`] reports 0 for both. The serve
 /// engine counts its probes in each worker's scratch and merges them into
-/// engine-wide totals once every 64 serves, so
-/// [`crate::ServeEngine::cache_stats`] lags by under 64 serves per worker.
+/// engine-wide totals once every 64 probes, so
+/// [`crate::ServeEngine::cache_stats`] lags by under 64 probes per worker.
 /// The engine probes once per request, under the raw-byte key, so its
 /// probe hits equal its request-level hits, and its probe misses exceed
 /// its cold serves only by the requests that then fail to parse.
 #[derive(Clone, Default, Debug)]
 pub struct CacheStats {
-    /// Shards of the live cache instance.
+    /// One entry per shard.
     pub(crate) per_shard: Vec<ShardCacheStats>,
     /// Probe hits and misses counted by the owner.
     pub(crate) probe_hits: u64,
     pub(crate) probe_misses: u64,
-    /// Evictions and oversize bypasses of instances the owner replaced
-    /// (the engine's adaptive resizes), so the totals never go backwards.
-    pub(crate) retired_evictions: u64,
-    pub(crate) retired_bypasses: u64,
 }
 
 impl CacheStats {
@@ -420,16 +416,11 @@ impl CacheStats {
     }
 
     pub fn evictions(&self) -> u64 {
-        self.retired_evictions + self.per_shard.iter().map(|s| s.evictions).sum::<u64>()
+        self.per_shard.iter().map(|s| s.evictions).sum()
     }
 
     pub fn oversize_bypasses(&self) -> u64 {
-        self.retired_bypasses
-            + self
-                .per_shard
-                .iter()
-                .map(|s| s.oversize_bypasses)
-                .sum::<u64>()
+        self.per_shard.iter().map(|s| s.oversize_bypasses).sum()
     }
 
     /// Probe-level hit ratio in `[0, 1]`; 0.0 before any lookup.
@@ -512,15 +503,6 @@ impl RewriteCache {
             .sum()
     }
 
-    /// Live entries overwritten under a different key, summed across
-    /// shards; monotone over the cache's lifetime.
-    pub(crate) fn evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.evictions.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Snapshot per-shard observability: occupancy, evictions, and
     /// oversize bypasses. Probe hits and misses read 0: the caller counts
     /// them (see [`CacheStats`]). The occupancy scan walks every slot
@@ -571,7 +553,7 @@ impl RewriteCache {
     /// A probe counts nothing: its only shared write is a hit setting a
     /// clear CLOCK reference bit. Callers that want hit/miss numbers count the return
     /// value themselves, as the serve engine does (its totals lag by under
-    /// 64 serves per worker; see [`CacheStats`]).
+    /// 64 probes per worker; see [`CacheStats`]).
     pub fn lookup(&self, fp: QueryFingerprint, gen: u64, out: &mut Vec<u8>) -> bool {
         let (shard, home) = self.place(fp);
         let mask = shard.slots.len() - 1;

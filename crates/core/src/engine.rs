@@ -34,20 +34,19 @@
 //! path.
 //!
 //! A cache hit also makes **no atomic read-modify-write on shared
-//! memory**: the worker reads the cache instance it pinned in its scratch
-//! (one acquire-load confirms no resize was published since), and the
-//! hit/miss and controller counts accumulate in the scratch, merging into
-//! the engine's totals once every 64 serves. The only shared write on a
-//! hit is setting the slot's CLOCK reference bit, and only when the
-//! eviction hand has cleared it.
+//! memory**: the hit/miss counts accumulate in the worker's scratch and
+//! merge into the engine's totals once every 64 probes. The only shared
+//! write on a hit is setting the slot's CLOCK reference bit, and only when
+//! the eviction hand has cleared it. The cache's value cap is fixed when
+//! the engine is built, by its [`CacheConfig`] or by
+//! [`ServeEngine::with_tuned_cache`]'s measurement.
 //!
 //! [`QueryFingerprint`]: crate::cache::QueryFingerprint
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::cache::ONE_RULE_SET;
-use crate::snapshot::{Pin, Snapshot};
 use crate::{
     fingerprint_raw, parse_query_into, render_query_into, AlignmentStore, CacheConfig, CacheStats,
     IndexedRewriter, Interner, ParseError, ParseScratch, QueryFingerprint, QueryRef, RewriteCache,
@@ -64,14 +63,16 @@ pub struct ServeEngine {
     /// without locks while every pre-existing symbol stays identical to
     /// the rule set's.
     base_interner: Interner,
-    /// Rewrite-result cache behind its adaptive-cap controller; `None`
-    /// when constructed cache-less (the cold-path reference in tests).
-    cache: Option<AdaptiveCache>,
+    /// Rewrite-result cache; `None` when constructed cache-less (the
+    /// cold-path reference in tests).
+    cache: Option<RewriteCache>,
+    /// Probe counts merged from workers' scratches.
+    totals: Totals,
 }
 
 /// Per-worker reusable state for [`ServeEngine::serve`]. All steady-state
-/// buffers and all per-serve counting live here; the engine's shared
-/// totals are written once every 64 serves.
+/// buffers and all per-probe counting live here; the engine's shared
+/// totals are written once every 64 probes.
 pub struct ServeScratch {
     /// Worker-local interner clone; its overlay is trimmed before every
     /// cold serve (see [`Interner::trim_overlay`]).
@@ -82,9 +83,6 @@ pub struct ServeScratch {
     /// The response: a cache hit is copied straight into it, a cold serve
     /// renders into it.
     out: String,
-    /// The cache instance this worker serves from, re-pinned only after
-    /// the controller publishes a resized one.
-    cache: Pin<RewriteCache>,
     /// Counts not yet merged into the engine's totals.
     pending: PendingCounts,
     /// Request-level hits and misses since construction/reset.
@@ -109,7 +107,8 @@ impl ServeScratch {
         self.cache_misses = 0;
     }
 
-    /// Probe `cache` straight into the output buffer, counting the probe;
+    /// Probe `cache` straight into the output buffer, counting the probe
+    /// and merging the counts into `totals` every [`FLUSH`] probes;
     /// returns whether the request is served. `out`'s allocation is lent
     /// to the lookup as bytes and taken back as a `String` in place: the
     /// cached rewrite is copied once, from the cache's pool, and UTF-8
@@ -118,7 +117,13 @@ impl ServeScratch {
     /// formality — a cheap one that keeps this module free of `unsafe`. On
     /// a miss (torn copies included) or invalid bytes, `out` is left empty
     /// with its capacity kept.
-    fn probe(&mut self, cache: &RewriteCache, fp: QueryFingerprint, gen: u64) -> bool {
+    fn probe(
+        &mut self,
+        cache: &RewriteCache,
+        totals: &Totals,
+        fp: QueryFingerprint,
+        gen: u64,
+    ) -> bool {
         let mut bytes = std::mem::take(&mut self.out).into_bytes();
         let mut hit = cache.lookup(fp, gen, &mut bytes);
         if !hit {
@@ -136,182 +141,41 @@ impl ServeScratch {
         } else {
             self.pending.probe_misses += 1;
         }
+        if self.pending.probe_hits + self.pending.probe_misses == FLUSH {
+            totals.merge(&mut self.pending);
+        }
         hit
     }
 }
 
-/// A worker's share of the controller and probe counts since its last
-/// flush into [`Totals`].
+/// A worker's probe counts since its last merge into [`Totals`].
 #[derive(Default)]
 struct PendingCounts {
-    serves: u64,
-    window_max_len: usize,
     probe_hits: u64,
     probe_misses: u64,
 }
 
-/// Serves per adaptation window: the cap controller looks at the live
-/// oversize-bypass rate once every this many served requests.
-const ADAPT_WINDOW: u64 = 1024;
-/// Serves a worker counts in its scratch before merging them into the
-/// engine's totals. Dividing [`ADAPT_WINDOW`] makes the global serve count
-/// land exactly on every window boundary.
+/// Probes a worker counts in its scratch before merging them into the
+/// engine's [`Totals`].
 const FLUSH: u64 = 64;
-const _: () = assert!(ADAPT_WINDOW.is_multiple_of(FLUSH));
-/// Absolute value-cap ceiling, matching the tuned-cache construction clamp.
-const ADAPT_MAX_CAP: usize = 1 << 20;
-/// Grow the cap when more than this percentage of a window's serves
-/// bypassed the cache for being oversized.
-const GROW_BYPASS_PCT: u64 = 5;
-/// Shrink only when at most this percentage bypassed — the `(1%, 5%)`
-/// band between the two thresholds is the hysteresis dead zone where the
-/// cap holds.
-const SHRINK_BYPASS_PCT: u64 = 1;
 
-/// The rewrite cache behind a runtime cap controller.
-///
-/// [`RewriteCache`] physically sizes every shard's value pool by its cap,
-/// so changing the cap means building a new cache. The live instance sits
-/// in a [`Snapshot`] cell: each worker serves from the instance pinned in
-/// its scratch, and a resize publishes the new instance, which a worker
-/// picks up at its next request. Once per [`ADAPT_WINDOW`] serves the
-/// controller compares the window's oversize-bypass count against the
-/// thresholds above: a bypass-heavy window doubles the cap (halving
-/// slots-per-shard so the pool byte budget stays put), a bypass-free
-/// window whose largest served rewrite fits comfortably halves it back.
-/// Three guards keep it from oscillating: the dead zone between the
-/// thresholds, the construction cap as a hard floor, and the
-/// largest-rewrite-this-window check (hits included) — a hot oversize
-/// value that got cached by a grow keeps the cap up even though it no
-/// longer *bypasses* anything.
-struct AdaptiveCache {
-    cell: Snapshot<RewriteCache>,
-    /// Cap the engine was constructed with — the adaptive floor.
-    base_cap: usize,
-    /// Construction config; rebuilds derive their geometry from it.
-    base_config: CacheConfig,
-    totals: Totals,
-}
-
-/// Engine-wide counts, merged from workers' scratches every [`FLUSH`]
-/// serves and updated by the controller. Aligned to its own cache lines so
-/// those merges never invalidate the line every hit reads.
+/// Engine-wide probe counts, merged from workers' scratches every
+/// [`FLUSH`] probes. Aligned to its own cache line so those merges never
+/// invalidate the line every hit reads.
 #[repr(align(64))]
 #[derive(Default)]
 struct Totals {
-    serves: AtomicU64,
-    /// Largest rendered rewrite served (hit or cold) this window.
-    window_max_len: AtomicUsize,
     probe_hits: AtomicU64,
     probe_misses: AtomicU64,
-    /// Evictions and oversize bypasses of instances replaced by a resize,
-    /// added under the cell's mutex as each one is retired.
-    retired_evictions: AtomicU64,
-    retired_bypasses: AtomicU64,
-    /// Bypass total at the last window boundary.
-    last_bypasses: AtomicU64,
-    grows: AtomicU64,
-    shrinks: AtomicU64,
 }
 
-impl AdaptiveCache {
-    fn new(config: CacheConfig) -> AdaptiveCache {
-        let cache = RewriteCache::new(config);
-        let base_cap = cache.value_cap();
-        AdaptiveCache {
-            cell: Snapshot::new(cache),
-            base_cap,
-            base_config: config,
-            totals: Totals::default(),
-        }
-    }
-
-    /// Per-serve bookkeeping, all in the worker's scratch; every
-    /// [`FLUSH`]-th serve merges it into the totals.
-    fn note_serve(&self, pending: &mut PendingCounts, out_len: usize) {
-        pending.window_max_len = pending.window_max_len.max(out_len);
-        pending.serves += 1;
-        if pending.serves == FLUSH {
-            self.flush(pending);
-        }
-    }
-
-    /// Merge a worker's counts into the totals. The flush that brings the
-    /// global serve count onto a multiple of [`ADAPT_WINDOW`] runs one
-    /// controller step. Allocation-free unless that step resizes.
-    fn flush(&self, pending: &mut PendingCounts) {
-        let t = &self.totals;
-        t.window_max_len
-            .fetch_max(pending.window_max_len, Ordering::Relaxed);
-        t.probe_hits
+impl Totals {
+    fn merge(&self, pending: &mut PendingCounts) {
+        self.probe_hits
             .fetch_add(pending.probe_hits, Ordering::Relaxed);
-        t.probe_misses
+        self.probe_misses
             .fetch_add(pending.probe_misses, Ordering::Relaxed);
-        let serves = t.serves.fetch_add(pending.serves, Ordering::Relaxed) + pending.serves;
         *pending = PendingCounts::default();
-        if serves.is_multiple_of(ADAPT_WINDOW) {
-            self.adapt();
-        }
-    }
-
-    /// Shard-slot count for a cap `k` doublings above the base: the pool
-    /// byte budget (`slots × cap`) is held constant by trading entry count
-    /// for entry size.
-    fn slots_for(&self, new_cap: usize) -> usize {
-        let k = (new_cap / self.base_cap).trailing_zeros();
-        (self.base_config.slots_per_shard >> k).max(8)
-    }
-
-    /// One controller step, under the cell's mutex: a resize and the
-    /// retirement of the old instance's counters happen as one.
-    fn adapt(&self) {
-        let t = &self.totals;
-        self.cell.update(|cache| {
-            let live_bypasses = cache.oversize_bypasses();
-            let bypasses = t.retired_bypasses.load(Ordering::Relaxed) + live_bypasses;
-            let cur_cap = cache.value_cap();
-            let delta = bypasses.saturating_sub(t.last_bypasses.swap(bypasses, Ordering::Relaxed));
-            let window_max = t.window_max_len.swap(0, Ordering::Relaxed);
-            let new_cap = if delta * 100 >= GROW_BYPASS_PCT * ADAPT_WINDOW {
-                // Refuse to grow past the absolute ceiling or past the point
-                // where the constant byte budget leaves too few slots to probe.
-                if cur_cap.saturating_mul(2) > ADAPT_MAX_CAP || self.slots_for(cur_cap) <= 8 {
-                    return None;
-                }
-                t.grows.fetch_add(1, Ordering::Relaxed);
-                cur_cap * 2
-            } else if delta * 100 <= SHRINK_BYPASS_PCT * ADAPT_WINDOW
-                && cur_cap > self.base_cap
-                && window_max.saturating_mul(2) <= cur_cap
-            {
-                t.shrinks.fetch_add(1, Ordering::Relaxed);
-                (cur_cap / 2).max(self.base_cap)
-            } else {
-                return None;
-            };
-            t.retired_bypasses
-                .fetch_add(live_bypasses, Ordering::Relaxed);
-            t.retired_evictions
-                .fetch_add(cache.evictions(), Ordering::Relaxed);
-            Some(RewriteCache::new(CacheConfig {
-                slots_per_shard: self.slots_for(new_cap),
-                value_cap: new_cap,
-                ..self.base_config
-            }))
-        });
-    }
-
-    /// The live instance's stats plus the engine's totals, read under the
-    /// cell's mutex so a concurrent resize is counted exactly once.
-    fn stats(&self) -> CacheStats {
-        let t = &self.totals;
-        self.cell.read(|cache| CacheStats {
-            probe_hits: t.probe_hits.load(Ordering::Relaxed),
-            probe_misses: t.probe_misses.load(Ordering::Relaxed),
-            retired_evictions: t.retired_evictions.load(Ordering::Relaxed),
-            retired_bypasses: t.retired_bypasses.load(Ordering::Relaxed),
-            ..cache.stats()
-        })
     }
 }
 
@@ -329,7 +193,8 @@ impl ServeEngine {
         ServeEngine {
             rewriter: IndexedRewriter::new(Arc::new(store)),
             base_interner: interner,
-            cache: cache.map(AdaptiveCache::new),
+            cache: cache.map(RewriteCache::new),
+            totals: Totals::default(),
         }
     }
 
@@ -339,8 +204,10 @@ impl ServeEngine {
     /// the largest rendered rewrite, and installs the cache with that
     /// length (clamped to `[64, 1 MiB]`) as the cap. A cap sized to the
     /// workload means no live query is silently bypassed for being
-    /// oversized, while a pathological one-off can't make every shard's
-    /// value pool pay for it.
+    /// oversized. A cap above `config.value_cap` halves
+    /// `config.slots_per_shard` once per doubling (rounded up), so the
+    /// value pool never outgrows the one `config` sizes; the cache floors
+    /// the slots at its probe window.
     ///
     /// Samples that fail to parse are skipped; if none parses, the cap
     /// falls back to `config.value_cap` unchanged.
@@ -359,44 +226,46 @@ impl ServeEngine {
             }
         }
         if max_len > 0 {
-            config.value_cap = max_len.clamp(64, 1 << 20);
+            let cap = max_len.clamp(64, 1 << 20);
+            if cap > config.value_cap {
+                let doublings = cap
+                    .div_ceil(config.value_cap.max(1))
+                    .next_power_of_two()
+                    .trailing_zeros();
+                config.slots_per_shard >>= doublings;
+            }
+            config.value_cap = cap;
         }
-        engine.cache = Some(AdaptiveCache::new(config));
+        engine.cache = Some(RewriteCache::new(config));
         engine
     }
 
-    /// Cache observability snapshot (per-shard occupancy and evictions of
-    /// the live instance, probe hits and misses, oversize bypasses);
-    /// `None` when the engine is cache-less. Every counter is monotone
-    /// across adaptive resizes. Probe counts lag by under 64 serves per
-    /// worker — see [`CacheStats`] for the probe-level semantics. Counter
-    /// scan, not hot path.
+    /// Cache observability snapshot (per-shard occupancy and evictions,
+    /// probe hits and misses, oversize bypasses); `None` when the engine
+    /// is cache-less. Probe counts lag by under 64 probes per worker — see
+    /// [`CacheStats`] for the probe-level semantics. Counter scan, not hot
+    /// path.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(AdaptiveCache::stats)
-    }
-
-    /// The installed cache's **current** value-size cap in bytes (`None`
-    /// cache-less). Under [`ServeEngine::with_tuned_cache`] it starts at
-    /// the measured workload maximum, not the config default — and either
-    /// construction is only the starting point: the cap adapts at runtime
-    /// to the live oversize-bypass rate (see [`ServeEngine::cache_resizes`]).
-    pub fn cache_value_cap(&self) -> Option<usize> {
-        self.cache
-            .as_ref()
-            .map(|ac| ac.cell.read(RewriteCache::value_cap))
-    }
-
-    /// How often the adaptive cap controller resized the cache at runtime:
-    /// `(grows, shrinks)`. `(0, 0)` for a cache-less engine or a workload
-    /// whose rewrites fit the constructed cap (the controller's hysteresis
-    /// band holds the cap still on such streams).
-    pub fn cache_resizes(&self) -> (u64, u64) {
-        self.cache.as_ref().map_or((0, 0), |ac| {
-            (
-                ac.totals.grows.load(Ordering::Relaxed),
-                ac.totals.shrinks.load(Ordering::Relaxed),
-            )
+        self.cache.as_ref().map(|cache| CacheStats {
+            probe_hits: self.totals.probe_hits.load(Ordering::Relaxed),
+            probe_misses: self.totals.probe_misses.load(Ordering::Relaxed),
+            ..cache.stats()
         })
+    }
+
+    /// The installed cache's value-size cap in bytes (`None` cache-less),
+    /// fixed at construction: `config.value_cap`, or under
+    /// [`ServeEngine::with_tuned_cache`] the measured workload maximum.
+    pub fn cache_value_cap(&self) -> Option<usize> {
+        self.cache.as_ref().map(RewriteCache::value_cap)
+    }
+
+    /// Always `(0, 0)`: the value cap is fixed at construction, so the
+    /// cache is never resized. Kept only because the benchmark package
+    /// still reads it; ROADMAP item 0's `[benchmark]` change drops it.
+    #[doc(hidden)]
+    pub fn cache_resizes(&self) -> (u64, u64) {
+        (0, 0)
     }
 
     /// The dense-indexed rewriter — ground-truth access for equivalence
@@ -414,14 +283,12 @@ impl ServeEngine {
     /// strings (an `Arc` bump, no copy of the vocabulary); after it, the
     /// worker shares nothing mutable.
     pub fn scratch(&self) -> ServeScratch {
-        let cache = self.cache.as_ref().map(|ac| ac.cell.load());
         ServeScratch {
             interner: self.base_interner.clone(),
             parse: ParseScratch::new(),
             rewrite: RewriteScratch::new(),
             fresh_base: String::new(),
             out: String::new(),
-            cache,
             pending: PendingCounts::default(),
             cache_hits: 0,
             cache_misses: 0,
@@ -451,39 +318,20 @@ impl ServeEngine {
         request: &str,
         scratch: &'s mut ServeScratch,
     ) -> Result<&'s str, ParseError> {
-        let Some(ac) = &self.cache else {
+        let Some(cache) = &self.cache else {
             self.serve_cold(request, scratch)?;
             return Ok(&scratch.out);
         };
-        // Moved out for the serve so the pinned instance and the rest of
-        // the scratch can be borrowed separately; moving an `Arc` touches
-        // no reference count.
-        let mut pinned = scratch.cache.take();
-        let served = self.serve_via(ac.cell.pin(&mut pinned), request, scratch);
-        scratch.cache = pinned;
-        served?;
-        ac.note_serve(&mut scratch.pending, scratch.out.len());
-        Ok(&scratch.out)
-    }
-
-    /// The cached serve path against one pinned cache instance: one
-    /// fingerprint, one probe and, on a miss, one insert under the same key.
-    fn serve_via(
-        &self,
-        cache: &RewriteCache,
-        request: &str,
-        scratch: &mut ServeScratch,
-    ) -> Result<(), ParseError> {
         let fp = fingerprint_raw(request);
-        if scratch.probe(cache, fp, ONE_RULE_SET) {
-            return Ok(());
+        if scratch.probe(cache, &self.totals, fp, ONE_RULE_SET) {
+            return Ok(&scratch.out);
         }
         self.serve_cold(request, scratch)?;
         // Counted only after a successful cold serve: a rejected request
         // was never served, so it is neither a hit nor a miss.
         scratch.cache_misses += 1;
         cache.insert(fp, ONE_RULE_SET, scratch.out.as_bytes());
-        Ok(())
+        Ok(&scratch.out)
     }
 
     /// The uncached pipeline: parse → rewrite → render into `scratch.out`.
@@ -517,7 +365,7 @@ mod tests {
     /// One rule mapping a short source predicate onto a long target IRI,
     /// so rewrites of source-vocabulary queries come out much bigger than
     /// they went in — easy to push past a small value cap.
-    fn adaptive_engine(value_cap: usize) -> ServeEngine {
+    fn cached_engine(value_cap: usize) -> ServeEngine {
         long_rule_engine(Some(CacheConfig {
             shards: 2,
             slots_per_shard: 256,
@@ -545,7 +393,7 @@ mod tests {
 
     #[test]
     fn a_hit_is_copied_into_out_and_a_miss_leaves_it_empty() {
-        let engine = adaptive_engine(4096);
+        let engine = cached_engine(4096);
         let cold = long_rule_engine(None);
         let q = "SELECT * WHERE { ?s <http://src.example.org/onto/p> ?o }";
         let expected = cold
@@ -554,20 +402,20 @@ mod tests {
             .to_owned();
         let mut scratch = engine.scratch();
         assert_eq!(engine.serve(q, &mut scratch).expect("parses"), expected);
-        let (_, cache) = engine.cache.as_ref().expect("cache installed").cell.load();
+        let cache = engine.cache.as_ref().expect("cache installed");
 
         // A miss empties `out`, keeping its allocation for the cold render.
         let cap = scratch.out.capacity();
         let absent = QueryFingerprint::from_parts(0xdead_beef, 7);
-        assert!(!scratch.probe(&cache, absent, ONE_RULE_SET));
+        assert!(!scratch.probe(cache, &engine.totals, absent, ONE_RULE_SET));
         assert_eq!(scratch.out, "");
         assert_eq!(scratch.out.capacity(), cap);
         // So does probing the entry under another tag.
         let raw = fingerprint_raw(q);
-        assert!(!scratch.probe(&cache, raw, ONE_RULE_SET + 1));
+        assert!(!scratch.probe(cache, &engine.totals, raw, ONE_RULE_SET + 1));
         assert_eq!(scratch.out, "");
 
-        assert!(scratch.probe(&cache, raw, ONE_RULE_SET));
+        assert!(scratch.probe(cache, &engine.totals, raw, ONE_RULE_SET));
         assert_eq!(scratch.out, expected);
         assert_eq!(scratch.cache_hits(), 1);
         assert_eq!(engine.serve(q, &mut scratch).expect("parses"), expected);
@@ -578,7 +426,7 @@ mod tests {
     fn one_spelling_fills_one_cache_entry() {
         // One key per request: a miss inserts once, a re-spelling of the
         // same query is a miss of its own, and a repeat only hits.
-        let engine = adaptive_engine(4096);
+        let engine = cached_engine(4096);
         let mut scratch = engine.scratch();
         let occupancy = || engine.cache_stats().expect("cache installed").occupancy();
         let text = "SELECT * WHERE { ?s <http://src.example.org/onto/p> ?o . ?o ?q \"x\"@en }";
@@ -608,6 +456,27 @@ mod tests {
         }
         assert_eq!(occupancy(), 2, "a repeat adds no entry");
         assert_eq!((scratch.cache_hits(), scratch.cache_misses()), (2, 2));
+
+        // Probe counts reach the engine in merges of 64: a request that
+        // fails to parse is a probe miss but not a served miss.
+        let probes = || {
+            let stats = engine.cache_stats().expect("cache installed");
+            (stats.hits(), stats.misses())
+        };
+        assert_eq!(probes(), (0, 0), "4 probes stay in the scratch");
+        assert!(engine.serve("SELECT * WHERE {", &mut scratch).is_err());
+        assert_eq!(scratch.cache_misses(), 2, "a rejected request is no miss");
+        for _ in 5..64 {
+            engine.serve(text, &mut scratch).expect("parses");
+        }
+        // After 64·k probes: all merged, 2 served misses + 1 rejected.
+        for k in 1..=3 {
+            assert_eq!(probes(), (64 * k - 3, 3), "after {} probes", 64 * k);
+            for _ in 0..64 {
+                engine.serve(text, &mut scratch).expect("parses");
+            }
+        }
+        assert_eq!(scratch.cache_misses(), 2);
     }
 
     #[test]
@@ -646,7 +515,7 @@ mod tests {
         // leaves a stray `:c` behind and does not parse. A key that lexed
         // the datatype differently from the tokenizer would answer the
         // second with the first's cached rewrite.
-        let engine = adaptive_engine(4096);
+        let engine = cached_engine(4096);
         let mut scratch = engine.scratch();
         let prologue = "PREFIX a: <http://a/> PREFIX : <http://e/> SELECT * WHERE";
         let valid = format!("{prologue} {{ ?s ?p \"x\"^^a:b:c }}");
@@ -658,106 +527,5 @@ mod tests {
         engine.serve(&valid, &mut scratch).expect("parses");
         assert_eq!(scratch.cache_hits(), 1, "first spelling is cached");
         assert!(engine.serve(&invalid, &mut scratch).is_err());
-    }
-
-    #[test]
-    fn value_cap_adapts_to_bypass_rate_with_hysteresis() {
-        let engine = adaptive_engine(64);
-        let mut scratch = engine.scratch();
-        let base_cap = engine.cache_value_cap().expect("cache installed");
-        assert_eq!(base_cap, 64);
-
-        // A query whose rewrite renders far past the 64-byte cap (each of
-        // the six patterns expands to the long target IRI) and one that
-        // stays comfortably under it.
-        let big = "SELECT * WHERE { \
-             ?a <http://src.example.org/onto/p> ?b . \
-             ?c <http://src.example.org/onto/p> ?d . \
-             ?e <http://src.example.org/onto/p> ?f . \
-             ?g <http://src.example.org/onto/p> ?h . \
-             ?i <http://src.example.org/onto/p> ?j . \
-             ?k <http://src.example.org/onto/p> ?l }";
-        let small = "SELECT * WHERE { ?s ?p ?o }";
-        let big_len = engine.serve(big, &mut scratch).expect("parses").len();
-        assert!(
-            (257..=512).contains(&big_len),
-            "test geometry: big rewrite must need exactly three doublings, got {big_len}"
-        );
-
-        // Phase 1 — bypass-heavy stream: every serve re-renders and the
-        // insert is refused, so the controller doubles the cap at window
-        // boundaries until the value fits (64 → 128 → 256 → 512).
-        for _ in 0..5 * ADAPT_WINDOW {
-            engine.serve(big, &mut scratch).expect("parses");
-        }
-        let grown_cap = engine.cache_value_cap().unwrap();
-        assert!(
-            grown_cap >= big_len,
-            "cap never grew past the hot value: cap {grown_cap}, value {big_len}"
-        );
-        let (grows, shrinks) = engine.cache_resizes();
-        assert!(grows >= 3, "expected three doublings, saw {grows}");
-        assert_eq!(shrinks, 0, "nothing to shrink during the bypass phase");
-
-        // The now-fitting value is served from the cache.
-        scratch.reset_cache_counters();
-        engine.serve(big, &mut scratch).expect("parses");
-        engine.serve(big, &mut scratch).expect("parses");
-        assert!(
-            scratch.cache_hits() >= 1,
-            "grown cache never hit the formerly-bypassed value"
-        );
-
-        // Phase 2 — hysteresis: pure hits mean a zero bypass rate, but the
-        // window's largest served rewrite is the hot value itself, so the
-        // cap must hold instead of shrinking back and re-evicting it (the
-        // oscillation the dead zone + window-max guard exist to prevent).
-        for _ in 0..2 * ADAPT_WINDOW {
-            engine.serve(big, &mut scratch).expect("parses");
-        }
-        assert_eq!(
-            engine.cache_value_cap().unwrap(),
-            grown_cap,
-            "cap oscillated under a hit-heavy stream of large values"
-        );
-
-        // Phase 3 — the large values stop arriving: bypass-free windows of
-        // small rewrites walk the cap back down, floored at the
-        // construction cap.
-        for _ in 0..5 * ADAPT_WINDOW {
-            engine.serve(small, &mut scratch).expect("parses");
-        }
-        assert_eq!(
-            engine.cache_value_cap().unwrap(),
-            base_cap,
-            "cap did not return to the construction floor"
-        );
-        let (_, shrinks) = engine.cache_resizes();
-        assert!(shrinks >= 3, "expected three halvings, saw {shrinks}");
-    }
-
-    #[test]
-    fn cache_counters_are_monotone_across_resizes() {
-        // A resize retires the live cache instance; its counters must carry
-        // over instead of restarting at zero.
-        let engine = adaptive_engine(64);
-        let mut scratch = engine.scratch();
-        let big = "SELECT * WHERE { \
-             ?a <http://src.example.org/onto/p> ?b . \
-             ?c <http://src.example.org/onto/p> ?d . \
-             ?e <http://src.example.org/onto/p> ?f }";
-        let mut last = (0, 0, 0);
-        for i in 0..3 * ADAPT_WINDOW {
-            engine.serve(big, &mut scratch).expect("parses");
-            let stats = engine.cache_stats().expect("cache installed");
-            let now = (stats.misses(), stats.oversize_bypasses(), stats.evictions());
-            assert!(
-                now.0 >= last.0 && now.1 >= last.1 && now.2 >= last.2,
-                "(misses, bypasses, evictions) went from {last:?} to {now:?} at serve {i}"
-            );
-            last = now;
-        }
-        assert!(engine.cache_resizes().0 >= 1, "the stream never resized");
-        assert!(last.1 >= ADAPT_WINDOW, "bypasses before the grow were lost");
     }
 }

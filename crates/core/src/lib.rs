@@ -84,7 +84,6 @@ pub mod parser;
 pub mod pattern;
 pub mod rewriter;
 mod smallvec;
-mod snapshot;
 pub mod term;
 
 pub use align::{AlignError, AlignmentStore, RuleTemplate};

@@ -195,10 +195,9 @@ pub(crate) fn render_stats(shared: &Shared, resp: &mut Vec<u8>, close: bool) {
     match &shared.mode {
         ServeMode::Single(engine) => {
             if let Some(stats) = engine.cache_stats() {
-                let (grows, shrinks) = engine.cache_resizes();
                 let _ = write!(
                     s,
-                    ",\"cache\":{{\"occupancy\":{},\"capacity\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"oversize_bypasses\":{},\"value_cap\":{},\"grows\":{},\"shrinks\":{}}}",
+                    ",\"cache\":{{\"occupancy\":{},\"capacity\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"oversize_bypasses\":{},\"value_cap\":{}}}",
                     stats.occupancy(),
                     stats.capacity(),
                     stats.hits(),
@@ -206,8 +205,6 @@ pub(crate) fn render_stats(shared: &Shared, resp: &mut Vec<u8>, close: bool) {
                     stats.evictions(),
                     stats.oversize_bypasses(),
                     engine.cache_value_cap().unwrap_or(0),
-                    grows,
-                    shrinks,
                 );
             }
         }

@@ -6,7 +6,6 @@
 #[allow(dead_code)]
 mod common;
 
-use std::sync::Barrier;
 use std::thread;
 
 use common::rewrite;
@@ -14,7 +13,7 @@ use common::workload::{
     alias_prefix, generate, perturb_whitespace, zipf_ranks, Rng, WorkloadSpec, ZipfSpec,
 };
 use sparql_rewrite_core::{
-    parse_bgp, parse_query, AlignmentStore, CacheConfig, Interner, ServeEngine,
+    parse_bgp, parse_query, AlignmentStore, CacheConfig, Interner, RewriteCache, ServeEngine,
 };
 
 fn engine_and_requests(group_shapes: bool) -> (ServeEngine, Vec<String>) {
@@ -168,88 +167,6 @@ fn concurrent_cached_serves_never_return_a_foreign_result() {
     });
 }
 
-/// One rule mapping a short source predicate onto a long target IRI, so a
-/// few aligned patterns render far past a 64-byte cap while an unaligned
-/// `?s ?p ?o` stays well under it.
-fn long_predicate_engine(cache: Option<CacheConfig>) -> ServeEngine {
-    let mut interner = Interner::new();
-    let mut store = AlignmentStore::new();
-    let lhs = parse_bgp("?s <http://src.example.org/onto/p> ?o", &mut interner)
-        .expect("rule lhs parses")
-        .patterns[0];
-    let rhs = parse_bgp(
-        "?s <http://tgt.example.org/onto/a-deliberately-long-predicate-q> ?o",
-        &mut interner,
-    )
-    .expect("rule rhs parses")
-    .patterns;
-    store.add_predicate(lhs, rhs).expect("valid rule");
-    ServeEngine::with_cache(store, interner, cache)
-}
-
-/// An adaptive resize publishes a new cache instance while other workers
-/// are mid-serve on the old one. Four threads serve a stream whose big
-/// phases force the cap up and whose small phases walk it back down;
-/// every response must equal the cache-less engine's.
-#[test]
-fn concurrent_serves_across_cache_resizes_match_the_cold_path() {
-    let cached = long_predicate_engine(Some(CacheConfig {
-        shards: 2,
-        slots_per_shard: 256,
-        value_cap: 64,
-    }));
-    let cold = long_predicate_engine(None);
-    // Three big queries (4–6 aligned patterns, each rewrite several times
-    // the 64-byte cap), then the small one last.
-    let mut requests: Vec<String> = (4..=6)
-        .map(|n| {
-            let body: String = (0..n)
-                .map(|i| format!("?a{i} <http://src.example.org/onto/p> ?b{i} . "))
-                .collect();
-            format!("SELECT * WHERE {{ {body}}}")
-        })
-        .collect();
-    requests.push("SELECT * WHERE { ?s ?p ?o }".to_string());
-    let small = requests.len() - 1;
-    let mut cold_scratch = cold.scratch();
-    let expected: Vec<String> = requests
-        .iter()
-        .map(|r| cold.serve(r, &mut cold_scratch).unwrap().to_string())
-        .collect();
-    let barrier = Barrier::new(4);
-    thread::scope(|scope| {
-        for t in 0..4u64 {
-            let (cached, requests, expected, barrier) = (&cached, &requests, &expected, &barrier);
-            scope.spawn(move || {
-                let mut scratch = cached.scratch();
-                let mut rng = Rng::new(0x5a_f00d ^ (t + 1));
-                for phase in 0..4 {
-                    // Phases never overlap, so each one's windows see only
-                    // its own mix.
-                    barrier.wait();
-                    for _ in 0..2_048 {
-                        // Even phases: seven big requests in eight, so the
-                        // bypass rate grows the cap. Odd phases: small only,
-                        // so the cap shrinks back.
-                        let i = if phase % 2 == 0 && rng.below(8) != 0 {
-                            rng.below(small)
-                        } else {
-                            small
-                        };
-                        let got = cached.serve(&requests[i], &mut scratch).unwrap();
-                        assert_eq!(got, expected[i], "request {i} diverged from the cold path");
-                    }
-                }
-            });
-        }
-    });
-    let (grows, shrinks) = cached.cache_resizes();
-    assert!(
-        grows >= 1 && shrinks >= 1,
-        "the stream must both grow and shrink the cache: {grows} grows, {shrinks} shrinks"
-    );
-}
-
 /// The Zipf stream drives real cache behavior: a head-heavy request
 /// mix over a fitting cache yields a ≥0.9 hit rate after one warm
 /// pass.
@@ -387,9 +304,10 @@ fn tuned_value_cap_caches_the_boundary_rewrite() {
         std::mem::replace(&mut w.interner, Interner::new()),
         CacheConfig {
             shards: 1,
-            slots_per_shard: 64,
-            // Deliberately tiny: tuning must override it upward.
-            value_cap: 8,
+            slots_per_shard: 128,
+            // Below the workload's largest rewrite: tuning must raise it,
+            // and the slots halve once for the one doubling.
+            value_cap: 512,
         },
         &requests,
     );
@@ -417,6 +335,51 @@ fn tuned_value_cap_caches_the_boundary_rewrite() {
     }
     assert_eq!(scratch.cache_misses(), 0);
     assert_eq!(scratch.cache_hits(), requests.len() as u64);
+}
+
+/// A tuned cap above the config's trades slots for entry size: a sample
+/// rewrite several times `config.value_cap` must not multiply the value
+/// pool (slots × cap) the config sizes.
+#[test]
+fn tuned_value_cap_keeps_the_value_pool_budget() {
+    let mut interner = Interner::new();
+    let mut store = AlignmentStore::new();
+    let lhs = parse_bgp("?s <http://src.example.org/onto/p> ?o", &mut interner)
+        .expect("rule lhs parses")
+        .patterns[0];
+    let rhs = parse_bgp(
+        "?s <http://tgt.example.org/onto/a-deliberately-long-predicate-q> ?o",
+        &mut interner,
+    )
+    .expect("rule rhs parses")
+    .patterns;
+    store.add_predicate(lhs, rhs).expect("valid rule");
+    let config = CacheConfig {
+        shards: 2,
+        slots_per_shard: 256,
+        value_cap: 64,
+    };
+    // Six aligned patterns, each rendered with the long target IRI.
+    let body: String = (0..6)
+        .map(|i| format!("?a{i} <http://src.example.org/onto/p> ?b{i} . "))
+        .collect();
+    let sample = format!("SELECT * WHERE {{ {body}}}");
+    let engine = ServeEngine::with_tuned_cache(store, interner, config, &[sample]);
+
+    let cap = engine.cache_value_cap().expect("tuned engine has a cache");
+    let capacity = engine.cache_stats().expect("cache installed").capacity();
+    assert!(cap >= 4 * config.value_cap, "test geometry: cap {cap}");
+    assert!(
+        capacity / config.shards > 8,
+        "test geometry: the 8-slot floor binds at {capacity} slots"
+    );
+    let budget = RewriteCache::new(config);
+    assert!(
+        capacity * cap <= budget.capacity() * budget.value_cap(),
+        "{capacity} slots × {cap} B outgrow the config's {} × {} B",
+        budget.capacity(),
+        budget.value_cap()
+    );
 }
 
 /// No parseable sample → the tuned constructor falls back to the

@@ -275,7 +275,7 @@ const SINGLE_STATS_SKELETON: &str = concat!(
     r#","errors":{"bad_request_line":N,"bad_header":N,"headers_too_large":N,"body_too_large":N,"invalid_content_length":N,"invalid_chunk":N,"length_required":N,"method_not_allowed":N,"unsupported_media_type":N,"not_found":N,"missing_query":N,"bad_encoding":N,"query_unparseable":N,"timeout":N,"closed":N}"#,
     r#","drain":{"draining":false,"dropped_from_queue":N,"drain_deadline_ms":N,"request_deadline_ms":N}"#,
     r#","latency_nanos":{"bin_lower":[N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N],"query":[N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N],"healthz":[N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N],"stats":[N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N,N]}"#,
-    r#","cache":{"occupancy":N,"capacity":N,"hits":N,"misses":N,"evictions":N,"oversize_bypasses":N,"value_cap":N,"grows":N,"shrinks":N}}"#,
+    r#","cache":{"occupancy":N,"capacity":N,"hits":N,"misses":N,"evictions":N,"oversize_bypasses":N,"value_cap":N}}"#,
 );
 
 const FEDERATED_STATS_SKELETON: &str = concat!(
