@@ -14,8 +14,8 @@
 //!    (worker-local interner — known strings resolve to their shared
 //!    symbols, novel strings get worker-private ids that can never alias a
 //!    rule symbol),
-//! 2. rewrites the borrowed parse via [`Rewriter::rewrite_ref_into`]
-//!    against the shared dense-indexed [`AlignmentStore`] — after one
+//! 2. rewrites the borrowed parse with the engine's own dense-indexed
+//!    [`AlignmentStore`] ([`Rewriter::rewrite_ref_into`]) — after one
 //!    batch load of the dispatch records and single-rule template rows
 //!    the query's triple patterns will read, so their cache misses overlap
 //!    instead of stalling the walk one at a time,
@@ -44,20 +44,20 @@
 //! [`QueryFingerprint`]: crate::cache::QueryFingerprint
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::cache::ONE_RULE_SET;
 use crate::{
     fingerprint_raw, parse_query_into, render_query_into, AlignmentStore, CacheConfig, CacheStats,
-    IndexedRewriter, Interner, ParseError, ParseScratch, QueryFingerprint, QueryRef, RewriteCache,
-    RewriteScratch, Rewriter,
+    Interner, ParseError, ParseScratch, QueryFingerprint, QueryRef, RewriteCache, RewriteScratch,
+    Rewriter,
 };
 
 /// Shared, read-only serve state: the dense-indexed rule set, the
 /// build-phase interner workers clone from, and (unless disabled) the
 /// shared rewrite-result cache.
 pub struct ServeEngine {
-    rewriter: IndexedRewriter<Arc<AlignmentStore>>,
+    /// The rule set; it is also the rewriter.
+    store: AlignmentStore,
     /// Build-phase interner. Each worker clones it, sharing its strings,
     /// so parsing can intern novel strings into the clone's private overlay
     /// without locks while every pre-existing symbol stays identical to
@@ -191,7 +191,7 @@ impl ServeEngine {
         cache: Option<CacheConfig>,
     ) -> ServeEngine {
         ServeEngine {
-            rewriter: IndexedRewriter::new(Arc::new(store)),
+            store,
             base_interner: interner,
             cache: cache.map(RewriteCache::new),
             totals: Totals::default(),
@@ -268,10 +268,11 @@ impl ServeEngine {
         (0, 0)
     }
 
-    /// The dense-indexed rewriter — ground-truth access for equivalence
-    /// tests and offline (non-serve-path) rewriting.
-    pub fn rewriter(&self) -> &IndexedRewriter<Arc<AlignmentStore>> {
-        &self.rewriter
+    /// The rule set the engine serves, which is also its rewriter —
+    /// ground-truth access for equivalence tests and offline
+    /// (non-serve-path) rewriting.
+    pub fn rewriter(&self) -> &AlignmentStore {
+        &self.store
     }
 
     /// The build-phase interner workers clone from.
@@ -341,7 +342,7 @@ impl ServeEngine {
         // overlay of novel strings can be emptied here, which bounds it.
         scratch.interner.trim_overlay();
         parse_query_into(request, &mut scratch.interner, &mut scratch.parse)?;
-        self.rewriter
+        self.store
             .rewrite_ref_into(scratch.parse.query_ref(), &mut scratch.rewrite);
         render_query_into(
             QueryRef {

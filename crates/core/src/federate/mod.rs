@@ -64,7 +64,7 @@ use crate::align::AlignmentStore;
 use crate::cache::{CacheConfig, Fingerprinter, QueryFingerprint, RewriteCache, ONE_RULE_SET};
 use crate::interner::Interner;
 use crate::pattern::{render_query_into, GroupPattern, QueryRef, TriplePattern};
-use crate::rewriter::{IndexedRewriter, RewriteError, RewriteLimits, RewriteScratch, Rewriter};
+use crate::rewriter::{RewriteError, RewriteLimits, RewriteScratch, Rewriter};
 use crate::term::Term;
 
 /// Index of a federation member, assigned by registration order on the
@@ -398,7 +398,7 @@ impl FederationPlanner {
         subquery: &mut String,
     ) -> Result<(), RewriteError> {
         scratch.part.set_bgp(part);
-        IndexedRewriter::new(&*self.endpoints[e].store).try_rewrite_ref_into(
+        self.endpoints[e].store.try_rewrite_ref_into(
             QueryRef {
                 select: None,
                 pattern: &scratch.part,

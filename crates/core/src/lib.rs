@@ -25,10 +25,12 @@
 //!   `add_*` and sized by the symbols the rules mention: candidate lookup
 //!   per triple pattern is a bounds-checked array load, no hashing at all,
 //!   and there is no other lookup structure to fall back to.
-//! * [`rewriter`] applies entity alignments (inside FILTER expressions
-//!   too) and expands a triple pattern matched by N predicate templates
-//!   into an N-branch UNION — the paper's union semantics — recursively
-//!   over the whole group tree. Complex correspondences
+//! * [`rewriter`] makes the store itself the rewriter:
+//!   [`align::AlignmentStore`]'s [`rewriter::Rewriter`] impl applies entity
+//!   alignments (inside FILTER expressions too) and expands a triple
+//!   pattern matched by N predicate templates into an N-branch UNION — the
+//!   paper's union semantics — recursively over the whole group tree.
+//!   Complex correspondences
 //!   ([`align::AlignmentStore::add_complex_predicate`]: guarded
 //!   group-pattern templates with chain bodies, emitted FILTER
 //!   constraints, and value transforms) ride the same engine — guards are statically decided per match where
@@ -67,7 +69,9 @@
 //! (into a [`parser::ParseScratch`]) → [`rewriter::Rewriter::
 //! rewrite_ref_into`] (borrowing the parse via [`pattern::QueryRef`]) →
 //! [`pattern::render_query_into`] (into a reusable `String`), zero
-//! steady-state allocations end to end.
+//! steady-state allocations end to end. A whole query is the only unit
+//! that renders; outside the serve path, [`pattern::Query::to_sparql`]
+//! returns the same bytes as a new `String`.
 //!
 //! See the workspace README for the paper's rewriting model, `benchmark/`
 //! for the measurements and the server crate's `tests/soak.rs` and
@@ -102,7 +106,13 @@ pub use interner::Interner;
 pub use parser::{parse_bgp, parse_query, parse_query_into, ParseError, ParseScratch};
 pub use pattern::{
     render_query_into, Bgp, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef,
-    SelectList, TriplePattern, NO_NODE,
+    TriplePattern, NO_NODE,
 };
-pub use rewriter::{IndexedRewriter, RewriteError, RewriteLimits, RewriteScratch, Rewriter};
+pub use rewriter::{RewriteError, RewriteLimits, RewriteScratch, Rewriter};
 pub use term::{Symbol, Term, TermKind};
+
+/// The workspace README, whose Rust usage example `cargo test` compiles and
+/// runs, so the README cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;

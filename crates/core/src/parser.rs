@@ -43,8 +43,7 @@ use std::fmt;
 
 use crate::interner::Interner;
 use crate::pattern::{
-    Bgp, ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef, SelectList,
-    TriplePattern,
+    Bgp, ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef, TriplePattern,
 };
 use crate::smallvec::SmallVec;
 use crate::term::Term;
@@ -688,11 +687,7 @@ impl ParseScratch {
     /// uses [`ParseScratch::query_ref`] instead.
     fn into_query(self) -> Query {
         Query {
-            select: if self.select_star {
-                SelectList::Star
-            } else {
-                SelectList::Vars(self.select)
-            },
+            select: (!self.select_star).then_some(self.select),
             pattern: self.pattern,
         }
     }
@@ -1792,7 +1787,7 @@ mod tests {
         use crate::cache::CacheConfig;
         use crate::federate::FederationPlanner;
         use crate::pattern::render_query_into;
-        use crate::rewriter::{IndexedRewriter, RewriteLimits, RewriteScratch, Rewriter};
+        use crate::rewriter::{RewriteLimits, RewriteScratch, Rewriter};
         use std::sync::Arc;
 
         on_worker_stack(|| {
@@ -1811,15 +1806,14 @@ mod tests {
                 store.add_predicate(lhs, rhs).unwrap();
             }
             let store = Arc::new(store);
-            let rewriter = IndexedRewriter::new(Arc::clone(&store));
             let mut planner = FederationPlanner::new();
-            planner.add_endpoint(iri(&mut it, "http://ep"), store);
+            planner.add_endpoint(iri(&mut it, "http://ep"), Arc::clone(&store));
             planner.enable_partition_cache(CacheConfig::default());
             let (mut scratch, mut fresh, mut out) =
                 (RewriteScratch::new(), String::new(), String::new());
             for shape in SHAPES {
                 let q = parse_query(&nested(shape, MAX_NESTING as usize), &mut it).unwrap();
-                rewriter.rewrite_ref_into(q.as_ref(), &mut scratch);
+                store.rewrite_ref_into(q.as_ref(), &mut scratch);
                 let rewritten = QueryRef {
                     select: scratch.select(),
                     pattern: scratch.pattern(),
@@ -1829,7 +1823,7 @@ mod tests {
                 if matches!(shape, "paren" | "bang" | "and" | "or") {
                     assert!(out.contains("<http://tgt/e>"), "{shape}: {out}");
                 }
-                assert_eq!(scratch.to_query().display(&it).to_string(), out);
+                assert_eq!(scratch.to_query().to_sparql(&it), out);
                 // The rendered `!(…)` spends a `(` per `!`, so a `!` must
                 // cost the parser no depth of its own. A UNION expansion
                 // puts its branches one group below the pattern it

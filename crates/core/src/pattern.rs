@@ -1,5 +1,5 @@
 //! Triple patterns, basic graph patterns, group graph patterns, and queries
-//! — plus `Display` rendering back to valid SPARQL text.
+//! — plus rendering a query back to valid SPARQL text.
 //!
 //! A query's `WHERE` clause is a [`GroupPattern`]: a *flattened,
 //! index-linked* tree of [`PatternNode`]s covering basic graph patterns,
@@ -10,22 +10,21 @@
 //! reusable buffers and steady-state rewriting stays allocation-free.
 //!
 //! Parsed terms are interner symbols, so rendering needs the
-//! [`Interner`] that minted them (or a clone of it);
-//! `display(&interner)` pairs a value with its interner and the pair
-//! implements [`std::fmt::Display`].
+//! [`Interner`] that minted them (or a clone of it). A whole query is the
+//! only unit that renders: [`render_query_into`] writes it into a reusable
+//! buffer, and [`Query::to_sparql`] returns it as a new `String`.
 //!
 //! # Fresh-variable rendering
 //!
 //! [`TermKind::Fresh`] terms carry a counter, not a string; their `g{n}`
 //! names are materialized here, lazily. To keep the rendered text
 //! capture-free even though the *structural* guarantee (fresh ≠ any parsed
-//! var) does not survive textual round-trips, the display adapters scan the
-//! value being rendered for parsed variables already named `g{k}` and offset
-//! every fresh counter past the largest such `k`. Distinct counters map to
-//! distinct names and no name collides with a query variable, so rendered
-//! output re-parses to a query with identical solutions.
-
-use std::fmt;
+//! var) does not survive textual round-trips, the renderer scans the whole
+//! query (pattern and projection) for parsed variables already named `g{k}`
+//! and offsets every fresh counter past the largest such `k`. Distinct
+//! counters map to distinct names and no name collides with a query
+//! variable, so rendered output re-parses to a query with identical
+//! solutions.
 
 use crate::interner::Interner;
 use crate::term::{Term, TermKind};
@@ -49,23 +48,6 @@ impl TriplePattern {
     pub fn terms(&self) -> [Term; 3] {
         [self.s, self.p, self.o]
     }
-
-    /// Render this triple in isolation.
-    ///
-    /// Fresh-term naming is computed from *this triple's* terms only: the
-    /// same `Fresh` counter may render under different `g{n}` names in
-    /// different triples of one BGP, and may collide with `g`-named
-    /// variables that appear only in *other* triples. To render part of a
-    /// rewritten pattern with consistent, capture-free existential names,
-    /// use [`Bgp::display`] / [`GroupPattern::display`] /
-    /// [`Query::display`] on the whole value instead.
-    pub fn display<'a>(&'a self, interner: &'a Interner) -> DisplayTriple<'a> {
-        DisplayTriple {
-            tp: self,
-            interner,
-            fresh_base: FreshBaseBuf::of(self.terms().into_iter(), interner),
-        }
-    }
 }
 
 /// A basic graph pattern: a conjunction of triple patterns. Used for
@@ -79,22 +61,6 @@ pub struct Bgp {
 impl Bgp {
     pub fn new(patterns: Vec<TriplePattern>) -> Bgp {
         Bgp { patterns }
-    }
-
-    /// Render this BGP in isolation.
-    ///
-    /// Fresh-term naming is computed from the BGP's terms only. A `g`-named
-    /// variable that exists solely in a surrounding context (e.g. a
-    /// projection variable absent from the BGP) is not seen here, so
-    /// splicing this rendering into other query text can capture an
-    /// existential. To render a rewritten query with its projection taken
-    /// into account, use [`Query::display`] instead.
-    pub fn display<'a>(&'a self, interner: &'a Interner) -> DisplayBgp<'a> {
-        DisplayBgp {
-            bgp: self,
-            interner,
-            fresh_base: FreshBaseBuf::of(self.patterns.iter().flat_map(|tp| tp.terms()), interner),
-        }
     }
 }
 
@@ -344,17 +310,6 @@ impl GroupPattern {
             }))
     }
 
-    /// Render as `{ ... }` SPARQL text. Fresh-term naming is computed from
-    /// this pattern's terms only; see [`Query::display`] for the caveat
-    /// about projection variables.
-    pub fn display<'a>(&'a self, interner: &'a Interner) -> DisplayPattern<'a> {
-        DisplayPattern {
-            pattern: self,
-            interner,
-            fresh_base: FreshBaseBuf::of(self.terms(), interner),
-        }
-    }
-
     fn node_eq(&self, a: u32, other: &GroupPattern, b: u32) -> bool {
         match (self.nodes[a as usize], other.nodes[b as usize]) {
             (PatternNode::Triples { .. }, PatternNode::Triples { .. }) => {
@@ -477,42 +432,31 @@ impl Default for ChainBuilder {
     }
 }
 
-/// Projection of a SELECT query.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SelectList {
-    /// `SELECT *`
-    Star,
-    /// `SELECT ?a ?b …` — terms are guaranteed to be variables by the parser.
-    Vars(Vec<Term>),
-}
-
 /// A parsed SELECT query: projection plus one group graph pattern.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Query {
-    pub select: SelectList,
+    /// Projected variables, or `None` for `SELECT *`; the parser guarantees
+    /// every term is a variable.
+    pub select: Option<Vec<Term>>,
     pub pattern: GroupPattern,
 }
 
 impl Query {
-    pub fn display<'a>(&'a self, interner: &'a Interner) -> DisplayQuery<'a> {
-        DisplayQuery {
-            query: self,
-            interner,
-            fresh_base: FreshBaseBuf::of(self.as_ref().terms(), interner),
-        }
-    }
-
     /// Borrowed view of this query; the shape the scratch-based serve
     /// pipeline passes between stages.
     #[inline]
     pub fn as_ref(&self) -> QueryRef<'_> {
         QueryRef {
-            select: match &self.select {
-                SelectList::Star => None,
-                SelectList::Vars(vars) => Some(vars),
-            },
+            select: self.select.as_deref(),
             pattern: &self.pattern,
         }
+    }
+
+    /// Render as SPARQL text: [`render_query_into`] into a new `String`.
+    pub fn to_sparql(&self, interner: &Interner) -> String {
+        let (mut fresh_base, mut out) = (String::new(), String::new());
+        render_query_into(self.as_ref(), interner, &mut fresh_base, &mut out);
+        out
     }
 }
 
@@ -544,7 +488,7 @@ impl<'a> QueryRef<'a> {
 /// names with more than 19 digits. Only then is `fresh_base` used: it holds
 /// the fresh-name offset as a decimal string (the arbitrary-precision
 /// fallback). Below that the offset is a `u64`, and every byte is appended
-/// with `push_str`, never through `core::fmt`.
+/// with `String::push_str` / `push`, never through `core::fmt`.
 pub fn render_query_into(
     query: QueryRef<'_>,
     interner: &Interner,
@@ -553,7 +497,7 @@ pub fn render_query_into(
 ) {
     let fresh_base = fresh_render_base_into(query.terms(), interner, fresh_base);
     out.clear();
-    write_query(out, query, interner, fresh_base).expect("writing to String cannot fail");
+    write_query(out, query, interner, fresh_base);
 }
 
 /// Is `s` a canonical decimal numeral (no sign, no leading zero except "0"
@@ -637,31 +581,9 @@ fn fresh_render_base_into<'d>(
     }
 }
 
-/// A display adapter's own copy of its value's [`FreshBase`].
-struct FreshBaseBuf {
-    int: Option<u64>,
-    digits: String,
-}
-
-impl FreshBaseBuf {
-    fn of(terms: impl Iterator<Item = Term>, interner: &Interner) -> FreshBaseBuf {
-        let mut digits = String::new();
-        let int = match fresh_render_base_into(terms, interner, &mut digits) {
-            FreshBase::Int(n) => Some(n),
-            FreshBase::Digits(_) => None,
-        };
-        FreshBaseBuf { int, digits }
-    }
-
-    fn get(&self) -> FreshBase<'_> {
-        self.int
-            .map_or(FreshBase::Digits(&self.digits), FreshBase::Int)
-    }
-}
-
 /// Write `n` in decimal, digits filled from the right of a 20-byte buffer
 /// (`u64::MAX` has 20).
-fn write_decimal<W: fmt::Write + ?Sized>(f: &mut W, mut n: u64) -> fmt::Result {
+fn write_decimal(out: &mut String, mut n: u64) {
     let mut buf = [0u8; 20];
     let mut start = buf.len();
     loop {
@@ -672,280 +594,208 @@ fn write_decimal<W: fmt::Write + ?Sized>(f: &mut W, mut n: u64) -> fmt::Result {
             break;
         }
     }
-    f.write_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"))
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"));
 }
 
-fn write_term<W: fmt::Write + ?Sized>(
-    f: &mut W,
-    t: Term,
-    interner: &Interner,
-    fresh_base: FreshBase<'_>,
-) -> fmt::Result {
+fn write_term(out: &mut String, t: Term, interner: &Interner, fresh_base: FreshBase<'_>) {
     if t.kind() == TermKind::Fresh {
-        f.write_str("?g")?;
+        out.push_str("?g");
         // The decimal-string fallback only triggers for queries using
         // `g{k}` names past 19 digits, and allocates.
-        return match fresh_base {
-            FreshBase::Int(base) => write_decimal(f, base + t.fresh_index() as u64),
-            FreshBase::Digits(digits) => f.write_str(&decimal_add(digits, t.fresh_index())),
-        };
+        match fresh_base {
+            FreshBase::Int(base) => write_decimal(out, base + t.fresh_index() as u64),
+            FreshBase::Digits(digits) => out.push_str(&decimal_add(digits, t.fresh_index())),
+        }
+        return;
     }
     let text = interner.resolve(t.symbol());
     match t.kind() {
         TermKind::Iri => {
-            f.write_str("<")?;
-            f.write_str(text)?;
-            f.write_str(">")
+            out.push('<');
+            out.push_str(text);
+            out.push('>');
         }
         // Literals are interned with their full surface form (quotes,
         // @lang / ^^datatype suffix) so they render verbatim.
-        TermKind::Literal => f.write_str(text),
+        TermKind::Literal => out.push_str(text),
         TermKind::Blank => {
-            f.write_str("_:")?;
-            f.write_str(text)
+            out.push_str("_:");
+            out.push_str(text);
         }
         TermKind::Var => {
-            f.write_str("?")?;
-            f.write_str(text)
+            out.push('?');
+            out.push_str(text);
         }
         TermKind::Fresh => unreachable!("handled above"),
     }
 }
 
-pub struct DisplayTriple<'a> {
-    tp: &'a TriplePattern,
-    interner: &'a Interner,
-    fresh_base: FreshBaseBuf,
-}
-
-impl fmt::Display for DisplayTriple<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_triple(f, self.tp, self.interner, self.fresh_base.get())
-    }
-}
-
-fn write_triple<W: fmt::Write + ?Sized>(
-    f: &mut W,
+fn write_triple(
+    out: &mut String,
     tp: &TriplePattern,
     interner: &Interner,
     fresh_base: FreshBase<'_>,
-) -> fmt::Result {
-    write_term(f, tp.s, interner, fresh_base)?;
-    f.write_str(" ")?;
-    write_term(f, tp.p, interner, fresh_base)?;
-    f.write_str(" ")?;
-    write_term(f, tp.o, interner, fresh_base)?;
-    f.write_str(" .")
+) {
+    write_term(out, tp.s, interner, fresh_base);
+    out.push(' ');
+    write_term(out, tp.p, interner, fresh_base);
+    out.push(' ');
+    write_term(out, tp.o, interner, fresh_base);
+    out.push_str(" .");
 }
 
-pub struct DisplayBgp<'a> {
-    bgp: &'a Bgp,
-    interner: &'a Interner,
-    fresh_base: FreshBaseBuf,
-}
-
-impl fmt::Display for DisplayBgp<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_bgp(f, self.bgp, self.interner, self.fresh_base.get())
-    }
-}
-
-fn write_bgp<W: fmt::Write + ?Sized>(
-    f: &mut W,
-    bgp: &Bgp,
-    interner: &Interner,
-    fresh_base: FreshBase<'_>,
-) -> fmt::Result {
-    f.write_str("{\n")?;
-    for tp in &bgp.patterns {
-        f.write_str("  ")?;
-        write_triple(f, tp, interner, fresh_base)?;
-        f.write_str("\n")?;
-    }
-    f.write_str("}")
-}
-
-fn write_indent<W: fmt::Write + ?Sized>(f: &mut W, depth: usize) -> fmt::Result {
+fn write_indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
-        f.write_str("  ")?;
+        out.push_str("  ");
     }
-    Ok(())
 }
 
 /// Render a filter expression. Non-leaf operands are parenthesized
 /// unconditionally, which keeps rendering deterministic and makes
 /// `render → parse → render` a fixpoint (parentheses do not create nodes).
-fn write_expr<W: fmt::Write + ?Sized>(
-    f: &mut W,
+fn write_expr(
+    out: &mut String,
     p: &GroupPattern,
     e: u32,
     interner: &Interner,
     fresh_base: FreshBase<'_>,
-) -> fmt::Result {
-    let operand = |f: &mut W, c: u32| -> fmt::Result {
+) {
+    let operand = |out: &mut String, c: u32| {
         if let ExprNode::Term(t) = p.exprs[c as usize] {
-            write_term(f, t, interner, fresh_base)
+            write_term(out, t, interner, fresh_base);
         } else {
-            f.write_str("(")?;
-            write_expr(f, p, c, interner, fresh_base)?;
-            f.write_str(")")
+            out.push('(');
+            write_expr(out, p, c, interner, fresh_base);
+            out.push(')');
         }
     };
     match p.exprs[e as usize] {
-        ExprNode::Term(t) => write_term(f, t, interner, fresh_base),
+        ExprNode::Term(t) => write_term(out, t, interner, fresh_base),
         ExprNode::Cmp(op, l, r) => {
-            operand(f, l)?;
-            f.write_str(" ")?;
-            f.write_str(op.as_str())?;
-            f.write_str(" ")?;
-            operand(f, r)
+            operand(out, l);
+            out.push(' ');
+            out.push_str(op.as_str());
+            out.push(' ');
+            operand(out, r);
         }
         ExprNode::And(l, r) => {
-            operand(f, l)?;
-            f.write_str(" && ")?;
-            operand(f, r)
+            operand(out, l);
+            out.push_str(" && ");
+            operand(out, r);
         }
         ExprNode::Or(l, r) => {
-            operand(f, l)?;
-            f.write_str(" || ")?;
-            operand(f, r)
+            operand(out, l);
+            out.push_str(" || ");
+            operand(out, r);
         }
         ExprNode::Not(c) => {
-            f.write_str("!")?;
-            operand(f, c)
+            out.push('!');
+            operand(out, c);
         }
     }
 }
 
 /// Render one pattern node (and its subtree) at `depth`, each line
 /// indented and newline-terminated.
-fn write_node<W: fmt::Write + ?Sized>(
-    f: &mut W,
+fn write_node(
+    out: &mut String,
     p: &GroupPattern,
     idx: u32,
     interner: &Interner,
     fresh_base: FreshBase<'_>,
     depth: usize,
-) -> fmt::Result {
+) {
     match p.nodes[idx as usize] {
         PatternNode::Triples { .. } => {
             for tp in p.run(idx) {
-                write_indent(f, depth)?;
-                write_triple(f, tp, interner, fresh_base)?;
-                f.write_str("\n")?;
+                write_indent(out, depth);
+                write_triple(out, tp, interner, fresh_base);
+                out.push('\n');
             }
-            Ok(())
         }
         PatternNode::Group { first } => {
-            write_indent(f, depth)?;
-            f.write_str("{\n")?;
+            write_indent(out, depth);
+            out.push_str("{\n");
             for c in p.children_from(first) {
-                write_node(f, p, c, interner, fresh_base, depth + 1)?;
+                write_node(out, p, c, interner, fresh_base, depth + 1);
             }
-            write_indent(f, depth)?;
-            f.write_str("}\n")
+            write_indent(out, depth);
+            out.push_str("}\n");
         }
         PatternNode::Optional { first } => {
-            write_indent(f, depth)?;
-            f.write_str("OPTIONAL {\n")?;
+            write_indent(out, depth);
+            out.push_str("OPTIONAL {\n");
             for c in p.children_from(first) {
-                write_node(f, p, c, interner, fresh_base, depth + 1)?;
+                write_node(out, p, c, interner, fresh_base, depth + 1);
             }
-            write_indent(f, depth)?;
-            f.write_str("}\n")
+            write_indent(out, depth);
+            out.push_str("}\n");
         }
         PatternNode::Union { first } => {
             for (i, branch) in p.children_from(first).enumerate() {
                 if i > 0 {
-                    write_indent(f, depth)?;
-                    f.write_str("UNION\n")?;
+                    write_indent(out, depth);
+                    out.push_str("UNION\n");
                 }
-                write_node(f, p, branch, interner, fresh_base, depth)?;
+                write_node(out, p, branch, interner, fresh_base, depth);
             }
-            Ok(())
         }
         PatternNode::Filter { expr } => {
-            write_indent(f, depth)?;
-            f.write_str("FILTER(")?;
-            write_expr(f, p, expr, interner, fresh_base)?;
-            f.write_str(")\n")
+            write_indent(out, depth);
+            out.push_str("FILTER(");
+            write_expr(out, p, expr, interner, fresh_base);
+            out.push_str(")\n");
         }
         PatternNode::Service { endpoint, first } => {
-            write_indent(f, depth)?;
-            f.write_str("SERVICE ")?;
-            write_term(f, endpoint, interner, fresh_base)?;
-            f.write_str(" {\n")?;
+            write_indent(out, depth);
+            out.push_str("SERVICE ");
+            write_term(out, endpoint, interner, fresh_base);
+            out.push_str(" {\n");
             for c in p.children_from(first) {
-                write_node(f, p, c, interner, fresh_base, depth + 1)?;
+                write_node(out, p, c, interner, fresh_base, depth + 1);
             }
-            write_indent(f, depth)?;
-            f.write_str("}\n")
+            write_indent(out, depth);
+            out.push_str("}\n");
         }
     }
 }
 
-/// Render the whole pattern as `{ ... }` (no trailing newline).
-fn write_pattern<W: fmt::Write + ?Sized>(
-    f: &mut W,
-    p: &GroupPattern,
-    interner: &Interner,
-    fresh_base: FreshBase<'_>,
-) -> fmt::Result {
-    f.write_str("{\n")?;
-    for c in p.root_children() {
-        write_node(f, p, c, interner, fresh_base, 1)?;
-    }
-    f.write_str("}")
-}
-
-pub struct DisplayPattern<'a> {
-    pattern: &'a GroupPattern,
-    interner: &'a Interner,
-    fresh_base: FreshBaseBuf,
-}
-
-impl fmt::Display for DisplayPattern<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_pattern(f, self.pattern, self.interner, self.fresh_base.get())
-    }
-}
-
-pub struct DisplayQuery<'a> {
-    query: &'a Query,
-    interner: &'a Interner,
-    fresh_base: FreshBaseBuf,
-}
-
-impl fmt::Display for DisplayQuery<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_query(f, self.query.as_ref(), self.interner, self.fresh_base.get())
-    }
-}
-
-/// Render a full query (projection + pattern) to any writer.
-fn write_query<W: fmt::Write + ?Sized>(
-    f: &mut W,
-    q: QueryRef<'_>,
-    interner: &Interner,
-    fresh_base: FreshBase<'_>,
-) -> fmt::Result {
-    f.write_str("SELECT")?;
+/// Render a full query: projection, then the pattern as `{ ... }` (no
+/// trailing newline).
+fn write_query(out: &mut String, q: QueryRef<'_>, interner: &Interner, fresh_base: FreshBase<'_>) {
+    out.push_str("SELECT");
     match q.select {
-        None => f.write_str(" *")?,
+        None => out.push_str(" *"),
         Some(vars) => {
-            for v in vars {
-                f.write_str(" ")?;
-                write_term(f, *v, interner, fresh_base)?;
+            for &v in vars {
+                out.push(' ');
+                write_term(out, v, interner, fresh_base);
             }
         }
     }
-    f.write_str(" WHERE ")?;
-    write_pattern(f, q.pattern, interner, fresh_base)
+    out.push_str(" WHERE {\n");
+    for c in q.pattern.root_children() {
+        write_node(out, q.pattern, c, interner, fresh_base, 1);
+    }
+    out.push('}');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Render `pattern` as the whole query `SELECT * WHERE { ... }`.
+    fn render(pattern: GroupPattern, i: &Interner) -> String {
+        Query {
+            select: None,
+            pattern,
+        }
+        .to_sparql(i)
+    }
+
+    fn render_bgp(triples: &[TriplePattern], i: &Interner) -> String {
+        render(GroupPattern::from_bgp(&Bgp::new(triples.to_vec())), i)
+    }
 
     #[test]
     fn triple_pattern_is_twelve_bytes_and_copy() {
@@ -964,18 +814,16 @@ mod tests {
             Term::iri(i.intern("http://ex.org/p")),
             Term::literal(i.intern("\"42\"^^<http://www.w3.org/2001/XMLSchema#integer>")),
         );
-        assert_eq!(
-            tp.display(&i).to_string(),
-            "?s <http://ex.org/p> \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> ."
-        );
         let tp2 = TriplePattern::new(
             Term::blank(i.intern("b0")),
             Term::iri(i.intern("http://ex.org/p")),
             Term::literal(i.intern("\"hi\"@en")),
         );
         assert_eq!(
-            tp2.display(&i).to_string(),
-            "_:b0 <http://ex.org/p> \"hi\"@en ."
+            render_bgp(&[tp, tp2], &i),
+            "SELECT * WHERE {\n  \
+             ?s <http://ex.org/p> \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n  \
+             _:b0 <http://ex.org/p> \"hi\"@en .\n}"
         );
     }
 
@@ -984,7 +832,10 @@ mod tests {
         let mut i = Interner::new();
         let p = Term::iri(i.intern("http://ex.org/p"));
         let tp = TriplePattern::new(Term::fresh(0), p, Term::fresh(1));
-        assert_eq!(tp.display(&i).to_string(), "?g0 <http://ex.org/p> ?g1 .");
+        assert_eq!(
+            render_bgp(&[tp], &i),
+            "SELECT * WHERE {\n  ?g0 <http://ex.org/p> ?g1 .\n}"
+        );
     }
 
     #[test]
@@ -994,27 +845,33 @@ mod tests {
         let g0 = Term::var(i.intern("g0"));
         let g3 = Term::var(i.intern("g3"));
         // Query uses parsed ?g0 and ?g3; fresh 0 and 1 must render past g3.
-        let bgp = Bgp::new(vec![
-            TriplePattern::new(g0, p, g3),
-            TriplePattern::new(Term::fresh(0), p, Term::fresh(1)),
-        ]);
-        let text = bgp.display(&i).to_string();
+        let text = render_bgp(
+            &[
+                TriplePattern::new(g0, p, g3),
+                TriplePattern::new(Term::fresh(0), p, Term::fresh(1)),
+            ],
+            &i,
+        );
         assert!(text.contains("?g0 <http://ex.org/p> ?g3"), "{text}");
         assert!(text.contains("?g4 <http://ex.org/p> ?g5"), "{text}");
     }
 
     #[test]
     fn fresh_rendering_ignores_non_canonical_g_names() {
-        // "gx" and "g1x" are not canonical g{digits} names.
+        // "gx", "g1x" and "g007" are not canonical g{digits} names.
         let mut i = Interner::new();
         let p = Term::iri(i.intern("http://ex.org/p"));
         let gx = Term::var(i.intern("gx"));
         let g1x = Term::var(i.intern("g1x"));
-        let bgp = Bgp::new(vec![
-            TriplePattern::new(gx, p, g1x),
-            TriplePattern::new(Term::fresh(0), p, Term::fresh(1)),
-        ]);
-        let text = bgp.display(&i).to_string();
+        let g007 = Term::var(i.intern("g007"));
+        let text = render_bgp(
+            &[
+                TriplePattern::new(gx, p, g1x),
+                TriplePattern::new(g007, p, g007),
+                TriplePattern::new(Term::fresh(0), p, Term::fresh(1)),
+            ],
+            &i,
+        );
         assert!(text.contains("?g0 <http://ex.org/p> ?g1"), "{text}");
     }
 
@@ -1025,11 +882,13 @@ mod tests {
         let mut i = Interner::new();
         let p = Term::iri(i.intern("http://ex.org/p"));
         let gmax = Term::var(i.intern("g4294967295"));
-        let bgp = Bgp::new(vec![
-            TriplePattern::new(gmax, p, gmax),
-            TriplePattern::new(Term::fresh(0), p, Term::fresh(1)),
-        ]);
-        let text = bgp.display(&i).to_string();
+        let text = render_bgp(
+            &[
+                TriplePattern::new(gmax, p, gmax),
+                TriplePattern::new(Term::fresh(0), p, Term::fresh(1)),
+            ],
+            &i,
+        );
         assert!(
             text.contains("?g4294967296 <http://ex.org/p> ?g4294967297"),
             "{text}"
@@ -1042,11 +901,13 @@ mod tests {
         let mut i = Interner::new();
         let p = Term::iri(i.intern("http://ex.org/p"));
         let gmax = Term::var(i.intern("g18446744073709551615"));
-        let bgp = Bgp::new(vec![
-            TriplePattern::new(gmax, p, Term::fresh(0)),
-            TriplePattern::new(Term::fresh(0), p, Term::fresh(1)),
-        ]);
-        let text = bgp.display(&i).to_string();
+        let text = render_bgp(
+            &[
+                TriplePattern::new(gmax, p, Term::fresh(0)),
+                TriplePattern::new(Term::fresh(0), p, Term::fresh(1)),
+            ],
+            &i,
+        );
         assert!(text.contains("?g18446744073709551616"), "{text}");
         assert!(text.contains("?g18446744073709551617"), "{text}");
         assert!(!text.contains("?g18446744073709551615 <http://ex.org/p> ?g18446744073709551615"));
@@ -1060,11 +921,13 @@ mod tests {
         let mut i = Interner::new();
         let p = Term::iri(i.intern("http://ex.org/p"));
         let gmax = Term::var(i.intern("g340282366920938463463374607431768211455"));
-        let bgp = Bgp::new(vec![
-            TriplePattern::new(gmax, p, Term::fresh(0)),
-            TriplePattern::new(Term::fresh(0), p, Term::fresh(1)),
-        ]);
-        let text = bgp.display(&i).to_string();
+        let text = render_bgp(
+            &[
+                TriplePattern::new(gmax, p, Term::fresh(0)),
+                TriplePattern::new(Term::fresh(0), p, Term::fresh(1)),
+            ],
+            &i,
+        );
         assert!(
             text.contains("?g340282366920938463463374607431768211456"),
             "{text}"
@@ -1092,7 +955,7 @@ mod tests {
     fn write_decimal_matches_display() {
         for n in [0, 7, 9, 10, 99, 100, 10u64.pow(19), u64::MAX - 1, u64::MAX] {
             let mut out = String::new();
-            write_decimal(&mut out, n).unwrap();
+            write_decimal(&mut out, n);
             assert_eq!(out, n.to_string());
         }
     }
@@ -1107,14 +970,10 @@ mod tests {
         );
         let mut worker = i.clone();
         let o = Term::var(worker.intern("o"));
-        assert_eq!(
-            tp.display(&worker).to_string(),
-            "?s <http://ex.org/p> ?g2 ."
-        );
         let tp2 = TriplePattern::new(tp.s, tp.p, o);
         assert_eq!(
-            tp2.display(&worker).to_string(),
-            "?s <http://ex.org/p> ?o ."
+            render_bgp(&[tp, tp2], &worker),
+            "SELECT * WHERE {\n  ?s <http://ex.org/p> ?g2 .\n  ?s <http://ex.org/p> ?o .\n}"
         );
     }
 
@@ -1178,10 +1037,9 @@ mod tests {
     fn group_pattern_renders_all_shapes() {
         let mut i = Interner::new();
         let p = sample_group(&mut i);
-        let text = p.display(&i).to_string();
         assert_eq!(
-            text,
-            "{\n  ?s0 <http://ex.org/p0> ?o0 .\n  OPTIONAL {\n    ?s1 <http://ex.org/p1> ?o1 .\n  }\n  \
+            render(p, &i),
+            "SELECT * WHERE {\n  ?s0 <http://ex.org/p0> ?o0 .\n  OPTIONAL {\n    ?s1 <http://ex.org/p1> ?o1 .\n  }\n  \
              {\n    ?s2 <http://ex.org/p2> ?o2 .\n  }\n  UNION\n  {\n    ?s3 <http://ex.org/p3> ?o3 .\n  }\n  \
              FILTER(?s0 < \"3\"^^<http://www.w3.org/2001/XMLSchema#integer>)\n}"
         );
@@ -1205,8 +1063,8 @@ mod tests {
         let ep = Term::iri(i.intern("http://fed.example.org/sparql"));
         let p = build(&mut i, ep);
         assert_eq!(
-            p.display(&i).to_string(),
-            "{\n  SERVICE <http://fed.example.org/sparql> {\n    ?s0 <http://ex.org/p0> ?o0 .\n  }\n}"
+            render(p.clone(), &i),
+            "SELECT * WHERE {\n  SERVICE <http://fed.example.org/sparql> {\n    ?s0 <http://ex.org/p0> ?o0 .\n  }\n}"
         );
         // Same tree, same endpoint: equal. Different endpoint: unequal.
         assert_eq!(p, build(&mut i, ep));
@@ -1226,7 +1084,7 @@ mod tests {
             unreachable!()
         };
         q.next[first as usize] = run;
-        let text = q.display(&i).to_string();
+        let text = render(q, &i);
         assert!(text.contains("SERVICE ?g5 {"), "{text}");
         assert!(text.contains("?g6 <http://ex.org/p> ?g7 ."), "{text}");
     }
@@ -1373,7 +1231,7 @@ mod tests {
             let q = pin_query(&mut i, extra);
             render_query_into(q.as_ref(), &i, &mut fresh_base, &mut out);
             assert_eq!(out, expected);
-            assert_eq!(q.display(&i).to_string(), expected);
+            assert_eq!(q.to_sparql(&i), expected);
         }
     }
 
@@ -1385,7 +1243,7 @@ mod tests {
         assert!(p.is_flat());
         assert_eq!(p.triples, bgp.patterns);
         let empty = GroupPattern::new();
-        assert_eq!(empty.display(&i).to_string(), "{\n}");
         assert_eq!(empty, GroupPattern::from_bgp(&Bgp::default()));
+        assert_eq!(render(empty, &i), "SELECT * WHERE {\n}");
     }
 }

@@ -1,10 +1,11 @@
 //! Group-graph-pattern rewriting: apply an [`AlignmentStore`] to a query.
 //!
-//! [`IndexedRewriter`] finds each triple pattern's rule candidates with O(1)
-//! lookups against the store's dense direct-indexed dispatch tables. Its
-//! reference is semantic, not a second rewriter: `tests/oracle.rs` evaluates
-//! each query over source data and its rewrite over the aligned data, and
-//! requires the same answers.
+//! The store is the rewriter: [`AlignmentStore`]'s [`Rewriter`] impl finds
+//! each triple pattern's rule candidates with O(1) lookups against the
+//! store's dense direct-indexed dispatch tables. Its reference is
+//! semantic, not a second rewriter: `tests/oracle.rs` evaluates each query
+//! over source data and its rewrite over the aligned data, and requires the
+//! same answers.
 //!
 //! # Semantics
 //!
@@ -51,8 +52,8 @@
 //! # Concurrency and allocation
 //!
 //! Steady-state rewriting needs only `&self` over shared immutable state:
-//! the [`Rewriter`] methods take no interner, [`AlignmentStore`] and the
-//! rewriter are `Send + Sync`, and both write into a caller-owned
+//! the [`Rewriter`] methods take no interner, [`AlignmentStore`] is
+//! `Send + Sync`, and a rewrite writes into a caller-owned
 //! [`RewriteScratch`] whose buffers are reused across calls.
 //! The rewritten group tree itself lives in the scratch as a flattened,
 //! index-linked buffer ([`GroupPattern`]'s four flat `Vec`s of `Copy`
@@ -78,18 +79,18 @@
 //!
 //! // Build phase over: share everything read-only. Each worker renders
 //! // with its own clone of the interner, which shares the strings.
-//! let rewriter: Arc<IndexedRewriter> = Arc::new(IndexedRewriter::new(Arc::new(store)));
+//! let store = Arc::new(store);
 //!
 //! let rendered: Vec<String> = thread::scope(|scope| {
 //!     (0..4)
 //!         .map(|_| {
-//!             let rewriter = Arc::clone(&rewriter);
+//!             let store = Arc::clone(&store);
 //!             let interner = interner.clone();
 //!             let query = &query;
 //!             scope.spawn(move || {
 //!                 let mut scratch = RewriteScratch::new();
-//!                 rewriter.rewrite_ref_into(query.as_ref(), &mut scratch);
-//!                 scratch.to_query().display(&interner).to_string()
+//!                 store.rewrite_ref_into(query.as_ref(), &mut scratch);
+//!                 scratch.to_query().to_sparql(&interner)
 //!             })
 //!         })
 //!         .collect::<Vec<_>>()
@@ -101,14 +102,11 @@
 //! assert!(rendered[0].contains("<http://tgt/q>"));
 //! ```
 
-use std::borrow::Borrow;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::align::{AlignmentStore, TemplateRef, NO_EXPR};
 use crate::pattern::{
-    ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef, SelectList,
-    TriplePattern,
+    ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef, TriplePattern,
 };
 use crate::term::{Symbol, Term, TermKind};
 
@@ -241,13 +239,6 @@ impl RewriteScratch {
         &self.pattern
     }
 
-    /// All rewritten triple patterns of the last call, in rendering order
-    /// across the whole tree (UNION branches included).
-    #[inline]
-    pub fn patterns(&self) -> &[TriplePattern] {
-        &self.pattern.triples
-    }
-
     /// Projection of the last rewrite call: `None` for `SELECT *`,
     /// otherwise the projected variables.
     #[inline]
@@ -270,11 +261,7 @@ impl RewriteScratch {
     /// Copy the last result out as an owned [`Query`] (allocates).
     pub fn to_query(&self) -> Query {
         Query {
-            select: if self.select_star {
-                SelectList::Star
-            } else {
-                SelectList::Vars(self.select.clone())
-            },
+            select: self.select().map(<[Term]>::to_vec),
             pattern: self.pattern.clone(),
         }
     }
@@ -302,27 +289,6 @@ pub trait Rewriter {
     fn rewrite_ref_into(&self, query: QueryRef<'_>, scratch: &mut RewriteScratch) {
         self.try_rewrite_ref_into(query, scratch, RewriteLimits::unbounded())
             .expect("unbounded rewrite cannot fail");
-    }
-}
-
-/// The rewriter: direct-indexed candidate lookup.
-///
-/// Generic over how it holds the store so both phases are cheap to express:
-/// borrow for single-threaded use (`IndexedRewriter::new(&store)`), or an
-/// [`Arc`] for the shared serve phase (`IndexedRewriter::new(Arc::new(store))`
-/// — the default type parameter). `Send + Sync` whenever the holder is.
-pub struct IndexedRewriter<S = Arc<AlignmentStore>> {
-    store: S,
-}
-
-impl<S: Borrow<AlignmentStore>> IndexedRewriter<S> {
-    pub fn new(store: S) -> Self {
-        IndexedRewriter { store }
-    }
-
-    #[inline]
-    fn store(&self) -> &AlignmentStore {
-        self.store.borrow()
     }
 }
 
@@ -845,7 +811,7 @@ fn begin_rewrite(
     scratch.fresh_start = scratch.fresh_next;
 }
 
-impl<S: Borrow<AlignmentStore>> Rewriter for IndexedRewriter<S> {
+impl Rewriter for AlignmentStore {
     fn try_rewrite_ref_into(
         &self,
         query: QueryRef<'_>,
@@ -861,15 +827,14 @@ impl<S: Borrow<AlignmentStore>> Rewriter for IndexedRewriter<S> {
                 scratch.select.extend_from_slice(vars);
             }
         }
-        let store = self.store();
         // Batch-load the rows the walk reads, so their misses overlap.
-        store.warm(&pattern.triples);
+        self.warm(&pattern.triples);
         begin_rewrite(pattern.terms(), scratch, limits);
         scratch.pattern.nodes.reserve(pattern.nodes.len());
         scratch.pattern.next.reserve(pattern.next.len());
         scratch.pattern.triples.reserve(pattern.triples.len());
         scratch.pattern.exprs.reserve(pattern.exprs.len());
-        let first = rewrite_children(store, pattern, pattern.root_first(), scratch)?;
+        let first = rewrite_children(self, pattern, pattern.root_first(), scratch)?;
         scratch.pattern.root = scratch.pattern.push_node(PatternNode::Group { first });
         Ok(())
     }
@@ -879,9 +844,9 @@ impl<S: Borrow<AlignmentStore>> Rewriter for IndexedRewriter<S> {
 mod tests {
     use super::*;
 
-    fn rewrite(rw: &impl Rewriter, query: &Query) -> Query {
+    fn rewrite(store: &AlignmentStore, query: &Query) -> Query {
         let mut scratch = RewriteScratch::new();
-        rw.rewrite_ref_into(query.as_ref(), &mut scratch);
+        store.rewrite_ref_into(query.as_ref(), &mut scratch);
         scratch.to_query()
     }
 
@@ -906,18 +871,18 @@ mod tests {
             &mut it,
         )
         .unwrap();
-        let rw = IndexedRewriter::new(&store);
         let mut scratch = RewriteScratch::new();
         // Two patterns × 3 branches = 6 branches required: a cap of exactly
         // 6 succeeds (boundary), 5 fails with the structured error.
-        rw.try_rewrite_ref_into(
-            query.as_ref(),
-            &mut scratch,
-            RewriteLimits::with_union_branch_cap(6),
-        )
-        .expect("cap == required must succeed");
+        store
+            .try_rewrite_ref_into(
+                query.as_ref(),
+                &mut scratch,
+                RewriteLimits::with_union_branch_cap(6),
+            )
+            .expect("cap == required must succeed");
         let at_cap = scratch.to_query();
-        let err = rw
+        let err = store
             .try_rewrite_ref_into(
                 query.as_ref(),
                 &mut scratch,
@@ -934,10 +899,10 @@ mod tests {
         assert!(err.to_string().contains("6 branches"), "{err}");
         // A failed capped call must not poison the scratch: the next
         // unbounded call produces the same result as the successful one.
-        rw.rewrite_ref_into(query.as_ref(), &mut scratch);
+        store.rewrite_ref_into(query.as_ref(), &mut scratch);
         assert_eq!(scratch.to_query(), at_cap);
         // And so does an uncapped call on a fresh scratch.
-        assert_eq!(rewrite(&rw, &query), at_cap);
+        assert_eq!(rewrite(&store, &query), at_cap);
     }
 
     #[test]
@@ -970,8 +935,7 @@ mod tests {
         )
         .unwrap();
         let q_open = parse_query("SELECT * WHERE { ?x <http://src/p> ?y }", &mut it).unwrap();
-        let rw = IndexedRewriter::new(&store);
-        let render = |q: &crate::Query| rewrite(&rw, q).display(&it).to_string();
+        let render = |q: &crate::Query| rewrite(&store, q).to_sparql(&it);
         // Statically true: fires cleanly, no residual FILTER.
         let out = render(&q_true);
         assert!(out.contains("<http://tgt/p>"), "{out}");
@@ -1032,11 +996,10 @@ mod tests {
             &mut it,
         )
         .unwrap();
-        let rw = IndexedRewriter::new(&store);
         // Guard statically false for <http://u/in>: of the two candidates
         // only the flat rule fires, so the would-be 2-branch UNION
         // collapses to an inline single-match expansion.
-        let out = rewrite(&rw, &query).display(&it).to_string();
+        let out = rewrite(&store, &query).to_sparql(&it);
         assert!(!out.contains("UNION"), "{out}");
         assert!(out.contains("<http://tgt/len0>"), "{out}");
 
@@ -1048,7 +1011,7 @@ mod tests {
             &mut it,
         )
         .unwrap();
-        let out = rewrite(&rw, &query).display(&it).to_string();
+        let out = rewrite(&store, &query).to_sparql(&it);
         assert!(out.contains("UNION"), "{out}");
         assert!(out.contains("<http://tgt/unit> <http://u/m>"), "{out}");
         assert!(out.contains("FILTER(?g0 != <http://u/cm>)"), "{out}");
@@ -1080,19 +1043,19 @@ mod tests {
         store.add_complex_predicate(lhs, tmpl).unwrap();
 
         let query = parse_query("SELECT * WHERE { ?x <http://src/p> ?y }", &mut it).unwrap();
-        let rw = IndexedRewriter::new(&store);
         let mut scratch = RewriteScratch::new();
-        rw.try_rewrite_ref_into(
-            query.as_ref(),
-            &mut scratch,
-            RewriteLimits {
-                max_template_size: 4,
-                ..RewriteLimits::unbounded()
-            },
-        )
-        .expect("cap == required must succeed");
+        store
+            .try_rewrite_ref_into(
+                query.as_ref(),
+                &mut scratch,
+                RewriteLimits {
+                    max_template_size: 4,
+                    ..RewriteLimits::unbounded()
+                },
+            )
+            .expect("cap == required must succeed");
         let at_cap = scratch.to_query();
-        let err = rw
+        let err = store
             .try_rewrite_ref_into(
                 query.as_ref(),
                 &mut scratch,
@@ -1111,17 +1074,14 @@ mod tests {
         );
         assert!(err.to_string().contains("4 nodes"), "{err}");
         // A failed capped call must not poison the scratch.
-        rw.rewrite_ref_into(query.as_ref(), &mut scratch);
+        store.rewrite_ref_into(query.as_ref(), &mut scratch);
         assert_eq!(scratch.to_query(), at_cap);
-        assert_eq!(rewrite(&rw, &query), at_cap);
+        assert_eq!(rewrite(&store, &query), at_cap);
     }
 
     #[test]
-    fn rewriters_over_arc_are_send_sync_static() {
-        fn assert_send_sync<T: Send + Sync + 'static>() {}
-        assert_send_sync::<IndexedRewriter<Arc<AlignmentStore>>>();
-        assert_send_sync::<AlignmentStore>();
-        // The default type parameter is the Arc form.
-        assert_send_sync::<IndexedRewriter>();
+    fn the_store_is_a_send_sync_static_rewriter() {
+        fn assert_rewriter<T: Rewriter + Send + Sync + 'static>() {}
+        assert_rewriter::<AlignmentStore>();
     }
 }

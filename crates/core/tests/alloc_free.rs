@@ -11,8 +11,8 @@
 use sparql_rewrite_chaos::counting_alloc::{thread_allocation_count, CountingAllocator};
 use sparql_rewrite_core::{
     fingerprint_query, parse_bgp, parse_query, parse_query_into, render_query_into, AlignmentStore,
-    CacheConfig, CmpOp, ExprNode, IndexedRewriter, Interner, ParseScratch, Query, QueryRef,
-    RewriteCache, RewriteScratch, Rewriter, RuleTemplate, ServeEngine, Term,
+    CacheConfig, CmpOp, ExprNode, Interner, ParseScratch, Query, QueryRef, RewriteCache,
+    RewriteScratch, Rewriter, RuleTemplate, ServeEngine, Term,
 };
 
 #[global_allocator]
@@ -94,7 +94,7 @@ fn build_fixture() -> (AlignmentStore, Vec<Query>) {
 #[test]
 fn steady_state_rewrite_ref_into_is_allocation_free() {
     let (store, queries) = build_fixture();
-    let rewriter = IndexedRewriter::new(&store);
+    let rewriter = &store;
     let mut scratch = RewriteScratch::new();
 
     // Warm-up: first pass may grow the scratch buffers.
@@ -105,7 +105,7 @@ fn steady_state_rewrite_ref_into_is_allocation_free() {
         .iter()
         .map(|q| {
             rewriter.rewrite_ref_into(q.as_ref(), &mut scratch);
-            (scratch.patterns().len(), scratch.fresh_count())
+            (scratch.pattern().triples.len(), scratch.fresh_count())
         })
         .collect();
 
@@ -113,7 +113,10 @@ fn steady_state_rewrite_ref_into_is_allocation_free() {
     for _ in 0..1_000 {
         for (q, exp) in queries.iter().zip(&expected) {
             rewriter.rewrite_ref_into(q.as_ref(), &mut scratch);
-            assert_eq!((scratch.patterns().len(), scratch.fresh_count()), *exp);
+            assert_eq!(
+                (scratch.pattern().triples.len(), scratch.fresh_count()),
+                *exp
+            );
         }
     }
     let after = thread_allocation_count();
@@ -221,7 +224,7 @@ fn pipeline_rules() -> (AlignmentStore, Interner) {
 #[test]
 fn steady_state_parse_rewrite_render_pipeline_is_allocation_free() {
     let (store, mut it) = pipeline_rules();
-    let rewriter = IndexedRewriter::new(&store);
+    let rewriter = &store;
     let mut parse = ParseScratch::new();
     let mut rewrite = RewriteScratch::new();
     let mut fresh_base = String::new();
@@ -485,7 +488,7 @@ fn complex_rule_rewriting_is_allocation_free() {
         parse_query("SELECT * WHERE { ?x <http://src/multi> ?y }", &mut it).unwrap(),
     ];
 
-    let rewriter = IndexedRewriter::new(&store);
+    let rewriter = &store;
     let mut scratch = RewriteScratch::new();
     for q in &queries {
         rewriter.rewrite_ref_into(q.as_ref(), &mut scratch);
@@ -494,7 +497,7 @@ fn complex_rule_rewriting_is_allocation_free() {
         .iter()
         .map(|q| {
             rewriter.rewrite_ref_into(q.as_ref(), &mut scratch);
-            (scratch.patterns().len(), scratch.fresh_count())
+            (scratch.pattern().triples.len(), scratch.fresh_count())
         })
         .collect();
 
@@ -502,7 +505,10 @@ fn complex_rule_rewriting_is_allocation_free() {
     for _ in 0..1_000 {
         for (q, exp) in queries.iter().zip(&expected) {
             rewriter.rewrite_ref_into(q.as_ref(), &mut scratch);
-            assert_eq!((scratch.patterns().len(), scratch.fresh_count()), *exp);
+            assert_eq!(
+                (scratch.pattern().triples.len(), scratch.fresh_count()),
+                *exp
+            );
         }
     }
     assert_eq!(
@@ -516,7 +522,7 @@ fn complex_rule_rewriting_is_allocation_free() {
 #[test]
 fn pattern_only_rewrite_is_allocation_free_after_warmup() {
     let (store, queries) = build_fixture();
-    let rewriter = IndexedRewriter::new(&store);
+    let rewriter = &store;
     let mut scratch = RewriteScratch::new();
     fn pattern_only(q: &Query) -> QueryRef<'_> {
         QueryRef {

@@ -11,8 +11,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use sparql_rewrite_core::{
-    CmpOp, ExprNode, GroupPattern, Interner, PatternNode, Query, SelectList, Term, TermKind,
-    TriplePattern, NO_NODE,
+    CmpOp, ExprNode, GroupPattern, Interner, PatternNode, Query, Term, TermKind, TriplePattern,
+    NO_NODE,
 };
 
 /// One solution mapping: variable → the term it is bound to.
@@ -101,8 +101,8 @@ pub fn apply(
 /// `SELECT *` every variable of the query's triple patterns.
 pub fn variables(query: &Query) -> BTreeSet<Term> {
     match &query.select {
-        SelectList::Vars(vars) => vars.iter().copied().collect(),
-        SelectList::Star => query
+        Some(vars) => vars.iter().copied().collect(),
+        None => query
             .pattern
             .triples
             .iter()

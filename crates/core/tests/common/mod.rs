@@ -3,16 +3,16 @@
 //! One copy, so a grammar extension (a new literal form, a new pattern
 //! shape) changes the round-trip and rewriter property coverage together.
 
-use sparql_rewrite_core::{Query, RewriteScratch, Rewriter};
+use sparql_rewrite_core::{AlignmentStore, Query, RewriteScratch, Rewriter};
 
 /// The answer oracle; only `tests/oracle.rs` evaluates queries.
 #[allow(dead_code)]
 pub mod eval;
 
 /// Rewrite `query` into an owned result through a fresh scratch.
-pub fn rewrite(rewriter: &impl Rewriter, query: &Query) -> Query {
+pub fn rewrite(store: &AlignmentStore, query: &Query) -> Query {
     let mut scratch = RewriteScratch::new();
-    rewriter.rewrite_ref_into(query.as_ref(), &mut scratch);
+    store.rewrite_ref_into(query.as_ref(), &mut scratch);
     scratch.to_query()
 }
 

@@ -7,8 +7,7 @@
 use std::collections::BTreeSet;
 
 use sparql_rewrite_core::{
-    parse_bgp, parse_query, AlignmentStore, ExprNode, IndexedRewriter, Interner, PatternNode, Term,
-    TriplePattern,
+    parse_bgp, parse_query, AlignmentStore, ExprNode, Interner, PatternNode, Term, TriplePattern,
 };
 
 #[allow(dead_code)]
@@ -332,6 +331,11 @@ struct Seen {
     filter_substituted: usize,
 }
 
+/// `s p o .` with each term printed by [`show`], for the failure report.
+fn triple(tp: &TriplePattern, it: &Interner) -> String {
+    format!("{} {} {} .", show(tp.s, it), show(tp.p, it), show(tp.o, it))
+}
+
 /// Check the property on one case, panicking with the case on a
 /// divergence.
 fn check(case: &Case, it: &mut Interner, seen: &mut Seen, label: &str) {
@@ -343,7 +347,7 @@ fn check(case: &Case, it: &mut Interner, seen: &mut Seen, label: &str) {
     for (lhs, rhs) in &case.rules.templates {
         store.add_predicate(*lhs, rhs.clone()).unwrap();
     }
-    let rewritten = rewrite(&IndexedRewriter::new(&store), &query);
+    let rewritten = rewrite(&store, &query);
     let aligned = apply(
         &case.rules,
         &case.data,
@@ -383,15 +387,15 @@ fn check(case: &Case, it: &mut Interner, seen: &mut Seen, label: &str) {
             .templates
             .iter()
             .map(|(lhs, rhs)| {
-                let rhs: Vec<String> = rhs.iter().map(|tp| tp.display(it).to_string()).collect();
-                format!("  {} ⇒ {}\n", lhs.display(it), rhs.join(" "))
+                let rhs: Vec<String> = rhs.iter().map(|tp| triple(tp, it)).collect();
+                format!("  {} ⇒ {}\n", triple(lhs, it), rhs.join(" "))
             })
             .collect();
         let data: String = case
             .data
             .iter()
             .zip(&case.published)
-            .map(|(tp, mask)| format!("  {} (published {mask:#b})\n", tp.display(it)))
+            .map(|(tp, mask)| format!("  {} (published {mask:#b})\n", triple(tp, it)))
             .collect();
         panic!(
             "{label}: the rewrite changed the answers\n\
@@ -399,7 +403,7 @@ fn check(case: &Case, it: &mut Interner, seen: &mut Seen, label: &str) {
              query: {}\nrewritten: {}\n\
              missing:\n{}extra:\n{}",
             case.query,
-            rewritten.display(it),
+            rewritten.to_sparql(it),
             rows(&expected, &actual),
             rows(&actual, &expected),
         );

@@ -11,8 +11,8 @@
 //! nothing, re-rendered identically).
 
 use sparql_rewrite_core::{
-    parse_bgp, parse_query_into, render_query_into, AlignmentStore, IndexedRewriter, Interner,
-    ParseScratch, QueryRef, RewriteScratch, Rewriter,
+    parse_bgp, parse_query_into, render_query_into, AlignmentStore, Interner, ParseScratch,
+    QueryRef, RewriteScratch, Rewriter,
 };
 
 mod common;
@@ -80,9 +80,9 @@ struct Pipeline {
 }
 
 impl Pipeline {
-    fn serve<R: Rewriter>(&mut self, rewriter: &R, text: &str) -> &str {
+    fn serve(&mut self, store: &AlignmentStore, text: &str) -> &str {
         parse_query_into(text, &mut self.interner, &mut self.parse).expect("pipeline input parses");
-        rewriter.rewrite_ref_into(self.parse.query_ref(), &mut self.rewrite);
+        store.rewrite_ref_into(self.parse.query_ref(), &mut self.rewrite);
         render_query_into(
             QueryRef {
                 select: self.rewrite.select(),
@@ -100,7 +100,6 @@ impl Pipeline {
 fn pipeline_is_a_fixpoint_for_idempotent_rules() {
     let mut interner = Interner::new();
     let store = idempotent_rules(&mut interner);
-    let rewriter = IndexedRewriter::new(&store);
     let mut pipe = Pipeline {
         interner,
         parse: ParseScratch::new(),
@@ -111,14 +110,14 @@ fn pipeline_is_a_fixpoint_for_idempotent_rules() {
     for seed in 1..=40u64 {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let text = random_group_query_text(&mut rng);
-        let once = pipe.serve(&rewriter, &text).to_string();
-        let twice = pipe.serve(&rewriter, &once).to_string();
+        let once = pipe.serve(&store, &text).to_string();
+        let twice = pipe.serve(&store, &once).to_string();
         assert_eq!(
             once, twice,
             "seed {seed}: pipeline must be a fixpoint\n--- input ---\n{text}"
         );
         // And the fixpoint is stable: a third pass changes nothing either.
-        let thrice = pipe.serve(&rewriter, &twice).to_string();
+        let thrice = pipe.serve(&store, &twice).to_string();
         assert_eq!(twice, thrice, "seed {seed}");
     }
 }
@@ -126,10 +125,9 @@ fn pipeline_is_a_fixpoint_for_idempotent_rules() {
 #[test]
 fn pipeline_matches_owned_type_path() {
     // The scratch pipeline and the allocating convenience path
-    // (parse_query → owned rewrite → display) must produce identical text.
+    // (parse_query → owned rewrite → to_sparql) must produce identical text.
     let mut interner = Interner::new();
     let store = idempotent_rules(&mut interner);
-    let rewriter = IndexedRewriter::new(&store);
     let mut pipe = Pipeline {
         interner: interner.clone(),
         parse: ParseScratch::new(),
@@ -140,9 +138,9 @@ fn pipeline_matches_owned_type_path() {
     for seed in 50..=70u64 {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let text = random_group_query_text(&mut rng);
-        let via_scratch = pipe.serve(&rewriter, &text).to_string();
+        let via_scratch = pipe.serve(&store, &text).to_string();
         let parsed = sparql_rewrite_core::parse_query(&text, &mut interner).unwrap();
-        let via_owned = rewrite(&rewriter, &parsed).display(&interner).to_string();
+        let via_owned = rewrite(&store, &parsed).to_sparql(&interner);
         assert_eq!(via_scratch, via_owned, "seed {seed}\n{text}");
     }
 }

@@ -5,9 +5,9 @@
 //! return the right answers is checked in `tests/oracle.rs`.
 
 use sparql_rewrite_core::{
-    parse_bgp, parse_query, AlignmentStore, Bgp, CmpOp, ExprNode, GroupPattern, IndexedRewriter,
-    Interner, PatternNode, Query, RewriteError, RewriteLimits, RewriteScratch, Rewriter,
-    RuleTemplate, SelectList, Term, TriplePattern,
+    parse_bgp, parse_query, AlignmentStore, Bgp, CmpOp, ExprNode, GroupPattern, Interner,
+    PatternNode, Query, RewriteError, RewriteLimits, RewriteScratch, Rewriter, RuleTemplate, Term,
+    TriplePattern,
 };
 
 mod common;
@@ -24,7 +24,7 @@ fn var(i: &mut Interner, s: &str) -> Term {
 /// `SELECT * WHERE { bgp }`.
 fn star(bgp: &Bgp) -> Query {
     Query {
-        select: SelectList::Star,
+        select: None,
         pattern: GroupPattern::from_bgp(bgp),
     }
 }
@@ -50,7 +50,7 @@ fn entity_substitution_all_positions() {
         TriplePattern::new(src, src_p, src),
         TriplePattern::new(var(&mut it, "x"), src_p, var(&mut it, "y")),
     ]);
-    let rewritten = rewrite(&IndexedRewriter::new(&store), &star(&bgp)).pattern;
+    let rewritten = rewrite(&store, &star(&bgp)).pattern;
     assert_eq!(
         rewritten.triples,
         vec![
@@ -83,8 +83,8 @@ fn entity_substitution_via_parsed_query() {
             iri(&mut it, "http://tgt/label"),
         )
         .unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &query);
-    let rendered = out.display(&it).to_string();
+    let out = rewrite(&store, &query);
+    let rendered = out.to_sparql(&it);
     assert!(rendered.contains("<http://tgt/label>"), "{rendered}");
     assert!(rendered.contains("<http://tgt/Agent>"), "{rendered}");
     assert!(!rendered.contains("http://src/"), "{rendered}");
@@ -117,7 +117,7 @@ fn predicate_template_one_to_many_expansion() {
         &mut it,
     )
     .unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &query);
+    let out = rewrite(&store, &query);
     assert_eq!(out.pattern.triples.len(), 2);
     let [a, b] = [out.pattern.triples[0], out.pattern.triples[1]];
     // ?x bound to ?who in both output patterns.
@@ -146,10 +146,9 @@ fn template_with_concrete_lhs_object_matches_selectively() {
 
     let hit = parse_bgp("?a <http://src/type> <http://src/Special>", &mut it).unwrap();
     let miss = parse_bgp("?a <http://src/type> <http://src/Other>", &mut it).unwrap();
-    let rw = IndexedRewriter::new(&store);
-    let hit_out = rewrite(&rw, &star(&hit)).pattern;
+    let hit_out = rewrite(&store, &star(&hit)).pattern;
     assert_eq!(hit_out.triples[0].p, iri(&mut it, "http://tgt/kind"));
-    let miss_out = rewrite(&rw, &star(&miss)).pattern;
+    let miss_out = rewrite(&store, &star(&miss)).pattern;
     assert_eq!(
         miss_out,
         GroupPattern::from_bgp(&miss),
@@ -169,14 +168,13 @@ fn repeated_lhs_variable_requires_equal_terms() {
         .patterns;
     let mut store = AlignmentStore::new();
     store.add_predicate(lhs, rhs).unwrap();
-    let rw = IndexedRewriter::new(&store);
 
     let reflexive = parse_bgp("?a <http://src/sameAs> ?a", &mut it).unwrap();
-    let out = rewrite(&rw, &star(&reflexive)).pattern;
+    let out = rewrite(&store, &star(&reflexive)).pattern;
     assert_eq!(out.triples[0].p, iri(&mut it, "http://tgt/reflexive"));
 
     let non_reflexive = parse_bgp("?a <http://src/sameAs> ?b", &mut it).unwrap();
-    let out = rewrite(&rw, &star(&non_reflexive)).pattern;
+    let out = rewrite(&store, &star(&non_reflexive)).pattern;
     assert_eq!(out, GroupPattern::from_bgp(&non_reflexive));
 }
 
@@ -197,7 +195,7 @@ fn fresh_variables_avoid_capture() {
         &mut it,
     )
     .unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &query);
+    let out = rewrite(&store, &query);
     assert_eq!(out.pattern.triples.len(), 3);
     let intro = out.pattern.triples[0].o; // the renamed ?m from the template
     assert!(intro.is_fresh(), "template existentials are Fresh terms");
@@ -228,7 +226,7 @@ fn fresh_variables_distinct_across_multiple_expansions() {
         &mut it,
     )
     .unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &query);
+    let out = rewrite(&store, &query);
     assert_eq!(out.pattern.triples.len(), 4);
     let m1 = out.pattern.triples[0].o;
     let m2 = out.pattern.triples[2].o;
@@ -253,7 +251,7 @@ fn entity_substitution_feeds_template_matching() {
     store.add_predicate(lhs, rhs).unwrap();
 
     let query = parse_bgp("?x <http://legacy/knows> ?y", &mut it).unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &star(&query)).pattern;
+    let out = rewrite(&store, &star(&query)).pattern;
     assert_eq!(
         out.triples,
         vec![TriplePattern::new(
@@ -283,7 +281,7 @@ fn two_matching_templates_expand_to_a_union_of_both() {
     store.add_predicate(lhs, rhs1).unwrap();
     store.add_predicate(lhs, rhs2).unwrap();
     let query = parse_bgp("?x <http://src/p> ?y", &mut it).unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &star(&query)).pattern;
+    let out = rewrite(&store, &star(&query)).pattern;
     // Shape: root group holds exactly one UNION with two group branches.
     let nodes = root_nodes(&out);
     assert_eq!(nodes.len(), 1, "{nodes:?}");
@@ -320,13 +318,13 @@ fn union_expansion_preserves_surrounding_conjunction() {
         &mut it,
     )
     .unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &star(&query)).pattern;
-    let nodes = root_nodes(&out);
+    let out = rewrite(&store, &star(&query));
+    let nodes = root_nodes(&out.pattern);
     assert_eq!(nodes.len(), 3, "{nodes:?}");
     assert!(matches!(nodes[0], PatternNode::Triples { len: 1, .. }));
     assert!(matches!(nodes[1], PatternNode::Union { .. }));
     assert!(matches!(nodes[2], PatternNode::Triples { len: 1, .. }));
-    let rendered = out.display(&it).to_string();
+    let rendered = out.to_sparql(&it);
     assert!(rendered.contains("<http://keep/1>"), "{rendered}");
     assert!(rendered.contains("UNION"), "{rendered}");
     assert!(rendered.contains("<http://tgt/a>"), "{rendered}");
@@ -346,8 +344,7 @@ fn union_branch_order_is_deterministic_in_rule_id_order() {
         store.add_predicate(lhs, rhs).unwrap();
     }
     let query = parse_query("SELECT * WHERE { ?x <http://src/p> ?y }", &mut it).unwrap();
-    let rw = IndexedRewriter::new(&store);
-    let first = rewrite(&rw, &query).display(&it).to_string();
+    let first = rewrite(&store, &query).to_sparql(&it);
     // Registration order, not alphabetical order.
     let (za, aa, ma) = (
         first.find("zeta").unwrap(),
@@ -357,7 +354,7 @@ fn union_branch_order_is_deterministic_in_rule_id_order() {
     assert!(za < aa && aa < ma, "{first}");
     // Deterministic across repeated rewrites.
     for _ in 0..5 {
-        assert_eq!(rewrite(&rw, &query).display(&it).to_string(), first);
+        assert_eq!(rewrite(&store, &query).to_sparql(&it), first);
     }
 }
 
@@ -378,7 +375,7 @@ fn union_branches_get_distinct_existentials() {
     store.add_predicate(lhs, rhs1).unwrap();
     store.add_predicate(lhs, rhs2).unwrap();
     let query = parse_bgp("?x <http://src/p> ?y", &mut it).unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &star(&query)).pattern;
+    let out = rewrite(&store, &star(&query)).pattern;
     let m1 = out.triples[0].o;
     let m2 = out.triples[2].o;
     assert!(m1.is_fresh() && m2.is_fresh());
@@ -407,8 +404,8 @@ fn rewrites_inside_optional_union_and_nested_groups() {
         &mut it,
     )
     .unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &query);
-    let rendered = out.display(&it).to_string();
+    let out = rewrite(&store, &query);
+    let rendered = out.to_sparql(&it);
     assert!(
         !rendered.contains("http://src/"),
         "source vocabulary must be rewritten everywhere: {rendered}"
@@ -438,7 +435,7 @@ fn multi_template_match_inside_optional_becomes_nested_union() {
         &mut it,
     )
     .unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &query);
+    let out = rewrite(&store, &query);
     let nodes = root_nodes(&out.pattern);
     let PatternNode::Optional { first } = nodes[1] else {
         panic!("expected OPTIONAL at root: {nodes:?}");
@@ -471,8 +468,8 @@ fn filter_expressions_get_entity_substitution() {
         &mut it,
     )
     .unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &query);
-    let rendered = out.display(&it).to_string();
+    let out = rewrite(&store, &query);
+    let rendered = out.to_sparql(&it);
     assert!(
         rendered.contains("<http://tgt/Special>"),
         "entity alignment must apply inside FILTER: {rendered}"
@@ -641,15 +638,14 @@ fn check_random_caps(
     seen: &mut CapOutcomes,
     context: &str,
 ) {
-    let rw = IndexedRewriter::new(store);
-    let unbounded = rewrite(&rw, query);
+    let unbounded = rewrite(store, query);
     let mut scratch = RewriteScratch::new();
     for _ in 0..4 {
         let limits = RewriteLimits {
             max_union_branches: rng.below(9) as u32,
             max_template_size: rng.below(9) as u32,
         };
-        let err = match rw.try_rewrite_ref_into(query.as_ref(), &mut scratch, limits) {
+        let err = match store.try_rewrite_ref_into(query.as_ref(), &mut scratch, limits) {
             Ok(()) => {
                 assert_eq!(scratch.to_query(), unbounded, "{context}, {limits:?}");
                 seen.ok += 1;
@@ -669,7 +665,7 @@ fn check_random_caps(
         };
         assert_eq!(cap, limit, "{context}, {limits:?}: {err}");
         assert!(required > cap, "{context}, {limits:?}: {err}");
-        rw.rewrite_ref_into(query.as_ref(), &mut scratch);
+        store.rewrite_ref_into(query.as_ref(), &mut scratch);
         assert_eq!(
             scratch.to_query(),
             unbounded,
@@ -703,10 +699,10 @@ fn property_capped_rewrite_on_random_rule_sets() {
             })
             .collect();
         let query = Query {
-            select: SelectList::Star,
+            select: None,
             pattern: GroupPattern::from_bgp(&Bgp::new(patterns)),
         };
-        let context = format!("seed {seed}: {}", query.display(&it));
+        let context = format!("seed {seed}: {}", query.to_sparql(&it));
         check_random_caps(&mut rng, &store, &query, &mut seen, &context);
     }
     seen.assert_each_occurred();
@@ -746,7 +742,7 @@ fn template_blank_nodes_freshened_per_expansion() {
         &mut it,
     )
     .unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &query);
+    let out = rewrite(&store, &query);
     assert_eq!(out.pattern.triples.len(), 3);
     let o1 = out.pattern.triples[0].o;
     let o2 = out.pattern.triples[1].o;
@@ -775,7 +771,6 @@ fn scratch_reuse_matches_fresh_scratch() {
     let mut store = AlignmentStore::new();
     store.add_predicate(lhs, rhs).unwrap();
     store.add_predicate(lhs, rhs2).unwrap(); // multi-match: UNION output
-    let rw = IndexedRewriter::new(&store);
 
     let queries = [
         parse_query("SELECT * WHERE { ?a <http://src/p> ?b }", &mut it).unwrap(),
@@ -789,15 +784,15 @@ fn scratch_reuse_matches_fresh_scratch() {
     ];
     let mut reused = RewriteScratch::new();
     for q in &queries {
-        rw.rewrite_ref_into(q.as_ref(), &mut reused);
+        store.rewrite_ref_into(q.as_ref(), &mut reused);
         let via_reuse = reused.to_query();
         // A scratch dirtied by earlier queries must give byte-identical
         // results to a brand-new one.
         let mut clean = RewriteScratch::new();
-        rw.rewrite_ref_into(q.as_ref(), &mut clean);
+        store.rewrite_ref_into(q.as_ref(), &mut clean);
         assert_eq!(via_reuse, clean.to_query());
         // And to the allocating convenience path.
-        assert_eq!(via_reuse, rewrite(&rw, q));
+        assert_eq!(via_reuse, rewrite(&store, q));
     }
 }
 
@@ -810,7 +805,6 @@ fn rewrite_is_deterministic_per_query() {
         .patterns;
     let mut store = AlignmentStore::new();
     store.add_predicate(lhs, rhs).unwrap();
-    let rw = IndexedRewriter::new(&store);
     let query = parse_query(
         "SELECT * WHERE { ?a <http://src/p> ?b . ?c <http://src/p> ?d }",
         &mut it,
@@ -819,9 +813,9 @@ fn rewrite_is_deterministic_per_query() {
     // The fresh counter restarts per rewrite call, so the same query always
     // produces the same output — the property that makes multi-threaded
     // batch rewriting order-independent.
-    let first = rewrite(&rw, &query);
+    let first = rewrite(&store, &query);
     for _ in 0..5 {
-        assert_eq!(rewrite(&rw, &query), first);
+        assert_eq!(rewrite(&store, &query), first);
     }
 }
 
@@ -844,9 +838,9 @@ fn rerewriting_output_skips_existing_fresh_counters() {
     store2.add_predicate(lhs2, rhs2).unwrap();
 
     let query = parse_bgp("?a <http://src/p> ?b", &mut it).unwrap();
-    let stage1 = rewrite(&IndexedRewriter::new(&store), &star(&query));
+    let stage1 = rewrite(&store, &star(&query));
     // stage1: ?a mid:p g0 . g0 mid:q ?b   (g0 = Fresh(0))
-    let stage2 = rewrite(&IndexedRewriter::new(&store2), &stage1).pattern;
+    let stage2 = rewrite(&store2, &stage1).pattern;
     // stage2 must mint existentials that do not collide with Fresh(0).
     let mut fresh: Vec<Term> = stage2
         .triples
@@ -876,8 +870,8 @@ fn fresh_vars_never_collide_with_g_named_query_vars_when_rendered() {
     // The query itself uses ?g0 and ?g1 — the names the renderer would
     // otherwise hand to the first two fresh existentials.
     let query = parse_query("SELECT ?g0 WHERE { ?g0 <http://src/p> ?g1 }", &mut it).unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &query);
-    let rendered = out.display(&it).to_string();
+    let out = rewrite(&store, &query);
+    let rendered = out.to_sparql(&it);
     // The existential joins the two expanded patterns and must be a new
     // name, not ?g0/?g1.
     assert!(rendered.contains("?g2"), "{rendered}");
@@ -899,9 +893,8 @@ fn fresh_count_excludes_preexisting_fresh_terms() {
     let p = iri(&mut it, "http://ex/p");
     let prior = Bgp::new(vec![TriplePattern::new(Term::fresh(0), p, Term::fresh(1))]);
     let store = AlignmentStore::new();
-    let rw = IndexedRewriter::new(&store);
     let mut scratch = RewriteScratch::new();
-    rw.rewrite_ref_into(star(&prior).as_ref(), &mut scratch);
+    store.rewrite_ref_into(star(&prior).as_ref(), &mut scratch);
     assert_eq!(scratch.fresh_count(), 0);
 
     // With a rule that mints one existential, the count is exactly 1 and the
@@ -912,9 +905,8 @@ fn fresh_count_excludes_preexisting_fresh_terms() {
         .patterns;
     let mut store2 = AlignmentStore::new();
     store2.add_predicate(lhs, rhs).unwrap();
-    let rw2 = IndexedRewriter::new(&store2);
-    rw2.rewrite_ref_into(star(&prior).as_ref(), &mut scratch);
+    store2.rewrite_ref_into(star(&prior).as_ref(), &mut scratch);
     assert_eq!(scratch.fresh_count(), 1);
-    let minted = scratch.patterns()[0].o;
+    let minted = scratch.pattern().triples[0].o;
     assert!(minted.is_fresh() && minted.fresh_index() >= 2, "{minted:?}");
 }

@@ -3,7 +3,7 @@
 //! structure — including group graph patterns (nested groups, OPTIONAL,
 //! UNION, FILTER) and the xsd-typed sugar literals.
 
-use sparql_rewrite_core::{parse_query, AlignmentStore, IndexedRewriter, Interner};
+use sparql_rewrite_core::{parse_query, AlignmentStore, Interner};
 
 mod common;
 use common::{random_group_query_text, rewrite, Rng};
@@ -51,13 +51,12 @@ fn parse_rewrite_empty_render_is_idempotent() {
         let parsed = parse_query(input, &mut interner).unwrap_or_else(|e| {
             panic!("failed to parse {input:?}: {e}");
         });
-        let rewriter = IndexedRewriter::new(&store);
-        let rewritten = rewrite(&rewriter, &parsed);
+        let rewritten = rewrite(&store, &parsed);
         assert_eq!(
             rewritten, parsed,
             "empty rule set must be the identity rewrite for {input:?}"
         );
-        let rendered = rewritten.display(&interner).to_string();
+        let rendered = rewritten.to_sparql(&interner);
 
         // The rendered text is valid SPARQL for this fragment: it parses,
         // and it parses to the same structure.
@@ -70,15 +69,15 @@ fn parse_rewrite_empty_render_is_idempotent() {
         );
 
         // Full fixpoint: rendering the reparsed query reproduces the text.
-        let rerendered = reparsed.display(&interner).to_string();
+        let rerendered = reparsed.to_sparql(&interner);
         assert_eq!(rendered, rerendered, "rendering must be a fixpoint");
     }
 }
 
 #[test]
 fn random_group_queries_round_trip() {
-    // Deterministic seeds through the shared generator: parse → display →
-    // parse must be structural identity and display → parse → display a
+    // Deterministic seeds through the shared generator: parse → render →
+    // parse must be structural identity and render → parse → render a
     // textual fixpoint for arbitrarily nested OPTIONAL/UNION/FILTER shapes.
     for seed in 1..=30u64 {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -86,12 +85,12 @@ fn random_group_queries_round_trip() {
         let mut interner = Interner::new();
         let parsed = parse_query(&text, &mut interner)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{text}"));
-        let rendered = parsed.display(&interner).to_string();
+        let rendered = parsed.to_sparql(&interner);
         let reparsed = parse_query(&rendered, &mut interner)
             .unwrap_or_else(|e| panic!("seed {seed}: re-parse failed: {e}\n{rendered}"));
         assert_eq!(reparsed, parsed, "seed {seed}\n{text}\n---\n{rendered}");
         assert_eq!(
-            reparsed.display(&interner).to_string(),
+            reparsed.to_sparql(&interner),
             rendered,
             "seed {seed}: rendering must be a fixpoint"
         );
@@ -118,15 +117,15 @@ fn rendered_rewrite_reparses() {
     .unwrap()
     .patterns;
     store.add_predicate(lhs, rhs).unwrap();
-    let out = rewrite(&IndexedRewriter::new(&store), &query);
-    let rendered = out.display(&interner).to_string();
+    let out = rewrite(&store, &query);
+    let rendered = out.to_sparql(&interner);
     let reparsed = parse_query(&rendered, &mut interner).unwrap();
     // Fresh existentials are structural (`TermKind::Fresh`); parsing their
     // rendered `?g{n}` names yields ordinary variables, so the invariant is
     // shape + textual fixpoint rather than term-for-term equality.
     assert_eq!(reparsed.pattern.triples.len(), 2);
     assert_eq!(reparsed.select, out.select);
-    let rerendered = reparsed.display(&interner).to_string();
+    let rerendered = reparsed.to_sparql(&interner);
     assert_eq!(
         rendered, rerendered,
         "render → parse → render must be a fixpoint"
@@ -159,13 +158,13 @@ fn rendered_union_rewrite_reparses() {
                 .patterns;
         store.add_predicate(lhs, rhs).unwrap();
     }
-    let out = rewrite(&IndexedRewriter::new(&store), &query);
-    let rendered = out.display(&interner).to_string();
+    let out = rewrite(&store, &query);
+    let rendered = out.to_sparql(&interner);
     assert_eq!(rendered.matches("UNION").count(), 2, "{rendered}");
     let reparsed = parse_query(&rendered, &mut interner).unwrap();
     assert_eq!(reparsed.pattern, out.pattern);
     assert_eq!(
-        reparsed.display(&interner).to_string(),
+        reparsed.to_sparql(&interner),
         rendered,
         "render → parse → render must be a fixpoint"
     );
@@ -205,7 +204,7 @@ fn datatype_qname_expands_to_full_iri() {
     // QName and full-IRI spellings intern to the same literal symbol...
     assert_eq!(q1.pattern.triples[0].o, q2.pattern.triples[0].o);
     // ...and the rendered form is prefix-free, so it re-parses standalone.
-    let rendered = q1.display(&interner).to_string();
+    let rendered = q1.to_sparql(&interner);
     assert!(
         rendered.contains("^^<http://www.w3.org/2001/XMLSchema#int>"),
         "{rendered}"
@@ -223,7 +222,7 @@ fn bare_numeric_sugar_round_trips_via_typed_form() {
         &mut interner,
     )
     .unwrap();
-    let rendered = q.display(&interner).to_string();
+    let rendered = q.to_sparql(&interner);
     assert!(
         rendered.contains("\"42\"^^<http://www.w3.org/2001/XMLSchema#integer>"),
         "{rendered}"

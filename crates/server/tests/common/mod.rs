@@ -17,9 +17,9 @@ use sparql_rewrite_core::{
 use sparql_rewrite_server::{Server, ServerConfig};
 
 /// Rewrite `query` into an owned result through a fresh scratch.
-pub fn rewrite(rewriter: &impl Rewriter, query: &Query) -> Query {
+pub fn rewrite(store: &AlignmentStore, query: &Query) -> Query {
     let mut scratch = RewriteScratch::new();
-    rewriter.rewrite_ref_into(query.as_ref(), &mut scratch);
+    store.rewrite_ref_into(query.as_ref(), &mut scratch);
     scratch.to_query()
 }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use sparql_rewrite_core::{
     parse_query, AlignmentStore, Bgp, CmpOp, ExprNode, FederationPlanner, GroupPattern, Interner,
-    Query, RuleTemplate, SelectList, Term, TriplePattern,
+    Query, RuleTemplate, Term, TriplePattern,
 };
 
 /// xorshift64* — tiny, fast, deterministic; no `rand` crate in the offline
@@ -167,7 +167,7 @@ impl Workload {
     pub fn query_texts(&self) -> Vec<String> {
         self.queries
             .iter()
-            .map(|q| q.display(&self.interner).to_string())
+            .map(|q| q.to_sparql(&self.interner))
             .collect()
     }
 }
@@ -299,7 +299,7 @@ pub fn generate(spec: &WorkloadSpec) -> Workload {
                 patterns.push(TriplePattern::new(s, p, o));
             }
             queries.push(Query {
-                select: SelectList::Star,
+                select: None,
                 pattern: GroupPattern::from_bgp(&Bgp::new(patterns)),
             });
         }
@@ -516,7 +516,7 @@ pub fn generate_federation(spec: &FederationSpec) -> FederationWorkload {
             ));
         }
         queries.push(Query {
-            select: SelectList::Star,
+            select: None,
             pattern: GroupPattern::from_bgp(&Bgp::new(patterns)),
         });
     }

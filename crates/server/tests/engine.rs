@@ -210,11 +210,9 @@ fn serve_matches_offline_rewrite() {
         let mut check_interner = engine.base_interner().clone();
         for req in &requests {
             let served = engine.serve(req, &mut scratch).unwrap().to_string();
-            // Ground truth: owned-type parse → rewrite → display.
+            // Ground truth: owned-type parse → rewrite → to_sparql.
             let parsed = parse_query(req, &mut check_interner).unwrap();
-            let expected = rewrite(engine.rewriter(), &parsed)
-                .display(&check_interner)
-                .to_string();
+            let expected = rewrite(engine.rewriter(), &parsed).to_sparql(&check_interner);
             assert_eq!(served, expected, "request: {req}");
             // The served text is valid SPARQL.
             parse_query(&served, &mut check_interner).unwrap();

@@ -599,11 +599,7 @@ fn endpoint_chaos(e: usize) -> ChaosSpec {
 /// (abandoned client connections would otherwise race the snapshot).
 fn federated_chaos_run(spec: &FederationSpec, n_connections: usize, client_seed: u64) -> FedRun {
     let w = generate_federation(spec);
-    let queries: Vec<String> = w
-        .queries
-        .iter()
-        .map(|q| q.display(&w.interner).to_string())
-        .collect();
+    let queries: Vec<String> = w.queries.iter().map(|q| q.to_sparql(&w.interner)).collect();
     let proxies: Vec<ChaosProxy> = (0..spec.n_endpoints)
         .map(|e| {
             ChaosProxy::spawn(spec.seed.wrapping_add(e as u64), endpoint_chaos(e))
@@ -698,7 +694,7 @@ mod workload {
     use super::common::rewrite;
     use super::common::workload::*;
     use sparql_rewrite_core::{
-        parse_query, DispatchPlan, EndpointId, IndexedRewriter, PatternNode, Query, RewriteLimits,
+        parse_query, DispatchPlan, EndpointId, PatternNode, Query, RewriteLimits,
     };
 
     fn total_patterns(w: &Workload) -> usize {
@@ -853,11 +849,10 @@ mod workload {
             group_shapes: true,
         };
         let w = generate(&spec);
-        let indexed = IndexedRewriter::new(&w.store);
         // At least one query must hit a double-template predicate and grow
         // an extra UNION beyond the one the query text already contains.
         let extra_unions = w.queries.iter().any(|q| {
-            let out = rewrite(&indexed, q);
+            let out = rewrite(&w.store, q);
             let unions = |qq: &Query| {
                 qq.pattern
                     .nodes
