@@ -92,9 +92,7 @@ impl QueryFingerprint {
 /// [`fingerprint_raw`], which digests whole blocks straight from the
 /// request, agrees with the pushed digest of the same bytes. Pushed
 /// bytes go through a small stack buffer, which keeps the canonicalizer's
-/// per-token sink at one copy + one increment. The federation planner keys
-/// its partition cache with one too, so every text-keyed cache key in the
-/// crate is seeded.
+/// per-token sink at one copy + one increment.
 pub(crate) struct Fingerprinter {
     lanes: [u64; 4],
     buf: [u8; Self::BUF],

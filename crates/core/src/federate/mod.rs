@@ -12,13 +12,12 @@
 //!    statistics-free selectivity signal in the spirit of Yannakis et al.:
 //!    endpoints are dispatched most-selective-first (smallest expected
 //!    expansion), ties broken by endpoint id. Patterns no endpoint can
-//!    rewrite, and all non-conjunctive structure (OPTIONAL, UNION, FILTER,
-//!    nested groups), stay local; the plan counts the unrewritable
-//!    patterns and ships neither.
+//!    rewrite, all non-conjunctive structure (OPTIONAL, UNION, FILTER,
+//!    nested groups, SERVICE) and the projection are shipped nowhere; the
+//!    plan counts each of them as residual.
 //! 2. **Rewrite + render**: each partition is rewritten against its
 //!    endpoint's own rules and rendered as a standalone `SELECT *`
-//!    subquery, the text shipped over the transport. With the partition
-//!    cache on, a repeated partition skips both steps.
+//!    subquery, the text shipped over the transport.
 //! 3. **Execute** ([`FederatedExecutor`]): subqueries are dispatched
 //!    concurrently — the calling thread plus a few persistent dispatch
 //!    lanes, no thread spawned per request — over a pluggable
@@ -57,13 +56,12 @@ pub use http::{
 };
 pub use transport::{EndpointTransport, TransportError, TransportReply, TransportRequest};
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::align::AlignmentStore;
-use crate::cache::{CacheConfig, Fingerprinter, QueryFingerprint, RewriteCache, ONE_RULE_SET};
+use crate::cache::CacheConfig;
 use crate::interner::Interner;
-use crate::pattern::{render_query_into, GroupPattern, QueryRef, TriplePattern};
+use crate::pattern::{render_query_into, GroupPattern, PatternNode, QueryRef, TriplePattern};
 use crate::rewriter::{RewriteError, RewriteLimits, RewriteScratch, Rewriter};
 use crate::term::Term;
 
@@ -178,7 +176,11 @@ pub struct EndpointPlan {
 pub struct DispatchPlan {
     /// Per-endpoint subqueries in dispatch order.
     pub endpoints: Vec<EndpointPlan>,
-    /// Number of triple patterns no endpoint could rewrite (kept local).
+    /// Parts of the query that no subquery carries: each root triple no
+    /// endpoint could rewrite, each other root node (FILTER, OPTIONAL,
+    /// UNION, nested group, SERVICE), and one for a projection, since every
+    /// subquery selects `*`. Above zero, the answer leaves part of the query
+    /// unevaluated.
     pub n_residual_patterns: usize,
 }
 
@@ -187,18 +189,10 @@ struct PlannerEndpoint {
     store: Arc<AlignmentStore>,
 }
 
-/// Per-endpoint partition rewrite cache: (endpoint id, partition
-/// fingerprint) → rendered subquery text. Built by
-/// [`FederationPlanner::enable_partition_cache`] over members whose
-/// stores never change, and dropped with the planner, so every entry is
-/// tagged [`ONE_RULE_SET`].
-struct PartitionCache {
-    cache: RewriteCache,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Hit/miss counters of the planner's partition cache.
+/// Always zero: the planner keeps no partition cache. Kept only because the
+/// benchmark package still reads it; ROADMAP item 0's `[benchmark]` change
+/// drops it.
+#[doc(hidden)]
 #[derive(Copy, Clone, PartialEq, Eq, Default, Debug)]
 pub struct PartitionCacheStats {
     pub hits: u64,
@@ -209,19 +203,11 @@ pub struct PartitionCacheStats {
 /// rewritten subquery per endpoint. Build-phase: register endpoints with
 /// [`FederationPlanner::add_endpoint`], then call
 /// [`FederationPlanner::plan_for_dispatch`] freely from the serve phase
-/// (`&self`).
-///
-/// With [`FederationPlanner::enable_partition_cache`], rendered partition
-/// rewrites are memoized per `(endpoint id, partition fingerprint)`:
-/// repeated hot partitions — the normal shape of a Zipfian query stream —
-/// are planned by [`FederationPlanner::plan_for_dispatch`] without
-/// re-rewriting or re-rendering anything. A member's store is fixed once
-/// it is added, so the cache serves one rule set per member for the
-/// planner's whole life and needs no invalidation.
+/// (`&self`). A member's store is fixed once it is added, and the planner
+/// holds no other state.
 #[derive(Default)]
 pub struct FederationPlanner {
     endpoints: Vec<PlannerEndpoint>,
-    cache: Option<PartitionCache>,
 }
 
 /// Reusable buffers threaded through per-partition rewriting.
@@ -237,7 +223,7 @@ struct PlanScratch {
 struct Partitioned {
     parts: Vec<Vec<TriplePattern>>,
     scores: Vec<u64>,
-    /// Root triples no endpoint could rewrite.
+    /// What no partition carries (see [`DispatchPlan::n_residual_patterns`]).
     n_residual_patterns: usize,
     /// Endpoints with non-empty partitions, most selective first.
     order: Vec<usize>,
@@ -260,25 +246,16 @@ impl FederationPlanner {
         id
     }
 
-    /// Memoize rendered partition rewrites (see the type docs). Call once
-    /// during the build phase; planning stays `&self`.
-    pub fn enable_partition_cache(&mut self, config: CacheConfig) {
-        self.cache = Some(PartitionCache {
-            cache: RewriteCache::new(config),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        });
-    }
+    /// A no-op: the planner keeps no partition cache. Kept only because the
+    /// benchmark package still calls it; ROADMAP item 0's `[benchmark]`
+    /// change drops it.
+    #[doc(hidden)]
+    pub fn enable_partition_cache(&mut self, _config: CacheConfig) {}
 
-    /// Partition-cache hit/miss counters; zeros when the cache is off.
+    /// Always zero, for the same reason as `enable_partition_cache`.
+    #[doc(hidden)]
     pub fn partition_cache_stats(&self) -> PartitionCacheStats {
-        match &self.cache {
-            Some(pc) => PartitionCacheStats {
-                hits: pc.hits.load(Ordering::Relaxed),
-                misses: pc.misses.load(Ordering::Relaxed),
-            },
-            None => PartitionCacheStats::default(),
-        }
+        PartitionCacheStats::default()
     }
 
     pub fn n_endpoints(&self) -> usize {
@@ -295,36 +272,6 @@ impl FederationPlanner {
     /// Panics if `id` was not issued by this planner.
     pub fn endpoint_term(&self, id: EndpointId) -> Term {
         self.endpoints[id.0 as usize].term
-    }
-
-    /// Cache key of endpoint `e`'s partition: the endpoint id, then every
-    /// term's kind, length and text (a fresh term's counter instead), fed
-    /// through the query cache's seeded `Fingerprinter`. Terms are keyed
-    /// by text, not by symbol id: every worker shares this cache, and a
-    /// symbol minted into one worker's interner overlay names a different
-    /// string in the next worker's. The seed keeps a caller from working
-    /// out two colliding partitions offline.
-    fn partition_fingerprint(
-        &self,
-        e: usize,
-        part: &[TriplePattern],
-        interner: &Interner,
-    ) -> QueryFingerprint {
-        let mut fp = Fingerprinter::new();
-        fp.push_bytes(&(e as u64).to_le_bytes());
-        for tp in part {
-            for t in tp.terms() {
-                fp.push_bytes(&[t.kind() as u8]);
-                if t.is_fresh() {
-                    fp.push_bytes(&t.fresh_index().to_le_bytes());
-                } else {
-                    let text = interner.resolve(t.symbol());
-                    fp.push_bytes(&(text.len() as u64).to_le_bytes());
-                    fp.push_bytes(text.as_bytes());
-                }
-            }
-        }
-        fp.finish()
     }
 
     /// Which endpoint should answer `tp`, and at what selectivity cost?
@@ -354,15 +301,21 @@ impl FederationPlanner {
         best.map(|(_, score, i)| (i, score))
     }
 
-    /// Partition the root triples of `src` across endpoints and fix the
-    /// dispatch order. Other root nodes (OPTIONAL, UNION, FILTER, nested
-    /// groups) have an empty run, so they are never dispatched.
-    fn partition(&self, src: &GroupPattern) -> Partitioned {
+    /// Partition the root triples of `query` across endpoints and fix the
+    /// dispatch order. Every other root node (OPTIONAL, UNION, FILTER,
+    /// nested group, SERVICE) is never dispatched, nor is a projection:
+    /// each counts as residual, like an unroutable triple.
+    fn partition(&self, query: QueryRef<'_>) -> Partitioned {
+        let src = query.pattern;
         let n = self.endpoints.len();
         let mut parts: Vec<Vec<TriplePattern>> = vec![Vec::new(); n];
         let mut scores: Vec<u64> = vec![0; n];
-        let mut n_residual_patterns = 0;
+        let mut n_residual_patterns = usize::from(query.select.is_some());
         for ci in src.root_children() {
+            if !matches!(src.nodes[ci as usize], PatternNode::Triples { .. }) {
+                n_residual_patterns += 1;
+                continue;
+            }
             for &tp in src.run(ci) {
                 match self.assign(tp) {
                     Some((e, score)) => {
@@ -386,8 +339,8 @@ impl FederationPlanner {
         }
     }
 
-    /// Rewrite endpoint `e`'s partition into `scratch` and render it into
-    /// `subquery`.
+    /// Rewrite endpoint `e`'s partition into `scratch` and render it as the
+    /// subquery the endpoint is sent.
     fn rewrite_partition(
         &self,
         e: usize,
@@ -395,8 +348,7 @@ impl FederationPlanner {
         interner: &Interner,
         limits: RewriteLimits,
         scratch: &mut PlanScratch,
-        subquery: &mut String,
-    ) -> Result<(), RewriteError> {
+    ) -> Result<String, RewriteError> {
         scratch.part.set_bgp(part);
         self.endpoints[e].store.try_rewrite_ref_into(
             QueryRef {
@@ -406,7 +358,7 @@ impl FederationPlanner {
             &mut scratch.rewrite,
             limits,
         )?;
-        subquery.clear();
+        let mut subquery = String::new();
         render_query_into(
             QueryRef {
                 select: None,
@@ -414,16 +366,14 @@ impl FederationPlanner {
             },
             interner,
             &mut scratch.fresh_base,
-            subquery,
+            &mut subquery,
         );
-        Ok(())
+        Ok(subquery)
     }
 
     /// Partition `query`, rewrite each partition against its endpoint's
     /// rules (bounded by `limits`), and render each as the subquery its
-    /// endpoint is sent. With the partition cache on, a hot partition skips
-    /// the rewrite entirely: its subquery text is served by fingerprint +
-    /// memcpy.
+    /// endpoint is sent.
     ///
     /// Plans are fully deterministic in the query + registered endpoints.
     /// Fails only when a partition's rewrite crosses a [`RewriteLimits`]
@@ -434,41 +384,12 @@ impl FederationPlanner {
         interner: &Interner,
         limits: RewriteLimits,
     ) -> Result<DispatchPlan, RewriteError> {
-        let p = self.partition(query.pattern);
+        let p = self.partition(query);
         let mut endpoint_plans = Vec::with_capacity(p.order.len());
         let mut scratch = PlanScratch::default();
-        let mut cached = Vec::new();
         for &e in &p.order {
-            let mut subquery = String::new();
-            let key = self
-                .cache
-                .as_ref()
-                .map(|_| self.partition_fingerprint(e, &p.parts[e], interner));
-            let mut hit = false;
-            if let (Some(pc), Some(fp)) = (&self.cache, key) {
-                cached.clear();
-                if pc.cache.lookup(fp, ONE_RULE_SET, &mut cached) {
-                    if let Ok(text) = std::str::from_utf8(&cached) {
-                        subquery.push_str(text);
-                        hit = true;
-                    }
-                }
-                let counter = if hit { &pc.hits } else { &pc.misses };
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-            if !hit {
-                self.rewrite_partition(
-                    e,
-                    &p.parts[e],
-                    interner,
-                    limits,
-                    &mut scratch,
-                    &mut subquery,
-                )?;
-                if let (Some(pc), Some(fp)) = (&self.cache, key) {
-                    pc.cache.insert(fp, ONE_RULE_SET, subquery.as_bytes());
-                }
-            }
+            let subquery =
+                self.rewrite_partition(e, &p.parts[e], interner, limits, &mut scratch)?;
             endpoint_plans.push(EndpointPlan {
                 endpoint: EndpointId(e as u32),
                 endpoint_term: self.endpoints[e].term,
@@ -540,7 +461,8 @@ mod tests {
         assert_eq!(plan.endpoints[0].selectivity, 1);
         assert_eq!(plan.endpoints[1].endpoint, EndpointId(1));
         assert_eq!(plan.endpoints[1].selectivity, 2);
-        assert_eq!(plan.n_residual_patterns, 1);
+        // Residual: the unroutable triple, the FILTER and the projection.
+        assert_eq!(plan.n_residual_patterns, 3);
 
         // Subqueries are rewritten into each endpoint's target vocabulary.
         assert!(
@@ -644,85 +566,36 @@ mod tests {
         );
     }
 
+    /// Everything a plan does not ship counts as residual: a FILTER, an
+    /// OPTIONAL group and a projection, not only unroutable triples.
     #[test]
-    fn partition_fingerprints_key_on_the_endpoint_id() {
+    fn residual_counts_every_part_no_subquery_carries() {
         let mut it = Interner::new();
-        let planner = two_endpoint_planner(&mut it);
-        let tps = parse_bgp("?s <http://a/p0> ?o . ?s <http://a/p1> ?x", &mut it)
-            .unwrap()
-            .patterns;
-        // The same triples must hash to different cache keys per endpoint:
-        // each endpoint rewrites them into a different vocabulary.
-        assert_ne!(
-            planner.partition_fingerprint(0, &tps, &it),
-            planner.partition_fingerprint(1, &tps, &it)
-        );
-        // And the fingerprint is order- and content-sensitive.
-        let rev: Vec<_> = tps.iter().rev().copied().collect();
-        assert_ne!(
-            planner.partition_fingerprint(0, &tps, &it),
-            planner.partition_fingerprint(0, &rev, &it)
-        );
-        // Within a process it is stable, and a worker's interner clone
-        // keys the same partition the same way.
-        assert_eq!(
-            planner.partition_fingerprint(0, &tps, &it),
-            planner.partition_fingerprint(0, &tps, &it.clone())
-        );
-    }
-
-    /// Two workers' interner clones mint the same private id for different
-    /// novel strings; a partition cached by one worker must not be served
-    /// to the other.
-    #[test]
-    fn partition_cache_does_not_alias_worker_private_symbols() {
-        let mut it = Interner::new();
-        let mut planner = two_endpoint_planner(&mut it);
-        planner.enable_partition_cache(crate::cache::CacheConfig::default());
-        let (mut w1, mut w2) = (it.clone(), it.clone());
-        let q1 = parse_query("SELECT * WHERE { ?only_w1 <http://a/p0> ?o }", &mut w1).unwrap();
-        let q2 = parse_query("SELECT * WHERE { ?only_w2 <http://a/p0> ?o }", &mut w2).unwrap();
-        assert_eq!(
-            q1.pattern.triples[0], q2.pattern.triples[0],
-            "test geometry: both private variables share one id"
-        );
-        let limits = RewriteLimits::default();
-        let p1 = planner.plan_for_dispatch(q1.as_ref(), &w1, limits).unwrap();
-        let p2 = planner.plan_for_dispatch(q2.as_ref(), &w2, limits).unwrap();
-        assert!(p1.endpoints[0].subquery.contains("?only_w1"));
-        assert!(
-            p2.endpoints[0].subquery.contains("?only_w2"),
-            "served another worker's rewrite: {}",
-            p2.endpoints[0].subquery
-        );
-    }
-
-    #[test]
-    fn dispatch_plan_serves_hot_partitions_from_the_cache() {
-        let mut it = Interner::new();
-        let mut planner = two_endpoint_planner(&mut it);
-        planner.enable_partition_cache(crate::cache::CacheConfig::default());
-        let query = parse_query(
-            "SELECT * WHERE { ?s <http://a/p0> ?x . ?s <http://b/p1> ?y }",
-            &mut it,
-        )
-        .unwrap();
-
-        let cold = planner
-            .plan_for_dispatch(query.as_ref(), &it, RewriteLimits::unbounded())
-            .unwrap();
-        let stats = planner.partition_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 2), "cold run misses");
-
-        let hot = planner
-            .plan_for_dispatch(query.as_ref(), &it, RewriteLimits::unbounded())
-            .unwrap();
-        let stats = planner.partition_cache_stats();
-        assert_eq!(stats.hits, 2, "hot partitions must not re-rewrite");
-        let texts = |p: &DispatchPlan| -> Vec<String> {
-            p.endpoints.iter().map(|e| e.subquery.clone()).collect()
-        };
-        assert_eq!(texts(&cold), texts(&hot));
+        let mut planner = FederationPlanner::new();
+        let mut store = AlignmentStore::new();
+        let lhs = parse_bgp("?s <http://a/p0> ?o", &mut it).unwrap().patterns[0];
+        let rhs = parse_bgp("?s <http://t/p0> ?o", &mut it).unwrap().patterns;
+        store.add_predicate(lhs, rhs).unwrap();
+        let ep = Term::iri(it.intern("http://a.example.org/sparql"));
+        planner.add_endpoint(ep, Arc::new(store));
+        for (text, residual) in [
+            ("SELECT ?s WHERE { ?s <http://a/p0> ?o FILTER(?o = 1) }", 2),
+            (
+                "SELECT * WHERE { ?s <http://a/p0> ?o OPTIONAL { ?o <http://a/p0> ?x } }",
+                1,
+            ),
+            ("SELECT ?s WHERE { ?s <http://a/p0> ?o }", 1),
+        ] {
+            let query = parse_query(text, &mut it).unwrap();
+            let plan = planner
+                .plan_for_dispatch(query.as_ref(), &it, RewriteLimits::unbounded())
+                .unwrap();
+            assert_eq!(plan.n_residual_patterns, residual, "{text}");
+            assert_eq!(
+                plan.endpoints[0].subquery, "SELECT * WHERE {\n  ?s <http://t/p0> ?o .\n}",
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -218,10 +218,10 @@ impl Interner {
     ///
     /// Every symbol minted into the overlay becomes invalid (its id will
     /// be reissued for another string), so call it only where nothing
-    /// minted earlier is resolved again: the serve engine and the
-    /// federated worker call it before parsing each request, as their
-    /// caches hold rendered text, never symbols. Base symbols are
-    /// untouched.
+    /// minted earlier is resolved again: the serve engine (whose cache
+    /// holds rendered text, never symbols) and the federated worker (whose
+    /// planner and executor keep nothing past a request) call it before
+    /// parsing each request. Base symbols are untouched.
     pub fn trim_overlay(&mut self) {
         if self.own.len() > OVERLAY_BOUND {
             self.own.clear();

@@ -95,12 +95,13 @@ pub use cache::{
     fingerprint_query, fingerprint_raw, CacheConfig, CacheStats, QueryFingerprint, RewriteCache,
 };
 pub use engine::{ServeEngine, ServeScratch};
+#[doc(hidden)]
+pub use federate::PartitionCacheStats;
 pub use federate::{
     mix_chain, read_response, BackoffPolicy, BreakerConfig, BreakerState, DispatchPlan, EndpointId,
     EndpointOutcome, EndpointPlan, EndpointReport, EndpointTransport, ExecutorConfig,
     FederatedExecutor, FederatedResult, FederationPlanner, HttpConfig, HttpEndpoint, HttpError,
-    HttpLimits, HttpResponse, HttpTransport, PartitionCacheStats, TransportError, TransportReply,
-    TransportRequest,
+    HttpLimits, HttpResponse, HttpTransport, TransportError, TransportReply, TransportRequest,
 };
 pub use interner::Interner;
 pub use parser::{parse_bgp, parse_query, parse_query_into, ParseError, ParseScratch};

@@ -1784,7 +1784,6 @@ mod tests {
     #[test]
     fn depth_cap_pipeline_fits_a_worker_stack() {
         use crate::align::AlignmentStore;
-        use crate::cache::CacheConfig;
         use crate::federate::FederationPlanner;
         use crate::pattern::render_query_into;
         use crate::rewriter::{RewriteLimits, RewriteScratch, Rewriter};
@@ -1808,7 +1807,6 @@ mod tests {
             let store = Arc::new(store);
             let mut planner = FederationPlanner::new();
             planner.add_endpoint(iri(&mut it, "http://ep"), Arc::clone(&store));
-            planner.enable_partition_cache(CacheConfig::default());
             let (mut scratch, mut fresh, mut out) =
                 (RewriteScratch::new(), String::new(), String::new());
             for shape in SHAPES {

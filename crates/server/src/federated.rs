@@ -148,8 +148,8 @@ pub(crate) fn serve_federated(
     close: bool,
 ) {
     let seq = fed.seq.fetch_add(1, Ordering::Relaxed);
-    // A request boundary: the partition cache is keyed by term text, so no
-    // symbol minted for an earlier request is looked up again.
+    // A request boundary: no planner or executor state keeps a symbol past
+    // a request, so none minted for an earlier one is resolved again.
     fs.interner.trim_overlay();
     let planned = parse_query_into(query, &mut fs.interner, &mut fs.parse)
         .ok()

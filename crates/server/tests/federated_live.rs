@@ -42,14 +42,14 @@ fn route(e: usize, authority: &str) -> EndpointRoute {
     }
 }
 
-/// Two endpoints, one predicate rule each: queries over
+/// `n` endpoints, one predicate rule each: queries over
 /// `http://src.example.org/onto/p{e}` dispatch to endpoint `e`.
-fn two_endpoint_config(routes: Vec<EndpointRoute>) -> FederationConfig {
+fn endpoint_config(n: usize, routes: Vec<EndpointRoute>) -> FederationConfig {
     let mut interner = Interner::new();
     let var_s = Term::var(interner.intern("s"));
     let var_o = Term::var(interner.intern("o"));
     let mut planner = FederationPlanner::new();
-    for e in 0..2 {
+    for e in 0..n {
         let mut store = AlignmentStore::new();
         let src = Term::iri(interner.intern(&format!("http://src.example.org/onto/p{e}")));
         let tgt = Term::iri(interner.intern(&format!("http://ep{e}.example.org/onto/q")));
@@ -95,14 +95,17 @@ fn malformed_federation_configs_are_structured_errors() {
     }
 
     // A route naming an IRI the planner never registered.
-    let unknown = two_endpoint_config(vec![
-        route(0, "127.0.0.1:1"),
-        EndpointRoute {
-            iri: "http://nope.example.org/sparql".to_string(),
-            authority: "127.0.0.1:1".to_string(),
-            path: "/sparql".to_string(),
-        },
-    ]);
+    let unknown = endpoint_config(
+        2,
+        vec![
+            route(0, "127.0.0.1:1"),
+            EndpointRoute {
+                iri: "http://nope.example.org/sparql".to_string(),
+                authority: "127.0.0.1:1".to_string(),
+                path: "/sparql".to_string(),
+            },
+        ],
+    );
     match Server::spawn_federated(unknown, quick_config(), "127.0.0.1:0").map(|_| ()) {
         Err(SpawnError::Config(FederationConfigError::UnknownEndpointIri(iri))) => {
             assert_eq!(iri, "http://nope.example.org/sparql");
@@ -111,11 +114,14 @@ fn malformed_federation_configs_are_structured_errors() {
     }
 
     // Two routes for the same endpoint.
-    let dup = two_endpoint_config(vec![
-        route(0, "127.0.0.1:1"),
-        route(0, "127.0.0.1:2"),
-        route(1, "127.0.0.1:3"),
-    ]);
+    let dup = endpoint_config(
+        2,
+        vec![
+            route(0, "127.0.0.1:1"),
+            route(0, "127.0.0.1:2"),
+            route(1, "127.0.0.1:3"),
+        ],
+    );
     match Server::spawn_federated(dup, quick_config(), "127.0.0.1:0").map(|_| ()) {
         Err(SpawnError::Config(FederationConfigError::DuplicateEndpoint(iri))) => {
             assert_eq!(iri, "http://ep0.example.org/sparql");
@@ -124,7 +130,7 @@ fn malformed_federation_configs_are_structured_errors() {
     }
 
     // A planner endpoint left without any route.
-    let missing = two_endpoint_config(vec![route(0, "127.0.0.1:1")]);
+    let missing = endpoint_config(2, vec![route(0, "127.0.0.1:1")]);
     match Server::spawn_federated(missing, quick_config(), "127.0.0.1:0").map(|_| ()) {
         Err(SpawnError::Config(FederationConfigError::MissingRoute(iri))) => {
             assert_eq!(iri, "http://ep1.example.org/sparql");
@@ -147,24 +153,31 @@ fn wedged_endpoint() -> String {
     authority
 }
 
+/// `GET /sparql?query=…` for `query`, closing the connection after the
+/// response.
+fn get_request(query: &str) -> Vec<u8> {
+    let mut req = Vec::new();
+    req.extend_from_slice(b"GET /sparql?query=");
+    percent_encode_into(query, &mut req);
+    req.extend_from_slice(b" HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    req
+}
+
 #[test]
 fn wedged_endpoint_yields_partial_200_within_deadline() {
     let healthy = ChaosProxy::spawn(0xfeed, ChaosSpec::default()).expect("healthy endpoint");
     let wedged = wedged_endpoint();
-    let fed = two_endpoint_config(vec![route(0, &healthy.authority()), route(1, &wedged)]);
+    let fed = endpoint_config(2, vec![route(0, &healthy.authority()), route(1, &wedged)]);
     let config = quick_config();
     let request_deadline = config.request_deadline;
     let server = Server::spawn_federated(fed, config, "127.0.0.1:0").expect("spawn federated");
 
     let query = "SELECT * WHERE { ?s <http://src.example.org/onto/p0> ?o . \
                  ?s <http://src.example.org/onto/p1> ?o }";
-    let mut req = Vec::new();
-    req.extend_from_slice(b"GET /sparql?query=");
-    percent_encode_into(query, &mut req);
-    req.extend_from_slice(b" HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
-
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream.write_all(&req).expect("request write");
+    stream
+        .write_all(&get_request(query))
+        .expect("request write");
     let t0 = Instant::now();
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("response read");
@@ -195,11 +208,37 @@ fn wedged_endpoint_yields_partial_200_within_deadline() {
     server.shutdown();
 }
 
+/// Every member serves, but none evaluates the FILTER or the projection:
+/// the envelope stays `"partial":false`, which is about member failures,
+/// and counts both in `residual_patterns`.
+#[test]
+fn envelope_counts_what_no_member_evaluates() {
+    let healthy = ChaosProxy::spawn(0x2e51, ChaosSpec::default()).expect("healthy endpoint");
+    let fed = endpoint_config(1, vec![route(0, &healthy.authority())]);
+    let server = Server::spawn_federated(fed, quick_config(), "127.0.0.1:0").expect("spawn");
+
+    let query = "SELECT ?s WHERE { ?s <http://src.example.org/onto/p0> ?o FILTER(?o = 1) }";
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .write_all(&get_request(query))
+        .expect("request write");
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("response read");
+    let text = String::from_utf8_lossy(&raw).into_owned();
+    server.shutdown();
+
+    assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+    assert!(
+        text.contains("\r\n\r\n{\"partial\":false,\"residual_patterns\":2,"),
+        "envelope: {text}"
+    );
+}
+
 #[test]
 fn health_and_stats_surface_is_read_only() {
     let healthy = ChaosProxy::spawn(0x900d, ChaosSpec::default()).expect("healthy endpoint");
     let wedged = wedged_endpoint();
-    let fed = two_endpoint_config(vec![route(0, &healthy.authority()), route(1, &wedged)]);
+    let fed = endpoint_config(2, vec![route(0, &healthy.authority()), route(1, &wedged)]);
     let server = Server::spawn_federated(fed, quick_config(), "127.0.0.1:0").expect("spawn");
     let addr = server.local_addr();
 
@@ -299,10 +338,13 @@ fn stats_json_skeleton_is_pinned_in_both_modes() {
     );
 
     let healthy = ChaosProxy::spawn(0x57a7, ChaosSpec::default()).expect("healthy endpoint");
-    let fed = two_endpoint_config(vec![
-        route(0, &healthy.authority()),
-        route(1, &healthy.authority()),
-    ]);
+    let fed = endpoint_config(
+        2,
+        vec![
+            route(0, &healthy.authority()),
+            route(1, &healthy.authority()),
+        ],
+    );
     let federated = Server::spawn_federated(fed, quick_config(), "127.0.0.1:0").expect("spawn");
     let body = stats_body(federated.local_addr());
     federated.shutdown();
