@@ -16,27 +16,34 @@
 //! 2. [`RewriteCache`] — a sharded, **read-lock-free** map from fingerprint
 //!    to rendered rewrite: N power-of-two shards, each a fixed-capacity
 //!    open-addressed table of seqlock-versioned slots over a flat
-//!    pre-allocated value pool. Readers never block and never allocate;
+//!    fixed-size value pool. Readers never block and never allocate;
 //!    writers (cache fills) serialize behind a short per-shard spinlock.
 //!    Eviction is CLOCK-style second chance over the probe neighborhood.
 //!
 //! # Invalidation contract
 //!
-//! A cache serves **one rule set and is dropped with it**. The serve
-//! engine and the federation planner each build their caches beside the
-//! rule sets they serve and never change those rule sets, so no entry can
-//! outlive the rules that rendered it and nothing is ever invalidated.
-//! Each entry still carries a caller's `gen` tag, which
-//! [`RewriteCache::lookup`] compares; the in-repo callers hold it
-//! constant.
+//! A cache serves **one rule set and is dropped with it**. Its only
+//! in-repo owner is the serve engine ([`crate::ServeEngine`]), which builds
+//! its cache beside the one rule set it serves and never changes that rule
+//! set, so no entry can outlive the rules that rendered it and nothing is
+//! ever invalidated. Each entry still carries a caller's `gen` tag, which
+//! [`RewriteCache::lookup`] compares; the engine holds it constant.
 //!
 //! # Memory model
 //!
 //! The value pool is a flat array of `AtomicU64` words, so concurrent
 //! read/overwrite is a *defined* race: a reader that overlaps a writer sees
 //! torn words, fails the seqlock version check, and treats the probe as a
-//! miss. No `unsafe` anywhere — "memcpy speed" here is a relaxed-atomic
-//! word copy, which compiles to the same wide loads/stores.
+//! miss. "Memcpy speed" here is a relaxed-atomic word copy, which compiles
+//! to the same wide loads/stores.
+//!
+//! Each shard's pool is taken zeroed from the allocator, so its size is
+//! reserved address space, not resident memory: a page is committed when
+//! the first insert writes into it, and a cache that never fills never
+//! pays for its full capacity. A never-written slot's `fp` reads 0, and a
+//! lookup stops there before it reads the pool. Taking the zeroed pool is
+//! the crate's one `unsafe` block (`zeroed_pool`, with its safety
+//! argument); every access after it is a safe atomic load or store.
 
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 
@@ -282,7 +289,11 @@ const PROBE: usize = 8;
 /// powers of two; `value_cap` rounds up to a multiple of 8 (the pool is
 /// word-granular). Defaults: 8 shards × 1024 slots × 2 KiB ≈ 16 MiB of
 /// value pool — thousands of distinct hot queries, far beyond the hot set
-/// of a skewed endpoint workload.
+/// of a skewed endpoint workload. The 16 MiB is reserved address space:
+/// its pages are committed as entries land (an entry commits the one or
+/// two 4 KiB pages its value spans, if no other entry has), so a cache
+/// holding a few hundred rewrites costs about a MiB, and only a full cache
+/// commits all of it.
 #[derive(Copy, Clone, Debug)]
 pub struct CacheConfig {
     pub shards: usize,
@@ -340,7 +351,8 @@ struct Shard {
     /// CLOCK hand: rotating start offset within the probe window.
     hand: AtomicU32,
     slots: Box<[Slot]>,
-    /// Flat value pool: `slots.len() * words_per_slot` relaxed-atomic words.
+    /// Flat value pool: `slots.len() * words_per_slot` relaxed-atomic words
+    /// from [`zeroed_pool`], committed page by page as inserts write them.
     /// Racing reads of words being overwritten are defined behavior; the
     /// seqlock version check discards torn copies.
     pool: Box<[AtomicU64]>,
@@ -432,12 +444,24 @@ impl CacheStats {
     }
 }
 
-/// The `gen` tag the serve engine and the federation planner pass to
-/// every [`RewriteCache::lookup`] and [`RewriteCache::insert`]. Each builds
-/// its caches beside the one rule set it serves for its whole life and
-/// drops them with it, so no entry can meet a second rule set and one
-/// value is enough.
+/// The `gen` tag the serve engine, the cache's only in-repo owner, passes
+/// to every [`RewriteCache::lookup`] and [`RewriteCache::insert`]. The
+/// engine builds its cache beside the one rule set it serves for its whole
+/// life and drops it with it, so no entry can meet a second rule set and
+/// one value is enough.
 pub(crate) const ONE_RULE_SET: u64 = 0;
+
+/// A value pool of `n` zero words, taken zeroed from the allocator rather
+/// than written word by word: the system allocator serves a request this
+/// large with a fresh mapping whose pages the kernel commits on first
+/// touch.
+#[allow(unsafe_code)]
+fn zeroed_pool(n: usize) -> Box<[AtomicU64]> {
+    // SAFETY: `AtomicU64` has the same size, alignment and bit validity as
+    // `u64`, so all-zero bytes are a valid `AtomicU64` holding 0, and
+    // `new_zeroed_slice` has zeroed every element.
+    unsafe { Box::<[AtomicU64]>::new_zeroed_slice(n).assume_init() }
+}
 
 /// Sharded, read-lock-free map from [`QueryFingerprint`] to rendered
 /// rewrite bytes. See the module docs for the design; the public surface
@@ -465,9 +489,7 @@ impl RewriteCache {
                 lock: AtomicU32::new(0),
                 hand: AtomicU32::new(0),
                 slots: (0..n_slots).map(|_| Slot::new()).collect(),
-                pool: (0..n_slots * words_per_slot)
-                    .map(|_| AtomicU64::new(0))
-                    .collect(),
+                pool: zeroed_pool(n_slots * words_per_slot),
                 bypassed: AtomicU64::new(0),
                 evictions: AtomicU64::new(0),
             })

@@ -77,6 +77,11 @@
 //! for the measurements and the server crate's `tests/soak.rs` and
 //! `tests/zero_alloc_socket.rs` for the seeded robustness legs.
 
+// The one `unsafe` block is the cache's zeroed value pool
+// (`cache::zeroed_pool`), allowed where it stands; anything else fails the
+// build.
+#![deny(unsafe_code)]
+
 pub mod align;
 pub mod cache;
 pub mod engine;

@@ -81,6 +81,8 @@
 //! [`ServeScratch`]: sparql_rewrite_core::ServeScratch
 //! [`RequestScratch`]: request::RequestScratch
 
+#![forbid(unsafe_code)]
+
 pub mod request;
 
 mod admission;

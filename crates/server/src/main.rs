@@ -8,6 +8,8 @@
 //! curl 'http://127.0.0.1:8080/sparql?query=SELECT%20*%20WHERE%20%7B%20%3Fs%20%3Chttp%3A%2F%2Fsrc.example.org%2Fonto%2Fname%3E%20%3Fo%20%7D'
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::Read;
 use std::process::exit;
 use std::sync::Arc;

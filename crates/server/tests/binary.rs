@@ -1,7 +1,9 @@
 //! The shipped `server` binary end to end: start it on an ephemeral port,
 //! read the address it prints, rewrite the built-in demo's 1:2 `member`
 //! split over a real socket, then close stdin and require a clean drain
-//! and the shutdown report.
+//! and the shutdown report. On Linux it also requires the listening binary
+//! to be under 8 MiB resident: its rewrite cache commits memory as entries
+//! land, not at startup.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -25,6 +27,20 @@ fn wait_bounded(child: &mut Child, limit: Duration) -> ExitStatus {
     }
 }
 
+/// `VmRSS` of process `pid` in kB. The binary builds its engine's rewrite
+/// cache (≈16 MiB of value pool at the default config) before it prints
+/// the listening line; only pages that hold entries may be resident.
+#[cfg(target_os = "linux")]
+fn child_rss_kb(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("a VmRSS line in kB")
+}
+
 #[test]
 fn demo_binary_rewrites_over_http_and_drains_on_stdin_eof() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_server"))
@@ -45,6 +61,14 @@ fn demo_binary_rewrites_over_http_and_drains_on_stdin_eof() {
         let _ = child.kill();
         panic!("first stdout line is not the listening line: {line:?}");
     };
+    #[cfg(target_os = "linux")]
+    {
+        let rss = child_rss_kb(child.id());
+        if rss >= 8 * 1024 {
+            let _ = child.kill();
+            panic!("the listening binary is {rss} kB resident, want under 8 MiB");
+        }
+    }
 
     let query = "SELECT * WHERE { ?s <http://src.example.org/onto/member> ?o }";
     let mut req = b"GET /sparql?query=".to_vec();
