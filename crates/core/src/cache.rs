@@ -472,12 +472,6 @@ pub struct RewriteCache {
     words_per_slot: usize,
 }
 
-impl Default for RewriteCache {
-    fn default() -> RewriteCache {
-        RewriteCache::new(CacheConfig::default())
-    }
-}
-
 impl RewriteCache {
     pub fn new(config: CacheConfig) -> RewriteCache {
         let n_shards = config.shards.max(1).next_power_of_two();

@@ -38,8 +38,7 @@
 //! merge into the engine's totals once every 64 probes. The only shared
 //! write on a hit is setting the slot's CLOCK reference bit, and only when
 //! the eviction hand has cleared it. The cache's value cap is fixed when
-//! the engine is built, by its [`CacheConfig`] or by
-//! [`ServeEngine::with_tuned_cache`]'s measurement.
+//! the engine is built, by its [`CacheConfig`].
 //!
 //! [`QueryFingerprint`]: crate::cache::QueryFingerprint
 
@@ -181,10 +180,11 @@ impl Totals {
 
 impl ServeEngine {
     /// Share `store` read-only and keep the interner for worker clones.
-    /// `cache` sizes the rewrite-result cache
-    /// (`Some(CacheConfig::default())` for the production shape), or
-    /// `None` serves every request through the cold pipeline — the
-    /// reference the cached path is compared against in tests.
+    /// This is the only way to build an engine. `cache` sizes the
+    /// rewrite-result cache (`Some(CacheConfig::default())` for the shape
+    /// the binary ships), or `None` serves every request through the cold
+    /// pipeline — the reference the cached path is compared against in
+    /// tests.
     pub fn with_cache(
         store: AlignmentStore,
         interner: Interner,
@@ -198,46 +198,17 @@ impl ServeEngine {
         }
     }
 
-    /// Like [`ServeEngine::with_cache`], but the cache's value cap is
-    /// **tuned from the workload** instead of taken from `config`: the
-    /// engine first serves `samples` through the cold pipeline, measures
-    /// the largest rendered rewrite, and installs the cache with that
-    /// length (clamped to `[64, 1 MiB]`) as the cap. A cap sized to the
-    /// workload means no live query is silently bypassed for being
-    /// oversized. A cap above `config.value_cap` halves
-    /// `config.slots_per_shard` once per doubling (rounded up), so the
-    /// value pool never outgrows the one `config` sizes; the cache floors
-    /// the slots at its probe window.
-    ///
-    /// Samples that fail to parse are skipped; if none parses, the cap
-    /// falls back to `config.value_cap` unchanged.
+    /// Exactly [`ServeEngine::with_cache`] with `Some(config)`; `samples`
+    /// is ignored. Kept only because the benchmark package still calls
+    /// it; ROADMAP item 0's `[benchmark]` change drops the call.
+    #[doc(hidden)]
     pub fn with_tuned_cache(
         store: AlignmentStore,
         interner: Interner,
-        mut config: CacheConfig,
-        samples: &[String],
+        config: CacheConfig,
+        _samples: &[String],
     ) -> ServeEngine {
-        let mut engine = ServeEngine::with_cache(store, interner, None);
-        let mut scratch = engine.scratch();
-        let mut max_len = 0usize;
-        for sample in samples {
-            if let Ok(out) = engine.serve(sample, &mut scratch) {
-                max_len = max_len.max(out.len());
-            }
-        }
-        if max_len > 0 {
-            let cap = max_len.clamp(64, 1 << 20);
-            if cap > config.value_cap {
-                let doublings = cap
-                    .div_ceil(config.value_cap.max(1))
-                    .next_power_of_two()
-                    .trailing_zeros();
-                config.slots_per_shard >>= doublings;
-            }
-            config.value_cap = cap;
-        }
-        engine.cache = Some(RewriteCache::new(config));
-        engine
+        ServeEngine::with_cache(store, interner, Some(config))
     }
 
     /// Cache observability snapshot (per-shard occupancy and evictions,
@@ -253,9 +224,8 @@ impl ServeEngine {
         })
     }
 
-    /// The installed cache's value-size cap in bytes (`None` cache-less),
-    /// fixed at construction: `config.value_cap`, or under
-    /// [`ServeEngine::with_tuned_cache`] the measured workload maximum.
+    /// The installed cache's value-size cap in bytes (`None` cache-less):
+    /// `config.value_cap`, fixed at construction.
     pub fn cache_value_cap(&self) -> Option<usize> {
         self.cache.as_ref().map(RewriteCache::value_cap)
     }

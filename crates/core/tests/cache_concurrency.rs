@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
-use sparql_rewrite_core::{fingerprint_query, CacheConfig, RewriteCache};
+use sparql_rewrite_core::{fingerprint_raw, CacheConfig, RewriteCache};
 
 /// xorshift64* (the workload generator's RNG) so threads get deterministic
 /// but distinct access streams.
@@ -37,7 +37,7 @@ fn concurrent_churn_never_serves_a_foreign_value() {
         .map(|i| {
             let text = format!("SELECT * WHERE {{ ?s <http://ex.org/p{i}> ?o{i} }}");
             let value = format!("SELECT * WHERE {{ ?s <http://tgt.org/p{i}> ?o{i} }}");
-            (fingerprint_query(&text).expect("cacheable"), value)
+            (fingerprint_raw(&text), value)
         })
         .collect();
     let hits = AtomicU64::new(0);
@@ -87,7 +87,7 @@ fn concurrent_generations_never_cross() {
     let keys: Vec<_> = (0..12)
         .map(|i| {
             let text = format!("SELECT * WHERE {{ ?s <http://gen.org/p{i}> ?o }}");
-            fingerprint_query(&text).expect("cacheable")
+            fingerprint_raw(&text)
         })
         .collect();
     let value = |i: usize, gen: u64| format!("result-{i}-under-gen-{gen}");

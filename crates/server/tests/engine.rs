@@ -12,9 +12,7 @@ use common::rewrite;
 use common::workload::{
     alias_prefix, generate, perturb_whitespace, zipf_ranks, Rng, WorkloadSpec, ZipfSpec,
 };
-use sparql_rewrite_core::{
-    parse_bgp, parse_query, AlignmentStore, CacheConfig, Interner, RewriteCache, ServeEngine,
-};
+use sparql_rewrite_core::{parse_query, CacheConfig, Interner, ServeEngine};
 
 fn engine_and_requests(group_shapes: bool) -> (ServeEngine, Vec<String>) {
     let spec = WorkloadSpec {
@@ -280,127 +278,4 @@ fn oversized_rewrites_are_counted_as_bypasses() {
     }
     assert_eq!(scratch.cache_hits(), hits_before);
     assert!(bypasses() > after_first);
-}
-
-/// The workload-tuned cap lands exactly on the largest rendered
-/// rewrite: with the same requests that tuned it, **nothing** is
-/// bypassed — the cap-boundary value (the max-length rewrite itself)
-/// is cached and hits on re-serve.
-#[test]
-fn tuned_value_cap_caches_the_boundary_rewrite() {
-    let spec = WorkloadSpec {
-        n_rules: 300,
-        patterns_per_query: 8,
-        n_queries: 16,
-        seed: 0x7e57_cab5,
-        group_shapes: true,
-    };
-    let mut w = generate(&spec);
-    let requests = w.query_texts();
-    let engine = ServeEngine::with_tuned_cache(
-        std::mem::take(&mut w.store),
-        std::mem::replace(&mut w.interner, Interner::new()),
-        CacheConfig {
-            shards: 1,
-            slots_per_shard: 128,
-            // Below the workload's largest rewrite: tuning must raise it,
-            // and the slots halve once for the one doubling.
-            value_cap: 512,
-        },
-        &requests,
-    );
-    let cap = engine.cache_value_cap().expect("tuned engine has a cache");
-    let mut scratch = engine.scratch();
-    let mut max_len = 0usize;
-    for req in &requests {
-        max_len = max_len.max(engine.serve(req, &mut scratch).unwrap().len());
-    }
-    // The cache rounds its cap up to a word multiple.
-    assert_eq!(
-        cap,
-        max_len.max(64).div_ceil(8) * 8,
-        "cap is the measured workload max"
-    );
-    assert_eq!(
-        engine.cache_stats().unwrap().oversize_bypasses(),
-        0,
-        "a rewrite exactly at the tuned cap must be cached, not bypassed"
-    );
-    // The boundary-length rewrite hits like every other.
-    scratch.reset_cache_counters();
-    for req in &requests {
-        engine.serve(req, &mut scratch).unwrap();
-    }
-    assert_eq!(scratch.cache_misses(), 0);
-    assert_eq!(scratch.cache_hits(), requests.len() as u64);
-}
-
-/// A tuned cap above the config's trades slots for entry size: a sample
-/// rewrite several times `config.value_cap` must not multiply the value
-/// pool (slots × cap) the config sizes.
-#[test]
-fn tuned_value_cap_keeps_the_value_pool_budget() {
-    let mut interner = Interner::new();
-    let mut store = AlignmentStore::new();
-    let lhs = parse_bgp("?s <http://src.example.org/onto/p> ?o", &mut interner)
-        .expect("rule lhs parses")
-        .patterns[0];
-    let rhs = parse_bgp(
-        "?s <http://tgt.example.org/onto/a-deliberately-long-predicate-q> ?o",
-        &mut interner,
-    )
-    .expect("rule rhs parses")
-    .patterns;
-    store.add_predicate(lhs, rhs).expect("valid rule");
-    let config = CacheConfig {
-        shards: 2,
-        slots_per_shard: 256,
-        value_cap: 64,
-    };
-    // Six aligned patterns, each rendered with the long target IRI.
-    let body: String = (0..6)
-        .map(|i| format!("?a{i} <http://src.example.org/onto/p> ?b{i} . "))
-        .collect();
-    let sample = format!("SELECT * WHERE {{ {body}}}");
-    let engine = ServeEngine::with_tuned_cache(store, interner, config, &[sample]);
-
-    let cap = engine.cache_value_cap().expect("tuned engine has a cache");
-    let capacity = engine.cache_stats().expect("cache installed").capacity();
-    assert!(cap >= 4 * config.value_cap, "test geometry: cap {cap}");
-    assert!(
-        capacity / config.shards > 8,
-        "test geometry: the 8-slot floor binds at {capacity} slots"
-    );
-    let budget = RewriteCache::new(config);
-    assert!(
-        capacity * cap <= budget.capacity() * budget.value_cap(),
-        "{capacity} slots × {cap} B outgrow the config's {} × {} B",
-        budget.capacity(),
-        budget.value_cap()
-    );
-}
-
-/// No parseable sample → the tuned constructor falls back to the
-/// config's cap instead of installing a degenerate one.
-#[test]
-fn tuned_value_cap_falls_back_when_no_sample_parses() {
-    let spec = WorkloadSpec {
-        n_rules: 50,
-        patterns_per_query: 4,
-        n_queries: 4,
-        seed: 0x0fa1_bacc,
-        group_shapes: false,
-    };
-    let mut w = generate(&spec);
-    let engine = ServeEngine::with_tuned_cache(
-        std::mem::take(&mut w.store),
-        std::mem::replace(&mut w.interner, Interner::new()),
-        CacheConfig {
-            shards: 1,
-            slots_per_shard: 16,
-            value_cap: 776,
-        },
-        &["SELECT WHERE {".to_string(), "not sparql".to_string()],
-    );
-    assert_eq!(engine.cache_value_cap(), Some(776));
 }

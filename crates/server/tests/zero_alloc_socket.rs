@@ -110,7 +110,7 @@ fn render_get(query: &str) -> Vec<u8> {
     out
 }
 
-/// A single-worker server fronting a workload-tuned cache, driven by one
+/// A single-worker server fronting the default cache, driven by one
 /// keep-alive connection replaying a Zipfian stream of re-spelled repeats
 /// from pre-rendered request bytes. Fails on any allocation per request in
 /// the measured window, a non-200, a measured hit rate under 0.9, or an
@@ -126,11 +126,10 @@ fn server_cached_zipf() {
     };
     let mut w = generate(&spec);
     let distinct = w.query_texts();
-    let engine = Arc::new(ServeEngine::with_tuned_cache(
+    let engine = Arc::new(ServeEngine::with_cache(
         std::mem::take(&mut w.store),
         std::mem::replace(&mut w.interner, Interner::new()),
-        CacheConfig::default(),
-        &distinct,
+        Some(CacheConfig::default()),
     ));
     let config = ServerConfig {
         workers: 1,
@@ -222,6 +221,6 @@ fn server_cached_zipf() {
     let bypasses = stats_after.oversize_bypasses();
     assert!(
         bypasses == 0,
-        "{bypasses} oversize cache bypasses under a workload-tuned value cap"
+        "{bypasses} oversize cache bypasses under the default value cap"
     );
 }
