@@ -47,11 +47,9 @@
 
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 
-use crate::parser::canonicalize;
-
-/// Cache key of one query text: a seeded 64-bit hash of its byte stream
-/// plus the stream's length as a cheap secondary discriminator (two texts
-/// must collide on both to alias).
+/// Cache key of one query text: a seeded 64-bit hash of its bytes plus
+/// their length as a cheap secondary discriminator (two texts must collide
+/// on both to alias).
 ///
 /// No key bytes are stored beside it, so a collision is not detected: the
 /// second text is served the first one's rewrite. For texts the hash
@@ -63,10 +61,10 @@ use crate::parser::canonicalize;
 /// which an attacker never sees.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct QueryFingerprint {
-    /// Hash of the byte stream; never 0 (0 is the vacant-slot sentinel,
-    /// real hashes are remapped).
+    /// Hash of the bytes; never 0 (0 is the vacant-slot sentinel, real
+    /// hashes are remapped).
     hash: u64,
-    /// Length of the byte stream.
+    /// Length of the text in bytes.
     len: u32,
 }
 
@@ -82,30 +80,17 @@ impl QueryFingerprint {
     }
 }
 
-/// Streaming 64-bit hash over the normalized byte stream.
-///
-/// The stream is digested in 32-byte blocks: word `j` of a block
-/// (little-endian) feeds lane `j` of four independent Fx-style
-/// rotate-xor-multiply chains, each seeded per process, so a block's four
-/// multiplies run in parallel instead of as one dependent chain.
-/// [`Fingerprinter::finish`] folds the lanes into one word, then mixes in
-/// the 0–31 byte tail (whole words, then the partial word tagged with its
-/// length) and the stream length.
-///
-/// Blocks and lanes are fixed by stream position, so the digest depends
-/// only on the byte *stream*, never on how the canonicalizer chunks its
-/// `push_bytes` calls — a QName expanded as three slices (`<`, base,
-/// local) hashes identically to the same IRI fed as one slice, and
-/// [`fingerprint_raw`], which digests whole blocks straight from the
-/// request, agrees with the pushed digest of the same bytes. Pushed
-/// bytes go through a small stack buffer, which keeps the canonicalizer's
-/// per-token sink at one copy + one increment.
-pub(crate) struct Fingerprinter {
-    lanes: [u64; 4],
-    buf: [u8; Self::BUF],
-    buf_len: usize,
-    len: u32,
-}
+// The fingerprint is a 64-bit hash digested in 32-byte blocks: word `j`
+// of a block (little-endian) feeds lane `j` of four independent Fx-style
+// rotate-xor-multiply chains, each seeded per process, so a block's four
+// multiplies run in parallel instead of as one dependent chain. `fold`
+// then folds the lanes into one word and mixes in the 0–31 byte tail
+// (whole words, then the partial word tagged with its length) and the
+// text's length.
+const FP_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+const FP_K: u64 = 0x517c_c1b7_2722_0a95;
+/// Bytes per block: one word per lane.
+const BLOCK: usize = 32;
 
 /// Per-process random fingerprint seed. Query text is attacker-controlled
 /// at a public endpoint and the digest function is public, so an *unseeded*
@@ -130,7 +115,7 @@ fn process_seed() -> u64 {
 /// One Fx-style step: the hash chain's only operation.
 #[inline(always)]
 fn step(hash: u64, word: u64) -> u64 {
-    (hash.rotate_left(5) ^ word).wrapping_mul(Fingerprinter::K)
+    (hash.rotate_left(5) ^ word).wrapping_mul(FP_K)
 }
 
 #[inline(always)]
@@ -138,146 +123,76 @@ fn le_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
 }
 
-impl Fingerprinter {
-    const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    /// Bytes per block: one word per lane.
-    const BLOCK: usize = 32;
-    /// Multiple of [`Self::BLOCK`] so a full drain leaves no remainder.
-    const BUF: usize = 256;
-
-    pub(crate) fn new() -> Fingerprinter {
-        Fingerprinter {
-            lanes: Self::seeded_lanes(),
-            buf: [0; Self::BUF],
-            buf_len: 0,
-            len: 0,
-        }
-    }
-
-    /// Every lane starts from the process seed, each at a distinct point so
-    /// equal words in different lanes do not cancel out when they fold.
-    #[inline]
-    fn seeded_lanes() -> [u64; 4] {
-        let seed = Self::SEED ^ process_seed();
-        [0, 1, 2, 3].map(|j| step(seed, j))
-    }
-
-    /// Digest every whole block of `bytes` into `lanes` and return the
-    /// 0–31 byte remainder. `bytes` must start on a block boundary of the
-    /// stream.
-    #[inline]
-    fn digest_blocks<'a>(lanes: &mut [u64; 4], bytes: &'a [u8]) -> &'a [u8] {
-        let mut blocks = bytes.chunks_exact(Self::BLOCK);
-        let [mut a, mut b, mut c, mut d] = *lanes;
-        for block in &mut blocks {
-            a = step(a, le_word(&block[0..8]));
-            b = step(b, le_word(&block[8..16]));
-            c = step(c, le_word(&block[16..24]));
-            d = step(d, le_word(&block[24..32]));
-        }
-        *lanes = [a, b, c, d];
-        blocks.remainder()
-    }
-
-    /// Digest every whole block in the buffer; the 0–31 byte tail moves to
-    /// the front and stays pending (stream chunking must not influence
-    /// block boundaries). Kept out of line: it runs once per buffer-full,
-    /// and inlined it would bloat `push_bytes`, the canonicalizer's
-    /// per-token sink.
-    #[inline(never)]
-    fn drain(&mut self) {
-        let rem = Self::digest_blocks(&mut self.lanes, &self.buf[..self.buf_len]).len();
-        self.buf.copy_within(self.buf_len - rem..self.buf_len, 0);
-        self.buf_len = rem;
-    }
-
-    #[inline]
-    pub(crate) fn push_bytes(&mut self, s: &[u8]) {
-        let mut s = s;
-        while !s.is_empty() {
-            let room = Self::BUF - self.buf_len;
-            if room == 0 {
-                self.drain();
-                continue;
-            }
-            let take = room.min(s.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&s[..take]);
-            self.buf_len += take;
-            self.len = self.len.wrapping_add(take as u32);
-            s = &s[take..];
-        }
-    }
-
-    pub(crate) fn finish(mut self) -> QueryFingerprint {
-        self.drain();
-        Self::fold(self.lanes, &self.buf[..self.buf_len], self.len)
-    }
-
-    /// Fold the lanes into one word, then mix in the stream's 0–31 byte
-    /// `tail` and its length `len`.
-    #[inline]
-    fn fold(lanes: [u64; 4], tail: &[u8], len: u32) -> QueryFingerprint {
-        let [a, b, c, d] = lanes;
-        let mut h = step(step(step(a, b), c), d);
-        let mut words = tail.chunks_exact(8);
-        for w in &mut words {
-            h = step(h, le_word(w));
-        }
-        let partial = words.remainder();
-        if !partial.is_empty() {
-            // Pack the 1–7 byte partial word, tagged with its length so
-            // trailing NULs in the stream can't alias an empty tail.
-            let mut w = (partial.len() as u64) << 56;
-            for (i, &b) in partial.iter().enumerate() {
-                w |= (b as u64) << (8 * i);
-            }
-            h = step(h, w);
-        }
-        h = step(h, len as u64);
-        // Fold high-bit entropy down (Fx's multiply drives it upward) so
-        // both the shard selector and the slot index see mixed bits.
-        QueryFingerprint::from_parts(h ^ (h >> 32), len)
-    }
+/// Every lane starts from the process seed, each at a distinct point so
+/// equal words in different lanes do not cancel out when they fold.
+#[inline]
+fn seeded_lanes() -> [u64; 4] {
+    let seed = FP_SEED ^ process_seed();
+    [0, 1, 2, 3].map(|j| step(seed, j))
 }
 
-/// Canonicalize and fingerprint one query text in a single tokenizer
-/// pass, without allocating (up to 8 PREFIX declarations; more spill a
-/// scratch vector): whitespace and comments collapse to single
-/// separators, keywords case-normalize, `$x` becomes `?x`, language tags
-/// lowercase, and QNames resolve to full IRIs against the query's own
-/// PREFIX table (which contributes nothing itself), so every spelling
-/// the parser cannot tell apart gets one fingerprint.
-///
-/// Off the serve path: [`crate::ServeEngine`] keys on [`fingerprint_raw`]
-/// alone. This is kept only for the benchmark's
-/// `cache.fingerprint_canon_ns` layer, until a change to the benchmark
-/// retires that layer.
-///
-/// Returns `None` exactly when the text does not tokenize, has a malformed
-/// PREFIX prologue, or has a QName (datatypes included) that does not
-/// resolve against it — texts the parser rejects, so every text
-/// [`crate::parser::parse_query`] accepts has a fingerprint.
+/// Digest every whole block of `bytes` into `lanes` and return the 0–31
+/// byte remainder.
+#[inline]
+fn digest_blocks<'a>(lanes: &mut [u64; 4], bytes: &'a [u8]) -> &'a [u8] {
+    let mut blocks = bytes.chunks_exact(BLOCK);
+    let [mut a, mut b, mut c, mut d] = *lanes;
+    for block in &mut blocks {
+        a = step(a, le_word(&block[0..8]));
+        b = step(b, le_word(&block[8..16]));
+        c = step(c, le_word(&block[16..24]));
+        d = step(d, le_word(&block[24..32]));
+    }
+    *lanes = [a, b, c, d];
+    blocks.remainder()
+}
+
+/// Fold the lanes into one word, then mix in the text's 0–31 byte `tail`
+/// and its length `len`.
+#[inline]
+fn fold(lanes: [u64; 4], tail: &[u8], len: u32) -> QueryFingerprint {
+    let [a, b, c, d] = lanes;
+    let mut h = step(step(step(a, b), c), d);
+    let mut words = tail.chunks_exact(8);
+    for w in &mut words {
+        h = step(h, le_word(w));
+    }
+    let partial = words.remainder();
+    if !partial.is_empty() {
+        // Pack the 1–7 byte partial word, tagged with its length so
+        // trailing NULs in the text can't alias an empty tail.
+        let mut w = (partial.len() as u64) << 56;
+        for (i, &b) in partial.iter().enumerate() {
+            w |= (b as u64) << (8 * i);
+        }
+        h = step(h, w);
+    }
+    h = step(h, len as u64);
+    // Fold high-bit entropy down (Fx's multiply drives it upward) so
+    // both the shard selector and the slot index see mixed bits.
+    QueryFingerprint::from_parts(h ^ (h >> 32), len)
+}
+
+/// [`fingerprint_raw`], kept only for the benchmark's
+/// `cache.fingerprint_canon_ns` layer; ROADMAP item 0 deletes both.
 #[doc(hidden)]
 pub fn fingerprint_query(text: &str) -> Option<QueryFingerprint> {
-    let mut fp = Fingerprinter::new();
-    canonicalize(text, &mut |b| fp.push_bytes(b))?;
-    Some(fp.finish())
+    Some(fingerprint_raw(text))
 }
 
-/// Fingerprint the **raw** bytes of a request — no canonicalization and no
-/// staging copy: whole 32-byte blocks are digested straight from `text`
-/// (four lanes in parallel; the benchmark's `cache.fingerprint_raw_ns`
-/// layer), and the 0–31 byte tail is read in place by the fold. This is
-/// the serve cache's only key: byte-identical repeats dominate real
-/// endpoint traffic (clients re-send the same string), and a re-spelling
-/// of a cached query misses once and is cached under its own bytes. See
+/// Fingerprint the **raw** bytes of a request, with no staging copy: whole
+/// 32-byte blocks are digested straight from `text` (four lanes in
+/// parallel; the benchmark's `cache.fingerprint_raw_ns` layer), and the
+/// 0–31 byte tail is read in place by the fold. This is the serve cache's
+/// only key: byte-identical repeats dominate real endpoint traffic
+/// (clients re-send the same string), and a re-spelling of a cached query
+/// misses once and is cached under its own bytes. See
 /// [`QueryFingerprint`] for the collision bound.
 pub fn fingerprint_raw(text: &str) -> QueryFingerprint {
-    let mut lanes = Fingerprinter::seeded_lanes();
-    let tail = Fingerprinter::digest_blocks(&mut lanes, text.as_bytes());
-    // The stream length counts modulo 2^32, as `push_bytes` counts it.
-    Fingerprinter::fold(lanes, tail, text.len() as u32)
+    let mut lanes = seeded_lanes();
+    let tail = digest_blocks(&mut lanes, text.as_bytes());
+    // The length counts modulo 2^32.
+    fold(lanes, tail, text.len() as u32)
 }
 
 /// Linear-probe window: an entry lives within `PROBE` slots of its home
@@ -718,170 +633,28 @@ mod tests {
     use super::*;
 
     fn fp(text: &str) -> QueryFingerprint {
-        fingerprint_query(text).unwrap_or_else(|| panic!("uncacheable: {text:?}"))
+        fingerprint_raw(text)
     }
 
     #[test]
-    fn whitespace_and_comments_collapse() {
-        let a = fp("SELECT * WHERE { ?s <http://p> ?o }");
-        assert_eq!(a, fp("SELECT  *\n\tWHERE  {\n  ?s <http://p> ?o\n}\n"));
-        assert_eq!(a, fp("SELECT * # projection\nWHERE { ?s <http://p> ?o }"));
-        assert_ne!(a, fp("SELECT * WHERE { ?s <http://q> ?o }"));
-        assert_ne!(
-            a,
-            fp("SELECT * WHERE { ?s <http://p> ?o . ?s <http://p> ?o }")
-        );
-    }
-
-    #[test]
-    fn keyword_case_normalizes_but_terms_stay_case_sensitive() {
-        let a = fp("SELECT * WHERE { ?s <http://p> ?o }");
-        assert_eq!(a, fp("select * where { ?s <http://p> ?o }"));
-        assert_eq!(a, fp("Select * Where { ?s <http://p> ?o }"));
-        // Variable names and IRIs are case-sensitive.
-        assert_ne!(a, fp("SELECT * WHERE { ?S <http://p> ?o }"));
-        assert_ne!(a, fp("SELECT * WHERE { ?s <HTTP://p> ?o }"));
-        // `true`/`false` are case-sensitive in the parser: `TRUE` is a
-        // different (invalid) word and must not merge with `true`.
-        assert_ne!(
-            fp("SELECT * WHERE { ?s <http://p> true }"),
-            fp("SELECT * WHERE { ?s <http://p> TRUE }")
-        );
-    }
-
-    #[test]
-    fn dollar_sigil_and_lang_tag_case_normalize() {
-        assert_eq!(
-            fp("SELECT ?x WHERE { ?x <http://p> ?y }"),
-            fp("SELECT $x WHERE { $x <http://p> $y }")
-        );
-        assert_eq!(
-            fp("SELECT * WHERE { ?s <http://p> \"x\"@EN-gb }"),
-            fp("SELECT * WHERE { ?s <http://p> \"x\"@en-GB }")
-        );
-        // Literal bodies are untouched.
-        assert_ne!(
-            fp("SELECT * WHERE { ?s <http://p> \"X\" }"),
-            fp("SELECT * WHERE { ?s <http://p> \"x\" }")
-        );
-    }
-
-    #[test]
-    fn prefix_aliases_resolve_to_one_fingerprint() {
-        let full = fp("SELECT * WHERE { ?s <http://ex.org/ns#name> ?o }");
-        // Alias spelling, renamed alias, extra unused declaration, and
-        // shadowed redeclaration all canonicalize to the full-IRI stream.
-        assert_eq!(
-            full,
-            fp("PREFIX ex: <http://ex.org/ns#> SELECT * WHERE { ?s ex:name ?o }")
-        );
-        assert_eq!(
-            full,
-            fp("PREFIX zz: <http://ex.org/ns#> SELECT * WHERE { ?s zz:name ?o }")
-        );
-        assert_eq!(
-            full,
-            fp("PREFIX a: <http://other/> PREFIX b: <http://ex.org/ns#> \
-                SELECT * WHERE { ?s b:name ?o }")
-        );
-        assert_eq!(
-            full,
-            fp("PREFIX p: <http://other/> PREFIX p: <http://ex.org/ns#> \
-                SELECT * WHERE { ?s p:name ?o }")
-        );
-        // Datatype QNames expand too.
-        assert_eq!(
-            fp("PREFIX x: <http://t/> SELECT * WHERE { ?s <http://p> \"3\"^^x:int }"),
-            fp("SELECT * WHERE { ?s <http://p> \"3\"^^<http://t/int> }")
-        );
-        // Different expansion, different fingerprint.
-        assert_ne!(
-            full,
-            fp("PREFIX ex: <http://ex.org/other#> SELECT * WHERE { ?s ex:name ?o }")
-        );
-    }
-
-    #[test]
-    fn datatype_qname_runs_through_every_colon_like_the_tokenizer() {
-        // The tokenizer takes every name byte or ':' after `^^` as the
-        // datatype, so the first text is one literal typed <http://a/b:c>
-        // and the second — a literal typed a:b followed by a stray `:c` —
-        // is a parse error. One fingerprint for both would serve the
-        // first's cached rewrite for a query the parser rejects.
-        let prologue = "PREFIX a: <http://a/> PREFIX : <http://e/> SELECT * WHERE";
-        let joined = format!("{prologue} {{ ?s ?p \"x\"^^a:b:c }}");
-        let split = format!("{prologue} {{ ?s ?p \"x\"^^a:b :c }}");
-        assert_ne!(fingerprint_query(&joined), fingerprint_query(&split));
-        // The expansion happens at the first colon, as in `intern_literal`.
-        assert_eq!(
-            fingerprint_query(&joined),
-            fingerprint_query("SELECT * WHERE { ?s ?p \"x\"^^<http://a/b:c> }")
-        );
-    }
-
-    #[test]
-    fn uncacheable_texts_return_none() {
-        for text in [
-            "SELECT * WHERE { ?s und:eclared ?o }",
-            "SELECT * WHERE { ?s <http://p> \"unterminated }",
-            "SELECT * WHERE { ?s <http://p> \"x\"@ }",
-            "SELECT * WHERE { ?s <http://p> ?o FILTER(?o & 1) }",
-            "PREFIX broken <http://p> SELECT * WHERE { ?s ?p ?o }",
-            "SELECT * WHERE { ? <http://p> ?o }",
-            "SELECT * WHERE { ?s <http://p> 3abc }",
-            "SELECT * WHERE { ?s <http://p> ?o } \x01",
-        ] {
-            assert_eq!(fingerprint_query(text), None, "cached {text:?}");
-        }
-    }
-
-    #[test]
-    fn operator_spellings_do_not_merge() {
-        // `<` as comparison vs `<=`: distinct streams.
-        assert_ne!(
-            fp("SELECT * WHERE { ?s <http://p> ?o FILTER(?o < 3) }"),
-            fp("SELECT * WHERE { ?s <http://p> ?o FILTER(?o <= 3) }")
-        );
-        // Adjacent tokens never concatenate across the separator.
-        assert_ne!(
-            fp("SELECT ?a ?b WHERE { ?a <http://p> ?b }"),
-            fp("SELECT ?ab WHERE { ?ab <http://p> ?ab }")
-        );
-    }
-
-    #[test]
-    fn fingerprint_is_chunking_independent() {
-        // Stream lengths 0..=300 cross the 8-byte word, the 32-byte block
-        // and the 256-byte buffer boundaries. Every length is fed whole, as
-        // `fingerprint_raw`, byte by byte, and split in two at every point;
-        // the three-piece feeds put a 5-byte piece at every offset.
+    fn every_prefix_length_gets_its_own_hash() {
+        // Lengths 0..=300 end the text in a lane of a block, in the tail's
+        // whole words and in its partial word, across word, block and
+        // 256-byte boundaries; no two prefixes may share the `hash` that
+        // places shard and slot.
         let text: Vec<u8> = (0..300u32).map(|i| b'!' + (i * 7 % 90) as u8).collect();
         let text = String::from_utf8(text).expect("ASCII");
-        let digest = |pieces: &[&str]| {
-            let mut fp = Fingerprinter::new();
-            for piece in pieces {
-                fp.push_bytes(piece.as_bytes());
-            }
-            fp.finish()
-        };
+        let mut seen = std::collections::HashMap::new();
         for len in 0..=text.len() {
-            let t = &text[..len];
-            let whole = digest(&[t]);
-            assert_eq!(fingerprint_raw(t), whole, "raw vs pushed, len {len}");
-            let mut bytewise = Fingerprinter::new();
-            for b in t.as_bytes() {
-                bytewise.push_bytes(std::slice::from_ref(b));
+            if let Some(other) = seen.insert(fp(&text[..len]).hash, len) {
+                panic!("prefixes of {other} and {len} bytes share a hash");
             }
-            assert_eq!(bytewise.finish(), whole, "byte by byte, len {len}");
-            for k in 0..=len {
-                assert_eq!(digest(&[&t[..k], &t[k..]]), whole, "len {len} split at {k}");
-                let j = (k + 5).min(len);
-                assert_eq!(
-                    digest(&[&t[..k], &t[k..j], &t[j..]]),
-                    whole,
-                    "len {len} split at {k} and {j}"
-                );
-            }
+        }
+        // A trailing NUL must not vanish into the partial word's padding:
+        // the word is tagged with its length.
+        for n in [7, 8, 31, 32, 33] {
+            let t = &text[..n];
+            assert_ne!(fp(t).hash, fp(&format!("{t}\0")).hash, "{n} bytes");
         }
     }
 
@@ -1025,210 +798,5 @@ mod tests {
     fn from_parts_never_produces_the_vacant_sentinel() {
         assert_eq!(QueryFingerprint::from_parts(0, 5).hash, 1);
         assert_eq!(QueryFingerprint::from_parts(3, 5).hash, 3);
-    }
-
-    /// Bases of the re-spelling corpus, written with one space between
-    /// tokens so `respell` can work token by token: the three bases of
-    /// `parser::tests::mutated_queries_never_panic`, then one base per
-    /// lexer corner the canonical key has to read like the parser.
-    const BASES: &[&str] = &[
-        "PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n WHERE { ?x foaf:name ?n ; a foaf:Person }",
-        "SELECT * WHERE { ?s <http://p> \"x\"@en-GB . OPTIONAL { ?s <http://q> 3.14 } \
-         { ?a <http://b> true } UNION { ?d <http://e> \"y\"^^<http://t> } \
-         FILTER ( ?s <= 3 && ! ( ?a = ?d ) ) }",
-        "SELECT ?s WHERE { ?s <http://p> ?o . SERVICE <http://fed.example.org/sparql> \
-         { ?o <http://q> ?r } SERVICE ?ep { ?r <http://t> ?u } }",
-        "PREFIX a: <http://a/> PREFIX : <http://e/> SELECT * WHERE { ?s ?p \"x\"^^a:b:c }",
-        "PREFIX : <http://e/> SELECT * WHERE { ?s ?p ?o:y ?q ?r }",
-        "PREFIX : <http://e/> SELECT * WHERE { ?s ?p _:b:y ?q ?r }",
-        "SELECT $x WHERE { $x a <http://e/C> ; <http://e/p> true , \"x\"@EN }",
-        "PREFIX p: <http://other/> PREFIX p: <http://ex.org/ns#> \
-         SELECT * WHERE { ?s p:name ?o FILTER ( ?o != p:none ) }",
-    ];
-
-    /// One random spelling of `base`: bare-word case flips (`a` and `true`
-    /// included), `$`↔`?`, language-tag case, a prefix rename, QName ↔ full
-    /// IRI, whitespace and comments between tokens, then, half the time,
-    /// one byte overwrite, space insertion or truncation. Most results are
-    /// the base query re-spelled, the rest are other queries or errors:
-    /// the properties below hold for any text.
-    fn respell(base: &str, rng: &mut impl FnMut() -> u64) -> String {
-        fn flip(s: &str, rng: &mut impl FnMut() -> u64) -> String {
-            s.chars()
-                .map(|c| {
-                    if rng().is_multiple_of(2) {
-                        c.to_ascii_uppercase()
-                    } else {
-                        c.to_ascii_lowercase()
-                    }
-                })
-                .collect()
-        }
-        let mut toks: Vec<String> = base.split(' ').map(String::from).collect();
-        let is_decl: Vec<bool> = (0..toks.len())
-            .map(|i| (1..=2).any(|d| i >= d && toks[i - d] == "PREFIX"))
-            .collect();
-        let names: Vec<usize> = (0..toks.len()).filter(|&i| toks[i] == "PREFIX").collect();
-        if !names.is_empty() && rng().is_multiple_of(4) {
-            let old = toks[names[rng() as usize % names.len()] + 1].clone();
-            let new = format!("r{}:", rng() % 100);
-            for (i, t) in toks.iter_mut().enumerate() {
-                let qname = t.starts_with(|c: char| c.is_ascii_alphabetic() || c == ':');
-                if (is_decl[i] || qname) && t.starts_with(&old) {
-                    *t = t.replacen(&old, &new, 1);
-                } else if t.contains(&format!("^^{old}")) {
-                    *t = t.replacen(&format!("^^{old}"), &format!("^^{new}"), 1);
-                }
-            }
-        }
-        let decls: Vec<(String, String)> = names
-            .iter()
-            .map(|&i| {
-                let iri = &toks[i + 2];
-                (toks[i + 1].clone(), iri[1..iri.len() - 1].to_string())
-            })
-            .collect();
-        let expand = |qname: &str| -> Option<String> {
-            let colon = qname.find(':')?;
-            let (_, iri) = decls.iter().rev().find(|(n, _)| *n == qname[..=colon])?;
-            Some(format!("<{iri}{}>", &qname[colon + 1..]))
-        };
-        let mut prologue = Vec::new();
-        for i in (0..toks.len()).filter(|&i| !is_decl[i]) {
-            let t = toks[i].clone();
-            let first = t.as_bytes()[0];
-            toks[i] = if t.bytes().all(|b| b.is_ascii_alphabetic()) {
-                flip(&t, rng)
-            } else if matches!(first, b'?' | b'$') && rng().is_multiple_of(2) {
-                format!("{}{}", if first == b'?' { '$' } else { '?' }, &t[1..])
-            } else if let Some(at) = t.find("\"@") {
-                format!("{}{}", &t[..at + 2], flip(&t[at + 2..], rng))
-            } else if let Some(dt) = t.find("\"^^").filter(|&d| !t[d + 3..].starts_with('<')) {
-                match expand(&t[dt + 3..]) {
-                    Some(iri) if rng().is_multiple_of(2) => format!("{}{iri}", &t[..dt + 3]),
-                    _ => t,
-                }
-            } else if (first.is_ascii_alphabetic() || first == b':') && rng().is_multiple_of(2) {
-                expand(&t).unwrap_or(t)
-            } else if first == b'<' && t.ends_with('>') && rng().is_multiple_of(3) {
-                let body = &t[1..t.len() - 1];
-                match body.rfind(['/', '#']) {
-                    Some(cut) if body[cut + 1..].bytes().all(|b| b.is_ascii_alphanumeric()) => {
-                        let name = format!("z{}", prologue.len());
-                        prologue.push(format!("PREFIX {name}: <{}>", &body[..=cut]));
-                        format!("{name}:{}", &body[cut + 1..])
-                    }
-                    _ => t,
-                }
-            } else {
-                t
-            };
-        }
-        const SEPS: &[&str] = &[" ", " ", "  ", "\n", "\t", " # note\n", "\n# {x}\n  ", ""];
-        let mut text = String::new();
-        for t in prologue.iter().chain(&toks) {
-            text.push_str(t);
-            text.push_str(SEPS[rng() as usize % SEPS.len()]);
-        }
-        let mut bytes = text.into_bytes();
-        let at = rng() as usize % (bytes.len() + 1);
-        match rng() % 6 {
-            0 if at < bytes.len() => bytes[at] = 0x20 + (rng() % 0x5f) as u8,
-            1 => bytes.insert(at, b' '),
-            2 => bytes.truncate(at),
-            _ => {}
-        }
-        String::from_utf8(bytes).expect("ASCII perturbations stay UTF-8")
-    }
-
-    /// Each base, every one-space insertion into it (so token splits such
-    /// as `a:b :c` are always present) and 600 seeded respellings.
-    fn corpus() -> Vec<String> {
-        // xorshift64*, as in the parser fuzz, so the corpus is seed-stable.
-        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
-        let mut rng = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        };
-        let mut out = Vec::new();
-        for base in BASES {
-            out.push(base.to_string());
-            out.extend((0..=base.len()).map(|p| format!("{} {}", &base[..p], &base[p..])));
-            out.extend((0..600).map(|_| respell(base, &mut rng)));
-        }
-        out
-    }
-
-    #[test]
-    fn texts_sharing_a_fingerprint_parse_alike() {
-        let corpus = corpus();
-        let mut groups: std::collections::HashMap<(u64, u32), Vec<&str>> = Default::default();
-        for t in &corpus {
-            if let Some(fp) = fingerprint_query(t) {
-                groups.entry((fp.hash, fp.len)).or_default().push(t);
-            }
-        }
-        let mut it = crate::interner::Interner::new();
-        let mut shared = 0;
-        for texts in groups.values() {
-            let first = crate::parser::parse_query(texts[0], &mut it).ok();
-            for t in &texts[1..] {
-                assert_eq!(
-                    crate::parser::parse_query(t, &mut it).ok(),
-                    first,
-                    "{:?} and {t:?} share a fingerprint but parse differently",
-                    texts[0]
-                );
-                shared += 1;
-            }
-        }
-        assert!(shared > 1000, "only {shared} texts shared a key");
-    }
-
-    #[test]
-    fn every_parseable_text_is_cacheable() {
-        let mut it = crate::interner::Interner::new();
-        let motivation = [
-            "PREFIX : <http://e/> SELECT * WHERE { ?s ?p ?o:y ?q ?r }",
-            "PREFIX : <http://e/> SELECT * WHERE { ?s ?p _:b:y ?q ?r }",
-        ];
-        for t in motivation {
-            assert!(crate::parser::parse_query(t, &mut it).is_ok(), "{t:?}");
-        }
-        for t in corpus().iter().map(String::as_str).chain(motivation) {
-            if crate::parser::parse_query(t, &mut it).is_ok() {
-                assert!(
-                    fingerprint_query(t).is_some(),
-                    "{t:?} parses but is uncacheable"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn canonical_bytes_spell_the_same_query_under_the_same_key() {
-        // The canonical stream is itself a spelling of the query it was
-        // built from, and hashing it raw gives the canonical fingerprint.
-        let mut it = crate::interner::Interner::new();
-        for t in corpus() {
-            let Ok(query) = crate::parser::parse_query(&t, &mut it) else {
-                continue;
-            };
-            let mut canon = Vec::new();
-            canonicalize(&t, &mut |b| canon.extend_from_slice(b)).expect("parseable");
-            let canon = String::from_utf8(canon).expect("canonical bytes are UTF-8");
-            assert_eq!(
-                crate::parser::parse_query(&canon, &mut it).ok(),
-                Some(query),
-                "{t:?} canonicalizes to {canon:?}"
-            );
-            assert_eq!(
-                Some(fingerprint_raw(&canon)),
-                fingerprint_query(&t),
-                "{t:?}"
-            );
-        }
     }
 }

@@ -96,12 +96,10 @@ mod smallvec;
 pub mod term;
 
 pub use align::{AlignError, AlignmentStore, RuleTemplate};
-pub use cache::{
-    fingerprint_query, fingerprint_raw, CacheConfig, CacheStats, QueryFingerprint, RewriteCache,
-};
-pub use engine::{ServeEngine, ServeScratch};
 #[doc(hidden)]
-pub use federate::PartitionCacheStats;
+pub use cache::fingerprint_query;
+pub use cache::{fingerprint_raw, CacheConfig, CacheStats, QueryFingerprint, RewriteCache};
+pub use engine::{ServeEngine, ServeScratch};
 pub use federate::{
     mix_chain, read_response, BackoffPolicy, BreakerConfig, BreakerState, DispatchPlan, EndpointId,
     EndpointOutcome, EndpointPlan, EndpointReport, EndpointTransport, ExecutorConfig,

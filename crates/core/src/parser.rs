@@ -34,10 +34,9 @@
 //! token (not wherever the tokenizer cursor happens to sit after
 //! lookahead), so editors can point at the right spot.
 //!
-//! The tokenizer is the crate's only SPARQL lexer. The serve cache keys
-//! on raw request bytes and never lexes; `canonicalize` builds a canonical
-//! token stream from the tokenizer for the benchmark's canonical
-//! fingerprint layer only.
+//! The parser is the crate's only reader of SPARQL text, and its
+//! tokenizer the only lexer: the serve cache keys on raw request bytes and
+//! never lexes.
 
 use std::fmt;
 
@@ -45,7 +44,6 @@ use crate::interner::Interner;
 use crate::pattern::{
     Bgp, ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef, TriplePattern,
 };
-use crate::smallvec::SmallVec;
 use crate::term::Term;
 
 pub(crate) const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
@@ -177,12 +175,12 @@ impl<'a> Tokenizer<'a> {
         (start as u32, (start + s.len()) as u32)
     }
 
-    /// Read the PREFIX prologue, handing each `PREFIX name: <iri>`
-    /// declaration to `record` in order, and return the first token after
-    /// it. Errors point at the start of the offending token.
+    /// Read the PREFIX prologue, pushing each `PREFIX name: <iri>`
+    /// declaration onto `prefixes` in order, and return the first token
+    /// after it. Errors point at the start of the offending token.
     fn prologue(
         &mut self,
-        record: &mut impl FnMut(PrefixSpan),
+        prefixes: &mut Vec<PrefixSpan>,
     ) -> Result<Option<Token<'a>>, ParseError> {
         loop {
             match self.next()? {
@@ -204,7 +202,7 @@ impl<'a> Tokenizer<'a> {
             };
             let ((name_start, name_end), (iri_start, iri_end)) =
                 (self.span_of(name), self.span_of(iri));
-            record(PrefixSpan {
+            prefixes.push(PrefixSpan {
                 name_start,
                 name_end,
                 iri_start,
@@ -507,9 +505,9 @@ fn is_iri_byte(c: u8) -> bool {
 
 /// One `PREFIX name: <iri>` declaration as byte spans into the input. The
 /// parser keeps its table in a caller-owned [`ParseScratch`] so re-parsing
-/// reuses its capacity, `canonicalize` keeps its own on the stack; spans
-/// (not borrowed `&str`s) keep the scratch free of the input's lifetime.
-#[derive(Copy, Clone, Debug, Default)]
+/// reuses its capacity; spans (not borrowed `&str`s) keep the scratch free
+/// of the input's lifetime.
+#[derive(Copy, Clone, Debug)]
 struct PrefixSpan {
     name_start: u32,
     name_end: u32,
@@ -543,8 +541,8 @@ fn expand_qname<'a>(
     Ok((base, &qname[colon + 1..]))
 }
 
-/// Feed the canonical spelling of literal token `lit` to `out`, in pieces:
-/// the quoted body verbatim, a language tag lowercased (RDF lang tags are
+/// Append the canonical spelling of literal token `lit` to `out`: the
+/// quoted body verbatim, a language tag lowercased (RDF lang tags are
 /// case-insensitive, so `"x"@EN` and `"x"@en` are one term), a `^^<iri>`
 /// datatype verbatim, and a `^^prefix:local` datatype expanded to
 /// `^^<iri>` (so rendered output needs no PREFIX declaration and the QName
@@ -553,7 +551,7 @@ fn spell_literal<'a>(
     input: &'a str,
     prefixes: &[PrefixSpan],
     lit: &'a str,
-    out: &mut impl FnMut(&str),
+    out: &mut String,
 ) -> Result<(), String> {
     // Tokenizer invariant (closing quote present) downgraded to an error
     // rather than a panic — same rationale as `expand_qname`.
@@ -562,71 +560,18 @@ fn spell_literal<'a>(
         .ok_or("malformed literal: missing closing '\"'")?;
     let (quoted, suffix) = lit.split_at(close + 1);
     if let Some(tag) = suffix.strip_prefix('@') {
-        out(quoted);
-        out("@");
-        for c in tag.chars() {
-            out(c.to_ascii_lowercase().encode_utf8(&mut [0; 4]));
-        }
+        out.push_str(quoted);
+        out.push('@');
+        out.extend(tag.chars().map(|c| c.to_ascii_lowercase()));
     } else if let Some(dtype) = suffix.strip_prefix("^^").filter(|d| !d.starts_with('<')) {
         let (base, local) = expand_qname(input, prefixes, dtype)?;
         for s in [quoted, "^^<", base, local, ">"] {
-            out(s);
+            out.push_str(s);
         }
     } else {
-        out(lit);
+        out.push_str(lit);
     }
     Ok(())
-}
-
-/// Feed the canonical spelling of query text `input` to `sink`: every
-/// token after the PREFIX prologue, with one `b' '` between tokens. Texts
-/// with equal canonical bytes parse to one query, or all fail to parse,
-/// and the canonical bytes are themselves a spelling of that query — the
-/// rewrite cache's canonical key hashes them.
-///
-/// Spellings: `$x` becomes `?x`; a QName (also as a `^^` datatype) becomes
-/// `<base+local>` through the text's own prologue, which itself feeds
-/// nothing; a language tag is lowercased (the parser's own term rules,
-/// shared). A bare word is fed ASCII-uppercased, except `a`, `true`,
-/// `false` and `*`, fed verbatim — sound only while the parser matches
-/// every bare word case-insensitively or rejects it, except those four.
-/// Every other token is fed as its source text.
-///
-/// Returns `None` where the tokenizer, the prologue or a QName expansion
-/// fails, which `parse_query` rejects too. Allocation-free for up to 8
-/// PREFIX declarations on text that canonicalizes.
-pub(crate) fn canonicalize(input: &str, sink: &mut impl FnMut(&[u8])) -> Option<()> {
-    let mut tok = Tokenizer::new(input);
-    let mut prefixes = SmallVec::<PrefixSpan, 8>::new();
-    let mut next = tok.prologue(&mut |p| prefixes.push(p)).ok()?;
-    let mut sep: &[u8] = b"";
-    while let Some(t) = next {
-        sink(sep);
-        sep = b" ";
-        match t {
-            Token::QName(q) => {
-                let (base, local) = expand_qname(input, prefixes.as_slice(), q).ok()?;
-                for s in ["<", base, local, ">"] {
-                    sink(s.as_bytes());
-                }
-            }
-            Token::Var(v) => {
-                sink(b"?");
-                sink(v.as_bytes());
-            }
-            Token::Literal(l) => {
-                spell_literal(input, prefixes.as_slice(), l, &mut |s| sink(s.as_bytes())).ok()?
-            }
-            Token::Word(w) if !matches!(w, "a" | "true" | "false" | "*") => {
-                for b in w.bytes() {
-                    sink(&[b.to_ascii_uppercase()]);
-                }
-            }
-            _ => sink(&input.as_bytes()[tok.last_start..tok.pos]),
-        }
-        next = tok.next().ok()?;
-    }
-    Some(())
 }
 
 /// Caller-owned scratch for allocation-free parsing.
@@ -825,8 +770,7 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
     /// Intern a literal in its canonical spelling ([`spell_literal`]).
     fn intern_literal(&mut self, lit: &'a str) -> Result<Term, ParseError> {
         self.expand_buf.clear();
-        let buf = &mut *self.expand_buf;
-        spell_literal(self.tok.input, self.prefixes, lit, &mut |s| buf.push_str(s))
+        spell_literal(self.tok.input, self.prefixes, lit, self.expand_buf)
             .map_err(|m| self.err(m))?;
         Ok(Term::literal(self.interner.intern(self.expand_buf)))
     }
@@ -869,8 +813,7 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
     /// Read the prologue into the PREFIX table; must run before any token
     /// is peeked. The first token after it becomes the lookahead.
     fn parse_prologue(&mut self) -> Result<(), ParseError> {
-        let prefixes = &mut *self.prefixes;
-        let first = self.tok.prologue(&mut |p| prefixes.push(p))?;
+        let first = self.tok.prologue(self.prefixes)?;
         self.peeked = first.map(|t| (t, self.tok.last_start));
         Ok(())
     }
