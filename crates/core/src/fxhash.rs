@@ -3,9 +3,12 @@
 //! The container image has no registry access, so the `fxhash`/`rustc-hash`
 //! crates are re-implemented here (the algorithm is a few lines). Symbol and
 //! short-string keys dominate this codebase and Fx is ~5x faster than the
-//! default SipHash for them; it is NOT DoS-resistant, which is acceptable for
-//! an engine that hashes its own interned vocabulary rather than attacker-
-//! controlled keys.
+//! default SipHash for them. It is NOT DoS-resistant, and its keys are not
+//! only the engine's own vocabulary: every serve-path parse interns the
+//! request's IRIs, literals and variables into the worker's interner
+//! overlay, from bodies of up to 4 MiB. A client that crafts strings whose
+//! hashes collide lengthens that table's probe chains, for its own request
+//! and for the worker's later ones until the overlay is emptied.
 
 use std::hash::Hasher;
 

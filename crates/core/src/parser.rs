@@ -1,7 +1,8 @@
 //! Zero-copy tokenizer and parser for the SELECT/WHERE group-graph-pattern
 //! fragment of SPARQL.
 //!
-//! The tokenizer yields `&str` slices borrowing from the input; nothing is
+//! The tokenizer yields byte spans of the input, and the parser slices a
+//! token's text out of the input only when it needs it; nothing is
 //! allocated until a term's final text is known (after PREFIX expansion for
 //! QNames), at which point it is interned once. Supported syntax:
 //!
@@ -85,27 +86,39 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Tokens borrow from the query string — the tokenizer allocates nothing.
+/// What every fallible step inside the parser returns. The error is boxed
+/// so that a success stays register-sized: `Parsed<Term>` is 16 bytes and
+/// `Parsed<()>` 8, where a by-value 32-byte `ParseError` made every step
+/// of a parse return through memory. The public entry points unbox it.
+type Parsed<T> = Result<T, Box<ParseError>>;
+
+/// Build the error of a failing parse. Cold and out of line, so the
+/// branches that call it stay off the hot path.
+#[cold]
+#[inline(never)]
+fn error_at(offset: usize, message: String) -> Box<ParseError> {
+    Box::new(ParseError { message, offset })
+}
+
+/// What a token is. One byte: `Cmp`'s operator fits the tag's spare values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Token<'a> {
-    /// `<...>` with brackets stripped.
-    IriRef(&'a str),
+enum Kind {
+    /// `<...>`; the text excludes the brackets.
+    IriRef,
     /// `prefix:local` (either part may be empty).
-    QName(&'a str),
-    /// `?x` / `$x` with the sigil stripped.
-    Var(&'a str),
+    QName,
+    /// `?x` / `$x`; the text excludes the sigil.
+    Var,
     /// Full literal surface form including quotes and any @lang/^^ suffix.
-    Literal(&'a str),
-    /// Bare numeric literal (`42`, `-3.14`); `decimal` is true when it
-    /// contains a fraction dot.
-    Numeric {
-        text: &'a str,
-        decimal: bool,
-    },
-    /// `_:label` with the `_:` stripped.
-    Blank(&'a str),
+    Literal,
+    /// Bare numeric literal without a fraction dot (`42`, `-7`).
+    Integer,
+    /// Bare numeric literal with one (`3.14`).
+    Decimal,
+    /// `_:label`; the text excludes the `_:`.
+    Blank,
     /// A bare word: SELECT, WHERE, PREFIX, `a`, `*`, `true`, …
-    Word(&'a str),
+    Word,
     LBrace,
     RBrace,
     LParen,
@@ -121,6 +134,57 @@ enum Token<'a> {
     OrOr,
     /// `=`, `!=`, `<`, `<=`, `>`, `>=`.
     Cmp(CmpOp),
+}
+
+/// A token: its kind and the byte span of its text in the input (see
+/// [`Kind`] for what the text excludes). Twelve bytes, so the tokenizer's
+/// `Parsed<Option<Token>>` is 16 and returns in registers; the tokenizer
+/// allocates nothing and the parser slices the text when it needs it.
+#[derive(Clone, Copy)]
+struct Token {
+    kind: Kind,
+    start: u32,
+    end: u32,
+}
+
+impl Token {
+    /// `start..end` lie in an input of at most `u32::MAX` bytes, which
+    /// [`Tokenizer::prologue`] checks before the first token.
+    #[inline]
+    fn new(kind: Kind, start: usize, end: usize) -> Token {
+        Token {
+            kind,
+            start: start as u32,
+            end: end as u32,
+        }
+    }
+
+    #[inline]
+    fn text(self, input: &str) -> &str {
+        &input[self.start as usize..self.end as usize]
+    }
+}
+
+/// A token as error messages spell it: `Var("x")`, `LBrace`, `Cmp(Lt)`,
+/// `Numeric { text: "42", decimal: false }`.
+struct Spelled<'a>(Token, &'a str);
+
+impl fmt::Debug for Spelled<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Spelled(t, input) = *self;
+        let text = t.text(input);
+        match t.kind {
+            Kind::Integer | Kind::Decimal => f
+                .debug_struct("Numeric")
+                .field("text", &text)
+                .field("decimal", &(t.kind == Kind::Decimal))
+                .finish(),
+            Kind::IriRef | Kind::QName | Kind::Var | Kind::Literal | Kind::Blank | Kind::Word => {
+                write!(f, "{:?}({text:?})", t.kind)
+            }
+            kind => write!(f, "{kind:?}"),
+        }
+    }
 }
 
 struct Tokenizer<'a> {
@@ -160,61 +224,50 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            message: message.into(),
-            offset: self.pos,
-        }
-    }
-
-    /// Byte span of `s` within the input. `s` must be a subslice of the
-    /// input (every token text is).
-    #[inline]
-    fn span_of(&self, s: &str) -> (u32, u32) {
-        let start = s.as_ptr() as usize - self.input.as_ptr() as usize;
-        (start as u32, (start + s.len()) as u32)
+    #[cold]
+    fn err(&self, message: impl Into<String>) -> Box<ParseError> {
+        error_at(self.pos, message.into())
     }
 
     /// Read the PREFIX prologue, pushing each `PREFIX name: <iri>`
     /// declaration onto `prefixes` in order, and return the first token
     /// after it. Errors point at the start of the offending token.
-    fn prologue(
-        &mut self,
-        prefixes: &mut Vec<PrefixSpan>,
-    ) -> Result<Option<Token<'a>>, ParseError> {
+    fn prologue(&mut self, prefixes: &mut Vec<PrefixSpan>) -> Parsed<Option<Token>> {
+        if u32::try_from(self.input.len()).is_err() {
+            return Err(self.err("input longer than 4 GiB"));
+        }
         loop {
             match self.next()? {
-                Some(Token::Word(w)) if w.eq_ignore_ascii_case("PREFIX") => {}
+                Some(t)
+                    if t.kind == Kind::Word
+                        && t.text(self.input).eq_ignore_ascii_case("PREFIX") => {}
                 other => return Ok(other),
             }
-            let at_token = |t: &Self, message: &str| ParseError {
-                message: message.into(),
-                offset: t.last_start,
+            let at_token = |t: &Self, message: &str| error_at(t.last_start, message.into());
+            let name = match self.next()? {
+                Some(t) if t.kind == Kind::QName => t,
+                _ => return Err(at_token(self, "expected 'name:' after PREFIX")),
             };
-            let Some(Token::QName(q)) = self.next()? else {
-                return Err(at_token(self, "expected 'name:' after PREFIX"));
-            };
-            let Some(name) = q.strip_suffix(':') else {
+            if !name.text(self.input).ends_with(':') {
                 return Err(at_token(self, "prefix declaration must end with ':'"));
+            }
+            let iri = match self.next()? {
+                Some(t) if t.kind == Kind::IriRef => t,
+                _ => return Err(at_token(self, "expected <IRI> after prefix name")),
             };
-            let Some(Token::IriRef(iri)) = self.next()? else {
-                return Err(at_token(self, "expected <IRI> after prefix name"));
-            };
-            let ((name_start, name_end), (iri_start, iri_end)) =
-                (self.span_of(name), self.span_of(iri));
             prefixes.push(PrefixSpan {
-                name_start,
-                name_end,
-                iri_start,
-                iri_end,
+                name_start: name.start,
+                name_end: name.end - 1,
+                iri_start: iri.start,
+                iri_end: iri.end,
             });
         }
     }
 
-    /// Scan a literal starting at the opening quote; returns the full
+    /// Scan a literal starting at the opening quote; its text is the full
     /// surface form (quotes, escapes, and any `@lang` / `^^iri-or-qname`
-    /// suffix included) as one borrowed slice.
-    fn scan_literal(&mut self) -> Result<Token<'a>, ParseError> {
+    /// suffix included).
+    fn scan_literal(&mut self) -> Parsed<Token> {
         let b = self.bytes();
         let start = self.pos;
         debug_assert_eq!(b[self.pos], b'"');
@@ -273,13 +326,13 @@ impl<'a> Tokenizer<'a> {
                 }
             }
         }
-        Ok(Token::Literal(&self.input[start..self.pos]))
+        Ok(Token::new(Kind::Literal, start, self.pos))
     }
 
     /// Scan a bare numeric literal (`42`, `3.14`, optionally signed). The
     /// fraction dot is consumed only when a digit follows, so `3 .` and the
     /// triple-terminating `3.` still tokenize as integer-then-Dot.
-    fn scan_numeric(&mut self) -> Result<Token<'a>, ParseError> {
+    fn scan_numeric(&mut self) -> Parsed<Token> {
         let b = self.bytes();
         let start = self.pos;
         if b[self.pos] == b'+' || b[self.pos] == b'-' {
@@ -288,9 +341,9 @@ impl<'a> Tokenizer<'a> {
         while b.get(self.pos).is_some_and(u8::is_ascii_digit) {
             self.pos += 1;
         }
-        let mut decimal = false;
+        let mut kind = Kind::Integer;
         if b.get(self.pos) == Some(&b'.') && b.get(self.pos + 1).is_some_and(u8::is_ascii_digit) {
-            decimal = true;
+            kind = Kind::Decimal;
             self.pos += 1;
             while b.get(self.pos).is_some_and(u8::is_ascii_digit) {
                 self.pos += 1;
@@ -301,10 +354,7 @@ impl<'a> Tokenizer<'a> {
         if b.get(self.pos).is_some_and(|c| is_name_byte(*c)) {
             return Err(self.err("malformed numeric literal"));
         }
-        Ok(Token::Numeric {
-            text: &self.input[start..self.pos],
-            decimal,
-        })
+        Ok(Token::new(kind, start, self.pos))
     }
 
     /// At a `<`: an IRI reference if a legal IRIREF body terminated by `>`
@@ -312,136 +362,87 @@ impl<'a> Tokenizer<'a> {
     /// IRIREF bodies exclude whitespace, quotes, braces, and `<`, so
     /// `FILTER(?x < ?y)` is unambiguous, while `<=x>` stays the IRI "=x" —
     /// the IRI interpretation wins whenever one exists.)
-    fn scan_angle(&mut self) -> Token<'a> {
+    fn scan_angle(&mut self) -> Token {
         let b = self.bytes();
-        debug_assert_eq!(b[self.pos], b'<');
-        let mut end = self.pos + 1;
+        let at = self.pos;
+        debug_assert_eq!(b[at], b'<');
+        let mut end = at + 1;
         while end < b.len() && is_iri_byte(b[end]) {
             end += 1;
         }
         if b.get(end) == Some(&b'>') {
-            let start = self.pos + 1;
             self.pos = end + 1;
-            Token::IriRef(&self.input[start..end])
-        } else if b.get(self.pos + 1) == Some(&b'=') {
+            Token::new(Kind::IriRef, at + 1, end)
+        } else if b.get(at + 1) == Some(&b'=') {
             self.pos += 2;
-            Token::Cmp(CmpOp::Le)
+            Token::new(Kind::Cmp(CmpOp::Le), at, self.pos)
         } else {
             self.pos += 1;
-            Token::Cmp(CmpOp::Lt)
+            Token::new(Kind::Cmp(CmpOp::Lt), at, self.pos)
         }
     }
 
-    fn next(&mut self) -> Result<Option<Token<'a>>, ParseError> {
-        self.skip_trivia();
-        self.last_start = self.pos;
+    /// Scan a run of name bytes from `start`, returning where it ends.
+    #[inline]
+    fn name_end(&self, start: usize) -> usize {
         let b = self.bytes();
-        let Some(&c) = b.get(self.pos) else {
+        let mut end = start;
+        while end < b.len() && is_name_byte(b[end]) {
+            end += 1;
+        }
+        end
+    }
+
+    fn next(&mut self) -> Parsed<Option<Token>> {
+        self.skip_trivia();
+        let start = self.pos;
+        self.last_start = start;
+        let b = self.bytes();
+        let Some(&c) = b.get(start) else {
             return Ok(None);
         };
-        let tok = match c {
-            b'{' => {
-                self.pos += 1;
-                Token::LBrace
-            }
-            b'}' => {
-                self.pos += 1;
-                Token::RBrace
-            }
-            b'(' => {
-                self.pos += 1;
-                Token::LParen
-            }
-            b')' => {
-                self.pos += 1;
-                Token::RParen
-            }
-            b'.' => {
-                self.pos += 1;
-                Token::Dot
-            }
-            b';' => {
-                self.pos += 1;
-                Token::Semicolon
-            }
-            b',' => {
-                self.pos += 1;
-                Token::Comma
-            }
-            b'*' => {
-                self.pos += 1;
-                Token::Word("*")
-            }
-            b'=' => {
-                self.pos += 1;
-                Token::Cmp(CmpOp::Eq)
-            }
-            b'!' => {
-                if b.get(self.pos + 1) == Some(&b'=') {
-                    self.pos += 2;
-                    Token::Cmp(CmpOp::Ne)
-                } else {
-                    self.pos += 1;
-                    Token::Bang
-                }
-            }
-            b'>' => {
-                if b.get(self.pos + 1) == Some(&b'=') {
-                    self.pos += 2;
-                    Token::Cmp(CmpOp::Ge)
-                } else {
-                    self.pos += 1;
-                    Token::Cmp(CmpOp::Gt)
-                }
-            }
-            b'&' => {
-                if b.get(self.pos + 1) == Some(&b'&') {
-                    self.pos += 2;
-                    Token::AndAnd
-                } else {
-                    return Err(self.err("expected '&&'"));
-                }
-            }
-            b'|' => {
-                if b.get(self.pos + 1) == Some(&b'|') {
-                    self.pos += 2;
-                    Token::OrOr
-                } else {
-                    return Err(self.err("expected '||'"));
-                }
-            }
-            b'<' => self.scan_angle(),
+        let second = b.get(start + 1).copied();
+        let (kind, len) = match c {
+            b'{' => (Kind::LBrace, 1),
+            b'}' => (Kind::RBrace, 1),
+            b'(' => (Kind::LParen, 1),
+            b')' => (Kind::RParen, 1),
+            b'.' => (Kind::Dot, 1),
+            b';' => (Kind::Semicolon, 1),
+            b',' => (Kind::Comma, 1),
+            b'*' => (Kind::Word, 1),
+            b'=' => (Kind::Cmp(CmpOp::Eq), 1),
+            b'!' if second == Some(b'=') => (Kind::Cmp(CmpOp::Ne), 2),
+            b'!' => (Kind::Bang, 1),
+            b'>' if second == Some(b'=') => (Kind::Cmp(CmpOp::Ge), 2),
+            b'>' => (Kind::Cmp(CmpOp::Gt), 1),
+            b'&' if second == Some(b'&') => (Kind::AndAnd, 2),
+            b'&' => return Err(self.err("expected '&&'")),
+            b'|' if second == Some(b'|') => (Kind::OrOr, 2),
+            b'|' => return Err(self.err("expected '||'")),
+            b'<' => return Ok(Some(self.scan_angle())),
             b'?' | b'$' => {
-                let start = self.pos + 1;
-                let mut end = start;
-                while end < b.len() && is_name_byte(b[end]) {
-                    end += 1;
-                }
-                if end == start {
+                let end = self.name_end(start + 1);
+                if end == start + 1 {
                     return Err(self.err("empty variable name"));
                 }
                 self.pos = end;
-                Token::Var(&self.input[start..end])
+                return Ok(Some(Token::new(Kind::Var, start + 1, end)));
             }
-            b'"' => self.scan_literal()?,
-            b'_' if b.get(self.pos + 1) == Some(&b':') => {
-                let start = self.pos + 2;
-                let mut end = start;
-                while end < b.len() && is_name_byte(b[end]) {
-                    end += 1;
-                }
-                if end == start {
+            b'"' => return self.scan_literal().map(Some),
+            b'_' if second == Some(b':') => {
+                let end = self.name_end(start + 2);
+                if end == start + 2 {
                     return Err(self.err("empty blank node label"));
                 }
                 self.pos = end;
-                Token::Blank(&self.input[start..end])
+                return Ok(Some(Token::new(Kind::Blank, start + 2, end)));
             }
-            c if c.is_ascii_digit() => self.scan_numeric()?,
-            b'+' | b'-' if b.get(self.pos + 1).is_some_and(u8::is_ascii_digit) => {
-                self.scan_numeric()?
+            c if c.is_ascii_digit() => return self.scan_numeric().map(Some),
+            b'+' | b'-' if second.is_some_and(|d| d.is_ascii_digit()) => {
+                return self.scan_numeric().map(Some)
             }
             c if is_name_byte(c) || c == b':' => {
-                let start = self.pos;
                 let mut end = start;
                 let mut has_colon = false;
                 while end < b.len() && (is_name_byte(b[end]) || (b[end] == b':' && !has_colon)) {
@@ -450,17 +451,15 @@ impl<'a> Tokenizer<'a> {
                     }
                     end += 1;
                 }
-                self.pos = end;
-                let text = &self.input[start..end];
-                if has_colon {
-                    Token::QName(text)
-                } else {
-                    Token::Word(text)
-                }
+                (
+                    if has_colon { Kind::QName } else { Kind::Word },
+                    end - start,
+                )
             }
             other => return Err(self.err(format!("unexpected byte 0x{other:02x}"))),
         };
-        Ok(Some(tok))
+        self.pos = start + len;
+        Ok(Some(Token::new(kind, start, self.pos)))
     }
 }
 
@@ -513,65 +512,6 @@ struct PrefixSpan {
     name_end: u32,
     iri_start: u32,
     iri_end: u32,
-}
-
-/// Split a QName at its first colon and resolve the prefix against
-/// `prefixes` (spans into `input`; later declarations shadow earlier ones,
-/// matching SPARQL prologue semantics). Returns `(base, local)`, whose
-/// concatenation is the QName's IRI.
-///
-/// The tokenizer only emits QNames containing a colon, but a serve worker
-/// must never be one refactor away from a panic on user-supplied query
-/// text, so the invariant degrades to an error instead of an `expect`.
-fn expand_qname<'a>(
-    input: &'a str,
-    prefixes: &[PrefixSpan],
-    qname: &'a str,
-) -> Result<(&'a str, &'a str), String> {
-    let colon = qname.find(':').ok_or("malformed QName: missing ':'")?;
-    let prefix = &qname[..colon];
-    let base = prefixes
-        .iter()
-        .rev()
-        .find_map(|p| {
-            let name = &input[p.name_start as usize..p.name_end as usize];
-            (name == prefix).then(|| &input[p.iri_start as usize..p.iri_end as usize])
-        })
-        .ok_or_else(|| format!("undeclared prefix '{prefix}:'"))?;
-    Ok((base, &qname[colon + 1..]))
-}
-
-/// Append the canonical spelling of literal token `lit` to `out`: the
-/// quoted body verbatim, a language tag lowercased (RDF lang tags are
-/// case-insensitive, so `"x"@EN` and `"x"@en` are one term), a `^^<iri>`
-/// datatype verbatim, and a `^^prefix:local` datatype expanded to
-/// `^^<iri>` (so rendered output needs no PREFIX declaration and the QName
-/// and full-IRI spellings of one literal are one term).
-fn spell_literal<'a>(
-    input: &'a str,
-    prefixes: &[PrefixSpan],
-    lit: &'a str,
-    out: &mut String,
-) -> Result<(), String> {
-    // Tokenizer invariant (closing quote present) downgraded to an error
-    // rather than a panic — same rationale as `expand_qname`.
-    let close = lit
-        .rfind('"')
-        .ok_or("malformed literal: missing closing '\"'")?;
-    let (quoted, suffix) = lit.split_at(close + 1);
-    if let Some(tag) = suffix.strip_prefix('@') {
-        out.push_str(quoted);
-        out.push('@');
-        out.extend(tag.chars().map(|c| c.to_ascii_lowercase()));
-    } else if let Some(dtype) = suffix.strip_prefix("^^").filter(|d| !d.starts_with('<')) {
-        let (base, local) = expand_qname(input, prefixes, dtype)?;
-        for s in [quoted, "^^<", base, local, ">"] {
-            out.push_str(s);
-        }
-    } else {
-        out.push_str(lit);
-    }
-    Ok(())
 }
 
 /// Caller-owned scratch for allocation-free parsing.
@@ -649,13 +589,14 @@ struct SubExpr {
 /// Parser state: a tokenizer with one token of lookahead, plus the
 /// scratch-owned PREFIX table and QName-expansion buffer, and the interner
 /// terms are minted into.
+///
+/// Parser-level errors report the tokenizer's `last_start`: the lookahead
+/// is the last token the tokenizer read, so whether the offending token was
+/// consumed or only peeked, that is where it starts.
 struct Parser<'a, 'i, 'p> {
     tok: Tokenizer<'a>,
-    /// One token of lookahead plus the byte offset it started at.
-    peeked: Option<(Token<'a>, usize)>,
-    /// Start offset of the most recently observed token (consumed *or*
-    /// peeked) — the position parser-level errors report.
-    err_off: usize,
+    /// One token of lookahead.
+    peeked: Option<Token>,
     prefixes: &'p mut Vec<PrefixSpan>,
     interner: &'i mut Interner,
     /// Nesting levels currently open; see [`MAX_NESTING`].
@@ -679,7 +620,6 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         Parser {
             tok: Tokenizer::new(input),
             peeked: None,
-            err_off: 0,
             prefixes,
             interner,
             depth: 0,
@@ -688,45 +628,82 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         }
     }
 
-    fn next_token(&mut self) -> Result<Option<Token<'a>>, ParseError> {
-        if let Some((t, off)) = self.peeked.take() {
-            self.err_off = off;
-            return Ok(Some(t));
+    #[inline]
+    fn next_token(&mut self) -> Parsed<Option<Token>> {
+        match self.peeked.take() {
+            Some(t) => Ok(Some(t)),
+            None => self.tok.next(),
         }
-        let t = self.tok.next()?;
-        self.err_off = self.tok.last_start;
-        Ok(t)
     }
 
-    fn peek(&mut self) -> Result<Option<Token<'a>>, ParseError> {
+    #[inline]
+    fn peek(&mut self) -> Parsed<Option<Token>> {
         if self.peeked.is_none() {
-            self.peeked = self.tok.next()?.map(|t| (t, self.tok.last_start));
+            self.peeked = self.tok.next()?;
         }
-        // An error raised while looking at the peeked token should point at
-        // it, not at wherever the cursor stopped after scanning it.
-        self.err_off = self
-            .peeked
-            .map(|(_, off)| off)
-            .unwrap_or(self.tok.last_start);
-        Ok(self.peeked.map(|(t, _)| t))
+        Ok(self.peeked)
     }
 
-    fn expect(&mut self, what: &str) -> Result<Token<'a>, ParseError> {
-        self.next_token()?
-            .ok_or_else(|| self.err(format!("unexpected end of input, expected {what}")))
+    /// Consume the next token if it is a `kind`; returns whether it was.
+    #[inline]
+    fn eat(&mut self, kind: Kind) -> Parsed<bool> {
+        let hit = self.peek()?.is_some_and(|t| t.kind == kind);
+        if hit {
+            self.peeked = None;
+        }
+        Ok(hit)
     }
 
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            message: message.into(),
-            offset: self.err_off,
+    #[inline]
+    fn expect(&mut self, what: &str) -> Parsed<Token> {
+        match self.next_token()? {
+            Some(t) => Ok(t),
+            None => Err(self.err(format!("unexpected end of input, expected {what}"))),
         }
+    }
+
+    /// Consume the next token, which must be a `kind`, spelled `what` in
+    /// the error otherwise.
+    #[inline]
+    fn expect_kind(&mut self, kind: Kind, what: &str) -> Parsed<()> {
+        let t = self.expect(what)?;
+        if t.kind != kind {
+            return Err(self.unexpected(what, t));
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn text(&self, t: Token) -> &'a str {
+        t.text(self.tok.input)
+    }
+
+    /// Whether `t` is the keyword `kw`, in any case.
+    #[inline]
+    fn is_keyword(&self, t: Token, kw: &str) -> bool {
+        t.kind == Kind::Word && self.text(t).eq_ignore_ascii_case(kw)
+    }
+
+    /// An error at the start of the token last read.
+    #[cold]
+    fn err(&self, message: impl Into<String>) -> Box<ParseError> {
+        error_at(self.tok.last_start, message.into())
+    }
+
+    /// `expected {what}, found {t:?}`, at the start of `t`.
+    #[cold]
+    fn unexpected(&self, what: &str, t: Token) -> Box<ParseError> {
+        self.err(format!("expected {what}, found {:?}", self.spelled(t)))
+    }
+
+    fn spelled(&self, t: Token) -> Spelled<'a> {
+        Spelled(t, self.tok.input)
     }
 
     /// Open one nesting level for the token just consumed; past
     /// [`MAX_NESTING`] the parse fails at that token. The caller closes the
     /// level on success (an error ends the parse, so it never needs to).
-    fn descend(&mut self) -> Result<(), ParseError> {
+    fn descend(&mut self) -> Parsed<()> {
         if self.depth == MAX_NESTING {
             return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
         }
@@ -743,13 +720,13 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         node: ExprNode,
         below: u32,
         at: usize,
-    ) -> Result<SubExpr, ParseError> {
+    ) -> Parsed<SubExpr> {
         let height = below + 1;
         if height > self.expr_room {
-            return Err(ParseError {
-                message: format!("nesting deeper than {MAX_NESTING} levels"),
-                offset: at,
-            });
+            return Err(error_at(
+                at,
+                format!("nesting deeper than {MAX_NESTING} levels"),
+            ));
         }
         Ok(SubExpr {
             node: out.push_expr(node),
@@ -757,21 +734,69 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         })
     }
 
+    /// Split a QName at its first colon and resolve the prefix against the
+    /// PREFIX table (later declarations shadow earlier ones, matching
+    /// SPARQL prologue semantics). Returns `(base, local)`, whose
+    /// concatenation is the QName's IRI.
+    ///
+    /// The tokenizer only emits QNames containing a colon, but a serve
+    /// worker must never be one refactor away from a panic on user-supplied
+    /// query text, so the invariant degrades to an error instead of an
+    /// `expect`.
+    fn expand_qname(&self, qname: &'a str) -> Parsed<(&'a str, &'a str)> {
+        let input = self.tok.input;
+        let Some(colon) = qname.find(':') else {
+            return Err(self.err("malformed QName: missing ':'"));
+        };
+        let prefix = &qname[..colon];
+        let base = self.prefixes.iter().rev().find_map(|p| {
+            let name = &input[p.name_start as usize..p.name_end as usize];
+            (name == prefix).then(|| &input[p.iri_start as usize..p.iri_end as usize])
+        });
+        match base {
+            Some(base) => Ok((base, &qname[colon + 1..])),
+            None => Err(self.err(format!("undeclared prefix '{prefix}:'"))),
+        }
+    }
+
     /// Expand a QName against the PREFIX table and intern the result.
-    fn intern_qname(&mut self, qname: &'a str) -> Result<Term, ParseError> {
-        let (base, local) =
-            expand_qname(self.tok.input, self.prefixes, qname).map_err(|m| self.err(m))?;
+    fn intern_qname(&mut self, qname: &'a str) -> Parsed<Term> {
+        let (base, local) = self.expand_qname(qname)?;
         self.expand_buf.clear();
         self.expand_buf.push_str(base);
         self.expand_buf.push_str(local);
         Ok(Term::iri(self.interner.intern(self.expand_buf)))
     }
 
-    /// Intern a literal in its canonical spelling ([`spell_literal`]).
-    fn intern_literal(&mut self, lit: &'a str) -> Result<Term, ParseError> {
-        self.expand_buf.clear();
-        spell_literal(self.tok.input, self.prefixes, lit, self.expand_buf)
-            .map_err(|m| self.err(m))?;
+    /// Intern literal token `lit` in its canonical spelling: the quoted
+    /// body verbatim, a language tag lowercased (RDF lang tags are
+    /// case-insensitive, so `"x"@EN` and `"x"@en` are one term), a
+    /// `^^<iri>` datatype verbatim, and a `^^prefix:local` datatype
+    /// expanded to `^^<iri>` (so rendered output needs no PREFIX
+    /// declaration and the QName and full-IRI spellings of one literal are
+    /// one term).
+    fn intern_literal(&mut self, lit: &'a str) -> Parsed<Term> {
+        // Tokenizer invariant (closing quote present) downgraded to an
+        // error rather than a panic — same rationale as `expand_qname`.
+        let Some(close) = lit.rfind('"') else {
+            return Err(self.err("malformed literal: missing closing '\"'"));
+        };
+        let (quoted, suffix) = lit.split_at(close + 1);
+        let qname_datatype = suffix.strip_prefix("^^").filter(|d| !d.starts_with('<'));
+        let datatype = qname_datatype.map(|d| self.expand_qname(d)).transpose()?;
+        let out = &mut *self.expand_buf;
+        out.clear();
+        if let Some(tag) = suffix.strip_prefix('@') {
+            out.push_str(quoted);
+            out.push('@');
+            out.extend(tag.chars().map(|c| c.to_ascii_lowercase()));
+        } else if let Some((base, local)) = datatype {
+            for s in [quoted, "^^<", base, local, ">"] {
+                out.push_str(s);
+            }
+        } else {
+            out.push_str(lit);
+        }
         Ok(Term::literal(self.interner.intern(self.expand_buf)))
     }
 
@@ -788,69 +813,65 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         Term::literal(self.interner.intern(self.expand_buf))
     }
 
-    fn parse_term(&mut self, tok: Token<'a>, position: &str) -> Result<Term, ParseError> {
-        match tok {
-            Token::IriRef(iri) => Ok(Term::iri(self.interner.intern(iri))),
-            Token::QName(q) => self.intern_qname(q),
-            Token::Var(v) => Ok(Term::var(self.interner.intern(v))),
-            Token::Literal(l) => self.intern_literal(l),
-            // Bare-literal sugar is legal only where a literal is: object
-            // position and FILTER expressions, never as subject or verb.
-            Token::Numeric { text, decimal } if matches!(position, "object" | "expression") => {
-                Ok(self.intern_typed(text, if decimal { XSD_DECIMAL } else { XSD_INTEGER }))
-            }
-            Token::Blank(b) => Ok(Term::blank(self.interner.intern(b))),
-            Token::Word("a") if position == "predicate" => {
+    fn parse_term(&mut self, tok: Token, position: &str) -> Parsed<Term> {
+        let text = self.text(tok);
+        // Bare-literal sugar is legal only where a literal is: object
+        // position and FILTER expressions, never as subject or verb.
+        let literal_ok = matches!(position, "object" | "expression");
+        match tok.kind {
+            Kind::IriRef => Ok(Term::iri(self.interner.intern(text))),
+            Kind::QName => self.intern_qname(text),
+            Kind::Var => Ok(Term::var(self.interner.intern(text))),
+            Kind::Literal => self.intern_literal(text),
+            Kind::Integer if literal_ok => Ok(self.intern_typed(text, XSD_INTEGER)),
+            Kind::Decimal if literal_ok => Ok(self.intern_typed(text, XSD_DECIMAL)),
+            Kind::Blank => Ok(Term::blank(self.interner.intern(text))),
+            Kind::Word if text == "a" && position == "predicate" => {
                 Ok(Term::iri(self.interner.intern(RDF_TYPE)))
             }
-            Token::Word(w @ ("true" | "false")) if matches!(position, "object" | "expression") => {
-                Ok(self.intern_typed(w, XSD_BOOLEAN))
+            Kind::Word if matches!(text, "true" | "false") && literal_ok => {
+                Ok(self.intern_typed(text, XSD_BOOLEAN))
             }
-            other => Err(self.err(format!("expected {position} term, found {other:?}"))),
+            _ => Err(self.unexpected(&format!("{position} term"), tok)),
         }
     }
 
     /// Read the prologue into the PREFIX table; must run before any token
     /// is peeked. The first token after it becomes the lookahead.
-    fn parse_prologue(&mut self) -> Result<(), ParseError> {
-        let first = self.tok.prologue(self.prefixes)?;
-        self.peeked = first.map(|t| (t, self.tok.last_start));
+    fn parse_prologue(&mut self) -> Parsed<()> {
+        self.peeked = self.tok.prologue(self.prefixes)?;
         Ok(())
     }
 
     /// Parse the projection into `vars` (cleared first); returns `true` for
     /// `SELECT *`.
-    fn parse_select(&mut self, vars: &mut Vec<Term>) -> Result<bool, ParseError> {
+    fn parse_select(&mut self, vars: &mut Vec<Term>) -> Parsed<bool> {
         vars.clear();
-        match self.expect("SELECT")? {
-            Token::Word(w) if w.eq_ignore_ascii_case("SELECT") => {}
-            other => return Err(self.err(format!("expected SELECT, found {other:?}"))),
+        let t = self.expect("SELECT")?;
+        if !self.is_keyword(t, "SELECT") {
+            return Err(self.unexpected("SELECT", t));
         }
-        match self.peek()? {
-            Some(Token::Word("*")) => {
-                self.next_token()?;
-                Ok(true)
-            }
-            _ => {
-                while let Some(Token::Var(v)) = self.peek()? {
-                    self.next_token()?;
-                    vars.push(Term::var(self.interner.intern(v)));
-                }
-                if vars.is_empty() {
-                    return Err(self.err("SELECT needs '*' or at least one variable"));
-                }
-                Ok(false)
-            }
+        if self.peek()?.is_some_and(|t| self.is_keyword(t, "*")) {
+            self.peeked = None;
+            return Ok(true);
         }
+        while let Some(t) = self.peek()? {
+            if t.kind != Kind::Var {
+                break;
+            }
+            self.peeked = None;
+            vars.push(Term::var(self.interner.intern(self.text(t))));
+        }
+        if vars.is_empty() {
+            return Err(self.err("SELECT needs '*' or at least one variable"));
+        }
+        Ok(false)
     }
 
     /// Parse `{ GroupGraphPattern }` into `out`, returning the index of the
     /// created [`PatternNode::Group`]. The leading `{` is consumed here.
-    fn parse_group(&mut self, out: &mut GroupPattern) -> Result<u32, ParseError> {
-        match self.expect("'{'")? {
-            Token::LBrace => {}
-            other => return Err(self.err(format!("expected '{{', found {other:?}"))),
-        }
+    fn parse_group(&mut self, out: &mut GroupPattern) -> Parsed<u32> {
+        self.expect_kind(Kind::LBrace, "'{'")?;
         let first = self.parse_group_body(out)?;
         Ok(out.push_node(PatternNode::Group { first }))
     }
@@ -860,7 +881,7 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
     /// consumed. Triple blocks accumulate into maximal [`PatternNode::
     /// Triples`] runs; OPTIONAL / UNION / FILTER / nested groups close the
     /// current run and become siblings.
-    fn parse_group_body(&mut self, out: &mut GroupPattern) -> Result<u32, ParseError> {
+    fn parse_group_body(&mut self, out: &mut GroupPattern) -> Parsed<u32> {
         self.descend()?;
         let mut chain = ChainBuilder::new();
         let mut run_start = out.triples.len();
@@ -876,157 +897,95 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
             };
         }
         loop {
-            match self.peek()? {
-                Some(Token::RBrace) => {
-                    self.next_token()?;
-                    flush_run!();
-                    break;
-                }
-                Some(Token::Word(w)) if w.eq_ignore_ascii_case("OPTIONAL") => {
-                    flush_run!();
-                    self.next_token()?;
-                    match self.expect("'{' after OPTIONAL")? {
-                        Token::LBrace => {}
-                        other => {
-                            return Err(
-                                self.err(format!("expected '{{' after OPTIONAL, found {other:?}"))
-                            )
-                        }
-                    }
+            let Some(t) = self.peek()? else {
+                return Err(self.err("unexpected end of input inside group pattern"));
+            };
+            // Every element but a triple block is one node of the chain.
+            let node = if t.kind == Kind::RBrace {
+                self.peeked = None;
+                flush_run!();
+                break;
+            } else if self.is_keyword(t, "OPTIONAL") {
+                flush_run!();
+                self.peeked = None;
+                self.expect_kind(Kind::LBrace, "'{' after OPTIONAL")?;
+                let inner = self.parse_group_body(out)?;
+                out.push_node(PatternNode::Optional { first: inner })
+            } else if self.is_keyword(t, "FILTER") {
+                flush_run!();
+                self.peeked = None;
+                self.expect_kind(Kind::LParen, "'(' after FILTER")?;
+                self.expr_room = MAX_NESTING - self.depth;
+                let expr = self.parse_expr(out)?.node;
+                self.expect_kind(Kind::RParen, "')' closing FILTER")?;
+                out.push_node(PatternNode::Filter { expr })
+            } else if t.kind == Kind::LBrace {
+                flush_run!();
+                // GroupOrUnion: `{...}` optionally followed by one or
+                // more `UNION {...}`.
+                self.peeked = None;
+                let inner = self.parse_group_body(out)?;
+                let group = out.push_node(PatternNode::Group { first: inner });
+                let mut branches = ChainBuilder::new();
+                branches.push(out, group);
+                let mut n_branches = 1u32;
+                while self.peek()?.is_some_and(|t| self.is_keyword(t, "UNION")) {
+                    self.peeked = None;
+                    self.expect_kind(Kind::LBrace, "'{' after UNION")?;
                     let inner = self.parse_group_body(out)?;
-                    let node = out.push_node(PatternNode::Optional { first: inner });
-                    chain.push(out, node);
-                    self.skip_optional_dot()?;
-                    run_start = out.triples.len();
+                    let b = out.push_node(PatternNode::Group { first: inner });
+                    branches.push(out, b);
+                    n_branches += 1;
                 }
-                Some(Token::Word(w)) if w.eq_ignore_ascii_case("FILTER") => {
-                    flush_run!();
-                    self.next_token()?;
-                    match self.expect("'(' after FILTER")? {
-                        Token::LParen => {}
-                        other => {
-                            return Err(
-                                self.err(format!("expected '(' after FILTER, found {other:?}"))
-                            )
-                        }
+                if n_branches == 1 {
+                    group
+                } else {
+                    out.push_node(PatternNode::Union {
+                        first: branches.first(),
+                    })
+                }
+            } else if self.is_keyword(t, "SERVICE") {
+                flush_run!();
+                self.peeked = None;
+                let tok = self.expect("endpoint after SERVICE")?;
+                let text = self.text(tok);
+                let endpoint = match tok.kind {
+                    Kind::IriRef => Term::iri(self.interner.intern(text)),
+                    Kind::QName => self.intern_qname(text)?,
+                    Kind::Var => Term::var(self.interner.intern(text)),
+                    _ => {
+                        return Err(self.err(format!(
+                            "SERVICE endpoint must be an IRI or a variable, found {:?}",
+                            self.spelled(tok)
+                        )))
                     }
-                    self.expr_room = MAX_NESTING - self.depth;
-                    let expr = self.parse_expr(out)?.node;
-                    match self.expect("')' closing FILTER")? {
-                        Token::RParen => {}
-                        other => {
-                            return Err(
-                                self.err(format!("expected ')' closing FILTER, found {other:?}"))
-                            )
-                        }
-                    }
-                    let node = out.push_node(PatternNode::Filter { expr });
-                    chain.push(out, node);
-                    self.skip_optional_dot()?;
-                    run_start = out.triples.len();
-                }
-                Some(Token::LBrace) => {
-                    flush_run!();
-                    // GroupOrUnion: `{...}` optionally followed by one or
-                    // more `UNION {...}`.
-                    self.next_token()?;
-                    let inner = self.parse_group_body(out)?;
-                    let group = out.push_node(PatternNode::Group { first: inner });
-                    let mut branches = ChainBuilder::new();
-                    branches.push(out, group);
-                    let mut n_branches = 1u32;
-                    while let Some(Token::Word(w)) = self.peek()? {
-                        if !w.eq_ignore_ascii_case("UNION") {
-                            break;
-                        }
-                        self.next_token()?;
-                        match self.expect("'{' after UNION")? {
-                            Token::LBrace => {}
-                            other => {
-                                return Err(
-                                    self.err(format!("expected '{{' after UNION, found {other:?}"))
-                                )
-                            }
-                        }
-                        let inner = self.parse_group_body(out)?;
-                        let b = out.push_node(PatternNode::Group { first: inner });
-                        branches.push(out, b);
-                        n_branches += 1;
-                    }
-                    let node = if n_branches == 1 {
-                        group
-                    } else {
-                        out.push_node(PatternNode::Union {
-                            first: branches.first(),
-                        })
-                    };
-                    chain.push(out, node);
-                    self.skip_optional_dot()?;
-                    run_start = out.triples.len();
-                }
-                Some(Token::Word(w)) if w.eq_ignore_ascii_case("SERVICE") => {
-                    flush_run!();
-                    self.next_token()?;
-                    let tok = self.expect("endpoint after SERVICE")?;
-                    let endpoint = match tok {
-                        Token::IriRef(iri) => Term::iri(self.interner.intern(iri)),
-                        Token::QName(q) => self.intern_qname(q)?,
-                        Token::Var(v) => Term::var(self.interner.intern(v)),
-                        other => {
-                            return Err(self.err(format!(
-                                "SERVICE endpoint must be an IRI or a variable, found {other:?}"
-                            )))
-                        }
-                    };
-                    match self.expect("'{' after SERVICE endpoint")? {
-                        Token::LBrace => {}
-                        other => {
-                            return Err(self.err(format!(
-                                "expected '{{' after SERVICE endpoint, found {other:?}"
-                            )))
-                        }
-                    }
-                    let inner = self.parse_group_body(out)?;
-                    let node = out.push_node(PatternNode::Service {
-                        endpoint,
-                        first: inner,
-                    });
-                    chain.push(out, node);
-                    self.skip_optional_dot()?;
-                    run_start = out.triples.len();
-                }
-                Some(Token::Word(w))
-                    if ["GRAPH", "MINUS"]
-                        .iter()
-                        .any(|kw| w.eq_ignore_ascii_case(kw)) =>
-                {
-                    return Err(self.err(format!(
-                        "{w} is not supported by the rewriter (see ROADMAP: federation/SERVICE)"
-                    )));
-                }
-                Some(Token::Word(w)) if w.eq_ignore_ascii_case("UNION") => {
-                    return Err(self.err("UNION must follow a '{...}' group"));
-                }
-                Some(_) => {
-                    self.parse_triple_block(&mut out.triples)?;
-                    // Optional '.' between blocks.
-                    if self.peek()? == Some(Token::Dot) {
-                        self.next_token()?;
-                    }
-                }
-                None => return Err(self.err("unexpected end of input inside group pattern")),
-            }
+                };
+                self.expect_kind(Kind::LBrace, "'{' after SERVICE endpoint")?;
+                let inner = self.parse_group_body(out)?;
+                out.push_node(PatternNode::Service {
+                    endpoint,
+                    first: inner,
+                })
+            } else if self.is_keyword(t, "GRAPH") || self.is_keyword(t, "MINUS") {
+                return Err(self.err(format!(
+                    "{} is not supported by the rewriter (see ROADMAP: federation/SERVICE)",
+                    self.text(t)
+                )));
+            } else if self.is_keyword(t, "UNION") {
+                return Err(self.err("UNION must follow a '{...}' group"));
+            } else {
+                self.parse_triple_block(&mut out.triples)?;
+                // Optional '.' between blocks.
+                self.eat(Kind::Dot)?;
+                continue;
+            };
+            chain.push(out, node);
+            // An optional '.' after any other element.
+            self.eat(Kind::Dot)?;
+            run_start = out.triples.len();
         }
         self.depth -= 1;
         Ok(chain.first())
-    }
-
-    /// Consume one optional `.` (legal after any group-pattern element).
-    fn skip_optional_dot(&mut self) -> Result<(), ParseError> {
-        if self.peek()? == Some(Token::Dot) {
-            self.next_token()?;
-        }
-        Ok(())
     }
 
     // ---- FILTER expressions -------------------------------------------
@@ -1035,11 +994,10 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
     // Expression nodes are appended to `out.exprs`; functions return the
     // node index and the tree's height, which `push_op` caps.
 
-    fn parse_expr(&mut self, out: &mut GroupPattern) -> Result<SubExpr, ParseError> {
+    fn parse_expr(&mut self, out: &mut GroupPattern) -> Parsed<SubExpr> {
         let mut lhs = self.parse_expr_and(out)?;
-        while self.peek()? == Some(Token::OrOr) {
-            self.next_token()?;
-            let at = self.err_off;
+        while self.eat(Kind::OrOr)? {
+            let at = self.tok.last_start;
             let rhs = self.parse_expr_and(out)?;
             let node = ExprNode::Or(lhs.node, rhs.node);
             lhs = self.push_op(out, node, lhs.height.max(rhs.height), at)?;
@@ -1047,11 +1005,10 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         Ok(lhs)
     }
 
-    fn parse_expr_and(&mut self, out: &mut GroupPattern) -> Result<SubExpr, ParseError> {
+    fn parse_expr_and(&mut self, out: &mut GroupPattern) -> Parsed<SubExpr> {
         let mut lhs = self.parse_expr_rel(out)?;
-        while self.peek()? == Some(Token::AndAnd) {
-            self.next_token()?;
-            let at = self.err_off;
+        while self.eat(Kind::AndAnd)? {
+            let at = self.tok.last_start;
             let rhs = self.parse_expr_rel(out)?;
             let node = ExprNode::And(lhs.node, rhs.node);
             lhs = self.push_op(out, node, lhs.height.max(rhs.height), at)?;
@@ -1059,11 +1016,15 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         Ok(lhs)
     }
 
-    fn parse_expr_rel(&mut self, out: &mut GroupPattern) -> Result<SubExpr, ParseError> {
+    fn parse_expr_rel(&mut self, out: &mut GroupPattern) -> Parsed<SubExpr> {
         let lhs = self.parse_expr_primary(out)?;
-        if let Some(Token::Cmp(op)) = self.peek()? {
-            self.next_token()?;
-            let at = self.err_off;
+        if let Some(Token {
+            kind: Kind::Cmp(op),
+            ..
+        }) = self.peek()?
+        {
+            self.peeked = None;
+            let at = self.tok.last_start;
             let rhs = self.parse_expr_primary(out)?;
             let node = ExprNode::Cmp(op, lhs.node, rhs.node);
             return self.push_op(out, node, lhs.height.max(rhs.height), at);
@@ -1071,25 +1032,23 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         Ok(lhs)
     }
 
-    fn parse_expr_primary(&mut self, out: &mut GroupPattern) -> Result<SubExpr, ParseError> {
-        match self.expect("expression")? {
-            Token::LParen => {
+    fn parse_expr_primary(&mut self, out: &mut GroupPattern) -> Parsed<SubExpr> {
+        let tok = self.expect("expression")?;
+        match tok.kind {
+            Kind::LParen => {
                 self.descend()?;
                 let e = self.parse_expr(out)?;
                 self.depth -= 1;
-                match self.expect("')'")? {
-                    Token::RParen => Ok(e),
-                    other => Err(self.err(format!("expected ')', found {other:?}"))),
-                }
+                self.expect_kind(Kind::RParen, "')'")?;
+                Ok(e)
             }
             // A run of `!` is read in a loop, so it costs no parser depth,
             // only tree height: the renderer writes `!(…)`, and charging
             // both the `!` and its `(` would refuse our own rewrites.
-            Token::Bang => {
-                let at = self.err_off;
+            Kind::Bang => {
+                let at = self.tok.last_start;
                 let mut bangs = 1;
-                while self.peek()? == Some(Token::Bang) {
-                    self.next_token()?;
+                while self.eat(Kind::Bang)? {
                     bangs += 1;
                 }
                 let mut e = self.parse_expr_primary(out)?;
@@ -1098,7 +1057,7 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
                 }
                 Ok(e)
             }
-            tok => {
+            _ => {
                 let t = self.parse_term(tok, "expression")?;
                 Ok(SubExpr {
                     node: out.push_expr(ExprNode::Term(t)),
@@ -1108,7 +1067,7 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         }
     }
 
-    fn parse_triple_block(&mut self, patterns: &mut Vec<TriplePattern>) -> Result<(), ParseError> {
+    fn parse_triple_block(&mut self, patterns: &mut Vec<TriplePattern>) -> Parsed<()> {
         let tok = self.expect("subject term")?;
         let subject = self.parse_term(tok, "subject")?;
         loop {
@@ -1118,15 +1077,11 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
                 let tok = self.expect("object term")?;
                 let object = self.parse_term(tok, "object")?;
                 patterns.push(TriplePattern::new(subject, predicate, object));
-                if self.peek()? == Some(Token::Comma) {
-                    self.next_token()?;
-                } else {
+                if !self.eat(Kind::Comma)? {
                     break;
                 }
             }
-            if self.peek()? == Some(Token::Semicolon) {
-                self.next_token()?;
-            } else {
+            if !self.eat(Kind::Semicolon)? {
                 break;
             }
         }
@@ -1139,20 +1094,19 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         &mut self,
         select: &mut Vec<Term>,
         pattern: &mut GroupPattern,
-    ) -> Result<bool, ParseError> {
+    ) -> Parsed<bool> {
         self.parse_prologue()?;
         let star = self.parse_select(select)?;
-        match self.expect("WHERE")? {
-            Token::Word(w) if w.eq_ignore_ascii_case("WHERE") => {}
-            // Bare `{ ... }` without the WHERE keyword is legal SPARQL.
-            Token::LBrace => {
-                self.peeked = Some((Token::LBrace, self.err_off));
-            }
-            other => return Err(self.err(format!("expected WHERE, found {other:?}"))),
+        let t = self.expect("WHERE")?;
+        // Bare `{ ... }` without the WHERE keyword is legal SPARQL.
+        if t.kind == Kind::LBrace {
+            self.peeked = Some(t);
+        } else if !self.is_keyword(t, "WHERE") {
+            return Err(self.unexpected("WHERE", t));
         }
         pattern.root = self.parse_group(pattern)?;
-        if let Some(tok) = self.next_token()? {
-            return Err(self.err(format!("trailing input after query: {tok:?}")));
+        if let Some(t) = self.next_token()? {
+            return Err(self.err(format!("trailing input after query: {:?}", self.spelled(t))));
         }
         Ok(star)
     }
@@ -1178,7 +1132,7 @@ pub fn parse_query_into(
         expand_buf,
     } = scratch;
     let mut parser = Parser::new(input, interner, prefixes, expand_buf);
-    *select_star = parser.parse_query_body(select, pattern)?;
+    *select_star = parser.parse_query_body(select, pattern).map_err(|e| *e)?;
     Ok(())
 }
 
@@ -1198,54 +1152,50 @@ pub fn parse_query(input: &str, interner: &mut Interner) -> Result<Query, ParseE
 pub fn parse_bgp(input: &str, interner: &mut Interner) -> Result<Bgp, ParseError> {
     let mut prefixes = Vec::new();
     let mut expand_buf = String::new();
-    Parser::new(input, interner, &mut prefixes, &mut expand_buf).parse_bgp_entry()
+    Parser::new(input, interner, &mut prefixes, &mut expand_buf)
+        .parse_bgp_entry()
+        .map_err(|e| *e)
 }
 
 impl Parser<'_, '_, '_> {
-    fn parse_bgp_entry(mut self) -> Result<Bgp, ParseError> {
+    fn parse_bgp_entry(mut self) -> Parsed<Bgp> {
         self.parse_prologue()?;
         let mut patterns = Vec::new();
-        if self.peek()? == Some(Token::LBrace) {
-            self.next_token()?;
+        if self.eat(Kind::LBrace)? {
             self.parse_flat_bgp_body(&mut patterns)?;
-            if let Some(tok) = self.next_token()? {
-                return Err(self.err(format!("trailing input after '}}': {tok:?}")));
+            if let Some(t) = self.next_token()? {
+                return Err(self.err(format!("trailing input after '}}': {:?}", self.spelled(t))));
             }
             return Ok(Bgp::new(patterns));
         }
         while self.peek()?.is_some() {
             self.parse_triple_block(&mut patterns)?;
-            if self.peek()? == Some(Token::Dot) {
-                self.next_token()?;
-            }
+            self.eat(Kind::Dot)?;
         }
         Ok(Bgp::new(patterns))
     }
 
     /// `{ triples }` with no group-pattern constructs — the rule-template
     /// fragment.
-    fn parse_flat_bgp_body(&mut self, patterns: &mut Vec<TriplePattern>) -> Result<(), ParseError> {
+    fn parse_flat_bgp_body(&mut self, patterns: &mut Vec<TriplePattern>) -> Parsed<()> {
         loop {
-            match self.peek()? {
-                Some(Token::RBrace) => {
-                    self.next_token()?;
-                    return Ok(());
-                }
-                Some(Token::Word(w))
-                    if ["OPTIONAL", "UNION", "FILTER", "GRAPH", "SERVICE", "MINUS"]
-                        .iter()
-                        .any(|kw| w.eq_ignore_ascii_case(kw)) =>
-                {
-                    return Err(self.err(format!("{w} is not allowed in a rule template BGP")));
-                }
-                Some(_) => {
-                    self.parse_triple_block(patterns)?;
-                    if self.peek()? == Some(Token::Dot) {
-                        self.next_token()?;
-                    }
-                }
-                None => return Err(self.err("unexpected end of input inside group pattern")),
+            let Some(t) = self.peek()? else {
+                return Err(self.err("unexpected end of input inside group pattern"));
+            };
+            if self.eat(Kind::RBrace)? {
+                return Ok(());
             }
+            if ["OPTIONAL", "UNION", "FILTER", "GRAPH", "SERVICE", "MINUS"]
+                .iter()
+                .any(|kw| self.is_keyword(t, kw))
+            {
+                return Err(self.err(format!(
+                    "{} is not allowed in a rule template BGP",
+                    self.text(t)
+                )));
+            }
+            self.parse_triple_block(patterns)?;
+            self.eat(Kind::Dot)?;
         }
     }
 }
@@ -1595,6 +1545,169 @@ mod tests {
         ];
         for q in cases {
             assert!(parse_query(q, &mut it).is_err(), "accepted {q:?}");
+        }
+    }
+
+    /// The error contract: the exact `(offset, message)` each malformed
+    /// input gives, recorded before errors were boxed and tokens became
+    /// spans. It covers every `expected …, found {token:?}` site (so every
+    /// token's `Debug` spelling), the tokenizer and PREFIX-prologue errors,
+    /// undeclared prefixes, premature ends, trailing input and the nesting
+    /// cap. A change to the parser's control flow must leave it as it is.
+    #[test]
+    fn error_offsets_and_messages_are_stable() {
+        let queries: &[(&str, usize, &str)] = &[
+            ("", 0, "unexpected end of input, expected SELECT"),
+            ("ASK { ?s ?p ?o }", 0, "expected SELECT, found Word(\"ASK\")"),
+            ("SELECT", 6, "SELECT needs '*' or at least one variable"),
+            ("SELECT *", 8, "unexpected end of input, expected WHERE"),
+            ("SELECT * WHERE", 14, "unexpected end of input, expected '{'"),
+            ("SELECT ?x FROM <http://g> WHERE { }", 10, "expected WHERE, found Word(\"FROM\")"),
+            ("SELECT * WHERE ?s", 15, "expected '{', found Var(\"s\")"),
+            ("SELECT * { ?s ?p ?o } .", 22, "trailing input after query: Dot"),
+            ("SELECT * WHERE { ?s ?p ?o } }", 28, "trailing input after query: RBrace"),
+            ("SELECT * WHERE { ?s ?p ?o } LIMIT", 28, "trailing input after query: Word(\"LIMIT\")"),
+            ("PREFIX e: <http://e/> SELECT * WHERE { ?s ?p ?o } e:x", 50, "trailing input after query: QName(\"e:x\")"),
+            ("SELECT * WHERE { ?s ?p ?o } \"x\"@en", 28, "trailing input after query: Literal(\"\\\"x\\\"@en\")"),
+            ("SELECT * WHERE { ?s ?p ?o } \"a\\\"b\"", 28, "trailing input after query: Literal(\"\\\"a\\\\\\\"b\\\"\")"),
+            ("SELECT * WHERE { ?s ?p ?o } <http://x>", 28, "trailing input after query: IriRef(\"http://x\")"),
+            ("SELECT * WHERE { ?s ?p ?o } _:b", 28, "trailing input after query: Blank(\"b\")"),
+            ("SELECT * WHERE { 42 <http://p> ?o }", 17, "expected subject term, found Numeric { text: \"42\", decimal: false }"),
+            ("SELECT * WHERE { ?s -3.5 ?o }", 20, "expected predicate term, found Numeric { text: \"-3.5\", decimal: true }"),
+            ("SELECT * WHERE { true ?p ?o }", 17, "expected subject term, found Word(\"true\")"),
+            ("SELECT * WHERE { * ?p ?o }", 17, "expected subject term, found Word(\"*\")"),
+            ("SELECT * WHERE { ?s ?p ; }", 23, "expected object term, found Semicolon"),
+            ("SELECT * WHERE { ?s ?p ?o , }", 28, "expected object term, found RBrace"),
+            ("SELECT * WHERE { ?s ?p ?o FILTER(?o = ) }", 38, "expected expression term, found RParen"),
+            ("SELECT * WHERE { ?s a ?o FILTER(a) }", 32, "expected expression term, found Word(\"a\")"),
+            ("SELECT * WHERE { ?s ?p ?o FILTER(! . ) }", 35, "expected expression term, found Dot"),
+            ("SELECT * WHERE { ?s ?p ?o FILTER(?o = ,) }", 38, "expected expression term, found Comma"),
+            ("SELECT * WHERE { FILTER(?o) && }", 28, "expected subject term, found AndAnd"),
+            ("SELECT * WHERE { || }", 17, "expected subject term, found OrOr"),
+            ("SELECT * WHERE { ( }", 17, "expected subject term, found LParen"),
+            ("SELECT * WHERE { <= ?p ?o }", 17, "expected subject term, found Cmp(Le)"),
+            ("SELECT * WHERE { != ?p ?o }", 17, "expected subject term, found Cmp(Ne)"),
+            ("SELECT * WHERE { >= ?p ?o }", 17, "expected subject term, found Cmp(Ge)"),
+            ("SELECT * WHERE { > ?p ?o }", 17, "expected subject term, found Cmp(Gt)"),
+            ("SELECT * WHERE { = ?p ?o }", 17, "expected subject term, found Cmp(Eq)"),
+            ("SELECT * WHERE { ?s ?p ?o FILTER(?o ! ?p) }", 36, "expected ')' closing FILTER, found Bang"),
+            ("SELECT * WHERE { OPTIONAL ?s }", 26, "expected '{' after OPTIONAL, found Var(\"s\")"),
+            ("SELECT * WHERE { FILTER ?o }", 24, "expected '(' after FILTER, found Var(\"o\")"),
+            ("SELECT * WHERE { FILTER(?o ?p) }", 27, "expected ')' closing FILTER, found Var(\"p\")"),
+            ("SELECT * WHERE { {} UNION ?s }", 26, "expected '{' after UNION, found Var(\"s\")"),
+            ("SELECT * WHERE { SERVICE \"lit\" { } }", 25, "SERVICE endpoint must be an IRI or a variable, found Literal(\"\\\"lit\\\"\")"),
+            ("SELECT * WHERE { SERVICE _:b { } }", 25, "SERVICE endpoint must be an IRI or a variable, found Blank(\"b\")"),
+            ("SELECT * WHERE { SERVICE 7 { } }", 25, "SERVICE endpoint must be an IRI or a variable, found Numeric { text: \"7\", decimal: false }"),
+            ("SELECT * WHERE { SERVICE <http://e> <http://f> }", 36, "expected '{' after SERVICE endpoint, found IriRef(\"http://f\")"),
+            ("SELECT * WHERE { FILTER((?o = 1 ?p)) }", 32, "expected ')', found Var(\"p\")"),
+            ("SELECT * WHERE { ex:s ?p ?o }", 17, "undeclared prefix 'ex:'"),
+            ("PREFIX ex: <http://ex/> SELECT * WHERE { ?s ?p \"x\"^^xsd:int }", 47, "undeclared prefix 'xsd:'"),
+            ("SELECT * WHERE { SERVICE und:ep { } }", 25, "undeclared prefix 'und:'"),
+            ("SELECT * WHERE { ?s ?p \"abc }", 29, "unterminated string literal"),
+            ("SELECT * WHERE { ?s ?p \"a\\", 25, "dangling escape in literal"),
+            ("SELECT * WHERE { ?s ?p \"x\"@ }", 27, "empty language tag"),
+            ("SELECT * WHERE { ?s ?p \"x\"^^<http://t }", 39, "unterminated datatype IRI"),
+            ("SELECT * WHERE { ?s ?p \"x\"^^ }", 28, "empty datatype after '^^'"),
+            ("SELECT * WHERE { ?s ?p 3abc }", 24, "malformed numeric literal"),
+            ("SELECT * WHERE { FILTER(?o & ?p) }", 27, "expected '&&'"),
+            ("SELECT * WHERE { FILTER(?o | ?p) }", 27, "expected '||'"),
+            ("SELECT ? WHERE", 7, "empty variable name"),
+            ("SELECT * WHERE { _: ?p ?o }", 17, "empty blank node label"),
+            ("SELECT * WHERE { ?s ?p ?o } @", 28, "unexpected byte 0x40"),
+            ("SELECT * WHERE { ?s ?p ?o . ^ }", 28, "unexpected byte 0x5e"),
+            ("PREFIX", 6, "expected 'name:' after PREFIX"),
+            ("PREFIX x:y <http://p> SELECT", 7, "prefix declaration must end with ':'"),
+            ("PREFIX x: y", 10, "expected <IRI> after prefix name"),
+            ("PREFIX x: <http://x/> PREFIX", 28, "expected 'name:' after PREFIX"),
+            ("SELECT * WHERE { GRAPH <g> { } }", 17, "GRAPH is not supported by the rewriter (see ROADMAP: federation/SERVICE)"),
+            ("SELECT * WHERE { minus { } }", 17, "minus is not supported by the rewriter (see ROADMAP: federation/SERVICE)"),
+            ("SELECT * WHERE { UNION { } }", 17, "UNION must follow a '{...}' group"),
+            ("SELECT * WHERE { ?s ?p ?o", 25, "unexpected end of input inside group pattern"),
+            ("SELECT * WHERE { ?s ?p", 22, "unexpected end of input, expected object term"),
+            ("SELECT * WHERE { ?s", 19, "unexpected end of input, expected predicate term"),
+            ("SELECT * WHERE { OPTIONAL", 25, "unexpected end of input, expected '{' after OPTIONAL"),
+            ("SELECT * WHERE { FILTER", 23, "unexpected end of input, expected '(' after FILTER"),
+            ("SELECT * WHERE { FILTER(?o", 26, "unexpected end of input, expected ')' closing FILTER"),
+            ("SELECT * WHERE { FILTER((?o)", 28, "unexpected end of input, expected ')' closing FILTER"),
+            ("SELECT * WHERE { {} UNION", 25, "unexpected end of input, expected '{' after UNION"),
+            ("SELECT * WHERE { SERVICE", 24, "unexpected end of input, expected endpoint after SERVICE"),
+            ("SELECT * WHERE { SERVICE ?e", 27, "unexpected end of input, expected '{' after SERVICE endpoint"),
+        ];
+        let bgps: &[(&str, usize, &str)] = &[
+            (
+                "{ ?s ?p ?o } ?x",
+                13,
+                "trailing input after '}': Var(\"x\")",
+            ),
+            (
+                "{ OPTIONAL { } }",
+                2,
+                "OPTIONAL is not allowed in a rule template BGP",
+            ),
+            (
+                "{ Filter(?o) }",
+                2,
+                "Filter is not allowed in a rule template BGP",
+            ),
+            (
+                "{ ?s ?p ?o",
+                10,
+                "unexpected end of input inside group pattern",
+            ),
+            ("?s ?p", 5, "unexpected end of input, expected object term"),
+            ("?s ?p ?o }", 9, "expected subject term, found RBrace"),
+            (
+                "PREFIX p: <http://p/> q:s ?p ?o",
+                22,
+                "undeclared prefix 'q:'",
+            ),
+        ];
+        let mut it = Interner::new();
+        let got = |r: Result<(), ParseError>| r.map_err(|e| (e.offset, e.message));
+        for &(input, offset, message) in queries {
+            let want = Err((offset, message.to_string()));
+            assert_eq!(
+                got(parse_query(input, &mut it).map(drop)),
+                want,
+                "{input:?}"
+            );
+        }
+        for &(input, offset, message) in bgps {
+            let want = Err((offset, message.to_string()));
+            assert_eq!(got(parse_bgp(input, &mut it).map(drop)), want, "{input:?}");
+        }
+        for (shape, offset) in [("group", 271), ("and", 2963), ("bang", 45), ("paren", 172)] {
+            let e = parse_query(&nested(shape, MAX_NESTING as usize + 1), &mut it).unwrap_err();
+            assert_eq!(
+                (e.offset, e.message.as_str()),
+                (offset, "nesting deeper than 128 levels"),
+                "{shape}"
+            );
+        }
+    }
+
+    /// A parse makes ≈54 token steps per `lib_cold` query, each returning
+    /// one of these. At 16 bytes or less they return in registers; with a
+    /// by-value 32-byte `ParseError` they all returned through memory, and
+    /// boxing the error raised `lib_cold` throughput by ≈15 % (CHANGES.md
+    /// has the paired runs). This fails before a by-value error comes back.
+    #[test]
+    fn hot_path_results_are_register_sized() {
+        use std::mem::size_of;
+        for (what, size) in [
+            (
+                "Tokenizer::next's result",
+                size_of::<Parsed<Option<Token>>>(),
+            ),
+            ("Parsed<Term>", size_of::<Parsed<Term>>()),
+            ("Parsed<SubExpr>", size_of::<Parsed<SubExpr>>()),
+            ("Parsed<()>", size_of::<Parsed<()>>()),
+        ] {
+            assert!(
+                size <= 16,
+                "{what} is {size} bytes: over 16 it returns through memory, \
+                 which cost ≈15 % of lib_cold throughput when last measured"
+            );
         }
     }
 
