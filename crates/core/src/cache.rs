@@ -274,7 +274,7 @@ struct Shard {
     /// Inserts refused because the value exceeded `value_cap`. Oversized
     /// rewrites (UNION blowups) are the queries that would benefit most
     /// from caching, so the bypass rate is an observability signal, not
-    /// noise — surfaced via [`RewriteCache::oversize_bypasses`].
+    /// noise — surfaced via [`CacheStats::oversize_bypasses`].
     bypassed: AtomicU64,
     /// Live entries overwritten by an insert for a *different* key —
     /// capacity pressure made visible (refreshes of the same key are not
@@ -282,25 +282,9 @@ struct Shard {
     evictions: AtomicU64,
 }
 
-/// Point-in-time observability snapshot of one shard, taken by
-/// [`RewriteCache::stats`].
-#[derive(Copy, Clone, Default, Debug)]
-pub(crate) struct ShardCacheStats {
-    /// Slots holding a written entry (never decreases: slots are
-    /// overwritten, not emptied).
-    pub occupancy: usize,
-    /// Total slots in the shard.
-    pub slots: usize,
-    /// Live entries overwritten by an insert under a different key.
-    pub evictions: u64,
-    /// Inserts refused because the value exceeded the cache's value cap.
-    pub oversize_bypasses: u64,
-}
-
-/// Aggregated cache observability: per-shard occupancy and eviction
-/// counters, snapshotted without stopping traffic (counters are relaxed
-/// atomics; occupancy is a racy-but-monotone scan), plus the counts the
-/// cache's owner keeps.
+/// Cache observability totals across all shards, snapshotted without
+/// stopping traffic (counters are relaxed atomics; occupancy is a
+/// racy-but-monotone scan), plus the counts the cache's owner keeps.
 ///
 /// Hit/miss counters are **probe-level** — one lookup is one hit or one
 /// miss — but counting them belongs to the **caller**:
@@ -314,9 +298,16 @@ pub(crate) struct ShardCacheStats {
 /// its cold serves only by the requests that then fail to parse.
 #[derive(Clone, Default, Debug)]
 pub struct CacheStats {
-    /// One entry per shard.
-    pub(crate) per_shard: Vec<ShardCacheStats>,
-    /// Probe hits and misses counted by the owner.
+    /// Slots holding a written entry (never decreases: slots are
+    /// overwritten, not emptied).
+    pub(crate) occupancy: usize,
+    /// Total slots.
+    pub(crate) capacity: usize,
+    /// Live entries overwritten by an insert under a different key.
+    pub(crate) evictions: u64,
+    /// Inserts refused because the value exceeded the cache's value cap.
+    pub(crate) oversize_bypasses: u64,
+    /// Probe hits and misses, counted by the owner.
     pub(crate) probe_hits: u64,
     pub(crate) probe_misses: u64,
 }
@@ -324,12 +315,12 @@ pub struct CacheStats {
 impl CacheStats {
     /// Written slots across all shards.
     pub fn occupancy(&self) -> usize {
-        self.per_shard.iter().map(|s| s.occupancy).sum()
+        self.occupancy
     }
 
     /// Total slot capacity across all shards.
     pub fn capacity(&self) -> usize {
-        self.per_shard.iter().map(|s| s.slots).sum()
+        self.capacity
     }
 
     pub fn hits(&self) -> u64 {
@@ -341,11 +332,14 @@ impl CacheStats {
     }
 
     pub fn evictions(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.evictions).sum()
+        self.evictions
     }
 
+    /// Inserts refused because the value exceeded
+    /// [`RewriteCache::value_cap`] — queries that will re-render on every
+    /// request. Monotone over the cache's lifetime.
     pub fn oversize_bypasses(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.oversize_bypasses).sum()
+        self.oversize_bypasses
     }
 
     /// Probe-level hit ratio in `[0, 1]`; 0.0 before any lookup.
@@ -422,40 +416,25 @@ impl RewriteCache {
         self.shards.len() * self.shards[0].slots.len()
     }
 
-    /// Inserts refused because the value exceeded [`RewriteCache::value_cap`]
-    /// — queries that will re-render on every request. Summed across
-    /// shards; monotone over the cache's lifetime.
-    pub fn oversize_bypasses(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.bypassed.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Snapshot per-shard observability: occupancy, evictions, and
-    /// oversize bypasses. Probe hits and misses read 0: the caller counts
-    /// them (see [`CacheStats`]). The occupancy scan walks every slot
-    /// (relaxed loads), so treat this as an operator endpoint, not a
-    /// hot-path call.
+    /// Snapshot occupancy, evictions and oversize bypasses, summed over
+    /// the shards. Probe hits and misses read 0: the caller counts them
+    /// (see [`CacheStats`]). The occupancy scan walks every slot (relaxed
+    /// loads), so treat this as an operator endpoint, not a hot-path call.
     pub fn stats(&self) -> CacheStats {
-        let per_shard = self
-            .shards
-            .iter()
-            .map(|s| ShardCacheStats {
-                occupancy: s
-                    .slots
-                    .iter()
-                    .filter(|slot| slot.fp.load(Ordering::Relaxed) != 0)
-                    .count(),
-                slots: s.slots.len(),
-                evictions: s.evictions.load(Ordering::Relaxed),
-                oversize_bypasses: s.bypassed.load(Ordering::Relaxed),
-            })
-            .collect();
-        CacheStats {
-            per_shard,
+        let mut stats = CacheStats {
+            capacity: self.capacity(),
             ..CacheStats::default()
+        };
+        for s in self.shards.iter() {
+            stats.occupancy += s
+                .slots
+                .iter()
+                .filter(|slot| slot.fp.load(Ordering::Relaxed) != 0)
+                .count();
+            stats.evictions += s.evictions.load(Ordering::Relaxed);
+            stats.oversize_bypasses += s.bypassed.load(Ordering::Relaxed);
         }
+        stats
     }
 
     /// Shard for a fingerprint (high hash bits) and home slot within it
@@ -543,7 +522,7 @@ impl RewriteCache {
 
     /// Insert `value` for `fp` under generation `gen`. Values longer than
     /// [`RewriteCache::value_cap`] are not cached — the bypass is counted
-    /// per shard and surfaced by [`RewriteCache::oversize_bypasses`].
+    /// per shard and surfaced by [`CacheStats::oversize_bypasses`].
     /// Writers serialize per shard behind a spinlock; victim choice is:
     /// refresh the matching entry, else a never-written slot, else CLOCK
     /// second-chance over the probe window.
@@ -697,17 +676,17 @@ mod tests {
         assert!(cache.lookup(k, 0, &mut buf));
         assert_eq!(buf, b"rewritten-0b");
         // Oversized values are not cached — and each refusal is counted.
-        assert_eq!(cache.oversize_bypasses(), 0);
+        assert_eq!(cache.stats().oversize_bypasses(), 0);
         let big = fp("SELECT * WHERE { ?s <http://big> ?o }");
         cache.insert(big, 0, &[b'x'; 65]);
         assert!(!cache.lookup(big, 0, &mut buf));
-        assert_eq!(cache.oversize_bypasses(), 1);
+        assert_eq!(cache.stats().oversize_bypasses(), 1);
         cache.insert(big, 0, &[b'x'; 200]);
-        assert_eq!(cache.oversize_bypasses(), 2);
+        assert_eq!(cache.stats().oversize_bypasses(), 2);
         // A value exactly at the cap is cacheable, not a bypass.
         cache.insert(big, 0, &[b'y'; 64]);
         assert!(cache.lookup(big, 0, &mut buf));
-        assert_eq!(cache.oversize_bypasses(), 2);
+        assert_eq!(cache.stats().oversize_bypasses(), 2);
     }
 
     #[test]

@@ -211,9 +211,9 @@ impl ServeEngine {
         ServeEngine::with_cache(store, interner, Some(config))
     }
 
-    /// Cache observability snapshot (per-shard occupancy and evictions,
-    /// probe hits and misses, oversize bypasses); `None` when the engine
-    /// is cache-less. Probe counts lag by under 64 probes per worker — see
+    /// Cache observability snapshot (occupancy and evictions, probe hits
+    /// and misses, oversize bypasses); `None` when the engine is
+    /// cache-less. Probe counts lag by under 64 probes per worker — see
     /// [`CacheStats`] for the probe-level semantics. Counter scan, not hot
     /// path.
     pub fn cache_stats(&self) -> Option<CacheStats> {

@@ -5,27 +5,26 @@
 //! [`BreakerConfig::min_samples`] results and the failure rate reaches
 //! [`BreakerConfig::failure_rate_pct`], it trips **open** and fails calls
 //! fast (no network, outcome `CircuitOpen`). After
-//! [`BreakerConfig::cooldown_nanos`] of (virtual) time it admits probe
-//! traffic in **half-open**: [`BreakerConfig::half_open_successes`]
-//! consecutive successes close it again (window reset), any failure
-//! re-opens it and restarts the cooldown.
+//! [`BreakerConfig::cooldown_nanos`] of (virtual) time it admits a probe
+//! in **half-open**: one success closes it again (window reset), a
+//! failure re-opens it and restarts the cooldown.
 //!
-//! Half-open probes are **coalesced**: at most one admitted probe is in
-//! flight at a time. While a probe is outstanding, further [`allow`] calls
-//! return `false` (callers short-circuit to `CircuitOpen`) instead of
-//! racing a thundering herd at a barely-recovered endpoint. A granted
-//! probe must be resolved by [`record`] — or explicitly released with
-//! [`abandon_probe`] if the caller gives up before dispatching.
+//! The breaker keeps no admission bookkeeping of its own: the executor
+//! calls [`allow`] only under the endpoint's runtime lock and holds that
+//! lock through the whole retry ladder, so one call per endpoint is in
+//! flight at a time. After a granted [`allow`] the holder either
+//! [`record`]s a result or gives up on a spent deadline before it
+//! releases the lock, so a half-open grant is never followed by a second
+//! one before the probe's result is in.
 //!
 //! All time is the caller's virtual clock — the breaker never reads wall
 //! time, which keeps federated executions deterministic.
 //!
 //! [`allow`]: CircuitBreaker::allow
 //! [`record`]: CircuitBreaker::record
-//! [`abandon_probe`]: CircuitBreaker::abandon_probe
 
 /// Breaker tuning knobs. Defaults: 16-sample window, trip at ≥ 50% failures
-/// over ≥ 8 samples, 100ms cooldown, 1 probe success to close.
+/// over ≥ 8 samples, 100ms cooldown.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct BreakerConfig {
     /// Sliding window size in calls (clamped to 64).
@@ -36,8 +35,6 @@ pub struct BreakerConfig {
     pub failure_rate_pct: u8,
     /// Virtual nanoseconds an open breaker waits before admitting probes.
     pub cooldown_nanos: u64,
-    /// Consecutive half-open successes required to close.
-    pub half_open_successes: u32,
 }
 
 impl Default for BreakerConfig {
@@ -47,7 +44,6 @@ impl Default for BreakerConfig {
             min_samples: 8,
             failure_rate_pct: 50,
             cooldown_nanos: 100_000_000,
-            half_open_successes: 1,
         }
     }
 }
@@ -72,9 +68,6 @@ pub(crate) struct CircuitBreaker {
     pos: u32,
     failures: u32,
     opened_at: u64,
-    half_open_ok: u32,
-    /// True while a half-open probe has been admitted but not yet recorded.
-    probe_in_flight: bool,
 }
 
 impl CircuitBreaker {
@@ -92,8 +85,6 @@ impl CircuitBreaker {
             pos: 0,
             failures: 0,
             opened_at: 0,
-            half_open_ok: 0,
-            probe_in_flight: false,
         }
     }
 
@@ -102,26 +93,14 @@ impl CircuitBreaker {
     }
 
     /// May a call proceed at virtual time `now`? Transitions open →
-    /// half-open once the cooldown has elapsed. In half-open, admits at
-    /// most one probe at a time: a `true` return claims the probe slot
-    /// until the next [`CircuitBreaker::record`] (or
-    /// [`CircuitBreaker::abandon_probe`]); concurrent callers get `false`.
+    /// half-open once the cooldown has elapsed; a half-open breaker admits
+    /// the probe (see the module docs for why one at a time).
     pub(crate) fn allow(&mut self, now: u64) -> bool {
         match self.state {
-            BreakerState::Closed => true,
-            BreakerState::HalfOpen => {
-                if self.probe_in_flight {
-                    false
-                } else {
-                    self.probe_in_flight = true;
-                    true
-                }
-            }
+            BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open => {
                 if now.saturating_sub(self.opened_at) >= self.config.cooldown_nanos {
                     self.state = BreakerState::HalfOpen;
-                    self.half_open_ok = 0;
-                    self.probe_in_flight = true;
                     true
                 } else {
                     false
@@ -148,13 +127,6 @@ impl CircuitBreaker {
         }
     }
 
-    /// Release a probe slot claimed by [`CircuitBreaker::allow`] without
-    /// recording a result — for callers that were admitted but bailed out
-    /// (e.g. zero remaining deadline budget) before dispatching.
-    pub(crate) fn abandon_probe(&mut self) {
-        self.probe_in_flight = false;
-    }
-
     /// Record a call result observed at virtual time `now`.
     pub(crate) fn record(&mut self, now: u64, ok: bool) {
         match self.state {
@@ -168,22 +140,19 @@ impl CircuitBreaker {
                 }
             }
             BreakerState::HalfOpen => {
-                self.probe_in_flight = false;
                 if ok {
-                    self.half_open_ok += 1;
-                    if self.half_open_ok >= self.config.half_open_successes {
-                        self.state = BreakerState::Closed;
-                        self.bits = 0;
-                        self.len = 0;
-                        self.pos = 0;
-                        self.failures = 0;
-                    }
+                    self.state = BreakerState::Closed;
+                    self.bits = 0;
+                    self.len = 0;
+                    self.pos = 0;
+                    self.failures = 0;
                 } else {
                     self.trip(now);
                 }
             }
-            // A late result while open (e.g. a racing in-flight call)
-            // carries no information the breaker still needs.
+            // Every result follows a granted `allow`, so none arrives
+            // while open; one that did would carry nothing the breaker
+            // still needs.
             BreakerState::Open => {}
         }
     }
@@ -191,8 +160,6 @@ impl CircuitBreaker {
     fn trip(&mut self, now: u64) {
         self.state = BreakerState::Open;
         self.opened_at = now;
-        self.half_open_ok = 0;
-        self.probe_in_flight = false;
     }
 
     fn push_sample(&mut self, ok: bool) {
@@ -225,7 +192,6 @@ mod tests {
             min_samples: 4,
             failure_rate_pct: 50,
             cooldown_nanos: 1_000,
-            half_open_successes: 2,
         }
     }
 
@@ -250,85 +216,28 @@ mod tests {
             b.record(t, false);
         }
         assert_eq!(b.state(), BreakerState::Open);
-        // Cooldown elapses → half-open, probes admitted.
+        // Cooldown elapses → half-open, the probe is admitted.
         assert!(b.allow(1_004));
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        // One success is not enough (half_open_successes = 2)...
-        b.record(1_005, true);
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        // ...a failure re-opens and restarts the cooldown...
-        b.record(1_006, false);
+        // A failed probe re-opens and restarts the cooldown from its own
+        // time, not from the first trip...
+        b.record(1_005, false);
         assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.cooldown_remaining(1_005), Some(1_000));
         assert!(!b.allow(1_500));
-        // ...and two consecutive probe successes finally close it with a
-        // fresh window.
-        assert!(b.allow(2_006));
-        b.record(2_007, true);
-        b.record(2_008, true);
+        assert!(!b.allow(2_004), "cooldown measured from the failed probe");
+        // ...and one probe success closes it with a fresh window.
+        assert!(b.allow(2_005));
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        b.record(2_006, true);
         assert_eq!(b.state(), BreakerState::Closed);
         // Fresh window: three failures alone don't reach min_samples.
+        b.record(2_007, false);
+        b.record(2_008, false);
         b.record(2_009, false);
+        assert_eq!(b.state(), BreakerState::Closed);
         b.record(2_010, false);
-        b.record(2_011, false);
-        assert_eq!(b.state(), BreakerState::Closed);
-        b.record(2_012, false);
         assert_eq!(b.state(), BreakerState::Open);
-    }
-
-    #[test]
-    fn half_open_admits_exactly_one_probe_at_a_time() {
-        let mut b = CircuitBreaker::new(cfg());
-        for t in 0..4 {
-            b.record(t, false);
-        }
-        assert_eq!(b.state(), BreakerState::Open);
-        // The cooldown-elapsing caller claims the probe slot...
-        assert!(b.allow(1_004));
-        // ...and every further caller is short-circuited until the probe
-        // resolves, even though the breaker is half-open.
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.allow(1_004));
-        assert!(!b.allow(1_900));
-        // Resolving the probe frees the slot for the next single probe.
-        b.record(1_950, true);
-        assert!(b.allow(1_951));
-        assert!(!b.allow(1_951));
-        // An abandoned probe (admitted, never dispatched) must not wedge
-        // the endpoint in permanent fast-fail.
-        b.abandon_probe();
-        assert!(b.allow(1_952));
-    }
-
-    #[test]
-    fn concurrent_half_open_callers_race_for_one_probe() {
-        use std::sync::{Arc, Mutex};
-        let b = Arc::new(Mutex::new(CircuitBreaker::new(cfg())));
-        {
-            let mut b = b.lock().unwrap();
-            for t in 0..4 {
-                b.record(t, false);
-            }
-            assert_eq!(b.state(), BreakerState::Open);
-        }
-        // Two threads arrive together after the cooldown on the same
-        // virtual instant: exactly one may probe.
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let b = Arc::clone(&b);
-                std::thread::spawn(move || b.lock().unwrap().allow(2_000))
-            })
-            .collect();
-        let grants: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!(
-            grants.iter().filter(|&&g| g).count(),
-            1,
-            "exactly one of two concurrent callers may probe, got {grants:?}"
-        );
-        // The winning probe's success closes the breaker for everyone.
-        let mut b = b.lock().unwrap();
-        b.record(2_001, true);
-        b.record(2_002, true);
-        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
@@ -343,7 +252,7 @@ mod tests {
         assert_eq!(b.cooldown_remaining(3), Some(1_000));
         assert_eq!(b.cooldown_remaining(503), Some(500));
         assert_eq!(b.cooldown_remaining(2_000), Some(0), "ETA saturates at 0");
-        // Half-open (probe claimed) is no longer "open": no ETA.
+        // Half-open is no longer "open": no ETA.
         assert!(b.allow(1_003));
         assert_eq!(b.cooldown_remaining(1_003), None);
     }

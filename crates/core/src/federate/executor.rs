@@ -376,7 +376,8 @@ impl<T: EndpointTransport> Shared<T> {
     /// One endpoint's full resilience ladder. Holds the endpoint's runtime
     /// lock for the duration — calls to the *same* endpoint serialize,
     /// which is exactly what keeps its breaker window, virtual clock, and
-    /// fault stream deterministic.
+    /// fault stream deterministic, and what lets a half-open breaker admit
+    /// its probe without tracking it.
     fn run_endpoint(&self, plan: &EndpointPlan) -> EndpointReport {
         let e = plan.endpoint.0 as usize;
         let mut rt = lock(&self.runtimes[e]);
@@ -393,10 +394,6 @@ impl<T: EndpointTransport> Shared<T> {
             loop {
                 let budget = deadline.saturating_sub(rt.clock);
                 if budget == 0 {
-                    // Never dispatched: if `allow` above claimed a
-                    // half-open probe slot, release it or the endpoint
-                    // wedges in fast-fail forever.
-                    rt.breaker.abandon_probe();
                     break EndpointOutcome::TimedOut {
                         attempts,
                         elapsed_nanos: rt.clock - start,
@@ -485,15 +482,11 @@ impl<T: EndpointTransport> Shared<T> {
 mod tests {
     use super::super::EndpointId;
     use super::*;
-    use crate::term::Term;
 
     fn plan_for(e: u32) -> EndpointPlan {
         EndpointPlan {
             endpoint: EndpointId(e),
-            endpoint_term: Term::iri(crate::term::Symbol(e)),
             subquery: format!("SELECT * WHERE {{ ?s <http://ep{e}/p> ?o . }}"),
-            selectivity: 1,
-            n_patterns: 1,
         }
     }
 

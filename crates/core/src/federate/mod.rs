@@ -154,20 +154,14 @@ impl FederatedResult {
     }
 }
 
-/// One endpoint's share of a [`DispatchPlan`], in dispatch order.
+/// One endpoint's share of a [`DispatchPlan`]: what the executor sends
+/// where. Its selectivity is its position in [`DispatchPlan::endpoints`].
 #[derive(Clone, Debug)]
 pub struct EndpointPlan {
     pub endpoint: EndpointId,
-    /// The endpoint's interned IRI term (as registered).
-    pub endpoint_term: Term,
     /// Rendered `SELECT * WHERE { ... }` text of the rewritten partition —
     /// what the transport ships.
     pub subquery: String,
-    /// Summed candidate counts of the partition's patterns: the
-    /// statistics-free selectivity signal (lower dispatches first).
-    pub selectivity: u64,
-    /// Number of source patterns routed to this endpoint.
-    pub n_patterns: usize,
 }
 
 /// Output of [`FederationPlanner::plan_for_dispatch`]: what the executor
@@ -222,7 +216,6 @@ struct PlanScratch {
 /// A query's triples partitioned across endpoints, plus dispatch order.
 struct Partitioned {
     parts: Vec<Vec<TriplePattern>>,
-    scores: Vec<u64>,
     /// What no partition carries (see [`DispatchPlan::n_residual_patterns`]).
     n_residual_patterns: usize,
     /// Endpoints with non-empty partitions, most selective first.
@@ -333,7 +326,6 @@ impl FederationPlanner {
         order.sort_by_key(|&e| (scores[e], e));
         Partitioned {
             parts,
-            scores,
             n_residual_patterns,
             order,
         }
@@ -392,10 +384,7 @@ impl FederationPlanner {
                 self.rewrite_partition(e, &p.parts[e], interner, limits, &mut scratch)?;
             endpoint_plans.push(EndpointPlan {
                 endpoint: EndpointId(e as u32),
-                endpoint_term: self.endpoints[e].term,
                 subquery,
-                selectivity: p.scores[e],
-                n_patterns: p.parts[e].len(),
             });
         }
         Ok(DispatchPlan {
@@ -456,11 +445,14 @@ mod tests {
         // Both endpoints matched one pattern each; ep0's partition (1
         // candidate) is more selective than ep1's (2 candidates for b/p0),
         // so ep0 dispatches first.
+        let score = |text: &str, it: &mut Interner| {
+            planner.assign(parse_bgp(text, it).unwrap().patterns[0])
+        };
+        assert_eq!(score("?s <http://a/p1> ?y", &mut it), Some((0, 1)));
+        assert_eq!(score("?s <http://b/p0> ?x", &mut it), Some((1, 2)));
         assert_eq!(plan.endpoints.len(), 2);
         assert_eq!(plan.endpoints[0].endpoint, EndpointId(0));
-        assert_eq!(plan.endpoints[0].selectivity, 1);
         assert_eq!(plan.endpoints[1].endpoint, EndpointId(1));
-        assert_eq!(plan.endpoints[1].selectivity, 2);
         // Residual: the unroutable triple, the FILTER and the projection.
         assert_eq!(plan.n_residual_patterns, 3);
 
@@ -534,7 +526,7 @@ mod tests {
             .plan_for_dispatch(query.as_ref(), &it, RewriteLimits::unbounded())
             .unwrap();
         assert_eq!(plan.endpoints.len(), 1);
-        assert_eq!(plan.endpoints[0].selectivity, 1);
+        assert_eq!(planner.assign(query.pattern.triples[0]), Some((0, 1)));
         assert_eq!(plan.n_residual_patterns, 0);
         let sub = &plan.endpoints[0].subquery;
         assert!(

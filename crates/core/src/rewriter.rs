@@ -513,6 +513,63 @@ fn instantiate_residuals(
     }
 }
 
+/// Close the triples run accumulated since `run_start` onto `chain`, if
+/// non-empty.
+fn flush(run_start: u32, scratch: &mut RewriteScratch, chain: &mut ChainBuilder) {
+    let end = scratch.pattern.triples.len() as u32;
+    if end > run_start {
+        let node = scratch.pattern.push_node(PatternNode::Triples {
+            start: run_start,
+            len: end - run_start,
+        });
+        chain.push(&mut scratch.pattern, node);
+    }
+}
+
+/// Apply template `id` to the (entity-substituted) pattern `tp`. The
+/// instantiated body extends the triples run open since `*run_start`; if
+/// the application leaves residual FILTERs, they close that run (body
+/// included) onto `chain`, follow it as siblings, and a new run opens
+/// after them.
+fn apply_template(
+    store: &AlignmentStore,
+    id: u32,
+    tp: TriplePattern,
+    scratch: &mut RewriteScratch,
+    chain: &mut ChainBuilder,
+    run_start: &mut u32,
+) {
+    let tmpl = store.template(id);
+    let (bindings, nb) = bind_lhs(tmpl.lhs, tp);
+    let truth = template_truth(&tmpl, &bindings[..nb]);
+    instantiate_triples(
+        &bindings[..nb],
+        tmpl.triples,
+        &mut scratch.pattern.triples,
+        &mut scratch.renames,
+        &mut scratch.fresh_next,
+    );
+    if residual_count(&tmpl, truth) > 0 {
+        flush(*run_start, scratch, chain);
+        let RewriteScratch {
+            pattern,
+            renames,
+            fresh_next,
+            ..
+        } = scratch;
+        instantiate_residuals(
+            &tmpl,
+            truth,
+            &bindings[..nb],
+            pattern,
+            renames,
+            fresh_next,
+            chain,
+        );
+        *run_start = scratch.pattern.triples.len() as u32;
+    }
+}
+
 /// Rewrite one run of triple patterns, emitting output nodes into `chain`:
 /// maximal triples runs, interrupted by a UNION node for every pattern that
 /// matched two or more templates (one branch per template, rule-id order).
@@ -523,17 +580,6 @@ fn rewrite_run(
     chain: &mut ChainBuilder,
 ) -> Result<(), RewriteError> {
     let mut run_start = scratch.pattern.triples.len() as u32;
-    // Close the triples run accumulated since `run_start`, if non-empty.
-    fn flush(run_start: u32, scratch: &mut RewriteScratch, chain: &mut ChainBuilder) {
-        let end = scratch.pattern.triples.len() as u32;
-        if end > run_start {
-            let node = scratch.pattern.push_node(PatternNode::Triples {
-                start: run_start,
-                len: end - run_start,
-            });
-            chain.push(&mut scratch.pattern, node);
-        }
-    }
     // `match_ids` is moved out of the scratch for the duration of the
     // borrow-heavy loop below; `mem::take` leaves an unallocated empty Vec
     // behind and the capacity-bearing buffer is put back afterwards, so the
@@ -568,104 +614,52 @@ fn rewrite_run(
                 .saturating_add(residual_count(&tmpl, truth));
             ids.push(id);
         }
-        if tmpl_size > scratch.tmpl_size_limit {
+        // Paper §4: several applicable alignments ⇒ the union of the
+        // instantiated templates, one branch each.
+        let emitted = if ids.len() > 1 {
+            scratch.branches_emitted.saturating_add(ids.len() as u32)
+        } else {
+            scratch.branches_emitted
+        };
+        let capped = if tmpl_size > scratch.tmpl_size_limit {
+            Some(RewriteError::TemplateSizeExceeded {
+                cap: scratch.tmpl_size_limit,
+                required: tmpl_size,
+            })
+        } else if emitted > scratch.branch_limit {
+            Some(RewriteError::UnionBranchesExceeded {
+                cap: scratch.branch_limit,
+                required: emitted,
+            })
+        } else {
+            None
+        };
+        if let Some(err) = capped {
             // Put the id buffer back before bailing so the scratch keeps
             // its capacity for the next (possibly uncapped) call.
             scratch.match_ids = ids;
-            return Err(RewriteError::TemplateSizeExceeded {
-                cap: scratch.tmpl_size_limit,
-                required: tmpl_size,
-            });
+            return Err(err);
         }
+        scratch.branches_emitted = emitted;
         match ids.as_slice() {
             [] => scratch.pattern.triples.push(substituted),
-            [id] => {
-                let tmpl = store.template(*id);
-                let (bindings, nb) = bind_lhs(tmpl.lhs, substituted);
-                let truth = template_truth(&tmpl, &bindings[..nb]);
-                instantiate_triples(
-                    &bindings[..nb],
-                    tmpl.triples,
-                    &mut scratch.pattern.triples,
-                    &mut scratch.renames,
-                    &mut scratch.fresh_next,
-                );
-                if residual_count(&tmpl, truth) > 0 {
-                    // The instantiated body extended the current run; close
-                    // it (body included), chain the FILTER nodes as
-                    // siblings, and start a fresh run after them.
-                    flush(run_start, scratch, chain);
-                    let RewriteScratch {
-                        pattern,
-                        renames,
-                        fresh_next,
-                        ..
-                    } = scratch;
-                    instantiate_residuals(
-                        &tmpl,
-                        truth,
-                        &bindings[..nb],
-                        pattern,
-                        renames,
-                        fresh_next,
-                        chain,
-                    );
-                    run_start = scratch.pattern.triples.len() as u32;
-                }
-            }
+            &[id] => apply_template(store, id, substituted, scratch, chain, &mut run_start),
             many => {
-                // Paper §4: several applicable alignments ⇒ the union of
-                // the instantiated templates, in rule-id order.
-                let required = scratch.branches_emitted.saturating_add(many.len() as u32);
-                if required > scratch.branch_limit {
-                    // Put the id buffer back before bailing so the scratch
-                    // keeps its capacity for the next (possibly uncapped)
-                    // call.
-                    scratch.match_ids = ids;
-                    return Err(RewriteError::UnionBranchesExceeded {
-                        cap: scratch.branch_limit,
-                        required,
-                    });
-                }
-                scratch.branches_emitted = required;
+                // Branches in rule-id order, each a group of its own.
                 flush(run_start, scratch, chain);
                 let mut branches = ChainBuilder::new();
                 for &id in many {
-                    let tmpl = store.template(id);
-                    let (bindings, nb) = bind_lhs(tmpl.lhs, substituted);
-                    let truth = template_truth(&tmpl, &bindings[..nb]);
-                    let branch_start = scratch.pattern.triples.len() as u32;
-                    instantiate_triples(
-                        &bindings[..nb],
-                        tmpl.triples,
-                        &mut scratch.pattern.triples,
-                        &mut scratch.renames,
-                        &mut scratch.fresh_next,
-                    );
-                    let branch_len = scratch.pattern.triples.len() as u32 - branch_start;
-                    let run = scratch.pattern.push_node(PatternNode::Triples {
-                        start: branch_start,
-                        len: branch_len,
-                    });
                     let mut inner = ChainBuilder::new();
-                    inner.push(&mut scratch.pattern, run);
-                    if residual_count(&tmpl, truth) > 0 {
-                        let RewriteScratch {
-                            pattern,
-                            renames,
-                            fresh_next,
-                            ..
-                        } = scratch;
-                        instantiate_residuals(
-                            &tmpl,
-                            truth,
-                            &bindings[..nb],
-                            pattern,
-                            renames,
-                            fresh_next,
-                            &mut inner,
-                        );
-                    }
+                    let mut branch_start = scratch.pattern.triples.len() as u32;
+                    apply_template(
+                        store,
+                        id,
+                        substituted,
+                        scratch,
+                        &mut inner,
+                        &mut branch_start,
+                    );
+                    flush(branch_start, scratch, &mut inner);
                     let group = scratch.pattern.push_node(PatternNode::Group {
                         first: inner.first(),
                     });

@@ -1,23 +1,22 @@
 //! The federated executor's resilience ladder over the seeded
 //! [`MockTransport`]: deadlines, retries, breakers, partial results, replay.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
+use std::time::Duration;
 
 use sparql_rewrite_chaos::{canonical_text, FaultSpec, MockTransport};
 use sparql_rewrite_core::{
-    BreakerConfig, BreakerState, EndpointId, EndpointOutcome, EndpointPlan, ExecutorConfig,
-    FederatedExecutor, FederatedResult, Interner, Term,
+    BreakerConfig, BreakerState, EndpointId, EndpointOutcome, EndpointPlan, EndpointTransport,
+    ExecutorConfig, FederatedExecutor, FederatedResult, TransportError, TransportReply,
+    TransportRequest,
 };
 
 fn plan_for(e: u32) -> EndpointPlan {
-    let mut interner = Interner::new();
     EndpointPlan {
         endpoint: EndpointId(e),
-        endpoint_term: Term::iri(interner.intern(&format!("http://ep{e}/sparql"))),
         subquery: format!("SELECT * WHERE {{ ?s <http://ep{e}/p> ?o . }}"),
-        selectivity: 1,
-        n_patterns: 1,
     }
 }
 
@@ -179,7 +178,6 @@ fn breaker_opens_fails_fast_and_recovers_via_half_open() {
             min_samples: 2,
             failure_rate_pct: 50,
             cooldown_nanos: 4_000_000,
-            half_open_successes: 1,
         },
         ..ExecutorConfig::default()
     };
@@ -304,6 +302,109 @@ fn overlapping_executions_with_fewer_lanes_than_demand_match_the_serial_run() {
         );
     }
     assert_eq!(ex.breaker_states(), serial.breaker_states());
+    assert_eq!(ex.caught_panics(), 0);
+}
+
+/// The endpoint's runtime lock is federated dispatch's one admission
+/// rule: the executor holds it through an endpoint's whole retry ladder, so
+/// however many executions overlap, the transport sees at most one call per
+/// endpoint at a time. A half-open breaker relies on this to admit its
+/// probe without tracking it.
+#[test]
+fn one_transport_call_per_endpoint_at_a_time() {
+    const CALLERS: usize = 4;
+    const ROUNDS: usize = 100;
+    /// Endpoint 0's first calls that fail: enough to trip its breaker and
+    /// to fail the first two half-open probes.
+    const FAILING: usize = 10;
+
+    /// Counts each endpoint's calls in flight, keeps the maximum, and holds
+    /// every call briefly so overlapping dispatches would show.
+    #[derive(Default)]
+    struct InFlight {
+        now: [AtomicUsize; 3],
+        max: [AtomicUsize; 3],
+        calls: [AtomicUsize; 3],
+    }
+    impl EndpointTransport for InFlight {
+        fn execute(&self, req: &TransportRequest<'_>) -> TransportReply {
+            let e = req.endpoint.0 as usize;
+            let call = self.calls[e].fetch_add(1, Ordering::SeqCst);
+            let now = self.now[e].fetch_add(1, Ordering::SeqCst) + 1;
+            self.max[e].fetch_max(now, Ordering::SeqCst);
+            thread::sleep(Duration::from_micros(50));
+            self.now[e].fetch_sub(1, Ordering::SeqCst);
+            let payload = if e == 0 && call < FAILING {
+                Err(TransportError::Transient)
+            } else {
+                Ok(String::new())
+            };
+            TransportReply {
+                latency_nanos: 1_000_000,
+                payload,
+            }
+        }
+    }
+
+    // Default breaker: trips on endpoint 0's 8th failure, and each 100ms
+    // cooldown elapses over 20 of the endpoint's 5ms inter-arrivals, so
+    // it probes (and fails, fails, then closes) well inside the stream.
+    let ex = Arc::new(FederatedExecutor::new(
+        InFlight::default(),
+        3,
+        ExecutorConfig {
+            n_threads: 3,
+            ..ExecutorConfig::default()
+        },
+    ));
+    let plans: Vec<EndpointPlan> = (0..3).map(plan_for).collect();
+    let start = Arc::new(Barrier::new(CALLERS));
+    let callers: Vec<_> = (0..CALLERS)
+        .map(|_| {
+            let (ex, plans, start) = (Arc::clone(&ex), plans.clone(), Arc::clone(&start));
+            thread::spawn(move || {
+                start.wait();
+                (0..ROUNDS).map(|_| ex.execute(&plans)).collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let results: Vec<FederatedResult> = callers
+        .into_iter()
+        .flat_map(|c| c.join().expect("a caller panicked"))
+        .collect();
+
+    let transport = ex.transport();
+    for e in 0..3 {
+        assert_eq!(
+            transport.max[e].load(Ordering::SeqCst),
+            1,
+            "endpoint {e} saw overlapping transport calls"
+        );
+        let attempts: usize = results
+            .iter()
+            .map(|r| &r.reports[e])
+            .map(|r| match r.outcome {
+                EndpointOutcome::Served { attempts, .. }
+                | EndpointOutcome::TimedOut { attempts, .. }
+                | EndpointOutcome::CircuitOpen { attempts }
+                | EndpointOutcome::ExhaustedRetries { attempts, .. } => attempts as usize,
+            })
+            .sum();
+        assert_eq!(
+            transport.calls[e].load(Ordering::SeqCst),
+            attempts,
+            "endpoint {e}'s transport calls and reported attempts differ"
+        );
+    }
+    assert_eq!(transport.calls[1].load(Ordering::SeqCst), CALLERS * ROUNDS);
+    assert_eq!(transport.calls[2].load(Ordering::SeqCst), CALLERS * ROUNDS);
+    assert!(
+        results
+            .iter()
+            .any(|r| matches!(r.reports[0].outcome, EndpointOutcome::CircuitOpen { .. })),
+        "endpoint 0's breaker never opened"
+    );
+    assert_eq!(ex.breaker_states()[0], BreakerState::Closed);
     assert_eq!(ex.caught_panics(), 0);
 }
 

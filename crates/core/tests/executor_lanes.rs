@@ -6,9 +6,7 @@
 #![cfg(target_os = "linux")]
 
 use sparql_rewrite_chaos::{FaultSpec, MockTransport};
-use sparql_rewrite_core::{
-    EndpointId, EndpointPlan, ExecutorConfig, FederatedExecutor, Interner, Term,
-};
+use sparql_rewrite_core::{EndpointId, EndpointPlan, ExecutorConfig, FederatedExecutor};
 
 /// `Threads:` from `/proc/self/status`.
 fn process_threads() -> usize {
@@ -44,14 +42,10 @@ fn executor() -> FederatedExecutor<MockTransport> {
 
 #[test]
 fn lanes_are_spawned_at_construction_and_joined_on_drop() {
-    let mut interner = Interner::new();
     let plans: Vec<EndpointPlan> = (0..3)
         .map(|e| EndpointPlan {
             endpoint: EndpointId(e),
-            endpoint_term: Term::iri(interner.intern(&format!("http://ep{e}/sparql"))),
             subquery: format!("SELECT * WHERE {{ ?s <http://ep{e}/p> ?o . }}"),
-            selectivity: 1,
-            n_patterns: 1,
         })
         .collect();
 

@@ -23,19 +23,13 @@ use sparql_rewrite_chaos::{ChaosProxy, ChaosSpec, FaultClass};
 use sparql_rewrite_core::{
     BackoffPolicy, BreakerConfig, BreakerState, EndpointId, EndpointOutcome, EndpointPlan,
     ExecutorConfig, FederatedExecutor, HttpConfig, HttpEndpoint, HttpLimits, HttpTransport,
-    Interner, Term,
 };
 
 /// A plan shipping one fixed subquery to endpoint 0.
 fn endpoint_plan() -> EndpointPlan {
-    let mut interner = Interner::new();
-    let sym = interner.intern("http://chaos.example.org/sparql");
     EndpointPlan {
         endpoint: EndpointId(0),
-        endpoint_term: Term::iri(sym),
         subquery: "SELECT * WHERE { ?s <http://ep0.example.org/onto/p0> ?o . }".to_string(),
-        selectivity: 1,
-        n_patterns: 1,
     }
 }
 
@@ -72,7 +66,6 @@ fn exec_config() -> ExecutorConfig {
             min_samples: 4,
             failure_rate_pct: 50,
             cooldown_nanos: 120_000_000,
-            half_open_successes: 1,
         },
         seed: 0x7e57_c4a0,
     }

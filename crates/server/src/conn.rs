@@ -17,6 +17,9 @@ use crate::response::render_response;
 use crate::stats::{render_health, render_stats};
 use crate::{ServeMode, Shared};
 
+/// The SPARQL protocol endpoint's path: `GET`/`POST` here are queries.
+const QUERY_ROUTE: &[u8] = b"/sparql";
+
 /// Per-worker serve state: the server's [`ServeMode`] paired with the
 /// worker's buffers for it. One value per worker thread, alive for the
 /// thread's whole life; boxing would only add a pointer chase on the serve
@@ -116,12 +119,7 @@ fn handle_connection(
         // the socket timeout to what's left of the request deadline.
         r.get_ref()
             .set_deadline(shared.eff_deadline(shared.config.request_deadline));
-        match read_request(
-            &mut r,
-            &shared.config.limits,
-            shared.config.route.as_bytes(),
-            req_scratch,
-        ) {
+        match read_request(&mut r, &shared.config.limits, QUERY_ROUTE, req_scratch) {
             Ok(req) => {
                 let t0 = Instant::now();
                 let close = !req.keep_alive || shared.draining();

@@ -137,8 +137,6 @@ pub struct ServerConfig {
     /// `/healthz`, and (while no breaker is cooling down) by the
     /// federated `502`/`504`; 0 is read as 1.
     pub retry_after_secs: u32,
-    /// Query route path (SPARQL protocol endpoint), e.g. `/sparql`.
-    pub route: String,
 }
 
 impl Default for ServerConfig {
@@ -151,7 +149,6 @@ impl Default for ServerConfig {
             keep_alive_idle: Duration::from_secs(5),
             drain_deadline: Duration::from_secs(1),
             retry_after_secs: 1,
-            route: String::from("/sparql"),
         }
     }
 }

@@ -221,7 +221,6 @@ fn federation_http_soak() {
             min_samples: 4,
             failure_rate_pct: 50,
             cooldown_nanos: 120_000_000,
-            half_open_successes: 1,
         },
         seed: exec_seed,
     };
@@ -625,7 +624,6 @@ fn federated_chaos_run(spec: &FederationSpec, n_connections: usize, client_seed:
                 min_samples: 4,
                 failure_rate_pct: 50,
                 cooldown_nanos: 120_000_000,
-                half_open_successes: 1,
             },
             seed: client_seed ^ 0xfed,
         },
@@ -800,7 +798,7 @@ mod workload {
             let eps: Vec<_> = p
                 .endpoints
                 .iter()
-                .map(|e| (e.endpoint, e.subquery.clone(), e.selectivity, e.n_patterns))
+                .map(|e| (e.endpoint, e.subquery.clone()))
                 .collect();
             (eps, p.n_residual_patterns)
         };
