@@ -125,6 +125,11 @@ pub enum AlignError {
     /// counters are meaningful only within one rewrite call, so a rule
     /// carrying one could capture the engine's own existentials.
     FreshTerm,
+    /// A rule term carries a request-local symbol (a serve handle's parse
+    /// gave it one): its text is valid only until that handle's next parse,
+    /// and the dense tables cannot index it. Load rules through a build
+    /// handle ([`crate::Interner::new`]).
+    RequestLocalTerm,
     /// A template expression pool is not self-contained: a child index
     /// points at or past its own node (the pool must be topologically
     /// ordered), or a guard/filter root is out of bounds.
@@ -155,6 +160,9 @@ impl std::fmt::Display for AlignError {
             AlignError::FreshTerm => {
                 f.write_str("alignment rules must not contain fresh (rewriter-minted) terms")
             }
+            AlignError::RequestLocalTerm => f.write_str(
+                "alignment rules must not contain request-local terms (parse them on a build interner)",
+            ),
             AlignError::MalformedTemplateExpr => f.write_str(
                 "template expression pool must be topologically ordered and self-contained",
             ),
@@ -169,6 +177,18 @@ impl std::fmt::Display for AlignError {
 }
 
 impl std::error::Error for AlignError {}
+
+/// Whether `t` may appear in a rule: not a fresh term, and not a
+/// request-local one.
+fn rule_term(t: Term) -> Result<(), AlignError> {
+    if t.is_fresh() {
+        Err(AlignError::FreshTerm)
+    } else if t.symbol().is_local() {
+        Err(AlignError::RequestLocalTerm)
+    } else {
+        Ok(())
+    }
+}
 
 /// Borrowed view of one predicate/complex rule's templates, as returned by
 /// [`AlignmentStore::template`]. For flat rules
@@ -325,9 +345,8 @@ impl AlignmentStore {
         if from.is_var() || to.is_var() {
             return Err(AlignError::VariableEntity);
         }
-        if from.is_fresh() || to.is_fresh() {
-            return Err(AlignError::FreshTerm);
-        }
+        rule_term(from)?;
+        rule_term(to)?;
         let placeholder = TriplePattern::new(Term::fresh(0), Term::fresh(0), Term::fresh(0));
         let id = self.push_rule(placeholder, &[], &[], NO_EXPR, &[]);
         let lane = self.lane_mut(from.symbol(), from.kind() as usize);
@@ -357,14 +376,10 @@ impl AlignmentStore {
         if rhs.is_empty() {
             return Err(AlignError::EmptyTemplate);
         }
-        if lhs
-            .terms()
+        lhs.terms()
             .into_iter()
             .chain(rhs.iter().flat_map(|tp| tp.terms()))
-            .any(Term::is_fresh)
-        {
-            return Err(AlignError::FreshTerm);
-        }
+            .try_for_each(rule_term)?;
         let id = self.push_rule(lhs, &rhs, &[], NO_EXPR, &[]);
         self.push_posting(lhs.p.symbol(), id);
         Ok(id)
@@ -402,15 +417,11 @@ impl AlignmentStore {
             ExprNode::Term(t) => Some(*t),
             _ => None,
         });
-        if lhs
-            .terms()
+        lhs.terms()
             .into_iter()
             .chain(tmpl.triples.iter().flat_map(|tp| tp.terms()))
             .chain(expr_leaves)
-            .any(Term::is_fresh)
-        {
-            return Err(AlignError::FreshTerm);
-        }
+            .try_for_each(rule_term)?;
         // Pool topology: children strictly before parents, roots in bounds.
         let n = tmpl.exprs.len() as u32;
         for (i, e) in tmpl.exprs.iter().enumerate() {
@@ -744,6 +755,7 @@ mod tests {
 
         // Display coverage for the new variants.
         for (err, needle) in [
+            (AlignError::RequestLocalTerm, "request-local"),
             (AlignError::MalformedTemplateExpr, "topologically"),
             (AlignError::GuardVariableUnbound, "guard"),
             (AlignError::TemplateVariableUnbound, "filter"),
@@ -764,6 +776,28 @@ mod tests {
         t.push_filter(f);
         let id = store.add_complex_predicate(lhs, t.clone()).unwrap();
         assert_eq!(template_in_pools(&store, id), (lhs, t));
+    }
+
+    #[test]
+    fn rules_parsed_on_a_serve_handle_are_rejected() {
+        // A serve handle gives a term the base lacks a request-local
+        // symbol: as a rule key it would size the dense table past 2^30.
+        let mut it = Interner::new();
+        let known = crate::parse_bgp("<http://a> <http://p> ?o", &mut it)
+            .unwrap()
+            .patterns[0];
+        let novel = crate::parse_bgp("<http://b> <http://q> ?o", &mut it.clone())
+            .unwrap()
+            .patterns[0];
+        assert!(novel.s.symbol().is_local() && novel.p.symbol().is_local());
+        let mut store = AlignmentStore::new();
+        let local = Err(AlignError::RequestLocalTerm);
+        assert_eq!(store.add_entity(known.s, novel.s), local);
+        assert_eq!(store.add_predicate(novel, vec![known]), local);
+        assert_eq!(store.add_predicate(known, vec![novel]), local);
+        let tmpl = RuleTemplate::from_triples(vec![novel]);
+        assert_eq!(store.add_complex_predicate(known, tmpl), local);
+        assert!(store.is_empty() && store.table.is_empty());
     }
 
     /// A test's own record of one rule it added: the reference the store's
@@ -1007,8 +1041,15 @@ mod tests {
         let lhs_q = TriplePattern::new(x, q, x);
         store.add_predicate(lhs_q, vec![lhs_q]).unwrap();
         assert!(store.table[p.symbol().index() << 2 | 3] & SPILL != 0);
-        // A symbol only a worker's overlay holds lies past the table.
-        let late = Term::iri(it.clone().intern("http://overlay/only"));
+        // A request-local symbol, which a serve handle gives an IRI the
+        // rules lack, lies past the table.
+        let q = "SELECT * WHERE { ?s <http://request/only> ?o }";
+        let late = crate::parse_query(q, &mut it.clone())
+            .unwrap()
+            .pattern
+            .triples[0]
+            .p;
+        assert!(late.symbol().is_local());
         assert!(late.symbol().index() << 2 >= store.table.len());
         for triples in [
             vec![],

@@ -10,10 +10,12 @@
 //!    and probes the shared [`RewriteCache`] once — a hit copies the
 //!    previously rendered rewrite once, straight into the output string,
 //!    and skips the pipeline entirely,
-//! 1. parses SPARQL text into a caller-owned [`ParseScratch`]
-//!    (worker-local interner — known strings resolve to their shared
-//!    symbols, novel strings get worker-private ids that can never alias a
-//!    rule symbol),
+//! 1. parses SPARQL text into a caller-owned [`ParseScratch`], pushing
+//!    every term onto the worker's request term table, then resolves the
+//!    table against the frozen rule vocabulary in one staged pass — a
+//!    known IRI or literal takes its shared symbol, every other term a
+//!    request-local one that can never alias a rule symbol, and nothing is
+//!    written to the shared strings ([`Interner`]),
 //! 2. rewrites the borrowed parse with the engine's own dense-indexed
 //!    [`AlignmentStore`] ([`Rewriter::rewrite_ref_into`]) — after one
 //!    batch load of the dispatch records and single-rule template rows
@@ -57,10 +59,9 @@ use crate::{
 pub struct ServeEngine {
     /// The rule set; it is also the rewriter.
     store: AlignmentStore,
-    /// Build-phase interner. Each worker clones it, sharing its strings,
-    /// so parsing can intern novel strings into the clone's private overlay
-    /// without locks while every pre-existing symbol stays identical to
-    /// the rule set's.
+    /// Build-phase interner. Each worker clones it into a serve handle
+    /// that shares its strings, so parsing resolves to the rule set's
+    /// symbols without locks and without writing them.
     base_interner: Interner,
     /// Rewrite-result cache; `None` when constructed cache-less (the
     /// cold-path reference in tests).
@@ -72,9 +73,15 @@ pub struct ServeEngine {
 /// Per-worker reusable state for [`ServeEngine::serve`]. All steady-state
 /// buffers and all per-probe counting live here; the engine's shared
 /// totals are written once every 64 probes.
+///
+/// Aligned to 128 bytes (two cache lines, the unit the adjacent-line
+/// prefetcher pulls in), so two workers' scratches laid out side by side
+/// never share a line: every hit writes `pending` and `cache_hits`.
+#[repr(align(128))]
 pub struct ServeScratch {
-    /// Worker-local interner clone; its overlay is trimmed before every
-    /// cold serve (see [`Interner::trim_overlay`]).
+    /// The worker's serve handle on the engine's interner: it shares the
+    /// rule vocabulary and holds one request's terms, which each parse
+    /// clears.
     interner: Interner,
     parse: ParseScratch,
     rewrite: RewriteScratch,
@@ -251,8 +258,8 @@ impl ServeEngine {
     }
 
     /// A fresh worker scratch. Its interner clone shares the engine's
-    /// strings (an `Arc` bump, no copy of the vocabulary); after it, the
-    /// worker shares nothing mutable.
+    /// strings (an `Arc` bump, no copy of the vocabulary) and never writes
+    /// them; after it, the worker shares nothing mutable.
     pub fn scratch(&self) -> ServeScratch {
         ServeScratch {
             interner: self.base_interner.clone(),
@@ -270,8 +277,8 @@ impl ServeEngine {
     /// answered by fingerprint + probe + copy; otherwise the full parse →
     /// rewrite → render pipeline runs and the result fills the cache.
     /// Returns the rewritten query text, borrowed from the scratch's output
-    /// buffer. Zero heap allocations once the scratch (and its interner)
-    /// are warm for the request's vocabulary — hit or miss.
+    /// buffer. Zero heap allocations once the scratch's buffers have grown
+    /// to the request's size — hit or miss, whatever strings it holds.
     ///
     /// One key per request: the **raw-byte** fingerprint (one pass over the
     /// request bytes, four hash lanes in parallel, no staging copy; the
@@ -307,10 +314,6 @@ impl ServeEngine {
 
     /// The uncached pipeline: parse → rewrite → render into `scratch.out`.
     fn serve_cold(&self, request: &str, scratch: &mut ServeScratch) -> Result<(), ParseError> {
-        // A request boundary: nothing minted for an earlier request is
-        // resolved again (the cache holds rendered text), so a worker's
-        // overlay of novel strings can be emptied here, which bounds it.
-        scratch.interner.trim_overlay();
         parse_query_into(request, &mut scratch.interner, &mut scratch.parse)?;
         self.store
             .rewrite_ref_into(scratch.parse.query_ref(), &mut scratch.rewrite);
@@ -330,7 +333,6 @@ impl ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interner::OVERLAY_BOUND;
     use crate::{Term, TriplePattern};
 
     /// One rule mapping a short source predicate onto a long target IRI,
@@ -451,13 +453,13 @@ mod tests {
     }
 
     #[test]
-    fn unique_literals_keep_the_worker_overlay_bounded() {
-        // Every request brings a novel literal and a novel variable, so
-        // without the reset the overlay would grow by two per request.
+    fn unique_terms_leave_the_base_as_built() {
+        // Every request brings a novel literal and a novel variable: neither
+        // may reach the shared strings, and the worker's table holds the
+        // terms of the last request only.
         let engine = long_rule_engine(None);
         let base = engine.base_interner().len();
         let mut scratch = engine.scratch();
-        let (mut high, mut resets, mut last) = (0, 0, 0);
         for i in 0..100_000 {
             let q = format!(
                 "SELECT ?s ?g{i} WHERE {{ ?s <http://src.example.org/onto/p> \"{i}\"^^<http://www.w3.org/2001/XMLSchema#integer> . ?s ?p ?g{i} }}"
@@ -465,19 +467,99 @@ mod tests {
             let out = engine.serve(&q, &mut scratch).expect("parses").to_owned();
             let mut fresh = engine.scratch();
             let fresh = engine.serve(&q, &mut fresh).expect("parses");
-            assert_eq!(out, fresh, "request {i} rendered differently after resets");
-            let overlay = scratch.interner.len() - base;
-            high = high.max(overlay);
-            resets += usize::from(overlay < last);
-            last = overlay;
+            assert_eq!(
+                out, fresh,
+                "request {i} rendered differently on a used scratch"
+            );
+            assert_eq!(scratch.interner.len(), base, "request {i} grew the base");
+            // Two projected variables and two triples' worth of terms.
+            assert_eq!(scratch.interner.request_len(), 8, "request {i}");
         }
-        // At most the bound survives a request boundary, plus what one
-        // request interns (`?s`, `?p`, `?g{i}` and the literal).
-        assert!(
-            high <= OVERLAY_BOUND + 4,
-            "overlay reached {high} symbols, bound {OVERLAY_BOUND}"
+        assert_eq!(engine.base_interner().len(), base);
+    }
+
+    /// Rules for the no-aliasing cases: `?s src:p ?o` rewrites to `?s
+    /// tgt:p ?o` only where `?o = "gold"`. Built the same way on every
+    /// call, so two calls mint the same symbols.
+    fn guarded_rules() -> (AlignmentStore, Interner) {
+        let mut it = Interner::new();
+        let mut store = AlignmentStore::new();
+        let lhs = crate::parse_bgp("?s <http://src/p> ?o", &mut it)
+            .unwrap()
+            .patterns[0];
+        let rhs = crate::parse_bgp("?s <http://tgt/p> ?o", &mut it)
+            .unwrap()
+            .patterns;
+        let mut tmpl = crate::RuleTemplate::from_triples(rhs);
+        let gold = Term::literal(it.intern("\"gold\""));
+        let o = tmpl.push_expr(crate::ExprNode::Term(lhs.o));
+        let g = tmpl.push_expr(crate::ExprNode::Term(gold));
+        let eq = tmpl.push_expr(crate::ExprNode::Cmp(crate::CmpOp::Eq, o, g));
+        tmpl.set_guard(eq);
+        store.add_complex_predicate(lhs, tmpl).unwrap();
+        (store, it)
+    }
+
+    #[test]
+    fn request_local_terms_never_alias_rule_terms() {
+        let (store, it) = guarded_rules();
+        let engine = ServeEngine::with_cache(store, it, None);
+        let mut scratch = engine.scratch();
+        let mut parse = |q: &str| {
+            parse_query_into(q, &mut scratch.interner, &mut scratch.parse).expect("parses");
+            scratch.parse.pattern().triples.clone()
+        };
+
+        // An IRI the rules never mention, used twice, is one term, local,
+        // and matches no rule.
+        let t = parse("SELECT * WHERE { ?s <http://elsewhere/q> ?o . ?o <http://elsewhere/q> ?s }");
+        assert_eq!(t[0].p, t[1].p);
+        assert!(t[0].p.symbol().is_local());
+        assert_eq!(
+            (t[0].s, t[0].o),
+            (t[1].o, t[1].s),
+            "?s and ?o are one term each"
         );
-        assert!(resets >= 40, "the overlay was reset only {resets} times");
+        let rules = engine.rewriter();
+        assert_eq!(rules.predicate_candidates(t[0].p), &[] as &[u32]);
+        assert_eq!(rules.entity_target(t[0].p), None);
+        let rendered = |q: &str| engine.serve(q, &mut engine.scratch()).unwrap().to_owned();
+        assert_eq!(
+            rendered("SELECT * WHERE { ?s <http://elsewhere/q> ?o . ?o <http://elsewhere/q> ?s }"),
+            "SELECT * WHERE {\n  ?s <http://elsewhere/q> ?o .\n  ?o <http://elsewhere/q> ?s .\n}"
+        );
+
+        // A literal equal to the guard constant is the rules' symbol and
+        // fires the guard; any other literal is local and does not.
+        let gold = engine
+            .base_interner()
+            .get("\"gold\"")
+            .expect("a rule constant");
+        let t = parse("SELECT * WHERE { ?s <http://src/p> \"gold\" . ?s <http://src/p> \"lead\" }");
+        assert_eq!(t[0].o, Term::literal(gold));
+        assert!(t[1].o.symbol().is_local());
+        assert!(
+            rendered("SELECT * WHERE { ?s <http://src/p> \"gold\" }").contains("<http://tgt/p>")
+        );
+        assert!(
+            !rendered("SELECT * WHERE { ?s <http://src/p> \"lead\" }").contains("<http://tgt/p>")
+        );
+
+        // `?s`, the name of a rule variable, rewrites exactly as it does
+        // when a build handle interns it into the rules' own symbol.
+        let q = "SELECT ?s WHERE { ?s <http://src/p> \"gold\" . ?o <http://src/p> ?s }";
+        let (_, mut build) = guarded_rules();
+        let reference = crate::parse_query(q, &mut build).unwrap();
+        let mut rewrite = RewriteScratch::new();
+        rules.rewrite_ref_into(reference.as_ref(), &mut rewrite);
+        assert_eq!(rendered(q), rewrite.to_query().to_sparql(&build));
+        let t = parse(q);
+        assert!(t[0].s.symbol().is_local(), "a query variable stays local");
+    }
+
+    #[test]
+    fn scratches_side_by_side_share_no_cache_line() {
+        assert!(std::mem::align_of::<ServeScratch>() >= 128);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! The container image has no registry access, so the `fxhash`/`rustc-hash`
 //! crates are re-implemented here (the algorithm is a few lines). Symbol and
 //! short-string keys dominate this codebase and Fx is ~5x faster than the
-//! default SipHash for them. It is NOT DoS-resistant, and its keys are not
-//! only the engine's own vocabulary: every serve-path parse interns the
-//! request's IRIs, literals and variables into the worker's interner
-//! overlay, from bodies of up to 4 MiB. A client that crafts strings whose
-//! hashes collide lengthens that table's probe chains, for its own request
-//! and for the worker's later ones until the overlay is emptied.
+//! default SipHash for them. It is NOT DoS-resistant, but request text
+//! enters no hash table: a serve-path parse only looks the request's IRIs
+//! and literals up in the interner's frozen base, which holds the engine's
+//! own vocabulary, and finds a request's repeated terms by sorting them.
+//! A client that crafts strings whose hashes collide can only walk the
+//! probe chains the base already has, and lengthens none.
 
 use std::hash::Hasher;
 

@@ -1,7 +1,8 @@
-//! String interner mapping term text to 29-bit [`Symbol`]s.
+//! String interner mapping term text to [`Symbol`]s, and the request term
+//! table a parse writes its terms into.
 //!
-//! An [`Interner`] is a shared, immutable **base** layer behind an `Arc`
-//! plus a small **overlay** layer of its own. Each layer keeps its strings
+//! An [`Interner`] handle holds a **base** of interned strings behind an
+//! `Arc`, and a request term table of its own. The base keeps its strings
 //! in one arena (`bytes`, with `ends[id]` closing string `id`) and finds
 //! them through an open-addressing array of symbol indices (a
 //! raw-entry-style hash-of-index map), not a `HashMap<Box<str>, u32>` that
@@ -9,33 +10,47 @@
 //! module) — short IRIs and QName expansions dominate the key distribution
 //! and Fx beats SipHash on them by a wide margin.
 //!
-//! The layering follows the engine's two phases without a seal call:
+//! Every term site of the parser pushes the term's canonical text (QNames
+//! expanded, literals canonicalised) through one call, and what happens
+//! to it depends on the handle:
 //!
-//! * **Build phase** — the parser and rule loaders intern into the base,
-//!   which the interner owns alone, so `intern` writes to it in place.
-//! * **Serve phase** — the first `clone()` shares the base. From then on
-//!   every clone interns novel strings (query variables, unseen literals)
-//!   into its own overlay, so cloning for a worker costs an `Arc` bump plus
-//!   a copy of the overlay, and each base string is stored once per
-//!   process however many workers hold it.
+//! * A **build** handle ([`Interner::new`]) interns the text into the base
+//!   then and there, so rule loading through `parse_bgp` / `parse_query`
+//!   mints base symbols in parse order and has no request term table.
+//! * A **serve** handle (what [`Interner::clone`] returns) appends the text
+//!   to the request term table, one entry per occurrence, and hands out a
+//!   request-local symbol ([`Symbol::LOCAL`] set). Once the parse
+//!   succeeds, one pass resolves the whole table and the parser swaps
+//!   every term's symbol for the resolved one. The pass shares the base
+//!   read-only and looks every IRI and literal entry up in it, in stages:
+//!   hash every key and load its home slot; then load every candidate's
+//!   `ends`, then its text; then compare, continuing the linear probe
+//!   where the candidate was another string. The loads within a stage do
+//!   not wait on each other, so their cache misses overlap; looked up one
+//!   key after another, each key's three misses (slot, `ends`, text) queue
+//!   behind the last key's. A found entry takes its base symbol, the one
+//!   the rules hold. Variables and blank labels never touch the base; they
+//!   and the entries the base lacks keep a request-local symbol, that of
+//!   the first entry with the same text, and render from the table.
+//!
+//! A parse on a serve handle therefore writes no shared memory and grows
+//! nothing: the base stays as the build phase left it, and the table holds
+//! one request's terms, cleared by the next parse.
 
 use std::hash::Hasher;
 use std::sync::Arc;
 
 use crate::fxhash::FxHasher;
-use crate::term::Symbol;
-
-/// Most symbols an overlay keeps across requests: past this,
-/// [`Interner::trim_overlay`] empties it. Large enough that a worker's hot
-/// strings (variable names, recurring literals) survive many requests
-/// between resets, small enough that the overlay's table stays
-/// cache-resident for the base lookups that probe it first.
-pub(crate) const OVERLAY_BOUND: usize = 4096;
+use crate::term::{Symbol, Term, TermKind};
 
 /// Vacant table slot. Slots pack `(hash_tag << 32) | symbol_id`; a symbol
-/// id of `u32::MAX` is unreachable (the interner asserts ids ≤ 2^29), so
+/// id of `u32::MAX` is unreachable (the interner asserts ids < 2^28), so
 /// `u64::MAX` cannot collide with a live entry.
 const EMPTY: u64 = u64::MAX;
+
+/// A request entry's resolution while the base has not (yet) been found
+/// to hold its text; never a symbol.
+const ABSENT: u32 = u32::MAX;
 
 /// Pack a table slot: the top 32 bits of the (finalized) hash as a tag, the
 /// symbol id below. Probes compare the tag before touching the candidate's
@@ -74,31 +89,20 @@ fn hash_str(s: &str) -> u64 {
     h ^ (h >> 33)
 }
 
-/// One append-only run of strings with layer-local ids `0..len()`.
+/// Strings back to back, with ids `0..len()`.
 #[derive(Default, Debug, Clone)]
-struct Layer {
-    /// Every string of the layer, back to back.
+struct Arena {
+    /// Every string, back to back.
     bytes: String,
     /// `ends[id]` is the byte offset in `bytes` where string `id` ends; it
     /// starts where string `id - 1` ends (or at 0).
     ends: Vec<u32>,
-    /// Open-addressing table of `(hash_tag, local_id)` slots (`EMPTY` =
-    /// vacant), sized to a power of two. A probe compares the 32-bit hash
-    /// tag first and only compares the candidate's text on a tag match, so
-    /// no second copy of any key is stored and false probes never touch
-    /// the arena.
-    table: Vec<u64>,
 }
 
-impl Layer {
+impl Arena {
     #[inline]
     fn len(&self) -> usize {
         self.ends.len()
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.ends.is_empty()
     }
 
     #[inline]
@@ -107,12 +111,56 @@ impl Layer {
         &self.bytes[start..self.ends[id] as usize]
     }
 
+    /// Append `s` under the next id, unless the arena would pass 4 GiB.
+    #[inline]
+    fn push(&mut self, s: &str) -> Option<u32> {
+        let end = u32::try_from(self.bytes.len() + s.len()).ok()?;
+        let id = self.len() as u32;
+        self.bytes.push_str(s);
+        self.ends.push(end);
+        Some(id)
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+}
+
+/// The base: an arena plus the hash table that finds its strings.
+#[derive(Default, Debug, Clone)]
+struct Layer {
+    arena: Arena,
+    /// Open-addressing table of `(hash_tag, id)` slots (`EMPTY` = vacant),
+    /// sized to a power of two. A probe compares the 32-bit hash tag first
+    /// and only compares the candidate's text on a tag match, so no second
+    /// copy of any key is stored and false probes never touch the arena.
+    table: Vec<u64>,
+}
+
+impl Layer {
+    #[inline]
+    fn len(&self) -> usize {
+        self.arena.len()
+    }
+
+    #[inline]
+    fn text(&self, id: usize) -> &str {
+        self.arena.text(id)
+    }
+
     fn find(&self, s: &str, hash: u64) -> Option<u32> {
         if self.table.is_empty() {
             return None;
         }
+        self.find_from(s, hash, hash as usize)
+    }
+
+    /// Probe for `s` from slot `i` (taken modulo the table size) on; the
+    /// table must not be empty.
+    fn find_from(&self, s: &str, hash: u64, i: usize) -> Option<u32> {
         let mask = self.table.len() - 1;
-        let mut i = hash as usize & mask;
+        let mut i = i & mask;
         loop {
             let slot = self.table[i];
             if slot == EMPTY {
@@ -125,15 +173,12 @@ impl Layer {
         }
     }
 
-    /// Append `s`, known to be absent, under the next local id.
+    /// Append `s`, known to be absent, under the next id.
     fn push(&mut self, s: &str, hash: u64) {
         if self.len() * 4 >= self.table.len() * 3 {
             self.grow();
         }
-        let id = self.len() as u32;
-        self.bytes.push_str(s);
-        let end = u32::try_from(self.bytes.len()).expect("interner exceeded 4 GiB of text");
-        self.ends.push(end);
+        let id = self.arena.push(s).expect("interner exceeded 4 GiB of text");
         let slot = self.vacant_slot(hash);
         self.table[slot] = slot_entry(hash, id);
     }
@@ -145,13 +190,6 @@ impl Layer {
             i = (i + 1) & mask;
         }
         i
-    }
-
-    /// Forget every string, keeping every buffer's capacity.
-    fn clear(&mut self) {
-        self.bytes.clear();
-        self.ends.clear();
-        self.table.fill(EMPTY);
     }
 
     /// Mean distance, in slots, from each entry to the slot its hash
@@ -183,106 +221,275 @@ impl Layer {
     }
 }
 
-/// Append-only string interner. Symbols are dense indices starting at 0.
-///
-/// Cloning is cheap and deliberate: a serve-phase worker that must parse
-/// *new* query text (which can mention strings the build phase never saw)
-/// clones the build-phase interner once and interns worker-locally. The
-/// clone shares the base layer through an `Arc` and copies only the
-/// overlay. Every pre-existing symbol keeps its id in the clone, so terms
-/// stay comparable against the shared rule set, while post-clone symbols
-/// (ids ≥ the clone point's [`Interner::symbol_bound`]) are private to that
-/// worker and can never alias a rule symbol.
-///
-/// `intern` writes into the base only while this interner holds the one
-/// reference to it **and** its overlay is empty; otherwise it writes into
-/// the overlay. The second condition keeps every overlay id stable: the
-/// base never grows under an overlay, even after the clones that shared it
-/// are dropped.
-///
-/// Bound: an overlay grows with every novel string its owner interns,
-/// until [`Interner::trim_overlay`], called between requests, empties it
-/// once it holds more than 4,096 symbols. A worker serving an endless
-/// stream of unique literals therefore keeps at most 4,096 overlay symbols
-/// (plus one request's worth) and their text.
+/// Intern `s` into `base`, copying the base first if another handle
+/// shares it and `s` is novel.
+fn intern_into(base: &mut Arc<Layer>, s: &str) -> Symbol {
+    let hash = hash_str(s);
+    if let Some(id) = base.find(s, hash) {
+        return Symbol(id);
+    }
+    let id = base.len() as u32;
+    assert!(id <= Symbol::MAX, "interner exceeded 2^28 symbols");
+    Arc::make_mut(base).push(s, hash);
+    Symbol(id)
+}
+
+/// One IRI or literal entry's base lookup, filled in stage by stage.
+#[derive(Copy, Clone, Default, Debug)]
+struct Probe {
+    /// The request entry looked up.
+    entry: u32,
+    hash: u64,
+    /// The candidate's slot, and its id ([`ABSENT`] for none).
+    pos: u32,
+    id: u32,
+    /// The candidate's text, `bytes[start..end]` of the base arena.
+    start: u32,
+    end: u32,
+}
+
+/// The terms of the request being parsed: one entry per term occurrence,
+/// in parse order, and after the resolve pass each entry's symbol.
 #[derive(Default, Debug, Clone)]
+struct RequestTerms {
+    arena: Arena,
+    /// `resolved[i]`: entry `i`'s symbol, once the pass has run.
+    resolved: Vec<u32>,
+    /// The IRI and literal entries, in order: the base lookups.
+    probes: Vec<Probe>,
+    /// Scratch of the entries that end up request-local: `(hash of the
+    /// entry's text, entry)`.
+    locals: Vec<(u64, u32)>,
+}
+
+impl RequestTerms {
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.resolved.clear();
+        self.probes.clear();
+        self.locals.clear();
+    }
+
+    /// Look every probe up in `base`, in stages, writing each found id to
+    /// `resolved`.
+    fn look_up(&mut self, base: &Layer) {
+        let RequestTerms {
+            arena,
+            resolved,
+            probes,
+            ..
+        } = self;
+        for p in probes.iter_mut() {
+            p.hash = hash_str(arena.text(p.entry as usize));
+        }
+        if base.table.is_empty() {
+            return;
+        }
+        let mask = base.table.len() - 1;
+        // Home slots, skipping slots whose tag is another key's: those
+        // share the home slot's cache line nearly always.
+        for p in probes.iter_mut() {
+            let mut pos = p.hash as usize & mask;
+            let mut slot = base.table[pos];
+            while slot != EMPTY && !slot_tag_matches(slot, p.hash) {
+                pos = (pos + 1) & mask;
+                slot = base.table[pos];
+            }
+            p.pos = pos as u32;
+            p.id = if slot == EMPTY { ABSENT } else { slot_id(slot) };
+        }
+        let ends = &base.arena.ends;
+        for p in probes.iter_mut().filter(|p| p.id != ABSENT) {
+            let id = p.id as usize;
+            p.start = id.checked_sub(1).map_or(0, |prev| ends[prev]);
+            p.end = ends[id];
+        }
+        let bytes = base.arena.bytes.as_bytes();
+        for p in probes.iter().filter(|p| p.id != ABSENT) {
+            let key = arena.text(p.entry as usize);
+            let found = if &bytes[p.start as usize..p.end as usize] == key.as_bytes() {
+                Some(p.id)
+            } else {
+                // A 32-bit tag collision: the key may sit further along.
+                base.find_from(key, p.hash, p.pos as usize + 1)
+            };
+            if let Some(id) = found {
+                resolved[p.entry as usize] = id;
+            }
+        }
+    }
+
+    /// Give every entry the base lacks the local symbol of the first entry
+    /// with its text, so equal texts are one term: sort those entries by
+    /// `(hash, text, entry)`, which puts equal texts side by side, first
+    /// occurrence first, in O(n log n) compares whatever the request's
+    /// text.
+    fn share_locals(&mut self) {
+        let RequestTerms {
+            arena,
+            resolved,
+            locals,
+            ..
+        } = self;
+        locals.clear();
+        locals.extend(
+            (0..resolved.len() as u32)
+                .filter(|&e| resolved[e as usize] == ABSENT)
+                .map(|e| (hash_str(arena.text(e as usize)), e)),
+        );
+        let text = |e: u32| arena.text(e as usize);
+        locals.sort_unstable_by(|a, b| {
+            (a.0.cmp(&b.0))
+                .then_with(|| text(a.1).cmp(text(b.1)))
+                .then(a.1.cmp(&b.1))
+        });
+        let mut first = (0, ABSENT);
+        for &(hash, entry) in locals.iter() {
+            if first.1 == ABSENT || hash != first.0 || text(entry) != text(first.1) {
+                first = (hash, entry);
+            }
+            resolved[entry as usize] = Symbol::LOCAL | first.1;
+        }
+    }
+}
+
+/// String interner handle: a shared base of interned strings plus the
+/// request term table its parses write into (see the module doc).
+///
+/// There are two kinds of handle. [`Interner::new`] makes a **build**
+/// handle, whose parses intern their terms into the base. Cloning makes a
+/// **serve** handle, which shares the base through an `Arc` (no copy of
+/// the vocabulary) and copies the request term table, so it resolves every
+/// symbol the original does. A serve handle's parses look their IRIs and
+/// literals up in the base and never write it; every other term, and
+/// every term the base lacks, gets a request-local symbol
+/// ([`Symbol::LOCAL`] set), which is valid until the handle's next parse
+/// and can never alias a base symbol, so no rule ever matches it.
+///
+/// Each parse clears the table first, so a handle holds at most one
+/// request's terms, however many requests it parses.
+#[derive(Default, Debug)]
 pub struct Interner {
     base: Arc<Layer>,
-    own: Layer,
+    request: RequestTerms,
+    /// Whether this is a serve handle (from `clone()`).
+    serve: bool,
+}
+
+impl Clone for Interner {
+    /// A serve handle over the same base; see [`Interner`].
+    fn clone(&self) -> Interner {
+        Interner {
+            base: Arc::clone(&self.base),
+            request: self.request.clone(),
+            serve: true,
+        }
+    }
 }
 
 impl Interner {
+    /// An empty build handle.
     pub fn new() -> Interner {
         Interner::default()
     }
 
-    /// Intern `s`, returning its symbol. O(1) amortized; copies `s` into an
-    /// arena only the first time it is seen.
-    pub fn intern(&mut self, s: &str) -> Symbol {
-        let hash = hash_str(s);
-        if let Some(sym) = self.find(s, hash) {
-            return sym;
-        }
-        let id = u32::try_from(self.symbol_bound()).expect("interner overflow");
-        assert!(id <= Symbol::MAX, "interner exceeded 2^29 symbols");
-        let layer = match Arc::get_mut(&mut self.base) {
-            Some(base) if self.own.is_empty() => base,
-            _ => &mut self.own,
-        };
-        layer.push(s, hash);
-        Symbol(id)
-    }
-
-    /// At a request boundary, empty the overlay once it holds more than
-    /// 4,096 symbols, keeping its capacity: a warm reset allocates nothing.
-    /// This is what bounds a serve worker's memory under a stream of
-    /// unique literals.
+    /// Intern `s` into the base, returning its symbol. O(1) amortized;
+    /// copies `s` into the arena only the first time it is seen.
     ///
-    /// Every symbol minted into the overlay becomes invalid (its id will
-    /// be reissued for another string), so call it only where nothing
-    /// minted earlier is resolved again: the serve engine (whose cache
-    /// holds rendered text, never symbols) and the federated worker (whose
-    /// planner and executor keep nothing past a request) call it before
-    /// parsing each request. Base symbols are untouched.
-    pub fn trim_overlay(&mut self) {
-        if self.own.len() > OVERLAY_BOUND {
-            self.own.clear();
-        }
+    /// Build handles only: a serve handle panics in debug builds, since its
+    /// first novel string would copy the whole shared vocabulary. On a
+    /// build handle that has a live clone, the first novel string copies
+    /// the base too, which this handle then owns alone.
+    pub fn intern(&mut self, s: &str) -> Symbol {
+        debug_assert!(!self.serve, "intern on a serve handle");
+        intern_into(&mut self.base, s)
     }
 
-    /// The overlay is small and holds the hot worker-local strings, so it
-    /// is probed first.
+    /// Empty the request term table, keeping its capacity. Every parse
+    /// starts with it.
+    pub(crate) fn clear_request(&mut self) {
+        self.request.clear();
+    }
+
+    /// One occurrence of a `kind` term with canonical text `s`. A build
+    /// handle interns `s` and returns the term with its base symbol. A
+    /// serve handle pushes `s` onto the request term table and returns the
+    /// term with its request-local symbol; the resolve pass looks IRIs and
+    /// literals up in the base, while variables and blank labels never
+    /// touch it. `None` once the table holds 2^28 entries or 4 GiB of
+    /// text.
     #[inline]
-    fn find(&self, s: &str, hash: u64) -> Option<Symbol> {
-        if let Some(id) = self.own.find(s, hash) {
-            return Some(Symbol(self.base.len() as u32 + id));
+    pub(crate) fn push(&mut self, kind: TermKind, s: &str) -> Option<Term> {
+        if !self.serve {
+            return Some(Term::new(kind, intern_into(&mut self.base, s)));
         }
-        self.base.find(s, hash).map(Symbol)
+        let req = &mut self.request;
+        if req.arena.len() > Symbol::MAX as usize {
+            return None;
+        }
+        let entry = req.arena.push(s)?;
+        if matches!(kind, TermKind::Iri | TermKind::Literal) {
+            req.probes.push(Probe {
+                entry,
+                ..Probe::default()
+            });
+        }
+        Some(Term::new(kind, Symbol(Symbol::LOCAL | entry)))
     }
 
-    /// Look up a symbol minted by this interner (or by the interner it was
-    /// cloned from, before the clone).
+    /// The pass that ends a successful parse: resolve every entry of the
+    /// request term table (see the module doc), which [`Interner::settle`]
+    /// then reads. Returns whether there was anything to resolve: a build
+    /// handle's table is empty, since it interned as it went.
+    pub(crate) fn resolve_request(&mut self) -> bool {
+        let req = &mut self.request;
+        if req.arena.len() == 0 {
+            return false;
+        }
+        req.resolved.clear();
+        req.resolved.resize(req.arena.len(), ABSENT);
+        req.look_up(&self.base);
+        req.share_locals();
+        true
+    }
+
+    /// `t` with its symbol swapped for the one the resolve pass gave it;
+    /// any term whose symbol is not request-local is returned as is.
+    #[inline]
+    pub(crate) fn settle(&self, t: Term) -> Term {
+        let sym = t.symbol();
+        if !sym.is_local() {
+            return t;
+        }
+        let entry = (sym.0 & !Symbol::LOCAL) as usize;
+        Term::new(t.kind(), Symbol(self.request.resolved[entry]))
+    }
+
+    /// The text of `sym`: a base string, or for a request-local symbol the
+    /// request term table's entry, valid until this handle parses again.
     #[inline]
     pub fn resolve(&self, sym: Symbol) -> &str {
-        let id = sym.index();
-        match id.checked_sub(self.base.len()) {
-            None => self.base.text(id),
-            Some(own_id) => self.own.text(own_id),
+        if sym.is_local() {
+            self.request.arena.text((sym.0 & !Symbol::LOCAL) as usize)
+        } else {
+            self.base.text(sym.index())
         }
     }
 
-    /// Symbol for `s` if it has already been interned.
+    /// Base symbol for `s` if it has been interned.
     pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.find(s, hash_str(s))
+        self.base.find(s, hash_str(s)).map(Symbol)
     }
 
+    /// Number of strings in the base.
     pub fn len(&self) -> usize {
-        self.base.len() + self.own.len()
+        self.base.len()
     }
 
-    /// Exclusive upper bound on every symbol id minted so far: symbols are
+    /// Exclusive upper bound on every base symbol id: base symbols are
     /// dense indices `0..symbol_bound()`, which is what lets
-    /// [`crate::align::AlignmentStore`] dispatch rules by direct array index.
+    /// [`crate::align::AlignmentStore`] dispatch rules by direct array
+    /// index.
     #[inline]
     pub fn symbol_bound(&self) -> usize {
         self.len()
@@ -290,6 +497,13 @@ impl Interner {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Entries in the request term table: one per term occurrence of the
+    /// last parse.
+    #[cfg(test)]
+    pub(crate) fn request_len(&self) -> usize {
+        self.request.arena.len()
     }
 }
 
@@ -372,77 +586,198 @@ mod tests {
         assert_eq!(it.intern(""), empty);
     }
 
+    /// Parse `q` on `it` and return its triples.
+    fn triples(q: &str, it: &mut Interner) -> Vec<crate::TriplePattern> {
+        crate::parse_query(q, it).expect("parses").pattern.triples
+    }
+
     #[test]
-    fn clones_share_the_base_and_keep_overlays_private() {
+    fn clones_share_the_base_and_keep_request_terms_private() {
         let mut build = Interner::new();
         let rule = build.intern("http://example.org/rule");
-        let bound = build.symbol_bound();
         let mut w1 = build.clone();
         let mut w2 = build.clone();
         assert!(Arc::ptr_eq(&w1.base, &w2.base), "clones share one base");
 
-        assert_eq!(w1.intern("http://example.org/rule"), rule);
-        let novel = w1.intern("\"only in w1\"");
-        assert!(novel.index() >= bound, "novel string landed in the base");
+        let t1 = triples(
+            "SELECT * WHERE { ?s <http://example.org/rule> \"only in w1\" }",
+            &mut w1,
+        );
+        assert_eq!(
+            t1[0].p.symbol(),
+            rule,
+            "a base string resolves to its symbol"
+        );
+        let novel = t1[0].o.symbol();
+        assert!(novel.is_local(), "a novel string left the request table");
         assert_eq!(w1.resolve(novel), "\"only in w1\"");
-        assert_eq!(w2.get("\"only in w1\""), None, "a sibling sees the overlay");
+        assert_eq!(w2.get("\"only in w1\""), None, "a sibling sees w1's terms");
         assert_eq!(build.get("\"only in w1\""), None);
 
-        // The sibling mints the same id for its own, different string.
-        let other = w2.intern("\"only in w2\"");
-        assert_eq!(other, novel);
-        assert_eq!(w2.resolve(other), "\"only in w2\"");
+        // The sibling mints the same symbol for its own, different string.
+        let t2 = triples(
+            "SELECT * WHERE { ?s <http://example.org/rule> \"only in w2\" }",
+            &mut w2,
+        );
+        assert_eq!(t2[0].o.symbol(), novel);
+        assert_eq!(w2.resolve(novel), "\"only in w2\"");
         assert_eq!(w1.resolve(novel), "\"only in w1\"");
+        // A clone of a serve handle resolves what the handle does.
+        assert_eq!(w1.clone().resolve(novel), "\"only in w1\"");
     }
 
     #[test]
-    fn base_never_grows_under_an_overlay() {
+    fn a_serve_parse_never_grows_the_base() {
         let mut build = Interner::new();
         build.intern("http://example.org/rule");
         let mut worker = build.clone();
-        let first = worker.intern("first");
-        // The worker now holds the one reference to the base, but its
-        // overlay is not empty: the next string must not go into the base,
-        // whose next id is `first`'s.
+        // The worker now holds the one reference to the base: it still
+        // must not write to it.
         drop(build);
-        let second = worker.intern("second");
-        assert_ne!(first, second);
-        assert_eq!(worker.resolve(first), "first");
-        assert_eq!(worker.resolve(second), "second");
-        assert_eq!(worker.get("first"), Some(first));
-        assert_eq!(worker.get("second"), Some(second));
+        let t = triples(
+            "SELECT * WHERE { ?first <http://example.org/x> \"y\" }",
+            &mut worker,
+        );
+        assert_eq!(worker.len(), 1);
+        assert!(t[0].terms().iter().all(|t| t.symbol().is_local()));
+        assert_eq!(worker.resolve(t[0].p.symbol()), "http://example.org/x");
+        assert_eq!(worker.get("first"), None);
     }
 
     #[test]
-    fn trimming_empties_only_an_overlay_past_the_bound() {
-        let mut build = Interner::new();
-        let rule = build.intern("http://example.org/rule");
-        let mut worker = build.clone();
-        for i in 0..OVERLAY_BOUND {
-            worker.intern(&format!("\"{i}\""));
+    fn each_parse_clears_the_previous_request_table() {
+        let mut worker = Interner::new().clone();
+        let q = |i: usize| format!("SELECT ?v{i} WHERE {{ ?v{i} ?p \"{i}\" }}");
+        for i in 0..1_000 {
+            let t = triples(&q(i), &mut worker);
+            assert_eq!(worker.request_len(), 4, "one request's terms");
+            assert_eq!(worker.resolve(t[0].o.symbol()), format!("\"{i}\""));
         }
-        worker.trim_overlay();
-        assert_eq!(worker.own.len(), OVERLAY_BOUND, "at the bound: kept");
-        worker.intern("\"last\"");
-        worker.trim_overlay();
-        assert!(worker.own.is_empty(), "past the bound: emptied");
-        assert_eq!(worker.get("\"last\""), None);
-        assert_eq!(worker.get("\"0\""), None);
-        assert_eq!(worker.get("http://example.org/rule"), Some(rule));
-        // The next novel string reuses the first overlay id.
-        let again = worker.intern("\"again\"");
-        assert_eq!(again.index(), build.symbol_bound());
-        assert_eq!(worker.resolve(again), "\"again\"");
-        assert_eq!(worker.intern("\"again\""), again);
+        // A failed parse also starts from an empty table.
+        assert!(crate::parse_query("SELECT ?a ?b ?c WHERE {", &mut worker).is_err());
+        assert_eq!(worker.request_len(), 3);
+        assert!(worker.is_empty());
+    }
+
+    #[test]
+    fn request_terms_resolve_like_a_base_lookup() {
+        // A base big enough that its probe chains run: every IRI and
+        // literal of the request must resolve to what `get` finds, every
+        // other term to the first entry with its text.
+        let mut build = Interner::new();
+        for i in 0..20_000 {
+            build.intern(&format!("http://example.org/p{i}"));
+            build.intern(&format!("\"{i}\""));
+        }
+        let mut worker = build.clone();
+        let mut q = String::from("SELECT * WHERE { ");
+        for i in (0..40_000).step_by(997) {
+            q.push_str(&format!("?v{} <http://example.org/p{i}> \"{i}\" . ", i % 3));
+        }
+        q.push('}');
+        let t = triples(&q, &mut worker);
+        for (n, tp) in t.iter().enumerate() {
+            for term in [tp.p, tp.o] {
+                let text = worker.resolve(term.symbol());
+                assert_eq!(
+                    term.symbol().is_local(),
+                    build.get(text).is_none(),
+                    "{text}"
+                );
+                if let Some(sym) = build.get(text) {
+                    assert_eq!(term.symbol(), sym);
+                }
+            }
+            assert_eq!(tp.s, t[n % 3].s, "?v{} is one term", n % 3);
+        }
+        assert_ne!(t[0].s, t[1].s);
+        assert_eq!(worker.len(), build.len());
+    }
+
+    #[test]
+    fn equal_texts_share_the_first_occurrences_symbol() {
+        let mut worker = Interner::new().clone();
+        for n in [2, 30, 128] {
+            let mut q = String::from("SELECT * WHERE { ");
+            for i in 0..n {
+                q.push_str(&format!("?v{i} <http://p> ?v{} . ", (i + 1) % n));
+            }
+            q.push('}');
+            let t = triples(&q, &mut worker);
+            assert_eq!(t[0].s.symbol(), Symbol(Symbol::LOCAL), "n = {n}");
+            assert_eq!(t[1].p.symbol(), Symbol(Symbol::LOCAL | 1), "n = {n}");
+            for i in 0..n {
+                assert_eq!(t[i].o, t[(i + 1) % n].s, "n = {n}, i = {i}");
+                assert_eq!(t[i].p, t[0].p, "n = {n}, i = {i}");
+                assert_eq!(worker.resolve(t[i].s.symbol()), format!("v{i}"));
+            }
+            let distinct: std::collections::HashSet<Term> = t.iter().map(|tp| tp.s).collect();
+            assert_eq!(distinct.len(), n, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_short_text_is_not_a_longer_one_it_prefixes() {
+        // `abcdefg` (7 bytes) and a 102-byte text that starts with it and
+        // has `a` as its eighth byte: a key of the length's low byte XORed
+        // into the first eight bytes is equal for both (0x61 ^ 102 == 7),
+        // so only comparing whole texts tells them apart.
+        let long = format!("abcdefga{}", "x".repeat(94));
+        assert_eq!(long.len(), 102);
+        let q =
+            format!("SELECT * WHERE {{ ?{long} <{long}> ?abcdefg . ?abcdefg <abcdefg> ?{long} }}");
+        let mut worker = Interner::new().clone();
+        let query = crate::parse_query(&q, &mut worker).expect("parses");
+        let t = &query.pattern.triples;
+        assert_ne!(t[0].s, t[0].o, "?abcdefg took ?{long}'s symbol");
+        assert_ne!(t[0].p, t[1].p, "<abcdefg> took <{long}>'s symbol");
+        assert_eq!((t[0].s, t[0].o), (t[1].o, t[1].s));
+        let texts: Vec<&str> = [t[1].s, t[1].p]
+            .iter()
+            .map(|x| worker.resolve(x.symbol()))
+            .collect();
+        assert_eq!(texts, ["abcdefg", "abcdefg"]);
+        let sparql = query.to_sparql(&worker);
+        assert!(sparql.contains("?abcdefg <abcdefg> ?abcdefga"), "{sparql}");
+    }
+
+    /// Two strings whose slots carry the same 32-bit tag and the same home
+    /// in a 16-slot table: a staged lookup of one meets the other first.
+    fn tag_twins() -> (String, String) {
+        let mut seen = std::collections::HashMap::new();
+        for i in 0u64.. {
+            let s = format!("\"{i}\"");
+            match seen.entry(hash_str(&s) & 0xffff_ffff_0000_000f) {
+                std::collections::hash_map::Entry::Occupied(e) => return (e.remove(), s),
+                std::collections::hash_map::Entry::Vacant(e) => e.insert(s),
+            };
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn a_tag_collision_continues_the_probe() {
+        let (a, b) = tag_twins();
+        let q = format!("SELECT * WHERE {{ ?s ?p {a} . ?s ?p {b} }}");
+        let mut build = Interner::new();
+        let sym_a = build.intern(&a);
+        assert_eq!(build.base.table.len(), 16);
+        let t = triples(&q, &mut build.clone());
+        assert_eq!(t[0].o.symbol(), sym_a);
+        assert!(t[1].o.symbol().is_local(), "{b} matched {a}'s slot");
+        let sym_b = build.intern(&b);
+        let t = triples(&q, &mut build.clone());
+        assert_eq!((t[0].o.symbol(), t[1].o.symbol()), (sym_a, sym_b));
     }
 
     #[test]
     fn a_dropped_clone_hands_the_base_back() {
         let mut build = Interner::new();
         build.intern("a");
+        let base = Arc::as_ptr(&build.base);
         drop(build.clone());
         let b = build.intern("b");
-        assert!(build.own.is_empty(), "unique base with an empty overlay");
+        assert_eq!(Arc::as_ptr(&build.base), base, "the base was copied");
         assert_eq!(build.resolve(b), "b");
         assert_eq!(build.base.len(), 2);
     }

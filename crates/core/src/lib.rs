@@ -60,7 +60,9 @@
 //! every `add_*`, so there is nothing to freeze). The **serve phase** is
 //! shared and read-only: the store goes behind `&` or an `Arc`, each
 //! worker clones the [`interner::Interner`] (the clone shares its strings
-//! and adds a private overlay), rewriting takes `&self` only, and
+//! and never writes them: each parse resolves its terms against them in
+//! one staged pass, keeping terms they lack request-local), rewriting
+//! takes `&self` only, and
 //! template-introduced existentials are structural
 //! [`term::TermKind::Fresh`] terms (no interning on the hot path). With a
 //! caller-owned [`rewriter::RewriteScratch`], steady-state

@@ -2,9 +2,12 @@
 //! fragment of SPARQL.
 //!
 //! The tokenizer yields byte spans of the input, and the parser slices a
-//! token's text out of the input only when it needs it; nothing is
-//! allocated until a term's final text is known (after PREFIX expansion for
-//! QNames), at which point it is interned once. Supported syntax:
+//! token's text out of the input only when it needs it. Once a term's
+//! final text is known (after PREFIX expansion for QNames), it goes to the
+//! interner handle once: a build handle interns it, a serve handle pushes
+//! it onto its request term table. When the whole query has parsed, one
+//! pass resolves that table and the parser gives every term its resolved
+//! symbol (see [`crate::interner`]). Supported syntax:
 //!
 //! ```sparql
 //! PREFIX foaf: <http://xmlns.com/foaf/0.1/>
@@ -45,7 +48,7 @@ use crate::interner::Interner;
 use crate::pattern::{
     Bgp, ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef, TriplePattern,
 };
-use crate::term::Term;
+use crate::term::{Term, TermKind};
 
 pub(crate) const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 pub(crate) const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
@@ -518,10 +521,11 @@ struct PrefixSpan {
 ///
 /// Holds every buffer the parser needs per query — the output group-pattern
 /// tree, the projection, the PREFIX table, and the QName-expansion string —
-/// so a warm [`parse_query_into`] call performs **zero heap allocations**
-/// provided every string in the query has been interned before (the
-/// steady-state of a serve loop, where the first pass over a workload warms
-/// both the scratch and the interner).
+/// so a warm [`parse_query_into`] call performs **zero heap allocations**:
+/// on a serve handle once this scratch and the handle's request term table
+/// have grown to the request's size, whatever strings it holds; on a build
+/// handle once this scratch has grown and every string in the query has
+/// been interned.
 #[derive(Default, Debug)]
 pub struct ParseScratch {
     pattern: GroupPattern,
@@ -588,7 +592,7 @@ struct SubExpr {
 
 /// Parser state: a tokenizer with one token of lookahead, plus the
 /// scratch-owned PREFIX table and QName-expansion buffer, and the interner
-/// terms are minted into.
+/// handle every term is pushed to.
 ///
 /// Parser-level errors report the tokenizer's `last_start`: the lookahead
 /// is the last token the tokenizer read, so whether the offending token was
@@ -617,6 +621,7 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         expand_buf: &'p mut String,
     ) -> Parser<'a, 'i, 'p> {
         prefixes.clear();
+        interner.clear_request();
         Parser {
             tok: Tokenizer::new(input),
             peeked: None,
@@ -759,23 +764,46 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         }
     }
 
-    /// Expand a QName against the PREFIX table and intern the result.
-    fn intern_qname(&mut self, qname: &'a str) -> Parsed<Term> {
+    /// Push one occurrence of a `kind` term with canonical text `text` to
+    /// the interner handle; every term the parser reads goes through here
+    /// or [`Parser::push_expanded`].
+    #[inline]
+    fn push(&mut self, kind: TermKind, text: &str) -> Parsed<Term> {
+        self.interner
+            .push(kind, text)
+            .ok_or_else(|| self.table_full())
+    }
+
+    /// [`Parser::push`] for the text in the expansion buffer.
+    #[inline]
+    fn push_expanded(&mut self, kind: TermKind) -> Parsed<Term> {
+        self.interner
+            .push(kind, self.expand_buf)
+            .ok_or_else(|| self.table_full())
+    }
+
+    #[cold]
+    fn table_full(&self) -> Box<ParseError> {
+        self.err("more terms than one request can hold")
+    }
+
+    /// Expand a QName against the PREFIX table and push the result.
+    fn push_qname(&mut self, qname: &'a str) -> Parsed<Term> {
         let (base, local) = self.expand_qname(qname)?;
         self.expand_buf.clear();
         self.expand_buf.push_str(base);
         self.expand_buf.push_str(local);
-        Ok(Term::iri(self.interner.intern(self.expand_buf)))
+        self.push_expanded(TermKind::Iri)
     }
 
-    /// Intern literal token `lit` in its canonical spelling: the quoted
+    /// Push literal token `lit` in its canonical spelling: the quoted
     /// body verbatim, a language tag lowercased (RDF lang tags are
     /// case-insensitive, so `"x"@EN` and `"x"@en` are one term), a
     /// `^^<iri>` datatype verbatim, and a `^^prefix:local` datatype
     /// expanded to `^^<iri>` (so rendered output needs no PREFIX
     /// declaration and the QName and full-IRI spellings of one literal are
     /// one term).
-    fn intern_literal(&mut self, lit: &'a str) -> Parsed<Term> {
+    fn push_literal(&mut self, lit: &'a str) -> Parsed<Term> {
         // Tokenizer invariant (closing quote present) downgraded to an
         // error rather than a panic — same rationale as `expand_qname`.
         let Some(close) = lit.rfind('"') else {
@@ -797,20 +825,20 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         } else {
             out.push_str(lit);
         }
-        Ok(Term::literal(self.interner.intern(self.expand_buf)))
+        self.push_expanded(TermKind::Literal)
     }
 
-    /// Intern a bare literal token (`42`, `3.14`, `true`) as its xsd-typed
+    /// Push a bare literal token (`42`, `3.14`, `true`) as its xsd-typed
     /// quoted form, so the sugar and the explicit `"42"^^<xsd:integer>`
     /// spelling share a symbol and render identically.
-    fn intern_typed(&mut self, text: &str, datatype: &str) -> Term {
+    fn push_typed(&mut self, text: &str, datatype: &str) -> Parsed<Term> {
         self.expand_buf.clear();
         self.expand_buf.push('"');
         self.expand_buf.push_str(text);
         self.expand_buf.push_str("\"^^<");
         self.expand_buf.push_str(datatype);
         self.expand_buf.push('>');
-        Term::literal(self.interner.intern(self.expand_buf))
+        self.push_expanded(TermKind::Literal)
     }
 
     fn parse_term(&mut self, tok: Token, position: &str) -> Parsed<Term> {
@@ -819,18 +847,18 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
         // position and FILTER expressions, never as subject or verb.
         let literal_ok = matches!(position, "object" | "expression");
         match tok.kind {
-            Kind::IriRef => Ok(Term::iri(self.interner.intern(text))),
-            Kind::QName => self.intern_qname(text),
-            Kind::Var => Ok(Term::var(self.interner.intern(text))),
-            Kind::Literal => self.intern_literal(text),
-            Kind::Integer if literal_ok => Ok(self.intern_typed(text, XSD_INTEGER)),
-            Kind::Decimal if literal_ok => Ok(self.intern_typed(text, XSD_DECIMAL)),
-            Kind::Blank => Ok(Term::blank(self.interner.intern(text))),
+            Kind::IriRef => self.push(TermKind::Iri, text),
+            Kind::QName => self.push_qname(text),
+            Kind::Var => self.push(TermKind::Var, text),
+            Kind::Literal => self.push_literal(text),
+            Kind::Integer if literal_ok => self.push_typed(text, XSD_INTEGER),
+            Kind::Decimal if literal_ok => self.push_typed(text, XSD_DECIMAL),
+            Kind::Blank => self.push(TermKind::Blank, text),
             Kind::Word if text == "a" && position == "predicate" => {
-                Ok(Term::iri(self.interner.intern(RDF_TYPE)))
+                self.push(TermKind::Iri, RDF_TYPE)
             }
             Kind::Word if matches!(text, "true" | "false") && literal_ok => {
-                Ok(self.intern_typed(text, XSD_BOOLEAN))
+                self.push_typed(text, XSD_BOOLEAN)
             }
             _ => Err(self.unexpected(&format!("{position} term"), tok)),
         }
@@ -860,7 +888,7 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
                 break;
             }
             self.peeked = None;
-            vars.push(Term::var(self.interner.intern(self.text(t))));
+            vars.push(self.push(TermKind::Var, self.text(t))?);
         }
         if vars.is_empty() {
             return Err(self.err("SELECT needs '*' or at least one variable"));
@@ -950,9 +978,9 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
                 let tok = self.expect("endpoint after SERVICE")?;
                 let text = self.text(tok);
                 let endpoint = match tok.kind {
-                    Kind::IriRef => Term::iri(self.interner.intern(text)),
-                    Kind::QName => self.intern_qname(text)?,
-                    Kind::Var => Term::var(self.interner.intern(text)),
+                    Kind::IriRef => self.push(TermKind::Iri, text)?,
+                    Kind::QName => self.push_qname(text)?,
+                    Kind::Var => self.push(TermKind::Var, text)?,
                     _ => {
                         return Err(self.err(format!(
                             "SERVICE endpoint must be an IRI or a variable, found {:?}",
@@ -1114,9 +1142,13 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
 
 /// Parse a full SELECT query into caller-owned scratch buffers. The parsed
 /// query is readable via [`ParseScratch::query_ref`] (or copied out with
-/// owned types via [`parse_query`]). With a warm scratch and a warm
-/// interner — every string already seen — a call performs **zero heap
-/// allocations**; this is the parse stage of the zero-alloc serve pipeline.
+/// owned types via [`parse_query`]). With a warm scratch (see
+/// [`ParseScratch`]) a call performs **zero heap allocations**; this is the
+/// parse stage of the zero-alloc serve pipeline.
+///
+/// The parse clears `interner`'s request term table first: terms of an
+/// earlier parse on a serve handle that kept a request-local symbol are
+/// invalid from here on.
 pub fn parse_query_into(
     input: &str,
     interner: &mut Interner,
@@ -1133,12 +1165,18 @@ pub fn parse_query_into(
     } = scratch;
     let mut parser = Parser::new(input, interner, prefixes, expand_buf);
     *select_star = parser.parse_query_body(select, pattern).map_err(|e| *e)?;
+    if interner.resolve_request() {
+        pattern.map_terms(|t| interner.settle(t));
+        for t in select {
+            *t = interner.settle(*t);
+        }
+    }
     Ok(())
 }
 
-/// Parse a full SELECT query, interning all terms into `interner`.
-/// Convenience wrapper over [`parse_query_into`] that allocates a fresh
-/// [`ParseScratch`] and returns an owned [`Query`].
+/// Parse a full SELECT query on `interner` (a build handle interns its
+/// terms). Convenience wrapper over [`parse_query_into`] that allocates a
+/// fresh [`ParseScratch`] and returns an owned [`Query`].
 pub fn parse_query(input: &str, interner: &mut Interner) -> Result<Query, ParseError> {
     let mut scratch = ParseScratch::new();
     parse_query_into(input, interner, &mut scratch)?;
@@ -1152,9 +1190,16 @@ pub fn parse_query(input: &str, interner: &mut Interner) -> Result<Query, ParseE
 pub fn parse_bgp(input: &str, interner: &mut Interner) -> Result<Bgp, ParseError> {
     let mut prefixes = Vec::new();
     let mut expand_buf = String::new();
-    Parser::new(input, interner, &mut prefixes, &mut expand_buf)
+    let mut bgp = Parser::new(input, interner, &mut prefixes, &mut expand_buf)
         .parse_bgp_entry()
-        .map_err(|e| *e)
+        .map_err(|e| *e)?;
+    if interner.resolve_request() {
+        for tp in &mut bgp.patterns {
+            let settle = |t| interner.settle(t);
+            *tp = TriplePattern::new(settle(tp.s), settle(tp.p), settle(tp.o));
+        }
+    }
+    Ok(bgp)
 }
 
 impl Parser<'_, '_, '_> {

@@ -310,6 +310,23 @@ impl GroupPattern {
             }))
     }
 
+    /// Replace every term [`GroupPattern::terms`] yields with `f` of it.
+    pub(crate) fn map_terms(&mut self, mut f: impl FnMut(Term) -> Term) {
+        for tp in &mut self.triples {
+            *tp = TriplePattern::new(f(tp.s), f(tp.p), f(tp.o));
+        }
+        for e in &mut self.exprs {
+            if let ExprNode::Term(t) = e {
+                *t = f(*t);
+            }
+        }
+        for n in &mut self.nodes {
+            if let PatternNode::Service { endpoint, .. } = n {
+                *endpoint = f(*endpoint);
+            }
+        }
+    }
+
     fn node_eq(&self, a: u32, other: &GroupPattern, b: u32) -> bool {
         match (self.nodes[a as usize], other.nodes[b as usize]) {
             (PatternNode::Triples { .. }, PatternNode::Triples { .. }) => {
@@ -969,7 +986,9 @@ mod tests {
             Term::fresh(2),
         );
         let mut worker = i.clone();
-        let o = Term::var(worker.intern("o"));
+        // A serve handle's own term: request-local, rendered from its table.
+        let parsed = crate::parse_query("SELECT * WHERE { ?s ?s ?o }", &mut worker).unwrap();
+        let o = parsed.pattern.triples[0].o;
         let tp2 = TriplePattern::new(tp.s, tp.p, o);
         assert_eq!(
             render_bgp(&[tp, tp2], &worker),

@@ -6,20 +6,45 @@
 //! is an interner symbol and the textual form lives in the
 //! [`crate::interner::Interner`]; for [`TermKind::Fresh`] the payload is a
 //! per-rewrite counter and no string exists until render time.
+//!
+//! A symbol is one of two things, told apart by payload bit 28
+//! ([`Symbol::LOCAL`]): an id of the interner's shared base (bit clear,
+//! at most [`Symbol::MAX`]), or an index into the request term table of
+//! the handle that parsed it (bit set). The kind tag is untouched by it,
+//! so a request-local `?x` is still a [`TermKind::Var`] to the rewriter,
+//! and a request-local IRI lies past every rule table, which reads it as
+//! "no rule".
 
 use std::fmt;
 
-/// Index into an [`crate::interner::Interner`]. At most 2^29 distinct
-/// strings can be interned (the top three bits of a [`Term`] hold the kind).
+/// Index into an [`crate::interner::Interner`]: a base id, or a
+/// request-local index with [`Symbol::LOCAL`] set. The top three bits of a
+/// [`Term`] hold the kind, so the payload has 29 bits.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Symbol(pub(crate) u32);
 
 impl Symbol {
-    pub const MAX: u32 = (1 << 29) - 1;
+    /// Largest base id: the interner mints ids below 2^28, leaving the
+    /// payload's bit 28 to [`Symbol::LOCAL`].
+    pub const MAX: u32 = (1 << 28) - 1;
 
+    /// The payload bit of a request-local symbol: the text of such a
+    /// symbol is in the request term table of the handle that parsed it,
+    /// not in the shared base, and it is valid until that handle's next
+    /// parse.
+    pub const LOCAL: u32 = 1 << 28;
+
+    /// The symbol's payload: a base id, or [`Symbol::LOCAL`] plus an index
+    /// into a request term table.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// Whether the symbol is request-local (see [`Symbol::LOCAL`]).
+    #[inline]
+    pub fn is_local(self) -> bool {
+        self.0 & Symbol::LOCAL != 0
     }
 }
 
@@ -58,7 +83,7 @@ pub(crate) const SYM_MASK: u32 = (1 << TAG_SHIFT) - 1;
 impl Term {
     #[inline]
     pub fn new(kind: TermKind, sym: Symbol) -> Term {
-        debug_assert!(sym.0 <= Symbol::MAX);
+        debug_assert!(sym.0 <= SYM_MASK);
         Term(((kind as u32) << TAG_SHIFT) | (sym.0 & SYM_MASK))
     }
 
@@ -83,13 +108,13 @@ impl Term {
     }
 
     /// Fresh existential variable `n` of one rewrite call. The counter
-    /// occupies the symbol bits but is not an interner index. Hard assert
-    /// (mirroring the interner's symbol-space check): wrapping in release
-    /// builds would make two distinct existentials compare equal and
-    /// silently join unrelated solutions.
+    /// occupies all 29 payload bits but is not an interner index. Hard
+    /// assert (mirroring the interner's symbol-space check): wrapping in
+    /// release builds would make two distinct existentials compare equal
+    /// and silently join unrelated solutions.
     #[inline]
     pub fn fresh(n: u32) -> Term {
-        assert!(n <= Symbol::MAX, "fresh counter exceeded 2^29");
+        assert!(n <= SYM_MASK, "fresh counter exceeded 2^29");
         Term(((TermKind::Fresh as u32) << TAG_SHIFT) | n)
     }
 
@@ -180,6 +205,12 @@ mod tests {
         let t = Term::new(TermKind::Var, Symbol(Symbol::MAX));
         assert_eq!(t.kind(), TermKind::Var);
         assert_eq!(t.symbol(), Symbol(Symbol::MAX));
+        // The local bit is payload: it keeps the kind and never aliases the
+        // base id with the same low bits.
+        let local = Term::new(TermKind::Var, Symbol(Symbol::LOCAL | 7));
+        assert_eq!(local.kind(), TermKind::Var);
+        assert!(local.symbol().is_local() && !Symbol(Symbol::MAX).is_local());
+        assert_ne!(local, Term::var(Symbol(7)));
     }
 
     #[test]

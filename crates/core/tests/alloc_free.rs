@@ -366,42 +366,37 @@ fn serve_hit_path_is_allocation_free() {
     assert_eq!(scratch.cache_hits(), 1_000 * PIPELINE_TEXTS.len() as u64);
 }
 
-/// Resetting a worker's interner overlay between requests keeps every
-/// buffer: once a fill-and-reset cycle has run, the next ones allocate
-/// nothing.
+/// A stream of requests that each bring a novel literal and a novel
+/// variable allocates nothing once warm: the worker's request term table
+/// keeps its buffers from one request to the next, and the shared strings
+/// are never written.
 #[test]
-fn warm_overlay_reset_allocates_nothing() {
-    let mut build = Interner::new();
-    build.intern("http://src/one");
-    let base = build.len();
-    let mut worker = build.clone();
-    // Fixed-width literals: every cycle refills the overlay to the same
-    // byte count. 10,000 novel strings pass the overlay bound twice over.
-    let literals: Vec<String> = (0..30_000).map(|i| format!("\"{i:06}\"")).collect();
-    let request = |lit: &String, worker: &mut Interner| {
-        worker.trim_overlay();
-        worker.intern("s");
-        worker.intern(lit);
-        worker.len() - base
+fn unique_terms_stream_allocates_nothing_once_warm() {
+    let (store, it) = pipeline_rules();
+    let engine = ServeEngine::with_cache(store, it, None);
+    let base = engine.base_interner().len();
+    let mut scratch = engine.scratch();
+    let request = |i: usize| {
+        format!(
+            "SELECT ?s ?g{i} WHERE {{ ?s <http://src/one> \"{i}\"^^<http://www.w3.org/2001/XMLSchema#integer> . ?s ?p ?g{i} }}"
+        )
     };
-    for lit in &literals[..20_000] {
-        request(lit, &mut worker);
+    // Numbers reach five digits at 10,000: past it, every request is as
+    // long as the last. The text is formatted before counting starts.
+    let requests: Vec<String> = (0..100_000).map(request).collect();
+    for q in &requests[..20_000] {
+        engine.serve(q, &mut scratch).unwrap();
     }
     let before = thread_allocation_count();
-    let mut resets = 0;
-    let mut last = worker.len() - base;
-    for lit in &literals[20_000..] {
-        let overlay = request(lit, &mut worker);
-        resets += usize::from(overlay < last);
-        last = overlay;
+    for q in &requests[20_000..] {
+        engine.serve(q, &mut scratch).unwrap();
     }
     assert_eq!(
         thread_allocation_count() - before,
         0,
-        "a warm overlay reset must not allocate"
+        "a warm serve of novel terms must not allocate"
     );
-    assert!(resets >= 2, "the overlay was reset {resets} times");
-    assert_eq!(worker.get("http://src/one").map(|s| s.index()), Some(0));
+    assert_eq!(engine.base_interner().len(), base);
 }
 
 /// Complex correspondences — guarded rules (statically true / statically

@@ -6,8 +6,8 @@
 //! streams that make the cache do everything it can at once: re-spellings
 //! of hot queries (whitespace, comments, PREFIX aliases, keyword case,
 //! `$x`) that hit and evict each other in a cache far smaller than the key
-//! set; more than 4,096 novel literals per worker, so each worker's
-//! interner overlay is trimmed mid-stream; and rewrites on both sides of
+//! set; more than 4,096 novel literals per worker, each of which stays
+//! request-local in the worker's interner; and rewrites on both sides of
 //! the value cap, so oversize rewrites re-render and bypass the cache
 //! between both threads' hits and inserts. Each thread checks every
 //! response against a cache-less engine over the same rules, on a scratch
@@ -26,8 +26,8 @@ const SPELLINGS: usize = 6;
 const REQUESTS_PER_WORKER: usize = 60_000;
 /// One request in this many (on average) carries a novel literal.
 const NOVEL_EVERY: u64 = 12;
-/// Novel strings a worker's interner overlay holds before it is trimmed.
-const OVERLAY_BOUND: usize = 4096;
+/// Fewest novel literals a worker's stream must carry.
+const MIN_NOVEL: usize = 4096;
 
 /// xorshift64*, as in the other seeded tests, so the streams are stable.
 fn xorshift(state: &mut u64) -> u64 {
@@ -248,8 +248,8 @@ fn cached_serves_are_byte_identical_to_cold_under_churn_trims_and_resizes() {
     let streams: Vec<_> = (0..2).map(stream).collect();
     for (w, (_, novel)) in streams.iter().enumerate() {
         assert!(
-            *novel > OVERLAY_BOUND,
-            "worker {w} sees {novel} novel literals, too few to trim its overlay"
+            *novel > MIN_NOVEL,
+            "worker {w} sees {novel} novel literals, too few"
         );
     }
 

@@ -111,9 +111,10 @@ pub(crate) fn build_federation(
     })
 }
 
-/// Federated-mode per-worker buffers: a cloned interner (so parsing
-/// resolves to the planner's symbols without cross-worker locking),
-/// parse scratch, and response-building buffers.
+/// Federated-mode per-worker buffers: a serve handle on the planner's
+/// interner (parsing resolves to the planner's symbols without writing
+/// them, and holds one request's terms), parse scratch, and
+/// response-building buffers.
 pub(crate) struct FedScratch {
     interner: Interner,
     parse: ParseScratch,
@@ -148,9 +149,6 @@ pub(crate) fn serve_federated(
     close: bool,
 ) {
     let seq = fed.seq.fetch_add(1, Ordering::Relaxed);
-    // A request boundary: no planner or executor state keeps a symbol past
-    // a request, so none minted for an earlier one is resolved again.
-    fs.interner.trim_overlay();
     let planned = parse_query_into(query, &mut fs.interner, &mut fs.parse)
         .ok()
         .and_then(|()| {
