@@ -125,10 +125,10 @@ pub enum AlignError {
     /// counters are meaningful only within one rewrite call, so a rule
     /// carrying one could capture the engine's own existentials.
     FreshTerm,
-    /// A rule term carries a request-local symbol (a serve handle's parse
-    /// gave it one): its text is valid only until that handle's next parse,
-    /// and the dense tables cannot index it. Load rules through a build
-    /// handle ([`crate::Interner::new`]).
+    /// A rule term carries a request-local symbol (a parse into a
+    /// [`crate::RequestTerms`] gave it one): its text is valid only until
+    /// that table's next parse, and the dense tables cannot index it. Parse
+    /// rules into the [`crate::Interner`] instead.
     RequestLocalTerm,
     /// A template expression pool is not self-contained: a child index
     /// points at or past its own node (the pool must be topologically
@@ -161,7 +161,7 @@ impl std::fmt::Display for AlignError {
                 f.write_str("alignment rules must not contain fresh (rewriter-minted) terms")
             }
             AlignError::RequestLocalTerm => f.write_str(
-                "alignment rules must not contain request-local terms (parse them on a build interner)",
+                "alignment rules must not contain request-local terms (parse them into the interner)",
             ),
             AlignError::MalformedTemplateExpr => f.write_str(
                 "template expression pool must be topologically ordered and self-contained",
@@ -780,13 +780,14 @@ mod tests {
 
     #[test]
     fn rules_parsed_on_a_serve_handle_are_rejected() {
-        // A serve handle gives a term the base lacks a request-local
+        // A request table gives a term the vocabulary lacks a request-local
         // symbol: as a rule key it would size the dense table past 2^30.
         let mut it = Interner::new();
         let known = crate::parse_bgp("<http://a> <http://p> ?o", &mut it)
             .unwrap()
             .patterns[0];
-        let novel = crate::parse_bgp("<http://b> <http://q> ?o", &mut it.clone())
+        let mut serve = crate::RequestTerms::new(std::sync::Arc::new(it.clone()));
+        let novel = crate::parse_bgp("<http://b> <http://q> ?o", &mut serve)
             .unwrap()
             .patterns[0];
         assert!(novel.s.symbol().is_local() && novel.p.symbol().is_local());
@@ -1041,14 +1042,11 @@ mod tests {
         let lhs_q = TriplePattern::new(x, q, x);
         store.add_predicate(lhs_q, vec![lhs_q]).unwrap();
         assert!(store.table[p.symbol().index() << 2 | 3] & SPILL != 0);
-        // A request-local symbol, which a serve handle gives an IRI the
+        // A request-local symbol, which a request table gives an IRI the
         // rules lack, lies past the table.
         let q = "SELECT * WHERE { ?s <http://request/only> ?o }";
-        let late = crate::parse_query(q, &mut it.clone())
-            .unwrap()
-            .pattern
-            .triples[0]
-            .p;
+        let mut serve = crate::RequestTerms::new(std::sync::Arc::new(it));
+        let late = crate::parse_query(q, &mut serve).unwrap().pattern.triples[0].p;
         assert!(late.symbol().is_local());
         assert!(late.symbol().index() << 2 >= store.table.len());
         for triples in [

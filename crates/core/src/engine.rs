@@ -11,11 +11,11 @@
 //!    previously rendered rewrite once, straight into the output string,
 //!    and skips the pipeline entirely,
 //! 1. parses SPARQL text into a caller-owned [`ParseScratch`], pushing
-//!    every term onto the worker's request term table, then resolves the
-//!    table against the frozen rule vocabulary in one staged pass — a
-//!    known IRI or literal takes its shared symbol, every other term a
-//!    request-local one that can never alias a rule symbol, and nothing is
-//!    written to the shared strings ([`Interner`]),
+//!    every term onto the worker's [`RequestTerms`], then resolves them
+//!    against the frozen rule vocabulary (an `Arc<`[`Interner`]`>`) in one
+//!    staged pass — a known IRI or literal takes its shared symbol, every
+//!    other term a request-local one that can never alias a rule symbol,
+//!    and nothing is written to the vocabulary,
 //! 2. rewrites the borrowed parse with the engine's own dense-indexed
 //!    [`AlignmentStore`] ([`Rewriter::rewrite_ref_into`]) — after one
 //!    batch load of the dispatch records and single-rule template rows
@@ -45,24 +45,25 @@
 //! [`QueryFingerprint`]: crate::cache::QueryFingerprint
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::cache::ONE_RULE_SET;
 use crate::{
     fingerprint_raw, parse_query_into, render_query_into, AlignmentStore, CacheConfig, CacheStats,
-    Interner, ParseError, ParseScratch, QueryFingerprint, QueryRef, RewriteCache, RewriteScratch,
-    Rewriter,
+    Interner, ParseError, ParseScratch, QueryFingerprint, QueryRef, RequestTerms, RewriteCache,
+    RewriteScratch, Rewriter,
 };
 
-/// Shared, read-only serve state: the dense-indexed rule set, the
-/// build-phase interner workers clone from, and (unless disabled) the
-/// shared rewrite-result cache.
+/// Shared, read-only serve state: the dense-indexed rule set, the rule
+/// vocabulary workers parse against, and (unless disabled) the shared
+/// rewrite-result cache.
 pub struct ServeEngine {
     /// The rule set; it is also the rewriter.
     store: AlignmentStore,
-    /// Build-phase interner. Each worker clones it into a serve handle
-    /// that shares its strings, so parsing resolves to the rule set's
+    /// An empty [`RequestTerms`] over the rule vocabulary. Each worker
+    /// clones it (an `Arc` bump), so parsing resolves to the rule set's
     /// symbols without locks and without writing them.
-    base_interner: Interner,
+    base_interner: RequestTerms,
     /// Rewrite-result cache; `None` when constructed cache-less (the
     /// cold-path reference in tests).
     cache: Option<RewriteCache>,
@@ -79,10 +80,9 @@ pub struct ServeEngine {
 /// never share a line: every hit writes `pending` and `cache_hits`.
 #[repr(align(128))]
 pub struct ServeScratch {
-    /// The worker's serve handle on the engine's interner: it shares the
-    /// rule vocabulary and holds one request's terms, which each parse
-    /// clears.
-    interner: Interner,
+    /// The worker's request table over the engine's rule vocabulary: it
+    /// holds one request's terms, which each parse clears.
+    interner: RequestTerms,
     parse: ParseScratch,
     rewrite: RewriteScratch,
     fresh_base: String,
@@ -186,12 +186,12 @@ impl Totals {
 }
 
 impl ServeEngine {
-    /// Share `store` read-only and keep the interner for worker clones.
-    /// This is the only way to build an engine. `cache` sizes the
-    /// rewrite-result cache (`Some(CacheConfig::default())` for the shape
-    /// the binary ships), or `None` serves every request through the cold
-    /// pipeline — the reference the cached path is compared against in
-    /// tests.
+    /// Share `store` read-only, and `interner`, the vocabulary its rules
+    /// were built with, behind an `Arc`. This is the only way to build an
+    /// engine. `cache` sizes the rewrite-result cache
+    /// (`Some(CacheConfig::default())` for the shape the binary ships), or
+    /// `None` serves every request through the cold pipeline — the
+    /// reference the cached path is compared against in tests.
     pub fn with_cache(
         store: AlignmentStore,
         interner: Interner,
@@ -199,7 +199,7 @@ impl ServeEngine {
     ) -> ServeEngine {
         ServeEngine {
             store,
-            base_interner: interner,
+            base_interner: RequestTerms::new(Arc::new(interner)),
             cache: cache.map(RewriteCache::new),
             totals: Totals::default(),
         }
@@ -252,14 +252,15 @@ impl ServeEngine {
         &self.store
     }
 
-    /// The build-phase interner workers clone from.
-    pub fn base_interner(&self) -> &Interner {
+    /// The empty [`RequestTerms`] over the rule vocabulary that each
+    /// worker's scratch clones.
+    pub fn base_interner(&self) -> &RequestTerms {
         &self.base_interner
     }
 
-    /// A fresh worker scratch. Its interner clone shares the engine's
-    /// strings (an `Arc` bump, no copy of the vocabulary) and never writes
-    /// them; after it, the worker shares nothing mutable.
+    /// A fresh worker scratch. Its [`RequestTerms`] shares the engine's
+    /// vocabulary (an `Arc` bump, no copy) and cannot write it; after it,
+    /// the worker shares nothing mutable.
     pub fn scratch(&self) -> ServeScratch {
         ServeScratch {
             interner: self.base_interner.clone(),
@@ -503,6 +504,7 @@ mod tests {
     #[test]
     fn request_local_terms_never_alias_rule_terms() {
         let (store, it) = guarded_rules();
+        let gold = it.get("\"gold\"").expect("a rule constant");
         let engine = ServeEngine::with_cache(store, it, None);
         let mut scratch = engine.scratch();
         let mut parse = |q: &str| {
@@ -531,10 +533,6 @@ mod tests {
 
         // A literal equal to the guard constant is the rules' symbol and
         // fires the guard; any other literal is local and does not.
-        let gold = engine
-            .base_interner()
-            .get("\"gold\"")
-            .expect("a rule constant");
         let t = parse("SELECT * WHERE { ?s <http://src/p> \"gold\" . ?s <http://src/p> \"lead\" }");
         assert_eq!(t[0].o, Term::literal(gold));
         assert!(t[1].o.symbol().is_local());
@@ -546,7 +544,7 @@ mod tests {
         );
 
         // `?s`, the name of a rule variable, rewrites exactly as it does
-        // when a build handle interns it into the rules' own symbol.
+        // when an `Interner` interns it into the rules' own symbol.
         let q = "SELECT ?s WHERE { ?s <http://src/p> \"gold\" . ?o <http://src/p> ?s }";
         let (_, mut build) = guarded_rules();
         let reference = crate::parse_query(q, &mut build).unwrap();

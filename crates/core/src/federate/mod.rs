@@ -60,7 +60,7 @@ use std::sync::Arc;
 
 use crate::align::AlignmentStore;
 use crate::cache::CacheConfig;
-use crate::interner::Interner;
+use crate::interner::SymbolText;
 use crate::pattern::{render_query_into, GroupPattern, PatternNode, QueryRef, TriplePattern};
 use crate::rewriter::{RewriteError, RewriteLimits, RewriteScratch, Rewriter};
 use crate::term::Term;
@@ -337,7 +337,7 @@ impl FederationPlanner {
         &self,
         e: usize,
         part: &[TriplePattern],
-        interner: &Interner,
+        interner: &impl SymbolText,
         limits: RewriteLimits,
         scratch: &mut PlanScratch,
     ) -> Result<String, RewriteError> {
@@ -373,7 +373,7 @@ impl FederationPlanner {
     pub fn plan_for_dispatch(
         &self,
         query: QueryRef<'_>,
-        interner: &Interner,
+        interner: &impl SymbolText,
         limits: RewriteLimits,
     ) -> Result<DispatchPlan, RewriteError> {
         let p = self.partition(query);
@@ -398,6 +398,7 @@ impl FederationPlanner {
 mod tests {
     use super::*;
     use crate::align::RuleTemplate;
+    use crate::interner::Interner;
     use crate::parser::{parse_bgp, parse_query};
     use crate::pattern::{CmpOp, ExprNode};
 

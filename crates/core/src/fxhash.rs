@@ -5,10 +5,10 @@
 //! short-string keys dominate this codebase and Fx is ~5x faster than the
 //! default SipHash for them. It is NOT DoS-resistant, but request text
 //! enters no hash table: a serve-path parse only looks the request's IRIs
-//! and literals up in the interner's frozen base, which holds the engine's
-//! own vocabulary, and finds a request's repeated terms by sorting them.
-//! A client that crafts strings whose hashes collide can only walk the
-//! probe chains the base already has, and lengthens none.
+//! and literals up in the frozen interner, which holds the engine's own
+//! vocabulary, and finds a request's repeated terms by sorting them. A
+//! client that crafts strings whose hashes collide can only walk the probe
+//! chains the vocabulary already has, and lengthens none.
 
 use std::hash::Hasher;
 

@@ -1,41 +1,43 @@
-//! String interner mapping term text to [`Symbol`]s, and the request term
-//! table a parse writes its terms into.
+//! The two phases' term stores. An [`Interner`] builds the rule
+//! vocabulary: it maps term text to dense [`Symbol`]s and grows with every
+//! novel string. A [`RequestTerms`] serves requests once that vocabulary
+//! is frozen: it shares the [`Interner`] read-only behind an `Arc` and
+//! holds the terms of the one request it last parsed.
 //!
-//! An [`Interner`] handle holds a **base** of interned strings behind an
-//! `Arc`, and a request term table of its own. The base keeps its strings
-//! in one arena (`bytes`, with `ends[id]` closing string `id`) and finds
-//! them through an open-addressing array of symbol indices (a
-//! raw-entry-style hash-of-index map), not a `HashMap<Box<str>, u32>` that
-//! would duplicate every key. Hashing uses FxHash (the vendored `fxhash`
-//! module) — short IRIs and QName expansions dominate the key distribution
-//! and Fx beats SipHash on them by a wide margin.
+//! An [`Interner`] keeps its strings in one arena (`bytes`, with
+//! `ends[id]` closing string `id`) and finds them through an
+//! open-addressing array of symbol indices (a raw-entry-style
+//! hash-of-index map), not a `HashMap<Box<str>, u32>` that would duplicate
+//! every key. Hashing uses FxHash (the vendored `fxhash` module) — short
+//! IRIs and QName expansions dominate the key distribution and Fx beats
+//! SipHash on them by a wide margin.
 //!
-//! Every term site of the parser pushes the term's canonical text (QNames
-//! expanded, literals canonicalised) through one call, and what happens
-//! to it depends on the handle:
+//! The parser is generic over a [`TermSink`], and both types are one.
+//! Every term site pushes the term's canonical text (QNames expanded,
+//! literals canonicalised) through one call:
 //!
-//! * A **build** handle ([`Interner::new`]) interns the text into the base
-//!   then and there, so rule loading through `parse_bgp` / `parse_query`
-//!   mints base symbols in parse order and has no request term table.
-//! * A **serve** handle (what [`Interner::clone`] returns) appends the text
-//!   to the request term table, one entry per occurrence, and hands out a
-//!   request-local symbol ([`Symbol::LOCAL`] set). Once the parse
-//!   succeeds, one pass resolves the whole table and the parser swaps
-//!   every term's symbol for the resolved one. The pass shares the base
-//!   read-only and looks every IRI and literal entry up in it, in stages:
+//! * An [`Interner`] interns the text then and there, so rule loading
+//!   through `parse_bgp` / `parse_query` mints symbols in parse order.
+//! * A [`RequestTerms`] appends the text to its table, one entry per
+//!   occurrence, and hands out a request-local symbol ([`Symbol::LOCAL`]
+//!   set). Once the parse succeeds, one pass resolves the whole table and
+//!   the parser swaps every term's symbol for the resolved one. The pass
+//!   looks every IRI and literal entry up in the vocabulary, in stages:
 //!   hash every key and load its home slot; then load every candidate's
 //!   `ends`, then its text; then compare, continuing the linear probe
 //!   where the candidate was another string. The loads within a stage do
 //!   not wait on each other, so their cache misses overlap; looked up one
 //!   key after another, each key's three misses (slot, `ends`, text) queue
-//!   behind the last key's. A found entry takes its base symbol, the one
-//!   the rules hold. Variables and blank labels never touch the base; they
-//!   and the entries the base lacks keep a request-local symbol, that of
-//!   the first entry with the same text, and render from the table.
+//!   behind the last key's. A found entry takes its vocabulary symbol, the
+//!   one the rules hold. Variables and blank labels never touch the
+//!   vocabulary; they and the entries it lacks keep a request-local
+//!   symbol, that of the first entry with the same text, and render from
+//!   the table.
 //!
-//! A parse on a serve handle therefore writes no shared memory and grows
-//! nothing: the base stays as the build phase left it, and the table holds
-//! one request's terms, cleared by the next parse.
+//! A [`RequestTerms`] has no way to write the vocabulary, so a serve parse
+//! grows nothing shared: the table holds one request's terms, cleared by
+//! the next parse. Both types read symbols back through [`SymbolText`],
+//! which the renderer and the federation planner take.
 
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -48,8 +50,8 @@ use crate::term::{Symbol, Term, TermKind};
 /// `u64::MAX` cannot collide with a live entry.
 const EMPTY: u64 = u64::MAX;
 
-/// A request entry's resolution while the base has not (yet) been found
-/// to hold its text; never a symbol.
+/// A request entry's resolution while the vocabulary has not (yet) been
+/// found to hold its text; never a symbol.
 const ABSENT: u32 = u32::MAX;
 
 /// Pack a table slot: the top 32 bits of the (finalized) hash as a tag, the
@@ -127,9 +129,15 @@ impl Arena {
     }
 }
 
-/// The base: an arena plus the hash table that finds its strings.
+/// The build phase's string interner: an arena of strings plus the hash
+/// table that finds them (see the module doc). Symbols are dense ids
+/// `0..len()`, minted in first-seen order. A parse on an `Interner`
+/// interns every term it reads.
+///
+/// Once the rules are loaded, share it read-only (`Arc<Interner>`) and
+/// parse requests on a [`RequestTerms`] over it. `clone` is a deep copy.
 #[derive(Default, Debug, Clone)]
-struct Layer {
+pub struct Interner {
     arena: Arena,
     /// Open-addressing table of `(hash_tag, id)` slots (`EMPTY` = vacant),
     /// sized to a power of two. A probe compares the 32-bit hash tag first
@@ -138,15 +146,69 @@ struct Layer {
     table: Vec<u64>,
 }
 
-impl Layer {
+impl Interner {
+    /// An empty interner.
+    pub fn new() -> Interner {
+        Interner::default()
+    }
+
+    /// Intern `s`, returning its symbol. O(1) amortized; copies `s` into
+    /// the arena only the first time it is seen.
+    pub fn intern(&mut self, s: &str) -> Symbol {
+        let hash = hash_str(s);
+        if let Some(id) = self.find(s, hash) {
+            return Symbol(id);
+        }
+        assert!(
+            self.len() <= Symbol::MAX as usize,
+            "interner exceeded 2^28 symbols"
+        );
+        if self.len() * 4 >= self.table.len() * 3 {
+            self.grow();
+        }
+        let id = self.arena.push(s).expect("interner exceeded 4 GiB of text");
+        let slot = self.vacant_slot(hash);
+        self.table[slot] = slot_entry(hash, id);
+        Symbol(id)
+    }
+
+    /// The text of `sym`. Panics if `sym` is not one of this interner's
+    /// symbols; [`Interner::try_resolve`] is the checked form.
     #[inline]
-    fn len(&self) -> usize {
+    pub fn resolve(&self, sym: Symbol) -> &str {
+        self.arena.text(sym.index())
+    }
+
+    /// The text of `sym`, or `None` if this interner never minted it: a
+    /// request-local symbol, or an id at or past [`Interner::len`] (minted
+    /// by another interner).
+    pub fn try_resolve(&self, sym: Symbol) -> Option<&str> {
+        // A request-local symbol's index has bit 28 set, so it is past
+        // every id.
+        (sym.index() < self.len()).then(|| self.arena.text(sym.index()))
+    }
+
+    /// Symbol for `s` if it has been interned.
+    pub fn get(&self, s: &str) -> Option<Symbol> {
+        self.find(s, hash_str(s)).map(Symbol)
+    }
+
+    /// Number of strings interned.
+    pub fn len(&self) -> usize {
         self.arena.len()
     }
 
+    /// Exclusive upper bound on every symbol id: symbols are dense indices
+    /// `0..symbol_bound()`, which is what lets
+    /// [`crate::align::AlignmentStore`] dispatch rules by direct array
+    /// index.
     #[inline]
-    fn text(&self, id: usize) -> &str {
-        self.arena.text(id)
+    pub fn symbol_bound(&self) -> usize {
+        self.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     fn find(&self, s: &str, hash: u64) -> Option<u32> {
@@ -166,21 +228,11 @@ impl Layer {
             if slot == EMPTY {
                 return None;
             }
-            if slot_tag_matches(slot, hash) && self.text(slot_id(slot) as usize) == s {
+            if slot_tag_matches(slot, hash) && self.arena.text(slot_id(slot) as usize) == s {
                 return Some(slot_id(slot));
             }
             i = (i + 1) & mask;
         }
-    }
-
-    /// Append `s`, known to be absent, under the next id.
-    fn push(&mut self, s: &str, hash: u64) {
-        if self.len() * 4 >= self.table.len() * 3 {
-            self.grow();
-        }
-        let id = self.arena.push(s).expect("interner exceeded 4 GiB of text");
-        let slot = self.vacant_slot(hash);
-        self.table[slot] = slot_entry(hash, id);
     }
 
     fn vacant_slot(&self, hash: u64) -> usize {
@@ -190,6 +242,16 @@ impl Layer {
             i = (i + 1) & mask;
         }
         i
+    }
+
+    fn grow(&mut self) {
+        let new_cap = (self.table.len() * 2).max(16);
+        self.table = vec![EMPTY; new_cap];
+        for id in 0..self.len() {
+            let hash = hash_str(self.arena.text(id));
+            let slot = self.vacant_slot(hash);
+            self.table[slot] = slot_entry(hash, id as u32);
+        }
     }
 
     /// Mean distance, in slots, from each entry to the slot its hash
@@ -203,38 +265,15 @@ impl Layer {
             .enumerate()
             .filter(|&(_, &slot)| slot != EMPTY)
             .map(|(i, &slot)| {
-                let home = hash_str(self.text(slot_id(slot) as usize)) as usize & mask;
+                let home = hash_str(self.arena.text(slot_id(slot) as usize)) as usize & mask;
                 i.wrapping_sub(home) & mask
             })
             .sum();
         total as f64 / self.len() as f64
     }
-
-    fn grow(&mut self) {
-        let new_cap = (self.table.len() * 2).max(16);
-        self.table = vec![EMPTY; new_cap];
-        for id in 0..self.len() {
-            let hash = hash_str(self.text(id));
-            let slot = self.vacant_slot(hash);
-            self.table[slot] = slot_entry(hash, id as u32);
-        }
-    }
 }
 
-/// Intern `s` into `base`, copying the base first if another handle
-/// shares it and `s` is novel.
-fn intern_into(base: &mut Arc<Layer>, s: &str) -> Symbol {
-    let hash = hash_str(s);
-    if let Some(id) = base.find(s, hash) {
-        return Symbol(id);
-    }
-    let id = base.len() as u32;
-    assert!(id <= Symbol::MAX, "interner exceeded 2^28 symbols");
-    Arc::make_mut(base).push(s, hash);
-    Symbol(id)
-}
-
-/// One IRI or literal entry's base lookup, filled in stage by stage.
+/// One IRI or literal entry's vocabulary lookup, filled in stage by stage.
 #[derive(Copy, Clone, Default, Debug)]
 struct Probe {
     /// The request entry looked up.
@@ -243,19 +282,31 @@ struct Probe {
     /// The candidate's slot, and its id ([`ABSENT`] for none).
     pos: u32,
     id: u32,
-    /// The candidate's text, `bytes[start..end]` of the base arena.
+    /// The candidate's text, `bytes[start..end]` of the vocabulary's arena.
     start: u32,
     end: u32,
 }
 
-/// The terms of the request being parsed: one entry per term occurrence,
-/// in parse order, and after the resolve pass each entry's symbol.
-#[derive(Default, Debug, Clone)]
-struct RequestTerms {
+/// The serve phase's term store: a frozen vocabulary shared through an
+/// `Arc`, plus the terms of the request last parsed on it (see the module
+/// doc).
+///
+/// A parse on it looks its IRIs and literals up in the vocabulary and
+/// never writes it; every other term, and every term the vocabulary lacks,
+/// gets a request-local symbol ([`Symbol::LOCAL`] set), which is valid
+/// until the next parse and can never alias a vocabulary symbol, so no
+/// rule ever matches it. Each parse clears the table first, so it holds at
+/// most one request's terms, however many requests it parses. `clone`
+/// shares the vocabulary and copies the table, so the clone resolves every
+/// symbol the original does.
+#[derive(Clone, Debug)]
+pub struct RequestTerms {
+    vocab: Arc<Interner>,
+    /// One entry per term occurrence of the last parse, in parse order.
     arena: Arena,
-    /// `resolved[i]`: entry `i`'s symbol, once the pass has run.
+    /// `resolved[i]`: entry `i`'s symbol, once the resolve pass has run.
     resolved: Vec<u32>,
-    /// The IRI and literal entries, in order: the base lookups.
+    /// The IRI and literal entries, in order: the vocabulary lookups.
     probes: Vec<Probe>,
     /// Scratch of the entries that end up request-local: `(hash of the
     /// entry's text, entry)`.
@@ -263,55 +314,73 @@ struct RequestTerms {
 }
 
 impl RequestTerms {
-    fn clear(&mut self) {
-        self.arena.clear();
-        self.resolved.clear();
-        self.probes.clear();
-        self.locals.clear();
+    /// An empty request table over `vocab`.
+    pub fn new(vocab: Arc<Interner>) -> RequestTerms {
+        RequestTerms {
+            vocab,
+            arena: Arena::default(),
+            resolved: Vec::new(),
+            probes: Vec::new(),
+            locals: Vec::new(),
+        }
     }
 
-    /// Look every probe up in `base`, in stages, writing each found id to
-    /// `resolved`.
-    fn look_up(&mut self, base: &Layer) {
-        let RequestTerms {
-            arena,
-            resolved,
-            probes,
-            ..
-        } = self;
+    /// The text of `sym`: a vocabulary string, or for a request-local
+    /// symbol the table's entry, valid until the next parse.
+    #[inline]
+    pub fn resolve(&self, sym: Symbol) -> &str {
+        if sym.is_local() {
+            self.arena.text((sym.0 & !Symbol::LOCAL) as usize)
+        } else {
+            self.vocab.resolve(sym)
+        }
+    }
+
+    /// Number of strings in the vocabulary.
+    pub fn len(&self) -> usize {
+        self.vocab.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.vocab.is_empty()
+    }
+
+    /// Look every probe of `arena`'s entries up in `vocab`, in stages,
+    /// writing each found id to `resolved`.
+    fn look_up(vocab: &Interner, arena: &Arena, resolved: &mut [u32], probes: &mut [Probe]) {
         for p in probes.iter_mut() {
             p.hash = hash_str(arena.text(p.entry as usize));
         }
-        if base.table.is_empty() {
+        if vocab.table.is_empty() {
             return;
         }
-        let mask = base.table.len() - 1;
+        let mask = vocab.table.len() - 1;
         // Home slots, skipping slots whose tag is another key's: those
         // share the home slot's cache line nearly always.
         for p in probes.iter_mut() {
             let mut pos = p.hash as usize & mask;
-            let mut slot = base.table[pos];
+            let mut slot = vocab.table[pos];
             while slot != EMPTY && !slot_tag_matches(slot, p.hash) {
                 pos = (pos + 1) & mask;
-                slot = base.table[pos];
+                slot = vocab.table[pos];
             }
             p.pos = pos as u32;
             p.id = if slot == EMPTY { ABSENT } else { slot_id(slot) };
         }
-        let ends = &base.arena.ends;
+        let ends = &vocab.arena.ends;
         for p in probes.iter_mut().filter(|p| p.id != ABSENT) {
             let id = p.id as usize;
             p.start = id.checked_sub(1).map_or(0, |prev| ends[prev]);
             p.end = ends[id];
         }
-        let bytes = base.arena.bytes.as_bytes();
+        let bytes = vocab.arena.bytes.as_bytes();
         for p in probes.iter().filter(|p| p.id != ABSENT) {
             let key = arena.text(p.entry as usize);
             let found = if &bytes[p.start as usize..p.end as usize] == key.as_bytes() {
                 Some(p.id)
             } else {
                 // A 32-bit tag collision: the key may sit further along.
-                base.find_from(key, p.hash, p.pos as usize + 1)
+                vocab.find_from(key, p.hash, p.pos as usize + 1)
             };
             if let Some(id) = found {
                 resolved[p.entry as usize] = id;
@@ -319,9 +388,9 @@ impl RequestTerms {
         }
     }
 
-    /// Give every entry the base lacks the local symbol of the first entry
-    /// with its text, so equal texts are one term: sort those entries by
-    /// `(hash, text, entry)`, which puts equal texts side by side, first
+    /// Give every entry the vocabulary lacks the local symbol of the first
+    /// entry with its text, so equal texts are one term: sort those entries
+    /// by `(hash, text, entry)`, which puts equal texts side by side, first
     /// occurrence first, in O(n log n) compares whatever the request's
     /// text.
     fn share_locals(&mut self) {
@@ -351,85 +420,93 @@ impl RequestTerms {
             resolved[entry as usize] = Symbol::LOCAL | first.1;
         }
     }
+
+    /// Entries in the table: one per term occurrence of the last parse.
+    #[cfg(test)]
+    pub(crate) fn request_len(&self) -> usize {
+        self.arena.len()
+    }
 }
 
-/// String interner handle: a shared base of interned strings plus the
-/// request term table its parses write into (see the module doc).
-///
-/// There are two kinds of handle. [`Interner::new`] makes a **build**
-/// handle, whose parses intern their terms into the base. Cloning makes a
-/// **serve** handle, which shares the base through an `Arc` (no copy of
-/// the vocabulary) and copies the request term table, so it resolves every
-/// symbol the original does. A serve handle's parses look their IRIs and
-/// literals up in the base and never write it; every other term, and
-/// every term the base lacks, gets a request-local symbol
-/// ([`Symbol::LOCAL`] set), which is valid until the handle's next parse
-/// and can never alias a base symbol, so no rule ever matches it.
-///
-/// Each parse clears the table first, so a handle holds at most one
-/// request's terms, however many requests it parses.
-#[derive(Default, Debug)]
-pub struct Interner {
-    base: Arc<Layer>,
-    request: RequestTerms,
-    /// Whether this is a serve handle (from `clone()`).
-    serve: bool,
-}
+pub(crate) mod sealed {
+    use crate::term::{Term, TermKind};
 
-impl Clone for Interner {
-    /// A serve handle over the same base; see [`Interner`].
-    fn clone(&self) -> Interner {
-        Interner {
-            base: Arc::clone(&self.base),
-            request: self.request.clone(),
-            serve: true,
+    /// The parser's calls on a [`super::TermSink`]: it lives in a private
+    /// module, so only this crate can call or implement it. The defaults
+    /// are a sink's that gives each term its final symbol as it is pushed.
+    pub trait Sink {
+        /// One occurrence of a `kind` term with canonical text `s`, as the
+        /// parser is to hold it until [`Sink::finish`]. `None` once the
+        /// request table holds 2^28 entries or 4 GiB of text.
+        fn push(&mut self, kind: TermKind, s: &str) -> Option<Term>;
+
+        /// Start a parse: empty the request table, keeping its capacity.
+        fn begin(&mut self) {}
+
+        /// End a successful parse: resolve the request table, which
+        /// [`Sink::settle`] then reads. Returns whether any term needs
+        /// settling.
+        fn finish(&mut self) -> bool {
+            false
+        }
+
+        /// `t` with its symbol swapped for the one [`Sink::finish`] gave
+        /// it; a term whose symbol is not request-local is returned as is.
+        fn settle(&self, t: Term) -> Term {
+            t
         }
     }
 }
 
-impl Interner {
-    /// An empty build handle.
-    pub fn new() -> Interner {
-        Interner::default()
-    }
+/// Where a parse puts the terms it reads: an [`Interner`] interns them, a
+/// [`RequestTerms`] keeps them request-local until one resolve pass at the
+/// end (see the module doc). Sealed: these two types are the only ones.
+pub trait TermSink: sealed::Sink {}
 
-    /// Intern `s` into the base, returning its symbol. O(1) amortized;
-    /// copies `s` into the arena only the first time it is seen.
-    ///
-    /// Build handles only: a serve handle panics in debug builds, since its
-    /// first novel string would copy the whole shared vocabulary. On a
-    /// build handle that has a live clone, the first novel string copies
-    /// the base too, which this handle then owns alone.
-    pub fn intern(&mut self, s: &str) -> Symbol {
-        debug_assert!(!self.serve, "intern on a serve handle");
-        intern_into(&mut self.base, s)
-    }
+/// Reads a symbol's text back: what rendering and planning need of the
+/// store that minted a query's terms. Sealed like [`TermSink`]: it is
+/// implemented by [`Interner`] and [`RequestTerms`] only.
+pub trait SymbolText: sealed::Sink {
+    /// The text of `sym`; see [`Interner::resolve`] and
+    /// [`RequestTerms::resolve`].
+    fn text(&self, sym: Symbol) -> &str;
+}
 
-    /// Empty the request term table, keeping its capacity. Every parse
-    /// starts with it.
-    pub(crate) fn clear_request(&mut self) {
-        self.request.clear();
-    }
-
-    /// One occurrence of a `kind` term with canonical text `s`. A build
-    /// handle interns `s` and returns the term with its base symbol. A
-    /// serve handle pushes `s` onto the request term table and returns the
-    /// term with its request-local symbol; the resolve pass looks IRIs and
-    /// literals up in the base, while variables and blank labels never
-    /// touch it. `None` once the table holds 2^28 entries or 4 GiB of
-    /// text.
+impl sealed::Sink for Interner {
     #[inline]
-    pub(crate) fn push(&mut self, kind: TermKind, s: &str) -> Option<Term> {
-        if !self.serve {
-            return Some(Term::new(kind, intern_into(&mut self.base, s)));
-        }
-        let req = &mut self.request;
-        if req.arena.len() > Symbol::MAX as usize {
+    fn push(&mut self, kind: TermKind, s: &str) -> Option<Term> {
+        Some(Term::new(kind, self.intern(s)))
+    }
+}
+
+impl TermSink for Interner {}
+
+impl SymbolText for Interner {
+    #[inline]
+    fn text(&self, sym: Symbol) -> &str {
+        self.resolve(sym)
+    }
+}
+
+impl sealed::Sink for RequestTerms {
+    fn begin(&mut self) {
+        self.arena.clear();
+        self.resolved.clear();
+        self.probes.clear();
+        self.locals.clear();
+    }
+
+    /// Appends `s` to the table and returns the term with its
+    /// request-local symbol; the resolve pass looks IRIs and literals up in
+    /// the vocabulary, while variables and blank labels never touch it.
+    #[inline]
+    fn push(&mut self, kind: TermKind, s: &str) -> Option<Term> {
+        if self.arena.len() > Symbol::MAX as usize {
             return None;
         }
-        let entry = req.arena.push(s)?;
+        let entry = self.arena.push(s)?;
         if matches!(kind, TermKind::Iri | TermKind::Literal) {
-            req.probes.push(Probe {
+            self.probes.push(Probe {
                 entry,
                 ..Probe::default()
             });
@@ -437,73 +514,41 @@ impl Interner {
         Some(Term::new(kind, Symbol(Symbol::LOCAL | entry)))
     }
 
-    /// The pass that ends a successful parse: resolve every entry of the
-    /// request term table (see the module doc), which [`Interner::settle`]
-    /// then reads. Returns whether there was anything to resolve: a build
-    /// handle's table is empty, since it interned as it went.
-    pub(crate) fn resolve_request(&mut self) -> bool {
-        let req = &mut self.request;
-        if req.arena.len() == 0 {
+    fn finish(&mut self) -> bool {
+        if self.arena.len() == 0 {
             return false;
         }
-        req.resolved.clear();
-        req.resolved.resize(req.arena.len(), ABSENT);
-        req.look_up(&self.base);
-        req.share_locals();
+        self.resolved.clear();
+        self.resolved.resize(self.arena.len(), ABSENT);
+        let RequestTerms {
+            vocab,
+            arena,
+            resolved,
+            probes,
+            ..
+        } = self;
+        RequestTerms::look_up(vocab, arena, resolved, probes);
+        self.share_locals();
         true
     }
 
-    /// `t` with its symbol swapped for the one the resolve pass gave it;
-    /// any term whose symbol is not request-local is returned as is.
     #[inline]
-    pub(crate) fn settle(&self, t: Term) -> Term {
+    fn settle(&self, t: Term) -> Term {
         let sym = t.symbol();
         if !sym.is_local() {
             return t;
         }
         let entry = (sym.0 & !Symbol::LOCAL) as usize;
-        Term::new(t.kind(), Symbol(self.request.resolved[entry]))
+        Term::new(t.kind(), Symbol(self.resolved[entry]))
     }
+}
 
-    /// The text of `sym`: a base string, or for a request-local symbol the
-    /// request term table's entry, valid until this handle parses again.
+impl TermSink for RequestTerms {}
+
+impl SymbolText for RequestTerms {
     #[inline]
-    pub fn resolve(&self, sym: Symbol) -> &str {
-        if sym.is_local() {
-            self.request.arena.text((sym.0 & !Symbol::LOCAL) as usize)
-        } else {
-            self.base.text(sym.index())
-        }
-    }
-
-    /// Base symbol for `s` if it has been interned.
-    pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.base.find(s, hash_str(s)).map(Symbol)
-    }
-
-    /// Number of strings in the base.
-    pub fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    /// Exclusive upper bound on every base symbol id: base symbols are
-    /// dense indices `0..symbol_bound()`, which is what lets
-    /// [`crate::align::AlignmentStore`] dispatch rules by direct array
-    /// index.
-    #[inline]
-    pub fn symbol_bound(&self) -> usize {
-        self.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entries in the request term table: one per term occurrence of the
-    /// last parse.
-    #[cfg(test)]
-    pub(crate) fn request_len(&self) -> usize {
-        self.request.arena.len()
+    fn text(&self, sym: Symbol) -> &str {
+        self.resolve(sym)
     }
 }
 
@@ -556,7 +601,7 @@ mod tests {
             it.intern(&format!("http://src.example.org/ent/e{i}"));
         }
         assert_eq!(it.len(), 100_000);
-        let mean = it.base.mean_displacement();
+        let mean = it.mean_displacement();
         assert!(mean < 1.0, "mean probe displacement {mean:.2} slots");
     }
 
@@ -564,6 +609,7 @@ mod tests {
     fn interner_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Interner>();
+        assert_send_sync::<RequestTerms>();
     }
 
     #[test]
@@ -586,18 +632,46 @@ mod tests {
         assert_eq!(it.intern(""), empty);
     }
 
-    /// Parse `q` on `it` and return its triples.
-    fn triples(q: &str, it: &mut Interner) -> Vec<crate::TriplePattern> {
-        crate::parse_query(q, it).expect("parses").pattern.triples
+    #[test]
+    fn try_resolve_names_only_its_own_symbols() {
+        let mut it = Interner::new();
+        let a = it.intern("a");
+        assert_eq!(it.try_resolve(a), Some("a"));
+        assert_eq!(it.try_resolve(Symbol(1)), None, "past the last id");
+        assert_eq!(it.try_resolve(Symbol(Symbol::LOCAL)), None, "request-local");
+    }
+
+    #[test]
+    fn interning_into_a_clone_leaves_the_original_unchanged() {
+        let mut build = Interner::new();
+        let a = build.intern("a");
+        let mut copy = build.clone();
+        let b = copy.intern("b");
+        assert_eq!(copy.intern("a"), a);
+        assert_eq!((copy.len(), copy.resolve(b)), (2, "b"));
+        assert_eq!(build.len(), 1);
+        assert_eq!((build.get("a"), build.get("b")), (Some(a), None));
+        assert_eq!(build.intern("c"), b, "the original mints its own next id");
+        assert_eq!((build.resolve(b), copy.resolve(b)), ("c", "b"));
+    }
+
+    /// Parse `q` into `sink` and return its triples.
+    fn triples<S: TermSink>(q: &str, sink: &mut S) -> Vec<crate::TriplePattern> {
+        crate::parse_query(q, sink).expect("parses").pattern.triples
+    }
+
+    /// A request table over `vocab`.
+    fn serve(vocab: Interner) -> RequestTerms {
+        RequestTerms::new(Arc::new(vocab))
     }
 
     #[test]
     fn clones_share_the_base_and_keep_request_terms_private() {
         let mut build = Interner::new();
         let rule = build.intern("http://example.org/rule");
-        let mut w1 = build.clone();
-        let mut w2 = build.clone();
-        assert!(Arc::ptr_eq(&w1.base, &w2.base), "clones share one base");
+        let mut w1 = serve(build);
+        let mut w2 = w1.clone();
+        assert!(Arc::ptr_eq(&w1.vocab, &w2.vocab), "clones share one base");
 
         let t1 = triples(
             "SELECT * WHERE { ?s <http://example.org/rule> \"only in w1\" }",
@@ -611,8 +685,8 @@ mod tests {
         let novel = t1[0].o.symbol();
         assert!(novel.is_local(), "a novel string left the request table");
         assert_eq!(w1.resolve(novel), "\"only in w1\"");
-        assert_eq!(w2.get("\"only in w1\""), None, "a sibling sees w1's terms");
-        assert_eq!(build.get("\"only in w1\""), None);
+        assert_eq!(w2.request_len(), 0, "a sibling sees w1's terms");
+        assert_eq!(w2.vocab.get("\"only in w1\""), None);
 
         // The sibling mints the same symbol for its own, different string.
         let t2 = triples(
@@ -622,7 +696,7 @@ mod tests {
         assert_eq!(t2[0].o.symbol(), novel);
         assert_eq!(w2.resolve(novel), "\"only in w2\"");
         assert_eq!(w1.resolve(novel), "\"only in w1\"");
-        // A clone of a serve handle resolves what the handle does.
+        // A clone resolves what the original does.
         assert_eq!(w1.clone().resolve(novel), "\"only in w1\"");
     }
 
@@ -630,10 +704,9 @@ mod tests {
     fn a_serve_parse_never_grows_the_base() {
         let mut build = Interner::new();
         build.intern("http://example.org/rule");
-        let mut worker = build.clone();
-        // The worker now holds the one reference to the base: it still
+        // The worker holds the one reference to the vocabulary: it still
         // must not write to it.
-        drop(build);
+        let mut worker = serve(build);
         let t = triples(
             "SELECT * WHERE { ?first <http://example.org/x> \"y\" }",
             &mut worker,
@@ -641,12 +714,12 @@ mod tests {
         assert_eq!(worker.len(), 1);
         assert!(t[0].terms().iter().all(|t| t.symbol().is_local()));
         assert_eq!(worker.resolve(t[0].p.symbol()), "http://example.org/x");
-        assert_eq!(worker.get("first"), None);
+        assert_eq!(worker.vocab.get("first"), None);
     }
 
     #[test]
     fn each_parse_clears_the_previous_request_table() {
-        let mut worker = Interner::new().clone();
+        let mut worker = serve(Interner::new());
         let q = |i: usize| format!("SELECT ?v{i} WHERE {{ ?v{i} ?p \"{i}\" }}");
         for i in 0..1_000 {
             let t = triples(&q(i), &mut worker);
@@ -661,7 +734,7 @@ mod tests {
 
     #[test]
     fn request_terms_resolve_like_a_base_lookup() {
-        // A base big enough that its probe chains run: every IRI and
+        // A vocabulary big enough that its probe chains run: every IRI and
         // literal of the request must resolve to what `get` finds, every
         // other term to the first entry with its text.
         let mut build = Interner::new();
@@ -669,7 +742,8 @@ mod tests {
             build.intern(&format!("http://example.org/p{i}"));
             build.intern(&format!("\"{i}\""));
         }
-        let mut worker = build.clone();
+        let vocab = Arc::new(build);
+        let mut worker = RequestTerms::new(Arc::clone(&vocab));
         let mut q = String::from("SELECT * WHERE { ");
         for i in (0..40_000).step_by(997) {
             q.push_str(&format!("?v{} <http://example.org/p{i}> \"{i}\" . ", i % 3));
@@ -681,22 +755,22 @@ mod tests {
                 let text = worker.resolve(term.symbol());
                 assert_eq!(
                     term.symbol().is_local(),
-                    build.get(text).is_none(),
+                    vocab.get(text).is_none(),
                     "{text}"
                 );
-                if let Some(sym) = build.get(text) {
+                if let Some(sym) = vocab.get(text) {
                     assert_eq!(term.symbol(), sym);
                 }
             }
             assert_eq!(tp.s, t[n % 3].s, "?v{} is one term", n % 3);
         }
         assert_ne!(t[0].s, t[1].s);
-        assert_eq!(worker.len(), build.len());
+        assert_eq!(worker.len(), vocab.len());
     }
 
     #[test]
     fn equal_texts_share_the_first_occurrences_symbol() {
-        let mut worker = Interner::new().clone();
+        let mut worker = serve(Interner::new());
         for n in [2, 30, 128] {
             let mut q = String::from("SELECT * WHERE { ");
             for i in 0..n {
@@ -726,7 +800,7 @@ mod tests {
         assert_eq!(long.len(), 102);
         let q =
             format!("SELECT * WHERE {{ ?{long} <{long}> ?abcdefg . ?abcdefg <abcdefg> ?{long} }}");
-        let mut worker = Interner::new().clone();
+        let mut worker = serve(Interner::new());
         let query = crate::parse_query(&q, &mut worker).expect("parses");
         let t = &query.pattern.triples;
         assert_ne!(t[0].s, t[0].o, "?abcdefg took ?{long}'s symbol");
@@ -761,24 +835,12 @@ mod tests {
         let q = format!("SELECT * WHERE {{ ?s ?p {a} . ?s ?p {b} }}");
         let mut build = Interner::new();
         let sym_a = build.intern(&a);
-        assert_eq!(build.base.table.len(), 16);
-        let t = triples(&q, &mut build.clone());
+        assert_eq!(build.table.len(), 16);
+        let t = triples(&q, &mut serve(build.clone()));
         assert_eq!(t[0].o.symbol(), sym_a);
         assert!(t[1].o.symbol().is_local(), "{b} matched {a}'s slot");
         let sym_b = build.intern(&b);
-        let t = triples(&q, &mut build.clone());
+        let t = triples(&q, &mut serve(build));
         assert_eq!((t[0].o.symbol(), t[1].o.symbol()), (sym_a, sym_b));
-    }
-
-    #[test]
-    fn a_dropped_clone_hands_the_base_back() {
-        let mut build = Interner::new();
-        build.intern("a");
-        let base = Arc::as_ptr(&build.base);
-        drop(build.clone());
-        let b = build.intern("b");
-        assert_eq!(Arc::as_ptr(&build.base), base, "the base was copied");
-        assert_eq!(build.resolve(b), "b");
-        assert_eq!(build.base.len(), 2);
     }
 }

@@ -58,11 +58,12 @@
 //! and rules into an [`interner::Interner`] and an
 //! [`align::AlignmentStore`] (`&mut`; the store is valid for lookups after
 //! every `add_*`, so there is nothing to freeze). The **serve phase** is
-//! shared and read-only: the store goes behind `&` or an `Arc`, each
-//! worker clones the [`interner::Interner`] (the clone shares its strings
-//! and never writes them: each parse resolves its terms against them in
-//! one staged pass, keeping terms they lack request-local), rewriting
-//! takes `&self` only, and
+//! shared and read-only: the store goes behind `&` or an `Arc`, and so
+//! does the interner, and each worker parses into its own
+//! [`interner::RequestTerms`] over it (which cannot write the shared
+//! strings: each parse resolves its terms against them in one staged
+//! pass, keeping terms they lack request-local), rewriting takes `&self`
+//! only, and
 //! template-introduced existentials are structural
 //! [`term::TermKind::Fresh`] terms (no interning on the hot path). With a
 //! caller-owned [`rewriter::RewriteScratch`], steady-state
@@ -108,7 +109,7 @@ pub use federate::{
     FederatedExecutor, FederatedResult, FederationPlanner, HttpConfig, HttpEndpoint, HttpError,
     HttpLimits, HttpResponse, HttpTransport, TransportError, TransportReply, TransportRequest,
 };
-pub use interner::Interner;
+pub use interner::{Interner, RequestTerms, SymbolText, TermSink};
 pub use parser::{parse_bgp, parse_query, parse_query_into, ParseError, ParseScratch};
 pub use pattern::{
     render_query_into, Bgp, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef,

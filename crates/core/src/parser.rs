@@ -4,10 +4,11 @@
 //! The tokenizer yields byte spans of the input, and the parser slices a
 //! token's text out of the input only when it needs it. Once a term's
 //! final text is known (after PREFIX expansion for QNames), it goes to the
-//! interner handle once: a build handle interns it, a serve handle pushes
-//! it onto its request term table. When the whole query has parsed, one
-//! pass resolves that table and the parser gives every term its resolved
-//! symbol (see [`crate::interner`]). Supported syntax:
+//! parse's [`TermSink`] once: an [`crate::Interner`] interns it, a
+//! [`crate::RequestTerms`] pushes it onto its request table. When the
+//! whole query has parsed, one pass resolves that table and the parser
+//! gives every term its resolved symbol (see [`crate::interner`]).
+//! Supported syntax:
 //!
 //! ```sparql
 //! PREFIX foaf: <http://xmlns.com/foaf/0.1/>
@@ -44,7 +45,7 @@
 
 use std::fmt;
 
-use crate::interner::Interner;
+use crate::interner::TermSink;
 use crate::pattern::{
     Bgp, ChainBuilder, CmpOp, ExprNode, GroupPattern, PatternNode, Query, QueryRef, TriplePattern,
 };
@@ -522,10 +523,10 @@ struct PrefixSpan {
 /// Holds every buffer the parser needs per query — the output group-pattern
 /// tree, the projection, the PREFIX table, and the QName-expansion string —
 /// so a warm [`parse_query_into`] call performs **zero heap allocations**:
-/// on a serve handle once this scratch and the handle's request term table
-/// have grown to the request's size, whatever strings it holds; on a build
-/// handle once this scratch has grown and every string in the query has
-/// been interned.
+/// into a [`crate::RequestTerms`] once this scratch and its request table
+/// have grown to the request's size, whatever strings it holds; into an
+/// [`crate::Interner`] once this scratch has grown and every string in the
+/// query has been interned.
 #[derive(Default, Debug)]
 pub struct ParseScratch {
     pattern: GroupPattern,
@@ -591,18 +592,18 @@ struct SubExpr {
 }
 
 /// Parser state: a tokenizer with one token of lookahead, plus the
-/// scratch-owned PREFIX table and QName-expansion buffer, and the interner
-/// handle every term is pushed to.
+/// scratch-owned PREFIX table and QName-expansion buffer, and the term
+/// sink every term is pushed to.
 ///
 /// Parser-level errors report the tokenizer's `last_start`: the lookahead
 /// is the last token the tokenizer read, so whether the offending token was
 /// consumed or only peeked, that is where it starts.
-struct Parser<'a, 'i, 'p> {
+struct Parser<'a, 'i, 'p, S: TermSink> {
     tok: Tokenizer<'a>,
     /// One token of lookahead.
     peeked: Option<Token>,
     prefixes: &'p mut Vec<PrefixSpan>,
-    interner: &'i mut Interner,
+    sink: &'i mut S,
     /// Nesting levels currently open; see [`MAX_NESTING`].
     depth: u32,
     /// Height the current FILTER's expression tree may reach: the levels
@@ -613,20 +614,20 @@ struct Parser<'a, 'i, 'p> {
     expand_buf: &'p mut String,
 }
 
-impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
+impl<'a, 'i, 'p, S: TermSink> Parser<'a, 'i, 'p, S> {
     fn new(
         input: &'a str,
-        interner: &'i mut Interner,
+        sink: &'i mut S,
         prefixes: &'p mut Vec<PrefixSpan>,
         expand_buf: &'p mut String,
-    ) -> Parser<'a, 'i, 'p> {
+    ) -> Parser<'a, 'i, 'p, S> {
         prefixes.clear();
-        interner.clear_request();
+        sink.begin();
         Parser {
             tok: Tokenizer::new(input),
             peeked: None,
             prefixes,
-            interner,
+            sink,
             depth: 0,
             expr_room: 0,
             expand_buf,
@@ -765,19 +766,17 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
     }
 
     /// Push one occurrence of a `kind` term with canonical text `text` to
-    /// the interner handle; every term the parser reads goes through here
-    /// or [`Parser::push_expanded`].
+    /// the term sink; every term the parser reads goes through here or
+    /// [`Parser::push_expanded`].
     #[inline]
     fn push(&mut self, kind: TermKind, text: &str) -> Parsed<Term> {
-        self.interner
-            .push(kind, text)
-            .ok_or_else(|| self.table_full())
+        self.sink.push(kind, text).ok_or_else(|| self.table_full())
     }
 
     /// [`Parser::push`] for the text in the expansion buffer.
     #[inline]
     fn push_expanded(&mut self, kind: TermKind) -> Parsed<Term> {
-        self.interner
+        self.sink
             .push(kind, self.expand_buf)
             .ok_or_else(|| self.table_full())
     }
@@ -1146,12 +1145,12 @@ impl<'a, 'i, 'p> Parser<'a, 'i, 'p> {
 /// [`ParseScratch`]) a call performs **zero heap allocations**; this is the
 /// parse stage of the zero-alloc serve pipeline.
 ///
-/// The parse clears `interner`'s request term table first: terms of an
-/// earlier parse on a serve handle that kept a request-local symbol are
-/// invalid from here on.
-pub fn parse_query_into(
+/// On a [`crate::RequestTerms`] the parse clears the request table first:
+/// terms of an earlier parse that kept a request-local symbol are invalid
+/// from here on.
+pub fn parse_query_into<S: TermSink>(
     input: &str,
-    interner: &mut Interner,
+    sink: &mut S,
     scratch: &mut ParseScratch,
 ) -> Result<(), ParseError> {
     scratch.pattern.clear();
@@ -1163,23 +1162,23 @@ pub fn parse_query_into(
         prefixes,
         expand_buf,
     } = scratch;
-    let mut parser = Parser::new(input, interner, prefixes, expand_buf);
+    let mut parser = Parser::new(input, sink, prefixes, expand_buf);
     *select_star = parser.parse_query_body(select, pattern).map_err(|e| *e)?;
-    if interner.resolve_request() {
-        pattern.map_terms(|t| interner.settle(t));
+    if sink.finish() {
+        pattern.map_terms(|t| sink.settle(t));
         for t in select {
-            *t = interner.settle(*t);
+            *t = sink.settle(*t);
         }
     }
     Ok(())
 }
 
-/// Parse a full SELECT query on `interner` (a build handle interns its
-/// terms). Convenience wrapper over [`parse_query_into`] that allocates a
-/// fresh [`ParseScratch`] and returns an owned [`Query`].
-pub fn parse_query(input: &str, interner: &mut Interner) -> Result<Query, ParseError> {
+/// Parse a full SELECT query into `sink` (an [`crate::Interner`] interns
+/// its terms). Convenience wrapper over [`parse_query_into`] that allocates
+/// a fresh [`ParseScratch`] and returns an owned [`Query`].
+pub fn parse_query<S: TermSink>(input: &str, sink: &mut S) -> Result<Query, ParseError> {
     let mut scratch = ParseScratch::new();
-    parse_query_into(input, interner, &mut scratch)?;
+    parse_query_into(input, sink, &mut scratch)?;
     Ok(scratch.into_query())
 }
 
@@ -1187,22 +1186,22 @@ pub fn parse_query(input: &str, interner: &mut Interner) -> Result<Query, ParseE
 /// PREFIX prologue and optional surrounding `{ }`. Used for rule templates,
 /// which are flat by design: OPTIONAL/UNION/FILTER in a template is a parse
 /// error here.
-pub fn parse_bgp(input: &str, interner: &mut Interner) -> Result<Bgp, ParseError> {
+pub fn parse_bgp<S: TermSink>(input: &str, sink: &mut S) -> Result<Bgp, ParseError> {
     let mut prefixes = Vec::new();
     let mut expand_buf = String::new();
-    let mut bgp = Parser::new(input, interner, &mut prefixes, &mut expand_buf)
+    let mut bgp = Parser::new(input, sink, &mut prefixes, &mut expand_buf)
         .parse_bgp_entry()
         .map_err(|e| *e)?;
-    if interner.resolve_request() {
+    if sink.finish() {
         for tp in &mut bgp.patterns {
-            let settle = |t| interner.settle(t);
+            let settle = |t| sink.settle(t);
             *tp = TriplePattern::new(settle(tp.s), settle(tp.p), settle(tp.o));
         }
     }
     Ok(bgp)
 }
 
-impl Parser<'_, '_, '_> {
+impl<S: TermSink> Parser<'_, '_, '_, S> {
     fn parse_bgp_entry(mut self) -> Parsed<Bgp> {
         self.parse_prologue()?;
         let mut patterns = Vec::new();
@@ -1248,6 +1247,7 @@ impl Parser<'_, '_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interner::Interner;
     use crate::term::TermKind;
 
     fn parse(q: &str) -> (Query, Interner) {

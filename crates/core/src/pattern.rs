@@ -9,8 +9,9 @@
 //! [`crate::rewriter::RewriteScratch`] can hold a whole rewritten tree in
 //! reusable buffers and steady-state rewriting stays allocation-free.
 //!
-//! Parsed terms are interner symbols, so rendering needs the
-//! [`Interner`] that minted them (or a clone of it). A whole query is the
+//! Parsed terms are interner symbols, so rendering needs the store that
+//! minted them: the [`crate::Interner`] or the [`crate::RequestTerms`]
+//! they were parsed into, read through [`SymbolText`]. A whole query is the
 //! only unit that renders: [`render_query_into`] writes it into a reusable
 //! buffer, and [`Query::to_sparql`] returns it as a new `String`.
 //!
@@ -26,7 +27,7 @@
 //! variable, so rendered output re-parses to a query with identical
 //! solutions.
 
-use crate::interner::Interner;
+use crate::interner::SymbolText;
 use crate::term::{Term, TermKind};
 
 /// One SPARQL triple pattern. 12 bytes, `Copy`: equality and hashing are
@@ -470,7 +471,7 @@ impl Query {
     }
 
     /// Render as SPARQL text: [`render_query_into`] into a new `String`.
-    pub fn to_sparql(&self, interner: &Interner) -> String {
+    pub fn to_sparql(&self, interner: &impl SymbolText) -> String {
         let (mut fresh_base, mut out) = (String::new(), String::new());
         render_query_into(self.as_ref(), interner, &mut fresh_base, &mut out);
         out
@@ -508,7 +509,7 @@ impl<'a> QueryRef<'a> {
 /// with `String::push_str` / `push`, never through `core::fmt`.
 pub fn render_query_into(
     query: QueryRef<'_>,
-    interner: &Interner,
+    interner: &impl SymbolText,
     fresh_base: &mut String,
     out: &mut String,
 ) {
@@ -566,7 +567,7 @@ enum FreshBase<'a> {
 /// fallback, writes the base into `digits` (cleared first) and allocates.
 fn fresh_render_base_into<'d>(
     terms: impl Iterator<Item = Term>,
-    interner: &Interner,
+    interner: &impl SymbolText,
     digits: &'d mut String,
 ) -> FreshBase<'d> {
     let mut max: Option<&str> = None;
@@ -574,7 +575,7 @@ fn fresh_render_base_into<'d>(
         if t.kind() != TermKind::Var {
             continue;
         }
-        let name = interner.resolve(t.symbol());
+        let name = interner.text(t.symbol());
         if let Some(digits) = name.strip_prefix('g') {
             if is_canonical_decimal(digits)
                 && max.is_none_or(|m| (digits.len(), digits) > (m.len(), m))
@@ -614,7 +615,7 @@ fn write_decimal(out: &mut String, mut n: u64) {
     out.push_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"));
 }
 
-fn write_term(out: &mut String, t: Term, interner: &Interner, fresh_base: FreshBase<'_>) {
+fn write_term(out: &mut String, t: Term, interner: &impl SymbolText, fresh_base: FreshBase<'_>) {
     if t.kind() == TermKind::Fresh {
         out.push_str("?g");
         // The decimal-string fallback only triggers for queries using
@@ -625,7 +626,7 @@ fn write_term(out: &mut String, t: Term, interner: &Interner, fresh_base: FreshB
         }
         return;
     }
-    let text = interner.resolve(t.symbol());
+    let text = interner.text(t.symbol());
     match t.kind() {
         TermKind::Iri => {
             out.push('<');
@@ -650,7 +651,7 @@ fn write_term(out: &mut String, t: Term, interner: &Interner, fresh_base: FreshB
 fn write_triple(
     out: &mut String,
     tp: &TriplePattern,
-    interner: &Interner,
+    interner: &impl SymbolText,
     fresh_base: FreshBase<'_>,
 ) {
     write_term(out, tp.s, interner, fresh_base);
@@ -674,7 +675,7 @@ fn write_expr(
     out: &mut String,
     p: &GroupPattern,
     e: u32,
-    interner: &Interner,
+    interner: &impl SymbolText,
     fresh_base: FreshBase<'_>,
 ) {
     let operand = |out: &mut String, c: u32| {
@@ -718,7 +719,7 @@ fn write_node(
     out: &mut String,
     p: &GroupPattern,
     idx: u32,
-    interner: &Interner,
+    interner: &impl SymbolText,
     fresh_base: FreshBase<'_>,
     depth: usize,
 ) {
@@ -779,7 +780,12 @@ fn write_node(
 
 /// Render a full query: projection, then the pattern as `{ ... }` (no
 /// trailing newline).
-fn write_query(out: &mut String, q: QueryRef<'_>, interner: &Interner, fresh_base: FreshBase<'_>) {
+fn write_query(
+    out: &mut String,
+    q: QueryRef<'_>,
+    interner: &impl SymbolText,
+    fresh_base: FreshBase<'_>,
+) {
     out.push_str("SELECT");
     match q.select {
         None => out.push_str(" *"),
@@ -800,9 +806,10 @@ fn write_query(out: &mut String, q: QueryRef<'_>, interner: &Interner, fresh_bas
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interner::{Interner, RequestTerms};
 
     /// Render `pattern` as the whole query `SELECT * WHERE { ... }`.
-    fn render(pattern: GroupPattern, i: &Interner) -> String {
+    fn render(pattern: GroupPattern, i: &impl SymbolText) -> String {
         Query {
             select: None,
             pattern,
@@ -810,7 +817,7 @@ mod tests {
         .to_sparql(i)
     }
 
-    fn render_bgp(triples: &[TriplePattern], i: &Interner) -> String {
+    fn render_bgp(triples: &[TriplePattern], i: &impl SymbolText) -> String {
         render(GroupPattern::from_bgp(&Bgp::new(triples.to_vec())), i)
     }
 
@@ -985,8 +992,8 @@ mod tests {
             Term::iri(i.intern("http://ex.org/p")),
             Term::fresh(2),
         );
-        let mut worker = i.clone();
-        // A serve handle's own term: request-local, rendered from its table.
+        let mut worker = RequestTerms::new(std::sync::Arc::new(i));
+        // The worker's own term: request-local, rendered from its table.
         let parsed = crate::parse_query("SELECT * WHERE { ?s ?s ?o }", &mut worker).unwrap();
         let o = parsed.pattern.triples[0].o;
         let tp2 = TriplePattern::new(tp.s, tp.p, o);

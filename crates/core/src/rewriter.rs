@@ -69,7 +69,6 @@
 //! use sparql_rewrite_core::*;
 //!
 //! let mut interner = Interner::new();
-//! let query = parse_query("SELECT * WHERE { ?s <http://src/p> ?o }", &mut interner).unwrap();
 //! let mut store = AlignmentStore::new();
 //! let lhs = parse_bgp("?a <http://src/p> ?b", &mut interner).unwrap().patterns[0];
 //! let rhs = parse_bgp("?a <http://tgt/p> ?m . ?m <http://tgt/q> ?b", &mut interner)
@@ -77,20 +76,22 @@
 //!     .patterns;
 //! store.add_predicate(lhs, rhs).unwrap();
 //!
-//! // Build phase over: share everything read-only. Each worker renders
-//! // with its own clone of the interner, which shares the strings.
+//! // Build phase over: share everything read-only. Each worker parses
+//! // into its own `RequestTerms` over the shared vocabulary.
 //! let store = Arc::new(store);
+//! let vocab = Arc::new(interner);
 //!
 //! let rendered: Vec<String> = thread::scope(|scope| {
 //!     (0..4)
 //!         .map(|_| {
 //!             let store = Arc::clone(&store);
-//!             let interner = interner.clone();
-//!             let query = &query;
+//!             let mut terms = RequestTerms::new(Arc::clone(&vocab));
 //!             scope.spawn(move || {
+//!                 let query =
+//!                     parse_query("SELECT * WHERE { ?s <http://src/p> ?o }", &mut terms).unwrap();
 //!                 let mut scratch = RewriteScratch::new();
 //!                 store.rewrite_ref_into(query.as_ref(), &mut scratch);
-//!                 scratch.to_query().to_sparql(&interner)
+//!                 scratch.to_query().to_sparql(&terms)
 //!             })
 //!         })
 //!         .collect::<Vec<_>>()

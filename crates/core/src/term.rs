@@ -8,34 +8,34 @@
 //! per-rewrite counter and no string exists until render time.
 //!
 //! A symbol is one of two things, told apart by payload bit 28
-//! ([`Symbol::LOCAL`]): an id of the interner's shared base (bit clear,
-//! at most [`Symbol::MAX`]), or an index into the request term table of
-//! the handle that parsed it (bit set). The kind tag is untouched by it,
-//! so a request-local `?x` is still a [`TermKind::Var`] to the rewriter,
-//! and a request-local IRI lies past every rule table, which reads it as
-//! "no rule".
+//! ([`Symbol::LOCAL`]): an id of the [`crate::interner::Interner`] (bit
+//! clear, at most [`Symbol::MAX`]), or an index into the
+//! [`crate::interner::RequestTerms`] that parsed it (bit set). The kind
+//! tag is untouched by it, so a request-local `?x` is still a
+//! [`TermKind::Var`] to the rewriter, and a request-local IRI lies past
+//! every rule table, which reads it as "no rule".
 
 use std::fmt;
 
-/// Index into an [`crate::interner::Interner`]: a base id, or a
-/// request-local index with [`Symbol::LOCAL`] set. The top three bits of a
+/// Index into an [`crate::interner::Interner`], or with [`Symbol::LOCAL`]
+/// set into a [`crate::interner::RequestTerms`]. The top three bits of a
 /// [`Term`] hold the kind, so the payload has 29 bits.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Symbol(pub(crate) u32);
 
 impl Symbol {
-    /// Largest base id: the interner mints ids below 2^28, leaving the
+    /// Largest interner id: the interner mints ids below 2^28, leaving the
     /// payload's bit 28 to [`Symbol::LOCAL`].
     pub const MAX: u32 = (1 << 28) - 1;
 
     /// The payload bit of a request-local symbol: the text of such a
-    /// symbol is in the request term table of the handle that parsed it,
-    /// not in the shared base, and it is valid until that handle's next
-    /// parse.
+    /// symbol is in the [`crate::interner::RequestTerms`] that parsed it,
+    /// not in the shared vocabulary, and it is valid until that table's
+    /// next parse.
     pub const LOCAL: u32 = 1 << 28;
 
-    /// The symbol's payload: a base id, or [`Symbol::LOCAL`] plus an index
-    /// into a request term table.
+    /// The symbol's payload: an interner id, or [`Symbol::LOCAL`] plus an
+    /// index into a request table.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize

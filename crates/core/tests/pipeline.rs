@@ -10,9 +10,11 @@
 //! the first pass's existentials (parsed as ordinary variables, renamed by
 //! nothing, re-rendered identically).
 
+use std::sync::Arc;
+
 use sparql_rewrite_core::{
     parse_bgp, parse_query_into, render_query_into, AlignmentStore, Interner, ParseScratch,
-    QueryRef, RewriteScratch, Rewriter,
+    QueryRef, RequestTerms, RewriteScratch, Rewriter,
 };
 
 mod common;
@@ -72,7 +74,7 @@ fn idempotent_rules(it: &mut Interner) -> AlignmentStore {
 }
 
 struct Pipeline {
-    interner: Interner,
+    interner: RequestTerms,
     parse: ParseScratch,
     rewrite: RewriteScratch,
     fresh_base: String,
@@ -101,7 +103,7 @@ fn pipeline_is_a_fixpoint_for_idempotent_rules() {
     let mut interner = Interner::new();
     let store = idempotent_rules(&mut interner);
     let mut pipe = Pipeline {
-        interner,
+        interner: RequestTerms::new(Arc::new(interner)),
         parse: ParseScratch::new(),
         rewrite: RewriteScratch::new(),
         fresh_base: String::new(),
@@ -129,7 +131,7 @@ fn pipeline_matches_owned_type_path() {
     let mut interner = Interner::new();
     let store = idempotent_rules(&mut interner);
     let mut pipe = Pipeline {
-        interner: interner.clone(),
+        interner: RequestTerms::new(Arc::new(interner.clone())),
         parse: ParseScratch::new(),
         rewrite: RewriteScratch::new(),
         fresh_base: String::new(),

@@ -6,11 +6,12 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use sparql_rewrite_core::{
     parse_query_into, EndpointId, EndpointOutcome, FederatedExecutor, FederatedResult,
-    FederationPlanner, HttpEndpoint, HttpTransport, Interner, ParseScratch, RewriteLimits,
+    FederationPlanner, HttpEndpoint, HttpTransport, Interner, ParseScratch, RequestTerms,
+    RewriteLimits,
 };
 
 use crate::request::RequestError;
@@ -39,7 +40,9 @@ fn outcome_attempts(o: &EndpointOutcome) -> u32 {
 pub(crate) struct FederationRuntime {
     planner: FederationPlanner,
     pub(crate) executor: FederatedExecutor<HttpTransport>,
-    interner: Interner,
+    /// The vocabulary the planner's rules were built with, which every
+    /// worker's [`RequestTerms`] shares.
+    vocab: Arc<Interner>,
     limits: RewriteLimits,
     /// Per-endpoint outcome tallies, [`OUTCOME_CLASSES`] order.
     pub(crate) outcome_counts: [AtomicU64; 4],
@@ -65,11 +68,14 @@ pub(crate) fn build_federation(
         return Err(FederationConfigError::NoEndpoints);
     }
     let mut slots: Vec<Option<HttpEndpoint>> = (0..n).map(|_| None).collect();
+    let endpoint_term = |e: usize| fed.planner.endpoint_term(EndpointId(e as u32));
     for route in &fed.routes {
-        let id = (0..n).find(|&e| {
-            let term = fed.planner.endpoint_term(EndpointId(e as u32));
-            fed.interner.resolve(term.symbol()) == route.iri
-        });
+        // Matched by symbol: an endpoint term the config interner never
+        // minted matches no route, and is named below without reading it.
+        let id = fed
+            .interner
+            .get(&route.iri)
+            .and_then(|sym| (0..n).find(|&e| endpoint_term(e).symbol() == sym));
         let Some(id) = id else {
             return Err(FederationConfigError::UnknownEndpointIri(route.iri.clone()));
         };
@@ -86,10 +92,10 @@ pub(crate) fn build_federation(
         match slot {
             Some(ep) => endpoints.push(ep),
             None => {
-                let term = fed.planner.endpoint_term(EndpointId(e as u32));
-                return Err(FederationConfigError::MissingRoute(
-                    fed.interner.resolve(term.symbol()).to_string(),
-                ));
+                let term = endpoint_term(e);
+                let name = fed.interner.try_resolve(term.symbol());
+                let name = name.map_or_else(|| format!("{term:?}"), str::to_string);
+                return Err(FederationConfigError::MissingRoute(name));
             }
         }
     }
@@ -98,7 +104,7 @@ pub(crate) fn build_federation(
     Ok(FederationRuntime {
         planner: fed.planner,
         executor,
-        interner: fed.interner,
+        vocab: Arc::new(fed.interner),
         limits: fed.limits,
         outcome_counts: std::array::from_fn(|_| AtomicU64::new(0)),
         complete_responses: AtomicU64::new(0),
@@ -111,12 +117,12 @@ pub(crate) fn build_federation(
     })
 }
 
-/// Federated-mode per-worker buffers: a serve handle on the planner's
-/// interner (parsing resolves to the planner's symbols without writing
-/// them, and holds one request's terms), parse scratch, and
+/// Federated-mode per-worker buffers: a [`RequestTerms`] over the
+/// planner's vocabulary (parsing resolves to the planner's symbols without
+/// writing them, and holds one request's terms), parse scratch, and
 /// response-building buffers.
 pub(crate) struct FedScratch {
-    interner: Interner,
+    interner: RequestTerms,
     parse: ParseScratch,
     body: String,
     status_header: String,
@@ -125,7 +131,7 @@ pub(crate) struct FedScratch {
 impl FedScratch {
     pub(crate) fn new(fed: &FederationRuntime) -> FedScratch {
         FedScratch {
-            interner: fed.interner.clone(),
+            interner: RequestTerms::new(Arc::clone(&fed.vocab)),
             parse: ParseScratch::new(),
             body: String::new(),
             status_header: String::new(),
@@ -257,7 +263,7 @@ fn render_envelope(
             out.push(',');
         }
         let iri = fed
-            .interner
+            .vocab
             .resolve(fed.planner.endpoint_term(report.endpoint).symbol());
         let _ = write!(out, "{{\"id\":{},\"iri\":\"", report.endpoint.0);
         push_json_escaped(out, iri);

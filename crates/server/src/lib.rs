@@ -170,8 +170,10 @@ pub struct EndpointRoute {
 pub struct FederationConfig {
     /// The planner holding the per-endpoint alignment stores.
     pub planner: FederationPlanner,
-    /// The interner the planner's rules were built with; each worker
-    /// clones it so request parsing resolves to the planner's symbols.
+    /// The interner the planner's rules and endpoint terms were built
+    /// with. The server shares it read-only behind an `Arc`, and each
+    /// worker parses requests into a [`sparql_rewrite_core::RequestTerms`]
+    /// over it, so they resolve to the planner's symbols.
     pub interner: Interner,
     /// One route per planner endpoint (any order; matched by IRI).
     pub routes: Vec<EndpointRoute>,

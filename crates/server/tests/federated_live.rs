@@ -15,8 +15,8 @@ use std::time::{Duration, Instant};
 
 use sparql_rewrite_chaos::{ChaosProxy, ChaosSpec};
 use sparql_rewrite_core::{
-    AlignmentStore, BackoffPolicy, ExecutorConfig, FederationPlanner, HttpConfig, Interner,
-    RewriteLimits, Term, TriplePattern,
+    parse_query, AlignmentStore, BackoffPolicy, ExecutorConfig, FederationPlanner, HttpConfig,
+    Interner, RequestTerms, RewriteLimits, Term, TriplePattern,
 };
 use sparql_rewrite_server::request::percent_encode_into;
 use sparql_rewrite_server::{
@@ -136,6 +136,45 @@ fn malformed_federation_configs_are_structured_errors() {
             assert_eq!(iri, "http://ep1.example.org/sparql");
         }
         other => panic!("missing route: expected MissingRoute, got {other:?}"),
+    }
+
+    // An endpoint term another interner minted (id 99), and a config
+    // interner that never minted it: no route can name it.
+    let mut other = Interner::new();
+    for i in 0..99 {
+        other.intern(&format!("http://filler.example.org/{i}"));
+    }
+    let foreign = Term::iri(other.intern("http://ep0.example.org/sparql"));
+    assert_eq!(foreign.symbol().index(), 99);
+    let mut planner = FederationPlanner::new();
+    planner.add_endpoint(foreign, Arc::new(AlignmentStore::new()));
+    let foreign_config = FederationConfig {
+        planner,
+        interner: Interner::new(),
+        ..endpoint_config(0, vec![route(0, "127.0.0.1:1")])
+    };
+    match Server::spawn_federated(foreign_config, quick_config(), "127.0.0.1:0").map(|_| ()) {
+        Err(SpawnError::Config(FederationConfigError::UnknownEndpointIri(iri))) => {
+            assert_eq!(iri, "http://ep0.example.org/sparql");
+        }
+        other => panic!("foreign endpoint term: expected UnknownEndpointIri, got {other:?}"),
+    }
+
+    // An endpoint term taken from a request parse: request-local, so the
+    // config interner cannot name it, and no route reaches it.
+    let mut local_config = endpoint_config(1, vec![route(0, "127.0.0.1:1")]);
+    let mut terms = RequestTerms::new(Arc::new(local_config.interner.clone()));
+    let q = "SELECT * WHERE { ?s ?p <http://ep1.example.org/sparql> }";
+    let local = parse_query(q, &mut terms).expect("parses").pattern.triples[0].o;
+    assert!(local.symbol().is_local());
+    local_config
+        .planner
+        .add_endpoint(local, Arc::new(AlignmentStore::new()));
+    match Server::spawn_federated(local_config, quick_config(), "127.0.0.1:0").map(|_| ()) {
+        Err(SpawnError::Config(FederationConfigError::MissingRoute(name))) => {
+            assert_eq!(name, format!("{local:?}"));
+        }
+        other => panic!("request-local endpoint term: expected MissingRoute, got {other:?}"),
     }
 }
 
