@@ -92,26 +92,6 @@ const FP_K: u64 = 0x517c_c1b7_2722_0a95;
 /// Bytes per block: one word per lane.
 const BLOCK: usize = 32;
 
-/// Per-process random fingerprint seed. Query text is attacker-controlled
-/// at a public endpoint and the digest function is public, so an *unseeded*
-/// hash would let an adversary precompute two distinct queries with one
-/// fingerprint offline and poison the cache (query A served query B's
-/// rewrite). Folding OS entropy into the initial state (via `RandomState`,
-/// the same source `HashMap` uses for its DoS resistance) makes the
-/// colliding pair depend on a value the attacker never sees. Fingerprints
-/// are therefore stable within a process — all a cache key needs — but
-/// deliberately differ across processes.
-fn process_seed() -> u64 {
-    use std::hash::{BuildHasher, Hasher};
-    use std::sync::OnceLock;
-    static SEED: OnceLock<u64> = OnceLock::new();
-    *SEED.get_or_init(|| {
-        let mut h = std::collections::hash_map::RandomState::new().build_hasher();
-        h.write_u64(0x5eed);
-        h.finish()
-    })
-}
-
 /// One Fx-style step: the hash chain's only operation.
 #[inline(always)]
 fn step(hash: u64, word: u64) -> u64 {
@@ -125,9 +105,17 @@ fn le_word(bytes: &[u8]) -> u64 {
 
 /// Every lane starts from the process seed, each at a distinct point so
 /// equal words in different lanes do not cancel out when they fold.
+///
+/// Query text is attacker-controlled at a public endpoint and the digest
+/// function is public, so an *unseeded* hash would let an adversary
+/// precompute two distinct queries with one fingerprint offline and poison
+/// the cache (query A served query B's rewrite). The process seed
+/// ([`crate::fxhash::process_seed`]) is a value the attacker never sees.
+/// Fingerprints are stable within a process — all a cache key needs — but
+/// deliberately differ across processes.
 #[inline]
 fn seeded_lanes() -> [u64; 4] {
-    let seed = FP_SEED ^ process_seed();
+    let seed = FP_SEED ^ crate::fxhash::process_seed();
     [0, 1, 2, 3].map(|j| step(seed, j))
 }
 

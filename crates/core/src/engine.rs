@@ -11,21 +11,25 @@
 //!    previously rendered rewrite once, straight into the output string,
 //!    and skips the pipeline entirely,
 //! 1. parses SPARQL text into a caller-owned [`ParseScratch`], pushing
-//!    every term onto the worker's [`RequestTerms`], then resolves them
-//!    against the frozen rule vocabulary (an `Arc<`[`Interner`]`>`) in one
-//!    staged pass — a known IRI or literal takes its shared symbol, every
-//!    other term a request-local one that can never alias a rule symbol,
-//!    and nothing is written to the vocabulary,
+//!    every term onto the worker's [`RequestTerms`], which hashes it once
+//!    and gives a repeat its first occurrence's request-local symbol, then
+//!    looks the distinct IRIs and literals up in the frozen rule
+//!    vocabulary (an `Arc<`[`Interner`]`>`) in one staged pass — a known
+//!    one takes its shared symbol, every other term keeps a request-local
+//!    one that can never alias a rule symbol, and nothing is written to
+//!    the vocabulary,
 //! 2. rewrites the borrowed parse with the engine's own dense-indexed
 //!    [`AlignmentStore`] ([`Rewriter::rewrite_ref_into`]) — after one
 //!    batch load of the dispatch records and single-rule template rows
 //!    the query's triple patterns will read, so their cache misses overlap
 //!    instead of stalling the walk one at a time,
 //! 3. renders the rewritten query into a reusable output `String` —
-//!    every byte appended with `push_str`, none through `core::fmt` — and
-//!    fills the cache entry under the same raw-byte key. The engine never
-//!    changes its rule set and owns its cache, so the cache lives and dies
-//!    with that rule set and no entry needs invalidating.
+//!    every byte appended with `push_str`, none through `core::fmt`; when
+//!    the parse saw no variable named `g…`, without the pass that offsets
+//!    fresh names past such a variable — and fills the cache entry under
+//!    the same raw-byte key. The engine never changes its rule set and
+//!    owns its cache, so the cache lives and dies with that rule set and
+//!    no entry needs invalidating.
 //!
 //! Every stage writes into reusable buffers, so a warm
 //! [`ServeEngine::serve`] call performs **zero heap allocations** on both
@@ -48,6 +52,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::cache::ONE_RULE_SET;
+use crate::pattern::render_query_unshifted_into;
 use crate::{
     fingerprint_raw, parse_query_into, render_query_into, AlignmentStore, CacheConfig, CacheStats,
     Interner, ParseError, ParseScratch, QueryFingerprint, QueryRef, RequestTerms, RewriteCache,
@@ -318,15 +323,22 @@ impl ServeEngine {
         parse_query_into(request, &mut scratch.interner, &mut scratch.parse)?;
         self.store
             .rewrite_ref_into(scratch.parse.query_ref(), &mut scratch.rewrite);
-        render_query_into(
-            QueryRef {
-                select: scratch.rewrite.select(),
-                pattern: scratch.rewrite.pattern(),
-            },
-            &scratch.interner,
-            &mut scratch.fresh_base,
-            &mut scratch.out,
-        );
+        let query = QueryRef {
+            select: scratch.rewrite.select(),
+            pattern: scratch.rewrite.pattern(),
+        };
+        // The rewrite's variables are some of the request's: if none of
+        // those is named `g…`, the fresh-name base is 0.
+        if scratch.interner.has_g_names() {
+            render_query_into(
+                query,
+                &scratch.interner,
+                &mut scratch.fresh_base,
+                &mut scratch.out,
+            );
+        } else {
+            render_query_unshifted_into(query, &scratch.interner, &mut scratch.out);
+        }
         Ok(())
     }
 }
@@ -473,8 +485,9 @@ mod tests {
                 "request {i} rendered differently on a used scratch"
             );
             assert_eq!(scratch.interner.len(), base, "request {i} grew the base");
-            // Two projected variables and two triples' worth of terms.
-            assert_eq!(scratch.interner.request_len(), 8, "request {i}");
+            // One entry per distinct term: ?s, ?g{i}, the rule IRI, the
+            // literal and ?p, however often each occurs.
+            assert_eq!(scratch.interner.request_len(), 5, "request {i}");
         }
         assert_eq!(engine.base_interner().len(), base);
     }

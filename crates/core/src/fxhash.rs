@@ -3,16 +3,34 @@
 //! The container image has no registry access, so the `fxhash`/`rustc-hash`
 //! crates are re-implemented here (the algorithm is a few lines). Symbol and
 //! short-string keys dominate this codebase and Fx is ~5x faster than the
-//! default SipHash for them. It is NOT DoS-resistant, but request text
-//! enters no hash table: a serve-path parse only looks the request's IRIs
-//! and literals up in the frozen interner, which holds the engine's own
-//! vocabulary, and finds a request's repeated terms by sorting them. A
-//! client that crafts strings whose hashes collide can only walk the probe
-//! chains the vocabulary already has, and lengthens none.
+//! default SipHash for them. Unseeded it is NOT DoS-resistant, and request
+//! text reaches two tables keyed by it: a serve-path parse finds the
+//! request's repeated terms through a per-request index, and looks its
+//! IRIs and literals up in the frozen interner. Strings crafted to collide
+//! would lengthen the index's chains, so that each push walks every
+//! earlier colliding term and the parse costs time quadratic in their
+//! number. So the interner's hash starts from [`process_seed`], as the
+//! cache's fingerprint does: the collisions then depend on a value the
+//! client never sees.
 
-use std::hash::Hasher;
+use std::hash::{BuildHasher, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// Per-process random seed for hashes of request text: a client that
+/// knows the hash function but not this value cannot compute which of its
+/// strings collide. It folds OS entropy in through `RandomState`, the
+/// source `HashMap` uses for its DoS resistance, so it is stable within a
+/// process and differs across processes.
+pub(crate) fn process_seed() -> u64 {
+    use std::sync::OnceLock;
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| {
+        let mut h = std::collections::hash_map::RandomState::new().build_hasher();
+        h.write_u64(0x5eed);
+        h.finish()
+    })
+}
 
 #[derive(Default, Clone)]
 pub struct FxHasher {
@@ -20,6 +38,12 @@ pub struct FxHasher {
 }
 
 impl FxHasher {
+    /// A hasher whose state starts at `seed` instead of 0.
+    #[inline]
+    pub fn with_seed(seed: u64) -> FxHasher {
+        FxHasher { hash: seed }
+    }
+
     #[inline]
     fn add_to_hash(&mut self, word: u64) {
         self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);

@@ -18,21 +18,27 @@
 //!
 //! * An [`Interner`] interns the text then and there, so rule loading
 //!   through `parse_bgp` / `parse_query` mints symbols in parse order.
-//! * A [`RequestTerms`] appends the text to its table, one entry per
-//!   occurrence, and hands out a request-local symbol ([`Symbol::LOCAL`]
-//!   set). Once the parse succeeds, one pass resolves the whole table and
-//!   the parser swaps every term's symbol for the resolved one. The pass
-//!   looks every IRI and literal entry up in the vocabulary, in stages:
-//!   hash every key and load its home slot; then load every candidate's
-//!   `ends`, then its text; then compare, continuing the linear probe
-//!   where the candidate was another string. The loads within a stage do
-//!   not wait on each other, so their cache misses overlap; looked up one
-//!   key after another, each key's three misses (slot, `ends`, text) queue
-//!   behind the last key's. A found entry takes its vocabulary symbol, the
-//!   one the rules hold. Variables and blank labels never touch the
-//!   vocabulary; they and the entries it lacks keep a request-local
-//!   symbol, that of the first entry with the same text, and render from
-//!   the table.
+//! * A [`RequestTerms`] decides each term's identity as it is pushed. It
+//!   hashes the text once and probes a per-request open-addressing index
+//!   whose key sets IRIs and literals apart from variables and blank
+//!   labels (so `?q` is never the entry of `<q>`). A repeated term gets
+//!   its first occurrence's request-local symbol ([`Symbol::LOCAL`] set);
+//!   only a new text is appended to the table, and only a new IRI or
+//!   literal is queued, with its hash, for the vocabulary. Once the parse
+//!   succeeds, one pass looks the queue up and the parser swaps every
+//!   found term's symbol for the vocabulary's, the one the rules hold. The
+//!   lookup runs in stages: load every key's home slot; then every
+//!   candidate's `ends`, then its text; then compare, continuing the
+//!   linear probe where the candidate was another string. The loads within
+//!   a stage do not wait on each other, so their cache misses overlap;
+//!   looked up one key after another, each key's three misses (slot,
+//!   `ends`, text) queue behind the last key's. Variables, blank labels
+//!   and the entries the vocabulary lacks keep their request-local symbol
+//!   and render from the table.
+//!
+//! The index keeps its capacity from parse to parse. A parse empties it by
+//! bumping a generation stamp that every live slot carries, so a warm
+//! parse neither allocates nor clears it slot by slot.
 //!
 //! A [`RequestTerms`] has no way to write the vocabulary, so a serve parse
 //! grows nothing shared: the table holds one request's terms, cleared by
@@ -50,8 +56,8 @@ use crate::term::{Symbol, Term, TermKind};
 /// `u64::MAX` cannot collide with a live entry.
 const EMPTY: u64 = u64::MAX;
 
-/// A request entry's resolution while the vocabulary has not (yet) been
-/// found to hold its text; never a symbol.
+/// A probe's candidate id when no vocabulary slot carries its key's tag;
+/// never a symbol.
 const ABSENT: u32 = u32::MAX;
 
 /// Pack a table slot: the top 32 bits of the (finalized) hash as a tag, the
@@ -73,9 +79,11 @@ fn slot_tag_matches(entry: u64, hash: u64) -> bool {
     (entry ^ hash) & 0xffff_ffff_0000_0000 == 0
 }
 
+/// The hash of `s` from `seed` (the process seed outside tests; see the
+/// `fxhash` module doc).
 #[inline]
-fn hash_str(s: &str) -> u64 {
-    let mut h = FxHasher::default();
+fn hash_str(seed: u64, s: &str) -> u64 {
+    let mut h = FxHasher::with_seed(seed);
     h.write(s.as_bytes());
     // Fx's final step is a multiply, which drives its entropy into the
     // *high* bits; this table indexes with the *low* bits (`& mask`). IRI
@@ -136,7 +144,7 @@ impl Arena {
 ///
 /// Once the rules are loaded, share it read-only (`Arc<Interner>`) and
 /// parse requests on a [`RequestTerms`] over it. `clone` is a deep copy.
-#[derive(Default, Debug, Clone)]
+#[derive(Debug, Clone)]
 pub struct Interner {
     arena: Arena,
     /// Open-addressing table of `(hash_tag, id)` slots (`EMPTY` = vacant),
@@ -144,6 +152,19 @@ pub struct Interner {
     /// and only compares the candidate's text on a tag match, so no second
     /// copy of any key is stored and false probes never touch the arena.
     table: Vec<u64>,
+    /// What every hash of this interner's keys starts from: the process
+    /// seed, which a [`RequestTerms`] over it hashes request text with too.
+    seed: u64,
+}
+
+impl Default for Interner {
+    fn default() -> Interner {
+        Interner {
+            arena: Arena::default(),
+            table: Vec::new(),
+            seed: crate::fxhash::process_seed(),
+        }
+    }
 }
 
 impl Interner {
@@ -155,7 +176,7 @@ impl Interner {
     /// Intern `s`, returning its symbol. O(1) amortized; copies `s` into
     /// the arena only the first time it is seen.
     pub fn intern(&mut self, s: &str) -> Symbol {
-        let hash = hash_str(s);
+        let hash = hash_str(self.seed, s);
         if let Some(id) = self.find(s, hash) {
             return Symbol(id);
         }
@@ -190,7 +211,7 @@ impl Interner {
 
     /// Symbol for `s` if it has been interned.
     pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.find(s, hash_str(s)).map(Symbol)
+        self.find(s, hash_str(self.seed, s)).map(Symbol)
     }
 
     /// Number of strings interned.
@@ -248,7 +269,7 @@ impl Interner {
         let new_cap = (self.table.len() * 2).max(16);
         self.table = vec![EMPTY; new_cap];
         for id in 0..self.len() {
-            let hash = hash_str(self.arena.text(id));
+            let hash = hash_str(self.seed, self.arena.text(id));
             let slot = self.vacant_slot(hash);
             self.table[slot] = slot_entry(hash, id as u32);
         }
@@ -265,7 +286,8 @@ impl Interner {
             .enumerate()
             .filter(|&(_, &slot)| slot != EMPTY)
             .map(|(i, &slot)| {
-                let home = hash_str(self.arena.text(slot_id(slot) as usize)) as usize & mask;
+                let home =
+                    hash_str(self.seed, self.arena.text(slot_id(slot) as usize)) as usize & mask;
                 i.wrapping_sub(home) & mask
             })
             .sum();
@@ -273,7 +295,8 @@ impl Interner {
     }
 }
 
-/// One IRI or literal entry's vocabulary lookup, filled in stage by stage.
+/// One distinct IRI or literal entry's vocabulary lookup, queued by the
+/// push with its text's hash and filled in stage by stage.
 #[derive(Copy, Clone, Default, Debug)]
 struct Probe {
     /// The request entry looked up.
@@ -287,41 +310,69 @@ struct Probe {
     end: u32,
 }
 
+/// Flipped into a variable's or blank label's index key: the top bit, so
+/// the key keeps its home slot but never equals an IRI's or literal's, and
+/// `?q` is never the entry of `<q>`, whose text the vocabulary may hold.
+const VAR_CLASS: u64 = 1 << 63;
+
+/// A slot of the request index: live only while `gen` is the generation
+/// of the current parse, so a parse empties the index by bumping that.
+#[derive(Copy, Clone, Default, Debug)]
+struct IndexSlot {
+    /// The text's hash, with [`VAR_CLASS`] flipped for a variable or blank
+    /// label.
+    key: u64,
+    entry: u32,
+    /// 0 in a slot no parse has written: the current generation never is.
+    gen: u32,
+}
+
 /// The serve phase's term store: a frozen vocabulary shared through an
-/// `Arc`, plus the terms of the request last parsed on it (see the module
-/// doc).
+/// `Arc`, plus the distinct terms of the request last parsed on it (see
+/// the module doc).
 ///
 /// A parse on it looks its IRIs and literals up in the vocabulary and
 /// never writes it; every other term, and every term the vocabulary lacks,
 /// gets a request-local symbol ([`Symbol::LOCAL`] set), which is valid
 /// until the next parse and can never alias a vocabulary symbol, so no
-/// rule ever matches it. Each parse clears the table first, so it holds at
-/// most one request's terms, however many requests it parses. `clone`
-/// shares the vocabulary and copies the table, so the clone resolves every
-/// symbol the original does.
+/// rule ever matches it. Each parse empties the table first, keeping its
+/// capacity, so it holds at most one request's terms, however many
+/// requests it parses. `clone` shares the vocabulary and copies the table,
+/// so the clone resolves every symbol the original does.
 #[derive(Clone, Debug)]
 pub struct RequestTerms {
     vocab: Arc<Interner>,
-    /// One entry per term occurrence of the last parse, in parse order.
+    /// One entry per distinct term of the last parse, in order of first
+    /// occurrence.
     arena: Arena,
+    /// Open-addressing index of `arena`, sized to a power of two: how a
+    /// push finds an earlier occurrence of its term.
+    index: Vec<IndexSlot>,
+    /// The current parse's generation: never 0.
+    gen: u32,
     /// `resolved[i]`: entry `i`'s symbol, once the resolve pass has run.
     resolved: Vec<u32>,
     /// The IRI and literal entries, in order: the vocabulary lookups.
     probes: Vec<Probe>,
-    /// Scratch of the entries that end up request-local: `(hash of the
-    /// entry's text, entry)`.
-    locals: Vec<(u64, u32)>,
+    /// Whether a variable or blank label of the last parse is named `g…`.
+    g_names: bool,
+    /// The vocabulary's hash seed: each term is hashed once, for the index
+    /// and the vocabulary alike.
+    seed: u64,
 }
 
 impl RequestTerms {
     /// An empty request table over `vocab`.
     pub fn new(vocab: Arc<Interner>) -> RequestTerms {
         RequestTerms {
+            seed: vocab.seed,
             vocab,
             arena: Arena::default(),
+            index: Vec::new(),
+            gen: 1,
             resolved: Vec::new(),
             probes: Vec::new(),
-            locals: Vec::new(),
+            g_names: false,
         }
     }
 
@@ -345,14 +396,41 @@ impl RequestTerms {
         self.vocab.is_empty()
     }
 
-    /// Look every probe of `arena`'s entries up in `vocab`, in stages,
-    /// writing each found id to `resolved`.
-    fn look_up(vocab: &Interner, arena: &Arena, resolved: &mut [u32], probes: &mut [Probe]) {
-        for p in probes.iter_mut() {
-            p.hash = hash_str(arena.text(p.entry as usize));
+    /// Whether the last parse read a variable or blank label whose name
+    /// starts with `g`. If not, no variable of the request is named
+    /// `g{k}`, nor of any rewrite of it (a rewrite's variables are some of
+    /// the request's), so the render's fresh names need no offset.
+    #[inline]
+    pub(crate) fn has_g_names(&self) -> bool {
+        self.g_names
+    }
+
+    /// Double the index (16 slots at first) and re-seat the current
+    /// parse's entries by their stored keys.
+    #[cold]
+    fn grow_index(&mut self) {
+        let cap = (self.index.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.index, vec![IndexSlot::default(); cap]);
+        let mask = cap - 1;
+        for slot in old.into_iter().filter(|s| s.gen == self.gen) {
+            let mut i = slot.key as usize & mask;
+            while self.index[i].gen == self.gen {
+                i = (i + 1) & mask;
+            }
+            self.index[i] = slot;
         }
+    }
+
+    /// Look every probe of `arena`'s entries up in `vocab`, in stages,
+    /// writing each found id to `resolved`. Returns whether any was found.
+    fn look_up(
+        vocab: &Interner,
+        arena: &Arena,
+        resolved: &mut [u32],
+        probes: &mut [Probe],
+    ) -> bool {
         if vocab.table.is_empty() {
-            return;
+            return false;
         }
         let mask = vocab.table.len() - 1;
         // Home slots, skipping slots whose tag is another key's: those
@@ -374,6 +452,7 @@ impl RequestTerms {
             p.end = ends[id];
         }
         let bytes = vocab.arena.bytes.as_bytes();
+        let mut found_any = false;
         for p in probes.iter().filter(|p| p.id != ABSENT) {
             let key = arena.text(p.entry as usize);
             let found = if &bytes[p.start as usize..p.end as usize] == key.as_bytes() {
@@ -384,44 +463,15 @@ impl RequestTerms {
             };
             if let Some(id) = found {
                 resolved[p.entry as usize] = id;
+                found_any = true;
             }
         }
+        found_any
     }
 
-    /// Give every entry the vocabulary lacks the local symbol of the first
-    /// entry with its text, so equal texts are one term: sort those entries
-    /// by `(hash, text, entry)`, which puts equal texts side by side, first
-    /// occurrence first, in O(n log n) compares whatever the request's
-    /// text.
-    fn share_locals(&mut self) {
-        let RequestTerms {
-            arena,
-            resolved,
-            locals,
-            ..
-        } = self;
-        locals.clear();
-        locals.extend(
-            (0..resolved.len() as u32)
-                .filter(|&e| resolved[e as usize] == ABSENT)
-                .map(|e| (hash_str(arena.text(e as usize)), e)),
-        );
-        let text = |e: u32| arena.text(e as usize);
-        locals.sort_unstable_by(|a, b| {
-            (a.0.cmp(&b.0))
-                .then_with(|| text(a.1).cmp(text(b.1)))
-                .then(a.1.cmp(&b.1))
-        });
-        let mut first = (0, ABSENT);
-        for &(hash, entry) in locals.iter() {
-            if first.1 == ABSENT || hash != first.0 || text(entry) != text(first.1) {
-                first = (hash, entry);
-            }
-            resolved[entry as usize] = Symbol::LOCAL | first.1;
-        }
-    }
-
-    /// Entries in the table: one per term occurrence of the last parse.
+    /// Entries in the table: one per distinct term of the last parse (a
+    /// variable and a blank label with one name are one entry, an IRI with
+    /// that text another).
     #[cfg(test)]
     pub(crate) fn request_len(&self) -> usize {
         self.arena.len()
@@ -437,7 +487,7 @@ pub(crate) mod sealed {
     pub trait Sink {
         /// One occurrence of a `kind` term with canonical text `s`, as the
         /// parser is to hold it until [`Sink::finish`]. `None` once the
-        /// request table holds 2^28 entries or 4 GiB of text.
+        /// request table holds 2^28 distinct entries or 4 GiB of text.
         fn push(&mut self, kind: TermKind, s: &str) -> Option<Term>;
 
         /// Start a parse: empty the request table, keeping its capacity.
@@ -489,37 +539,67 @@ impl SymbolText for Interner {
 }
 
 impl sealed::Sink for RequestTerms {
+    /// Empties the table and starts a new index generation; on the rare
+    /// wrap to 0, every slot is vacated so no old generation comes back.
     fn begin(&mut self) {
         self.arena.clear();
-        self.resolved.clear();
         self.probes.clear();
-        self.locals.clear();
+        self.g_names = false;
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.index.fill(IndexSlot::default());
+            self.gen = 1;
+        }
     }
 
-    /// Appends `s` to the table and returns the term with its
-    /// request-local symbol; the resolve pass looks IRIs and literals up in
-    /// the vocabulary, while variables and blank labels never touch it.
+    /// Returns the term with the request-local symbol of its text's first
+    /// occurrence, appending the text if it is new. A new IRI or literal is
+    /// queued for the resolve pass's vocabulary lookup, with its hash; a
+    /// variable or blank label never touches the vocabulary.
     #[inline]
     fn push(&mut self, kind: TermKind, s: &str) -> Option<Term> {
+        let hash = hash_str(self.seed, s);
+        let vocab_term = matches!(kind, TermKind::Iri | TermKind::Literal);
+        let key = if vocab_term { hash } else { hash ^ VAR_CLASS };
+        if (self.arena.len() + 1) * 4 > self.index.len() * 3 {
+            self.grow_index();
+        }
+        let mask = self.index.len() - 1;
+        let mut i = key as usize & mask;
+        loop {
+            let slot = self.index[i];
+            if slot.gen != self.gen {
+                break;
+            }
+            if slot.key == key && self.arena.text(slot.entry as usize) == s {
+                return Some(Term::new(kind, Symbol(Symbol::LOCAL | slot.entry)));
+            }
+            i = (i + 1) & mask;
+        }
         if self.arena.len() > Symbol::MAX as usize {
             return None;
         }
         let entry = self.arena.push(s)?;
-        if matches!(kind, TermKind::Iri | TermKind::Literal) {
+        self.index[i] = IndexSlot {
+            key,
+            entry,
+            gen: self.gen,
+        };
+        if vocab_term {
             self.probes.push(Probe {
                 entry,
+                hash,
                 ..Probe::default()
             });
+        } else {
+            self.g_names |= s.starts_with('g');
         }
         Some(Term::new(kind, Symbol(Symbol::LOCAL | entry)))
     }
 
+    /// Resolves the table: an entry the vocabulary holds takes its symbol,
+    /// every other entry keeps its own local one.
     fn finish(&mut self) -> bool {
-        if self.arena.len() == 0 {
-            return false;
-        }
-        self.resolved.clear();
-        self.resolved.resize(self.arena.len(), ABSENT);
         let RequestTerms {
             vocab,
             arena,
@@ -527,9 +607,9 @@ impl sealed::Sink for RequestTerms {
             probes,
             ..
         } = self;
-        RequestTerms::look_up(vocab, arena, resolved, probes);
-        self.share_locals();
-        true
+        resolved.clear();
+        resolved.extend((0..arena.len() as u32).map(|entry| Symbol::LOCAL | entry));
+        RequestTerms::look_up(vocab, arena, resolved, probes)
     }
 
     #[inline]
@@ -723,7 +803,8 @@ mod tests {
         let q = |i: usize| format!("SELECT ?v{i} WHERE {{ ?v{i} ?p \"{i}\" }}");
         for i in 0..1_000 {
             let t = triples(&q(i), &mut worker);
-            assert_eq!(worker.request_len(), 4, "one request's terms");
+            // ?v{i}, ?p and the literal: one entry per distinct term.
+            assert_eq!(worker.request_len(), 3, "one request's terms");
             assert_eq!(worker.resolve(t[0].o.symbol()), format!("\"{i}\""));
         }
         // A failed parse also starts from an empty table.
@@ -815,13 +896,131 @@ mod tests {
         assert!(sparql.contains("?abcdefg <abcdefg> ?abcdefga"), "{sparql}");
     }
 
+    /// Parse the triples `terms` (spelled `?name`, `<iri>` or `"literal"`,
+    /// three to a triple) on `worker` and check every term in parse order:
+    /// an IRI or literal the vocabulary holds has the symbol
+    /// [`Interner::get`] finds, and every other term is request-local, reads
+    /// back its own text and has the symbol of the first occurrence of its
+    /// text in its class. Distinct terms have distinct symbols.
+    fn assert_resolves_as_pushed(worker: &mut RequestTerms, terms: &[String]) {
+        let mut q = String::from("SELECT * WHERE { ");
+        for triple in terms.chunks(3) {
+            q.push_str(&format!("{} {} {} . ", triple[0], triple[1], triple[2]));
+        }
+        q.push('}');
+        let parsed = triples(&q, worker);
+        let vocab = Arc::clone(&worker.vocab);
+        let mut first = std::collections::HashMap::new();
+        let mut distinct = std::collections::HashSet::new();
+        let read = parsed.iter().flat_map(|tp| tp.terms());
+        for (spelled, term) in terms.iter().zip(read) {
+            let (vocab_term, text) = match spelled.strip_prefix('?') {
+                Some(name) => (false, name),
+                None => (true, spelled.trim_start_matches('<').trim_end_matches('>')),
+            };
+            distinct.insert((vocab_term, text));
+            assert_eq!(worker.resolve(term.symbol()), text, "{spelled}");
+            match vocab.get(text).filter(|_| vocab_term) {
+                Some(sym) => assert_eq!(term.symbol(), sym, "{spelled}"),
+                None => {
+                    assert!(term.symbol().is_local(), "{spelled} left the request");
+                    let sym = *first.entry((vocab_term, text)).or_insert(term.symbol());
+                    assert_eq!(term.symbol(), sym, "{spelled} is not its first occurrence");
+                }
+            }
+        }
+        let symbols: std::collections::HashSet<Symbol> = first.values().copied().collect();
+        assert_eq!(
+            symbols.len(),
+            first.len(),
+            "two distinct terms share a symbol"
+        );
+        assert_eq!(worker.request_len(), distinct.len(), "one entry per term");
+    }
+
+    /// A vocabulary of `<http://x/0..64>`, `<q>` and `"0"..."64"`.
+    fn small_vocab() -> RequestTerms {
+        let mut build = Interner::new();
+        for i in 0..64 {
+            build.intern(&format!("http://x/{i}"));
+            build.intern(&format!("\"{i}\""));
+        }
+        build.intern("q");
+        serve(build)
+    }
+
+    /// A small request: `?q` and `<q>` in both orders, repeats, and terms
+    /// the vocabulary holds and lacks.
+    fn small_request(i: usize) -> Vec<String> {
+        [
+            format!("?v{i}"),
+            "<http://x/1>".to_string(),
+            format!("\"{}\"", 60 + i),
+            "?q".to_string(),
+            "<q>".to_string(),
+            format!("?v{i}"),
+            "<q>".to_string(),
+            format!("<http://y/{i}>"),
+            "?q".to_string(),
+            format!("?v{}", i + 1),
+            "<http://x/1>".to_string(),
+            format!("\"{}\"", 60 + i),
+        ]
+        .to_vec()
+    }
+
+    #[test]
+    fn a_parse_that_outgrows_the_index_keeps_every_identity() {
+        let mut worker = small_vocab();
+        assert_resolves_as_pushed(&mut worker, &small_request(0));
+        let cap = worker.index.len();
+        // Three times as many distinct terms as the index has slots, then
+        // every one of the first ones again, pushed before the growth.
+        let mut big = Vec::new();
+        for i in 0..cap {
+            big.push(format!("?v{i}"));
+            big.push(format!("<http://x/{}>", i % 80));
+            big.push(format!("\"{}\"", i % 70 + 1000 * (i % 2)));
+        }
+        for i in 0..cap {
+            big.push(format!("?v{}", cap - 1 - i));
+            big.push(format!("<http://x/{}>", i % 80));
+            big.push(format!("\"{}\"", i % 70 + 1000 * (i % 2)));
+        }
+        assert_resolves_as_pushed(&mut worker, &big);
+        assert!(worker.index.len() > cap, "the index grew");
+        let grown = worker.index.len();
+        for i in 0..8 {
+            assert_resolves_as_pushed(&mut worker, &small_request(i));
+        }
+        assert_eq!(worker.index.len(), grown, "the index keeps its capacity");
+    }
+
+    #[test]
+    fn the_generation_stamp_wraps_without_reviving_old_slots() {
+        let mut worker = small_vocab();
+        // Parses at generations 2 to 5 leave their slots stamped; past the
+        // wrap the same requests come back at the same generations.
+        for i in 0..4 {
+            assert_resolves_as_pushed(&mut worker, &small_request(i));
+        }
+        assert_eq!(worker.gen, 5);
+        worker.gen = u32::MAX - 3;
+        for _ in 0..3 {
+            for i in 0..4 {
+                assert_resolves_as_pushed(&mut worker, &small_request(i));
+            }
+        }
+        assert_eq!(worker.gen, 9, "the stamp wrapped past 0 to 1");
+    }
+
     /// Two strings whose slots carry the same 32-bit tag and the same home
     /// in a 16-slot table: a staged lookup of one meets the other first.
-    fn tag_twins() -> (String, String) {
+    fn tag_twins(seed: u64) -> (String, String) {
         let mut seen = std::collections::HashMap::new();
         for i in 0u64.. {
             let s = format!("\"{i}\"");
-            match seen.entry(hash_str(&s) & 0xffff_ffff_0000_000f) {
+            match seen.entry(hash_str(seed, &s) & 0xffff_ffff_0000_000f) {
                 std::collections::hash_map::Entry::Occupied(e) => return (e.remove(), s),
                 std::collections::hash_map::Entry::Vacant(e) => e.insert(s),
             };
@@ -831,9 +1030,9 @@ mod tests {
 
     #[test]
     fn a_tag_collision_continues_the_probe() {
-        let (a, b) = tag_twins();
-        let q = format!("SELECT * WHERE {{ ?s ?p {a} . ?s ?p {b} }}");
         let mut build = Interner::new();
+        let (a, b) = tag_twins(build.seed);
+        let q = format!("SELECT * WHERE {{ ?s ?p {a} . ?s ?p {b} }}");
         let sym_a = build.intern(&a);
         assert_eq!(build.table.len(), 16);
         let t = triples(&q, &mut serve(build.clone()));
@@ -842,5 +1041,57 @@ mod tests {
         let sym_b = build.intern(&b);
         let t = triples(&q, &mut serve(build));
         assert_eq!((t[0].o.symbol(), t[1].o.symbol()), (sym_a, sym_b));
+    }
+
+    /// `n` 24-byte literals whose unseeded hashes are all equal: each is a
+    /// quote and seven letters, then the one 8-byte word that brings the
+    /// Fx state to a fixed value, then seven `z`s and a quote.
+    fn colliding_when_unseeded(n: usize) -> Vec<String> {
+        // Fx's multiplier, and its inverse modulo 2^64 (Newton's method).
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mut k_inv = K;
+        for _ in 0..6 {
+            k_inv = k_inv.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(k_inv)));
+        }
+        let state = 0x1234_5678_9abc_def0u64;
+        let printable = |b: &u8| (0x20..0x7f).contains(b) && *b != b'"' && *b != b'\\';
+        let mut out = Vec::new();
+        for i in 0u64.. {
+            let mut first = [b'"'; 8];
+            for (j, b) in first[1..].iter_mut().enumerate() {
+                *b = b'a' + (i >> (4 * j) & 15) as u8;
+            }
+            let h = (u64::from_le_bytes(first)).wrapping_mul(K);
+            let second = (state.wrapping_mul(k_inv) ^ h.rotate_left(5)).to_le_bytes();
+            if second.iter().all(printable) {
+                let mut text = first.to_vec();
+                text.extend_from_slice(&second);
+                text.extend_from_slice(b"zzzzzzz\"");
+                out.push(String::from_utf8(text).expect("ASCII"));
+                if out.len() == n {
+                    return out;
+                }
+            }
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn texts_crafted_to_collide_unseeded_spread_under_the_seed() {
+        let texts = colliding_when_unseeded(64);
+        let unseeded: std::collections::HashSet<u64> =
+            texts.iter().map(|t| hash_str(0, t)).collect();
+        assert_eq!(unseeded.len(), 1, "the construction collides");
+        let mut worker = serve(Interner::new());
+        assert_ne!(worker.seed, 0);
+        let seeded: std::collections::HashSet<u64> =
+            texts.iter().map(|t| hash_str(worker.seed, t)).collect();
+        assert_eq!(seeded.len(), texts.len(), "a collision survived the seed");
+        // They are 64 distinct request terms.
+        let terms: Vec<String> = texts
+            .iter()
+            .flat_map(|t| ["?s".to_string(), "<http://p>".to_string(), t.clone()])
+            .collect();
+        assert_resolves_as_pushed(&mut worker, &terms);
     }
 }

@@ -518,6 +518,25 @@ pub fn render_query_into(
     write_query(out, query, interner, fresh_base);
 }
 
+/// [`render_query_into`] for a query no variable of which is named `g…`:
+/// no fresh name can collide with one, so the fresh-name base is 0 and the
+/// pass over every term that looks for `g{k}` names is skipped.
+pub(crate) fn render_query_unshifted_into(
+    query: QueryRef<'_>,
+    interner: &impl SymbolText,
+    out: &mut String,
+) {
+    debug_assert!(
+        matches!(
+            fresh_render_base_into(query.terms(), interner, &mut String::new()),
+            FreshBase::Int(0)
+        ),
+        "a variable of the query is named g{{k}}"
+    );
+    out.clear();
+    write_query(out, query, interner, FreshBase::Int(0));
+}
+
 /// Is `s` a canonical decimal numeral (no sign, no leading zero except "0"
 /// itself)? Rendered fresh names are always canonical, so only canonical
 /// parsed `g{k}` names can ever collide with them; non-canonical ones

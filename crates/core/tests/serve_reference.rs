@@ -7,7 +7,10 @@
 //! one [`RequestTerms`] over the frozen vocabulary, reused across the
 //! whole stream, whose terms the vocabulary lacks stay request-local. The
 //! two must render byte-identical text, or fail with the same
-//! [`ParseError`] (offset and message).
+//! [`ParseError`] (offset and message). So must [`ServeEngine::serve`],
+//! which renders with a shortcut of its own when no variable is named
+//! `g…`: once without a cache, and once cached, each request served twice
+//! (a miss, then a hit).
 //!
 //! The stream is the shared random group-query generator's output, put
 //! through a seeded mangler aimed at the request table: names that share
@@ -15,23 +18,73 @@
 //! long name whose first eight bytes, with the length XORed in, look the
 //! same); requests with more than 32 distinct local texts; IRIs the
 //! vocabulary lacks, used several times; IRIs one byte off a vocabulary
-//! IRI; PREFIX aliases; and malformed tails.
+//! IRI; `?q` beside `<q>`, the key of a rule, in either order; `g{k}`
+//! variables the rewrite drops or keeps beside fresh ones; a guard's
+//! constant literal in each spelling the parser canonicalises; PREFIX
+//! aliases; and malformed tails.
 
 use std::sync::Arc;
 
 use sparql_rewrite_core::{
-    parse_bgp, parse_query, parse_query_into, render_query_into, AlignmentStore, Interner,
-    ParseError, ParseScratch, QueryRef, RequestTerms, RewriteScratch, Rewriter,
+    parse_bgp, parse_query, parse_query_into, render_query_into, AlignmentStore, CacheConfig,
+    CmpOp, ExprNode, Interner, ParseError, ParseScratch, QueryRef, RequestTerms, RewriteScratch,
+    Rewriter, RuleTemplate, ServeEngine,
 };
 
 mod common;
 use common::{random_group_query_text, rewrite, Rng};
 
+/// `?s <{lhs}> ?o` rewritten to `?s <{rhs}> ?o` only where `?o` equals
+/// the literal `constant`, spelled as in a query.
+fn add_guarded(
+    store: &mut AlignmentStore,
+    it: &mut Interner,
+    lhs: &str,
+    rhs: &str,
+    constant: &str,
+) {
+    let lhs = parse_bgp(&format!("?s <{lhs}> ?o"), it).unwrap().patterns[0];
+    let rhs = parse_bgp(&format!("?s <{rhs}> ?o"), it).unwrap().patterns;
+    let constant = parse_bgp(&format!("?s ?p {constant}"), it)
+        .unwrap()
+        .patterns[0]
+        .o;
+    let mut tmpl = RuleTemplate::from_triples(rhs);
+    let o = tmpl.push_expr(ExprNode::Term(lhs.o));
+    let c = tmpl.push_expr(ExprNode::Term(constant));
+    let eq = tmpl.push_expr(ExprNode::Cmp(CmpOp::Eq, o, c));
+    tmpl.set_guard(eq);
+    store.add_complex_predicate(lhs, tmpl).unwrap();
+}
+
 /// A small rule set over the generator's vocabulary (`http://ex/p0..11`,
 /// `http://ex/e0..19`), so rewrites fire: renames, a chain with an
-/// existential, a second template (UNION), and entity alignments.
+/// existential, a second template (UNION), and entity alignments. Beside
+/// them: a rule keyed on `<q>`, whose text is also a variable name; a rule
+/// that drops its lhs object for an existential; and rules guarded on a
+/// language-tagged and on an integer literal.
 fn rules(it: &mut Interner) -> AlignmentStore {
     let mut store = AlignmentStore::new();
+    for (lhs, rhs) in [
+        ("?s <q> ?o", "?s <http://out/q> ?o"),
+        (
+            "?s <http://ex/drop> ?o",
+            "?s <http://out/droph> ?m . ?m <http://out/dropt> <http://out/c>",
+        ),
+    ] {
+        let lhs = parse_bgp(lhs, it).unwrap().patterns[0];
+        store
+            .add_predicate(lhs, parse_bgp(rhs, it).unwrap().patterns)
+            .unwrap();
+    }
+    add_guarded(
+        &mut store,
+        it,
+        "http://ex/lang",
+        "http://out/lang",
+        "\"gold\"@en",
+    );
+    add_guarded(&mut store, it, "http://ex/int", "http://out/int", "42");
     for i in 0..12 {
         let lhs = parse_bgp(&format!("?s <http://ex/p{i}> ?o"), it)
             .unwrap()
@@ -142,6 +195,31 @@ fn extra_triples(rng: &mut Rng) -> String {
     if rng.below(4) == 0 {
         out.push_str(&format!("?v3 <http://ex/p0> ?g{} . ", rng.below(12)));
     }
+    if rng.below(3) == 0 {
+        // `?q` and `<q>`, the key of a rule, in either order.
+        out.push_str(["?q <q> ?v1 . ", "?v1 <q> ?q . "][rng.below(2)]);
+    }
+    if rng.below(4) == 0 {
+        // A `g{k}` variable the rewrite drops, for a fresh one.
+        out.push_str(&format!("?v2 <http://ex/drop> ?g{} . ", rng.below(12)));
+    }
+    if rng.below(4) == 0 {
+        // A `g{k}` variable the rewrite keeps beside a fresh one.
+        out.push_str(&format!("?g{} <http://ex/p1> ?v4 . ", rng.below(12)));
+    }
+    if rng.below(3) == 0 {
+        // A guard's constant, in each spelling the parser canonicalises.
+        let lang = ["\"gold\"@en", "\"gold\"@EN", "\"gold\"@en-GB"][rng.below(3)];
+        let int = [
+            "42",
+            "\"42\"^^xsd:integer",
+            "\"42\"^^<http://www.w3.org/2001/XMLSchema#integer>",
+            "43",
+        ][rng.below(4)];
+        out.push_str(&format!(
+            "?v5 <http://ex/lang> {lang} . ?v5 <http://ex/int> {int} . "
+        ));
+    }
     out
 }
 
@@ -203,6 +281,9 @@ fn request(rng: &mut Rng) -> String {
         extra_triples(rng),
         &query[open..]
     );
+    if text.contains("xsd:") {
+        text.insert_str(0, "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n");
+    }
     if rng.below(3) == 0 {
         text = alias(rng, &text);
     }
@@ -245,11 +326,28 @@ impl Worker {
     }
 }
 
+/// An engine over [`rules`], with `cache` or without one.
+fn engine(cache: Option<CacheConfig>) -> ServeEngine {
+    let mut vocab = Interner::new();
+    let store = rules(&mut vocab);
+    ServeEngine::with_cache(store, vocab, cache)
+}
+
 #[test]
 fn a_reused_request_table_serves_what_a_fresh_vocabulary_copy_does() {
     let mut vocab = Interner::new();
     let store = rules(&mut vocab);
     let vocab = Arc::new(vocab);
+    // The engine serves each request through the same parse, and renders
+    // it with a shortcut of its own; the cached one serves each request
+    // twice, a miss and then a hit.
+    let cold = engine(None);
+    let cached = engine(Some(CacheConfig {
+        shards: 2,
+        slots_per_shard: 256,
+        value_cap: 16 << 10,
+    }));
+    let (mut cold_scratch, mut cached_scratch) = (cold.scratch(), cached.scratch());
     let mut worker = Worker {
         terms: RequestTerms::new(Arc::clone(&vocab)),
         parse: ParseScratch::new(),
@@ -259,15 +357,32 @@ fn a_reused_request_table_serves_what_a_fresh_vocabulary_copy_does() {
     };
     let mut rng = Rng(0x5e7e_2ef0_0d15_ea5e);
     let (mut served, mut rejected, mut rewritten) = (0, 0, 0);
+    // Outputs through the `<q>` rule, the dropping rule and each guard.
+    let targets = [
+        "<http://out/q>",
+        "<http://out/droph>",
+        "<http://out/lang>",
+        "<http://out/int>",
+    ];
+    let mut fired = [0; 4];
     for n in 0..2_000 {
         let text = request(&mut rng);
         let expected = reference(&vocab, &store, &text);
         let got = worker.serve(&store, &text).map(str::to_owned);
         assert_eq!(got, expected, "request {n}:\n{text}");
+        let uncached = cold.serve(&text, &mut cold_scratch).map(str::to_owned);
+        assert_eq!(uncached, expected, "request {n}, uncached engine:\n{text}");
+        for pass in ["miss", "hit"] {
+            let cached = cached.serve(&text, &mut cached_scratch).map(str::to_owned);
+            assert_eq!(cached, expected, "request {n}, cache {pass}:\n{text}");
+        }
         match got {
             Ok(out) => {
                 served += 1;
                 rewritten += usize::from(out.contains("<http://out/"));
+                for (count, target) in fired.iter_mut().zip(targets) {
+                    *count += usize::from(out.contains(target));
+                }
             }
             Err(_) => rejected += 1,
         }
@@ -278,4 +393,9 @@ fn a_reused_request_table_serves_what_a_fresh_vocabulary_copy_does() {
         "{served} served, {rejected} rejected"
     );
     assert!(rewritten > 1_000, "{rewritten} rewritten");
+    assert!(
+        fired.iter().all(|&n| n > 100),
+        "{targets:?} fired {fired:?}"
+    );
+    assert_eq!(cached_scratch.cache_hits(), served, "every repeat hits");
 }
